@@ -220,43 +220,33 @@ let makespan_probes () =
 
 (* --- host-parallel throughput probes -------------------------------------- *)
 
-(* Host wall-time of the domain-parallel backend: a fixed check sweep at
-   one domain vs the host's recommended count, plus one differential
-   history run. Host time is noisy and machine-dependent by nature, so
-   these live in their own [host_par] section that the regression gate
-   never reads ([run_check] parses only [micro_ns_per_run]); the
-   conditional speedup gate lives in scripts/par_check.sh. Every probe
-   doubles as a correctness assertion: a counterexample or differential
-   failure aborts the baseline write. *)
+(* Host wall-time of a domain-parallel seed sweep: a fixed check sweep
+   at one domain vs the host's recommended count. Host time is noisy and
+   machine-dependent by nature, so these live in their own [host_par]
+   section that the regression gate never reads ([run_check] parses only
+   [micro_ns_per_run]); the informational speedup line lives in
+   scripts/interleave_check.sh. Every probe doubles as a correctness
+   assertion: a counterexample aborts the baseline write. *)
 let host_par_probes () =
   let sweep_ns domains =
     let pool = Par.Pool.create ~domains in
-    let t0 = Par.Host.now_ns () in
+    let t0 = Unix.gettimeofday () in
     (match
        Par.Sweep.check_sweep pool ~alloc:"NVAlloc-LOG" ~seed:1 ~runs:8 ~ops:600 ~threads:2 ()
      with
     | None -> ()
     | Some cex ->
         failwith ("host_par probe counterexample: " ^ cex.Check.Runner.reason));
-    Par.Host.now_ns () -. t0
+    (Unix.gettimeofday () -. t0) *. 1e9
   in
   let nd = max 2 (Domain.recommended_domain_count ()) in
   let d1_ns = sweep_ns 1 in
   let dn_ns = sweep_ns nd in
-  let history_ns =
-    let sc =
-      { Check.History.alloc = "NVAlloc-LOG"; seed = 1; ops = 1000; threads = 4; crash = None }
-    in
-    match Par.Runner.run_history (Par.Pool.create ~domains:nd) sc with
-    | Ok r -> r.Par.Runner.host_ns
-    | Error e -> failwith ("host_par probe differential failure: " ^ e)
-  in
   [
     ("domains", float_of_int nd);
     ("check_sweep_8x600_1d_ns", d1_ns);
     ("check_sweep_8x600_nd_ns", dn_ns);
     ("sweep_speedup_x", if dn_ns > 0.0 then d1_ns /. dn_ns else 0.0);
-    ("par_history_1000op_4t_nd_ns", history_ns);
   ]
 
 (* --- JSON baseline -------------------------------------------------------- *)
@@ -292,7 +282,7 @@ let json_string ?host_par ~micro ~makespans () =
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
   Buffer.add_string b
-    "  \"note\": \"micro_ns_per_run is host time (noisy); simulated_makespan_ns is deterministic simulated time; host_par is host time of the domain backend (informational, never gated)\",\n";
+    "  \"note\": \"micro_ns_per_run is host time (noisy); simulated_makespan_ns is deterministic simulated time; host_par is host time of domain-parallel seed sweeps (informational, never gated)\",\n";
   json_section b "micro_ns_per_run" "%.1f" micro;
   Buffer.add_string b ",\n";
   json_section b "simulated_makespan_ns" "%.3f" makespans;

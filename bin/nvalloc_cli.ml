@@ -72,6 +72,23 @@ let batch_flag =
   in
   Arg.(value & vflag true [ (true, batch); (false, no_batch) ])
 
+let mutate_flag =
+  let module M = Nvalloc_core.Mutation in
+  let doc =
+    "Demo mode: seed one protocol bug into the NVAlloc heap under test, \
+     to show the gate catching it. $(b,wal-flush) skips the WAL append \
+     flush (the refill WAL-before-bitmap ordering bug); $(b,wal-record) \
+     makes every WAL group commit forget its commit record (meaningful \
+     with a crash); $(b,scrub) makes media scrub passes bless a damaged \
+     primary instead of repairing it; $(b,header) mis-decodes the packed \
+     slab header's size-class field on every read; $(b,none) is the \
+     correct allocator."
+  in
+  Arg.(
+    value
+    & opt (enum (List.map (fun m -> (M.to_string m, m)) M.all)) M.Off
+    & info [ "mutate" ] ~docv:"NAME" ~doc)
+
 let with_batching batch f =
   Harness.Factory.force_sync := not batch;
   Fun.protect ~finally:(fun () -> Harness.Factory.force_sync := false) f
@@ -442,21 +459,6 @@ let fuzz_cmd =
     let doc = "Replay one plan (a line previously printed by the fuzzer) instead of sampling." in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
-  let broken =
-    let doc =
-      "Demo mode: deliberately skip the WAL's append flush on the workload \
-       instance, to show a real ordering bug being caught and shrunk."
-    in
-    Arg.(value & flag & info [ "broken" ] ~doc)
-  in
-  let broken_record =
-    let doc =
-      "Demo mode: make every WAL group commit \"forget\" its commit record \
-       (effects persist, the group's entries never do), to show the \
-       batched-pipeline mutation being caught and shrunk."
-    in
-    Arg.(value & flag & info [ "broken-record" ] ~doc)
-  in
   let check_order =
     let doc =
       "Run every plan with the device's persist-ordering checker enabled: \
@@ -464,15 +466,6 @@ let fuzz_cmd =
        oracle failures even when the crash misses the vulnerable window."
     in
     Arg.(value & opt bool true & info [ "check-order" ] ~docv:"BOOL" ~doc)
-  in
-  let broken_scrub =
-    let doc =
-      "Demo mode: make every media scrub pass \"bless\" a damaged primary \
-       (recompute its checksum over the corrupt bytes) instead of repairing \
-       it from the replica, to show the media mutation being caught on plans \
-       with a scrub step."
-    in
-    Arg.(value & flag & info [ "broken-scrub" ] ~doc)
   in
   let media =
     let doc =
@@ -509,7 +502,7 @@ let fuzz_cmd =
      last few events: the flushes/WAL appends/recovery phases right
      before the oracle's verdict, alongside the one-line repro and the
      device's media-fault counters. *)
-  let dump_tail ~batch ~broken ~broken_record ~broken_scrub ~check_order ~tail plan =
+  let dump_tail ~batch ~mutation ~check_order ~tail plan =
     if tail > 0 then begin
       let sink = Telemetry.create () in
       let media_line = ref "" in
@@ -523,8 +516,7 @@ let fuzz_cmd =
             (Pmem.Stats.scrub_passes s)
       in
       ignore
-        (Fault.Fuzz.run_plan ~batch ~broken ~broken_record ~broken_scrub ~check_order
-           ~telemetry:sink ~on_device plan);
+        (Fault.Fuzz.run_plan ~batch ~mutation ~check_order ~telemetry:sink ~on_device plan);
       let events = Telemetry.tail_events sink ~n:tail in
       if events <> [] then begin
         Printf.printf "  last %d telemetry events before failure:\n" (List.length events);
@@ -542,8 +534,8 @@ let fuzz_cmd =
     in
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
-  let run seed runs variant plan batch broken broken_record broken_scrub media poison_n
-      bitrot_n scrub check_order tail domains =
+  let run seed runs variant plan batch mutation media poison_n bitrot_n scrub check_order tail
+      domains =
     let variant =
       match variant with
       | "any" -> None
@@ -574,25 +566,21 @@ let fuzz_cmd =
         | Error e -> failwith ("bad --plan: " ^ e)
         | Ok p -> (
             let p = adjust p in
-            match
-              Fault.Fuzz.run_plan ~batch ~broken ~broken_record ~broken_scrub ~check_order p
-            with
+            match Fault.Fuzz.run_plan ~batch ~mutation ~check_order p with
             | Ok report ->
                 Format.printf "ok: %s@.  %a@." (Fault.Plan.to_string p)
                   Nvalloc_core.Nvalloc.pp_recovery_report report
             | Error reason ->
                 Format.printf "FAIL: %s@.  %s@." (Fault.Plan.to_string p) reason;
-                dump_tail ~batch ~broken ~broken_record ~broken_scrub ~check_order ~tail p;
+                dump_tail ~batch ~mutation ~check_order ~tail p;
                 exit 1))
     | None -> (
         let outcome =
           match domains with
           | None ->
-              Fault.Fuzz.fuzz ~batch ~broken ~broken_record ~broken_scrub ~check_order
-                ?variant ~media ~adjust ~seed ~runs ()
+              Fault.Fuzz.fuzz ~batch ~mutation ~check_order ?variant ~media ~adjust ~seed ~runs ()
           | Some d ->
-              Par.Sweep.fuzz_sweep ~batch ~broken ~broken_record ~broken_scrub ~check_order
-                ?variant ~media ~adjust
+              Par.Sweep.fuzz_sweep ~batch ~mutation ~check_order ?variant ~media ~adjust
                 (Par.Pool.create ~domains:d)
                 ~seed ~runs ()
         in
@@ -603,15 +591,14 @@ let fuzz_cmd =
               (Fault.Plan.to_string cex.Fault.Fuzz.shrunk)
               cex.Fault.Fuzz.reason
               (Fault.Plan.to_string cex.Fault.Fuzz.original);
-            dump_tail ~batch ~broken ~broken_record ~broken_scrub ~check_order ~tail
-              cex.Fault.Fuzz.shrunk;
+            dump_tail ~batch ~mutation ~check_order ~tail cex.Fault.Fuzz.shrunk;
             exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ seed $ runs $ variant $ plan $ batch_flag $ broken $ broken_record
-      $ broken_scrub $ media $ poison_n $ bitrot_n $ scrub $ check_order $ tail $ domains)
+      const run $ seed $ runs $ variant $ plan $ batch_flag $ mutate_flag $ media $ poison_n
+      $ bitrot_n $ scrub $ check_order $ tail $ domains)
 
 let check_cmd =
   let doc =
@@ -655,30 +642,15 @@ let check_cmd =
     in
     Arg.(value & opt string "all" & info [ "allocators" ] ~docv:"NAMES" ~doc)
   in
-  let broken =
+  let interleave =
     let doc =
-      "Demo mode: re-introduce the refill WAL-before-bitmap ordering bug on \
-       the NVAlloc instances, to show the checker catching a real protocol \
-       violation."
+      "Run every generated scenario under the scheduler's seeded pick rule: \
+       each step goes to a uniformly chosen runnable thread instead of the \
+       one with the smallest simulated clock, seeded by the scenario seed \
+       (printed as $(b,sched=N) in the scenario line). Reaches op orders \
+       the default rule never produces; every order replays and shrinks."
     in
-    Arg.(value & flag & info [ "broken" ] ~doc)
-  in
-  let broken_record =
-    let doc =
-      "Demo mode: make every WAL group commit on the NVAlloc instances \
-       \"forget\" its commit record (effects persist without their log \
-       entries), to show the checker catching the batched-pipeline \
-       mutation. Meaningful with $(b,--crash)."
-    in
-    Arg.(value & flag & info [ "broken-record" ] ~doc)
-  in
-  let broken_header =
-    let doc =
-      "Demo mode: mis-decode the packed slab header's size-class field on \
-       every read on the NVAlloc instances, to show the deep integrity walk \
-       catching a metadata-layout bug."
-    in
-    Arg.(value & flag & info [ "broken-header" ] ~doc)
+    Arg.(value & flag & info [ "interleave" ] ~doc)
   in
   let scenario =
     let doc =
@@ -695,14 +667,13 @@ let check_cmd =
     in
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
-  let run seed runs ops threads crash allocators batch broken broken_record broken_header
-      scenario domains =
+  let run seed runs ops threads crash allocators batch mutation interleave scenario domains =
     match scenario with
     | Some line -> (
         match Check.History.of_string line with
         | Error e -> failwith ("bad --scenario: " ^ e)
         | Ok sc -> (
-            match Check.Runner.run ~batch ~broken ~broken_record ~broken_header sc with
+            match Check.Runner.run ~batch ~mutation sc with
             | Ok () -> Printf.printf "ok: %s\n" (Check.History.to_string sc)
             | Error reason ->
                 Printf.printf "FAIL: %s\n  reason: %s\n" (Check.History.to_string sc) reason;
@@ -718,18 +689,19 @@ let check_cmd =
             let outcome =
               match domains with
               | None ->
-                  Check.Runner.check ~batch ~broken ~broken_record ~broken_header ~alloc ~seed
-                    ~runs ~ops ~threads ?crash ()
+                  Check.Runner.check ~batch ~mutation ~interleave ~alloc ~seed ~runs ~ops
+                    ~threads ?crash ()
               | Some d ->
-                  Par.Sweep.check_sweep ~batch ~broken ~broken_record ~broken_header
+                  Par.Sweep.check_sweep ~batch ~mutation ~interleave
                     (Par.Pool.create ~domains:d)
                     ~alloc ~seed ~runs ~ops ~threads ?crash ()
             in
             match outcome with
             | None ->
-                Printf.printf "ok: %-12s %d scenario(s), ops=%d threads=%d seed=%d%s\n" alloc
+                Printf.printf "ok: %-12s %d scenario(s), ops=%d threads=%d seed=%d%s%s\n" alloc
                   runs ops threads seed
                   (match crash with None -> "" | Some n -> Printf.sprintf " crash=%d" n)
+                  (if interleave then " interleaved" else "")
             | Some cex ->
                 failed := true;
                 Printf.printf
@@ -743,121 +715,8 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const run $ seed $ runs $ ops $ threads $ crash $ allocators $ batch_flag $ broken
-      $ broken_record $ broken_header $ scenario $ domains)
-
-let par_cmd =
-  let doc =
-    "Run the domain-parallel differential gate: execute model-checker \
-     histories on the real-parallelism backend (OCaml domains, one big lock \
-     per instance, OS-chosen interleavings) with the full lockstep model \
-     validation, then re-run each scenario on the simulated scheduler and \
-     cross-check the interleaving-invariant aggregates. Per-scenario verdict \
-     lines are deterministic (host times appear only in the summary). On \
-     failure the scenario is shrunk through the differential predicate and \
-     printed as a replayable one-liner. Exits non-zero on a failure."
-  in
-  let domains =
-    let doc = "Domains driving each scenario's threads (default: the host's recommended count)." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"History-generation RNG seed.")
-  in
-  let runs =
-    Arg.(
-      value & opt int 10
-      & info [ "runs" ] ~docv:"N" ~doc:"Scenarios per allocator (seeds SEED..SEED+N-1).")
-  in
-  let ops =
-    Arg.(
-      value & opt int 2000
-      & info [ "ops" ] ~docv:"N" ~doc:"Total operations per scenario, across all threads.")
-  in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"History threads per scenario.")
-  in
-  let crash =
-    let doc =
-      "Also arm a crash after $(docv) flushed lines on every scenario and run \
-       the post-crash oracle on both backends (NVAlloc variants only)."
-    in
-    Arg.(value & opt (some int) None & info [ "crash" ] ~docv:"N" ~doc)
-  in
-  let allocators =
-    let doc = "Comma-separated allocator names, or $(b,all)." in
-    Arg.(value & opt string "all" & info [ "allocators" ] ~docv:"NAMES" ~doc)
-  in
-  let broken =
-    let doc = "Demo mode: the refill WAL-ordering mutation (the gate must fail)." in
-    Arg.(value & flag & info [ "broken" ] ~doc)
-  in
-  let broken_record =
-    let doc = "Demo mode: the forgotten-commit-record mutation (with --crash)." in
-    Arg.(value & flag & info [ "broken-record" ] ~doc)
-  in
-  let broken_header =
-    let doc = "Demo mode: the packed-header mis-decode mutation (the gate must fail)." in
-    Arg.(value & flag & info [ "broken-header" ] ~doc)
-  in
-  let run domains seed runs ops threads crash allocators batch broken broken_record
-      broken_header =
-    let domains =
-      match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-    in
-    let pool = Par.Pool.create ~domains in
-    let names =
-      if allocators = "all" then Check.Runner.allocator_names
-      else String.split_on_char ',' allocators |> List.map String.trim
-    in
-    let failed = ref false in
-    let scenarios = ref 0 in
-    let total_executed = ref 0 in
-    let total_host_ns = ref 0.0 in
-    let total_waits = ref 0 in
-    List.iter
-      (fun alloc ->
-        for i = 0 to runs - 1 do
-          let sc = { Check.History.alloc; seed = seed + i; ops; threads; crash } in
-          match
-            Par.Runner.run_history ~batch ~broken ~broken_record ~broken_header pool sc
-          with
-          | Ok r ->
-              incr scenarios;
-              total_executed := !total_executed + r.Par.Runner.executed;
-              total_host_ns := !total_host_ns +. r.Par.Runner.host_ns;
-              total_waits := !total_waits + r.Par.Runner.lock_waits;
-              Printf.printf "ok: %s\n" (Check.History.to_string sc)
-          | Error reason ->
-              failed := true;
-              incr scenarios;
-              let shrunk, reason =
-                Par.Runner.shrink ~batch ~broken ~broken_record ~broken_header pool sc
-                  ~reason
-              in
-              Printf.printf "FAIL: %s\n  reason: %s\n  original: %s\n"
-                (Check.History.to_string shrunk)
-                reason
-                (Check.History.to_string sc)
-        done)
-      names;
-    (* Host time is the one authoritative duration in par mode; it is
-       also nondeterministic, so it stays out of the per-scenario lines
-       the differential scripts diff. *)
-    Printf.printf
-      "par summary: %d scenario(s), domains=%d, executed=%d ops, host=%.1f ms, %.2f Mops/s \
-       (host), lock_waits=%d\n"
-      !scenarios domains !total_executed (!total_host_ns /. 1e6)
-      (if !total_host_ns > 0.0 then float_of_int !total_executed /. (!total_host_ns /. 1e9) /. 1e6
-       else 0.0)
-      !total_waits;
-    if !failed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "par" ~doc)
-    Term.(
-      const run $ domains $ seed $ runs $ ops $ threads $ crash $ allocators $ batch_flag
-      $ broken $ broken_record $ broken_header)
+      const run $ seed $ runs $ ops $ threads $ crash $ allocators $ batch_flag $ mutate_flag
+      $ interleave $ scenario $ domains)
 
 let () =
   let doc = "NVAlloc (ASPLOS'22) reproduction driver" in
@@ -876,5 +735,4 @@ let () =
             bench_cmd;
             fuzz_cmd;
             check_cmd;
-            par_cmd;
           ]))

@@ -24,8 +24,7 @@ type t = {
 }
 
 let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_interleave = false)
-    ?(broken_wal = false) ?(broken_record = false) ?(broken_scrub = false)
-    ?(broken_header = false) () =
+    ?mutation () =
   let lat = if eadr then Pmem.Latency.eadr else Pmem.Latency.default in
   let dev = Pmem.Device.create ~lat ~size:dev_size () in
   let clocks = Array.init threads (fun _ -> Sim.Clock.create ()) in
@@ -43,22 +42,7 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
     else config
   in
   let config = { config with Config.arenas = min config.Config.arenas (max 1 threads) } in
-  (* Mutation-test knob (global, so set unconditionally: each construction
-     resets whatever the previous harness left behind): mis-decode one
-     packed-header field on every read, to demonstrate the integrity
-     walkers catch a header-layout bug. *)
-  Slab.unsafe_set_broken_header broken_header;
-  let t = Nvalloc.create ~config dev clocks.(0) in
-  (* Mutation-test knob: deliberately break the WAL append flush so the
-     checker/oracle can demonstrate the bug is caught (never set outside
-     a test harness). *)
-  if broken_wal then
-    Array.iter (fun a -> Wal.unsafe_set_skip_flush (Arena.wal a) true) (Nvalloc.arenas t);
-  if broken_record then
-    Array.iter
-      (fun a -> Wal.unsafe_set_skip_commit_record (Arena.wal a) true)
-      (Nvalloc.arenas t);
-  if broken_scrub then Nvalloc.unsafe_set_broken_scrub t true;
+  let t = Nvalloc.create ~config ?mutation dev clocks.(0) in
   let handles = Array.init threads (fun tid -> Nvalloc.thread t clocks.(tid)) in
   let default_name =
     match config.Config.consistency with
@@ -94,7 +78,7 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
       (fun () ->
         Pmem.Device.crash dev;
         let clock = Sim.Clock.create () in
-        let _t', _report = Nvalloc.recover ~config dev clock in
+        let _t', _report = Nvalloc.recover ~config ?mutation dev clock in
         Sim.Clock.now clock);
     snapshot =
       (fun ts ->

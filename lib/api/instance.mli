@@ -72,10 +72,7 @@ val of_nvalloc :
   dev_size:int ->
   ?eadr:bool ->
   ?eadr_keep_interleave:bool ->
-  ?broken_wal:bool ->
-  ?broken_record:bool ->
-  ?broken_scrub:bool ->
-  ?broken_header:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
   unit ->
   t
 (** Build an NVAlloc instance (LOG or GC per the config). On eADR the
@@ -83,23 +80,7 @@ val of_nvalloc :
     [pmem_has_auto_flush()] (section 6.7) — unless
     [eadr_keep_interleave] is set (Figure 19 studies exactly that).
 
-    [broken_wal] is a fault-injection knob for checker/fuzzer mutation
-    tests {e only}: it re-introduces the PR 2 refill ordering bug by
-    skipping the WAL append flush ([Wal.unsafe_set_skip_flush]) on every
-    arena, so the persist-ordering checker and crash oracle can prove
-    they still catch it. Never set it outside a test harness.
-
-    [broken_record] is the group-commit analogue: every arena WAL
-    "forgets" its group commit record ([Wal.unsafe_set_skip_commit_record])
-    — deferred effects persist while replay discards the group — for
-    mutation tests of the model-based checker.
-
-    [broken_scrub] seeds the media-scrub mutation
-    ([Nvalloc.unsafe_set_broken_scrub]): scrub passes bless damaged
-    primaries instead of repairing them from replicas, for mutation
-    tests of the crash/media oracle.
-
-    [broken_header] seeds the packed-header mutation
-    ([Slab.unsafe_set_broken_header]): every header read mis-decodes the
-    size-class field (lowest bit flipped), for mutation tests of
-    [Nvalloc.integrity_walk] and the model checker's deep walk. *)
+    [mutation] (default [Off]) seeds one protocol bug into the heap
+    ({!Nvalloc_core.Mutation}) for checker/fuzzer mutation tests
+    {e only}; the instance's own [recover] rebuilds the heap with it
+    too. Never set it outside a test harness. *)

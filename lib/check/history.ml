@@ -1,8 +1,16 @@
-type t = { alloc : string; seed : int; ops : int; threads : int; crash : int option }
+type t = {
+  alloc : string;
+  seed : int;
+  ops : int;
+  threads : int;
+  crash : int option;
+  sched : int option;
+}
 
 let to_string t =
-  Printf.sprintf "alloc=%s seed=%d ops=%d threads=%d crash=%s" t.alloc t.seed t.ops t.threads
+  Printf.sprintf "alloc=%s seed=%d ops=%d threads=%d crash=%s%s" t.alloc t.seed t.ops t.threads
     (match t.crash with None -> "-" | Some n -> string_of_int n)
+    (match t.sched with None -> "" | Some n -> Printf.sprintf " sched=%d" n)
 
 let of_string s =
   let ( let* ) = Result.bind in
@@ -46,10 +54,15 @@ let of_string s =
       | Some n -> Ok (Some n)
       | None -> Error (Printf.sprintf "field crash: expected - or an integer (%S)" v)
   in
+  (* Optional, so every repro line printed before seeded scheduling
+     existed still parses (as a min-clock scenario). *)
+  let* sched =
+    if Hashtbl.mem fields "sched" then Result.map Option.some (int_field "sched") else Ok None
+  in
   if ops < 1 then Error "ops must be >= 1"
   else if threads < 1 then Error "threads must be >= 1"
   else if (match crash with Some n -> n < 1 | None -> false) then Error "crash must be >= 1"
-  else Ok { alloc; seed; ops; threads; crash }
+  else Ok { alloc; seed; ops; threads; crash; sched }
 
 let shrink_candidates t =
   let dedup = Hashtbl.create 8 in

@@ -2,8 +2,8 @@
 
     A {e scenario} is the replayable description of one checker run — the
     allocator under test, the RNG seed, the total operation budget, the
-    thread count, and an optional crash point (a flush countdown, as in
-    {!Fault.Plan}). Scenarios round-trip through a one-line [key=value]
+    thread count, an optional crash point (a flush countdown, as in
+    {!Fault.Plan}) and an optional scheduling seed. Scenarios round-trip through a one-line [key=value]
     repro string, mirroring the fuzzer's UX, and shrink greedily.
 
     {!generate} expands a scenario into per-thread operation streams
@@ -20,20 +20,24 @@ type t = {
   ops : int;  (** total operations across all threads *)
   threads : int;
   crash : int option;  (** crash after this many flushed lines (NVAlloc only) *)
+  sched : int option;
+      (** [Some n]: run under the scheduler's seeded pick rule, seeded
+          [n] ({!Sim.Scheduler.run}); [None]: the min-clock rule *)
 }
 
 val to_string : t -> string
 (** One-line replayable repro, e.g.
-    [alloc=NVAlloc-LOG seed=7 ops=4000 threads=4 crash=-]. *)
+    [alloc=NVAlloc-LOG seed=7 ops=4000 threads=4 crash=-]; a set
+    [sched] appends [ sched=N]. *)
 
 val of_string : string -> (t, string) result
 (** Parse a {!to_string} line; validates [ops >= 1], [threads >= 1] and
-    [crash >= 1]. *)
+    [crash >= 1]. [sched] is optional. *)
 
 val shrink_candidates : t -> t list
 (** Strictly "smaller" scenarios to try when this one fails: drop or
     halve the crash point, halve/decrement the op budget, halve the
-    thread count. *)
+    thread count. Every candidate keeps [sched]. *)
 
 (** One operation of a thread's stream. [slot] indexes the owning
     thread's root-slot partition; a [Free] may target another thread's

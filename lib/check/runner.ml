@@ -30,18 +30,17 @@ let nv_config base ~threads =
     tcache_capacity = 8;
   }
 
-let build ~batch ~broken ~broken_record ~broken_header (sc : History.t) =
+let build ~batch ?mutation (sc : History.t) =
   match nv_base sc.History.alloc with
   | Some base ->
       let config = nv_config base ~threads:sc.History.threads in
       let config = if batch then config else Config.sync config in
       let inst =
-        Alloc_api.Instance.of_nvalloc ~config ~threads:sc.History.threads ~dev_size
-          ~broken_wal:broken ~broken_record ~broken_header ()
+        Alloc_api.Instance.of_nvalloc ~config ~threads:sc.History.threads ~dev_size ?mutation ()
       in
       (* The persist-ordering checker turns protocol bugs into verdicts
          even on crash-free runs (a crash point is not required to catch
-         --broken). *)
+         the WAL-flush mutation). *)
       Pmem.Device.set_check_mode inst.Alloc_api.Instance.dev true;
       (inst, Some config)
   | None -> (
@@ -54,24 +53,12 @@ let build ~batch ~broken ~broken_record ~broken_header (sc : History.t) =
             None )
       | None -> invalid_arg ("Check.Runner: unknown allocator " ^ sc.History.alloc))
 
-(* The domain-parallel runner (lib/par) drives the exact same instances
-   the sim-mode checker builds — same shrunken config, same mutation
-   knobs, same persist-ordering check mode — so its differential
-   verdicts are about the execution backend, never about configuration
-   drift. *)
-let instance_of ?(batch = true) ?(broken = false) ?(broken_record = false)
-    ?(broken_header = false) sc =
-  build ~batch ~broken ~broken_record ~broken_header sc
-
 let mib = 1024 * 1024
 
-type sim_report = { makespan_ns : float; executed : int }
-
-let run_report ?(batch = true) ?(broken = false) ?(broken_record = false)
-    ?(broken_header = false) (sc : History.t) =
+let run ?(batch = true) ?mutation (sc : History.t) =
   if sc.History.ops < 1 then invalid_arg "Check.Runner.run: ops must be >= 1";
   if sc.History.threads < 1 then invalid_arg "Check.Runner.run: threads must be >= 1";
-  let inst, nvcfg = build ~batch ~broken ~broken_record ~broken_header sc in
+  let inst, nvcfg = build ~batch ?mutation sc in
   let dev = inst.Alloc_api.Instance.dev in
   Workloads.Driver.require_slots inst History.slots_per_thread;
   let streams = History.generate sc ~large_ok:inst.Alloc_api.Instance.supports_large in
@@ -138,21 +125,13 @@ let run_report ?(batch = true) ?(broken = false) ?(broken_record = false)
       end
   in
   let ops_of ~tid = Array.length streams.(tid) in
+  let rng = Option.map Sim.Rng.create sc.History.sched in
   let drive () =
     try
-      ignore (Workloads.Driver.run inst ~ops_of ~step_of : Workloads.Driver.result);
+      ignore (Workloads.Driver.run ?rng inst ~ops_of ~step_of : Workloads.Driver.result);
       `Completed
     with Pmem.Device.Injected_crash -> `Crashed
   in
-  (* Largest worker clock — for completed runs this is exactly the
-     Driver result's makespan; for crashed runs it is the simulated
-     time reached when the countdown fired. *)
-  let makespan () =
-    Array.fold_left
-      (fun m c -> Float.max m (Sim.Clock.now c))
-      0.0 inst.Alloc_api.Instance.clocks
-  in
-  let report () = { makespan_ns = makespan (); executed = !executed } in
   match (sc.History.crash, nvcfg) with
   | Some n, Some config ->
       (* Crash mode: arm the flush countdown, then hand the crashed image
@@ -169,7 +148,7 @@ let run_report ?(batch = true) ?(broken = false) ?(broken_record = false)
           | `Crashed -> ());
           let clock = Sim.Clock.create () in
           Result.map
-            (fun (_ : Nvalloc.recovery_report) -> report ())
+            (fun (_ : Nvalloc.recovery_report) -> ())
             (Fault.Oracle.check ~config dev clock))
   | _ ->
       (* Crash-free (baselines ignore the crash point: their recovery is
@@ -218,21 +197,16 @@ let run_report ?(batch = true) ?(broken = false) ?(broken_record = false)
       in
       (* Deep persistent-image walk, ending in the quiescing WAL check. *)
       (match inst.Alloc_api.Instance.integrity with
-      | None -> Ok (report ())
-      | Some walk -> Result.map (fun (_ : string) -> report ()) (walk ()))
-
-let run ?batch ?broken ?broken_record ?broken_header sc =
-  Result.map
-    (fun (_ : sim_report) -> ())
-    (run_report ?batch ?broken ?broken_record ?broken_header sc)
+      | None -> Ok ()
+      | Some walk -> Result.map (fun (_ : string) -> ()) (walk ()))
 
 type counterexample = { original : History.t; shrunk : History.t; reason : string }
 
 let max_shrink_rounds = 64
 
-let shrink ?batch ?broken ?broken_record ?broken_header sc ~reason =
+let shrink ?batch ?mutation sc ~reason =
   let fails c =
-    match run ?batch ?broken ?broken_record ?broken_header c with
+    match run ?batch ?mutation c with
     | Error e -> Some e
     | Ok () -> None
   in
@@ -249,16 +223,18 @@ let shrink ?batch ?broken ?broken_record ?broken_header sc ~reason =
   in
   go sc reason max_shrink_rounds
 
-let check ?batch ?broken ?broken_record ?broken_header ~alloc ~seed ~runs ~ops ~threads ?crash
-    () =
+let scenario ?(interleave = false) ~alloc ~seed ~ops ~threads ?crash () =
+  { History.alloc; seed; ops; threads; crash; sched = (if interleave then Some seed else None) }
+
+let check ?batch ?mutation ?interleave ~alloc ~seed ~runs ~ops ~threads ?crash () =
   let rec loop i =
     if i >= runs then None
     else
-      let sc = { History.alloc; seed = seed + i; ops; threads; crash } in
-      match run ?batch ?broken ?broken_record ?broken_header sc with
+      let sc = scenario ?interleave ~alloc ~seed:(seed + i) ~ops ~threads ?crash () in
+      match run ?batch ?mutation sc with
       | Ok () -> loop (i + 1)
       | Error reason ->
-          let shrunk, reason = shrink ?batch ?broken ?broken_record ?broken_header sc ~reason in
+          let shrunk, reason = shrink ?batch ?mutation sc ~reason in
           Some { original = sc; shrunk; reason }
   in
   loop 0

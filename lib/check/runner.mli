@@ -26,53 +26,35 @@ val allocator_names : string list
 (** Every allocator the checker can drive: the NVAlloc variants first,
     then the baselines. *)
 
-val instance_of :
-  ?batch:bool -> ?broken:bool -> ?broken_record:bool -> ?broken_header:bool ->
-  History.t -> Alloc_api.Instance.t * Nvalloc_core.Config.t option
-(** Build the allocator instance a scenario runs against — the shrunken
-    checkpoint-happy config, persist-ordering check mode on for NVAlloc
-    variants, mutation knobs applied ([None] config = baseline). The
-    domain-parallel runner ([Par.Runner]) drives the very same
-    instances, so differential verdicts compare execution backends, not
-    configurations. *)
-
-type sim_report = {
-  makespan_ns : float;  (** largest simulated worker clock after the run *)
-  executed : int;  (** operations stepped (no-ops included) *)
-}
-
-val run_report :
-  ?batch:bool -> ?broken:bool -> ?broken_record:bool -> ?broken_header:bool ->
-  History.t -> (sim_report, string) result
-(** Like {!run}, additionally reporting the sim-mode makespan and
-    executed-op count — the interleaving-invariant aggregates the
-    domain-parallel backend cross-checks against. *)
-
-val run :
-  ?batch:bool -> ?broken:bool -> ?broken_record:bool -> ?broken_header:bool ->
-  History.t -> (unit, string) result
+val run : ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> History.t -> (unit, string) result
 (** Execute one scenario; [Error reason] names the first violated
     invariant. [batch] (default true) keeps the config's batched
     persistence pipeline; [false] forces the synchronous pipeline
-    ([Config.sync]). [broken] re-introduces the PR 2 WAL ordering bug on
-    NVAlloc instances, [broken_record] makes WAL group commits "forget"
-    their commit record, [broken_header] mis-decodes the packed slab
-    header's class field on every read (mutation smokes; no-ops for
-    baselines). Raises [Invalid_argument] on an unknown allocator
-    name. *)
+    ([Config.sync]). [mutation] (default [Off]) seeds one protocol bug
+    into the NVAlloc heap under test (no-op for baselines); the
+    post-crash oracle's own recovery stays clean. A scenario with
+    [sched] set runs under the scheduler's seeded pick rule. Raises
+    [Invalid_argument] on an unknown allocator name. *)
 
 type counterexample = { original : History.t; shrunk : History.t; reason : string }
 
 val shrink :
-  ?batch:bool -> ?broken:bool -> ?broken_record:bool -> ?broken_header:bool ->
-  History.t -> reason:string -> History.t * string
-(** Greedy bounded-round minimisation of a failing scenario. *)
+  ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> History.t -> reason:string ->
+  History.t * string
+(** Greedy bounded-round minimisation of a failing scenario; the
+    scheduling seed is kept. *)
+
+val scenario :
+  ?interleave:bool -> alloc:string -> seed:int -> ops:int -> threads:int -> ?crash:int ->
+  unit -> History.t
+(** The scenario {!check} generates for one seed. [interleave] (default
+    false) sets [sched] to the scenario seed, so the seeded pick rule
+    runs a different op order per seed. *)
 
 val check :
   ?batch:bool ->
-  ?broken:bool ->
-  ?broken_record:bool ->
-  ?broken_header:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
+  ?interleave:bool ->
   alloc:string ->
   seed:int ->
   runs:int ->
@@ -81,6 +63,6 @@ val check :
   ?crash:int ->
   unit ->
   counterexample option
-(** Run [runs] scenarios with seeds [seed], [seed+1], ... against one
-    allocator; on the first failure, shrink and return the
+(** Run [runs] scenarios ({!scenario}) with seeds [seed], [seed+1], ...
+    against one allocator; on the first failure, shrink and return the
     counterexample. [None] = all passed. *)

@@ -159,7 +159,7 @@ let create heap ~index ~region_lock ~on_slab_created ~on_slab_destroyed ~on_exte
       else 0
     in
     Wal.create (Heap.device heap) ~group ~replicate:config.Config.media_replication
-      ~base:(Heap.wal_base heap ~arena:index)
+      ~mutation:(Heap.mutation heap) ~base:(Heap.wal_base heap ~arena:index)
       ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_wal
   in
   build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destroyed

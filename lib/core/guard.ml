@@ -97,7 +97,7 @@ let verify_repair dev clock r =
   end
   else Lost
 
-(* The seeded scrub bug (--broken-scrub): instead of repairing from the
+(* The seeded scrub bug (--mutate scrub): instead of repairing from the
    replica, "bless" whatever the primary contains — recompute its
    checksum over the (possibly rotten) bytes, clear the poison without
    restoring content, and propagate the damage into the replica. The

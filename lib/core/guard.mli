@@ -39,6 +39,6 @@ val verify_repair : Pmem.Device.t -> Sim.Clock.t -> record -> status
     to heal. *)
 
 val bless : Pmem.Device.t -> Sim.Clock.t -> record -> unit
-(** The seeded [--broken-scrub] bug: accept the primary's (possibly
+(** The seeded [--mutate scrub] bug: accept the primary's (possibly
     rotten) content as truth — recompute its checksum, clear poison
     without restoring bytes, and propagate into the replica. *)

@@ -21,6 +21,7 @@ type t = {
   dev : Pmem.Device.t;
   dax : Pmem.Dax.t;
   config : Config.t;
+  mutation : Mutation.t;
   replicate : bool;
   wal_off : int;
   wal_stride : int;
@@ -90,7 +91,7 @@ let layout dev (config : Config.t) =
   assert (heap_start < Pmem.Device.size dev);
   (wal_off, wal_stride, booklog_off, booklog_stride, heap_start)
 
-let init dev config =
+let init ?(mutation = Mutation.Off) dev config =
   let wal_off, wal_stride, booklog_off, booklog_stride, heap_start = layout dev config in
   let replicate = config.Config.media_replication in
   Pstruct.set dev ~base:0 Sb.magic magic;
@@ -113,9 +114,10 @@ let init dev config =
       ~len:(sb_guard.Guard.len + 2)
   end;
   let dax = Pmem.Dax.create ~start:heap_start dev in
-  { dev; dax; config; replicate; wal_off; wal_stride; booklog_off; booklog_stride; heap_start }
+  { dev; dax; config; mutation; replicate; wal_off; wal_stride; booklog_off; booklog_stride;
+    heap_start }
 
-let open_existing dev config =
+let open_existing ?(mutation = Mutation.Off) dev config =
   (* A failed magic check on a checksum-"valid" superblock is media
      corruption that slipped past the guard (e.g. a blessed line): name
      it, don't assert — the fuzzer's oracle reports this message. *)
@@ -132,13 +134,15 @@ let open_existing dev config =
   let replicate = config.Config.media_replication in
   let dax = Pmem.Dax.create ~start:heap_start dev in
   let t =
-    { dev; dax; config; replicate; wal_off; wal_stride; booklog_off; booklog_stride; heap_start }
+    { dev; dax; config; mutation; replicate; wal_off; wal_stride; booklog_off; booklog_stride;
+      heap_start }
   in
   (found, t)
 
 let device t = t.dev
 let dax t = t.dax
 let config t = t.config
+let mutation t = t.mutation
 
 let set_state t clock s =
   Pstruct.set t.dev ~base:0 Sb.state (state_code s);

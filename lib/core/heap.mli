@@ -37,10 +37,12 @@ type t
 
 val region_slots : int
 
-val init : Pmem.Device.t -> Config.t -> t
-(** Format a fresh heap (volatile image; the first fence persists). *)
+val init : ?mutation:Mutation.t -> Pmem.Device.t -> Config.t -> t
+(** Format a fresh heap (volatile image; the first fence persists).
+    The heap carries [mutation] (default [Off]) for every layer built
+    on it. *)
 
-val open_existing : Pmem.Device.t -> Config.t -> state * t
+val open_existing : ?mutation:Mutation.t -> Pmem.Device.t -> Config.t -> state * t
 (** Rebuild the layout handle from a (post-crash or post-shutdown) image;
     returns the persisted run state as found. [Config] must match the one
     the heap was initialised with (checked against the superblock where
@@ -50,6 +52,11 @@ val open_existing : Pmem.Device.t -> Config.t -> state * t
 val device : t -> Pmem.Device.t
 val dax : t -> Pmem.Dax.t
 val config : t -> Config.t
+
+val mutation : t -> Mutation.t
+(** The seeded bug this heap was built with ([Off] outside mutation
+    tests). *)
+
 val set_state : t -> Sim.Clock.t -> state -> unit
 
 val root_addr : t -> int -> int

@@ -20,13 +20,11 @@ type t = {
   (* Media-fault state: address ranges written off at recovery time
      (no vslab exists for them), runtime-quarantined vslabs (withdrawn
      from their arena but still owning their range), frees swallowed
-     into recovery-quarantined ranges, scrub pacing, and the fuzzer's
-     broken-scrub mutation switch. *)
+     into recovery-quarantined ranges, and scrub pacing. *)
   mutable quarantined_ranges : (int * int) list;
   mutable quarantined_vslabs : Slab.t list;
   mutable media_dropped_frees : int;
   mutable next_scrub : float;
-  mutable broken_scrub : bool;
   (* Lines whose persisted copy was rotted by [inject_bitrot]: the
      injectors consult this so poison never lands on the partner of a
      rotted copy (and vice versa) — a rot+poison double fault on a
@@ -124,11 +122,11 @@ let callbacks t =
 let effective_config config dev =
   if Pmem.Device.is_eadr dev then Config.sync config else config
 
-let create ?(config = Config.log_default) dev clock =
+let create ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
   Pmem.Device.set_batching dev config.Config.flush_batch;
-  let heap = Heap.init dev config in
+  let heap = Heap.init ?mutation dev config in
   let t =
     {
       heap;
@@ -145,7 +143,6 @@ let create ?(config = Config.log_default) dev clock =
       quarantined_vslabs = [];
       media_dropped_frees = 0;
       next_scrub = 0.0;
-      broken_scrub = false;
       rotted_lines = [];
       telem = None;
     }
@@ -660,9 +657,9 @@ let walk_slab t ~quiesced s =
     failf "slab %#x: free-set size %d <> free_count %d" sid !free_seen s.Slab.free_count;
   (* Persistent packed header vs. volatile layout. *)
   if not (Slab.is_slab_header t.dev sid) then failf "slab %#x: bad header magic" sid;
-  if Slab.Header.read_class t.dev sid <> l.Slab.class_idx then
-    failf "slab %#x: persisted class %d <> volatile class %d" sid
-      (Slab.Header.read_class t.dev sid)
+  let persisted_class = Slab.read_class ~mutation:(Heap.mutation t.heap) t.dev sid in
+  if persisted_class <> l.Slab.class_idx then
+    failf "slab %#x: persisted class %d <> volatile class %d" sid persisted_class
       l.Slab.class_idx;
   if Slab.Header.read_arena t.dev sid <> s.Slab.arena then
     failf "slab %#x: persisted arena %d <> volatile arena %d" sid
@@ -868,8 +865,8 @@ let scrub t clock =
     for _ = 1 to n do
       Pmem.Device.note_media_repair t.dev
     done;
-    if t.broken_scrub then begin
-      (* The seeded mutation (--broken-scrub): bless whatever a damaged
+    if Heap.mutation t.heap = Mutation.Scrub then begin
+      (* The seeded mutation ([Mutation.Scrub]): bless whatever a damaged
          primary contains instead of repairing it from the replica. The
          differential oracle must catch the downstream corruption. *)
       if not (Guard.primary_ok t.dev r) then Guard.bless t.dev clock r
@@ -920,8 +917,6 @@ let scrub_tick t clock =
     true
   end
   else false
-
-let unsafe_set_broken_scrub t v = t.broken_scrub <- v
 
 let dropped_frees t =
   t.media_dropped_frees
@@ -1034,7 +1029,7 @@ let inject_bitrot t ~seed ~flips =
 
 let charge_lines t clock n = Pmem.Device.charge_pm_read t.dev clock ~lines:n
 
-let recover ?(config = Config.log_default) dev clock =
+let recover ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
   Pmem.Device.set_batching dev config.Config.flush_batch;
@@ -1081,7 +1076,7 @@ let recover ?(config = Config.log_default) dev clock =
         let r, l = Heap.verify_regions dev clock in
         media_repaired := !media_repaired + r;
         if l > 0 then failwith "Nvalloc.recover: region table unrepairable");
-  let found_state, heap = Heap.open_existing dev config in
+  let found_state, heap = Heap.open_existing ?mutation dev config in
   let t =
     {
       heap;
@@ -1098,7 +1093,6 @@ let recover ?(config = Config.log_default) dev clock =
       quarantined_vslabs = [];
       media_dropped_frees = 0;
       next_scrub = 0.0;
-      broken_scrub = false;
       rotted_lines = [];
       telem = None;
     }
@@ -1175,7 +1169,7 @@ let recover ?(config = Config.log_default) dev clock =
       else 0
     in
     Array.init n_arenas (fun i ->
-        Wal.adopt dev ~group ~replicate:media
+        Wal.adopt dev ~group ~replicate:media ~mutation:(Heap.mutation heap)
           ~base:(Heap.wal_base heap ~arena:i)
           ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_wal)
   in
@@ -1278,7 +1272,8 @@ let recover ?(config = Config.log_default) dev clock =
             Arena.adopt_slab_veh arena veh;
             charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
             let vslab, undone =
-              Slab.recover dev ~addr:s.Booklog.addr ~arena:arena_idx ~mapping
+              Slab.recover ~mutation:(Heap.mutation heap) dev ~addr:s.Booklog.addr
+                ~arena:arena_idx ~mapping
             in
             if undone then begin
               incr undone_morphs;
@@ -1305,7 +1300,10 @@ let recover ?(config = Config.log_default) dev clock =
               Arena.adopt_slab_veh arena veh
           | _ -> ());
           charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
-          let vslab, undone = Slab.recover dev ~addr:s.Booklog.addr ~arena:arena_idx ~mapping in
+          let vslab, undone =
+            Slab.recover ~mutation:(Heap.mutation heap) dev ~addr:s.Booklog.addr
+              ~arena:arena_idx ~mapping
+          in
           if undone then incr undone_morphs;
           owner_insert t vslab.Slab.addr (Small_owner vslab);
           Arena.restore_slab arena vslab

@@ -50,12 +50,15 @@ val pp_recovery_report : Format.formatter -> recovery_report -> unit
 (** One-line diagnostic rendering, so oracle/fuzzer failures are
     explainable. *)
 
-val create : ?config:Config.t -> Pmem.Device.t -> Sim.Clock.t -> t
+val create : ?config:Config.t -> ?mutation:Mutation.t -> Pmem.Device.t -> Sim.Clock.t -> t
 (** Format a fresh heap on the device ([nvalloc_init]). Default config is
-    {!Config.log_default}. Raises [Invalid_argument] on a config rejected
-    by {!Config.validate}. *)
+    {!Config.log_default}. [mutation] (default [Off]) seeds one protocol
+    bug into this heap alone: its WALs, slab-header decoder and scrubber
+    all read it from the heap. Raises [Invalid_argument] on a config
+    rejected by {!Config.validate}. *)
 
-val recover : ?config:Config.t -> Pmem.Device.t -> Sim.Clock.t -> t * recovery_report
+val recover :
+  ?config:Config.t -> ?mutation:Mutation.t -> Pmem.Device.t -> Sim.Clock.t -> t * recovery_report
 (** Open an existing heap (section 4.4): rebuild vslabs and VEHs from the
     bookkeeping log (or region headers), undo torn morphs, then — if the
     shutdown was not clean — run the variant's sanity pass: WAL replay
@@ -67,7 +70,8 @@ val recover : ?config:Config.t -> Pmem.Device.t -> Sim.Clock.t -> t * recovery_r
     after the sanity pass completes, every repair re-applies cleanly, and
     the heap state flips to [Running] last — so a crash at any flush
     point {e inside} recovery (including an injected one) leaves an image
-    from which a second [recover] reaches the same consistent state. *)
+    from which a second [recover] reaches the same consistent state.
+    [mutation] is carried by the recovered heap, as for {!create}. *)
 
 val exit_ : t -> Sim.Clock.t -> unit
 (** Clean shutdown: drain tcaches, persist all volatile metadata, mark
@@ -182,7 +186,9 @@ val slab_utilization_histogram : t -> buckets:float list -> int array
 val scrub : t -> Sim.Clock.t -> int * int
 (** One scrub pass over every guarded record: rewrite at-rest bit-rot
     from the verified cached image, verify/repair each checksum pair,
-    quarantine slabs that lost both copies. [(repaired, lost)]. *)
+    quarantine slabs that lost both copies. [(repaired, lost)]. Under
+    [Mutation.Scrub] a damaged primary is blessed (its checksum
+    recomputed over the corrupt bytes) instead of repaired. *)
 
 val scrub_tick : t -> Sim.Clock.t -> bool
 (** Idle-slot hook ([Instance.maintenance]): run {!scrub} if
@@ -203,11 +209,6 @@ val seed_poison : t -> seed:int -> count:int -> int
 val inject_bitrot : t -> seed:int -> flips:int -> int
 (** Deterministic at-rest bit flips over guarded byte spans (one copy
     per record), in the persisted image only. Returns flips applied. *)
-
-val unsafe_set_broken_scrub : t -> bool -> unit
-(** Seeded mutation for the differential oracle: make {!scrub} bless a
-    damaged primary (recompute its checksum over the corrupt bytes)
-    instead of repairing it from the replica. *)
 
 (** {1 Telemetry} *)
 

@@ -111,16 +111,13 @@ let set_bits w ~shift ~mask v =
 let read_word dev addr = Int64.to_int (Pstruct.get dev ~base:addr Hdr.word)
 let write_word dev addr w = Pstruct.set dev ~base:addr Hdr.word (Int64.of_int w)
 
-(* Mutation-test knob (--broken-header): mis-decode the class field by
-   flipping its lowest bit, as a mispacked shift would. Read-side only, so
-   the persistent image stays intact and the defect is purely a decoder
-   bug for the walkers to catch. *)
-let broken_header = ref false
-let unsafe_set_broken_header v = broken_header := v
-
-let word_class w =
+(* [Mutation.Header] mis-decodes the class field by flipping its lowest
+   bit, as a mispacked shift would. Read-side only, so the persistent
+   image stays intact and the defect is purely a decoder bug for the
+   walkers to catch. *)
+let word_class ~mutation w =
   let c = get_bits w ~shift:shift_class ~mask:mask_class in
-  if !broken_header then c lxor 1 else c
+  match mutation with Mutation.Header -> c lxor 1 | _ -> c
 
 (* Guarded bytes: the packed word; checksum at offset 8. *)
 let guarded_len = 8
@@ -155,12 +152,11 @@ let index_entry_span addr i = Pstruct.elt_span ~base:(addr + index_off) Index.en
    packed word and its checksum, well inside the slab's first line. *)
 let header_commit_span addr = Pstruct.span_of ~addr ~len:16
 
-let read_class dev addr = word_class (read_word dev addr)
+let read_class ?(mutation = Mutation.Off) dev addr = word_class ~mutation (read_word dev addr)
 let is_slab_header dev addr = get_bits (read_word dev addr) ~shift:shift_magic ~mask:mask_magic = magic
 
 module Header = struct
   let rmw dev addr ~shift ~mask v = write_word dev addr (set_bits (read_word dev addr) ~shift ~mask v)
-  let read_class = read_class
   let write_class dev addr v = rmw dev addr ~shift:shift_class ~mask:mask_class v
   let read_flag dev addr = get_bits (read_word dev addr) ~shift:shift_flag ~mask:mask_flag
   let write_flag dev addr v = rmw dev addr ~shift:shift_flag ~mask:mask_flag v
@@ -321,8 +317,8 @@ let overlapping_new_blocks t m old_b =
 
 (* --- recovery -------------------------------------------------------------- *)
 
-let rebuild_vslab dev ~addr ~arena ~mapping =
-  let class_idx = Header.read_class dev addr in
+let rebuild_vslab ~mutation dev ~addr ~arena ~mapping =
+  let class_idx = read_class ~mutation dev addr in
   let layout = layout_of_class ~class_idx ~mapping in
   (* The persisted arena index may disagree with the caller's placement
      (older images, or recovery rebalancing slabs round-robin); the caller
@@ -409,8 +405,8 @@ let undo_morph dev ~addr ~mapping =
   Header.write_free_hint dev addr 0;
   Guard.refresh dev (guard_record addr)
 
-let recover dev ~addr ~arena ~mapping =
+let recover ?(mutation = Mutation.Off) dev ~addr ~arena ~mapping =
   let flag = Header.read_flag dev addr in
   let undone = flag = 1 || flag = 2 in
   if undone then undo_morph dev ~addr ~mapping;
-  (rebuild_vslab dev ~addr ~arena ~mapping, undone)
+  (rebuild_vslab ~mutation dev ~addr ~arena ~mapping, undone)

@@ -145,25 +145,21 @@ val guard_record : int -> Guard.record
     write site refreshes the checksum before committing; replication and
     repair are driven by [Arena]/[Nvalloc]. *)
 
-val read_class : Pmem.Device.t -> int -> int
-(** [read_class dev addr] reads the size class from a slab header. *)
+val read_class : ?mutation:Mutation.t -> Pmem.Device.t -> int -> int
+(** [read_class dev addr] reads the size class from a slab header.
+    Under [Mutation.Header] the packed-word {e decoder} flips the lowest
+    bit of the class field (as a mispacked shift would), so every header
+    read disagrees with the volatile layout — caught by
+    [Nvalloc.integrity_walk] and the lib/check runner. *)
 
 val is_slab_header : Pmem.Device.t -> int -> bool
 (** Magic check, used by recovery when scanning extents. *)
-
-val unsafe_set_broken_header : bool -> unit
-(** Mutation-test knob: make the packed-word {e decoder} flip the lowest
-    bit of the class field (as a mispacked shift would), so every header
-    read disagrees with the volatile layout. Caught by
-    [Nvalloc.integrity_walk] and the lib/check runner; never set outside
-    a test harness. Global — construction paths reset it. *)
 
 (** Raw persistent-header field access by slab base address, for the
     morphing state machine and recovery (which has no vslab yet). Each
     write is a read-modify-write of the packed word in the volatile
     image only; callers flush. *)
 module Header : sig
-  val read_class : Pmem.Device.t -> int -> int
   val write_class : Pmem.Device.t -> int -> int -> unit
   val read_flag : Pmem.Device.t -> int -> int
   val write_flag : Pmem.Device.t -> int -> int -> unit
@@ -239,7 +235,9 @@ val overlapping_new_blocks : t -> morph -> int -> int * int
 
 (** {1 Recovery} *)
 
-val recover : Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> t * bool
+val recover :
+  ?mutation:Mutation.t ->
+  Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> t * bool
 (** Rebuild a vslab from its persistent header (section 4.4). If the
     header's flag shows a morph was torn by a crash, the transformation is
     undone first: flag 1 resets the copied old-class fields; flag 2
@@ -248,4 +246,5 @@ val recover : Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -
     caller must flush the whole header+bitmap area. Morphing state
     (old_live, cnt_slab, cnt_block) is reconstructed from the index
     table for slabs still hosting two classes, with the old data offset
-    re-derived from [old_class] via {!layout_of_class}. *)
+    re-derived from [old_class] via {!layout_of_class}. [mutation] reaches
+    the class decode (see {!read_class}). *)

@@ -23,7 +23,7 @@ type t = {
   mutable next : int; (* next logical slot *)
   mutable seq : int;
   mutable ready : bool; (* false between [adopt] and [seal] *)
-  mutable skip_flush : bool; (* fault-injection hook, see [unsafe_set_skip_flush] *)
+  skip_flush : bool; (* [Mutation.Wal_flush]: the seeded ordering bug *)
   (* Group commit: up to [group_n] appends share one commit record (the
      epoch-tagged watermark in the header) and one fence triple. 0 =
      synchronous (every append flushes and every commit retires inline). *)
@@ -31,7 +31,7 @@ type t = {
   mutable gcount : int; (* appends in the open group *)
   mutable gspans : Pstruct.span list; (* their entry spans, newest first *)
   mutable geffects : deferred list; (* deferred commits, newest first *)
-  mutable skip_record : bool; (* fault hook, see [unsafe_set_skip_commit_record] *)
+  skip_record : bool; (* [Mutation.Wal_record]: the seeded commit-record bug *)
   replicate : bool; (* maintain the header's guard replica (media model) *)
 }
 
@@ -169,7 +169,8 @@ let write_replica t clock =
   if t.replicate then
     Guard.write_replica t.dev clock (guard_record ~base:t.base ~entries:t.nentries)
 
-let create ?(group = 0) ?(replicate = false) dev ~base ~entries ~interleave =
+let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
+    ~interleave =
   assert (entries mod frame_entries = 0);
   assert (group >= 0);
   let t =
@@ -182,12 +183,12 @@ let create ?(group = 0) ?(replicate = false) dev ~base ~entries ~interleave =
       next = 0;
       seq = 0;
       ready = true;
-      skip_flush = false;
+      skip_flush = mutation = Mutation.Wal_flush;
       group_n = group;
       gcount = 0;
       gspans = [];
       geffects = [];
-      skip_record = false;
+      skip_record = mutation = Mutation.Wal_record;
       replicate;
     }
   in
@@ -206,8 +207,6 @@ let near_full t = t.next >= t.nentries
 let is_ready t = t.ready
 let group_commit t = t.group_n
 let open_group t = t.gcount
-let unsafe_set_skip_flush t v = t.skip_flush <- v
-let unsafe_set_skip_commit_record t v = t.skip_record <- v
 
 (* Returns the entry's base offset; allocation-free so the plain [append]
    fast path stays allocation-free too (grouped appends allocate a span
@@ -352,7 +351,8 @@ let checkpoint t clock =
   Pstruct.commit t.dev clock Pmem.Stats.Meta (hdr_word_span t.base);
   write_replica t clock
 
-let adopt ?(group = 0) ?(replicate = false) dev ~base ~entries ~interleave =
+let adopt ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
+    ~interleave =
   assert (entries mod frame_entries = 0);
   {
     dev;
@@ -363,12 +363,12 @@ let adopt ?(group = 0) ?(replicate = false) dev ~base ~entries ~interleave =
     next = 0;
     seq = 0;
     ready = false;
-    skip_flush = false;
+    skip_flush = mutation = Mutation.Wal_flush;
     group_n = group;
     gcount = 0;
     gspans = [];
     geffects = [];
-    skip_record = false;
+    skip_record = mutation = Mutation.Wal_record;
     replicate;
   }
 

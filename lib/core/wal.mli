@@ -51,6 +51,7 @@ val region_bytes : entries:int -> int
 val create :
   ?group:int ->
   ?replicate:bool ->
+  ?mutation:Mutation.t ->
   Pmem.Device.t -> base:int -> entries:int -> interleave:bool -> t
 (** Format a fresh log (volatile image; first use flushes the header).
 
@@ -65,7 +66,18 @@ val create :
     [replicate] (default false) mirrors the guarded header bytes into
     the region's trailing guard line after every header commit, enabling
     {!verify_guard} repair. The header checksum itself is maintained
-    unconditionally (it rides inside the header's own line). *)
+    unconditionally (it rides inside the header's own line).
+
+    [mutation] (default [Off]) seeds a WAL bug for mutation tests; every
+    other case is a no-op here.
+    - [Wal_flush]: {!append} writes the entry but skips its flush,
+      breaking the flush-before-effect ordering. The skipped entry's
+      line also leaves the thread's pending buffer (and the open
+      group's phase A), so no later fence quietly persists it.
+    - [Wal_record]: {!flush_group}'s commit record forgets its contract.
+      The watermark advances and the deferred effects retire while the
+      group's entries leave the pending buffer unflushed, so a crash
+      finds durable effects with no undo evidence behind them. *)
 
 val entries : t -> int
 val used : t -> int
@@ -90,8 +102,8 @@ val append : t -> Sim.Clock.t -> kind -> addr:int -> dest:int -> unit
 val append_span : t -> Sim.Clock.t -> kind -> addr:int -> dest:int -> Pstruct.span
 (** Like {!append}, returning the entry's span so callers can declare it
     as a persist-ordering dependency of the metadata commit the entry
-    covers. The span is returned even under {!unsafe_set_skip_flush} —
-    it denotes what {e should} have persisted. *)
+    covers. The span is returned even under [Mutation.Wal_flush] — it
+    denotes what {e should} have persisted. *)
 
 val defer_commit :
   ?deps:(string * Pstruct.span) list -> t -> Sim.Clock.t -> Pmem.Stats.category ->
@@ -125,6 +137,7 @@ val reopen :
 val adopt :
   ?group:int ->
   ?replicate:bool ->
+  ?mutation:Mutation.t ->
   Pmem.Device.t -> base:int -> entries:int -> interleave:bool -> t
 (** Adopt an existing log region {e without} invalidating its entries:
     the persisted epoch (and hence the replay window) stays intact, so a
@@ -136,28 +149,6 @@ val seal : t -> Sim.Clock.t -> unit
 (** Finish an {!adopt}: bump the epoch (invalidating the replayed window,
     one header flush) and enable appends. Call once the recovery sanity
     pass no longer needs the old entries. *)
-
-val unsafe_set_skip_flush : t -> bool -> unit
-(** Fault-injection hook (tests only): when set, {!append} writes the
-    entry but skips its flush — deliberately breaking the flush-before-
-    effect ordering so the fuzzer can demonstrate that the broken
-    protocol is caught and shrunk to a replayable plan. Composes with
-    flush coalescing: the skipped entry's line is also dropped from the
-    thread's pending buffer (and from the open group's phase A), so no
-    later fence quietly persists it. Never set this outside a test
-    harness. *)
-
-val unsafe_set_skip_commit_record : t -> bool -> unit
-(** Fault-injection hook (tests only): when set, {!flush_group}'s commit
-    record forgets its contract — the watermark advances and the
-    deferred effects retire while phase A is dropped (the group's
-    entries leave the pending buffer unflushed). A crash then finds
-    effects durable under a commit record with no entries behind it:
-    no undo evidence for the recovery sanity pass, the observable
-    endpoint of writing the record before the entries are durable.
-    The model checker must catch the resulting leak/dangling state
-    (and, in check mode, the dirty entry-span dependencies). Never set
-    this outside a test harness. *)
 
 type replayed = { kind : kind; seq : int; addr : int; dest : int }
 

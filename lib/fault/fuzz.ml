@@ -24,7 +24,7 @@ let workload t th ~seed ~ops ~inject =
 (* The scrub hook poisons the superblock line plus a live slab header
    and runs the pass in the same step: demand repair never sees the
    damage, so what happens next is entirely the scrubber's doing. A
-   clean scrub repairs both from their replicas; [--broken-scrub]
+   clean scrub repairs both from their replicas; [Mutation.Scrub]
    blesses the garbage instead, and recovery then chokes on the
    checksum-"valid" superblock magic (and reclaims the "torn" slab out
    from under its published roots) — the corruption the oracle must
@@ -49,8 +49,8 @@ let poison_and_scrub t dev clock =
   Pmem.Device.poison dev ~line:(Heap.sb_guard.Guard.primary / Pmem.Cacheline.size);
   ignore (Nvalloc.scrub t clock : int * int)
 
-let run_plan ?(batch = true) ?(broken = false) ?(broken_record = false)
-    ?(broken_scrub = false) ?(check_order = true) ?telemetry ?on_device (plan : Plan.t) =
+let run_plan ?(batch = true) ?mutation ?(check_order = true) ?telemetry ?on_device
+    (plan : Plan.t) =
   let media = Plan.media_active plan in
   let config = Plan.config plan.Plan.variant in
   let config = if media then { config with Config.media_replication = true } else config in
@@ -58,25 +58,13 @@ let run_plan ?(batch = true) ?(broken = false) ?(broken_record = false)
   let dev = Pmem.Device.create ~size:(64 * 1024 * 1024) () in
   Pmem.Device.set_check_mode dev check_order;
   let clock = Sim.Clock.create () in
-  (* The packed-header mutation knob is process-global (the harness's
-     Instance.of_nvalloc pins it on every construction); pin it here too
-     so a mutation run elsewhere in the process can never leak into a
-     fuzz plan's fresh stack. *)
-  Slab.unsafe_set_broken_header false;
-  let t = Nvalloc.create ~config dev clock in
+  let t = Nvalloc.create ~config ?mutation dev clock in
   (* Attaching a sink records the full timeline — workload flushes, the
      crash, recovery phases — without touching simulated behaviour; the
      CLI replays a failing plan this way to dump the tail. *)
   (match telemetry with
   | Some sink -> Nvalloc.set_telemetry t (Some sink)
   | None -> ());
-  if broken then
-    Array.iter (fun a -> Wal.unsafe_set_skip_flush (Arena.wal a) true) (Nvalloc.arenas t);
-  if broken_record then
-    Array.iter
-      (fun a -> Wal.unsafe_set_skip_commit_record (Arena.wal a) true)
-      (Nvalloc.arenas t);
-  if broken_scrub then Nvalloc.unsafe_set_broken_scrub t true;
   let inject =
     if not media then fun _ -> ()
     else begin
@@ -121,9 +109,9 @@ let run_plan ?(batch = true) ?(broken = false) ?(broken_record = false)
 
 let max_shrink_rounds = 64
 
-let shrink ?batch ?broken ?broken_record ?broken_scrub ?check_order plan ~reason =
+let shrink ?batch ?mutation ?check_order plan ~reason =
   let fails p =
-    match run_plan ?batch ?broken ?broken_record ?broken_scrub ?check_order p with
+    match run_plan ?batch ?mutation ?check_order p with
     | Error e -> Some e
     | Ok _ -> None
   in
@@ -140,7 +128,7 @@ let shrink ?batch ?broken ?broken_record ?broken_scrub ?check_order plan ~reason
   in
   go plan reason max_shrink_rounds
 
-let fuzz ?batch ?broken ?broken_record ?broken_scrub ?check_order ?variant ?media
+let fuzz ?batch ?mutation ?check_order ?variant ?media
     ?(adjust = fun p -> p) ?(on_plan = fun _ _ -> ()) ~seed ~runs () =
   let rng = Sim.Rng.create seed in
   let rec loop i =
@@ -148,12 +136,10 @@ let fuzz ?batch ?broken ?broken_record ?broken_scrub ?check_order ?variant ?medi
     else begin
       let plan = adjust (Plan.sample ?variant ?media rng) in
       on_plan i plan;
-      match run_plan ?batch ?broken ?broken_record ?broken_scrub ?check_order plan with
+      match run_plan ?batch ?mutation ?check_order plan with
       | Ok _ -> loop (i + 1)
       | Error reason ->
-          let shrunk, reason =
-            shrink ?batch ?broken ?broken_record ?broken_scrub ?check_order plan ~reason
-          in
+          let shrunk, reason = shrink ?batch ?mutation ?check_order plan ~reason in
           Some { original = plan; shrunk; reason }
     end
   in

@@ -7,10 +7,16 @@
     simpler fault) until no smaller plan still fails, returning a
     replayable counterexample.
 
-    [?broken] deliberately breaks the WAL's flush-before-effect ordering
-    ({!Nvalloc_core.Wal.unsafe_set_skip_flush}) on the workload instance.
-    It exists to demonstrate the pipeline end to end: a real protocol
-    bug is caught by the oracle and shrunk to a one-line repro.
+    [?mutation] (default [Off]) seeds one protocol bug
+    ({!Nvalloc_core.Mutation}) into the workload heap; the oracle's own
+    recovery stays clean. It exists to demonstrate the pipeline end to
+    end: a real protocol bug is caught by the oracle and shrunk to a
+    one-line repro. [Wal_flush] breaks the WAL's flush-before-effect
+    ordering, [Wal_record] makes every group commit forget its commit
+    record, and [Scrub] makes scrub passes bless a damaged primary — the
+    media mutation the oracle catches on plans with [scrub] set.
+    [Header] is accepted too, but only walks that decode slab headers
+    before the crash can see it, and the fuzzer runs none.
 
     [?check_order] (default [true]) runs every plan with the device's
     persist-ordering checker enabled ({!Pmem.Device.set_check_mode}):
@@ -23,16 +29,6 @@
     checkpoint threshold — so every sampled crash point also exercises
     the deferred paths; [~batch:false] forces the synchronous pipeline
     ({!Nvalloc_core.Config.sync}).
-
-    [?broken_record] makes every WAL group commit "forget" its commit
-    record ({!Nvalloc_core.Wal.unsafe_set_skip_commit_record}): deferred
-    effects persist while replay discards the group — the mutation the
-    model-based checker must catch.
-
-    [?broken_scrub] makes every scrub pass bless a damaged primary
-    instead of repairing it from the replica
-    ({!Nvalloc_core.Nvalloc.unsafe_set_broken_scrub}) — the media
-    mutation the crash oracle must catch on plans with [scrub] set.
 
     Media plans ({!Plan.media_active}) run with
     [Config.media_replication] forced on and fire three deterministic
@@ -49,9 +45,7 @@ type counterexample = {
 
 val run_plan :
   ?batch:bool ->
-  ?broken:bool ->
-  ?broken_record:bool ->
-  ?broken_scrub:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
   ?check_order:bool ->
   ?telemetry:Telemetry.t ->
   ?on_device:(Pmem.Device.t -> unit) ->
@@ -66,16 +60,14 @@ val run_plan :
     counters from it). *)
 
 val shrink :
-  ?batch:bool -> ?broken:bool -> ?broken_record:bool -> ?broken_scrub:bool ->
-  ?check_order:bool -> Plan.t -> reason:string -> Plan.t * string
+  ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> ?check_order:bool -> Plan.t ->
+  reason:string -> Plan.t * string
 (** Greedy shrinking: recurse on the first {!Plan.shrink_candidates}
     member that still fails (bounded number of rounds). *)
 
 val fuzz :
   ?batch:bool ->
-  ?broken:bool ->
-  ?broken_record:bool ->
-  ?broken_scrub:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
   ?check_order:bool ->
   ?variant:Plan.variant ->
   ?media:bool ->

@@ -34,7 +34,7 @@ type t = {
   scrub : bool;
       (** at op [3*ops/4], poison a live slab header and immediately run
           a {!Nvalloc_core.Nvalloc.scrub} pass — the window in which a
-          broken scrub ([--broken-scrub]) blesses the damage *)
+          broken scrub ([--mutate scrub]) blesses the damage *)
 }
 
 val media_active : t -> bool

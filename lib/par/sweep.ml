@@ -12,25 +12,23 @@ let first_failure ~runs outcomes shrink =
   in
   go 0
 
-let check_sweep ?batch ?broken ?broken_record ?broken_header pool ~alloc ~seed ~runs ~ops
-    ~threads ?crash () =
+let check_sweep ?batch ?mutation ?interleave pool ~alloc ~seed ~runs ~ops ~threads ?crash () =
   let scenarios =
-    Array.init runs (fun i -> { Check.History.alloc; seed = seed + i; ops; threads; crash })
+    Array.init runs (fun i ->
+        Check.Runner.scenario ?interleave ~alloc ~seed:(seed + i) ~ops ~threads ?crash ())
   in
   let outcomes =
     Pool.run pool ~n:runs (fun i ->
-        match Check.Runner.run ?batch ?broken ?broken_record ?broken_header scenarios.(i) with
+        match Check.Runner.run ?batch ?mutation scenarios.(i) with
         | Ok () -> None
         | Error reason -> Some reason)
   in
   first_failure ~runs outcomes (fun i reason ->
       let sc = scenarios.(i) in
-      let shrunk, reason =
-        Check.Runner.shrink ?batch ?broken ?broken_record ?broken_header sc ~reason
-      in
+      let shrunk, reason = Check.Runner.shrink ?batch ?mutation sc ~reason in
       { Check.Runner.original = sc; shrunk; reason })
 
-let fuzz_sweep ?batch ?broken ?broken_record ?broken_scrub ?check_order ?variant ?media
+let fuzz_sweep ?batch ?mutation ?check_order ?variant ?media
     ?(adjust = fun p -> p) pool ~seed ~runs () =
   (* Pure per-index sampling: [Rng.split] derives child [i] without
      advancing the root, so plan [i] depends on (seed, i) alone — the
@@ -43,16 +41,10 @@ let fuzz_sweep ?batch ?broken ?broken_record ?broken_scrub ?check_order ?variant
   in
   let outcomes =
     Pool.run pool ~n:runs (fun i ->
-        match
-          Fault.Fuzz.run_plan ?batch ?broken ?broken_record ?broken_scrub ?check_order
-            plans.(i)
-        with
+        match Fault.Fuzz.run_plan ?batch ?mutation ?check_order plans.(i) with
         | Ok _ -> None
         | Error reason -> Some reason)
   in
   first_failure ~runs outcomes (fun i reason ->
-      let shrunk, reason =
-        Fault.Fuzz.shrink ?batch ?broken ?broken_record ?broken_scrub ?check_order plans.(i)
-          ~reason
-      in
+      let shrunk, reason = Fault.Fuzz.shrink ?batch ?mutation ?check_order plans.(i) ~reason in
       { Fault.Fuzz.original = plans.(i); shrunk; reason })

@@ -2,16 +2,14 @@
     device and instance, fanned over the pool — the embarrassingly
     parallel case where domains buy real wall-time speedup.
 
-    Tasks run on the {e simulated} scheduler (never install the domain
-    backend around a sweep); {!Pool.run}'s index-ordered results plus
-    sequential shrinking of the first failure make the aggregated
-    verdict byte-identical for any [--domains] value. *)
+    Tasks run on the simulated scheduler; {!Pool.run}'s index-ordered
+    results plus sequential shrinking of the first failure make the
+    aggregated verdict byte-identical for any [--domains] value. *)
 
 val check_sweep :
   ?batch:bool ->
-  ?broken:bool ->
-  ?broken_record:bool ->
-  ?broken_header:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
+  ?interleave:bool ->
   Pool.t ->
   alloc:string ->
   seed:int ->
@@ -29,9 +27,7 @@ val check_sweep :
 
 val fuzz_sweep :
   ?batch:bool ->
-  ?broken:bool ->
-  ?broken_record:bool ->
-  ?broken_scrub:bool ->
+  ?mutation:Nvalloc_core.Mutation.t ->
   ?check_order:bool ->
   ?variant:Fault.Plan.variant ->
   ?media:bool ->

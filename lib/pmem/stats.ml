@@ -190,9 +190,6 @@ let cat_of_name = function
   | _ -> None
 
 let json_schema = "nvalloc/stats/v4"
-let json_schema_v3 = "nvalloc/stats/v3"
-let json_schema_v2 = "nvalloc/stats/v2"
-let json_schema_v1 = "nvalloc/stats/v1"
 
 let to_json t =
   let open Telemetry.Json in
@@ -249,27 +246,11 @@ let of_json j =
     | None -> Error (Printf.sprintf "Stats.of_json: missing or ill-typed field %S" name)
   in
   let* schema = field "schema" str j in
-  let* schema_rank =
-    if schema = json_schema then Ok 4
-    else if schema = json_schema_v3 then Ok 3
-    else if schema = json_schema_v2 then Ok 2
-    else if schema = json_schema_v1 then Ok 1
+  let* () =
+    if schema = json_schema then Ok ()
     else Error (Printf.sprintf "Stats.of_json: unknown schema %S" schema)
   in
   let int_field name = field name (fun v -> Option.map int_of_float (num v)) j in
-  (* Counters read back as zero from documents older than the schema
-     revision that introduced them: v2 added the batching pipeline, v3
-     the media-fault model, v4 the metadata-layout counters. Documents at
-     or after the introducing revision must carry the field. *)
-  let opt_int_field ~since name =
-    let since_rank = match since with `V2 -> 2 | `V3 -> 3 | `V4 -> 4 in
-    match member name j with
-    | None when schema_rank < since_rank -> Ok 0
-    | _ -> int_field name
-  in
-  let v2_int_field = opt_int_field ~since:`V2 in
-  let v3_int_field = opt_int_field ~since:`V3 in
-  let v4_int_field = opt_int_field ~since:`V4 in
   let num_field name = field name num j in
   let* trace_limit = int_field "trace_limit" in
   let* () =
@@ -288,18 +269,18 @@ let of_json j =
   let* read_ns = num_field "read_ns" in
   let* search_ns = num_field "search_ns" in
   let* other_ns = num_field "other_ns" in
-  let* fences_saved = v2_int_field "fences_saved" in
-  let* flushes_coalesced = v2_int_field "flushes_coalesced" in
-  let* group_commits = v2_int_field "group_commits" in
-  let* group_commit_entries = v2_int_field "group_commit_entries" in
-  let* poison_hits = v3_int_field "poison_hits" in
-  let* media_repairs = v3_int_field "media_repairs" in
-  let* media_quarantines = v3_int_field "media_quarantines" in
-  let* bitrot_flips = v3_int_field "bitrot_flips" in
-  let* scrub_passes = v3_int_field "scrub_passes" in
-  let* extents_coalesced = v4_int_field "extents_coalesced" in
-  let* extent_tree_lookups = v4_int_field "extent_tree_lookups" in
-  let* header_flush_lines = v4_int_field "header_flush_lines" in
+  let* fences_saved = int_field "fences_saved" in
+  let* flushes_coalesced = int_field "flushes_coalesced" in
+  let* group_commits = int_field "group_commits" in
+  let* group_commit_entries = int_field "group_commit_entries" in
+  let* poison_hits = int_field "poison_hits" in
+  let* media_repairs = int_field "media_repairs" in
+  let* media_quarantines = int_field "media_quarantines" in
+  let* bitrot_flips = int_field "bitrot_flips" in
+  let* scrub_passes = int_field "scrub_passes" in
+  let* extents_coalesced = int_field "extents_coalesced" in
+  let* extent_tree_lookups = int_field "extent_tree_lookups" in
+  let* header_flush_lines = int_field "header_flush_lines" in
   let* trace = field "trace" arr j in
   let* () =
     if List.length trace <= trace_limit then Ok ()

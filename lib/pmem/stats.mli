@@ -130,10 +130,9 @@ val to_json : t -> Telemetry.Json.t
 
 val of_json : Telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}: [of_json (to_json t)] reconstructs an
-    observationally equal instance. Documents with the earlier schemas
-    ["nvalloc/stats/v1"] (pre-batching), ["nvalloc/stats/v2"]
-    (pre-media) or ["nvalloc/stats/v3"] (pre-metadata-layout) still
-    load; counters a schema predates read back as zero. *)
+    observationally equal instance. Only ["nvalloc/stats/v4"] parses:
+    any other schema, the earlier v1–v3 included, is an
+    ["unknown schema"] error, and every counter must be present. *)
 
 val to_json_string : t -> string
 val of_json_string : string -> (t, string) result

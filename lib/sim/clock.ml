@@ -5,7 +5,7 @@
 type state = { mutable now : float }
 type t = { st : state; id : int }
 
-(* Atomic: the domain-parallel backend (lib/par) builds instances — and
+(* Atomic: domain-parallel seed sweeps (lib/par) build instances — and
    therefore clocks — from several domains at once (one allocator stack
    per swept seed); ids must stay unique across them. Within one
    instance clocks are still created sequentially, so the relative

@@ -1,8 +1,9 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
-    All workload generators draw from this module so that every experiment
-    is reproducible bit-for-bit across runs and OCaml versions, which the
-    crash-injection tests rely on. *)
+    All workload generators, and the scheduler's seeded pick rule, draw
+    from this module so that every experiment and every checked
+    interleaving is reproducible bit-for-bit across runs and OCaml
+    versions, which the crash-injection tests rely on. *)
 
 type t
 
@@ -17,9 +18,9 @@ val split : t -> int -> t
 (** [split t i] derives child generator [i] as a pure function of [t]'s
     current state and [i] ([t] is not advanced): the same parent state
     yields the same child stream regardless of how many other children
-    are split off, in which order, or on which domain. The
-    domain-parallel seed sweeps ([lib/par]) use this so per-task
-    randomness is reproducible for any [--domains] count. [i] must be
+    are split off, or in which order. The fuzzer's seed sweeps
+    ([Par.Sweep.fuzz_sweep]) sample plan [i] from child [i], so the
+    sampled plans are the same for any [--domains] count. [i] must be
     non-negative. *)
 
 val next_int64 : t -> int64

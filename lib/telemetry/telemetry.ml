@@ -412,26 +412,6 @@ let default_ring_capacity = 65536
    snapshots) land on this pseudo-thread. *)
 let snapshot_tid = max_int
 
-(* Domain-track namespace. Sim-thread tids are [Sim.Clock] ids — small
-   ints counting up from 1 — and [Domain.self ()] ids are small ints
-   counting up from 0, so using a domain id as a tid directly would
-   alias an unrelated sim thread's ring (and corrupt its normalised
-   position in the export). Domain emitters go through [domain_tid],
-   which lifts the id into a reserved band above any realistic clock id
-   and below [snapshot_tid]: the export's ascending-tid normalisation
-   then keeps every domain track after all sim-thread tracks and before
-   the "heap" track, and the track label uses the position *within the
-   band* (domain-0, domain-1, ...) rather than the raw domain id — raw
-   ids are process-global spawn counters and would differ between two
-   same-seed runs in one process, breaking byte-identical traces. *)
-let domain_tid_base = max_int lsr 1
-let is_domain_tid tid = tid >= domain_tid_base && tid < snapshot_tid
-
-let domain_tid did =
-  if did < 0 || did >= snapshot_tid - domain_tid_base then
-    invalid_arg (Printf.sprintf "Telemetry.domain_tid: bad domain id %d" did);
-  domain_tid_base + did
-
 let create ?(ring_capacity = default_ring_capacity) () =
   if ring_capacity <= 0 then
     invalid_arg
@@ -866,24 +846,11 @@ let chrome_json t =
     if !first then first := false else Buffer.add_char b ',';
     Buffer.add_string b "\n"
   in
-  (* Thread-name metadata first, in normalized-tid order. Labels count
-     per kind: domain tracks sort after every sim-thread track (the
-     domain band sits above all clock ids), so "thread-i"/"domain-j"
-     numbering is stable for same-seed runs even though raw domain ids
-     are process-global. *)
-  let domains_before = ref 0 in
+  (* Thread-name metadata first, in normalized-tid order. *)
   List.iteri
     (fun norm r ->
       sep ();
-      let label =
-        if r.r_tid = snapshot_tid then "heap"
-        else if is_domain_tid r.r_tid then begin
-          let j = !domains_before in
-          incr domains_before;
-          Printf.sprintf "domain-%d" j
-        end
-        else Printf.sprintf "thread-%d" norm
-      in
+      let label = if r.r_tid = snapshot_tid then "heap" else Printf.sprintf "thread-%d" norm in
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
@@ -1063,8 +1030,8 @@ let tail_events t ~n =
    it is the one piece that needs a real mutex: the domain-parallel
    sweeps (lib/par) construct a full allocator stack per swept seed,
    and several domains can reach [attach_if_capturing] at once. Sinks
-   themselves stay single-writer (each belongs to one instance, and the
-   parallel backends serialise instance access). *)
+   themselves stay single-writer (each belongs to one instance, and a
+   sweep hands each instance to exactly one domain). *)
 let capture_mutex = Mutex.create ()
 let capture : int option ref = ref None
 let registry : (string * t) list ref = ref []

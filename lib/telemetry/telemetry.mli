@@ -82,22 +82,6 @@ val snapshot_tid : int
 (** Pseudo thread id for events that belong to no simulated thread
     (periodic heap snapshots). Exported as the last, "heap", track. *)
 
-val domain_tid : int -> int
-(** Lift a [Domain.self ()] id (coerced to [int]) into the reserved
-    domain-track tid band. Domain ids and sim-clock ids are both small
-    ints, so using one directly as a tid would alias an unrelated sim
-    thread's ring; the band sits above every clock id and below
-    {!snapshot_tid}, so domain tracks always export after all
-    sim-thread tracks and before "heap", labelled ["domain-j"] by
-    position within the band (raw domain ids are process-global spawn
-    counters and would break byte-identical same-seed traces). Raises
-    [Invalid_argument] on a negative or absurdly large id. *)
-
-val domain_tid_base : int
-(** First tid of the domain band ([domain_tid 0]). *)
-
-val is_domain_tid : int -> bool
-
 val intern : t -> string -> int
 (** Intern a name (event or arg-key), returning a stable id. Hot
     emitters intern once at attach time and use the [int] API below. *)

@@ -27,27 +27,7 @@ let require_threads (inst : Alloc_api.Instance.t) =
       (Printf.sprintf "Driver: instance %S has %d threads (need >= 1)"
          inst.Alloc_api.Instance.name inst.Alloc_api.Instance.threads)
 
-(* Execution-backend seam. The simulated scheduler below is the default
-   and the only deterministic backend; [lib/par] installs a replacement
-   that drives the same per-thread step closures on OCaml domains
-   (scoped: installed for one workload call, then removed). The hook
-   lives here — not in the workloads — so every workload gains the
-   domain backend without knowing it exists. *)
-type backend =
-  Alloc_api.Instance.t -> ops_of:(tid:int -> int) -> step_of:(tid:int -> unit -> bool) -> result
-
-let parallel_backend : backend option ref = ref None
-let set_parallel_backend b = parallel_backend := b
-
-let rec run (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
-  match !parallel_backend with
-  | Some exec ->
-      require_threads inst;
-      inst.Alloc_api.Instance.reset_peak ();
-      exec inst ~ops_of ~step_of
-  | None -> run_sim inst ~ops_of ~step_of
-
-and run_sim (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
+let run ?rng (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
   require_threads inst;
   inst.Alloc_api.Instance.reset_peak ();
   let telem = Pmem.Device.telemetry inst.Alloc_api.Instance.dev in
@@ -108,7 +88,7 @@ and run_sim (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
         in
         Array.append workers [| daemon |]
   in
-  Sim.Scheduler.run ?telem scheduled;
+  Sim.Scheduler.run ?telem ?rng scheduled;
   let makespan = Sim.Scheduler.makespan threads in
   (* Close the track with a final snapshot at the makespan. *)
   (match telem with Some _ -> inst.Alloc_api.Instance.snapshot makespan | None -> ());

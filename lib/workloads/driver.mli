@@ -11,18 +11,8 @@ type result = {
   peak_bytes : int;  (** peak mapped persistent memory during the run *)
 }
 
-type backend =
-  Alloc_api.Instance.t -> ops_of:(tid:int -> int) -> step_of:(tid:int -> unit -> bool) -> result
-
-val set_parallel_backend : backend option -> unit
-(** Execution-backend seam: with a backend installed, {!run} delegates
-    the whole drive (after the threads guard and peak reset) to it
-    instead of the simulated scheduler. [Par.Runner.workload] installs
-    the domain-pool backend scoped around one workload call; nothing
-    else should touch this. The sim scheduler remains the default and
-    the only deterministic backend. *)
-
 val run :
+  ?rng:Sim.Rng.t ->
   Alloc_api.Instance.t -> ops_of:(tid:int -> int) -> step_of:(tid:int -> unit -> bool) -> result
 (** [step_of ~tid] builds thread [tid]'s step closure ([false] = done);
     [ops_of ~tid] declares how many operations that thread will have
@@ -30,8 +20,10 @@ val run :
     starting. When the instance's device has a telemetry sink attached,
     the scheduler emits per-step "run" spans into it and the instance's
     heap snapshot is taken every 1024 scheduler steps and once at the
-    makespan. Raises [Invalid_argument] on an instance with
-    [threads <= 0]. *)
+    makespan. With [rng] the scheduler uses its seeded pick rule
+    ({!Sim.Scheduler.run}) instead of min-clock: a checker-only mode,
+    never used for figures. Raises [Invalid_argument] on an instance
+    with [threads <= 0]. *)
 
 val require_slots : Alloc_api.Instance.t -> int -> unit
 (** Assert that each thread's root-slot partition holds at least [n]

@@ -1,6 +1,7 @@
 #!/bin/sh
 # The full local gate, in dependency order: formatting, build, unit
-# tests, host-time benchmark check, crash-plan fuzzer, model checker.
+# tests, host-time benchmark check, crash-plan fuzzer, model checker,
+# media faults and the seeded-interleaving gate.
 # Each stage is the corresponding single-purpose script (or dune
 # target), so a failure names the stage and can be re-run in isolation.
 # The fuzzer and model-checker stages sweep both persistence pipelines:
@@ -9,8 +10,8 @@
 # adds poisoned-line / bit-rot / scrub plans on top.
 #
 # Usage: scripts/check_all.sh
-# CHECK_FAST=1 trims the fuzz, model and media budgets (smoke coverage,
-# not the gate).
+# CHECK_FAST=1 trims the fuzz, model, media and interleave budgets
+# (smoke coverage, not the gate).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,7 +33,7 @@ stage "telemetry-off hot path (bench/hotloop.exe --check)" \
 stage "crash fuzzer (scripts/fuzz_check.sh)" sh scripts/fuzz_check.sh
 stage "model checker (scripts/model_check.sh)" sh scripts/model_check.sh
 stage "media faults (scripts/fault_media_check.sh)" sh scripts/fault_media_check.sh
-stage "domain-parallel differential gate (scripts/par_check.sh)" sh scripts/par_check.sh
+stage "seeded-interleaving gate (scripts/interleave_check.sh)" sh scripts/interleave_check.sh
 
 echo ""
 echo "all checks OK"

@@ -10,7 +10,7 @@
 #    the hardened recovery must keep every plan green.
 # 2. Clean gate, synchronous pipeline (--no-batch): the same budget
 #    with batching forced off.
-# 3. Mutation smoke (--broken-scrub: scrub blesses a damaged primary
+# 3. Mutation smoke (--mutate scrub: scrub blesses a damaged primary
 #    instead of repairing it from the replica). A pinned plan must
 #    FAIL under the mutation and stay green without it, and a short
 #    sampled hunt must find the bug on its own — if the blessed
@@ -46,15 +46,15 @@ plan="v=log seed=67770 ops=40 crash=240 torn=line tseed=368050 rcrash=- poison=1
 echo "media mutation smoke: pinned scrub plan, clean run must pass"
 "$cli" fuzz --plan "$plan"
 
-echo "media mutation smoke: pinned scrub plan under --broken-scrub must FAIL"
-if "$cli" fuzz --plan "$plan" --broken-scrub >/dev/null 2>&1; then
+echo "media mutation smoke: pinned scrub plan under --mutate scrub must FAIL"
+if "$cli" fuzz --plan "$plan" --mutate scrub >/dev/null 2>&1; then
   echo "FAIL: the blessing-scrub mutation was NOT caught on the pinned plan" >&2
   exit 1
 fi
 echo "mutation caught, as it must be"
 
-echo "media mutation smoke: sampled hunt ($hunt_runs plans) must find --broken-scrub"
-if "$cli" fuzz --media --broken-scrub --seed 7 --runs "$hunt_runs" >/dev/null 2>&1; then
+echo "media mutation smoke: sampled hunt ($hunt_runs plans) must find --mutate scrub"
+if "$cli" fuzz --media --mutate scrub --seed 7 --runs "$hunt_runs" >/dev/null 2>&1; then
   echo "FAIL: the blessing-scrub mutation survived the sampled hunt" >&2
   exit 1
 fi

@@ -12,12 +12,12 @@
 #    with flush coalescing / group commit / async checkpointing forced
 #    off, so both pipelines stay independently green.
 # 3. Mutation smoke: the budget with the PR 2 refill WAL-before-bitmap
-#    ordering bug re-introduced (--broken) must FAIL, the batched
-#    pipeline's "forgotten commit record" mutation (--broken-record:
-#    group effects persist while the group's entries never do) must
-#    FAIL, and the packed-header mis-decode (--broken-header: every
-#    header read flips the size-class field's lowest bit) must FAIL —
-#    if any seeded bug survives the checker, this script exits
+#    ordering bug re-introduced (--mutate wal-flush) must FAIL, the
+#    batched pipeline's "forgotten commit record" mutation (--mutate
+#    wal-record: group effects persist while the group's entries never
+#    do) must FAIL, and the packed-header mis-decode (--mutate header:
+#    every header read flips the size-class field's lowest bit) must
+#    FAIL — if any seeded bug survives the checker, this script exits
 #    non-zero.
 #
 # Replay a failure with: nvalloc-cli check [--no-batch] --scenario "<line>"
@@ -56,25 +56,25 @@ echo "model check: crash scenarios, synchronous pipeline (NVAlloc variants)"
 "$cli" check --no-batch --seed "$seed" --runs "$runs" --ops "$crash_ops" --threads 2 --crash 100 \
   --allocators NVAlloc-LOG,NVAlloc-GC,NVAlloc-IC
 
-echo "model check: mutation smoke (--broken must be caught)"
+echo "model check: mutation smoke (--mutate wal-flush must be caught)"
 if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
-  --broken --allocators NVAlloc-LOG >/dev/null 2>&1; then
+  --mutate wal-flush --allocators NVAlloc-LOG >/dev/null 2>&1; then
   echo "FAIL: the seeded WAL ordering bug was NOT caught" >&2
   exit 1
 fi
 echo "mutation caught, as it must be"
 
-echo "model check: mutation smoke (--broken-record must be caught)"
+echo "model check: mutation smoke (--mutate wal-record must be caught)"
 if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 --crash 200 \
-  --broken-record --allocators NVAlloc-LOG >/dev/null 2>&1; then
+  --mutate wal-record --allocators NVAlloc-LOG >/dev/null 2>&1; then
   echo "FAIL: the forgotten-commit-record mutation was NOT caught" >&2
   exit 1
 fi
 echo "mutation caught, as it must be"
 
-echo "model check: mutation smoke (--broken-header must be caught)"
+echo "model check: mutation smoke (--mutate header must be caught)"
 if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
-  --broken-header --allocators NVAlloc-LOG >/dev/null 2>&1; then
+  --mutate header --allocators NVAlloc-LOG >/dev/null 2>&1; then
   echo "FAIL: the packed-header mis-decode was NOT caught" >&2
   exit 1
 fi

@@ -5,6 +5,8 @@
 
 let mib = 1024 * 1024
 
+module M = Nvalloc_core.Mutation
+
 (* --- reference model ------------------------------------------------------- *)
 
 let ok_exn name = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" name e
@@ -50,9 +52,24 @@ let test_scenario_roundtrip () =
             "round trip" (Check.History.to_string sc) (Check.History.to_string sc')
       | Error e -> Alcotest.failf "round trip failed: %s" e)
     [
-      { Check.History.alloc = "NVAlloc-LOG"; seed = 7; ops = 4000; threads = 4; crash = None };
-      { Check.History.alloc = "PMDK"; seed = 1; ops = 1; threads = 1; crash = Some 13 };
+      { Check.History.alloc = "NVAlloc-LOG"; seed = 7; ops = 4000; threads = 4;
+        crash = None; sched = None };
+      { Check.History.alloc = "PMDK"; seed = 1; ops = 1; threads = 1;
+        crash = Some 13; sched = None };
+      { Check.History.alloc = "NVAlloc-IC"; seed = 2; ops = 9; threads = 3;
+        crash = Some 4; sched = Some 77 };
     ];
+  (* [sched=] is printed only when set, so lines from before seeded
+     scheduling still parse, as min-clock scenarios. *)
+  let legacy = "alloc=NVAlloc-LOG seed=7 ops=4000 threads=4 crash=-" in
+  (match Check.History.of_string legacy with
+  | Ok sc ->
+      Alcotest.(check (option int)) "legacy line: no sched" None sc.Check.History.sched;
+      Alcotest.(check string) "legacy line renders unchanged" legacy (Check.History.to_string sc)
+  | Error e -> Alcotest.failf "legacy line rejected: %s" e);
+  (match Check.History.of_string (legacy ^ " sched=-3") with
+  | Ok sc -> Alcotest.(check (option int)) "sched parsed" (Some (-3)) sc.Check.History.sched
+  | Error e -> Alcotest.failf "sched line rejected: %s" e);
   List.iter
     (fun line ->
       match Check.History.of_string line with
@@ -64,12 +81,14 @@ let test_scenario_roundtrip () =
       "alloc=X seed=1 ops=10 threads=1 crash=0";
       "alloc=X seed=nope ops=10 threads=1 crash=-";
       "alloc=X ops=10 threads=1 crash=-";
+      "alloc=X seed=1 ops=10 threads=1 crash=- sched=x";
       "garbage";
     ]
 
 let test_generator_deterministic () =
   let sc =
-    { Check.History.alloc = "NVAlloc-LOG"; seed = 3; ops = 1000; threads = 3; crash = None }
+    { Check.History.alloc = "NVAlloc-LOG"; seed = 3; ops = 1000; threads = 3;
+      crash = None; sched = None }
   in
   let a = Check.History.generate sc ~large_ok:true in
   let b = Check.History.generate sc ~large_ok:true in
@@ -89,7 +108,8 @@ let test_generator_deterministic () =
 let test_runner_all_allocators () =
   List.iter
     (fun alloc ->
-      let sc = { Check.History.alloc; seed = 5; ops = 300; threads = 2; crash = None } in
+      let sc = { Check.History.alloc; seed = 5; ops = 300; threads = 2;
+        crash = None; sched = None } in
       match Check.Runner.run sc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" (Check.History.to_string sc) e)
@@ -100,7 +120,8 @@ let test_runner_crash () =
     (fun alloc ->
       List.iter
         (fun crash ->
-          let sc = { Check.History.alloc; seed = 2; ops = 300; threads = 2; crash = Some crash } in
+          let sc = { Check.History.alloc; seed = 2; ops = 300; threads = 2;
+            crash = Some crash; sched = None } in
           match Check.Runner.run sc with
           | Ok () -> ()
           | Error e -> Alcotest.failf "%s: %s" (Check.History.to_string sc) e)
@@ -116,16 +137,18 @@ let test_mutation_teeth () =
     List.filter
       (fun seed ->
         let sc =
-          { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2; crash = None }
+          { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2;
+            crash = None; sched = None }
         in
-        match Check.Runner.run ~broken:true sc with Error _ -> true | Ok () -> false)
+        match Check.Runner.run ~mutation:M.Wal_flush sc with Error _ -> true | Ok () -> false)
       seeds
   in
   Alcotest.(check bool) "broken WAL caught within 8 seeds" true (failing <> []);
   List.iter
     (fun seed ->
       let sc =
-        { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2; crash = None }
+        { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2;
+          crash = None; sched = None }
       in
       match Check.Runner.run sc with
       | Ok () -> ()
@@ -139,14 +162,14 @@ let test_mutation_group_commit () =
   let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let scenario seed crash =
     { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2;
-      crash = Some crash }
+      crash = Some crash; sched = None }
   in
   let failing =
     List.filter
       (fun seed ->
         List.exists
           (fun crash ->
-            match Check.Runner.run ~broken_record:true (scenario seed crash) with
+            match Check.Runner.run ~mutation:M.Wal_record (scenario seed crash) with
             | Error _ -> true
             | Ok () -> false)
           [ 50; 200; 600 ])
@@ -168,15 +191,16 @@ let test_mutation_group_commit () =
 (* Third mutation: the packed slab header mis-decodes its size-class
    field on every read. The deep integrity walk compares the persisted
    class against the volatile layout, so crash-free scenarios catch it. *)
-let test_mutation_broken_header () =
+let test_mutation_header () =
   let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let scenario seed =
-    { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2; crash = None }
+    { Check.History.alloc = "NVAlloc-LOG"; seed; ops = 1000; threads = 2;
+      crash = None; sched = None }
   in
   let failing =
     List.filter
       (fun seed ->
-        match Check.Runner.run ~broken_header:true (scenario seed) with
+        match Check.Runner.run ~mutation:M.Header (scenario seed) with
         | Error _ -> true
         | Ok () -> false)
       seeds
@@ -193,7 +217,7 @@ let test_mutation_broken_header () =
 let test_checker_deterministic () =
   (* Same seed: identical verdict, and an identical shrunk repro line. *)
   let go () =
-    Check.Runner.check ~broken:true ~alloc:"NVAlloc-LOG" ~seed:1 ~runs:8 ~ops:1000
+    Check.Runner.check ~mutation:M.Wal_flush ~alloc:"NVAlloc-LOG" ~seed:1 ~runs:8 ~ops:1000
       ~threads:2 ()
   in
   match (go (), go ()) with
@@ -205,6 +229,131 @@ let test_checker_deterministic () =
       Alcotest.(check string) "identical reason" a.Check.Runner.reason b.Check.Runner.reason
   | None, None -> Alcotest.fail "mutation not caught (expected a counterexample)"
   | _ -> Alcotest.fail "verdict differs between identical runs"
+
+(* --- seeded interleaving ---------------------------------------------------- *)
+
+(* Drive one 4-thread history through the workload driver (the runner's
+   occupancy rules, without its model) and return the makespan: with
+   [sched] set the scheduler uses its seeded pick rule. *)
+let history_makespan ~sched =
+  let sc =
+    { Check.History.alloc = "NVAlloc-LOG"; seed = 4; ops = 1200; threads = 4; crash = None;
+      sched }
+  in
+  let config =
+    { Nvalloc_core.Config.log_default with
+      Nvalloc_core.Config.root_slots = 4 * Check.History.slots_per_thread }
+  in
+  let inst = Alloc_api.Instance.of_nvalloc ~config ~threads:4 ~dev_size:(64 * mib) () in
+  let streams = Check.History.generate sc ~large_ok:true in
+  let published dest = Pmem.Device.read_int64 inst.Alloc_api.Instance.dev dest <> 0L in
+  let step_of ~tid =
+    let ops = streams.(tid) and i = ref 0 in
+    fun () ->
+      (match ops.(!i) with
+      | Check.History.Alloc { slot; size } ->
+          let dest = Workloads.Driver.slot inst ~tid slot in
+          if not (published dest) then ignore (inst.Alloc_api.Instance.malloc ~tid ~size ~dest)
+      | Check.History.Free { owner; slot } ->
+          let dest = Workloads.Driver.slot inst ~tid:owner slot in
+          if published dest then inst.Alloc_api.Instance.free ~tid ~dest);
+      incr i;
+      !i < Array.length ops
+  in
+  let r =
+    Workloads.Driver.run ?rng:(Option.map Sim.Rng.create sched) inst
+      ~ops_of:(fun ~tid -> Array.length streams.(tid))
+      ~step_of
+  in
+  r.Workloads.Driver.makespan_ns
+
+let verdict_of = function
+  | None -> "ok"
+  | Some { Check.Runner.original; shrunk; reason } ->
+      Printf.sprintf "cex original=%s shrunk=%s reason=%s"
+        (Check.History.to_string original)
+        (Check.History.to_string shrunk)
+        reason
+
+let test_interleave_deterministic () =
+  let bits f = Printf.sprintf "%h" f in
+  Alcotest.(check string)
+    "same sched, same makespan" (bits (history_makespan ~sched:(Some 5)))
+    (bits (history_makespan ~sched:(Some 5)));
+  let go () =
+    verdict_of
+      (Check.Runner.check ~mutation:M.Header ~interleave:true ~alloc:"NVAlloc-LOG" ~seed:1
+         ~runs:4 ~ops:600 ~threads:4 ())
+  in
+  let v = go () in
+  Alcotest.(check string) "same sched, same verdict" v (go ());
+  (* The shrunk repro keeps its scheduling seed. *)
+  Alcotest.(check bool)
+    "shrunk repro carries sched=" true
+    (let needle = " sched=" in
+     let n = String.length needle in
+     let rec has i = i + n <= String.length v && (String.sub v i n = needle || has (i + 1)) in
+     has 0)
+
+let test_interleave_changes_order () =
+  let a = history_makespan ~sched:(Some 1) and b = history_makespan ~sched:(Some 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sched 1 vs 2 makespans differ (%.0f vs %.0f)" a b)
+    true (a <> b);
+  Alcotest.(check bool) "seeded differs from min-clock" true
+    (history_makespan ~sched:None <> a)
+
+(* Mutation teeth under --interleave: the same seeded bugs the min-clock
+   checker catches must be caught when the op order is seeded too, and
+   the same scenarios must pass without them. *)
+let test_interleave_mutations_caught () =
+  let check ?mutation () =
+    Check.Runner.check ?mutation ~interleave:true ~alloc:"NVAlloc-LOG" ~seed:1 ~runs:8
+      ~ops:1000 ~threads:2 ()
+  in
+  Alcotest.(check string) "clean interleaved scenarios pass" "ok" (verdict_of (check ()));
+  List.iter
+    (fun m ->
+      match check ~mutation:m () with
+      | Some _ -> ()
+      | None -> Alcotest.failf "%s mutation escaped --interleave" (M.to_string m))
+    [ M.Header; M.Wal_flush ]
+
+let run_interleaved ~crash alloc =
+  let sc =
+    { Check.History.alloc; seed = 2; ops = 400; threads = 3; crash; sched = Some 9 }
+  in
+  match Check.Runner.run sc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" (Check.History.to_string sc) e
+
+let nvalloc_variants = [ "NVAlloc-LOG"; "NVAlloc-GC"; "NVAlloc-IC" ]
+
+let test_interleave_histories () = List.iter (run_interleaved ~crash:None) nvalloc_variants
+
+let test_interleave_crash_scenarios () =
+  List.iter (run_interleaved ~crash:(Some 60)) nvalloc_variants
+
+(* Regression: the header mutation used to be a process-global flag, so
+   building one mutated instance broke every heap created after it in
+   the same process. Now each heap carries its own mutation. *)
+let test_mutation_stays_in_its_heap () =
+  let (_ : Alloc_api.Instance.t) =
+    Alloc_api.Instance.of_nvalloc ~config:Nvalloc_core.Config.log_default ~threads:1
+      ~dev_size:(64 * mib) ~mutation:M.Header ()
+  in
+  let dev = Pmem.Device.create ~size:(64 * mib) () in
+  let clock = Sim.Clock.create () in
+  let t = Nvalloc_core.Nvalloc.create dev clock in
+  let th = Nvalloc_core.Nvalloc.thread t clock in
+  for i = 0 to 63 do
+    ignore
+      (Nvalloc_core.Nvalloc.malloc_to t th ~size:(64 * (1 + (i mod 4)))
+         ~dest:(Nvalloc_core.Nvalloc.root_addr t i))
+  done;
+  match Nvalloc_core.Nvalloc.integrity_walk t clock with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "fresh heap inherited a mutation: %s" e
 
 (* --- uniform unpublished-free error (satellite: Instance.free) ------------- *)
 
@@ -281,8 +430,16 @@ let suite =
     Alcotest.test_case "mutation teeth: forgotten commit record" `Slow
       test_mutation_group_commit;
     Alcotest.test_case "mutation teeth: packed-header mis-decode" `Slow
-      test_mutation_broken_header;
+      test_mutation_header;
     Alcotest.test_case "checker determinism" `Slow test_checker_deterministic;
+    Alcotest.test_case "interleave: same sched, same verdict" `Slow
+      test_interleave_deterministic;
+    Alcotest.test_case "interleave: sched changes the op order" `Quick
+      test_interleave_changes_order;
+    Alcotest.test_case "interleave: mutations caught" `Slow test_interleave_mutations_caught;
+    Alcotest.test_case "interleave: histories pass" `Quick test_interleave_histories;
+    Alcotest.test_case "interleave: crash scenarios" `Quick test_interleave_crash_scenarios;
+    Alcotest.test_case "mutation stays in its heap" `Quick test_mutation_stays_in_its_heap;
     Alcotest.test_case "uniform unpublished-free error" `Quick test_uniform_free_error;
     Alcotest.test_case "driver validation" `Quick test_driver_validation;
   ]

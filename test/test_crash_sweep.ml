@@ -239,7 +239,7 @@ let sweep_generated variant () =
       List.iter
         (fun crash ->
           let sc =
-            { Check.History.alloc; seed; ops = 400; threads = 2; crash = Some crash }
+            { Check.History.alloc; seed; ops = 400; threads = 2; crash = Some crash; sched = None }
           in
           match Check.Runner.run sc with
           | Ok () -> ()

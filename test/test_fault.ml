@@ -71,16 +71,19 @@ let test_fuzz_catches_broken_ordering () =
   (* Disable the WAL's flush-before-effect ordering: the fuzzer must
      find a failing plan, shrink it to something no bigger, and the
      shrunk plan must replay to the same verdict. *)
-  match Fault.Fuzz.fuzz ~broken:true ~variant:Fault.Plan.Log ~seed:1 ~runs:60 () with
+  match
+    Fault.Fuzz.fuzz ~mutation:Nvalloc_core.Mutation.Wal_flush ~variant:Fault.Plan.Log ~seed:1
+      ~runs:60 ()
+  with
   | None -> Alcotest.fail "broken WAL ordering escaped the fuzzer"
   | Some { Fault.Fuzz.original; shrunk; reason } ->
       Alcotest.(check bool) "reason is non-empty" true (String.length reason > 0);
       Alcotest.(check bool) "shrunk no bigger than original" true
         (shrunk.Fault.Plan.ops <= original.Fault.Plan.ops
         && shrunk.Fault.Plan.crash_after <= original.Fault.Plan.crash_after);
-      (match Fault.Fuzz.run_plan ~broken:true shrunk with
+      (match Fault.Fuzz.run_plan ~mutation:Nvalloc_core.Mutation.Wal_flush shrunk with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "shrunk plan no longer fails under --broken");
+      | Ok _ -> Alcotest.fail "shrunk plan no longer fails under the WAL-flush mutation");
       (* The one-line rendering is a complete repro. *)
       let reparsed =
         match Fault.Plan.of_string (Fault.Plan.to_string shrunk) with

@@ -66,7 +66,7 @@ let test_primary_wins_bad_replica_checksum () =
    flipped primary byte. A correct scrub would restore the byte from
    the replica; bless recomputes the checksum over the garbage and then
    propagates it into the replica — both copies end up "valid" and
-   wrong, which is exactly why --broken-scrub must be caught downstream
+   wrong, which is exactly why --mutate scrub must be caught downstream
    by the oracle rather than by any checksum. *)
 let test_bless_blesses_bitrot () =
   let dev, clock, r = guard_fixture () in

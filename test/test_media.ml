@@ -192,9 +192,9 @@ let prop_media_plans_roundtrip =
       && p.Fault.Plan.variant = Fault.Plan.Log
       && Fault.Plan.of_string (Fault.Plan.to_string p) = Ok p)
 
-(* --- stats schema (satellite: nvalloc/stats/v3) --------------------------- *)
+(* --- stats schema: only nvalloc/stats/v4 parses ------------------------- *)
 
-let test_stats_v3_compat () =
+let test_stats_only_v4 () =
   let doc schema extra =
     Printf.sprintf
       {|{"schema":"%s","trace_limit":8,"flushes":7,"reflushes":1,
@@ -208,35 +208,16 @@ let test_stats_v3_compat () =
     {|,"fences_saved":3,"flushes_coalesced":1,"group_commits":1,
       "group_commit_entries":5,"group_commit_size":5|}
   in
-  (* v1 and v2 documents predate the media counters: both load with the
-     counters at zero. *)
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v1" "") with
-  | Error e -> Alcotest.fail ("v1 document rejected: " ^ e)
-  | Ok st ->
-      Alcotest.(check int) "v1: media_repairs 0" 0 (Pmem.Stats.media_repairs st);
-      Alcotest.(check int) "v1: scrub_passes 0" 0 (Pmem.Stats.scrub_passes st));
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v2" batching) with
-  | Error e -> Alcotest.fail ("v2 document rejected: " ^ e)
-  | Ok st ->
-      Alcotest.(check int) "v2: batching counters load" 3 (Pmem.Stats.fences_saved st);
-      Alcotest.(check int) "v2: poison_hits 0" 0 (Pmem.Stats.poison_hits st);
-      Alcotest.(check int) "v2: bitrot_flips 0" 0 (Pmem.Stats.bitrot_flips st));
-  (* A v3 document missing the media counters is truncated, not legacy. *)
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v3" batching) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v3 document without media counters accepted");
   let media =
     {|,"poison_hits":2,"media_repairs":4,"media_quarantines":1,
       "bitrot_flips":6,"scrub_passes":3|}
   in
+  (* A v3 document carrying every v3 counter is still an unknown schema. *)
   (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v3" (batching ^ media)) with
-  | Error e -> Alcotest.fail ("complete v3 document rejected: " ^ e)
-  | Ok st ->
-      Alcotest.(check int) "v3: media_repairs load" 4 (Pmem.Stats.media_repairs st);
-      Alcotest.(check int) "v3: quarantines load" 1 (Pmem.Stats.media_quarantines st);
-      (* v3 predates the metadata-layout counters: they read back zero. *)
-      Alcotest.(check int) "v3: extents_coalesced 0" 0 (Pmem.Stats.extents_coalesced st);
-      Alcotest.(check int) "v3: header_flush_lines 0" 0 (Pmem.Stats.header_flush_lines st));
+  | Error e ->
+      Alcotest.(check string) "v3 rejected by schema"
+        "Stats.of_json: unknown schema \"nvalloc/stats/v3\"" e
+  | Ok _ -> Alcotest.fail "v3 document accepted");
   (* A v4 document missing the metadata-layout counters is truncated. *)
   (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v4" (batching ^ media)) with
   | Error _ -> ()
@@ -432,7 +413,7 @@ let pinned_media_plan =
   "v=log seed=67770 ops=40 crash=240 torn=line tseed=368050 rcrash=- poison=1 pseed=126106 \
    rot=2 rseed=769496 scrub=1"
 
-let test_fuzz_broken_scrub_caught () =
+let test_fuzz_mutated_scrub_caught () =
   let plan =
     match Fault.Plan.of_string pinned_media_plan with
     | Ok p -> p
@@ -441,7 +422,7 @@ let test_fuzz_broken_scrub_caught () =
   (match Fault.Fuzz.run_plan plan with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "clean scrub failed the oracle: %s" e);
-  match Fault.Fuzz.run_plan ~broken_scrub:true plan with
+  match Fault.Fuzz.run_plan ~mutation:Nvalloc_core.Mutation.Scrub plan with
   | Error e ->
       Alcotest.(check bool) "verdict names the corruption" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "broken scrub escaped the oracle"
@@ -494,7 +475,7 @@ let suite =
     Alcotest.test_case "config: media knob validation" `Quick test_media_config_validation;
     Alcotest.test_case "plan: media fields roundtrip" `Quick test_plan_media_roundtrip;
     QCheck_alcotest.to_alcotest prop_media_plans_roundtrip;
-    Alcotest.test_case "stats: v3 schema back-compat" `Quick test_stats_v3_compat;
+    Alcotest.test_case "stats: only v4 parses" `Quick test_stats_only_v4;
     Alcotest.test_case "alloc: demand repair, zero loss" `Quick test_demand_repair_zero_loss;
     Alcotest.test_case "alloc: runtime quarantine degrades" `Quick
       test_runtime_quarantine_degrades;
@@ -505,7 +486,7 @@ let suite =
     Alcotest.test_case "recovery: crash during scrub sweep" `Slow
       test_crash_during_scrub_sweep;
     Alcotest.test_case "maintenance: scrub tick" `Quick test_scrub_tick_maintenance;
-    Alcotest.test_case "fuzz: broken scrub caught" `Quick test_fuzz_broken_scrub_caught;
+    Alcotest.test_case "fuzz: broken scrub caught" `Quick test_fuzz_mutated_scrub_caught;
     Alcotest.test_case "fuzz: media stats deterministic" `Quick
       test_media_plans_deterministic_stats;
     Alcotest.test_case "fuzz: media clean sweep" `Slow test_fuzz_media_clean_sweep;

@@ -1,8 +1,7 @@
-(* Domain-parallel backend: pool semantics (index-ordered results,
-   exception propagation), pure RNG splitting, the real-mutex lock,
-   the differential history runner (clean pass, mutation teeth, crash
-   scenarios) and the seed-sweep determinism guarantee — identical
-   aggregated verdicts for any domain count. *)
+(* Domain-parallel seed sweeps: pool semantics (index-ordered results,
+   exception propagation), pure RNG splitting, and the seed-sweep
+   determinism guarantee — identical aggregated verdicts for any domain
+   count. *)
 
 let test_pool_result_order () =
   let pool = Par.Pool.create ~domains:4 in
@@ -48,71 +47,9 @@ let test_rng_split_pure_and_deterministic () =
   let distinct = List.sort_uniq compare (Array.to_list a) in
   Alcotest.(check int) "children are distinct streams" 8 (List.length distinct)
 
-let test_lock_contention_counting () =
-  let lock = Par.Lock.create () in
-  Par.Lock.with_lock lock (fun () -> ());
-  Alcotest.(check int) "uncontended" 0 (Par.Lock.contention_count lock);
-  (* Exception safety: the lock is free again after a raising body. *)
-  (try Par.Lock.with_lock lock (fun () -> failwith "boom") with Failure _ -> ());
-  Par.Lock.with_lock lock (fun () -> ());
-  (* Two domains hammering one lock must make progress and typically
-     collide; the counter only ever grows. *)
-  let n = ref 0 in
-  ignore
-    (Par.Pool.run (Par.Pool.create ~domains:2) ~n:2 (fun _ ->
-         for _ = 1 to 2000 do
-           Par.Lock.with_lock lock (fun () -> incr n)
-         done)
-      : unit array);
-  Alcotest.(check int) "critical sections all ran" 4000 !n;
-  Alcotest.(check bool) "counter non-negative" true (Par.Lock.contention_count lock >= 0)
-
-(* One differential run per NVAlloc variant, on one and two domains: the
-   par run must pass the full model validation and agree with the sim
-   cross-run on executed ops. *)
-let test_run_history_differential () =
-  List.iter
-    (fun alloc ->
-      List.iter
-        (fun domains ->
-          let pool = Par.Pool.create ~domains in
-          let sc = { Check.History.alloc; seed = 3; ops = 400; threads = 3; crash = None } in
-          match Par.Runner.run_history pool sc with
-          | Error e -> Alcotest.failf "%s (%d domains): %s" alloc domains e
-          | Ok r ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s executed everything" alloc)
-                400 r.Par.Runner.executed)
-        [ 1; 2 ])
-    [ "NVAlloc-LOG"; "NVAlloc-GC"; "NVAlloc-IC" ]
-
-let test_run_history_crash_scenario () =
-  let pool = Par.Pool.create ~domains:2 in
-  let sc =
-    { Check.History.alloc = "NVAlloc-LOG"; seed = 1; ops = 500; threads = 2; crash = Some 120 }
-  in
-  match Par.Runner.run_history pool sc with
-  | Error e -> Alcotest.failf "crash scenario: %s" e
-  | Ok r ->
-      Alcotest.(check bool)
-        "crash fired before the workload finished" true
-        (r.Par.Runner.executed < 500)
-
-let test_run_history_mutation_teeth () =
-  let pool = Par.Pool.create ~domains:2 in
-  let sc =
-    { Check.History.alloc = "NVAlloc-IC"; seed = 1; ops = 400; threads = 2; crash = None }
-  in
-  match Par.Runner.run_history ~broken_header:true pool sc with
-  | Ok _ -> Alcotest.fail "the packed-header mis-decode survived the domain backend"
-  | Error e ->
-      Alcotest.(check bool)
-        "verdict names the domain backend" true
-        (String.length e >= 14 && String.sub e 0 14 = "domain backend")
-
-(* Satellite: seed-sweep determinism. The aggregated verdict — passes
-   and the (shrunk) counterexample alike — must be identical for any
-   domain count, on both the clean path and a failing (mutated) one. *)
+(* Seed-sweep determinism. The aggregated verdict — passes and the
+   (shrunk) counterexample alike — must be identical for any domain
+   count, on both the clean path and a failing (mutated) one. *)
 let verdict_of = function
   | None -> "ok"
   | Some { Check.Runner.original; shrunk; reason } ->
@@ -122,9 +59,9 @@ let verdict_of = function
         reason
 
 let test_check_sweep_determinism () =
-  let sweep ?broken_header domains =
+  let sweep ?mutation domains =
     verdict_of
-      (Par.Sweep.check_sweep ?broken_header
+      (Par.Sweep.check_sweep ?mutation
          (Par.Pool.create ~domains)
          ~alloc:"NVAlloc-LOG" ~seed:5 ~runs:6 ~ops:300 ~threads:2 ())
   in
@@ -132,11 +69,12 @@ let test_check_sweep_determinism () =
   Alcotest.(check string) "clean sweep passes" "ok" clean1;
   Alcotest.(check string) "clean verdict, 1 vs 3 domains" clean1 (sweep 3);
   Alcotest.(check string) "clean verdict, 1 vs 4 domains" clean1 (sweep 4);
-  let broken1 = sweep ~broken_header:true 1 in
+  let broken1 = sweep ~mutation:Nvalloc_core.Mutation.Header 1 in
   Alcotest.(check bool)
     "mutated sweep fails" true
     (String.length broken1 > 3 && String.sub broken1 0 3 = "cex");
-  Alcotest.(check string) "counterexample, 1 vs 3 domains" broken1 (sweep ~broken_header:true 3)
+  Alcotest.(check string) "counterexample, 1 vs 3 domains" broken1
+    (sweep ~mutation:Nvalloc_core.Mutation.Header 3)
 
 let fuzz_verdict_of = function
   | None -> "ok"
@@ -145,18 +83,19 @@ let fuzz_verdict_of = function
         (Fault.Plan.to_string original) (Fault.Plan.to_string shrunk) reason
 
 let test_fuzz_sweep_determinism () =
-  let sweep ?broken domains =
+  let sweep ?mutation domains =
     fuzz_verdict_of
-      (Par.Sweep.fuzz_sweep ?broken (Par.Pool.create ~domains) ~seed:9 ~runs:4 ())
+      (Par.Sweep.fuzz_sweep ?mutation (Par.Pool.create ~domains) ~seed:9 ~runs:4 ())
   in
   let clean1 = sweep 1 in
   Alcotest.(check string) "clean fuzz sweep passes" "ok" clean1;
   Alcotest.(check string) "clean verdict, 1 vs 3 domains" clean1 (sweep 3);
-  let broken1 = sweep ~broken:true 1 in
+  let broken1 = sweep ~mutation:Nvalloc_core.Mutation.Wal_flush 1 in
   Alcotest.(check bool)
     "mutated fuzz sweep fails" true
     (String.length broken1 > 3 && String.sub broken1 0 3 = "cex");
-  Alcotest.(check string) "counterexample, 1 vs 3 domains" broken1 (sweep ~broken:true 3)
+  Alcotest.(check string) "counterexample, 1 vs 3 domains" broken1
+    (sweep ~mutation:Nvalloc_core.Mutation.Wal_flush 3)
 
 let suite =
   [
@@ -165,13 +104,6 @@ let suite =
       test_pool_error_propagation;
     Alcotest.test_case "rng split is pure and order-independent" `Quick
       test_rng_split_pure_and_deterministic;
-    Alcotest.test_case "real lock: exception safety and contention" `Quick
-      test_lock_contention_counting;
-    Alcotest.test_case "differential history run (LOG/GC/IC, 1 and 2 domains)" `Slow
-      test_run_history_differential;
-    Alcotest.test_case "differential crash scenario" `Quick test_run_history_crash_scenario;
-    Alcotest.test_case "mutation teeth on the domain backend" `Quick
-      test_run_history_mutation_teeth;
     Alcotest.test_case "check-sweep verdicts identical for any domain count" `Slow
       test_check_sweep_determinism;
     Alcotest.test_case "fuzz-sweep verdicts identical for any domain count" `Slow

@@ -145,11 +145,8 @@ let test_broken_wal_caught_without_crash () =
   let dev = Pmem.Device.create ~size:(64 * 1024 * 1024) () in
   Pmem.Device.set_check_mode dev true;
   let clock = Sim.Clock.create () in
-  let t = Nvalloc_core.Nvalloc.create ~config dev clock in
+  let t = Nvalloc_core.Nvalloc.create ~config ~mutation:Nvalloc_core.Mutation.Wal_flush dev clock in
   let th = Nvalloc_core.Nvalloc.thread t clock in
-  Array.iter
-    (fun a -> Nvalloc_core.Wal.unsafe_set_skip_flush (Nvalloc_core.Arena.wal a) true)
-    (Nvalloc_core.Nvalloc.arenas t);
   ignore (Nvalloc_core.Nvalloc.malloc_to t th ~size:64 ~dest:(Nvalloc_core.Nvalloc.root_addr t 0));
   Alcotest.(check bool)
     "skip-flushed WAL entries flagged" true

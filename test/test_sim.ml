@@ -67,6 +67,45 @@ let test_scheduler_min_clock () =
   Alcotest.(check (list string)) "interleaving" [ "f"; "s"; "f"; "f"; "f"; "s" ] l;
   Alcotest.(check (float 1e-9)) "makespan" 200.0 (Sim.Scheduler.makespan [| fast; slow |])
 
+(* The seeded pick rule: every thread still runs to completion, the
+   order is a pure function of the seed, and it reaches orders the
+   min-clock rule never produces (a slow thread stepping twice before a
+   fast one that is behind it in simulated time). *)
+let test_scheduler_seeded () =
+  let order_of seed =
+    let order = ref [] in
+    let mk name cost n =
+      let clock = Sim.Clock.create () in
+      let left = ref n in
+      {
+        Sim.Scheduler.clock;
+        step =
+          (fun () ->
+            if !left = 0 then false
+            else begin
+              decr left;
+              order := name :: !order;
+              Sim.Clock.charge clock cost;
+              true
+            end);
+      }
+    in
+    Sim.Scheduler.run ~rng:(Sim.Rng.create seed) [| mk "f" 10.0 4; mk "s" 100.0 2 |];
+    String.concat "" (List.rev !order)
+  in
+  let orders = List.init 32 order_of in
+  List.iter
+    (fun o ->
+      Alcotest.(check int) "every step ran" 6 (String.length o);
+      Alcotest.(check int) "slow thread finished" 2
+        (List.length (List.filter (( = ) 's') (List.of_seq (String.to_seq o)))))
+    orders;
+  Alcotest.(check string) "same seed, same order" (order_of 7) (order_of 7);
+  Alcotest.(check bool) "seeds reach several orders" true
+    (List.length (List.sort_uniq compare orders) > 2);
+  Alcotest.(check bool) "an order min-clock never produces" true
+    (List.exists (fun o -> String.length o > 1 && String.sub o 0 2 = "ss") orders)
+
 let test_store_straddling () =
   let s = Pmem.Store.create ~size:(4 * Pmem.Store.chunk_bytes) in
   (* Write an int64 across a chunk boundary. *)
@@ -137,6 +176,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rng_shuffle_is_permutation;
     Alcotest.test_case "lock serializes" `Quick test_lock_serializes;
     Alcotest.test_case "scheduler steps min clock" `Quick test_scheduler_min_clock;
+    Alcotest.test_case "scheduler seeded pick rule" `Quick test_scheduler_seeded;
     Alcotest.test_case "store straddles chunks" `Quick test_store_straddling;
     QCheck_alcotest.to_alcotest prop_store_model;
     Alcotest.test_case "xpbuffer bounds bandwidth" `Quick test_xpbuffer_bounds_bandwidth;

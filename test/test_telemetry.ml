@@ -281,64 +281,6 @@ let test_trace_validity () =
          (fun line -> String.length line >= 6 && String.sub line 0 6 = "alloc,")
          (String.split_on_char '\n' csv))
 
-(* Satellite: the reserved domain-tid band. Lifting [Domain.self ()]
-   ids must never collide with sim-clock tids (which start at 1 and
-   grow by creation) nor with the snapshot pseudo-tid, and the exported
-   labels must come from the position within the band — raw domain ids
-   are process-global spawn counters, so labelling by them would break
-   byte-identical same-seed traces. *)
-let test_domain_tid_namespace () =
-  Alcotest.(check int) "band base" Telemetry.domain_tid_base (Telemetry.domain_tid 0);
-  Alcotest.(check bool) "band is above any plausible clock id" true
-    (Telemetry.domain_tid_base > 1 lsl 40);
-  Alcotest.(check bool) "band is below the snapshot tid" true
-    (Telemetry.domain_tid 1_000_000 < Telemetry.snapshot_tid);
-  Alcotest.(check bool) "member" true (Telemetry.is_domain_tid (Telemetry.domain_tid 7));
-  Alcotest.(check bool) "clock tids are not domain tids" false (Telemetry.is_domain_tid 3);
-  Alcotest.(check bool) "snapshot tid is not a domain tid" false
-    (Telemetry.is_domain_tid Telemetry.snapshot_tid);
-  match Telemetry.domain_tid (-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative domain id accepted"
-
-let thread_labels json =
-  match J.parse json with
-  | Error e -> Alcotest.fail ("trace JSON does not parse: " ^ e)
-  | Ok j ->
-      let events = Option.value ~default:[] (Option.bind (J.member "traceEvents" j) J.arr) in
-      List.filter_map
-        (fun ev ->
-          match Option.bind (J.member "ph" ev) J.str with
-          | Some "M" ->
-              Option.bind (J.member "args" ev) (fun a ->
-                  Option.bind (J.member "name" a) J.str)
-          | _ -> None)
-        events
-
-let test_domain_tracks_in_export () =
-  (* Two sinks, same shape, different raw domain ids (as two runs of a
-     pool would produce): labels are positional and the exports are
-     byte-identical. Domain tracks sort after sim-thread tracks and
-     before the "heap" track. *)
-  let mk_sink d1 d2 =
-    let sink = Telemetry.create () in
-    Telemetry.span_named sink ~tid:1 ~name:"run" ~ts:0.0 ~dur:5.0;
-    Telemetry.span_named sink ~tid:2 ~name:"run" ~ts:1.0 ~dur:5.0;
-    Telemetry.span_named sink ~tid:(Telemetry.domain_tid d1) ~name:"par-drive" ~ts:0.0
-      ~dur:100.0;
-    Telemetry.span_named sink ~tid:(Telemetry.domain_tid d2) ~name:"par-drive" ~ts:0.0
-      ~dur:90.0;
-    Telemetry.counter_named sink ~tid:Telemetry.snapshot_tid ~name:"live" ~ts:2.0 ~value:1.0;
-    sink
-  in
-  let j1 = Telemetry.chrome_json (mk_sink 3 9) in
-  let j2 = Telemetry.chrome_json (mk_sink 4 11) in
-  Alcotest.(check string) "positional labels make exports byte-identical" j1 j2;
-  Alcotest.(check (list string))
-    "track order: sim threads, then domains, then heap"
-    [ "thread-0"; "thread-1"; "domain-0"; "domain-1"; "heap" ]
-    (thread_labels j1)
-
 let test_zero_perturbation () =
   (* Attaching a sink must not change simulated results: same makespan
      with telemetry on and off. *)
@@ -632,38 +574,29 @@ let test_stats_json_roundtrip () =
       Alcotest.(check int) "group_commit_entries" 5 (Pmem.Stats.group_commit_entries st');
       Alcotest.(check bool) "trace" true (Pmem.Stats.trace st = Pmem.Stats.trace st')
 
-(* A v1 document (recorded before the batching pipeline) still parses:
-   the batching counters default to zero. A v2 document missing them is
-   rejected, not defaulted. *)
-let test_stats_json_v1_compat () =
-  let doc schema extra =
+(* Only the current schema parses: v1-v3 documents, complete for their
+   own revision, fail with the "unknown schema" error rather than
+   loading with defaulted counters. *)
+let test_stats_json_old_schemas_rejected () =
+  let doc schema =
     Printf.sprintf
       {|{"schema":"%s","trace_limit":8,"flushes":7,"reflushes":1,
          "sequential_flushes":4,"random_flushes":3,"reflush_ratio":0.14,
          "flush_ns":{"meta":100,"wal":200,"log":0,"data":300},
-         "fence_ns":20,"read_ns":50,"search_ns":75,"other_ns":0%s,
-         "trace":[]}|}
-      schema extra
+         "fence_ns":20,"read_ns":50,"search_ns":75,"other_ns":0,
+         "fences_saved":3,"flushes_coalesced":1,"group_commits":1,
+         "group_commit_entries":5,"group_commit_size":5,"trace":[]}|}
+      schema
   in
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v1" "") with
-  | Error e -> Alcotest.fail ("v1 document rejected: " ^ e)
-  | Ok st' ->
-      Alcotest.(check int) "flushes survive" 7 (Pmem.Stats.flushes st');
-      Alcotest.(check int) "fences_saved defaults to 0" 0 (Pmem.Stats.fences_saved st');
-      Alcotest.(check int) "group_commits defaults to 0" 0 (Pmem.Stats.group_commits st'));
-  (* The same fields under the v2 schema are a truncated document: the
-     batching counters are required, not defaulted. *)
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v2" "") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v2 document without batching counters accepted");
-  match
-    Pmem.Stats.of_json_string
-      (doc "nvalloc/stats/v2"
-         {|,"fences_saved":3,"flushes_coalesced":1,"group_commits":1,
-           "group_commit_entries":5,"group_commit_size":5|})
-  with
-  | Error e -> Alcotest.fail ("complete v2 document rejected: " ^ e)
-  | Ok st' -> Alcotest.(check int) "v2 counters load" 3 (Pmem.Stats.fences_saved st')
+  List.iter
+    (fun schema ->
+      match Pmem.Stats.of_json_string (doc schema) with
+      | Error e ->
+          Alcotest.(check string) (schema ^ " rejected by schema")
+            (Printf.sprintf "Stats.of_json: unknown schema %S" schema)
+            e
+      | Ok _ -> Alcotest.failf "%s document accepted" schema)
+    [ "nvalloc/stats/v1"; "nvalloc/stats/v2"; "nvalloc/stats/v3" ]
 
 let test_stats_json_rejects () =
   List.iter
@@ -729,10 +662,6 @@ let suite =
     Alcotest.test_case "name interning" `Quick test_interning;
     Alcotest.test_case "same-seed trace is byte-identical" `Quick test_trace_determinism;
     Alcotest.test_case "trace JSON is well-formed" `Quick test_trace_validity;
-    Alcotest.test_case "domain-tid band: no collisions, validated" `Quick
-      test_domain_tid_namespace;
-    Alcotest.test_case "domain tracks: positional labels, stable export" `Quick
-      test_domain_tracks_in_export;
     Alcotest.test_case "telemetry does not perturb simulation" `Quick test_zero_perturbation;
     Alcotest.test_case "fuzz plan replay with sink" `Quick test_fuzz_plan_telemetry;
     Alcotest.test_case "attr: blame tree exact attribution" `Quick test_attr_blame_tree;
@@ -744,7 +673,7 @@ let suite =
     Alcotest.test_case "slo report: regression gate" `Quick test_slo_report_gate;
     Alcotest.test_case "stats: json round trip" `Quick test_stats_json_roundtrip;
     Alcotest.test_case "stats: json rejects bad input" `Quick test_stats_json_rejects;
-    Alcotest.test_case "stats: v1 back-compat" `Quick test_stats_json_v1_compat;
+    Alcotest.test_case "stats: v1-v3 rejected" `Quick test_stats_json_old_schemas_rejected;
     Alcotest.test_case "stats: reset clears trace" `Quick test_stats_reset_clears_trace;
     Alcotest.test_case "stats: trace_limit 0" `Quick test_stats_trace_limit_zero;
     Alcotest.test_case "stats: negative trace_limit" `Quick test_stats_trace_limit_negative;

@@ -239,12 +239,14 @@ let test_group_sync_mode_accepts_all () =
 let test_group_forgotten_commit_record () =
   let dev, clock = mk () in
   Pmem.Device.set_batching dev true;
-  let wal = Wal.create ~group:4 dev ~base:0 ~entries:256 ~interleave:true in
+  let wal =
+    Wal.create ~group:4 ~mutation:Nvalloc_core.Mutation.Wal_record dev ~base:0 ~entries:256
+      ~interleave:true
+  in
   Pmem.Device.flush_all dev clock Pmem.Stats.Meta;
   Wal.append wal clock Wal.Alloc ~addr:4096 ~dest:1;
   Pmem.Device.write_int64 dev 8192 55L;
   Wal.defer_commit wal clock Pmem.Stats.Meta (Pstruct.span_of ~addr:8192 ~len:8);
-  Wal.unsafe_set_skip_commit_record wal true;
   Wal.flush_group wal clock;
   Pmem.Device.crash dev;
   (* The broken close persisted the watermark and the effect but dropped
