@@ -1,17 +1,19 @@
 (* Host-time microbenchmarks of the substrate and allocator fast paths,
    plus the persisted perf baseline (BENCH_micro.json).
 
-   Two kinds of numbers go into the baseline file:
+   Three kinds of numbers go into the baseline file:
 
    - Bechamel ns/run estimates (host time): catch real-time performance
      regressions of this implementation itself;
+   - minor words per run of the same primitives: deterministic, so the
+     allocation gate is exact;
    - simulated makespans of a few fixed workload probes: deterministic
      to the bit, so any change is an intentional model/allocator change,
      never noise.
 
    `scripts/bench_check.sh` re-runs the microbenchmarks and fails if any
    tracked one regresses more than [regression_threshold] versus the
-   committed baseline. *)
+   committed baseline, or allocates more minor words per run. *)
 
 open Bechamel
 open Toolkit
@@ -27,29 +29,32 @@ let nvalloc_smallish_config =
     wal_entries = 4096;
   }
 
-let bench_nvalloc_pair ~name ~size =
+(* Each primitive is a constructor: it builds fresh state and returns
+   one run of the operation. Bechamel times the runs; the allocation
+   gate counts their minor words from a fresh instance of the same
+   state, so its numbers repeat exactly. *)
+
+let nvalloc_pair ~size () =
   (* One allocate/free round trip through the public API. *)
   let dev = Pmem.Device.create ~size:(256 * mib) () in
   let clock = Sim.Clock.create () in
   let t = Nvalloc_core.Nvalloc.create ~config:nvalloc_smallish_config dev clock in
   let th = Nvalloc_core.Nvalloc.thread t clock in
   let dest = Nvalloc_core.Nvalloc.root_addr t 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore (Nvalloc_core.Nvalloc.malloc_to t th ~size ~dest);
-         Nvalloc_core.Nvalloc.free_from t th ~dest))
+  fun () ->
+    ignore (Nvalloc_core.Nvalloc.malloc_to t th ~size ~dest);
+    Nvalloc_core.Nvalloc.free_from t th ~dest
 
-let bench_baseline_pair ~name ~knobs ~size =
+let baseline_pair ~knobs ~size () =
   let inst =
     Baselines.Bengine.instance ~knobs ~threads:1 ~dev_size:(256 * mib) ~root_slots:65536 ()
   in
   let dest = inst.Alloc_api.Instance.root 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore (inst.Alloc_api.Instance.malloc ~tid:0 ~size ~dest);
-         inst.Alloc_api.Instance.free ~tid:0 ~dest))
+  fun () ->
+    ignore (inst.Alloc_api.Instance.malloc ~tid:0 ~size ~dest);
+    inst.Alloc_api.Instance.free ~tid:0 ~dest
 
-let bench_rbtree =
+let rbtree () =
   let module Rb = Support.Rbtree.Make (Int) in
   let t = Rb.create () in
   let rng = Sim.Rng.create 1 in
@@ -57,48 +62,43 @@ let bench_rbtree =
     Rb.insert t (Sim.Rng.int rng 1_000_000) 0
   done;
   let i = ref 0 in
-  Test.make ~name:"rbtree insert+remove (10k live)"
-    (Staged.stage (fun () ->
-         incr i;
-         let k = 1_000_000 + (!i mod 4096) in
-         Rb.insert t k 0;
-         Rb.remove t k))
+  fun () ->
+    incr i;
+    let k = 1_000_000 + (!i mod 4096) in
+    Rb.insert t k 0;
+    Rb.remove t k
 
-let bench_booklog =
+let booklog () =
   let dev = Pmem.Device.create ~size:(16 * mib) () in
   let clock = Sim.Clock.create () in
   let log = Nvalloc_core.Booklog.create dev ~base:0 ~chunks:1024 ~interleave:true in
-  Test.make ~name:"booklog append+tombstone"
-    (Staged.stage (fun () ->
-         let r =
-           Nvalloc_core.Booklog.append_normal log clock Nvalloc_core.Booklog.Extent
-             ~addr:(1 lsl 20) ~size:65536
-         in
-         Nvalloc_core.Booklog.append_tombstone log clock r))
+  fun () ->
+    let r =
+      Nvalloc_core.Booklog.append_normal log clock Nvalloc_core.Booklog.Extent
+        ~addr:(1 lsl 20) ~size:65536
+    in
+    Nvalloc_core.Booklog.append_tombstone log clock r
 
-let bench_wal =
+let wal () =
   let dev = Pmem.Device.create ~size:(4 * mib) () in
   let clock = Sim.Clock.create () in
   let wal = Nvalloc_core.Wal.create dev ~base:0 ~entries:65536 ~interleave:true in
-  Test.make ~name:"wal append"
-    (Staged.stage (fun () ->
-         if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
-         Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192))
+  fun () ->
+    if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
+    Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192
 
 (* The fence-heavy path the batched pipeline exists for: grouped appends
    defer their entry flushes, and every 8th append pays the three-fence
    group close instead of 8 synchronous entry fences. *)
-let bench_wal_grouped =
+let wal_grouped () =
   let dev = Pmem.Device.create ~size:(4 * mib) () in
   Pmem.Device.set_batching dev true;
   let clock = Sim.Clock.create () in
   let wal = Nvalloc_core.Wal.create ~group:8 dev ~base:0 ~entries:65536 ~interleave:true in
-  Test.make ~name:"wal append (group commit x8)"
-    (Staged.stage (fun () ->
-         if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
-         Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192;
-         if Nvalloc_core.Wal.open_group wal >= 8 then
-           Nvalloc_core.Wal.flush_group wal clock))
+  fun () ->
+    if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
+    Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192;
+    if Nvalloc_core.Wal.open_group wal >= 8 then Nvalloc_core.Wal.flush_group wal clock
 
 (* The address-ordered extent index at depth: populate hundreds of live
    large objects (with alternating frees so the reclaimed-by-size tree is
@@ -106,7 +106,7 @@ let bench_wal_grouped =
    best-fit lookups, address-tree insert/remove, and neighbour
    coalescing at a realistic tree height — the path PR 8 moved off
    linear Dlist walks. *)
-let bench_extent_lookup =
+let extent_lookup () =
   let dev = Pmem.Device.create ~size:(512 * mib) () in
   let clock = Sim.Clock.create () in
   let t = Nvalloc_core.Nvalloc.create ~config:nvalloc_smallish_config dev clock in
@@ -121,37 +121,65 @@ let bench_extent_lookup =
     Nvalloc_core.Nvalloc.free_from t th ~dest:(Nvalloc_core.Nvalloc.root_addr t (i * 2))
   done;
   let dest = Nvalloc_core.Nvalloc.root_addr t live in
-  Test.make ~name:"extent lookup pair (64KB, 256 live)"
-    (Staged.stage (fun () ->
-         ignore (Nvalloc_core.Nvalloc.malloc_to t th ~size:65536 ~dest);
-         Nvalloc_core.Nvalloc.free_from t th ~dest))
+  fun () ->
+    ignore (Nvalloc_core.Nvalloc.malloc_to t th ~size:65536 ~dest);
+    Nvalloc_core.Nvalloc.free_from t th ~dest
 
-let bench_device_flush =
+let device_flush () =
   let dev = Pmem.Device.create ~size:(16 * mib) () in
   let clock = Sim.Clock.create () in
   let i = ref 0 in
-  Test.make ~name:"device write+flush"
-    (Staged.stage (fun () ->
-         incr i;
-         let addr = !i * 64 mod (8 * mib) in
-         Pmem.Device.write_int64 dev addr 42L;
-         Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr ~len:8))
+  fun () ->
+    incr i;
+    let addr = !i * 64 mod (8 * mib) in
+    Pmem.Device.write_int64 dev addr 42L;
+    Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr ~len:8
+
+let group = "primitives"
+
+let primitives =
+  [
+    ("NVAlloc-LOG small pair (64B)", nvalloc_pair ~size:64);
+    ("NVAlloc-LOG large pair (64KB)", nvalloc_pair ~size:65536);
+    ("PMDK small pair (64B)", baseline_pair ~knobs:Baselines.Knobs.pmdk ~size:64);
+    ("Makalu small pair (64B)", baseline_pair ~knobs:Baselines.Knobs.makalu ~size:64);
+    ("rbtree insert+remove (10k live)", rbtree);
+    ("extent lookup pair (64KB, 256 live)", extent_lookup);
+    ("booklog append+tombstone", booklog);
+    ("wal append", wal);
+    ("wal append (group commit x8)", wal_grouped);
+    ("device write+flush", device_flush);
+  ]
 
 let microbenches () =
-  Test.make_grouped ~name:"primitives"
-    [
-      bench_nvalloc_pair ~name:"NVAlloc-LOG small pair (64B)" ~size:64;
-      bench_nvalloc_pair ~name:"NVAlloc-LOG large pair (64KB)" ~size:65536;
-      bench_baseline_pair ~name:"PMDK small pair (64B)" ~knobs:Baselines.Knobs.pmdk ~size:64;
-      bench_baseline_pair ~name:"Makalu small pair (64B)" ~knobs:Baselines.Knobs.makalu
-        ~size:64;
-      bench_rbtree;
-      bench_extent_lookup;
-      bench_booklog;
-      bench_wal;
-      bench_wal_grouped;
-      bench_device_flush;
-    ]
+  Test.make_grouped ~name:group
+    (List.map (fun (name, make) -> Test.make ~name (Staged.stage (make ()))) primitives)
+
+(* --- allocation gate --------------------------------------------------------- *)
+
+(* Minor words per run of each primitive: [words_runs] runs after
+   [words_warmup], from fresh state. Deterministic, so the gate compares
+   exactly: any increase fails (dev builds pass -opaque, so an allocation
+   that cross-module inlining would have removed still counts). *)
+let words_warmup = 1_000
+let words_runs = 10_000
+
+let minor_words_per_run () =
+  List.map
+    (fun (name, make) ->
+      let run = make () in
+      for _ = 1 to words_warmup do
+        run ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to words_runs do
+        run ()
+      done;
+      (group ^ "/" ^ name, (Gc.minor_words () -. w0) /. float_of_int words_runs))
+    primitives
+
+(* The recorded precision; the gate compares at exactly this one. *)
+let recorded_words w = float_of_string (Printf.sprintf "%.3f" w)
 
 let estimates () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -277,13 +305,15 @@ let json_section b name fmt entries =
     entries;
   Buffer.add_string b "  }"
 
-let json_string ?host_par ~micro ~makespans () =
+let json_string ?host_par ~micro ~words ~makespans () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
   Buffer.add_string b
-    "  \"note\": \"micro_ns_per_run is host time (noisy); simulated_makespan_ns is deterministic simulated time; host_par is host time of domain-parallel seed sweeps (informational, never gated)\",\n";
+    "  \"note\": \"micro_ns_per_run is host time (noisy); minor_words_per_run is deterministic (gated exactly); simulated_makespan_ns is deterministic simulated time; host_par is host time of domain-parallel seed sweeps (informational, never gated)\",\n";
   json_section b "micro_ns_per_run" "%.1f" micro;
+  Buffer.add_string b ",\n";
+  json_section b "minor_words_per_run" "%.3f" words;
   Buffer.add_string b ",\n";
   json_section b "simulated_makespan_ns" "%.3f" makespans;
   (match host_par with
@@ -295,15 +325,19 @@ let json_string ?host_par ~micro ~makespans () =
   Buffer.contents b
 
 let write_json ~path ~estimates =
+  print_endline "counting minor words per run...";
+  let words = minor_words_per_run () in
   print_endline "running simulated makespan probes...";
   let makespans = makespan_probes () in
   print_endline "running host-parallel probes...";
   let host_par = host_par_probes () in
   let oc = open_out path in
-  output_string oc (json_string ~host_par ~micro:estimates ~makespans ());
+  output_string oc (json_string ~host_par ~micro:estimates ~words ~makespans ());
   close_out oc;
-  Printf.printf "wrote %s (%d microbenches, %d makespan probes, %d host_par probes)\n%!" path
-    (List.length estimates) (List.length makespans) (List.length host_par)
+  Printf.printf
+    "wrote %s (%d microbenches, %d allocation counts, %d makespan probes, %d host_par probes)\n%!"
+    path (List.length estimates) (List.length words) (List.length makespans)
+    (List.length host_par)
 
 (* --- minimal reader for our own baseline format --------------------------- *)
 
@@ -353,6 +387,38 @@ let parse_section text section =
                   float_of_string_opt num |> Option.map (fun v -> (name, v)))
         lines
 
+(* The exact allocation gate: any increase over the baseline's
+   [minor_words_per_run] fails, decreases are printed so they can be
+   recorded. Returns the number of failures. *)
+let check_words ~baseline base =
+  match parse_section base "minor_words_per_run" with
+  | [] ->
+      Printf.printf "no minor_words_per_run section in %s: allocation gate skipped\n%!" baseline;
+      0
+  | base_words ->
+      Printf.printf "checking minor words per run against %s (fail on any increase)\n%!"
+        baseline;
+      let fresh = List.map (fun (name, w) -> (name, recorded_words w)) (minor_words_per_run ()) in
+      let failures = ref 0 in
+      List.iter
+        (fun (name, old_w) ->
+          match List.assoc_opt name fresh with
+          | None ->
+              incr failures;
+              Printf.printf "MISSING   %-52s (baseline %.3f words/run)\n" name old_w
+          | Some now_w ->
+              let verdict =
+                if now_w > old_w then begin
+                  incr failures;
+                  "INCREASED"
+                end
+                else if now_w < old_w then "decreased"
+                else "ok"
+              in
+              Printf.printf "%-9s %-52s %10.3f -> %10.3f words/run\n" verdict name old_w now_w)
+        base_words;
+      !failures
+
 let run_check ~baseline =
   match read_file baseline with
   | exception Sys_error msg ->
@@ -365,6 +431,7 @@ let run_check ~baseline =
     2
   end
   else begin
+    let word_failures = check_words ~baseline base in
     Printf.printf "checking microbenchmarks against %s (fail threshold: +%.0f%%)\n%!"
       baseline (100.0 *. regression_threshold);
     (* Interference only ever inflates a timing, so the minimum over
@@ -422,11 +489,13 @@ let run_check ~baseline =
           Printf.printf "NEW      %-52s %10.1f ns/run (not in baseline)\n" name now_ns)
       fresh;
     flush stdout;
-    if !failures > 0 then begin
+    if word_failures > 0 then
+      Printf.printf "%d microbench(es) allocate more minor words than the baseline\n%!"
+        word_failures;
+    if !failures > 0 then
       Printf.printf "%d microbench(es) regressed beyond %.0f%%\n%!" !failures
         (100.0 *. regression_threshold);
-      1
-    end
+    if !failures > 0 || word_failures > 0 then 1
     else begin
       print_endline "all tracked microbenches within threshold";
       0

@@ -1,8 +1,4 @@
-module Int_rb = Support.Rbtree.Make (struct
-  type t = int
-
-  let compare = compare
-end)
+module Int_rb = Support.Rbtree.Make (Int)
 
 module Bitmap = Nvalloc_core.Bitmap
 module Size_class = Nvalloc_core.Size_class

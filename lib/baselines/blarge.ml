@@ -1,13 +1,11 @@
-module Int_rb = Support.Rbtree.Make (struct
-  type t = int
-
-  let compare = compare
-end)
+module Int_rb = Support.Rbtree.Make (Int)
 
 module Size_rb = Support.Rbtree.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (s1, a1) (s2, a2) =
+    let c = Int.compare s1 s2 in
+    if c <> 0 then c else Int.compare a1 a2
 end)
 
 type ext = {

@@ -455,7 +455,7 @@ let return_block t clock s b =
          a crash then rolls back entry and bit-clear together. *)
       let addr = Bitmap.line_addr s.Slab.bitmap b in
       if Wal.group_commit t.wal > 0 && Wal.is_ready t.wal then
-        Wal.defer_commit t.wal clock Pmem.Stats.Meta (Pstruct.span_of ~addr ~len:1)
+        Wal.defer_commit t.wal clock Pmem.Stats.Meta ~deps:[] ~addr ~len:1
       else flush_meta t clock ~addr ~len:1
     end
   end;
@@ -621,7 +621,7 @@ let log_op t clock kind ~addr ~dest =
     aframe_enter t clock (fun e -> e.tn_wal_append);
     (* Slot reservation is a CAS, not a lock. *)
     Pmem.Device.dram_op t.dev clock;
-    let span = Wal.append_span t.wal clock kind ~addr ~dest in
+    let off = Wal.append_off t.wal clock kind ~addr ~dest in
     (* Extent metadata commits follow a Large_* entry synchronously and
        depend on it: close the open group now so the entry (and any small
        ops sharing the group) is durable before they retire. *)
@@ -636,22 +636,22 @@ let log_op t clock kind ~addr ~dest =
         Telemetry.span e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_wal_append ~ts:t0
           ~dur:(now -. t0);
         Telemetry.Histogram.observe e.th_wal_append (now -. t0));
-    Some span
+    off
   end
-  else None
+  else -1
 
-let wal_dep kind = function
-  | Some span ->
-      let name =
-        match kind with
-        | Wal.Alloc -> "wal:Alloc"
-        | Wal.Free -> "wal:Free"
-        | Wal.Refill -> "wal:Refill"
-        | Wal.Large_alloc -> "wal:Large_alloc"
-        | Wal.Large_free -> "wal:Large_free"
-      in
-      [ (name, span) ]
-  | None -> []
+let wal_dep t kind off =
+  if off < 0 || not (Pmem.Device.check_mode t.dev) then []
+  else
+    let name =
+      match kind with
+      | Wal.Alloc -> "wal:Alloc"
+      | Wal.Free -> "wal:Free"
+      | Wal.Refill -> "wal:Refill"
+      | Wal.Large_alloc -> "wal:Large_alloc"
+      | Wal.Large_free -> "wal:Large_free"
+    in
+    [ (name, Pstruct.span_of ~addr:off ~len:Wal.entry_bytes) ]
 
 (* --- small allocation ------------------------------------------------------ *)
 
@@ -678,22 +678,19 @@ let refill_tcache t clock tc class_idx =
          set is only a cross-checked mirror. Morphing slabs (clear but
          pinned bits) and the internal-collection variant (clear bits for
          tcache residents) allocate from the volatile set instead. *)
-      let b_opt =
-        if (not (is_ic t)) && s.Slab.morph = None then (
-          match Bitmap.find_first_zero t.dev s.Slab.bitmap with
-          | Some b ->
-              Slab.free_claim s b;
-              Some b
-          | None ->
-              assert (s.Slab.free_count = 0);
-              None)
-        else Slab.free_take_first s
+      let b =
+        if (not (is_ic t)) && s.Slab.morph = None then begin
+          let b = Bitmap.find_first_zero t.dev s.Slab.bitmap in
+          if b >= 0 then Slab.free_claim s b else assert (s.Slab.free_count = 0);
+          b
+        end
+        else match Slab.free_take_first s with Some b -> b | None -> -1
       in
-      match b_opt with
-      | None ->
-          freelist_remove t s;
-          continue_slab := false
-      | Some b ->
+      if b < 0 then begin
+        freelist_remove t s;
+        continue_slab := false
+      end
+      else begin
           if is_ic t then
             (* Internal collection: the bit is set only when the block is
                handed to the user, so the bitmap enumerates exactly the
@@ -707,9 +704,9 @@ let refill_tcache t clock tc class_idx =
                recovery — leaking the block (found by the crash-plan
                fuzzer). The bit flush is the commit point and declares the
                entry as its dependency. *)
-            let wal_span =
+            let wal_off =
               if is_log t then log_op t clock Wal.Refill ~addr:(Slab.block_addr s b) ~dest:0
-              else None
+              else -1
             in
             Bitmap.set t.dev s.Slab.bitmap b;
             if is_log t then
@@ -717,11 +714,12 @@ let refill_tcache t clock tc class_idx =
                  phase C — after the Refill entry and its commit record —
                  instead of paying its own fence here. *)
               Wal.defer_commit t.wal clock Pmem.Stats.Meta
-                ~deps:(wal_dep Wal.Refill wal_span)
-                (Bitmap.bit_span s.Slab.bitmap b)
+                ~deps:(wal_dep t Wal.Refill wal_off)
+                ~addr:(Bitmap.line_addr s.Slab.bitmap b) ~len:Pmem.Cacheline.size
           end;
           let pushed = Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b } in
           assert pushed
+      end
     done;
     if s.Slab.free_count = 0 then freelist_remove t s
   done);
@@ -765,10 +763,10 @@ let free_small t clock ~tcaches s ~addr ~dest =
   match old_block with
   | Some (m, b) ->
       Sim.Lock.with_lock t.lock clock (fun () -> release_old_block t clock s m b);
-      None
+      -1
   | None ->
       let b = Slab.block_index s addr (* validates the grid *) in
-      let wal_span = log_op t clock Wal.Free ~addr ~dest in
+      let wal_off = log_op t clock Wal.Free ~addr ~dest in
       if is_ic t then begin
         (* Internal collection: unmark eagerly so the persistent bitmap
            never claims a freed object. *)
@@ -783,7 +781,7 @@ let free_small t clock ~tcaches s ~addr ~dest =
        else
          (* Full tcache: bypass it and return the block to its slab. *)
          Sim.Lock.with_lock t.lock clock (fun () -> return_block t clock s b));
-      wal_span
+      wal_off
 
 (* --- large allocation ------------------------------------------------------ *)
 

@@ -93,22 +93,25 @@ val free_small :
   Slab.t ->
   addr:int ->
   dest:int ->
-  Pstruct.span option
+  int
 (** [addr] is the block's address inside [slab] (current or old class;
     morphing is resolved here). [t] must be the slab's owning arena; the
     tcache is the freeing thread's; [dest] is recorded in the WAL [Free]
     entry so recovery can also clear a dangling user pointer. Returns the
-    [Free] entry's span (when one was logged) so the caller's
+    [Free] entry's offset (-1 when none was logged) so the caller's
     destination-clear commit can declare it as a dependency. *)
 
-val log_op : t -> Sim.Clock.t -> Wal.kind -> addr:int -> dest:int -> Pstruct.span option
+val log_op : t -> Sim.Clock.t -> Wal.kind -> addr:int -> dest:int -> int
 (** Append a WAL entry (checkpointing first if the ring is full).
     [Large_*] kinds are logged in both variants, small kinds only under
-    [Log_based] consistency. Returns the entry's span when appended. *)
+    [Log_based] consistency. Returns the entry's offset when appended,
+    -1 otherwise. *)
 
-val wal_dep : Wal.kind -> Pstruct.span option -> (string * Pstruct.span) list
-(** Dependency list for {!Pstruct.commit} naming a WAL entry span (empty
-    when no entry was appended). *)
+val wal_dep : t -> Wal.kind -> int -> (string * Pstruct.span) list
+(** Dependency list for {!Pstruct.commit} naming the WAL entry at the
+    given offset. Empty when no entry was appended (offset -1), and empty
+    unless the device's persist-ordering checker is on: outside check
+    mode nobody reads it, so the hot path builds nothing. *)
 
 val malloc_large : t -> Sim.Clock.t -> size:int -> Extent.veh
 val free_large : t -> Sim.Clock.t -> Extent.veh -> unit

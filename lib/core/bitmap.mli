@@ -37,6 +37,9 @@ val bytes : t -> int
 val bit_location : t -> int -> int * int
 (** [bit_location t b] is [(line, index_in_line)] of block [b]'s bit. *)
 
+val line_of : t -> int -> int
+(** [fst (bit_location t b)], without the tuple. *)
+
 val line_addr : t -> int -> int
 (** Device address of the cache line holding block [b]'s bit (the flush
     target after {!set}/{!clear}). *)
@@ -55,15 +58,11 @@ val popcount : Pmem.Device.t -> t -> int
 val iter_set : Pmem.Device.t -> t -> (int -> unit) -> unit
 (** Apply to every block index whose bit is set. *)
 
-val find_first_zero : Pmem.Device.t -> t -> int option
-(** Lowest block index whose bit is clear, scanning the bitmap 64-bit
-    words at a time: all-ones words are skipped with a single compare, so
-    a nearly-full slab costs [lines * 8] word reads instead of [nbits]
-    bit probes. Under the interleaved mapping block order is index-major
-    across stripes, so every line's first zero is a candidate and the
-    smallest [(index, line)] pair wins. [None] when every block is
-    allocated. *)
-
-val set_first : Pmem.Device.t -> t -> int option
-(** [find_first_zero] + [set]; returns the block allocated. The caller
-    still flushes {!line_addr} (or declares {!bit_span}) as with {!set}. *)
+val find_first_zero : Pmem.Device.t -> t -> int
+(** Lowest block index whose bit is clear, scanning the bitmap 32-bit
+    words at a time (read as plain ints, so the scan allocates nothing):
+    all-ones words are skipped with a single compare, so a nearly-full
+    slab costs [lines * 16] word reads instead of [nbits] bit probes.
+    Under the interleaved mapping block order is index-major across
+    stripes, so every line's first zero is a candidate and the smallest
+    [(index, line)] pair wins. [-1] when every block is allocated. *)

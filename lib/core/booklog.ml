@@ -1,8 +1,4 @@
-module Int_rb = Support.Rbtree.Make (struct
-  type t = int
-
-  let compare = compare
-end)
+module Int_rb = Support.Rbtree.Make (Int)
 
 type entry_ref = int
 type kind = Extent | Slab_extent

@@ -1,19 +1,21 @@
-module Int_rb = Support.Rbtree.Make (struct
-  type t = int
+module Int_rb = Support.Rbtree.Make (Int)
 
-  let compare = compare
-end)
-
+(* Monomorphic lexicographic compares: the same order as the polymorphic
+   [compare], without a [caml_compare] call per node visit. *)
 module Size_rb = Support.Rbtree.Make (struct
   type t = int * int (* size, addr *)
 
-  let compare = compare
+  let compare (s1, a1) (s2, a2) =
+    let c = Int.compare s1 s2 in
+    if c <> 0 then c else Int.compare a1 a2
 end)
 
 module Time_rb = Support.Rbtree.Make (struct
   type t = float * int (* free_time, addr *)
 
-  let compare = compare
+  let compare (t1, a1) (t2, a2) =
+    let c = Float.compare t1 t2 in
+    if c <> 0 then c else Int.compare a1 a2
 end)
 
 type mode = In_place | Logged of Booklog.t

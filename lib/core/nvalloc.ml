@@ -1,8 +1,4 @@
-module Int_rb = Support.Rbtree.Make (struct
-  type t = int
-
-  let compare = compare
-end)
+module Int_rb = Support.Rbtree.Make (Int)
 
 type owner = Small_owner of Slab.t | Large_owner of Extent.veh * int
 
@@ -398,12 +394,11 @@ end
    entry and pointer together, so a crash mid-group loses the whole
    operation rather than publishing a pointer whose entry replay
    discards. *)
-let publish ?(deps = []) ?via t clock ~dest ~addr =
+let publish ~deps ?via t clock ~dest ~addr =
   Pstruct.set t.dev ~base:dest Ptr.v (Int64.of_int addr);
-  let span = Pstruct.span ~base:dest Ptr.v in
   match via with
-  | Some wal -> Wal.defer_commit ~deps wal clock Pmem.Stats.Data span
-  | None -> Pstruct.commit ~deps t.dev clock Pmem.Stats.Data span
+  | Some wal -> Wal.defer_commit wal clock Pmem.Stats.Data ~deps ~addr:dest ~len:8
+  | None -> Pstruct.commit ~deps t.dev clock Pmem.Stats.Data (Pstruct.span ~base:dest Ptr.v)
 
 let malloc_to t th ~size ~dest =
   assert (not t.closed);
@@ -417,18 +412,18 @@ let malloc_to t th ~size ~dest =
         aroot_enter t clock (fun e -> e.tn_op_small) t0;
         let arena = t.arenas.(th.arena) in
         let _slab, addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
-        let wal_span = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
+        let wal_off = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
         (* Grouped only when an entry covers the op: the publish must
            never outlive its entry's commit record. *)
-        let via = if wal_span = None then None else Some (Arena.wal arena) in
-        (addr, Arena.wal_dep Wal.Alloc wal_span, via)
+        let via = if wal_off < 0 then None else Some (Arena.wal arena) in
+        (addr, Arena.wal_dep arena Wal.Alloc wal_off, via)
     | None ->
         aroot_enter t clock (fun e -> e.tn_op_large) t0;
         let arena = t.arenas.(th.arena) in
         let veh = Arena.malloc_large arena clock ~size in
-        let wal_span = Arena.log_op arena clock Wal.Large_alloc ~addr:veh.Extent.addr ~dest in
+        let wal_off = Arena.log_op arena clock Wal.Large_alloc ~addr:veh.Extent.addr ~dest in
         (* [log_op] closed the group behind a Large_* entry: commit inline. *)
-        (veh.Extent.addr, Arena.wal_dep Wal.Large_alloc wal_span, None)
+        (veh.Extent.addr, Arena.wal_dep arena Wal.Large_alloc wal_off, None)
   in
   publish ~deps ?via t clock ~dest ~addr;
   aroot_leave t clock;
@@ -464,7 +459,7 @@ let free_from t th ~dest =
        its capacity already left the heap, so the free is swallowed and
        only the publication retracted, keeping the image consistent. *)
     t.media_dropped_frees <- t.media_dropped_frees + 1;
-    publish t clock ~dest ~addr:0
+    publish ~deps:[] t clock ~dest ~addr:0
   end
   else begin
     (* Internal collection retracts the reference before unmarking the
@@ -473,24 +468,24 @@ let free_from t th ~dest =
        logged variants keep the reverse order and let WAL replay clear the
        dangling destination. *)
     if t.config.Config.consistency = Config.Internal_collection then
-      publish t clock ~dest ~addr:0;
+      publish ~deps:[] t clock ~dest ~addr:0;
     let deps, via =
       match owner_lookup t clock addr with
       | Some (Small_owner slab) ->
           let arena = t.arenas.(slab.Slab.arena) in
-          let wal_span = Arena.free_small arena clock ~tcaches:th.tcaches slab ~addr ~dest in
-          (* The morph-release path logs no entry (wal_span = None): its
+          let wal_off = Arena.free_small arena clock ~tcaches:th.tcaches slab ~addr ~dest in
+          (* The morph-release path logs no entry (wal_off = -1): its
              metadata committed inline above, so the retraction must too —
              deferring it with no covering entry would leave the published
              pointer dangling at a freed block across the group window. *)
-          let via = if wal_span = None then None else Some (Arena.wal arena) in
-          (Arena.wal_dep Wal.Free wal_span, via)
+          let via = if wal_off < 0 then None else Some (Arena.wal arena) in
+          (Arena.wal_dep arena Wal.Free wal_off, via)
       | Some (Large_owner (veh, aidx)) ->
           assert (veh.Extent.addr = addr);
           let arena = t.arenas.(aidx) in
-          let wal_span = Arena.log_op arena clock Wal.Large_free ~addr ~dest in
+          let wal_off = Arena.log_op arena clock Wal.Large_free ~addr ~dest in
           Arena.free_large arena clock veh;
-          (Arena.wal_dep Wal.Large_free wal_span, None)
+          (Arena.wal_dep arena Wal.Large_free wal_off, None)
       | None -> invalid_arg "Nvalloc.free_from: address not owned by the allocator"
     in
     publish ~deps ?via t clock ~dest ~addr:0
@@ -1348,7 +1343,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
   let marked = ref 0 and wal_undone = ref 0 in
   let wal_total = Array.fold_left (fun acc l -> acc + List.length l) 0 replays in
   let clear_dest dest addr =
-    if dest > 0 && read_ptr t ~dest = addr then publish t clock ~dest ~addr:0
+    if dest > 0 && read_ptr t ~dest = addr then publish ~deps:[] t clock ~dest ~addr:0
   in
   let release_block arena_idx slab block =
     Arena.recover_return_block t.arenas.(arena_idx) clock slab block;

@@ -22,11 +22,8 @@ let is_full t = t.count >= t.capacity
    lies on the current block grid) has no bit; bucket 0 is fine — such
    entries are rare stragglers. *)
 let home t e =
-  if Slab.contains_new_block e.slab e.addr then begin
-    let b = Slab.block_index e.slab e.addr in
-    let line, _ = Bitmap.bit_location e.slab.Slab.bitmap b in
-    line mod Array.length t.sub
-  end
+  if Slab.contains_new_block e.slab e.addr then
+    Bitmap.line_of e.slab.Slab.bitmap (Slab.block_index e.slab e.addr) mod Array.length t.sub
   else 0
 
 let push t e =

@@ -5,15 +5,6 @@ let entries_per_line = Pmem.Cacheline.size / entry_bytes (* 4 *)
 let frame_lines = 16
 let frame_entries = frame_lines * entries_per_line (* 64 *)
 
-(* A metadata commit deferred until its WAL group closes: the effect's
-   span flushes in the group's phase C, after the entries (phase A) and
-   the commit record (phase B) are durable. *)
-type deferred = {
-  d_cat : Pmem.Stats.category;
-  d_span : Pstruct.span;
-  d_deps : (string * Pstruct.span) list;
-}
-
 type t = {
   dev : Pmem.Device.t;
   base : int;
@@ -29,8 +20,20 @@ type t = {
      synchronous (every append flushes and every commit retires inline). *)
   group_n : int;
   mutable gcount : int; (* appends in the open group *)
-  mutable gspans : Pstruct.span list; (* their entry spans, newest first *)
-  mutable geffects : deferred list; (* deferred commits, newest first *)
+  (* The open group in preallocated arrays, doubled when outgrown: the
+     offsets of its entries still to persist in phase A
+     ([gents.(0 .. gnents-1)], each [entry_bytes] long), and its deferred
+     metadata commits in arrival order as parallel arrays ([neffects]
+     of them). A deferred commit's span flushes in phase C, after the
+     entries (phase A) and the commit record (phase B) are durable; its
+     declared dependencies are kept only in check mode. *)
+  mutable gents : int array;
+  mutable gnents : int;
+  mutable ecat : Pmem.Stats.category array;
+  mutable eaddr : int array;
+  mutable elen : int array;
+  mutable edeps : (string * Pstruct.span) list array;
+  mutable neffects : int;
   skip_record : bool; (* [Mutation.Wal_record]: the seeded commit-record bug *)
   replicate : bool; (* maintain the header's guard replica (media model) *)
 }
@@ -64,18 +67,12 @@ let kind_of_code = function
    covers the second, so any torn combination fails validation and replay
    treats the entry as never written — exactly the "operation had not
    completed" semantics the WAL protocol needs. *)
+let mix h v =
+  let h = (h lxor v) * 0x01000193 land 0x3FFFFFFF in
+  h lxor (h lsr 15)
+
 let checksum ~kind ~epoch ~seq ~addr ~dest =
-  let h = ref 0x9E37 in
-  let mix v =
-    h := (!h lxor v) * 0x01000193 land 0x3FFFFFFF;
-    h := !h lxor (!h lsr 15)
-  in
-  mix kind;
-  mix epoch;
-  mix seq;
-  mix addr;
-  mix dest;
-  !h land 0xFFFF
+  mix (mix (mix (mix (mix 0x9E37 kind) epoch) seq) addr) dest land 0xFFFF
 
 (* Logical slot [n] -> byte offset of its entry (relative to the entry
    area). Interleaving spreads the 64 entries of a frame across its 16
@@ -169,29 +166,37 @@ let write_replica t clock =
   if t.replicate then
     Guard.write_replica t.dev clock (guard_record ~base:t.base ~entries:t.nentries)
 
-let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
-    ~interleave =
+(* The volatile handle; [create] formats the region, [adopt] reads it. *)
+let make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch ~ready =
   assert (entries mod frame_entries = 0);
   assert (group >= 0);
-  let t =
-    {
-      dev;
-      base;
-      nentries = entries;
-      interleave;
-      epoch = 1;
-      next = 0;
-      seq = 0;
-      ready = true;
-      skip_flush = mutation = Mutation.Wal_flush;
-      group_n = group;
-      gcount = 0;
-      gspans = [];
-      geffects = [];
-      skip_record = mutation = Mutation.Wal_record;
-      replicate;
-    }
-  in
+  let cap = max 1 group in
+  {
+    dev;
+    base;
+    nentries = entries;
+    interleave;
+    epoch;
+    next = 0;
+    seq = 0;
+    ready;
+    skip_flush = mutation = Mutation.Wal_flush;
+    group_n = group;
+    gcount = 0;
+    gents = Array.make cap 0;
+    gnents = 0;
+    ecat = Array.make (2 * cap) Pmem.Stats.Meta;
+    eaddr = Array.make (2 * cap) 0;
+    elen = Array.make (2 * cap) 0;
+    edeps = Array.make (2 * cap) [];
+    neffects = 0;
+    skip_record = mutation = Mutation.Wal_record;
+    replicate;
+  }
+
+let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
+    ~interleave =
+  let t = make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch:1 ~ready:true in
   (* Entry epochs are all 0 (the device zero-fills), hence invalid. *)
   write_header t;
   if replicate then
@@ -208,9 +213,14 @@ let is_ready t = t.ready
 let group_commit t = t.group_n
 let open_group t = t.gcount
 
-(* Returns the entry's base offset; allocation-free so the plain [append]
-   fast path stays allocation-free too (grouped appends allocate a span
-   for the group's phase A — three conses per op, off the flush path). *)
+(* Double an array of the open group, keeping its first [n] elements. *)
+let grow a n fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Returns the entry's base offset. Allocation-free, grouped or not: the
+   open group records the offset in its preallocated array. *)
 let append_off t clock kind ~addr ~dest =
   assert t.ready;
   assert (not (near_full t));
@@ -223,41 +233,34 @@ let append_off t clock kind ~addr ~dest =
   Pstruct.set t.dev ~base:off Entry.seq t.seq;
   Pstruct.set t.dev ~base:off Entry.addr addr;
   Pstruct.set t.dev ~base:off Entry.dest dest;
-  let elen = Pstruct.size Entry.l in
   if t.group_n = 0 then begin
-    if not t.skip_flush then Pmem.Device.flush t.dev clock Pmem.Stats.Wal ~addr:off ~len:elen
+    if not t.skip_flush then Pmem.Device.flush t.dev clock Pmem.Stats.Wal ~addr:off ~len:entry_bytes
     else
       (* The broken-protocol hook must compose with coalescing: a skipped
          flush must also leave the thread's pending buffer, or the next
          fence would quietly persist it and the fuzz scenario would lose
          its teeth. (Dropping the line may drop pending sibling entries
          too — strictly more broken, which is the point of the hook.) *)
-      Pmem.Device.unpend t.dev clock ~addr:off ~len:elen
+      Pmem.Device.unpend t.dev clock ~addr:off ~len:entry_bytes
   end
   else begin
     t.gcount <- t.gcount + 1;
     if not t.skip_flush then begin
-      Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:off ~len:elen;
-      t.gspans <- Pstruct.span_of ~addr:off ~len:elen :: t.gspans
+      Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:off ~len:entry_bytes;
+      if t.gnents = Array.length t.gents then t.gents <- grow t.gents t.gnents 0;
+      t.gents.(t.gnents) <- off;
+      t.gnents <- t.gnents + 1
     end
-    else begin
-      Pmem.Device.unpend t.dev clock ~addr:off ~len:elen;
-      (* Drop same-line spans from the open group so phase A does not
-         re-persist the line the hook just suppressed. *)
-      let line = Pmem.Cacheline.index off in
-      t.gspans <-
-        List.filter (fun (s : Pstruct.span) -> Pmem.Cacheline.index s.addr <> line) t.gspans
-    end
+    else
+      (* The hook is fixed per log, so the open group never holds an
+         entry phase A could use to re-persist the suppressed line. *)
+      Pmem.Device.unpend t.dev clock ~addr:off ~len:entry_bytes
   end;
   t.next <- t.next + 1;
   t.seq <- t.seq + 1;
   off
 
 let append t clock kind ~addr ~dest = ignore (append_off t clock kind ~addr ~dest)
-
-let append_span t clock kind ~addr ~dest =
-  let off = append_off t clock kind ~addr ~dest in
-  Pstruct.layout_span ~base:off Entry.l
 
 (* Close the open group. Three fences cover what would have been 2N:
    phase A persists the group's entries; phase B persists the commit
@@ -268,7 +271,7 @@ let append_span t clock kind ~addr ~dest =
    stops at the old watermark: the allocator never published the ops'
    effects, so no pointer dangles); a crash after B replays it. *)
 let flush_group t clock =
-  if t.group_n > 0 && (t.gcount > 0 || t.geffects <> []) then begin
+  if t.group_n > 0 && (t.gcount > 0 || t.neffects > 0) then begin
     (* Blame attribution: the whole three-phase close is one interior
        frame, so its flushes and fences separate from the op that
        happened to trip the group boundary. *)
@@ -277,52 +280,46 @@ let flush_group t clock =
     | Some a ->
         Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock) ~name:"wal:group_commit"
           ~ts:(Sim.Clock.now clock));
-    if t.skip_record then
-      (* Broken-protocol hook: the commit record forgets its contract.
-         Phase A is dropped — the group's entries leave the pending
-         buffer unflushed — while the watermark still advances and phase
-         C still retires the effects. A crash now finds effects durable
-         under a commit record with no entries behind it: no undo
-         evidence, which the recovery sanity pass cannot heal. This is
-         the observable endpoint of writing the record before the
-         entries are durable — the ordering the three-phase close
-         exists to enforce. *)
-      List.iter
-        (fun (s : Pstruct.span) -> Pmem.Device.unpend t.dev clock ~addr:s.addr ~len:s.len)
-        t.gspans
-    else
-      List.iter
-        (fun (s : Pstruct.span) ->
-          Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:s.addr ~len:s.len)
-        t.gspans;
+    for i = 0 to t.gnents - 1 do
+      if t.skip_record then
+        (* Broken-protocol hook: the commit record forgets its contract.
+           Phase A is dropped — the group's entries leave the pending
+           buffer unflushed — while the watermark still advances and
+           phase C still retires the effects. A crash now finds effects
+           durable under a commit record with no entries behind it: no
+           undo evidence, which the recovery sanity pass cannot heal.
+           This is the observable endpoint of writing the record before
+           the entries are durable — the ordering the three-phase close
+           exists to enforce. *)
+        Pmem.Device.unpend t.dev clock ~addr:t.gents.(i) ~len:entry_bytes
+      else Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:t.gents.(i) ~len:entry_bytes
+    done;
     Pmem.Device.fence t.dev clock;
     if t.gcount > 0 then begin
       Pstruct.set t.dev ~base:t.base Hdr.gc_epoch t.epoch;
       Pstruct.set t.dev ~base:t.base Hdr.gc_ck (gc_checksum ~epoch:t.epoch ~seq:t.seq);
       Pstruct.set t.dev ~base:t.base Hdr.gc_seq t.seq;
       Guard.refresh t.dev (guard_record ~base:t.base ~entries:t.nentries);
-      let w = hdr_word_span t.base in
-      Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:w.Pstruct.addr ~len:w.Pstruct.len;
+      Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:t.base ~len:8;
       write_replica t clock;
       Pmem.Device.fence t.dev clock;
       Pmem.Device.note_group_commit t.dev clock ~entries:t.gcount
     end;
-    (match t.geffects with
-    | [] -> ()
-    | effects ->
+    if t.neffects > 0 then begin
+      for i = 0 to t.neffects - 1 do
         List.iter
-          (fun d ->
-            List.iter
-              (fun (note, (s : Pstruct.span)) ->
-                Pmem.Device.depends_on ~note t.dev clock ~addr:s.addr ~len:s.len)
-              d.d_deps;
-            Pmem.Device.commit_flush_weak t.dev clock d.d_cat ~addr:d.d_span.Pstruct.addr
-              ~len:d.d_span.Pstruct.len)
-          (List.rev effects);
-        Pmem.Device.fence t.dev clock);
+          (fun (note, (s : Pstruct.span)) ->
+            Pmem.Device.depends_on ~note t.dev clock ~addr:s.addr ~len:s.len)
+          t.edeps.(i);
+        t.edeps.(i) <- [];
+        Pmem.Device.commit_flush_weak t.dev clock t.ecat.(i) ~addr:t.eaddr.(i)
+          ~len:t.elen.(i)
+      done;
+      Pmem.Device.fence t.dev clock
+    end;
     t.gcount <- 0;
-    t.gspans <- [];
-    t.geffects <- [];
+    t.gnents <- 0;
+    t.neffects <- 0;
     match Pmem.Device.attribution t.dev with
     | None -> ()
     | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock)
@@ -332,10 +329,22 @@ let flush_group t clock =
    group's phase C instead of retiring it inline. With grouping off (or
    before [seal] re-enables the log — recovery replays effects through
    the same code paths) this is exactly [Pstruct.commit]. *)
-let defer_commit ?(deps = []) t clock cat span =
-  if t.group_n = 0 || not t.ready then Pstruct.commit ~deps t.dev clock cat span
+let defer_commit t clock cat ~deps ~addr ~len =
+  if t.group_n = 0 || not t.ready then
+    Pstruct.commit ~deps t.dev clock cat (Pstruct.span_of ~addr ~len)
   else begin
-    t.geffects <- { d_cat = cat; d_span = span; d_deps = deps } :: t.geffects;
+    let n = t.neffects in
+    if n = Array.length t.eaddr then begin
+      t.ecat <- grow t.ecat n Pmem.Stats.Meta;
+      t.eaddr <- grow t.eaddr n 0;
+      t.elen <- grow t.elen n 0;
+      t.edeps <- grow t.edeps n []
+    end;
+    t.ecat.(n) <- cat;
+    t.eaddr.(n) <- addr;
+    t.elen.(n) <- len;
+    t.edeps.(n) <- deps;
+    t.neffects <- n + 1;
     if t.gcount >= t.group_n then flush_group t clock
   end
 
@@ -353,24 +362,8 @@ let checkpoint t clock =
 
 let adopt ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
     ~interleave =
-  assert (entries mod frame_entries = 0);
-  {
-    dev;
-    base;
-    nentries = entries;
-    interleave;
-    epoch = Pstruct.get dev ~base Hdr.epoch;
-    next = 0;
-    seq = 0;
-    ready = false;
-    skip_flush = mutation = Mutation.Wal_flush;
-    group_n = group;
-    gcount = 0;
-    gspans = [];
-    geffects = [];
-    skip_record = mutation = Mutation.Wal_record;
-    replicate;
-  }
+  make ~group ~replicate ~mutation dev ~base ~entries ~interleave
+    ~epoch:(Pstruct.get dev ~base Hdr.epoch) ~ready:false
 
 let seal t clock =
   assert (not t.ready);

@@ -99,20 +99,23 @@ val append : t -> Sim.Clock.t -> kind -> addr:int -> dest:int -> unit
 (** Write and flush one entry (category [Wal]). With group commit on,
     the entry's flush is deferred into the open group instead. *)
 
-val append_span : t -> Sim.Clock.t -> kind -> addr:int -> dest:int -> Pstruct.span
-(** Like {!append}, returning the entry's span so callers can declare it
-    as a persist-ordering dependency of the metadata commit the entry
-    covers. The span is returned even under [Mutation.Wal_flush] — it
-    denotes what {e should} have persisted. *)
+val append_off : t -> Sim.Clock.t -> kind -> addr:int -> dest:int -> int
+(** Like {!append}, returning the entry's device offset (the entry spans
+    [entry_bytes] from there) so callers can declare it as a
+    persist-ordering dependency of the metadata commit the entry covers.
+    The offset is returned even under [Mutation.Wal_flush] — it denotes
+    what {e should} have persisted. *)
 
 val defer_commit :
-  ?deps:(string * Pstruct.span) list -> t -> Sim.Clock.t -> Pmem.Stats.category ->
-  Pstruct.span -> unit
-(** A metadata commit ordered after this log's latest entry. With group
-    commit on (and the log ready), the commit is queued and retires in
-    the open group's close — after the group's entries and its commit
-    record are durable — closing the group if it just reached [group]
-    appends. Otherwise exactly [Pstruct.commit]. *)
+  t -> Sim.Clock.t -> Pmem.Stats.category -> deps:(string * Pstruct.span) list ->
+  addr:int -> len:int -> unit
+(** A metadata commit of [addr, addr+len) ordered after this log's latest
+    entry. With group commit on (and the log ready), the commit is queued
+    and retires in the open group's close — after the group's entries
+    and its commit record are durable — closing the group if it just
+    reached [group] appends. Otherwise exactly [Pstruct.commit]. [deps]
+    are declared to the persist-ordering checker when the commit
+    retires; callers pass [[]] unless {!Pmem.Device.check_mode} is on. *)
 
 val flush_group : t -> Sim.Clock.t -> unit
 (** Close the open group now (no-op when empty or grouping is off):

@@ -75,10 +75,21 @@ type t = {
 and stream = {
   recent : Lru_ring.t;
   xplines : Lru_ring.t;
-  (* Deferred flushes: line -> category of the first deferring call, plus
-     how many [flush] calls were absorbed since the last drain (each
-     would have paid its own fence synchronously). *)
-  pending : (int, Stats.category) Hashtbl.t;
+  (* Deferred flushes, kept in flat arrays as FliT keeps per-line flush
+     state: [pend.(0 .. npend-1)] holds each pending line with the
+     category of its first deferring call, packed as [line lsl 2 lor
+     cat], in insertion order. [keys] is an open-addressing index of the
+     pending lines whose slots are live iff their [stamps] entry equals
+     [gen], so a drain empties the set by bumping [gen]. Membership,
+     insertion and the drain allocate nothing; the arrays double when a
+     set outgrows them. [pending_calls] counts the [flush] calls absorbed
+     since the last drain (each would have paid its own fence
+     synchronously). *)
+  mutable pend : int array;
+  mutable npend : int;
+  mutable keys : int array;
+  mutable stamps : int array;
+  mutable gen : int;
   mutable pending_calls : int;
 }
 
@@ -174,27 +185,11 @@ let reset_stats t =
      from the same cold state as a fresh device. Deferred flushes are
      simulation state, not stats — they must survive the reset, or a
      mid-protocol reset would silently drop durability. *)
-  let kept =
-    Hashtbl.fold
-      (fun id st acc ->
-        if Hashtbl.length st.pending > 0 || st.pending_calls > 0 then
-          (id, st.pending, st.pending_calls) :: acc
-        else acc)
-      t.streams []
-  in
-  Hashtbl.reset t.streams;
-  t.cached_id <- -1;
-  t.cached_stream <- None;
-  List.iter
-    (fun (id, pending, pending_calls) ->
-      Hashtbl.replace t.streams id
-        {
-          recent = Lru_ring.create t.lat.Latency.reflush_window;
-          xplines = Lru_ring.create 4;
-          pending;
-          pending_calls;
-        })
-    kept
+  Hashtbl.iter
+    (fun _ st ->
+      Lru_ring.reset st.recent;
+      Lru_ring.reset st.xplines)
+    t.streams
 let latency t = t.lat
 let is_eadr t = t.lat.Latency.reflush_step_ns = 0.0 && t.lat.Latency.seq_flush_ns = t.lat.Latency.reflush_base_ns
 
@@ -319,7 +314,11 @@ let stream_of t clock =
               {
                 recent = Lru_ring.create t.lat.Latency.reflush_window;
                 xplines = Lru_ring.create 4;
-                pending = Hashtbl.create 16;
+                pend = Array.make 16 0;
+                npend = 0;
+                keys = Array.make 32 0;
+                stamps = Array.make 32 0;
+                gen = 1;
                 pending_calls = 0;
               }
             in
@@ -329,6 +328,76 @@ let stream_of t clock =
       t.cached_id <- id;
       t.cached_stream <- Some s;
       s
+
+(* --- pending set -------------------------------------------------------- *)
+
+(* Slot of [line] in the index, or [lnot] of the free slot that ends its
+   probe sequence. [keys] has at least twice [pend]'s capacity, so a free
+   slot always exists. *)
+let rec probe st line i =
+  if Array.unsafe_get st.stamps i <> st.gen then lnot i
+  else if Array.unsafe_get st.keys i = line then i
+  else probe st line ((i + 1) land (Array.length st.keys - 1))
+
+let home st line = ((line * 0x9E3779B1) lsr 7) land (Array.length st.keys - 1)
+
+(* Re-index [pend.(0 .. npend-1)] under a fresh generation. *)
+let reindex st =
+  st.gen <- st.gen + 1;
+  for k = 0 to st.npend - 1 do
+    let line = st.pend.(k) lsr 2 in
+    let i = lnot (probe st line (home st line)) in
+    st.keys.(i) <- line;
+    st.stamps.(i) <- st.gen
+  done
+
+(* Add [line] unless already pending; false if it was. *)
+let rec pending_add st line cat =
+  let i = probe st line (home st line) in
+  if i >= 0 then false
+  else if st.npend = Array.length st.pend then begin
+    let n = st.npend in
+    let pend = Array.make (2 * n) 0 in
+    Array.blit st.pend 0 pend 0 n;
+    st.pend <- pend;
+    st.keys <- Array.make (4 * n) 0;
+    st.stamps <- Array.make (4 * n) 0;
+    reindex st;
+    pending_add st line cat
+  end
+  else begin
+    let i = lnot i in
+    st.keys.(i) <- line;
+    st.stamps.(i) <- st.gen;
+    st.pend.(st.npend) <- (line lsl 2) lor Stats.cat_index cat;
+    st.npend <- st.npend + 1;
+    true
+  end
+
+(* In-place heapsort of [a.(0 .. n-1)]: the drain's ascending line order
+   (lines are unique, so the packed category never decides). *)
+let rec sift (a : int array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c n
+    end
+  end
+
+let sort_prefix a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for k = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(k);
+    a.(k) <- x;
+    sift a 0 k
+  done
 
 let do_crash t =
   Dirtymap.iter t.dirty (fun line ->
@@ -397,9 +466,11 @@ let crash_in_flight t line =
   do_crash t;
   raise Injected_crash
 
-(* [@inline]: the float result would otherwise be boxed at the return —
-   one of three such boxes on the per-flush fast path (with
-   [Latency.flush_cost] and [Xpbuffer.admit], also inlined). *)
+(* [@inline] keeps the float result unboxed inside this module. The
+   cross-module calls below ([Latency.flush_cost], [Xpbuffer.admit],
+   [Sim.Clock.now]) are not inlined in dev builds, which pass [-opaque]:
+   each boxes its float result. Only [sync_flush] and the drains call
+   this; a float helper inlined into more callers costs a box in each. *)
 let[@inline] flush_line t clock cat line =
   (match t.crash_after with
   | Some n when n <= 1 -> crash_in_flight t line
@@ -415,7 +486,7 @@ let[@inline] flush_line t clock cat line =
         (1 + Option.value ~default:0 (Hashtbl.find_opt c.epochs line)));
   let st = stream_of t clock in
   (* Reflush distance of [line]: its position in the thread's recent-
-     distinct-lines window, or None if absent; the touch updates the
+     distinct-lines window, or -1 if absent; the touch updates the
      window either way. *)
   let distance = Lru_ring.touch st.recent line in
   (* Sequentiality: the write lands in (or right after) an XPLine the
@@ -429,7 +500,7 @@ let[@inline] flush_line t clock cat line =
   let finish = Xpbuffer.admit t.wpq ~now ~media_ns in
   (* Any hit in the window is a reflush: the window has exactly
      [reflush_window] slots, so a resolved distance is always below it. *)
-  let reflush = distance <> None in
+  let reflush = distance >= 0 in
   Stats.record_flush t.stats cat ~addr ~reflush ~sequential ~ns:media_ns;
   (* Telemetry never charges clocks and the disabled path is this one
      compare: enabling it cannot perturb simulated results. *)
@@ -439,13 +510,10 @@ let[@inline] flush_line t clock cat line =
       let idx = Stats.cat_index cat in
       let tid = Sim.Clock.id clock in
       let name = if reflush then e.tn_reflush.(idx) else e.tn_flush.(idx) in
-      let k2, v2 =
-        match distance with
-        | Some d -> (e.ta_dist, float_of_int d)
-        | None -> (-1, 0.0)
-      in
       Telemetry.span2 e.tsink ~tid ~name ~ts:now ~dur:(finish -. now) ~k1:e.ta_addr
-        ~v1:(float_of_int addr) ~k2 ~v2;
+        ~v1:(float_of_int addr)
+        ~k2:(if reflush then e.ta_dist else -1)
+        ~v2:(if reflush then float_of_int distance else 0.0);
       Telemetry.Histogram.observe e.th_flush.(idx) (finish -. now);
       (* Blame attribution: the flush's device occupancy is a leaf charge
          under whatever frame the thread has open. *)
@@ -506,34 +574,36 @@ let flush_weak t clock cat ~addr ~len =
     st.pending_calls <- st.pending_calls + 1;
     let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
     for line = first to last do
-      if Dirtymap.test t.dirty line then
-        if Hashtbl.mem st.pending line then Stats.record_flush_coalesced t.stats
-        else Hashtbl.replace st.pending line cat
+      if Dirtymap.test t.dirty line && not (pending_add st line cat) then
+        Stats.record_flush_coalesced t.stats
     done
   end
 
 (* Drain the thread's pending set in ascending line order, without
    charging a fence — the ordering point that triggered the drain charges
    its own. Every absorbed call but one would have paid a fence
-   synchronously. The pending table is cleared before any line flushes so
+   synchronously. The pending set is emptied before any line flushes so
    an injected crash mid-drain leaves consistent state (do_crash resets
-   the streams anyway). *)
+   the streams anyway); nothing enqueues during the loop, so the sorted
+   prefix stays intact while it is walked. *)
 let drain_pending t clock st =
-  if Hashtbl.length st.pending > 0 || st.pending_calls > 0 then begin
-    let lines = Hashtbl.fold (fun line cat acc -> (line, cat) :: acc) st.pending [] in
-    let lines = List.sort (fun (a, _) (b, _) -> compare a b) lines in
-    Hashtbl.reset st.pending;
+  if st.npend > 0 || st.pending_calls > 0 then begin
+    let n = st.npend in
+    sort_prefix st.pend n;
+    st.npend <- 0;
+    st.gen <- st.gen + 1;
     Stats.record_fences_saved t.stats (st.pending_calls - 1);
     st.pending_calls <- 0;
     let finish = ref (Sim.Clock.now clock) in
-    List.iter
-      (fun (line, cat) ->
-        if Dirtymap.test t.dirty line then begin
-          let f = flush_line t clock cat line in
-          if f > !finish then finish := f
-        end
-        else Stats.record_flush_coalesced t.stats)
-      lines;
+    for k = 0 to n - 1 do
+      let e = st.pend.(k) in
+      let line = e lsr 2 in
+      if Dirtymap.test t.dirty line then begin
+        let f = flush_line t clock (Stats.cat_of_index (e land 3)) line in
+        if f > !finish then finish := f
+      end
+      else Stats.record_flush_coalesced t.stats
+    done;
     Sim.Clock.wait_until clock !finish
   end
 
@@ -545,9 +615,16 @@ let unpend t clock ~addr ~len =
   if len > 0 then begin
     let st = stream_of t clock in
     let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
-    for line = first to last do
-      Hashtbl.remove st.pending line
-    done
+    let k = ref 0 in
+    while !k < st.npend do
+      let line = st.pend.(!k) lsr 2 in
+      if line >= first && line <= last then begin
+        st.npend <- st.npend - 1;
+        st.pend.(!k) <- st.pend.(st.npend)
+      end
+      else incr k
+    done;
+    reindex st
   end
 
 let flush_all t clock cat =
@@ -555,9 +632,10 @@ let flush_all t clock cat =
      either still dirty (flushed below) or already persisted. *)
   Hashtbl.iter
     (fun _ st ->
-      if Hashtbl.length st.pending > 0 || st.pending_calls > 0 then begin
+      if st.npend > 0 || st.pending_calls > 0 then begin
         Stats.record_fences_saved t.stats (st.pending_calls - 1);
-        Hashtbl.reset st.pending;
+        st.npend <- 0;
+        st.gen <- st.gen + 1;
         st.pending_calls <- 0
       end)
     t.streams;
@@ -627,7 +705,7 @@ let cancel_scheduled_crash t =
 
 let crash_armed t = t.crash_after <> None
 let dirty_lines t = Dirtymap.count t.dirty
-let pending_flushes t clock = Hashtbl.length (stream_of t clock).pending
+let pending_flushes t clock = (stream_of t clock).npend
 let persisted_int64 t addr = Store.get_i64 t.persisted addr
 let persisted_u8 t addr = Store.get_u8 t.persisted addr
 
@@ -901,7 +979,7 @@ let commit_flush t clock cat ~addr ~len =
      record before whatever follows. *)
   if t.batching then begin
     let st = stream_of t clock in
-    if Hashtbl.length st.pending > 0 then begin
+    if st.npend > 0 then begin
       drain_pending t clock st;
       charge_fence t clock
     end

@@ -43,7 +43,7 @@ let eadr =
   }
 
 let[@inline] flush_cost t ~distance ~sequential =
-  match distance with
-  | Some d when d < t.reflush_window ->
-      t.reflush_base_ns -. (t.reflush_step_ns *. float_of_int d)
-  | Some _ | None -> if sequential then t.seq_flush_ns else t.rand_flush_ns
+  if distance >= 0 && distance < t.reflush_window then
+    t.reflush_base_ns -. (t.reflush_step_ns *. float_of_int distance)
+  else if sequential then t.seq_flush_ns
+  else t.rand_flush_ns

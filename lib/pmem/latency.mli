@@ -42,7 +42,7 @@ val eadr : t
     of PM write bandwidth when written back. Matches the paper's
     emulation (section 6.7), which removes [clwb] from all allocators. *)
 
-val flush_cost : t -> distance:int option -> sequential:bool -> float
-(** Latency of one cache-line flush. [distance = Some d] means the line was
-    flushed [d] unique lines ago (a reflush when [d < reflush_window]);
-    [None] means it has left the reflush window. *)
+val flush_cost : t -> distance:int -> sequential:bool -> float
+(** Latency of one cache-line flush. [distance = d >= 0] means the line
+    was flushed [d] unique lines ago (a reflush when [d < reflush_window]);
+    [-1] means it has left the reflush window. *)

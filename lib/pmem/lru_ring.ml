@@ -5,8 +5,8 @@
    streams). Here the front is a moving [head] index: a miss is O(scan)
    with an O(1) insert that overwrites the victim in place; only a hit at
    distance [d] pays an O(d) rotation to restore recency order. Slots
-   hold plain ints (cache-line or XPLine indices), so no allocation ever
-   happens after [create], except the [Some d] of a hit. *)
+   hold plain ints (cache-line or XPLine indices) and results are plain
+   ints and bools, so nothing allocates after [create]. *)
 
 type t = { cap : int; slots : int array; mutable head : int; mutable len : int }
 
@@ -32,61 +32,32 @@ let rec find_from t v i =
     let p = if p >= t.cap then p - t.cap else p in
     if Array.unsafe_get t.slots p = v then i else find_from t v (i + 1)
 
-let find t v = find_from t v 0
+(* Move-to-front of [v], known to sit at logical position [d] (-1: absent,
+   insert over the least-recent slot). *)
+let promote t v d =
+  if d < 0 then begin
+    t.head <- (if t.head = 0 then t.cap - 1 else t.head - 1);
+    Array.unsafe_set t.slots t.head v;
+    if t.len < t.cap then t.len <- t.len + 1
+  end
+  else begin
+    for i = d downto 1 do
+      t.slots.(slot t i) <- t.slots.(slot t (i - 1))
+    done;
+    t.slots.(t.head) <- v
+  end
 
 let touch t v =
-  let w = t.cap in
-  if w = 0 then None
-  else
-    match find t v with
-    | -1 ->
-        t.head <- (if t.head = 0 then w - 1 else t.head - 1);
-        Array.unsafe_set t.slots t.head v;
-        if t.len < w then t.len <- t.len + 1;
-        None
-    | d ->
-        for i = d downto 1 do
-          t.slots.(slot t i) <- t.slots.(slot t (i - 1))
-        done;
-        t.slots.(t.head) <- v;
-        Some d
+  if t.cap = 0 then -1
+  else begin
+    let d = find_from t v 0 in
+    promote t v d;
+    d
+  end
 
-(* [touch] for streams that only need the hit/miss bit: same window
-   update, no [Some] allocation on hits. *)
-let touch_mem t v =
-  let w = t.cap in
-  if w = 0 then false
-  else
-    match find t v with
-    | -1 ->
-        t.head <- (if t.head = 0 then w - 1 else t.head - 1);
-        Array.unsafe_set t.slots t.head v;
-        if t.len < w then t.len <- t.len + 1;
-        false
-    | d ->
-        for i = d downto 1 do
-          t.slots.(slot t i) <- t.slots.(slot t (i - 1))
-        done;
-        t.slots.(t.head) <- v;
-        true
-
-(* Does the window contain [v] or [v - 1]? (The Device's XPLine
-   sequentiality test; specialised here to keep the hot path free of a
-   closure allocation per flush.) *)
-let rec mem_self_or_pred_from t v i =
-  if i >= t.len then false
-  else
-    let p = t.head + i in
-    let p = if p >= t.cap then p - t.cap else p in
-    let s = Array.unsafe_get t.slots p in
-    s = v || s + 1 = v || mem_self_or_pred_from t v (i + 1)
-
-let mem_self_or_pred t v = mem_self_or_pred_from t v 0
-
-(* Fusion of [mem_self_or_pred] (on the pre-touch window) and
-   [touch_mem]: one scan finds both the position of [v] and whether [v]
-   or [v - 1] is present, then applies the same move-to-front update.
-   One ring traversal per flush instead of two. *)
+(* One scan finds both the position of [v] and whether [v] or [v - 1] is
+   in the pre-touch window, then applies [touch]'s update: the Device's
+   per-flush XPLine sequentiality test in a single ring traversal. *)
 let touch_seq t v =
   let w = t.cap in
   if w = 0 then false
@@ -103,22 +74,9 @@ let touch_seq t v =
       end
       else if s + 1 = v then seq := true
     done;
-    (match !pos with
-    | -1 ->
-        t.head <- (if t.head = 0 then w - 1 else t.head - 1);
-        Array.unsafe_set t.slots t.head v;
-        if t.len < w then t.len <- t.len + 1
-    | d ->
-        for i = d downto 1 do
-          t.slots.(slot t i) <- t.slots.(slot t (i - 1))
-        done;
-        t.slots.(t.head) <- v);
+    promote t v !pos;
     !seq
   end
-
-let exists t p =
-  let rec go i = i < t.len && (p t.slots.(slot t i) || go (i + 1)) in
-  go 0
 
 let to_list t = List.init t.len (fun i -> t.slots.(slot t i))
 

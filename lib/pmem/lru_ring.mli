@@ -15,26 +15,14 @@ val create : int -> t
 val capacity : t -> int
 val length : t -> int
 
-val touch : t -> int -> int option
+val touch : t -> int -> int
 (** [touch t v] returns the LRU distance of [v] before the touch
-    ([Some 0] = most recently touched, [None] = not in the window) and
-    moves [v] to the front, evicting the least-recent entry if the ring
-    is full. *)
-
-val touch_mem : t -> int -> bool
-(** [touch] returning only whether the value was already in the window;
-    avoids the [Some] allocation on hits. *)
-
-val mem_self_or_pred : t -> int -> bool
-(** Does the window contain [v] or [v - 1]? Closure-free specialisation
-    of the XPLine sequentiality test. *)
+    ([0] = most recently touched, [-1] = not in the window) and moves [v]
+    to the front, evicting the least-recent entry if the ring is full. *)
 
 val touch_seq : t -> int -> bool
-(** [mem_self_or_pred] on the pre-touch window fused with {!touch_mem}'s
-    update, in a single scan: the per-flush XPLine sequentiality check. *)
-
-val exists : t -> (int -> bool) -> bool
-(** Predicate over the current window, most recent first. *)
+(** Does the pre-touch window contain [v] or [v - 1]? Applies {!touch}'s
+    update in the same scan: the per-flush XPLine sequentiality check. *)
 
 val to_list : t -> int list
 (** Window contents, most recent first (tests/debugging). *)

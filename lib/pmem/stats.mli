@@ -21,6 +21,9 @@ val cat_index : category -> int
 (** Stable index 0..3 ([Meta], [Wal], [Log], [Data]) — used by callers
     that keep per-category arrays (telemetry handles, breakdowns). *)
 
+val cat_of_index : int -> category
+(** Inverse of {!cat_index}. *)
+
 val cat_name : category -> string
 (** Lower-case label: ["meta"], ["wal"], ["log"], ["data"]. *)
 

@@ -108,14 +108,14 @@ let prop_set_then_get =
 
 (* Naive oracle for the word-scan: probe bits 0..nbits-1 one at a time. *)
 let naive_first_zero dev t nbits =
-  let rec go b = if b >= nbits then None else if Bitmap.get dev t b then go (b + 1) else Some b in
+  let rec go b = if b >= nbits then -1 else if Bitmap.get dev t b then go (b + 1) else b in
   go 0
 
 let gen_mapping =
   QCheck.Gen.(oneof [ return Bitmap.Sequential; map (fun s -> Bitmap.Interleaved s) (int_range 1 16) ])
 
 let prop_find_first_zero =
-  (* The 64-bit word scan agrees with a per-bit loop after arbitrary
+  (* The 32-bit word scan agrees with a per-bit loop after arbitrary
      set/clear traffic, for both mappings. *)
   let open QCheck in
   Test.make ~name:"find_first_zero agrees with the naive bit loop" ~count:300
@@ -135,12 +135,12 @@ let prop_find_first_zero =
 
 let prop_find_first_zero_edges =
   (* Line-boundary sizes: nbits at, one below and one above multiples of
-     the 64-bit word and the 512-bit line, saturated then drained one bit
+     the 32-bit word and the 512-bit line, saturated then drained one bit
      at a time — the scan must track the naive answer at every step and
-     report None exactly when the bitmap is full. *)
+     report -1 exactly when the bitmap is full. *)
   let open QCheck in
   let sizes =
-    List.concat_map (fun n -> [ n - 1; n; n + 1 ]) [ 64; 128; 512; 1024 ] |> List.filter (fun n -> n > 0)
+    List.concat_map (fun n -> [ n - 1; n; n + 1 ]) [ 32; 64; 128; 512; 1024 ] |> List.filter (fun n -> n > 0)
   in
   Test.make ~name:"find_first_zero at word/line boundaries and full bitmaps" ~count:60
     (make Gen.(pair (oneofl sizes) gen_mapping))
@@ -148,19 +148,20 @@ let prop_find_first_zero_edges =
       let dev = mk_dev () in
       let t = Bitmap.make ~base:0 ~nbits ~mapping in
       let ok = ref true in
-      (* Fill in mapping order via set_first: each step must take the
-         naive first-zero, and a full bitmap must return None. *)
+      (* Fill in mapping order: each step must take the naive
+         first-zero, and a full bitmap must return -1. *)
       for _ = 1 to nbits do
-        let expect = naive_first_zero dev t nbits in
-        if Bitmap.set_first dev t <> expect then ok := false
+        let b = Bitmap.find_first_zero dev t in
+        if b <> naive_first_zero dev t nbits then ok := false;
+        if b >= 0 then Bitmap.set dev t b
       done;
-      if Bitmap.find_first_zero dev t <> None then ok := false;
+      if Bitmap.find_first_zero dev t <> -1 then ok := false;
       if Bitmap.popcount dev t <> nbits then ok := false;
       (* Drain from the back: clearing bit b must make it the answer iff
          it is the lowest clear bit. *)
       for b = nbits - 1 downto 0 do
         Bitmap.clear dev t b;
-        if Bitmap.find_first_zero dev t <> Some b then ok := false
+        if Bitmap.find_first_zero dev t <> b then ok := false
       done;
       !ok)
 

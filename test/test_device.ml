@@ -86,10 +86,10 @@ let test_sequential_vs_random () =
 
 let test_reflush_costs_more () =
   let lat = Pmem.Latency.default in
-  let reflush0 = Pmem.Latency.flush_cost lat ~distance:(Some 0) ~sequential:false in
-  let reflush3 = Pmem.Latency.flush_cost lat ~distance:(Some 3) ~sequential:false in
-  let rand = Pmem.Latency.flush_cost lat ~distance:None ~sequential:false in
-  let seq = Pmem.Latency.flush_cost lat ~distance:None ~sequential:true in
+  let reflush0 = Pmem.Latency.flush_cost lat ~distance:0 ~sequential:false in
+  let reflush3 = Pmem.Latency.flush_cost lat ~distance:3 ~sequential:false in
+  let rand = Pmem.Latency.flush_cost lat ~distance:(-1) ~sequential:false in
+  let seq = Pmem.Latency.flush_cost lat ~distance:(-1) ~sequential:true in
   Alcotest.(check (float 1e-9)) "800ns at distance 0" 800.0 reflush0;
   Alcotest.(check (float 1e-9)) "500ns at distance 3" 500.0 reflush3;
   Alcotest.(check bool) "reflush > random > sequential" true (reflush3 > rand && rand > seq)

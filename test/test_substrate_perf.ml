@@ -9,6 +9,8 @@
    - the whole Device flush pipeline vs a byte-for-byte model device
      (same flush classifications, same dirty sets, same crash
      survivors) over randomized write/flush/crash sequences;
+   - the array-backed per-thread pending set vs the former Hashtbl one,
+     over the batched pipeline's whole API on three clocks;
    - the heap-based Scheduler vs the former linear min-scan on
      tie-heavy schedules. *)
 
@@ -95,11 +97,11 @@ let model_touch cap lru v =
     else without
   in
   lru := v :: trimmed;
-  if cap = 0 then (
+  if cap = 0 then begin
     lru := [];
-    None)
-  else if d = -1 then None
-  else Some d
+    -1
+  end
+  else d
 
 let prop_lru_ring_model =
   let open QCheck in
@@ -119,8 +121,8 @@ let prop_lru_ring_model =
 
 let prop_lru_touch_seq =
   let open QCheck in
-  (* touch_seq = mem_self_or_pred on the pre-touch window + the same
-     window update as touch. *)
+  (* touch_seq = "v or v - 1 in the pre-touch window" + the same window
+     update as touch. *)
   Test.make ~name:"lru_ring touch_seq fuses membership and touch" ~count:500
     (pair (int_range 0 6) (list_of_size Gen.(int_range 0 200) (int_range 0 7)))
     (fun (cap, touches) ->
@@ -185,7 +187,7 @@ let model_flush_line m id line =
   let sequential = List.exists (fun s -> s = xp || s + 1 = xp) !xplines in
   ignore (model_touch 4 xplines xp);
   m.m_flushes <- m.m_flushes + 1;
-  if distance <> None then m.m_reflushes <- m.m_reflushes + 1
+  if distance >= 0 then m.m_reflushes <- m.m_reflushes + 1
   else if sequential then m.m_seq <- m.m_seq + 1
   else m.m_rand <- m.m_rand + 1
 
@@ -288,6 +290,304 @@ let prop_device_model =
           bytes_ok := false
       done;
       counters_ok && dirty_ok && !bytes_ok)
+
+(* --- Pending set vs the former Hashtbl pending set --------------------- *)
+
+(* The batched persistence path restated with the pre-rewrite pending set:
+   a per-thread [(line, category) Hashtbl.t] of the first deferring call,
+   sorted into ascending line order at each drain. The flush cost model
+   (Lru_ring windows, Latency, Xpbuffer, Stats) is the device's own, so
+   equal traces, counters and clocks mean the array-backed pending set
+   drained the same lines, in the same order, with the same categories,
+   at the same ordering points. *)
+
+let ps_lines = 160 (* device lines: spans up to 40 lines overlap often *)
+let ps_size = ps_lines * 64
+let lat = Pmem.Latency.default
+
+type ps_stream = {
+  s_recent : Pmem.Lru_ring.t;
+  s_xplines : Pmem.Lru_ring.t;
+  s_pending : (int, Pmem.Stats.category) Hashtbl.t;
+  mutable s_calls : int;
+}
+
+type ps_model = {
+  p_dirty : (int, unit) Hashtbl.t;
+  p_streams : (int, ps_stream) Hashtbl.t;
+  p_wpq : Pmem.Xpbuffer.t;
+  p_stats : Pmem.Stats.t;
+  p_clocks : Sim.Clock.t array;
+}
+
+let ps_fresh_stream pending calls =
+  {
+    s_recent = Pmem.Lru_ring.create lat.Pmem.Latency.reflush_window;
+    s_xplines = Pmem.Lru_ring.create 4;
+    s_pending = pending;
+    s_calls = calls;
+  }
+
+let ps_stream m th =
+  match Hashtbl.find_opt m.p_streams th with
+  | Some st -> st
+  | None ->
+      let st = ps_fresh_stream (Hashtbl.create 16) 0 in
+      Hashtbl.replace m.p_streams th st;
+      st
+
+let ps_flush_line m th cat line =
+  Hashtbl.remove m.p_dirty line;
+  let st = ps_stream m th in
+  let distance = Pmem.Lru_ring.touch st.s_recent line in
+  let sequential = Pmem.Lru_ring.touch_seq st.s_xplines (line * 64 / 256) in
+  let media_ns = Pmem.Latency.flush_cost lat ~distance ~sequential in
+  let finish = Pmem.Xpbuffer.admit m.p_wpq ~now:(Sim.Clock.now m.p_clocks.(th)) ~media_ns in
+  Pmem.Stats.record_flush m.p_stats cat ~addr:(line * 64) ~reflush:(distance >= 0)
+    ~sequential ~ns:media_ns;
+  finish
+
+let ps_fence m th =
+  Sim.Clock.charge m.p_clocks.(th) lat.Pmem.Latency.fence_ns;
+  Pmem.Stats.record_fence m.p_stats ~ns:lat.Pmem.Latency.fence_ns
+
+let ps_span addr len = (addr / 64, (addr + len - 1) / 64)
+
+let ps_sync_flush m th cat ~addr ~len =
+  let first, last = ps_span addr len in
+  let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+  for line = first to last do
+    if Hashtbl.mem m.p_dirty line then finish := Float.max !finish (ps_flush_line m th cat line)
+  done;
+  Sim.Clock.wait_until m.p_clocks.(th) !finish;
+  ps_fence m th
+
+let ps_flush_weak m th cat ~addr ~len =
+  let st = ps_stream m th in
+  st.s_calls <- st.s_calls + 1;
+  let first, last = ps_span addr len in
+  for line = first to last do
+    if Hashtbl.mem m.p_dirty line then
+      if Hashtbl.mem st.s_pending line then Pmem.Stats.record_flush_coalesced m.p_stats
+      else Hashtbl.replace st.s_pending line cat
+  done
+
+let ps_drain m th =
+  let st = ps_stream m th in
+  if Hashtbl.length st.s_pending > 0 || st.s_calls > 0 then begin
+    let lines = Hashtbl.fold (fun line cat acc -> (line, cat) :: acc) st.s_pending [] in
+    Hashtbl.reset st.s_pending;
+    Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+    st.s_calls <- 0;
+    let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+    List.iter
+      (fun (line, cat) ->
+        if Hashtbl.mem m.p_dirty line then
+          finish := Float.max !finish (ps_flush_line m th cat line)
+        else Pmem.Stats.record_flush_coalesced m.p_stats)
+      (List.sort compare lines);
+    Sim.Clock.wait_until m.p_clocks.(th) !finish
+  end
+
+type ps_op =
+  | P_write of int * int (* addr, len *)
+  | P_flush of int * int * int * int (* thread, category, addr, len *)
+  | P_flush_weak of int * int * int * int
+  | P_unpend of int * int * int
+  | P_fence of int
+  | P_commit of int * int * int * int
+  | P_commit_weak of int * int * int * int
+  | P_flush_all of int
+  | P_crash
+  | P_reset_stats
+
+let ps_cat = Pmem.Stats.cat_of_index
+
+(* Apply [op] to the device (driven by [dclocks]) and to the model (its
+   own clocks, same thread indices). *)
+let ps_apply dev dclocks m op =
+  let clock th = dclocks.(th) in
+  match op with
+  | P_write (addr, len) ->
+      Pmem.Device.fill dev addr len 'x';
+      let first, last = ps_span addr len in
+      for line = first to last do
+        Hashtbl.replace m.p_dirty line ()
+      done
+  | P_flush (th, c, addr, len) ->
+      (* Batching is on, so a plain flush defers exactly like flush_weak. *)
+      Pmem.Device.flush dev (clock th) (ps_cat c) ~addr ~len;
+      ps_flush_weak m th (ps_cat c) ~addr ~len
+  | P_flush_weak (th, c, addr, len) ->
+      Pmem.Device.flush_weak dev (clock th) (ps_cat c) ~addr ~len;
+      ps_flush_weak m th (ps_cat c) ~addr ~len
+  | P_unpend (th, addr, len) ->
+      Pmem.Device.unpend dev (clock th) ~addr ~len;
+      let first, last = ps_span addr len in
+      let st = ps_stream m th in
+      for line = first to last do
+        Hashtbl.remove st.s_pending line
+      done
+  | P_fence th ->
+      Pmem.Device.fence dev (clock th);
+      ps_drain m th;
+      ps_fence m th
+  | P_commit (th, c, addr, len) ->
+      Pmem.Device.commit_flush dev (clock th) (ps_cat c) ~addr ~len;
+      let st = ps_stream m th in
+      if Hashtbl.length st.s_pending > 0 then begin
+        ps_drain m th;
+        ps_fence m th
+      end
+      else if st.s_calls > 0 then begin
+        Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+        st.s_calls <- 0
+      end;
+      ps_sync_flush m th (ps_cat c) ~addr ~len
+  | P_commit_weak (th, c, addr, len) ->
+      Pmem.Device.commit_flush_weak dev (clock th) (ps_cat c) ~addr ~len;
+      ps_flush_weak m th (ps_cat c) ~addr ~len
+  | P_flush_all th ->
+      Pmem.Device.flush_all dev (clock th) Pmem.Stats.Meta;
+      Hashtbl.iter
+        (fun _ st ->
+          if Hashtbl.length st.s_pending > 0 || st.s_calls > 0 then begin
+            Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+            Hashtbl.reset st.s_pending;
+            st.s_calls <- 0
+          end)
+        m.p_streams;
+      let lines = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) m.p_dirty []) in
+      let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+      List.iter
+        (fun line -> finish := Float.max !finish (ps_flush_line m th Pmem.Stats.Meta line))
+        lines;
+      Sim.Clock.wait_until m.p_clocks.(th) !finish;
+      ps_fence m th
+  | P_crash ->
+      Pmem.Device.crash dev;
+      Hashtbl.reset m.p_dirty;
+      Hashtbl.reset m.p_streams;
+      Pmem.Xpbuffer.reset m.p_wpq
+  | P_reset_stats ->
+      Pmem.Device.reset_stats dev;
+      Pmem.Stats.reset m.p_stats;
+      (* The former reset: rebuild the streams that hold deferred flushes
+         with cold LRU windows, drop the rest. *)
+      let kept =
+        Hashtbl.fold
+          (fun th st acc ->
+            if Hashtbl.length st.s_pending > 0 || st.s_calls > 0 then (th, st) :: acc else acc)
+          m.p_streams []
+      in
+      Hashtbl.reset m.p_streams;
+      List.iter
+        (fun (th, st) -> Hashtbl.replace m.p_streams th (ps_fresh_stream st.s_pending st.s_calls))
+        kept
+
+let ps_op_gen =
+  QCheck.Gen.(
+    let th = int_bound 2 and cat = int_bound 3 in
+    let span =
+      int_bound (ps_lines - 1) >>= fun line ->
+      int_range 1 (min 40 (ps_lines - line) * 64) >>= fun len ->
+      int_bound 63 >|= fun skew ->
+      let addr = (line * 64) + min skew (len - 1) in
+      (addr, min len (ps_size - addr))
+    in
+    let spanned f = map3 (fun t c (a, l) -> f t c a l) th cat span in
+    frequency
+      [
+        (8, map (fun (a, l) -> P_write (a, l)) span);
+        (4, spanned (fun t c a l -> P_flush (t, c, a, l)));
+        (4, spanned (fun t c a l -> P_flush_weak (t, c, a, l)));
+        (1, map2 (fun t (a, l) -> P_unpend (t, a, l)) th span);
+        (2, map (fun t -> P_fence t) th);
+        (2, spanned (fun t c a l -> P_commit (t, c, a, l)));
+        (2, spanned (fun t c a l -> P_commit_weak (t, c, a, l)));
+        (1, map (fun t -> P_flush_all t) th);
+        (1, return P_crash);
+        (1, return P_reset_stats);
+      ])
+
+let ps_op_print = function
+  | P_write (a, l) -> Printf.sprintf "write %d+%d" a l
+  | P_flush (t, c, a, l) -> Printf.sprintf "flush t%d c%d %d+%d" t c a l
+  | P_flush_weak (t, c, a, l) -> Printf.sprintf "flush_weak t%d c%d %d+%d" t c a l
+  | P_unpend (t, a, l) -> Printf.sprintf "unpend t%d %d+%d" t a l
+  | P_fence t -> Printf.sprintf "fence t%d" t
+  | P_commit (t, c, a, l) -> Printf.sprintf "commit_flush t%d c%d %d+%d" t c a l
+  | P_commit_weak (t, c, a, l) -> Printf.sprintf "commit_flush_weak t%d c%d %d+%d" t c a l
+  | P_flush_all t -> Printf.sprintf "flush_all t%d" t
+  | P_crash -> "crash"
+  | P_reset_stats -> "reset_stats"
+
+let prop_pending_set_model =
+  let open QCheck in
+  Test.make ~name:"pending set equals the Hashtbl pending-set model" ~count:200
+    (list_of_size Gen.(int_range 0 250) (make ~print:ps_op_print ps_op_gen))
+    (fun ops ->
+      let dev = Pmem.Device.create ~size:ps_size () in
+      Pmem.Device.set_batching dev true;
+      let dclocks = Array.init 3 (fun _ -> Sim.Clock.create ()) in
+      let m =
+        {
+          p_dirty = Hashtbl.create 64;
+          p_streams = Hashtbl.create 4;
+          p_wpq = Pmem.Xpbuffer.create lat;
+          p_stats = Pmem.Stats.create ();
+          p_clocks = Array.init 3 (fun _ -> Sim.Clock.create ());
+        }
+      in
+      let ms = m.p_stats and ds = Pmem.Device.stats dev in
+      (* Counters, clocks and pending sizes after every op; the flush
+         trace (addresses and categories in order) once at the end. *)
+      let agree () =
+        Pmem.Stats.flushes ds = Pmem.Stats.flushes ms
+        && Pmem.Stats.reflushes ds = Pmem.Stats.reflushes ms
+        && Pmem.Stats.flushes_coalesced ds = Pmem.Stats.flushes_coalesced ms
+        && Pmem.Stats.fences_saved ds = Pmem.Stats.fences_saved ms
+        && Array.for_all2
+             (fun d c -> Sim.Clock.now d = Sim.Clock.now c)
+             dclocks m.p_clocks
+        && Array.for_all
+             (fun th ->
+               let pending =
+                 match Hashtbl.find_opt m.p_streams th with
+                 | Some st -> Hashtbl.length st.s_pending
+                 | None -> 0
+               in
+               Pmem.Device.pending_flushes dev dclocks.(th) = pending)
+             [| 0; 1; 2 |]
+      in
+      List.for_all
+        (fun op ->
+          ps_apply dev dclocks m op;
+          agree ())
+        ops
+      && Pmem.Stats.trace ds = Pmem.Stats.trace ms)
+
+(* A thousand-line pending set (grown well past its initial arrays): a
+   deferral of a line already pending is a lookup and a counter bump,
+   with no allocation (the only words counted are [before]'s own box). *)
+let test_pending_membership_allocation_free () =
+  let lines = 1024 in
+  let dev = Pmem.Device.create ~size:(lines * 64) () in
+  Pmem.Device.set_batching dev true;
+  let clock = Sim.Clock.create () in
+  Pmem.Device.fill dev 0 (lines * 64) 'x';
+  Pmem.Device.flush_weak dev clock Pmem.Stats.Meta ~addr:0 ~len:(lines * 64);
+  let before = Gc.minor_words () in
+  for line = 0 to lines - 1 do
+    Pmem.Device.flush_weak dev clock Pmem.Stats.Wal ~addr:(line * 64) ~len:8
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all pending" lines (Pmem.Device.pending_flushes dev clock);
+  Alcotest.(check bool) (Printf.sprintf "no allocation (%.0f words)" words) true (words < 16.0);
+  Pmem.Device.fence dev clock;
+  Alcotest.(check int) "drained" 0 (Pmem.Device.pending_flushes dev clock);
+  Alcotest.(check int) "each line flushed once" lines
+    (Pmem.Stats.flushes (Pmem.Device.stats dev))
 
 (* --- Scheduler: heap visits = linear-scan visits ----------------------- *)
 
@@ -397,8 +697,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lru_ring_model;
     QCheck_alcotest.to_alcotest prop_lru_touch_seq;
     QCheck_alcotest.to_alcotest prop_device_model;
+    QCheck_alcotest.to_alcotest prop_pending_set_model;
     QCheck_alcotest.to_alcotest prop_scheduler_order;
     Alcotest.test_case "store fill '\\000' materialises no chunks" `Quick
       test_fill_zero_no_chunks;
     Alcotest.test_case "stats trace truncates at limit" `Quick test_trace_truncation;
+    Alcotest.test_case "pending membership allocates nothing" `Quick
+      test_pending_membership_allocation_free;
   ]

@@ -174,7 +174,7 @@ let test_group_deferred_effects_ride_close () =
   (* A metadata effect deferred into the group: volatile at once,
      persistent only at the close. *)
   Pmem.Device.write_int64 dev 8192 99L;
-  Wal.defer_commit wal clock Pmem.Stats.Meta (Pstruct.span_of ~addr:8192 ~len:8);
+  Wal.defer_commit wal clock Pmem.Stats.Meta ~deps:[] ~addr:8192 ~len:8;
   Alcotest.(check int64) "effect volatile before close" 0L
     (Pmem.Device.persisted_int64 dev 8192);
   Wal.flush_group wal clock;
@@ -190,8 +190,7 @@ let test_group_auto_close_at_capacity () =
   for i = 1 to 2 do
     Wal.append wal clock Wal.Alloc ~addr:(i * 4096) ~dest:i;
     Pmem.Device.write_int64 dev (16384 + (i * 64)) (Int64.of_int i);
-    Wal.defer_commit wal clock Pmem.Stats.Meta
-      (Pstruct.span_of ~addr:(16384 + (i * 64)) ~len:8)
+    Wal.defer_commit wal clock Pmem.Stats.Meta ~deps:[] ~addr:(16384 + (i * 64)) ~len:8
   done;
   (* The second defer_commit reached the group size: closed without an
      explicit flush_group. *)
@@ -246,7 +245,7 @@ let test_group_forgotten_commit_record () =
   Pmem.Device.flush_all dev clock Pmem.Stats.Meta;
   Wal.append wal clock Wal.Alloc ~addr:4096 ~dest:1;
   Pmem.Device.write_int64 dev 8192 55L;
-  Wal.defer_commit wal clock Pmem.Stats.Meta (Pstruct.span_of ~addr:8192 ~len:8);
+  Wal.defer_commit wal clock Pmem.Stats.Meta ~deps:[] ~addr:8192 ~len:8;
   Wal.flush_group wal clock;
   Pmem.Device.crash dev;
   (* The broken close persisted the watermark and the effect but dropped
@@ -255,6 +254,61 @@ let test_group_forgotten_commit_record () =
      must catch at the allocator level. *)
   Alcotest.(check int) "entry lost" 0 (List.length (Wal.replay dev ~base:0 ~entries:256));
   Alcotest.(check int64) "effect leaked" 55L (Pmem.Device.persisted_int64 dev 8192)
+
+(* The open group's arrays start at [group] entries and [2 * group]
+   deferred commits; a group that outgrows both (appends past the size
+   without a defer_commit to close it, then a tcache-drain-sized run of
+   deferred commits) must still close with every entry and effect. *)
+let test_group_outgrows_initial_capacity () =
+  let dev, clock = mk () in
+  Pmem.Device.set_batching dev true;
+  let wal = Wal.create ~group:2 dev ~base:0 ~entries:256 ~interleave:true in
+  Pmem.Device.flush_all dev clock Pmem.Stats.Meta;
+  for i = 1 to 40 do
+    Wal.append wal clock Wal.Alloc ~addr:(i * 4096) ~dest:i
+  done;
+  Alcotest.(check int) "group still open" 40 (Wal.open_group wal);
+  Wal.flush_group wal clock;
+  for i = 0 to 49 do
+    let addr = 65536 + (i * 64) in
+    Pmem.Device.write_int64 dev addr (Int64.of_int (i + 1));
+    Wal.defer_commit wal clock Pmem.Stats.Meta ~deps:[] ~addr ~len:8
+  done;
+  Alcotest.(check int64) "effects deferred" 0L (Pmem.Device.persisted_int64 dev 65536);
+  Wal.flush_group wal clock;
+  Pmem.Device.crash dev;
+  Alcotest.(check int) "every entry committed" 40
+    (List.length (Wal.replay dev ~base:0 ~entries:256));
+  for i = 0 to 49 do
+    Alcotest.(check int64)
+      (Printf.sprintf "effect %d durable" i)
+      (Int64.of_int (i + 1))
+      (Pmem.Device.persisted_int64 dev (65536 + (i * 64)))
+  done
+
+(* [Mutation.Wal_flush] under group commit: entries sharing a line (the
+   sequential layout packs four per line) are written but never reach
+   the media — not at the append, and not through the group's close,
+   which must not re-persist the suppressed line — while the commit
+   record still advances. *)
+let test_group_wal_flush_suppresses_shared_line () =
+  let dev, clock = mk () in
+  Pmem.Device.set_batching dev true;
+  let wal =
+    Wal.create ~group:8 ~mutation:Nvalloc_core.Mutation.Wal_flush dev ~base:0 ~entries:256
+      ~interleave:false
+  in
+  Pmem.Device.flush_all dev clock Pmem.Stats.Meta;
+  for i = 1 to 3 do
+    Wal.append wal clock Wal.Alloc ~addr:(i * 4096) ~dest:i
+  done;
+  Alcotest.(check int) "nothing pending" 0 (Pmem.Device.pending_flushes dev clock);
+  Wal.flush_group wal clock;
+  let line = Pmem.Cacheline.size in
+  Alcotest.(check int) "entry line still dirty" 1 (Pmem.Device.dirty_lines dev);
+  Pmem.Device.crash dev;
+  Alcotest.(check int) "no entry survives" 0 (List.length (Wal.replay dev ~base:0 ~entries:256));
+  Alcotest.(check int64) "entry line never persisted" 0L (Pmem.Device.persisted_int64 dev line)
 
 let suite =
   [
@@ -274,6 +328,10 @@ let suite =
     Alcotest.test_case "group: sync reopen accepts all" `Quick test_group_sync_mode_accepts_all;
     Alcotest.test_case "group: forgotten commit record" `Quick
       test_group_forgotten_commit_record;
+    Alcotest.test_case "group: outgrows initial capacity" `Quick
+      test_group_outgrows_initial_capacity;
+    Alcotest.test_case "group: wal-flush suppresses the shared line" `Quick
+      test_group_wal_flush_suppresses_shared_line;
     QCheck_alcotest.to_alcotest prop_interleaved_appends_rotate_lines;
     QCheck_alcotest.to_alcotest prop_sequential_appends_reflush;
     QCheck_alcotest.to_alcotest prop_replay_roundtrip;
