@@ -324,21 +324,6 @@ let json_string ?host_par ~micro ~words ~makespans () =
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
-let write_json ~path ~estimates =
-  print_endline "counting minor words per run...";
-  let words = minor_words_per_run () in
-  print_endline "running simulated makespan probes...";
-  let makespans = makespan_probes () in
-  print_endline "running host-parallel probes...";
-  let host_par = host_par_probes () in
-  let oc = open_out path in
-  output_string oc (json_string ~host_par ~micro:estimates ~words ~makespans ());
-  close_out oc;
-  Printf.printf
-    "wrote %s (%d microbenches, %d allocation counts, %d makespan probes, %d host_par probes)\n%!"
-    path (List.length estimates) (List.length words) (List.length makespans)
-    (List.length host_par)
-
 (* --- minimal reader for our own baseline format --------------------------- *)
 
 let read_file path =
@@ -386,6 +371,32 @@ let parse_section text section =
                   in
                   float_of_string_opt num |> Option.map (fun v -> (name, v)))
         lines
+
+(* [micro_ns_per_run] is the fixed origin of the host-ns trajectory and
+   is never re-recorded: when [path] already holds that section it is kept
+   as it is, and only the deterministic sections and [host_par] are
+   rewritten. [estimates] measures an origin for a file that has none. *)
+let write_json ~path ~estimates =
+  let micro =
+    match parse_section (read_file path) "micro_ns_per_run" with
+    | _ :: _ as origin ->
+        Printf.printf "keeping the host-ns origin recorded in %s\n%!" path;
+        origin
+    | [] | (exception Sys_error _) -> estimates ()
+  in
+  print_endline "counting minor words per run...";
+  let words = minor_words_per_run () in
+  print_endline "running simulated makespan probes...";
+  let makespans = makespan_probes () in
+  print_endline "running host-parallel probes...";
+  let host_par = host_par_probes () in
+  let oc = open_out path in
+  output_string oc (json_string ~host_par ~micro ~words ~makespans ());
+  close_out oc;
+  Printf.printf
+    "wrote %s (%d microbenches, %d allocation counts, %d makespan probes, %d host_par probes)\n%!"
+    path (List.length micro) (List.length words) (List.length makespans)
+    (List.length host_par)
 
 (* The exact allocation gate: any increase over the baseline's
    [minor_words_per_run] fails, decreases are printed so they can be

@@ -52,7 +52,7 @@ let create ~dax ~region_lock ~persist ~hoard ~extra_flush ~page_headers ~light ~
   }
 
 let charge_search t clock n =
-  let steps = 1 + (if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n))) in
+  let steps = Support.Rbtree.search_steps n in
   Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0)
 
 (* In-place header slot update: the random small metadata write of

@@ -21,6 +21,14 @@ end)
 type mode = In_place | Logged of Booklog.t
 type state = Activated | Reclaimed | Retained
 
+type pagedesc = {
+  base : int;
+  total : int;
+  page_data_off : int;
+  dedicated : bool;
+  mutable activated_count : int;
+}
+
 type veh = {
   mutable addr : int;
   mutable size : int;
@@ -28,15 +36,7 @@ type veh = {
   mutable kind : Booklog.kind;
   mutable log_ref : int;
   mutable free_time : float;
-  region : int;
-}
-
-type pagedesc = {
-  base : int;
-  total : int;
-  page_data_off : int;
-  dedicated : bool;
-  mutable activated_count : int;
+  page : pagedesc;
 }
 
 let region_bytes = 4 * 1024 * 1024
@@ -56,7 +56,6 @@ type t = {
   reclaimed_by_time : veh Time_rb.t; (* oldest free first *)
   retained_by_time : veh Time_rb.t;
   pages : pagedesc Int_rb.t; (* keyed by region base *)
-  ref_index : veh Int_rb.t; (* keyed by bookkeeping-log ref *)
   empty_pages : int Queue.t; (* bases to consider for whole-page release *)
   mutable activated_bytes : int;
   mutable reclaimed_bytes : int;
@@ -82,7 +81,6 @@ let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
     reclaimed_by_time = Time_rb.create ();
     retained_by_time = Time_rb.create ();
     pages = Int_rb.create ();
-    ref_index = Int_rb.create ();
     empty_pages = Queue.create ();
     activated_bytes = 0;
     reclaimed_bytes = 0;
@@ -103,7 +101,7 @@ let data_off t = match t.mode with In_place -> header_bytes | Logged _ -> 0
    so tree-walk cost separates from the surrounding malloc/free. *)
 let charge_search t clock n =
   Pmem.Device.note_extent_lookup t.dev;
-  let steps = 1 + (if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n))) in
+  let steps = Support.Rbtree.search_steps n in
   let attr = Pmem.Device.attribution t.dev in
   (match attr with
   | None -> ()
@@ -144,8 +142,8 @@ module Veh = struct
   let () = Pstruct.seal l ~size:header_bytes
 end
 
-let slot_index t v =
-  let off = v.addr - v.region - data_off t in
+let slot_index v =
+  let off = v.addr - v.page.base - v.page.page_data_off in
   assert (off >= 0 && off mod 4096 = 0);
   off / 4096
 
@@ -156,9 +154,9 @@ let persist_activated t clock v =
   | Logged log ->
       v.log_ref <- Booklog.append_normal log clock v.kind ~addr:v.addr ~size:v.size
   | In_place ->
-      let i = slot_index t v in
-      Pstruct.set_elt t.dev ~base:v.region Veh.slots i ((v.size / 4096) lor (1 lsl 24));
-      Pstruct.commit t.dev clock Pmem.Stats.Meta (Pstruct.elt_span ~base:v.region Veh.slots i)
+      let i = slot_index v in
+      Pstruct.set_elt t.dev ~base:v.page.base Veh.slots i ((v.size / 4096) lor (1 lsl 24));
+      Pstruct.commit t.dev clock Pmem.Stats.Meta (Pstruct.elt_span ~base:v.page.base Veh.slots i)
 
 let run_booklog_gc t clock log =
   t.tombs_since_fast_gc <- t.tombs_since_fast_gc + 1;
@@ -170,17 +168,21 @@ let run_booklog_gc t clock log =
     Booklog.needs_slow_gc log
       ~threshold:(Heap.config t.heap).Config.booklog_slow_gc_threshold
   then begin
-    let remap = Booklog.slow_gc log clock in
+    (* Re-point every activated VEH in one walk of the address tree; a
+       free VEH holds no entry ([log_ref] -1, never remapped). Each remap
+       entry counts as one index lookup. *)
+    let table = Hashtbl.create 64 in
     List.iter
       (fun (old_ref, new_ref) ->
         note_lookup t;
-        match Int_rb.find_opt t.ref_index old_ref with
-        | Some v ->
-            Int_rb.remove t.ref_index old_ref;
-            v.log_ref <- new_ref;
-            Int_rb.insert t.ref_index new_ref v
+        Hashtbl.replace table old_ref new_ref)
+      (Booklog.slow_gc log clock);
+    Int_rb.iter
+      (fun _ v ->
+        match Hashtbl.find_opt table v.log_ref with
+        | Some r -> v.log_ref <- r
         | None -> ())
-      remap
+      t.addr_tree
   end
 
 let persist_freed t clock v =
@@ -188,13 +190,12 @@ let persist_freed t clock v =
   | Logged log ->
       assert (v.log_ref >= 0);
       Booklog.append_tombstone log clock v.log_ref;
-      Int_rb.remove t.ref_index v.log_ref;
       v.log_ref <- -1;
       if (Heap.config t.heap).Config.booklog_gc then run_booklog_gc t clock log
   | In_place ->
-      let i = slot_index t v in
-      Pstruct.set_elt t.dev ~base:v.region Veh.slots i 0;
-      Pstruct.commit t.dev clock Pmem.Stats.Meta (Pstruct.elt_span ~base:v.region Veh.slots i)
+      let i = slot_index v in
+      Pstruct.set_elt t.dev ~base:v.page.base Veh.slots i 0;
+      Pstruct.commit t.dev clock Pmem.Stats.Meta (Pstruct.elt_span ~base:v.page.base Veh.slots i)
 
 (* --- tree plumbing -------------------------------------------------------- *)
 
@@ -211,12 +212,13 @@ let page_fully_free t pd =
       | Some v -> v.state <> Activated && v.size = page_data_size pd
       | None -> false)
 
-let detach t v =
-  (match v.state with
+(* [unlink]/[link] move [v] out of/into its state's indexes and byte
+   count; the address tree is [detach]/[attach]'s, so a caller that keeps
+   [v]'s address skips it. *)
+let unlink t v =
+  match v.state with
   | Activated ->
-      (match page_of t v.region with
-      | Some pd -> pd.activated_count <- pd.activated_count - 1
-      | None -> ());
+      v.page.activated_count <- v.page.activated_count - 1;
       t.activated_bytes <- t.activated_bytes - v.size
   | Reclaimed ->
       Size_rb.remove t.reclaimed_by_size (v.size, v.addr);
@@ -225,26 +227,20 @@ let detach t v =
   | Retained ->
       Size_rb.remove t.retained_by_size (v.size, v.addr);
       Time_rb.remove t.retained_by_time (v.free_time, v.addr);
-      t.retained_bytes <- t.retained_bytes - v.size);
-  Int_rb.remove t.addr_tree v.addr
+      t.retained_bytes <- t.retained_bytes - v.size
 
-let attach t v state =
+let link t v state =
   v.state <- state;
-  Int_rb.insert t.addr_tree v.addr v;
   match state with
   | Activated ->
-      (match page_of t v.region with
-      | Some pd -> pd.activated_count <- pd.activated_count + 1
-      | None -> ());
+      v.page.activated_count <- v.page.activated_count + 1;
       t.activated_bytes <- t.activated_bytes + v.size
   | Reclaimed ->
       Size_rb.insert t.reclaimed_by_size (v.size, v.addr) v;
       Time_rb.insert t.reclaimed_by_time (v.free_time, v.addr) v;
       t.reclaimed_bytes <- t.reclaimed_bytes + v.size;
       if t.reclaimed_bytes > t.reclaimed_peak then t.reclaimed_peak <- t.reclaimed_bytes;
-      (match page_of t v.region with
-      | Some pd -> if page_fully_free t pd then Queue.add pd.base t.empty_pages
-      | None -> ())
+      if page_fully_free t v.page then Queue.add v.page.base t.empty_pages
   | Retained ->
       Size_rb.insert t.retained_by_size (v.size, v.addr) v;
       Time_rb.insert t.retained_by_time (v.free_time, v.addr) v;
@@ -252,16 +248,22 @@ let attach t v state =
       (* A page split between reclaimed and retained halves only becomes
          one spanning free extent after retention coalesces them: queue
          the hint here too so it does not wait out the full window. *)
-      (match page_of t v.region with
-      | Some pd -> if page_fully_free t pd then Queue.add pd.base t.empty_pages
-      | None -> ())
+      if page_fully_free t v.page then Queue.add v.page.base t.empty_pages
+
+let detach t v =
+  unlink t v;
+  Int_rb.remove t.addr_tree v.addr
+
+let attach t v state =
+  Int_rb.insert t.addr_tree v.addr v;
+  link t v state
 
 (* Merge adjacent free neighbours in state [state] (within one page) into
    [v]; [v] must not be in any structure yet. Neighbours come from floor /
    exact probes of the address tree, O(log n) each. *)
 let coalesce t v ~state =
   let try_merge u =
-    if u != v && u.region = v.region && u.state = state then begin
+    if u != v && u.page == v.page && u.state = state then begin
       if u.addr + u.size = v.addr then begin
         detach t u;
         v.addr <- u.addr;
@@ -292,29 +294,26 @@ let map_region t clock ~total ~dedicated =
   Sim.Lock.with_lock t.region_lock clock (fun () ->
       let base = Pmem.Dax.mmap (Heap.dax t.heap) clock ~size:total in
       Heap.register_region t.heap clock ~addr:base ~size:total;
-      Int_rb.insert t.pages base
-        { base; total; page_data_off = data_off t; dedicated; activated_count = 0 };
-      base)
+      let pd = { base; total; page_data_off = data_off t; dedicated; activated_count = 0 } in
+      Int_rb.insert t.pages base pd;
+      pd)
 
-let unmap_region ?(decommitted = 0) t clock base =
+let unmap_region ?(decommitted = 0) t clock pd =
   Sim.Lock.with_lock t.region_lock clock (fun () ->
-      let pd = Option.get (page_of t base) in
-      Heap.unregister_region t.heap clock ~addr:base;
-      Pmem.Dax.munmap (Heap.dax t.heap) clock ~decommitted ~addr:base ~size:pd.total ();
-      Int_rb.remove t.pages base)
-
-let region_data_size t base = page_data_size (Option.get (page_of t base))
+      Heap.unregister_region t.heap clock ~addr:pd.base;
+      Pmem.Dax.munmap (Heap.dax t.heap) clock ~decommitted ~addr:pd.base ~size:pd.total ();
+      Int_rb.remove t.pages pd.base)
 
 (* --- decay ---------------------------------------------------------------- *)
 
 let release_retained t clock v =
   (* Only whole regions go back to the OS: partial unmaps would leave the
      persistent region table ambiguous for recovery. *)
-  if v.size = region_data_size t v.region then begin
+  if v.size = page_data_size v.page then begin
     detach t v;
     (* Retained extents were decommitted on retention: only the header
        area still counts as mapped. *)
-    unmap_region ~decommitted:v.size t clock v.region
+    unmap_region ~decommitted:v.size t clock v.page
   end
 
 (* Whole-page release: a page queued when its last live extent died is
@@ -334,7 +333,7 @@ let drain_empty_pages t clock =
             | Some v ->
                 let decommitted = if v.state = Retained then v.size else 0 in
                 detach t v;
-                unmap_region ~decommitted t clock base
+                unmap_region ~decommitted t clock pd
             | None -> ())
         | Some _ | None -> ());
         go ()
@@ -382,47 +381,55 @@ let decay_tick t clock =
 
 (* --- allocation ------------------------------------------------------------ *)
 
-let fresh_veh ~addr ~size ~kind ~region ~now =
-  { addr; size; state = Reclaimed; kind; log_ref = -1; free_time = now; region }
+let fresh_veh ~addr ~size ~kind ~page ~now =
+  { addr; size; state = Reclaimed; kind; log_ref = -1; free_time = now; page }
 
-(* Split [need] bytes off the front of free extent [v] (not in any
-   structure); the remainder (if any) is re-attached in [v]'s state. *)
+(* Split [need] bytes off the front of free extent [v] (in the address
+   tree only); the remainder (if any) is attached in [remainder_state].
+   [v] keeps its address, hence its address-tree key. *)
 let split_front t v ~need ~remainder_state =
   assert (v.size >= need);
   if v.size = need then None
   else begin
     let rest =
       fresh_veh ~addr:(v.addr + need) ~size:(v.size - need) ~kind:Booklog.Extent
-        ~region:v.region ~now:v.free_time
+        ~page:v.page ~now:v.free_time
     in
     v.size <- need;
     attach t rest remainder_state;
     Some rest
   end
 
+(* [v] is in the address tree already. *)
 let activate t clock v kind =
   v.kind <- kind;
-  attach t v Activated;
+  link t v Activated;
   persist_activated t clock v;
-  (match t.mode with Logged _ -> Int_rb.insert t.ref_index v.log_ref v | In_place -> ());
   t.on_new_extent v
 
-let alloc_huge t clock ~size ~kind =
-  let total = round4k (size + data_off t) in
-  let base = map_region t clock ~total ~dedicated:true in
+(* The whole data area of a freshly mapped region, in the address tree. *)
+let fresh_region_veh t clock page ~kind =
   let v =
-    fresh_veh ~addr:(base + data_off t) ~size:(total - data_off t) ~kind ~region:base
+    fresh_veh ~addr:(page.base + page.page_data_off) ~size:(page_data_size page) ~kind ~page
       ~now:(Sim.Clock.now clock)
   in
+  Int_rb.insert t.addr_tree v.addr v;
+  v
+
+let alloc_huge t clock ~size ~kind =
+  let page = map_region t clock ~total:(round4k (size + data_off t)) ~dedicated:true in
+  let v = fresh_region_veh t clock page ~kind in
   activate t clock v kind;
   v
 
+(* Best fit leaves the extent in the address tree: the split keeps its
+   start address. *)
 let take_best_fit t clock tree ~need =
   charge_search t clock (Size_rb.cardinal tree);
   match Size_rb.find_first_geq tree (need, 0) with
   | None -> None
   | Some (_, v) ->
-      detach t v;
+      unlink t v;
       Some v
 
 let malloc t clock ~size ~kind =
@@ -443,11 +450,8 @@ let malloc t clock ~size ~kind =
             activate t clock v kind;
             v
         | None ->
-            let base = map_region t clock ~total:region_bytes ~dedicated:false in
-            let v =
-              fresh_veh ~addr:(base + data_off t) ~size:(region_bytes - data_off t)
-                ~kind:Booklog.Extent ~region:base ~now:(Sim.Clock.now clock)
-            in
+            let page = map_region t clock ~total:region_bytes ~dedicated:false in
+            let v = fresh_region_veh t clock page ~kind:Booklog.Extent in
             ignore (split_front t v ~need ~remainder_state:Reclaimed);
             activate t clock v kind;
             v)
@@ -458,10 +462,9 @@ let free t clock v =
   detach t v;
   persist_freed t clock v;
   t.on_drop_extent v;
-  let pd = Option.get (page_of t v.region) in
-  if pd.dedicated then
+  if v.page.dedicated then
     (* Dedicated huge region: straight back to the OS. *)
-    unmap_region t clock v.region
+    unmap_region t clock v.page
   else begin
     v.free_time <- Sim.Clock.now clock;
     v.kind <- Booklog.Extent;
@@ -487,12 +490,9 @@ let restore_region t ~base ~total =
 let restore_extent t ~addr ~size ~kind ~state ~log_ref ~region =
   (* Region totals are re-derived from the persistent region table by the
      recovery driver before extents are restored. *)
-  assert (Int_rb.mem t.pages region);
-  let v = fresh_veh ~addr ~size ~kind ~region ~now:0.0 in
+  let page = match page_of t region with Some pd -> pd | None -> assert false in
+  let v = fresh_veh ~addr ~size ~kind ~page ~now:0.0 in
   v.log_ref <- log_ref;
   attach t v state;
-  if state = Activated then begin
-    if log_ref >= 0 then Int_rb.insert t.ref_index log_ref v;
-    t.on_new_extent v
-  end;
+  if state = Activated then t.on_new_extent v;
   v

@@ -22,6 +22,12 @@
     smootherstep curve (50 ms ticks) moves idle reclaimed extents to
     retained and releases fully-retained regions.
 
+    Each VEH holds its page's descriptor, so no operation on an extent
+    looks its page up. A best-fit allocation splits its extent in place:
+    the front keeps its start address, hence its address-tree entry. When
+    slow GC rewrites the bookkeeping log, one walk of the address tree
+    re-points the activated VEHs' log references.
+
     Tree searches and merges feed the device counters
     [extent_tree_lookups] and [extents_coalesced].
 
@@ -36,16 +42,6 @@ type mode = In_place | Logged of Booklog.t
 
 type state = Activated | Reclaimed | Retained
 
-type veh = {
-  mutable addr : int;
-  mutable size : int;
-  mutable state : state;
-  mutable kind : Booklog.kind;
-  mutable log_ref : int;  (** bookkeeping-log entry, -1 when none *)
-  mutable free_time : float;
-  region : int;  (** base address of the owning mapped region *)
-}
-
 type pagedesc = {
   base : int;  (** region base address *)
   total : int;  (** mapped bytes, header area included *)
@@ -55,6 +51,18 @@ type pagedesc = {
 }
 (** Descriptor of one mapped region ("huge page"), kept in an
     address-ordered tree. *)
+
+type veh = {
+  mutable addr : int;
+  mutable size : int;
+  mutable state : state;
+  mutable kind : Booklog.kind;
+  mutable log_ref : int;  (** bookkeeping-log entry, -1 when none *)
+  mutable free_time : float;
+  page : pagedesc;
+      (** the owning mapped region's descriptor, held so that no operation
+          on the extent looks its page up *)
+}
 
 type t
 

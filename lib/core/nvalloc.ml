@@ -82,8 +82,7 @@ let owner_remove t addr = Int_rb.remove t.owner_index addr
 
 (* Find the slab or extent containing [addr]; charges a search. *)
 let owner_lookup t clock addr =
-  let n = Int_rb.cardinal t.owner_index in
-  let steps = 1 + (if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n))) in
+  let steps = Support.Rbtree.search_steps (Int_rb.cardinal t.owner_index) in
   Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0);
   match Int_rb.find_last_leq t.owner_index addr with
   | None -> None

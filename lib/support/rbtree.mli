@@ -1,14 +1,32 @@
-(** Red-black tree (ordered map).
+(** Red-black tree (ordered map), updated in place.
 
-    NVAlloc uses red-black trees in DRAM for three indexes: the address
-    index of extents (the paper calls it an R-tree: keys are extent
-    start/end addresses), the best-fit size index over free extents, and
-    the vchunk index of the bookkeeping log. The implementation is the
-    classic persistent red-black tree (Okasaki insertion, Kahrs deletion)
-    wrapped in a mutable handle, which gives us simple code with verified
-    invariants (see the property tests) at the modest cost of allocation —
-    irrelevant here since tree time is charged through the simulated
-    latency model, not measured on the host.
+    NVAlloc keeps its DRAM indexes in red-black trees: the address index
+    of extents (the paper calls it an R-tree: keys are extent start
+    addresses), the best-fit size and oldest-first decay indexes over free
+    extents, the vchunk index of the bookkeeping log and the allocator's
+    owner index. They are volatile — recovery rebuilds them from
+    persistent state — so their representation is free to choose.
+
+    Nodes are mutable and carry parent links; insertion and deletion
+    rebalance in place with the CLRS fix-ups. Cost model, host side:
+
+    - [insert] of a new key allocates one node (7 words); replacing an
+      existing binding allocates nothing;
+    - [remove] allocates nothing;
+    - a query allocates at most its result ([Some v] or [Some (k, v)]),
+      and builds no closure per call;
+    - updates and queries take O(log n) comparisons.
+
+    Tree work costs no simulated time by itself: callers charge the
+    simulated cost of a search through {!search_steps}.
+
+    Two contracts:
+
+    - do not mutate a tree from inside [iter] or [fold] over it: collect
+      what to change first, then change it;
+    - an update calls nothing but [Ord.compare] (which must not raise),
+      so an exception raised elsewhere — an injected crash — can never
+      leave a rebalance half done.
 
     [find_first_geq]/[find_last_leq] provide the ceiling/floor searches
     that best-fit allocation and neighbour coalescing need. *)
@@ -18,6 +36,10 @@ module type ORDERED = sig
 
   val compare : t -> t -> int
 end
+
+val search_steps : int -> int
+(** Simulated steps of one search in a tree of [n] bindings:
+    [1 + floor (log2 n)], and 1 when [n <= 1]. Integer arithmetic only. *)
 
 module Make (Ord : ORDERED) : sig
   type key = Ord.t
@@ -54,6 +76,7 @@ module Make (Ord : ORDERED) : sig
   val to_list : 'a t -> (key * 'a) list
 
   val invariants_ok : 'a t -> bool
-  (** Checks BST order, no red node with a red child, and equal black
-      height on all paths. Exposed for the property tests. *)
+  (** Checks BST order, no red node with a red child, equal black height
+      on all paths, a black root, every node's parent link, and that
+      [cardinal] counts the nodes. Exposed for the property tests. *)
 end

@@ -5,7 +5,9 @@ open Nvalloc_core
 
 let mib = 1024 * 1024
 
-let mk ?(log_bookkeeping = true) () =
+(* Immediate decay windows would perturb most tests: by default keep them
+   long. [booklog_chunks] sizes the bookkeeping log (at most 256). *)
+let mk ?(log_bookkeeping = true) ?(decay_interval_ns = 1e12) ?(booklog_chunks = 256) () =
   let config =
     {
       Config.log_default with
@@ -14,9 +16,8 @@ let mk ?(log_bookkeeping = true) () =
       booklog_chunks = 256;
       wal_entries = 1024;
       log_bookkeeping;
-      (* Immediate decay windows would perturb the tests; keep them long. *)
-      decay_interval_ns = 1e12;
-      decay_window_ns = 1e13;
+      decay_interval_ns;
+      decay_window_ns = 10.0 *. decay_interval_ns;
     }
   in
   let dev = Pmem.Device.create ~size:(256 * mib) () in
@@ -27,7 +28,7 @@ let mk ?(log_bookkeeping = true) () =
     Extent.create heap ~mode:
       (if log_bookkeeping then
          Extent.Logged
-           (Booklog.create dev ~base:(Heap.booklog_base heap ~arena:0) ~chunks:256
+           (Booklog.create dev ~base:(Heap.booklog_base heap ~arena:0) ~chunks:booklog_chunks
               ~interleave:true)
        else Extent.In_place)
       ~region_lock:(Sim.Lock.create ())
@@ -222,9 +223,31 @@ let test_partial_page_stays_mapped () =
   Extent.decay_tick large clock;
   Alcotest.(check int) "now released" 0 (Extent.page_count large)
 
+(* Every live VEH holds the descriptor of the page it lies on, and every
+   mapped page counts exactly its activated extents. *)
+let pages_consistent large live =
+  List.for_all
+    (fun v ->
+      v.Extent.state = Extent.Activated
+      &&
+      match Extent.page_of_addr large v.Extent.addr with
+      | Some pd -> pd == v.Extent.page
+      | None -> false)
+    live
+  &&
+  let ok = ref true in
+  Extent.iter_pages large (fun pd ->
+      let n = List.length (List.filter (fun v -> v.Extent.page == pd) live) in
+      if n <> pd.Extent.activated_count then ok := false);
+  !ok
+
 let prop_no_overlap_model =
   (* Random alloc/free sequences never hand out overlapping live extents
-     and never lose bytes (model-based). *)
+     and keep the page descriptors exact (model-based). Decay runs every
+     millisecond of simulated time and the ops advance the clock, so
+     extents are retained, coalesce across states and whole pages go back
+     to the OS along the way; a final drain frees everything and waits
+     out the retain window. *)
   let open QCheck in
   Test.make ~name:"extent allocations never overlap (model)" ~count:40
     (make
@@ -233,11 +256,14 @@ let prop_no_overlap_model =
            (list_size (int_range 1 120)
               (pair (int_range 16 512) (int_range 0 1000)))))
     (fun (log_bookkeeping, ops) ->
-      let _, clock, _, large = mk ~log_bookkeeping () in
+      let ms = 1e6 in
+      let _, clock, _, large = mk ~log_bookkeeping ~decay_interval_ns:ms () in
       let live = ref [] in
       let ok = ref true in
+      let check () = if not (pages_consistent large !live) then ok := false in
       List.iter
         (fun (kib, sel) ->
+          Sim.Clock.charge clock (float_of_int (sel mod 5) *. 0.5 *. ms);
           if List.length !live > 20 && sel mod 2 = 0 then begin
             let idx = sel mod List.length !live in
             let v = List.nth !live idx in
@@ -254,9 +280,53 @@ let prop_no_overlap_model =
                 then ok := false)
               !live;
             live := v :: !live
-          end)
+          end;
+          check ())
         ops;
-      !ok)
+      List.iter
+        (fun v ->
+          Sim.Clock.charge clock (0.5 *. ms);
+          live := List.filter (fun u -> u != v) !live;
+          Extent.free large clock v;
+          check ())
+        !live;
+      for _ = 1 to 3 do
+        Sim.Clock.charge clock (20.0 *. ms);
+        Extent.decay_tick large clock;
+        check ()
+      done;
+      !ok && Extent.page_count large = 0 && Extent.reclaimed_bytes large = 0)
+
+(* Slow GC of the bookkeeping log rewrites every live entry under a new
+   reference; the extent layer must re-point each activated VEH. A
+   16-chunk log trips the slow-GC threshold (80% of chunks in use) when
+   every chunk keeps a few long-lived entries that fast GC cannot retire. *)
+let test_slow_gc_remaps_log_refs () =
+  let dev, clock, heap, large = mk ~booklog_chunks:16 () in
+  let log = Option.get (Extent.booklog large) in
+  let pinned = ref [] and churn = Queue.create () in
+  for i = 1 to 1500 do
+    let v = Extent.malloc large clock ~size:65536 ~kind:Booklog.Extent in
+    if i mod 10 = 0 then pinned := v :: !pinned else Queue.add v churn;
+    if Queue.length churn > 8 then Extent.free large clock (Queue.take churn)
+  done;
+  Alcotest.(check bool) "slow GC ran" true (Booklog.slow_gc_runs log > 0);
+  let live = !pinned @ List.of_seq (Queue.to_seq churn) in
+  let scanned = Booklog.scan dev ~base:(Heap.booklog_base heap ~arena:0) ~interleave:true in
+  List.iter
+    (fun v ->
+      match List.find_opt (fun s -> s.Booklog.ref_ = v.Extent.log_ref) scanned with
+      | Some s ->
+          Alcotest.(check (pair int int))
+            "log_ref scans back to the extent" (v.Extent.addr, v.Extent.size)
+            (s.Booklog.addr, s.Booklog.size)
+      | None -> Alcotest.failf "log_ref %d of extent %d not live" v.Extent.log_ref v.Extent.addr)
+    live;
+  Alcotest.(check int) "one live entry per extent" (List.length live) (List.length scanned);
+  List.iter (fun v -> Extent.free large clock v) live;
+  Alcotest.(check int) "no live entries left" 0
+    (List.length (Booklog.scan dev ~base:(Heap.booklog_base heap ~arena:0) ~interleave:true));
+  Alcotest.(check int) "nothing activated" 0 (Extent.activated_bytes large)
 
 let suite =
   [
@@ -267,5 +337,6 @@ let suite =
     Alcotest.test_case "decay releases idle memory" `Quick test_decay_releases_memory;
     Alcotest.test_case "empty page released whole" `Quick test_empty_page_release;
     Alcotest.test_case "partial page stays mapped" `Quick test_partial_page_stays_mapped;
+    Alcotest.test_case "slow GC re-points log refs" `Quick test_slow_gc_remaps_log_refs;
     QCheck_alcotest.to_alcotest prop_no_overlap_model;
   ]

@@ -47,7 +47,11 @@ let test_iter_order () =
   List.iter (fun k -> Rb.insert t k k) [ 5; 1; 9; 3; 7 ];
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ] (List.map fst (Rb.to_list t))
 
-(* Property: random op sequences agree with Map and preserve invariants. *)
+(* Property: random op sequences agree with Map and preserve invariants
+   (order, colours, black height, parent links, cardinal). Every insert
+   binds a fresh value, so a replace that kept the old value, or a
+   two-child delete that moved a value to the wrong key, shows in the
+   bindings and not only in the keys. *)
 let prop_model =
   let open QCheck in
   let op =
@@ -63,17 +67,24 @@ let prop_model =
     (fun ops ->
       let t = Rb.create () in
       let m = ref M.empty in
+      let fresh = ref 0 in
       List.for_all
         (fun op ->
-          (match op with
-          | `Insert k ->
-              Rb.insert t k (k * 2);
-              m := M.add k (k * 2) !m
-          | `Remove k ->
-              Rb.remove t k;
-              m := M.remove k !m);
+          let k =
+            match op with
+            | `Insert k ->
+                incr fresh;
+                Rb.insert t k !fresh;
+                m := M.add k !fresh !m;
+                k
+            | `Remove k ->
+                Rb.remove t k;
+                m := M.remove k !m;
+                k
+          in
           Rb.invariants_ok t
           && Rb.cardinal t = M.cardinal !m
+          && Rb.find_opt t k = M.find_opt k !m
           && Rb.to_list t = M.bindings !m)
         ops)
 
@@ -92,11 +103,69 @@ let prop_ordered_queries =
       && Option.map fst (Rb.find_last_leq t probe) = leq
       && Option.map fst (Rb.find_last_lt t probe) = lt)
 
+(* Minor words allocated by one call (the tree is updated in place). *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_allocation () =
+  let check_words what expected f =
+    Alcotest.(check (float 0.0)) what expected (words f)
+  in
+  check_words "measurement itself" 0.0 (fun () -> ());
+  List.iter
+    (fun n ->
+      let t = Rb.create () in
+      for k = 1 to n do
+        Rb.insert t (k * 2) k
+      done;
+      let hit = 2 * ((n + 1) / 2) and miss = 2 * n + 1 in
+      let label what = Printf.sprintf "%s (%d nodes)" what n in
+      (* One node: header plus colour, key, value, left, right, parent. *)
+      check_words (label "fresh insert") 7.0 (fun () -> Rb.insert t miss 0);
+      check_words (label "replacing insert") 0.0 (fun () -> Rb.insert t miss 1);
+      check_words (label "remove") 0.0 (fun () -> Rb.remove t miss);
+      check_words (label "remove missing") 0.0 (fun () -> Rb.remove t miss);
+      (* Queries allocate their result only: [Some v] is 2 words,
+         [Some (k, v)] 5, [None] nothing. *)
+      check_words (label "find_opt hit") 2.0 (fun () -> ignore (Rb.find_opt t hit));
+      check_words (label "find_opt miss") 0.0 (fun () -> ignore (Rb.find_opt t miss));
+      check_words (label "mem") 0.0 (fun () -> ignore (Rb.mem t hit));
+      check_words (label "find_first_geq") 5.0 (fun () -> ignore (Rb.find_first_geq t hit));
+      check_words (label "find_first_geq none") 0.0 (fun () ->
+          ignore (Rb.find_first_geq t miss));
+      check_words (label "find_last_leq") 5.0 (fun () -> ignore (Rb.find_last_leq t miss));
+      check_words (label "find_last_lt") 5.0 (fun () -> ignore (Rb.find_last_lt t miss));
+      check_words (label "find_last_lt none") 0.0 (fun () -> ignore (Rb.find_last_lt t 0));
+      check_words (label "min_binding_opt") 5.0 (fun () -> ignore (Rb.min_binding_opt t));
+      check_words (label "max_binding_opt") 5.0 (fun () -> ignore (Rb.max_binding_opt t));
+      (* Removing every node, through every fix-up case, allocates nothing. *)
+      let total = ref 0.0 in
+      for k = 1 to n do
+        total := !total +. words (fun () -> Rb.remove t (((k * 7) mod n + 1) * 2))
+      done;
+      Alcotest.(check (float 0.0)) (label "remove all") 0.0 !total;
+      Alcotest.(check bool) (label "emptied") true (Rb.is_empty t && Rb.invariants_ok t))
+    [ 1; 1000 ]
+
+(* The simulated search cost: the integer floor-log2 agrees with the float
+   formula it replaced, for every tree size up to 2^20. *)
+let test_search_steps () =
+  for n = 0 to 1 lsl 20 do
+    let by_float = 1 + if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n)) in
+    if Support.Rbtree.search_steps n <> by_float then
+      Alcotest.failf "search_steps %d = %d, float formula %d" n
+        (Support.Rbtree.search_steps n) by_float
+  done
+
 let suite =
   [
     Alcotest.test_case "basic insert/find/remove" `Quick test_basic;
     Alcotest.test_case "ordered queries" `Quick test_ordered_queries;
     Alcotest.test_case "iteration order" `Quick test_iter_order;
+    Alcotest.test_case "allocation per operation" `Quick test_allocation;
+    Alcotest.test_case "search steps match floor log2" `Quick test_search_steps;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_ordered_queries;
   ]
