@@ -92,7 +92,7 @@ let run_check () =
   let attr = Telemetry.enable_attribution sink_a in
   (* An open root frame so every flush charge lands in the blame tree,
      like a flush under malloc does. *)
-  Telemetry.Attr.enter_root_named attr ~tid:(Sim.Clock.id clock_a) ~name:"bench" ~ts:0.0;
+  Telemetry.Attr.enter_root_named attr ~tid:(Sim.Clock.id clock_a) ~name:"bench" ~ts:0;
   gate "attribution-on" attribution_envelope dev_a clock_a;
   if !failed then exit 1;
   Printf.printf "hotloop check OK\n"
@@ -124,18 +124,18 @@ let () =
   let clock = Sim.Clock.create () in
   time "clock charge" n (fun () ->
       for _ = 0 to n - 1 do
-        Sim.Clock.charge clock 20.0
+        Sim.Clock.charge clock 20
       done);
   let wpq = Pmem.Xpbuffer.create Pmem.Latency.default in
   time "xpbuffer admit" n (fun () ->
       for i = 0 to n - 1 do
-        ignore (Pmem.Xpbuffer.admit wpq ~now:(float_of_int i *. 400.0) ~media_ns:100.0)
+        ignore (Pmem.Xpbuffer.admit wpq ~now:(i * 400) ~media_ns:100)
       done);
   let stats = Pmem.Stats.create () in
   time "stats record_flush" n (fun () ->
       for i = 0 to n - 1 do
         Pmem.Stats.record_flush stats Pmem.Stats.Meta ~addr:(i * 64) ~reflush:false
-          ~sequential:true ~ns:100.0
+          ~sequential:true ~ns:100
       done);
   let dev2 = Pmem.Device.create ~size:(16 * mib) () in
   let clock2 = Sim.Clock.create () in

@@ -17,7 +17,7 @@ type t = {
   slab_histogram : (float list -> int array) option;
   shutdown : unit -> unit;
   recover : unit -> float;
-  snapshot : float -> unit;
+  snapshot : int -> unit;
   iter_live : ((addr:int -> size:int -> unit) -> unit) option;
   integrity : (unit -> (string, string) result) option;
   maintenance : (Sim.Clock.t -> bool) option;

@@ -42,7 +42,7 @@ type t = {
   recover : unit -> float;
       (** crash the device, run recovery on a fresh clock, return the
           simulated recovery time in ns *)
-  snapshot : float -> unit;
+  snapshot : int -> unit;
       (** emit a heap-introspection telemetry snapshot stamped at the
           given simulated time; no-op when the allocator has no attached
           sink or no introspection (baselines) *)

@@ -227,7 +227,7 @@ let free_small t clock ~tid s addr =
   if t.knobs.Knobs.per_thread_arena && s.arena <> tid mod Array.length t.arenas then begin
     Pmem.Device.write_int64 t.dev (s.addr + 8) (Int64.of_int addr);
     flush t clock Pmem.Stats.Meta ~addr:(s.addr + 8) ~len:8;
-    Pmem.Device.charge_work t.dev clock Pmem.Stats.Other ~ns:400.0
+    Pmem.Device.charge_work t.dev clock Pmem.Stats.Other ~ns:400
   end;
   persist_alloc_state t clock s b ~now_allocated:false;
   wal_write t owner_arena clock;

@@ -53,7 +53,7 @@ let create ~dax ~region_lock ~persist ~hoard ~extra_flush ~page_headers ~light ~
 
 let charge_search t clock n =
   let steps = Support.Rbtree.search_steps n in
-  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0)
+  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(steps * 25)
 
 (* In-place header slot update: the random small metadata write of
    section 3.3. The allocators persist the state of free extents too (their

@@ -43,7 +43,7 @@ type t = {
   light_large : bool;
       (** PAllocator: its dedicated large allocator (index trees) skips
           the per-region summary updates. *)
-  op_overhead_ns : float;  (** constant software cost per operation *)
+  op_overhead_ns : int;  (** constant software cost per operation *)
   supports_large : bool;
   recovery : recovery_model;
 }
@@ -60,7 +60,7 @@ let pmdk =
     extra_header_flush = false;
     page_headers = false;
     light_large = false;
-    op_overhead_ns = 260.0;
+    op_overhead_ns = 260;
     supports_large = true;
     recovery = Wal_and_meta;
   }
@@ -73,7 +73,7 @@ let nvm_malloc =
     tcache = true;
     (* Volatile/non-volatile metadata split: cheap flushes but heavier
        DRAM-side bookkeeping than a plain volatile allocator. *)
-    op_overhead_ns = 150.0;
+    op_overhead_ns = 150;
     recovery = Wal_only;
   }
 
@@ -85,7 +85,7 @@ let pallocator =
     tcache = true;
     per_thread_arena = true;
     light_large = true;
-    op_overhead_ns = 110.0;
+    op_overhead_ns = 110;
     recovery = Wal_and_meta;
   }
 
@@ -101,7 +101,7 @@ let makalu =
     extra_header_flush = true;
     page_headers = true;
     light_large = false;
-    op_overhead_ns = 120.0;
+    op_overhead_ns = 120;
     supports_large = true;
     recovery = Conservative_gc;
   }
@@ -113,7 +113,7 @@ let ralloc =
     hoard_empty = false;
     extra_header_flush = false;
     page_headers = false;
-    op_overhead_ns = 45.0;
+    op_overhead_ns = 45;
     supports_large = false;
     recovery = Headers_partial;
   }
@@ -130,9 +130,9 @@ let jemalloc =
     extra_header_flush = false;
     page_headers = false;
     light_large = false;
-    op_overhead_ns = 30.0;
+    op_overhead_ns = 30;
     supports_large = true;
     recovery = Wal_only;
   }
 
-let tcmalloc = { jemalloc with name = "tcmalloc"; op_overhead_ns = 25.0 }
+let tcmalloc = { jemalloc with name = "tcmalloc"; op_overhead_ns = 25 }

@@ -128,7 +128,7 @@ let aframe_enter t clock pick =
       | None -> ()
       | Some a ->
           Telemetry.Attr.enter a ~tid:(Sim.Clock.id clock) ~name:(pick e)
-            ~ts:(Sim.Clock.now clock))
+            ~ts:(Sim.Clock.ns clock))
 
 let aframe_leave t clock =
   match t.telem with
@@ -136,7 +136,7 @@ let aframe_leave t clock =
   | Some e -> (
       match Telemetry.attribution e.tsink with
       | None -> ()
-      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock))
+      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock))
 
 let create heap ~index ~region_lock ~on_slab_created ~on_slab_destroyed ~on_extent_created
     ~on_extent_dropped =
@@ -318,7 +318,7 @@ let transform_slab t clock s target_class =
      morph record commits synchronously; close the group first so a crash
      cannot roll those frees back after a record that presumed them. *)
   Wal.flush_group t.wal clock;
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   aframe_enter t clock (fun e -> e.tn_morph);
   let open Slab in
   let dev = t.dev in
@@ -397,12 +397,10 @@ let transform_slab t clock s target_class =
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.now clock in
+      let now = Sim.Clock.ns clock in
       Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_morph ~ts:t0
-        ~dur:(now -. t0) ~k1:e.ta_old_class
-        ~v1:(float_of_int old_layout.class_idx)
-        ~k2:e.ta_live ~v2:(float_of_int nlive);
-      Telemetry.Histogram.observe e.th_morph (now -. t0)
+        ~dur:(now - t0) ~k1:e.ta_old_class ~v1:old_layout.class_idx ~k2:e.ta_live ~v2:nlive;
+      Telemetry.Histogram.observe e.th_morph (now - t0)
 
 let try_morph t clock target_class =
   if not t.config.Config.slab_morphing then None
@@ -417,7 +415,7 @@ let try_morph t clock target_class =
         if !found = None && morph_candidate_ok t s ~target_layout then found := Some s)
       t.lru;
     Pmem.Device.charge_work t.dev clock Pmem.Stats.Search
-      ~ns:(float_of_int (max 1 !scanned) *. 25.0);
+      ~ns:(max 1 !scanned * 25);
     match !found with
     | None -> None
     | Some s ->
@@ -561,7 +559,7 @@ let drain_all_tcaches t clock =
 
 (* Caller holds [t.lock]. *)
 let checkpoint_locked t clock =
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   aframe_enter t clock (fun e -> e.tn_checkpoint);
   drain_all_tcaches t clock;
   Wal.checkpoint t.wal clock;
@@ -569,10 +567,10 @@ let checkpoint_locked t clock =
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.now clock in
+      let now = Sim.Clock.ns clock in
       Telemetry.span e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_checkpoint ~ts:t0
-        ~dur:(now -. t0);
-      Telemetry.Histogram.observe e.th_checkpoint (now -. t0);
+        ~dur:(now - t0);
+      Telemetry.Histogram.observe e.th_checkpoint (now - t0);
       (* Checkpoints stall whoever pays for them (an allocating thread
          inline, or the maintenance daemon): annotate the SLO timeline. *)
       (match Telemetry.attribution e.tsink with
@@ -617,7 +615,7 @@ let log_op t clock kind ~addr ~dest =
   in
   if wanted then begin
     checkpoint_if_needed t clock;
-    let t0 = Sim.Clock.now clock in
+    let t0 = Sim.Clock.ns clock in
     aframe_enter t clock (fun e -> e.tn_wal_append);
     (* Slot reservation is a CAS, not a lock. *)
     Pmem.Device.dram_op t.dev clock;
@@ -632,10 +630,10 @@ let log_op t clock kind ~addr ~dest =
     (match t.telem with
     | None -> ()
     | Some e ->
-        let now = Sim.Clock.now clock in
+        let now = Sim.Clock.ns clock in
         Telemetry.span e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_wal_append ~ts:t0
-          ~dur:(now -. t0);
-        Telemetry.Histogram.observe e.th_wal_append (now -. t0));
+          ~dur:(now - t0);
+        Telemetry.Histogram.observe e.th_wal_append (now - t0));
     off
   end
   else -1
@@ -664,7 +662,7 @@ let take_slab_with_space t clock class_idx =
       | None -> new_slab t clock class_idx)
 
 let refill_tcache t clock tc class_idx =
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   aframe_enter t clock (fun e -> e.tn_refill);
   (while not (Tcache.is_full tc) do
     let s = take_slab_with_space t clock class_idx in
@@ -727,10 +725,10 @@ let refill_tcache t clock tc class_idx =
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.now clock in
+      let now = Sim.Clock.ns clock in
       Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_refill ~ts:t0
-        ~dur:(now -. t0) ~k1:e.ta_class ~v1:(float_of_int class_idx) ~k2:(-1) ~v2:0.0;
-      Telemetry.Histogram.observe e.th_refill (now -. t0)
+        ~dur:(now - t0) ~k1:e.ta_class ~v1:class_idx ~k2:(-1) ~v2:0;
+      Telemetry.Histogram.observe e.th_refill (now - t0)
 
 let ic_mark t clock (e : Tcache.entry) =
   let s = e.Tcache.slab in
@@ -742,16 +740,18 @@ let ic_mark t clock (e : Tcache.entry) =
 let alloc_small t clock ~tcaches ~class_idx =
   let tc = tcaches.(class_idx) in
   let e =
-    match Tcache.pop tc with
-    | Some e ->
-        Pmem.Device.dram_op t.dev clock;
-        e
-    | None ->
-        Sim.Lock.with_lock t.lock clock (fun () -> refill_tcache t clock tc class_idx);
-        Option.get (Tcache.pop tc)
+    if Tcache.is_empty tc then begin
+      Sim.Lock.with_lock t.lock clock (fun () -> refill_tcache t clock tc class_idx);
+      Tcache.pop tc
+    end
+    else begin
+      let e = Tcache.pop tc in
+      Pmem.Device.dram_op t.dev clock;
+      e
+    end
   in
   if is_ic t then ic_mark t clock e;
-  (e.Tcache.slab, e.Tcache.addr)
+  e.Tcache.addr
 
 let free_small t clock ~tcaches s ~addr ~dest =
   let off = addr - s.Slab.addr in

@@ -79,9 +79,8 @@ val set_peers : t -> t array -> unit
     arena's allocator. Without peers a drain falls back to the draining
     arena, which is only correct for single-arena heaps. *)
 
-val alloc_small :
-  t -> Sim.Clock.t -> tcaches:Tcache.t array -> class_idx:int -> Slab.t * int
-(** Returns the block's slab and {e address}; the caller publishes the
+val alloc_small : t -> Sim.Clock.t -> tcaches:Tcache.t array -> class_idx:int -> int
+(** Returns the block's {e address}; the caller publishes the
     user pointer and writes the WAL [Alloc] entry (it knows [dest]).
     Addresses (not indices) are the stable currency because a slab can
     morph while blocks sit in tcaches. *)

@@ -15,15 +15,15 @@ type t = {
   booklog_slow_gc_threshold : float;
   tcache_capacity : int;
   arenas : int;
-  decay_interval_ns : float;
-  decay_window_ns : float;
+  decay_interval_ns : int;
+  decay_window_ns : int;
   root_slots : int;
   flush_batch : bool;
   wal_group_commit : int;
   async_checkpoint : float;
   media_replication : bool;
   media_scrub : bool;
-  media_scrub_interval_ns : float;
+  media_scrub_interval_ns : int;
   media_max_repair : int;
   (* Declared SLO targets for latency attribution: (op class, target ns,
      goal fraction of ops expected within target). The error budget is
@@ -48,15 +48,15 @@ let log_default =
     booklog_slow_gc_threshold = 0.8;
     tcache_capacity = 32;
     arenas = 40;
-    decay_interval_ns = 50_000_000.0;
-    decay_window_ns = 500_000_000.0;
+    decay_interval_ns = 50_000_000;
+    decay_window_ns = 500_000_000;
     root_slots = 1 lsl 20;
     flush_batch = true;
     wal_group_commit = 8;
     async_checkpoint = 0.5;
     media_replication = false;
     media_scrub = false;
-    media_scrub_interval_ns = 1_000_000.0;
+    media_scrub_interval_ns = 1_000_000;
     media_max_repair = 3;
     (* Calibrated against the batched Larson run in EXPERIMENTS.md "SLO
        attribution": p99 sits comfortably inside these with batching on;
@@ -133,8 +133,8 @@ let validate ?dev_size t =
            budget to burn (got %g)"
           op goal)
     t.slo_targets;
-  if t.media_scrub && not (t.media_scrub_interval_ns > 0.0) then
-    reject "Config.media_scrub_interval_ns: scrubbing needs a positive interval (got %g)"
+  if t.media_scrub && t.media_scrub_interval_ns <= 0 then
+    reject "Config.media_scrub_interval_ns: scrubbing needs a positive interval (got %d)"
       t.media_scrub_interval_ns;
   if t.media_scrub && not t.media_replication then
     reject "Config.media_scrub: scrubbing repairs from replicas, enable media_replication";

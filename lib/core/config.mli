@@ -42,8 +42,8 @@ type t = {
       (** Usage_pmem: fraction of chunks in use that triggers slow GC. *)
   tcache_capacity : int;  (** blocks cached per thread per size class *)
   arenas : int;  (** number of arenas = simulated CPU cores *)
-  decay_interval_ns : float;  (** decay tick, 50 ms as in jemalloc *)
-  decay_window_ns : float;  (** full smootherstep decay horizon *)
+  decay_interval_ns : int;  (** decay tick, 50 ms as in jemalloc *)
+  decay_window_ns : int;  (** full smootherstep decay horizon *)
   root_slots : int;  (** persistent root-table entries *)
   flush_batch : bool;
       (** Per-thread flush coalescing: [Device.flush] calls are absorbed
@@ -75,7 +75,7 @@ type t = {
       (** Background scrub: [Instance.maintenance] idle slots walk the
           metadata records verifying checksums and pre-emptively
           repairing rot. Requires [media_replication]. Default off. *)
-  media_scrub_interval_ns : float;
+  media_scrub_interval_ns : int;
       (** Minimum simulated time between scrub passes. Default 1 ms. *)
   media_max_repair : int;
       (** Bounded-retry policy: repair attempts per damaged record before

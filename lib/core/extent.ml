@@ -11,10 +11,10 @@ module Size_rb = Support.Rbtree.Make (struct
 end)
 
 module Time_rb = Support.Rbtree.Make (struct
-  type t = float * int (* free_time, addr *)
+  type t = int * int (* free_time, addr *)
 
   let compare (t1, a1) (t2, a2) =
-    let c = Float.compare t1 t2 in
+    let c = Int.compare t1 t2 in
     if c <> 0 then c else Int.compare a1 a2
 end)
 
@@ -35,7 +35,7 @@ type veh = {
   mutable state : state;
   mutable kind : Booklog.kind;
   mutable log_ref : int;
-  mutable free_time : float;
+  mutable free_time : int;
   page : pagedesc;
 }
 
@@ -61,7 +61,7 @@ type t = {
   mutable reclaimed_bytes : int;
   mutable retained_bytes : int;
   mutable reclaimed_peak : int;
-  mutable last_decay : float;
+  mutable last_decay : int;
   mutable tombs_since_fast_gc : int;
 }
 
@@ -86,7 +86,7 @@ let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
     reclaimed_bytes = 0;
     retained_bytes = 0;
     reclaimed_peak = 0;
-    last_decay = 0.0;
+    last_decay = 0;
     tombs_since_fast_gc = 0;
   }
 
@@ -107,13 +107,13 @@ let charge_search t clock n =
   | None -> ()
   | Some a ->
       Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock) ~name:"extent:lookup"
-        ~ts:(Sim.Clock.now clock));
+        ~ts:(Sim.Clock.ns clock));
   for _ = 1 to steps do
     Pmem.Device.search_step t.dev clock
   done;
   match attr with
   | None -> ()
-  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock)
+  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
 
 (* A tree probe that costs no simulated time (neighbour peeks inside an
    operation already charged) still counts toward the lookup telemetry. *)
@@ -268,13 +268,13 @@ let coalesce t v ~state =
         detach t u;
         v.addr <- u.addr;
         v.size <- v.size + u.size;
-        v.free_time <- Float.min v.free_time u.free_time;
+        v.free_time <- Int.min v.free_time u.free_time;
         Pmem.Device.note_extent_coalesced t.dev
       end
       else if v.addr + v.size = u.addr then begin
         detach t u;
         v.size <- v.size + u.size;
-        v.free_time <- Float.min v.free_time u.free_time;
+        v.free_time <- Int.min v.free_time u.free_time;
         Pmem.Device.note_extent_coalesced t.dev
       end
     end
@@ -341,9 +341,9 @@ let drain_empty_pages t clock =
   go ()
 
 let decay_tick t clock =
-  let now = Sim.Clock.now clock in
+  let now = Sim.Clock.ns clock in
   let cfg = Heap.config t.heap in
-  if now -. t.last_decay >= cfg.Config.decay_interval_ns then begin
+  if now - t.last_decay >= cfg.Config.decay_interval_ns then begin
     t.last_decay <- now;
     let window = cfg.Config.decay_window_ns in
     (* Reclaimed -> retained, oldest free first, under the smootherstep
@@ -353,7 +353,7 @@ let decay_tick t clock =
       match Time_rb.min_binding_opt t.reclaimed_by_time with
       | None -> continue_ := false
       | Some (_, v) ->
-          let frac = (now -. v.free_time) /. window in
+          let frac = float_of_int (now - v.free_time) /. float_of_int window in
           let cap = Support.Smootherstep.limit ~total:t.reclaimed_peak ~elapsed_fraction:frac in
           if t.reclaimed_bytes > cap && frac > 0.0 then begin
             detach t v;
@@ -369,12 +369,12 @@ let decay_tick t clock =
     let rec collect key =
       note_lookup t;
       match Time_rb.find_first_geq t.retained_by_time key with
-      | Some ((ft, addr), v) when now -. ft >= window ->
+      | Some ((ft, addr), v) when now - ft >= window ->
           victims := v :: !victims;
           collect (ft, addr + 1)
       | Some _ | None -> ()
     in
-    collect (Float.neg_infinity, 0);
+    collect (min_int, 0);
     List.iter (fun v -> release_retained t clock v) !victims;
     drain_empty_pages t clock
   end
@@ -411,7 +411,7 @@ let activate t clock v kind =
 let fresh_region_veh t clock page ~kind =
   let v =
     fresh_veh ~addr:(page.base + page.page_data_off) ~size:(page_data_size page) ~kind ~page
-      ~now:(Sim.Clock.now clock)
+      ~now:(Sim.Clock.ns clock)
   in
   Int_rb.insert t.addr_tree v.addr v;
   v
@@ -466,7 +466,7 @@ let free t clock v =
     (* Dedicated huge region: straight back to the OS. *)
     unmap_region t clock v.page
   else begin
-    v.free_time <- Sim.Clock.now clock;
+    v.free_time <- Sim.Clock.ns clock;
     v.kind <- Booklog.Extent;
     coalesce t v ~state:Reclaimed;
     attach t v Reclaimed
@@ -491,7 +491,7 @@ let restore_extent t ~addr ~size ~kind ~state ~log_ref ~region =
   (* Region totals are re-derived from the persistent region table by the
      recovery driver before extents are restored. *)
   let page = match page_of t region with Some pd -> pd | None -> assert false in
-  let v = fresh_veh ~addr ~size ~kind ~page ~now:0.0 in
+  let v = fresh_veh ~addr ~size ~kind ~page ~now:0 in
   v.log_ref <- log_ref;
   attach t v state;
   if state = Activated then t.on_new_extent v;

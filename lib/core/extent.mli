@@ -58,7 +58,7 @@ type veh = {
   mutable state : state;
   mutable kind : Booklog.kind;
   mutable log_ref : int;  (** bookkeeping-log entry, -1 when none *)
-  mutable free_time : float;
+  mutable free_time : int;
   page : pagedesc;
       (** the owning mapped region's descriptor, held so that no operation
           on the extent looks its page up *)

@@ -20,7 +20,7 @@ type t = {
   mutable quarantined_ranges : (int * int) list;
   mutable quarantined_vslabs : Slab.t list;
   mutable media_dropped_frees : int;
-  mutable next_scrub : float;
+  mutable next_scrub : int;
   (* Lines whose persisted copy was rotted by [inject_bitrot]: the
      injectors consult this so poison never lands on the partner of a
      rotted copy (and vice versa) — a rot+poison double fault on a
@@ -83,7 +83,7 @@ let owner_remove t addr = Int_rb.remove t.owner_index addr
 (* Find the slab or extent containing [addr]; charges a search. *)
 let owner_lookup t clock addr =
   let steps = Support.Rbtree.search_steps (Int_rb.cardinal t.owner_index) in
-  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0);
+  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(steps * 25);
   match Int_rb.find_last_leq t.owner_index addr with
   | None -> None
   | Some (_, (Small_owner s as o)) ->
@@ -137,7 +137,7 @@ let create ?(config = Config.log_default) ?mutation dev clock =
       quarantined_ranges = [];
       quarantined_vslabs = [];
       media_dropped_frees = 0;
-      next_scrub = 0.0;
+      next_scrub = 0;
       rotted_lines = [];
       telem = None;
     }
@@ -219,7 +219,7 @@ let aroot_leave t clock =
   | Some e -> (
       match Telemetry.attribution e.tsink with
       | None -> ()
-      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock))
+      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock))
 
 let telemetry t = Option.map (fun e -> e.tsink) t.telem
 let root_addr t i = Heap.root_addr t.heap i
@@ -280,14 +280,14 @@ let media_span t clock name t0 =
   | None -> ()
   | Some s ->
       Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name ~ts:t0
-        ~dur:(Sim.Clock.now clock -. t0);
+        ~dur:(Sim.Clock.ns clock - t0);
       (* Media degradations annotate the SLO timeline. *)
       (match Telemetry.attribution s with
       | None -> ()
       | Some a -> Telemetry.Attr.note_event a ~ts:t0 ~name)
 
 let quarantine_runtime t clock s =
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   Arena.quarantine_slab t.arenas.(s.Slab.arena) s;
   (* The owner-index entry stays: the range is still the allocator's,
      and frees into it must be swallowed, never rejected. *)
@@ -344,7 +344,7 @@ let handle_poison t clock =
         match guard_of_line t line with
         | None -> ()
         | Some (r, slab) ->
-            let t0 = Sim.Clock.now clock in
+            let t0 = Sim.Clock.ns clock in
             let attr = Pmem.Device.attribution t.dev in
             (match attr with
             | None -> ()
@@ -361,7 +361,7 @@ let handle_poison t clock =
             | None -> ()
             | Some a ->
                 Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock)
-                  ~ts:(Sim.Clock.now clock));
+                  ~ts:(Sim.Clock.ns clock));
             (match !status with
             | Guard.Clean | Guard.Repaired -> media_span t clock "media:repair" t0
             | Guard.Lost -> (
@@ -382,7 +382,7 @@ let media_gate t clock =
    metadata. *)
 module Ptr = struct
   let l = Pstruct.layout "nvalloc.ptr"
-  let v = Pstruct.i64 l "ptr" ~off:0
+  let v = Pstruct.int_ l "ptr" ~off:0
   let () = Pstruct.seal l ~size:8
 end
 
@@ -394,7 +394,7 @@ end
    operation rather than publishing a pointer whose entry replay
    discards. *)
 let publish ~deps ?via t clock ~dest ~addr =
-  Pstruct.set t.dev ~base:dest Ptr.v (Int64.of_int addr);
+  Pstruct.set t.dev ~base:dest Ptr.v addr;
   match via with
   | Some wal -> Wal.defer_commit wal clock Pmem.Stats.Data ~deps ~addr:dest ~len:8
   | None -> Pstruct.commit ~deps t.dev clock Pmem.Stats.Data (Pstruct.span ~base:dest Ptr.v)
@@ -404,13 +404,13 @@ let malloc_to t th ~size ~dest =
   assert (size > 0);
   let clock = th.clock in
   media_gate t clock;
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   let addr, deps, via =
     match Size_class.of_size size with
     | Some class_idx ->
         aroot_enter t clock (fun e -> e.tn_op_small) t0;
         let arena = t.arenas.(th.arena) in
-        let _slab, addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
+        let addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
         let wal_off = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
         (* Grouped only when an entry covers the op: the publish must
            never outlive its entry's commit record. *)
@@ -429,14 +429,13 @@ let malloc_to t th ~size ~dest =
   (match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.now clock in
+      let now = Sim.Clock.ns clock in
       Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_alloc ~ts:t0
-        ~dur:(now -. t0) ~k1:e.ta_size ~v1:(float_of_int size) ~k2:e.ta_addr
-        ~v2:(float_of_int addr);
-      Telemetry.Histogram.observe e.th_alloc (now -. t0));
+        ~dur:(now - t0) ~k1:e.ta_size ~v1:size ~k2:e.ta_addr ~v2:addr;
+      Telemetry.Histogram.observe e.th_alloc (now - t0));
   addr
 
-let read_ptr t ~dest = Int64.to_int (Pstruct.get t.dev ~base:dest Ptr.v)
+let read_ptr t ~dest = Pstruct.get t.dev ~base:dest Ptr.v
 
 (* The exact wording is part of the API: the baselines raise the same
    message, so harnesses can treat "free of an unpublished slot" uniformly
@@ -447,7 +446,7 @@ let free_from t th ~dest =
   assert (not t.closed);
   let clock = th.clock in
   media_gate t clock;
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   let addr = read_ptr t ~dest in
   if addr <= 0 then invalid_arg err_free_unpublished;
   (* One root frame for both small and large frees: the owner is unknown
@@ -493,10 +492,10 @@ let free_from t th ~dest =
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.now clock in
+      let now = Sim.Clock.ns clock in
       Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_free ~ts:t0
-        ~dur:(now -. t0) ~k1:e.ta_addr ~v1:(float_of_int addr) ~k2:(-1) ~v2:0.0;
-      Telemetry.Histogram.observe e.th_free (now -. t0)
+        ~dur:(now - t0) ~k1:e.ta_addr ~v1:addr ~k2:(-1) ~v2:0;
+      Telemetry.Histogram.observe e.th_free (now - t0)
 
 let exit_ t clock =
   assert (not t.closed);
@@ -846,7 +845,7 @@ let telemetry_snapshot t sink ~ts =
    fatal. Returns [(repaired, lost)], rot rewrites included. *)
 let scrub t clock =
   assert (media_on t);
-  let t0 = Sim.Clock.now clock in
+  let t0 = Sim.Clock.ns clock in
   let repaired = ref 0 and lost = ref 0 in
   let handle ?slab (r : Guard.record) =
     (* Cost model: the scrubber reads both copies and their checksums. *)
@@ -904,9 +903,9 @@ let scrub t clock =
 let scrub_tick t clock =
   if
     media_on t && t.config.Config.media_scrub && (not t.closed)
-    && Sim.Clock.now clock >= t.next_scrub
+    && Sim.Clock.ns clock >= t.next_scrub
   then begin
-    t.next_scrub <- Sim.Clock.now clock +. t.config.Config.media_scrub_interval_ns;
+    t.next_scrub <- Sim.Clock.ns clock + t.config.Config.media_scrub_interval_ns;
     ignore (scrub t clock);
     true
   end
@@ -1031,7 +1030,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
      device (there is no allocator to attach to until recovery returns).
      [phase] charges nothing; without a sink it is the identity. *)
   let tsink = Pmem.Device.telemetry dev in
-  let t_start = Sim.Clock.now clock in
+  let t_start = Sim.Clock.ns clock in
   (* Blame attribution: recovery is its own root op class — its WAL
      replay reads, guard repairs and metadata flushes attribute under
      [recovery] instead of polluting malloc/free. *)
@@ -1044,10 +1043,10 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
     match tsink with
     | None -> f ()
     | Some s ->
-        let t0 = Sim.Clock.now clock in
+        let t0 = Sim.Clock.ns clock in
         let r = f () in
         Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name ~ts:t0
-          ~dur:(Sim.Clock.now clock -. t0);
+          ~dur:(Sim.Clock.ns clock - t0);
         r
   in
   (* 0. Media pass, before anything reads a (possibly damaged) header:
@@ -1086,7 +1085,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
       quarantined_ranges = [];
       quarantined_vslabs = [];
       media_dropped_frees = 0;
-      next_scrub = 0.0;
+      next_scrub = 0;
       rotted_lines = [];
       telem = None;
     }
@@ -1616,12 +1615,12 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
   Heap.set_state heap clock Heap.Running;
   (match Pmem.Device.attribution dev with
   | None -> ()
-  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock));
+  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
   (match tsink with
   | None -> ()
   | Some s ->
       Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name:"recovery" ~ts:t_start
-        ~dur:(Sim.Clock.now clock -. t_start));
+        ~dur:(Sim.Clock.ns clock - t_start));
   ( t,
     {
       found_state;

@@ -220,7 +220,7 @@ val set_telemetry : t -> Telemetry.t option -> unit
 
 val telemetry : t -> Telemetry.t option
 
-val telemetry_snapshot : t -> Telemetry.t -> ts:float -> unit
+val telemetry_snapshot : t -> Telemetry.t -> ts:int -> unit
 (** Emit one heap-introspection snapshot at simulated time [ts] on the
     {!Telemetry.snapshot_tid} track: per-size-class slab counts and mean
     occupancy, free/full/partial slab counts, extent activated /

@@ -36,24 +36,18 @@ let push t e =
   end
 
 let pop t =
-  if t.count = 0 then None
-  else begin
-    let n = Array.length t.sub in
-    (* Find the next non-empty sub-tcache from the cursor. *)
-    let rec find i remaining =
-      if remaining = 0 then assert false
-      else if t.sub.(i) <> [] then i
-      else find ((i + 1) mod n) (remaining - 1)
-    in
-    let i = find t.cursor n in
-    match t.sub.(i) with
-    | [] -> assert false
-    | e :: rest ->
-        t.sub.(i) <- rest;
-        t.count <- t.count - 1;
-        t.cursor <- (i + 1) mod n;
-        Some e
-  end
+  assert (t.count > 0);
+  let n = Array.length t.sub in
+  (* Find the next non-empty sub-tcache from the cursor. *)
+  let rec find i = match t.sub.(i) with [] -> find ((i + 1) mod n) | _ :: _ -> i in
+  let i = find t.cursor in
+  match t.sub.(i) with
+  | [] -> assert false
+  | e :: rest ->
+      t.sub.(i) <- rest;
+      t.count <- t.count - 1;
+      t.cursor <- (i + 1) mod n;
+      e
 
 let drain t =
   let all = Array.fold_left (fun acc l -> List.rev_append l acc) [] t.sub in

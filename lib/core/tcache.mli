@@ -30,9 +30,9 @@ val push : t -> entry -> bool
 (** Adds to the block's home sub-tcache (the one matching its bitmap
     line). Returns [false] — and does nothing — when full. *)
 
-val pop : t -> entry option
+val pop : t -> entry
 (** Pops from the cursor's sub-tcache and advances the cursor, skipping
-    empty sub-tcaches. *)
+    empty sub-tcaches. The tcache must not be empty ({!is_empty}). *)
 
 val drain : t -> entry list
 (** Remove and return everything (used at thread exit / shutdown). *)

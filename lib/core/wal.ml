@@ -279,7 +279,7 @@ let flush_group t clock =
     | None -> ()
     | Some a ->
         Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock) ~name:"wal:group_commit"
-          ~ts:(Sim.Clock.now clock));
+          ~ts:(Sim.Clock.ns clock));
     for i = 0 to t.gnents - 1 do
       if t.skip_record then
         (* Broken-protocol hook: the commit record forgets its contract.
@@ -322,7 +322,7 @@ let flush_group t clock =
     t.neffects <- 0;
     match Pmem.Device.attribution t.dev with
     | None -> ()
-    | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.now clock)
+    | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
   end
 
 (* A metadata commit ordered after a grouped entry: queue it for the

@@ -51,8 +51,7 @@ let flush_data t clock ~addr ~len =
 let clock_of t ~tid = t.inst.Alloc_api.Instance.clocks.(tid)
 
 let charge_search t ~tid steps =
-  Pmem.Device.charge_work (dev t) (clock_of t ~tid) Pmem.Stats.Search
-    ~ns:(float_of_int steps *. 25.0)
+  Pmem.Device.charge_work (dev t) (clock_of t ~tid) Pmem.Stats.Search ~ns:(steps * 25)
 
 let new_leaf t ~tid =
   let slot_id =

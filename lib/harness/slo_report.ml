@@ -97,18 +97,17 @@ let component_totals attr =
       match List.rev path with
       | [] -> ()
       | leaf :: _ ->
-          let s, c = Option.value ~default:(0.0, 0) (Hashtbl.find_opt tbl leaf) in
-          Hashtbl.replace tbl leaf (s +. self, c + count))
+          let s, c = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl leaf) in
+          Hashtbl.replace tbl leaf (s + self, c + count))
     (Attr.nodes attr);
   Hashtbl.fold (fun name (s, c) acc -> (name, s, c) :: acc) tbl []
   |> List.sort (fun (n1, _, _) (n2, _, _) -> compare n1 n2)
 
-let total_attributed attr =
-  List.fold_left (fun acc (_, self, _) -> acc +. self) 0.0 (Attr.nodes attr)
+let total_attributed attr = List.fold_left (fun acc (_, self, _) -> acc + self) 0 (Attr.nodes attr)
 
 let build ~meta attr =
   let total = total_attributed attr in
-  let share self = if total > 0.0 then self /. total else 0.0 in
+  let share self = if total > 0 then float_of_int self /. float_of_int total else 0.0 in
   Json.Obj
     [
       ("schema", Json.Str schema);
@@ -121,7 +120,7 @@ let build ~meta attr =
       ("makespan_ns", Json.Num meta.makespan_ns);
       ("total_ops", Json.Num (float_of_int meta.total_ops));
       ("ops", Json.Arr (List.map (op_json attr) (Attr.op_names attr)));
-      ("total_attributed_ns", Json.Num total);
+      ("total_attributed_ns", Json.Num (float_of_int total));
       ( "components",
         Json.Arr
           (List.map
@@ -129,7 +128,7 @@ let build ~meta attr =
                Json.Obj
                  [
                    ("component", Json.Str name);
-                   ("self_ns", Json.Num self);
+                   ("self_ns", Json.Num (float_of_int self));
                    ("count", Json.Num (float_of_int count));
                    ("share", Json.Num (share self));
                  ])
@@ -141,7 +140,7 @@ let build ~meta attr =
                Json.Obj
                  [
                    ("path", Json.Str (String.concat ";" path));
-                   ("self_ns", Json.Num self);
+                   ("self_ns", Json.Num (float_of_int self));
                    ("count", Json.Num (float_of_int count));
                    ("share", Json.Num (share self));
                  ])
@@ -150,7 +149,7 @@ let build ~meta attr =
         Json.Arr
           (List.map
              (fun (ts, name) ->
-               Json.Obj [ ("ts_ns", Json.Num ts); ("name", Json.Str name) ])
+               Json.Obj [ ("ts_ns", Json.Num (float_of_int ts)); ("name", Json.Str name) ])
              (Attr.events attr)) );
     ]
 

@@ -1,6 +1,6 @@
 let page_size = 4096
-let mmap_ns = 1800.0
-let munmap_ns = 1200.0
+let mmap_ns = 1800
+let munmap_ns = 1200
 
 type region = { addr : int; size : int }
 
@@ -65,7 +65,7 @@ let munmap t clock ?(decommitted = 0) ~addr ~size () =
   in
   t.free <- insert t.free
 
-let fault_ns_per_page = 250.0
+let fault_ns_per_page = 250
 
 let decommit t clock ~addr ~size =
   ignore addr;
@@ -77,7 +77,7 @@ let recommit t clock ~addr ~size =
   ignore addr;
   let size = round_up size in
   let pages = size / page_size in
-  Device.charge_work t.dev clock Stats.Other ~ns:(float_of_int pages *. fault_ns_per_page);
+  Device.charge_work t.dev clock Stats.Other ~ns:(pages * fault_ns_per_page);
   t.mapped <- t.mapped + size;
   if t.mapped > t.peak then t.peak <- t.mapped
 

@@ -191,7 +191,8 @@ let reset_stats t =
       Lru_ring.reset st.xplines)
     t.streams
 let latency t = t.lat
-let is_eadr t = t.lat.Latency.reflush_step_ns = 0.0 && t.lat.Latency.seq_flush_ns = t.lat.Latency.reflush_base_ns
+let is_eadr t =
+  t.lat.Latency.reflush_step_ns = 0 && t.lat.Latency.seq_flush_ns = t.lat.Latency.reflush_base_ns
 
 (* --- data access ------------------------------------------------------ *)
 
@@ -274,14 +275,11 @@ let[@inline] write_int64 t addr v =
 let[@inline] read_int t addr =
   check_bounds t "read_int" addr 8;
   check_poison t "read_int" addr 8;
-  let v = Store.get_i64 t.volatile addr in
-  let i = Int64.to_int v in
-  assert (Int64.of_int i = v);
-  i
+  Store.get_int t.volatile addr
 
 let[@inline] write_int t addr v =
   check_bounds t "write_int" addr 8;
-  Store.set_i64 t.volatile addr (Int64.of_int v);
+  Store.set_int t.volatile addr v;
   mark_dirty t addr 8
 
 let read_bytes t addr len =
@@ -466,12 +464,7 @@ let crash_in_flight t line =
   do_crash t;
   raise Injected_crash
 
-(* [@inline] keeps the float result unboxed inside this module. The
-   cross-module calls below ([Latency.flush_cost], [Xpbuffer.admit],
-   [Sim.Clock.now]) are not inlined in dev builds, which pass [-opaque]:
-   each boxes its float result. Only [sync_flush] and the drains call
-   this; a float helper inlined into more callers costs a box in each. *)
-let[@inline] flush_line t clock cat line =
+let flush_line t clock cat line =
   (match t.crash_after with
   | Some n when n <= 1 -> crash_in_flight t line
   | Some n -> t.crash_after <- Some (n - 1)
@@ -496,7 +489,7 @@ let[@inline] flush_line t clock cat line =
   let xp = Cacheline.xpline addr in
   let sequential = Lru_ring.touch_seq st.xplines xp in
   let media_ns = Latency.flush_cost t.lat ~distance ~sequential in
-  let now = Sim.Clock.now clock in
+  let now = Sim.Clock.ns clock in
   let finish = Xpbuffer.admit t.wpq ~now ~media_ns in
   (* Any hit in the window is a reflush: the window has exactly
      [reflush_window] slots, so a resolved distance is always below it. *)
@@ -510,25 +503,24 @@ let[@inline] flush_line t clock cat line =
       let idx = Stats.cat_index cat in
       let tid = Sim.Clock.id clock in
       let name = if reflush then e.tn_reflush.(idx) else e.tn_flush.(idx) in
-      Telemetry.span2 e.tsink ~tid ~name ~ts:now ~dur:(finish -. now) ~k1:e.ta_addr
-        ~v1:(float_of_int addr)
+      Telemetry.span2 e.tsink ~tid ~name ~ts:now ~dur:(finish - now) ~k1:e.ta_addr ~v1:addr
         ~k2:(if reflush then e.ta_dist else -1)
-        ~v2:(if reflush then float_of_int distance else 0.0);
-      Telemetry.Histogram.observe e.th_flush.(idx) (finish -. now);
+        ~v2:(if reflush then distance else 0);
+      Telemetry.Histogram.observe e.th_flush.(idx) (finish - now);
       (* Blame attribution: the flush's device occupancy is a leaf charge
          under whatever frame the thread has open. *)
       (match Telemetry.attribution e.tsink with
       | None -> ()
-      | Some a -> Telemetry.Attr.charge a ~tid ~name ~ns:(finish -. now));
+      | Some a -> Telemetry.Attr.charge a ~tid ~name ~ns:(finish - now));
       e.tflush_seq <- e.tflush_seq + 1;
       if e.tflush_seq mod wpq_sample_period = 0 then begin
         let depth = Xpbuffer.occupancy t.wpq ~now:finish in
         Telemetry.counter e.tsink ~tid ~name:e.tn_wpq ~ts:finish ~value:depth;
-        Telemetry.Histogram.observe e.th_wpq depth
+        Telemetry.Histogram.observe_float e.th_wpq depth
       end);
   finish
 
-let[@inline] charge_fence t clock =
+let charge_fence t clock =
   let fence_ns = t.lat.Latency.fence_ns in
   Sim.Clock.charge clock fence_ns;
   Stats.record_fence t.stats ~ns:fence_ns;
@@ -536,8 +528,8 @@ let[@inline] charge_fence t clock =
   | None -> ()
   | Some e ->
       let tid = Sim.Clock.id clock in
-      Telemetry.span e.tsink ~tid ~name:e.tn_fence
-        ~ts:(Sim.Clock.now clock -. fence_ns) ~dur:fence_ns;
+      Telemetry.span e.tsink ~tid ~name:e.tn_fence ~ts:(Sim.Clock.ns clock - fence_ns)
+        ~dur:fence_ns;
       Telemetry.Histogram.observe e.th_fence fence_ns;
       (match Telemetry.attribution e.tsink with
       | None -> ()
@@ -546,22 +538,11 @@ let[@inline] charge_fence t clock =
 let sync_flush t clock cat ~addr ~len =
   if len > 0 then begin
     let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
-    (if first = last then begin
-       (* Single-line flush — the overwhelmingly common case: no float
-          ref for the running maximum, no loop. *)
-       if Dirtymap.test t.dirty first then
-         Sim.Clock.wait_until clock (flush_line t clock cat first)
-     end
-     else begin
-       let finish = ref (Sim.Clock.now clock) in
-       for line = first to last do
-         if Dirtymap.test t.dirty line then begin
-           let f = flush_line t clock cat line in
-           if f > !finish then finish := f
-         end
-       done;
-       Sim.Clock.wait_until clock !finish
-     end);
+    let finish = ref (Sim.Clock.ns clock) in
+    for line = first to last do
+      if Dirtymap.test t.dirty line then finish := Int.max !finish (flush_line t clock cat line)
+    done;
+    Sim.Clock.wait_until clock !finish;
     charge_fence t clock
   end
 
@@ -594,14 +575,12 @@ let drain_pending t clock st =
     st.gen <- st.gen + 1;
     Stats.record_fences_saved t.stats (st.pending_calls - 1);
     st.pending_calls <- 0;
-    let finish = ref (Sim.Clock.now clock) in
+    let finish = ref (Sim.Clock.ns clock) in
     for k = 0 to n - 1 do
       let e = st.pend.(k) in
       let line = e lsr 2 in
-      if Dirtymap.test t.dirty line then begin
-        let f = flush_line t clock (Stats.cat_of_index (e land 3)) line in
-        if f > !finish then finish := f
-      end
+      if Dirtymap.test t.dirty line then
+        finish := Int.max !finish (flush_line t clock (Stats.cat_of_index (e land 3)) line)
       else Stats.record_flush_coalesced t.stats
     done;
     Sim.Clock.wait_until clock !finish
@@ -641,10 +620,8 @@ let flush_all t clock cat =
     t.streams;
   (* Dirtymap.iter yields ascending line order — the same order the old
      sort-then-flush implementation used. *)
-  let finish = ref (Sim.Clock.now clock) in
-  Dirtymap.iter t.dirty (fun line ->
-      let f = flush_line t clock cat line in
-      if f > !finish then finish := f);
+  let finish = ref (Sim.Clock.ns clock) in
+  Dirtymap.iter t.dirty (fun line -> finish := Int.max !finish (flush_line t clock cat line));
   Sim.Clock.wait_until clock !finish;
   charge_fence t clock
 
@@ -657,13 +634,12 @@ let note_group_commit t clock ~entries =
   match t.telem with
   | None -> ()
   | Some e ->
-      let v = float_of_int entries in
       Telemetry.counter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_group
-        ~ts:(Sim.Clock.now clock) ~value:v;
-      Telemetry.Histogram.observe e.th_group v
+        ~ts:(Sim.Clock.ns clock) ~value:(float_of_int entries);
+      Telemetry.Histogram.observe e.th_group entries
 
 let charge_pm_read t clock ~lines =
-  let ns = float_of_int lines *. t.lat.Latency.pm_read_line_ns in
+  let ns = lines * t.lat.Latency.pm_read_line_ns in
   Sim.Clock.charge clock ns;
   Stats.record_read t.stats ~ns;
   match t.telem with

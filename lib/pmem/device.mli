@@ -144,7 +144,7 @@ val flush_all : t -> Sim.Clock.t -> Stats.category -> unit
 val charge_pm_read : t -> Sim.Clock.t -> lines:int -> unit
 (** Charge a recovery-style scan of [lines] cache lines from the media. *)
 
-val charge_work : t -> Sim.Clock.t -> Stats.work -> ns:float -> unit
+val charge_work : t -> Sim.Clock.t -> Stats.work -> ns:int -> unit
 (** Charge CPU-side work (index search, list manipulation) to the clock
     and to the breakdown accounting. *)
 

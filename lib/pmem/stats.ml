@@ -11,11 +11,11 @@ type t = {
   mutable reflushes : int;
   mutable sequentials : int;
   mutable randoms : int;
-  cat_ns : float array; (* flush time by category; floats stay unboxed *)
-  mutable t_fence : float;
-  mutable t_read : float;
-  mutable t_search : float;
-  mutable t_other : float;
+  cat_ns : int array; (* flush time by category, simulated ns *)
+  mutable t_fence : int;
+  mutable t_read : int;
+  mutable t_search : int;
+  mutable t_other : int;
   (* Batched-persistence pipeline: how much synchronous persist traffic
      the coalescing buffers and WAL group commit absorbed. *)
   mutable fences_saved : int;
@@ -56,11 +56,11 @@ let create ?(trace_limit = 1000) () =
     reflushes = 0;
     sequentials = 0;
     randoms = 0;
-    cat_ns = Array.make 4 0.0;
-    t_fence = 0.0;
-    t_read = 0.0;
-    t_search = 0.0;
-    t_other = 0.0;
+    cat_ns = Array.make 4 0;
+    t_fence = 0;
+    t_read = 0;
+    t_search = 0;
+    t_other = 0;
     fences_saved = 0;
     flushes_coalesced = 0;
     group_commits = 0;
@@ -83,11 +83,11 @@ let reset t =
   t.reflushes <- 0;
   t.sequentials <- 0;
   t.randoms <- 0;
-  Array.fill t.cat_ns 0 4 0.0;
-  t.t_fence <- 0.0;
-  t.t_read <- 0.0;
-  t.t_search <- 0.0;
-  t.t_other <- 0.0;
+  Array.fill t.cat_ns 0 4 0;
+  t.t_fence <- 0;
+  t.t_read <- 0;
+  t.t_search <- 0;
+  t.t_other <- 0;
   t.fences_saved <- 0;
   t.flushes_coalesced <- 0;
   t.group_commits <- 0;
@@ -113,7 +113,7 @@ let record_flush t cat ~addr ~reflush ~sequential ~ns =
   else if sequential then t.sequentials <- t.sequentials + 1
   else t.randoms <- t.randoms + 1;
   let idx = cat_index cat in
-  t.cat_ns.(idx) <- t.cat_ns.(idx) +. ns;
+  t.cat_ns.(idx) <- t.cat_ns.(idx) + ns;
   (* Data flushes (idx 3) are not traced; once the trace is full the
      whole branch is one compare on the common path. *)
   if t.traced < t.trace_limit && idx < 3 then begin
@@ -122,8 +122,8 @@ let record_flush t cat ~addr ~reflush ~sequential ~ns =
     t.traced <- t.traced + 1
   end
 
-let record_fence t ~ns = t.t_fence <- t.t_fence +. ns
-let record_read t ~ns = t.t_read <- t.t_read +. ns
+let record_fence t ~ns = t.t_fence <- t.t_fence + ns
+let record_read t ~ns = t.t_read <- t.t_read + ns
 let record_fences_saved t n = if n > 0 then t.fences_saved <- t.fences_saved + n
 let record_flush_coalesced t = t.flushes_coalesced <- t.flushes_coalesced + 1
 
@@ -142,8 +142,8 @@ let record_header_flush_line t = t.header_flush_lines <- t.header_flush_lines + 
 
 let charge_work t work ~ns =
   match work with
-  | Search -> t.t_search <- t.t_search +. ns
-  | Other -> t.t_other <- t.t_other +. ns
+  | Search -> t.t_search <- t.t_search + ns
+  | Other -> t.t_other <- t.t_other + ns
 
 let flushes t = t.flushes
 let poison_hits t = t.poison_hits
@@ -170,9 +170,8 @@ let random_flushes t = t.randoms
 let reflush_ratio t =
   if t.flushes = 0 then 0.0 else float_of_int t.reflushes /. float_of_int t.flushes
 
-let flush_time t cat = t.cat_ns.(cat_index cat)
-let work_time t = function Search -> t.t_search | Other -> t.t_other
-let total_flush_time t = t.cat_ns.(0) +. t.cat_ns.(1) +. t.cat_ns.(2) +. t.cat_ns.(3)
+let flush_time t cat = float_of_int t.cat_ns.(cat_index cat)
+let work_time t w = float_of_int (match w with Search -> t.t_search | Other -> t.t_other)
 
 let trace t =
   List.init t.traced (fun i ->
@@ -205,15 +204,15 @@ let to_json t =
       ( "flush_ns",
         Obj
           [
-            ("meta", Num t.cat_ns.(0));
-            ("wal", Num t.cat_ns.(1));
-            ("log", Num t.cat_ns.(2));
-            ("data", Num t.cat_ns.(3));
+            ("meta", Num (float_of_int t.cat_ns.(0)));
+            ("wal", Num (float_of_int t.cat_ns.(1)));
+            ("log", Num (float_of_int t.cat_ns.(2)));
+            ("data", Num (float_of_int t.cat_ns.(3)));
           ] );
-      ("fence_ns", Num t.t_fence);
-      ("read_ns", Num t.t_read);
-      ("search_ns", Num t.t_search);
-      ("other_ns", Num t.t_other);
+      ("fence_ns", Num (float_of_int t.t_fence));
+      ("read_ns", Num (float_of_int t.t_read));
+      ("search_ns", Num (float_of_int t.t_search));
+      ("other_ns", Num (float_of_int t.t_other));
       ("fences_saved", Num (float_of_int t.fences_saved));
       ("flushes_coalesced", Num (float_of_int t.flushes_coalesced));
       ("group_commits", Num (float_of_int t.group_commits));
@@ -251,7 +250,13 @@ let of_json j =
     else Error (Printf.sprintf "Stats.of_json: unknown schema %S" schema)
   in
   let int_field name = field name (fun v -> Option.map int_of_float (num v)) j in
-  let num_field name = field name num j in
+  (* Simulated times are whole ns: a fractional one is rejected, not
+     truncated. *)
+  let ns_field name j =
+    let* v = field name num j in
+    if Float.is_integer v then Ok (int_of_float v)
+    else Error (Printf.sprintf "Stats.of_json: non-integral time %S = %g" name v)
+  in
   let* trace_limit = int_field "trace_limit" in
   let* () =
     if trace_limit >= 0 then Ok () else Error "Stats.of_json: negative trace_limit"
@@ -261,14 +266,14 @@ let of_json j =
   let* sequentials = int_field "sequential_flushes" in
   let* randoms = int_field "random_flushes" in
   let* by_cat = field "flush_ns" Option.some j in
-  let* meta_ns = field "meta" num by_cat in
-  let* wal_ns = field "wal" num by_cat in
-  let* log_ns = field "log" num by_cat in
-  let* data_ns = field "data" num by_cat in
-  let* fence_ns = num_field "fence_ns" in
-  let* read_ns = num_field "read_ns" in
-  let* search_ns = num_field "search_ns" in
-  let* other_ns = num_field "other_ns" in
+  let* meta_ns = ns_field "meta" by_cat in
+  let* wal_ns = ns_field "wal" by_cat in
+  let* log_ns = ns_field "log" by_cat in
+  let* data_ns = ns_field "data" by_cat in
+  let* fence_ns = ns_field "fence_ns" j in
+  let* read_ns = ns_field "read_ns" j in
+  let* search_ns = ns_field "search_ns" j in
+  let* other_ns = ns_field "other_ns" j in
   let* fences_saved = int_field "fences_saved" in
   let* flushes_coalesced = int_field "flushes_coalesced" in
   let* group_commits = int_field "group_commits" in
@@ -334,8 +339,8 @@ let of_json_string s =
 
 let pp_summary ppf t =
   Format.fprintf ppf
-    "flushes=%d reflush=%d (%.1f%%) seq=%d rand=%d meta=%.0fns wal=%.0fns log=%.0fns \
-     data=%.0fns saved_fences=%d coalesced=%d group_commits=%d (avg %.1f) \
+    "flushes=%d reflush=%d (%.1f%%) seq=%d rand=%d meta=%dns wal=%dns log=%dns \
+     data=%dns saved_fences=%d coalesced=%d group_commits=%d (avg %.1f) \
      header_lines=%d ext_coalesced=%d ext_lookups=%d"
     t.flushes t.reflushes
     (100.0 *. reflush_ratio t)

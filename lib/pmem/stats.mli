@@ -38,12 +38,14 @@ val reset : t -> unit
 
 (* Recording (used by Device and by allocators). *)
 
-val record_flush :
-  t -> category -> addr:int -> reflush:bool -> sequential:bool -> ns:float -> unit
+(* Times are whole simulated ns. *)
 
-val record_fence : t -> ns:float -> unit
-val record_read : t -> ns:float -> unit
-val charge_work : t -> work -> ns:float -> unit
+val record_flush :
+  t -> category -> addr:int -> reflush:bool -> sequential:bool -> ns:int -> unit
+
+val record_fence : t -> ns:int -> unit
+val record_read : t -> ns:int -> unit
+val charge_work : t -> work -> ns:int -> unit
 
 val record_fences_saved : t -> int -> unit
 (** [n] fence charges avoided because a single drain persisted what [n+1]
@@ -117,7 +119,6 @@ val reflush_ratio : t -> float
 val flush_time : t -> category -> float
 val work_time : t -> work -> float
 
-val total_flush_time : t -> float
 val trace : t -> (category * int) list
 (** Flush trace in issue order: category and byte address, truncated to
     [trace_limit] metadata-class entries (Meta, Wal and Log; Figure 2
@@ -135,7 +136,8 @@ val of_json : Telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}: [of_json (to_json t)] reconstructs an
     observationally equal instance. Only ["nvalloc/stats/v4"] parses:
     any other schema, the earlier v1–v3 included, is an
-    ["unknown schema"] error, and every counter must be present. *)
+    ["unknown schema"] error, every counter must be present, and a
+    non-integral time is an error naming the field. *)
 
 val to_json_string : t -> string
 val of_json_string : string -> (t, string) result

@@ -65,6 +65,29 @@ let set_i64 t addr v =
         (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
     done
 
+(* 8-byte words as OCaml ints: the int64 stays unboxed inside these
+   functions, so neither call allocates. A stored word must fit 63 bits. *)
+let get_int t addr =
+  if within addr 8 then
+    match t.chunks.(addr lsr 20) with
+    | None -> 0
+    | Some c ->
+        let v = Bytes.get_int64_le c (addr land (chunk_bytes - 1)) in
+        let i = Int64.to_int v in
+        assert (Int64.of_int i = v);
+        i
+  else begin
+    let v = get_i64 t addr in
+    let i = Int64.to_int v in
+    assert (Int64.of_int i = v);
+    i
+  end
+
+let set_int t addr v =
+  if within addr 8 then
+    Bytes.set_int64_le (chunk_of t (addr lsr 20)) (addr land (chunk_bytes - 1)) (Int64.of_int v)
+  else set_i64 t addr (Int64.of_int v)
+
 let get_u32 t addr =
   if within addr 4 then
     match t.chunks.(addr lsr 20) with

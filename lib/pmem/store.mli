@@ -22,6 +22,13 @@ val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
+
+val get_int : t -> int -> int
+(** An 8-byte word as an int, without allocating; asserts it fits 63 bits. *)
+
+val set_int : t -> int -> int -> unit
+(** Store an int as an 8-byte word (sign-extended), without allocating. *)
+
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 val fill : t -> int -> int -> char -> unit

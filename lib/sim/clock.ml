@@ -1,9 +1,4 @@
-(* The time lives in a single-field all-float record: stores to [st.now]
-   write an unboxed float in place, where a float field in the mixed
-   (float + int) record this used to be would allocate a fresh box on
-   every [charge]/[wait_until] — once or twice per simulated flush. *)
-type state = { mutable now : float }
-type t = { st : state; id : int }
+type t = { mutable ns : int; id : int }
 
 (* Atomic: domain-parallel seed sweeps (lib/par) build instances — and
    therefore clocks — from several domains at once (one allocator stack
@@ -13,13 +8,14 @@ type t = { st : state; id : int }
    unchanged. *)
 let counter = Atomic.make 0
 
-let create () = { st = { now = 0.0 }; id = Atomic.fetch_and_add counter 1 + 1 }
+let create () = { ns = 0; id = Atomic.fetch_and_add counter 1 + 1 }
 
-let now t = t.st.now
+let ns t = t.ns
+let now t = float_of_int t.ns
 let id t = t.id
-let charge t ns = t.st.now <- t.st.now +. ns
-let wait_until t time = if time > t.st.now then t.st.now <- time
+let charge t ns = t.ns <- t.ns + ns
+let wait_until t time = if time > t.ns then t.ns <- time
 
 (* Benchmark support: restart a thread's clock (e.g. FPTree re-runs the
    same instance for several phases and times each from zero). *)
-let restart t = t.st.now <- 0.0
+let restart t = t.ns <- 0

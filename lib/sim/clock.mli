@@ -1,13 +1,11 @@
 (** Per-thread simulated clock.
 
     Every logical thread in the simulation owns one clock, measured in
-    nanoseconds since the start of the run. All latency charged by the
-    persistent-memory device, locks and CPU work advances the clock of the
-    thread performing the operation.
-
-    The representation keeps the time in an all-float sub-record so that
-    advancing the clock stores an unboxed float instead of allocating —
-    read it through {!now}. *)
+    whole nanoseconds since the start of the run. All latency charged by
+    the persistent-memory device, locks and CPU work advances the clock of
+    the thread performing the operation. Simulated time is an [int]
+    everywhere it is charged, compared or accumulated; {!now} converts it
+    to [float] for reports. *)
 
 type t
 
@@ -16,13 +14,18 @@ val create : unit -> t
     flush-stream state (reflush windows, sequentiality), since those are
     properties of one core's write stream. *)
 
+val ns : t -> int
+(** Current time in nanoseconds. *)
+
 val now : t -> float
+(** [float_of_int (ns t)], for reports. *)
+
 val id : t -> int
 
-val charge : t -> float -> unit
+val charge : t -> int -> unit
 (** [charge t ns] advances the clock by [ns] nanoseconds. *)
 
-val wait_until : t -> float -> unit
+val wait_until : t -> int -> unit
 (** [wait_until t time] advances the clock to [time] if it is in the
     future; a no-op otherwise. *)
 

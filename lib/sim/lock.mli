@@ -9,7 +9,7 @@
 
 type t
 
-val create : ?acquire_ns:float -> unit -> t
+val create : ?acquire_ns:int -> unit -> t
 (** [acquire_ns] is the uncontended acquisition cost (CAS + cache traffic),
     default 20 ns. *)
 
@@ -27,7 +27,7 @@ val with_lock : t -> Clock.t -> (unit -> 'a) -> 'a
 val contention_count : t -> int
 (** Number of acquisitions that had to wait. *)
 
-val set_wait_hook : t -> (Clock.t -> float -> unit) option -> unit
+val set_wait_hook : t -> (Clock.t -> int -> unit) option -> unit
 (** Observation hook called with the stall duration on every contended
     acquire, before the stall. Used by latency attribution to charge
     lock-wait components; the hook must not touch simulated clocks (the

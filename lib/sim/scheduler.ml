@@ -11,7 +11,7 @@ let run_min_clock ~telem ~step_name threads n =
   let heap = Array.init n (fun i -> i) in
   let size = ref n in
   let lt i j =
-    let a = Clock.now threads.(i).clock and b = Clock.now threads.(j).clock in
+    let a = Clock.ns threads.(i).clock and b = Clock.ns threads.(j).clock in
     a < b || (a = b && i < j)
   in
   let rec sift_down i =
@@ -32,13 +32,13 @@ let run_min_clock ~telem ~step_name threads n =
   while !size > 0 do
     let i = heap.(0) in
     let clock = threads.(i).clock in
-    let before = Clock.now clock in
+    let before = Clock.ns clock in
     let live = threads.(i).step () in
     (match telem with
     | None -> ()
     | Some t ->
         Telemetry.span t ~tid:(Clock.id clock) ~name:step_name ~ts:before
-          ~dur:(Clock.now clock -. before));
+          ~dur:(Clock.ns clock - before));
     if live then sift_down 0
     else begin
       decr size;
@@ -59,13 +59,13 @@ let run_seeded ~telem ~step_name rng threads n =
     let k = Rng.int rng !size in
     let i = live.(k) in
     let clock = threads.(i).clock in
-    let before = Clock.now clock in
+    let before = Clock.ns clock in
     let alive = threads.(i).step () in
     (match telem with
     | None -> ()
     | Some t ->
         Telemetry.span t ~tid:(Clock.id clock) ~name:step_name ~ts:before
-          ~dur:(Clock.now clock -. before));
+          ~dur:(Clock.ns clock - before));
     if not alive then begin
       decr size;
       live.(k) <- live.(!size)
@@ -87,5 +87,4 @@ let run ?telem ?rng threads =
     | Some rng -> run_seeded ~telem ~step_name rng threads n
   end
 
-let makespan threads =
-  Array.fold_left (fun acc t -> Float.max acc (Clock.now t.clock)) 0.0 threads
+let makespan threads = Array.fold_left (fun acc t -> Int.max acc (Clock.ns t.clock)) 0 threads

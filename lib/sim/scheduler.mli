@@ -32,6 +32,6 @@ val run : ?telem:Telemetry.t -> ?rng:Rng.t -> thread array -> unit
     picked, [dur] = clock advance); emission charges no simulated time,
     so traced and untraced runs produce identical simulated results. *)
 
-val makespan : thread array -> float
+val makespan : thread array -> int
 (** Largest clock value: the simulated wall-clock duration of the run.
     Throughput = operations / makespan. *)

@@ -243,24 +243,18 @@ end
 module Histogram = struct
   let nbuckets = 64
 
+  (* [acc] holds sum, min and max: a float array stores its elements
+     unboxed, where mutable float fields of this mixed record would
+     allocate a box per update. *)
   type t = {
     name : string;
     buckets : int array; (* bucket i: values in [2^(i-1), 2^i) ns; bucket 0: < 1 ns *)
     mutable n : int;
-    mutable sum : float;
-    mutable vmin : float;
-    mutable vmax : float;
+    acc : float array;
   }
 
   let create name =
-    {
-      name;
-      buckets = Array.make nbuckets 0;
-      n = 0;
-      sum = 0.0;
-      vmin = infinity;
-      vmax = neg_infinity;
-    }
+    { name; buckets = Array.make nbuckets 0; n = 0; acc = [| 0.0; infinity; neg_infinity |] }
 
   let name t = t.name
 
@@ -272,20 +266,22 @@ module Histogram = struct
       let rec bits acc i = if i = 0 then acc else bits (acc + 1) (i lsr 1) in
       min (nbuckets - 1) (bits 0 i)
 
-  let observe t v =
+  let[@inline] observe_float t v =
     let v = if v < 0.0 then 0.0 else v in
     let b = bucket_of v in
     t.buckets.(b) <- t.buckets.(b) + 1;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. v;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
+    let acc = t.acc in
+    acc.(0) <- acc.(0) +. v;
+    if v < acc.(1) then acc.(1) <- v;
+    if v > acc.(2) then acc.(2) <- v
 
+  let observe t ns = observe_float t (float_of_int ns)
   let count t = t.n
-  let total t = t.sum
-  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-  let min_value t = if t.n = 0 then 0.0 else t.vmin
-  let max_value t = if t.n = 0 then 0.0 else t.vmax
+  let total t = t.acc.(0)
+  let mean t = if t.n = 0 then 0.0 else t.acc.(0) /. float_of_int t.n
+  let min_value t = if t.n = 0 then 0.0 else t.acc.(1)
+  let max_value t = if t.n = 0 then 0.0 else t.acc.(2)
 
   (* Merging histograms is exact: buckets are fixed power-of-two ranges,
      so the merge of the bucket arrays observes the same distribution as
@@ -299,10 +295,10 @@ module Histogram = struct
           m.buckets.(i) <- m.buckets.(i) + h.buckets.(i)
         done;
         m.n <- m.n + h.n;
-        m.sum <- m.sum +. h.sum;
+        m.acc.(0) <- m.acc.(0) +. h.acc.(0);
         if h.n > 0 then begin
-          if h.vmin < m.vmin then m.vmin <- h.vmin;
-          if h.vmax > m.vmax then m.vmax <- h.vmax
+          if h.acc.(1) < m.acc.(1) then m.acc.(1) <- h.acc.(1);
+          if h.acc.(2) > m.acc.(2) then m.acc.(2) <- h.acc.(2)
         end)
       hists;
     m
@@ -327,7 +323,7 @@ module Histogram = struct
          done
        with Exit -> ());
       let hi = if !bucket = 0 then 1.0 else Float.of_int (1 lsl !bucket) in
-      Float.min (Float.max hi t.vmin) t.vmax
+      Float.min (Float.max hi t.acc.(1)) t.acc.(2)
     end
 end
 
@@ -342,10 +338,10 @@ type ring = {
   r_cap : int;
   mutable r_total : int; (* events ever recorded (>= kept) *)
   mutable r_head : int; (* next write slot *)
-  e_ts : float array;
-  e_dur : float array;
+  e_ts : int array; (* simulated ns *)
+  e_dur : int array;
   e_name : int array;
-  e_phase : Bytes.t; (* 'X' span | 'i' instant | 'C' counter *)
+  e_phase : Bytes.t; (* 'X' span | 'C' counter *)
   e_k1 : int array; (* interned arg key, -1 = absent *)
   e_v1 : float array;
   e_k2 : int array;
@@ -378,7 +374,7 @@ and attr = {
   owner : t;
   mutable a_parent : int array; (* node -> parent node *)
   mutable a_name : int array; (* node -> interned component name *)
-  mutable a_self : float array; (* node -> attributed self ns *)
+  mutable a_self : int array; (* node -> attributed self ns *)
   mutable a_count : int array; (* node -> charges + frame completions *)
   mutable a_nodes : int;
   a_edges : (int * int, int) Hashtbl.t; (* (parent, name) -> node *)
@@ -392,7 +388,7 @@ and attr = {
   mutable a_targets : (string * float * float) list; (* (op, target_ns, goal) *)
   a_target_ids : (int, float * float) Hashtbl.t; (* op name -> (target, goal) *)
   a_windows : (int * int, window) Hashtbl.t; (* (op name, window idx) *)
-  mutable a_events : (float * string) list; (* degradations, newest first *)
+  mutable a_events : (int * string) list; (* degradations, newest first *)
   mutable a_nevents : int;
 }
 
@@ -400,8 +396,8 @@ and frames = {
   mutable f_depth : int;
   mutable f_node : int array; (* frame -> blame-tree node *)
   mutable f_name : int array; (* frame -> interned name *)
-  mutable f_ts : float array; (* frame -> entry timestamp *)
-  mutable f_acc : float array; (* frame -> ns accounted to children/leaves *)
+  mutable f_ts : int array; (* frame -> entry timestamp *)
+  mutable f_acc : int array; (* frame -> ns accounted to children/leaves *)
 }
 
 and window = { w_hist : Histogram.t; mutable w_viol : int }
@@ -458,8 +454,8 @@ let ring_of t tid =
           r_cap = t.cap;
           r_total = 0;
           r_head = 0;
-          e_ts = Array.make t.cap 0.0;
-          e_dur = Array.make t.cap 0.0;
+          e_ts = Array.make t.cap 0;
+          e_dur = Array.make t.cap 0;
           e_name = Array.make t.cap 0;
           e_phase = Bytes.make t.cap 'X';
           e_k1 = Array.make t.cap (-1);
@@ -490,16 +486,12 @@ let span t ~tid ~name ~ts ~dur =
   record t ~tid ~phase:'X' ~name ~ts ~dur ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
 
 let span2 t ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
-  record t ~tid ~phase:'X' ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2
-
-let instant t ~tid ~name ~ts =
-  record t ~tid ~phase:'i' ~name ~ts ~dur:0.0 ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
+  record t ~tid ~phase:'X' ~name ~ts ~dur ~k1 ~v1:(float_of_int v1) ~k2 ~v2:(float_of_int v2)
 
 let counter t ~tid ~name ~ts ~value =
-  record t ~tid ~phase:'C' ~name ~ts ~dur:0.0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
+  record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
 
 let span_named t ~tid ~name ~ts ~dur = span t ~tid ~name:(intern t name) ~ts ~dur
-let instant_named t ~tid ~name ~ts = instant t ~tid ~name:(intern t name) ~ts
 
 let counter_named t ~tid ~name ~ts ~value =
   counter t ~tid ~name:(intern t name) ~ts ~value
@@ -512,8 +504,6 @@ let histogram t name =
       Hashtbl.replace t.hists name h;
       t.hist_names <- name :: t.hist_names;
       h
-
-let observe t name v = Histogram.observe (histogram t name) v
 
 (* --- blame-tree attribution + SLO windows -------------------------------- *)
 
@@ -528,17 +518,16 @@ module Attr = struct
     | None ->
         if a.a_nodes = Array.length a.a_parent then begin
           let n = a.a_nodes in
-          let grow_i src = Array.append src (Array.make n 0) in
-          let grow_f src = Array.append src (Array.make n 0.0) in
-          a.a_parent <- grow_i a.a_parent;
-          a.a_name <- grow_i a.a_name;
-          a.a_count <- grow_i a.a_count;
-          a.a_self <- grow_f a.a_self
+          let grow src = Array.append src (Array.make n 0) in
+          a.a_parent <- grow a.a_parent;
+          a.a_name <- grow a.a_name;
+          a.a_count <- grow a.a_count;
+          a.a_self <- grow a.a_self
         end;
         let id = a.a_nodes in
         a.a_parent.(id) <- parent;
         a.a_name.(id) <- name;
-        a.a_self.(id) <- 0.0;
+        a.a_self.(id) <- 0;
         a.a_count.(id) <- 0;
         a.a_nodes <- id + 1;
         Hashtbl.replace a.a_edges (parent, name) id;
@@ -557,8 +546,8 @@ module Attr = struct
                   f_depth = 0;
                   f_node = Array.make 16 0;
                   f_name = Array.make 16 0;
-                  f_ts = Array.make 16 0.0;
-                  f_acc = Array.make 16 0.0;
+                  f_ts = Array.make 16 0;
+                  f_acc = Array.make 16 0;
                 }
               in
               Hashtbl.replace a.a_stacks tid st;
@@ -582,7 +571,7 @@ module Attr = struct
     in
     Histogram.observe h dur;
     if a.a_window_ns > 0.0 then begin
-      let idx = int_of_float (ts /. a.a_window_ns) in
+      let idx = int_of_float (float_of_int ts /. a.a_window_ns) in
       let w =
         match Hashtbl.find_opt a.a_windows (op, idx) with
         | Some w -> w
@@ -593,7 +582,7 @@ module Attr = struct
       in
       Histogram.observe w.w_hist dur;
       match Hashtbl.find_opt a.a_target_ids op with
-      | Some (target_ns, _) when dur > target_ns -> w.w_viol <- w.w_viol + 1
+      | Some (target_ns, _) when float_of_int dur > target_ns -> w.w_viol <- w.w_viol + 1
       | _ -> ()
     end
 
@@ -601,18 +590,17 @@ module Attr = struct
     let st = stack_of a tid in
     let d = st.f_depth in
     if d = Array.length st.f_node then begin
-      let grow_i src = Array.append src (Array.make d 0) in
-      let grow_f src = Array.append src (Array.make d 0.0) in
-      st.f_node <- grow_i st.f_node;
-      st.f_name <- grow_i st.f_name;
-      st.f_ts <- grow_f st.f_ts;
-      st.f_acc <- grow_f st.f_acc
+      let grow src = Array.append src (Array.make d 0) in
+      st.f_node <- grow st.f_node;
+      st.f_name <- grow st.f_name;
+      st.f_ts <- grow st.f_ts;
+      st.f_acc <- grow st.f_acc
     end;
     let parent = if d = 0 then 0 else st.f_node.(d - 1) in
     st.f_node.(d) <- node_of a ~parent ~name;
     st.f_name.(d) <- name;
     st.f_ts.(d) <- ts;
-    st.f_acc.(d) <- 0.0;
+    st.f_acc.(d) <- 0;
     st.f_depth <- d + 1
 
   (* Root frames also reset the stack: an operation aborted by a fault
@@ -626,9 +614,9 @@ module Attr = struct
     let d = st.f_depth in
     let parent = if d = 0 then 0 else st.f_node.(d - 1) in
     let node = node_of a ~parent ~name in
-    a.a_self.(node) <- a.a_self.(node) +. ns;
+    a.a_self.(node) <- a.a_self.(node) + ns;
     a.a_count.(node) <- a.a_count.(node) + 1;
-    if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) +. ns
+    if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) + ns
 
   let leave a ~tid ~ts =
     let st = stack_of a tid in
@@ -636,11 +624,11 @@ module Attr = struct
       let d = st.f_depth - 1 in
       st.f_depth <- d;
       let node = st.f_node.(d) in
-      let dur = Float.max 0.0 (ts -. st.f_ts.(d)) in
-      let self = Float.max 0.0 (dur -. st.f_acc.(d)) in
-      a.a_self.(node) <- a.a_self.(node) +. self;
+      let dur = Int.max 0 (ts - st.f_ts.(d)) in
+      let self = Int.max 0 (dur - st.f_acc.(d)) in
+      a.a_self.(node) <- a.a_self.(node) + self;
       a.a_count.(node) <- a.a_count.(node) + 1;
-      if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) +. dur
+      if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) + dur
       else complete_op a ~tid ~op:st.f_name.(d) ~ts ~dur
     end
 
@@ -722,15 +710,13 @@ module Attr = struct
     List.sort (fun (p1, _, _) (p2, _, _) -> compare p1 p2) !acc
 
   (* Folded-stack (flamegraph collapsed) export: one "a;b;c value" line
-     per node with a non-zero rounded self time. *)
+     per node with a non-zero self time. *)
   let folded a =
     let b = Buffer.create 1024 in
     List.iter
       (fun (path, self, _) ->
-        let v = Float.round self in
-        if v > 0.0 then
-          Buffer.add_string b
-            (Printf.sprintf "%s %.0f\n" (String.concat ";" path) v))
+        if self > 0 then
+          Buffer.add_string b (Printf.sprintf "%s %d\n" (String.concat ";" path) self))
       (nodes a);
     Buffer.contents b
 end
@@ -744,7 +730,7 @@ let enable_attribution t =
           owner = t;
           a_parent = Array.make 64 0;
           a_name = Array.make 64 0;
-          a_self = Array.make 64 0.0;
+          a_self = Array.make 64 0;
           a_count = Array.make 64 0;
           a_nodes = 1 (* node 0: synthetic root *);
           a_edges = Hashtbl.create 64;
@@ -794,10 +780,9 @@ let sorted_rings t =
 
 (* --- exporters ----------------------------------------------------------- *)
 
-let add_ns b v =
-  (* Timestamps/durations are simulated nanoseconds; three decimals is
-     exact for every latency constant in the model. *)
-  Buffer.add_string b (Printf.sprintf "%.3f" v)
+(* Exported with three decimals, the trace-event format's microsecond
+   fractions; simulated ns are whole, so the decimals are always zero. *)
+let add_ns b ns = Buffer.add_string b (Printf.sprintf "%d.000" ns)
 
 let chrome_event b t ~pid ~tid ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 =
   Buffer.add_string b "{\"name\":\"";
@@ -813,8 +798,7 @@ let chrome_event b t ~pid ~tid ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 =
   Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid tid);
   (match phase with
   | 'C' ->
-      Buffer.add_string b ",\"args\":{\"value\":";
-      add_ns b v1;
+      Buffer.add_string b (Printf.sprintf ",\"args\":{\"value\":%.3f" v1);
       Buffer.add_string b "}"
   | _ ->
       if k1 >= 0 || k2 >= 0 then begin
@@ -960,7 +944,7 @@ let prometheus t =
           (fun (path, self, _) ->
             Buffer.add_string b "nvalloc_blame_self_ns_total";
             label "path" (String.concat ";" path);
-            Buffer.add_string b (Printf.sprintf " %.3f\n" self))
+            Buffer.add_string b (Printf.sprintf " %d.000\n" self))
           nodes;
         header "nvalloc_blame_count_total" "counter";
         List.iter
@@ -1007,12 +991,11 @@ let tail_events t ~n =
   List.map
     (fun (ts, tid, _, (dur, name, phase, k1, v1, k2, v2)) ->
       let b = Buffer.create 64 in
-      Buffer.add_string b (Printf.sprintf "[t%d] %12.3f " tid ts);
-      (match phase with
-      | 'X' -> Buffer.add_string b (Printf.sprintf "+%-10.3f %s" dur (name_of t name))
-      | 'C' -> Buffer.add_string b (Printf.sprintf "%-11s %s=%g" "counter" (name_of t name) v1)
-      | _ -> Buffer.add_string b (Printf.sprintf "%-11s %s" "instant" (name_of t name)));
-      if phase <> 'C' then begin
+      Buffer.add_string b (Printf.sprintf "[t%d] %12.3f " tid (float_of_int ts));
+      if phase = 'C' then
+        Buffer.add_string b (Printf.sprintf "%-11s %s=%g" "counter" (name_of t name) v1)
+      else begin
+        Buffer.add_string b (Printf.sprintf "+%-10.3f %s" (float_of_int dur) (name_of t name));
         if k1 >= 0 then Buffer.add_string b (Printf.sprintf " %s=%g" (name_of t k1) v1);
         if k2 >= 0 then Buffer.add_string b (Printf.sprintf " %s=%g" (name_of t k2) v2)
       end;

@@ -48,7 +48,13 @@ module Histogram : sig
 
   val create : string -> t
   val name : t -> string
-  val observe : t -> float -> unit
+
+  val observe : t -> int -> unit
+  (** Record one value: simulated ns, or a count. *)
+
+  val observe_float : t -> float -> unit
+  (** Record one fractional value (a sampled gauge such as queue depth). *)
+
   val count : t -> int
   val total : t -> float
   val mean : t -> float
@@ -91,34 +97,22 @@ val name_of : t -> int -> string
 (** {2 Recording} — interned-id variants are the hot path: a bump and a
     few stores into preallocated arrays, no allocation. *)
 
-val span : t -> tid:int -> name:int -> ts:float -> dur:float -> unit
+val span : t -> tid:int -> name:int -> ts:int -> dur:int -> unit
 (** Complete span ([ph:"X"]), simulated-ns start and duration. *)
 
 val span2 :
-  t ->
-  tid:int ->
-  name:int ->
-  ts:float ->
-  dur:float ->
-  k1:int ->
-  v1:float ->
-  k2:int ->
-  v2:float ->
-  unit
-(** Span with up to two numeric args (interned key ids; pass [-1] to
+  t -> tid:int -> name:int -> ts:int -> dur:int -> k1:int -> v1:int -> k2:int -> v2:int -> unit
+(** Span with up to two integer args (interned key ids; pass [-1] to
     omit a slot). *)
 
-val instant : t -> tid:int -> name:int -> ts:float -> unit
-val counter : t -> tid:int -> name:int -> ts:float -> value:float -> unit
+val counter : t -> tid:int -> name:int -> ts:int -> value:float -> unit
+(** Counter sample; the value may be fractional (a queue depth). *)
 
-val span_named : t -> tid:int -> name:string -> ts:float -> dur:float -> unit
-val instant_named : t -> tid:int -> name:string -> ts:float -> unit
-val counter_named : t -> tid:int -> name:string -> ts:float -> value:float -> unit
+val span_named : t -> tid:int -> name:string -> ts:int -> dur:int -> unit
+val counter_named : t -> tid:int -> name:string -> ts:int -> value:float -> unit
 
 val histogram : t -> string -> Histogram.t
 (** Find-or-create; emitters cache the handle. *)
-
-val observe : t -> string -> float -> unit
 
 (** {2 Blame-tree attribution and SLO monitoring}
 
@@ -140,14 +134,14 @@ module Attr : sig
 
   (** {3 Recording} *)
 
-  val enter : t -> tid:int -> name:int -> ts:float -> unit
+  val enter : t -> tid:int -> name:int -> ts:int -> unit
   (** Push a nested frame (name interned in the owning sink). *)
 
-  val enter_root : t -> tid:int -> name:int -> ts:float -> unit
+  val enter_root : t -> tid:int -> name:int -> ts:int -> unit
   (** Push an operation root frame, first resetting the thread's stack
       (an op aborted by a fault may have left frames open). *)
 
-  val leave : t -> tid:int -> ts:float -> unit
+  val leave : t -> tid:int -> ts:int -> unit
   (** Pop the innermost frame: wall time minus child/leaf charges
       becomes the frame node's self time (clamped at 0 — batched
       flushes charge pipeline occupancy that can outlast the frame).
@@ -155,12 +149,12 @@ module Attr : sig
       per-thread latency histogram and the SLO window containing [ts].
       No-op on an empty stack. *)
 
-  val charge : t -> tid:int -> name:int -> ns:float -> unit
+  val charge : t -> tid:int -> name:int -> ns:int -> unit
   (** Attribute [ns] of a leaf component under the innermost frame. *)
 
-  val enter_named : t -> tid:int -> name:string -> ts:float -> unit
-  val enter_root_named : t -> tid:int -> name:string -> ts:float -> unit
-  val charge_named : t -> tid:int -> name:string -> ns:float -> unit
+  val enter_named : t -> tid:int -> name:string -> ts:int -> unit
+  val enter_root_named : t -> tid:int -> name:string -> ts:int -> unit
+  val charge_named : t -> tid:int -> name:string -> ns:int -> unit
 
   val depth : t -> tid:int -> int
   (** Current frame-stack depth of [tid] (0 = no op in flight). *)
@@ -180,13 +174,13 @@ module Attr : sig
 
   val slo_targets : t -> (string * float * float) list
 
-  val note_event : t -> ts:float -> name:string -> unit
+  val note_event : t -> ts:int -> name:string -> unit
   (** Record a degradation event (quarantine, media repair, checkpoint
       stall) for timeline annotation. Capped; excess events dropped. *)
 
   (** {3 Queries and exporters} *)
 
-  val events : t -> (float * string) list
+  val events : t -> (int * string) list
   (** Recorded degradation events, oldest first. *)
 
   val op_names : t -> string list
@@ -207,15 +201,15 @@ module Attr : sig
 
   val violations : t -> op:string -> int
 
-  val nodes : t -> (string list * float * int) list
+  val nodes : t -> (string list * int * int) list
   (** Blame-tree nodes as [(path from root, self ns, count)], sorted by
       path. Self times are attributed pipeline occupancy: their sum can
       exceed the sum of op wall times under batching. *)
 
   val folded : t -> string
   (** Folded-stack (flamegraph collapsed) export: one
-      ["a;b;c <self-ns>"] line per node with non-zero rounded self
-      time, sorted by path. *)
+      ["a;b;c <self-ns>"] line per node with non-zero self time,
+      sorted by path. *)
 end
 
 val enable_attribution : t -> Attr.t

@@ -16,7 +16,7 @@ let snapshot_period = 1024
    picks the smallest clock, so the daemon interleaves with the workers
    every [poll] of simulated time; checkpoint work it performs charges
    its own clock on top. *)
-let maintenance_poll_ns = 2000.0
+let maintenance_poll_ns = 2000
 
 (* An instance with no threads has nothing to schedule and makes the
    per-thread root-slot partition a division by zero: reject it loudly
@@ -41,8 +41,7 @@ let run ?rng (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
           let live = step () in
           incr steps;
           if !steps mod snapshot_period = 0 then
-            inst.Alloc_api.Instance.snapshot
-              (Sim.Clock.now inst.Alloc_api.Instance.clocks.(tid));
+            inst.Alloc_api.Instance.snapshot (Sim.Clock.ns inst.Alloc_api.Instance.clocks.(tid));
           live
   in
   let threads =
@@ -90,6 +89,7 @@ let run ?rng (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
   in
   Sim.Scheduler.run ?telem ?rng scheduled;
   let makespan = Sim.Scheduler.makespan threads in
+  let makespan_ns = float_of_int makespan in
   (* Close the track with a final snapshot at the makespan. *)
   (match telem with Some _ -> inst.Alloc_api.Instance.snapshot makespan | None -> ());
   let total_ops = ref 0 in
@@ -100,13 +100,14 @@ let run ?rng (inst : Alloc_api.Instance.t) ~ops_of ~step_of =
     allocator = inst.Alloc_api.Instance.name;
     threads = inst.Alloc_api.Instance.threads;
     total_ops = !total_ops;
-    makespan_ns = makespan;
-    mops = (if makespan > 0.0 then float_of_int !total_ops /. (makespan /. 1e9) /. 1e6 else 0.0);
+    makespan_ns;
+    mops =
+      (if makespan > 0 then float_of_int !total_ops /. (makespan_ns /. 1e9) /. 1e6 else 0.0);
     peak_bytes = inst.Alloc_api.Instance.peak_bytes ();
   }
 
 let idle (inst : Alloc_api.Instance.t) ~tid =
-  Sim.Clock.charge inst.Alloc_api.Instance.clocks.(tid) 100.0
+  Sim.Clock.charge inst.Alloc_api.Instance.clocks.(tid) 100
 
 let slots_per_thread (inst : Alloc_api.Instance.t) =
   require_threads inst;

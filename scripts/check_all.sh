@@ -9,17 +9,29 @@
 # the default config) and synchronous (--no-batch), and the media stage
 # adds poisoned-line / bit-rot / scrub plans on top.
 #
+# Each stage prints its wall-clock seconds, and the run ends with a
+# table of them.
+#
 # Usage: scripts/check_all.sh
 # CHECK_FAST=1 trims the fuzz, model, media and interleave budgets
 # (smoke coverage, not the gate).
 set -eu
 cd "$(dirname "$0")/.."
 
+timings=""
+
 stage() {
+  name="$1"
   echo ""
-  echo "==> $1"
+  echo "==> $name"
   shift
+  t0=$(date +%s%N)
   "$@"
+  ms=$((($(date +%s%N) - t0) / 1000000))
+  secs=$(printf '%d.%03d' $((ms / 1000)) $((ms % 1000)))
+  echo "<== $secs s"
+  timings="$timings$(printf '%9s s  %s' "$secs" "$name")
+"
 }
 
 stage "fmt (scripts/fmt_check.sh)" sh scripts/fmt_check.sh
@@ -35,5 +47,8 @@ stage "model checker (scripts/model_check.sh)" sh scripts/model_check.sh
 stage "media faults (scripts/fault_media_check.sh)" sh scripts/fault_media_check.sh
 stage "seeded-interleaving gate (scripts/interleave_check.sh)" sh scripts/interleave_check.sh
 
+echo ""
+echo "stage wall clock:"
+printf '%s' "$timings"
 echo ""
 echo "all checks OK"

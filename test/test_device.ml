@@ -90,9 +90,33 @@ let test_reflush_costs_more () =
   let reflush3 = Pmem.Latency.flush_cost lat ~distance:3 ~sequential:false in
   let rand = Pmem.Latency.flush_cost lat ~distance:(-1) ~sequential:false in
   let seq = Pmem.Latency.flush_cost lat ~distance:(-1) ~sequential:true in
-  Alcotest.(check (float 1e-9)) "800ns at distance 0" 800.0 reflush0;
-  Alcotest.(check (float 1e-9)) "500ns at distance 3" 500.0 reflush3;
+  Alcotest.(check int) "800ns at distance 0" 800 reflush0;
+  Alcotest.(check int) "500ns at distance 3" 500 reflush3;
   Alcotest.(check bool) "reflush > random > sequential" true (reflush3 > rand && rand > seq)
+
+(* Media occupancy is a flush cost divided by the parallelism, in whole
+   ns: a device whose costs do not divide is rejected, naming the field. *)
+let test_latency_must_divide () =
+  let create lat = ignore (Pmem.Device.create ~lat ~size:4096 ()) in
+  create Pmem.Latency.default;
+  create Pmem.Latency.eadr;
+  let d = Pmem.Latency.default in
+  let rejects name lat msg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> create lat)
+  in
+  rejects "150 ns sequential flush"
+    { d with seq_flush_ns = 150 }
+    "Pmem.Xpbuffer.create: seq_flush_ns = 150 ns does not divide by media_parallelism = 4";
+  rejects "random flush"
+    { d with rand_flush_ns = 302 }
+    "Pmem.Xpbuffer.create: rand_flush_ns = 302 ns does not divide by media_parallelism = 4";
+  rejects "reflush step"
+    { d with reflush_step_ns = 50 }
+    "Pmem.Xpbuffer.create: reflush cost at distance 1 = 750 ns does not divide by \
+     media_parallelism = 4";
+  rejects "zero parallelism"
+    { d with media_parallelism = 0 }
+    "Pmem.Xpbuffer.create: media_parallelism must be positive (got 0)"
 
 let test_clean_line_flush_free () =
   let dev, clock = mk () in
@@ -422,6 +446,7 @@ let suite =
     Alcotest.test_case "reflush window boundary" `Quick test_reflush_window;
     Alcotest.test_case "sequential vs random" `Quick test_sequential_vs_random;
     Alcotest.test_case "latency ordering" `Quick test_reflush_costs_more;
+    Alcotest.test_case "latency costs divide by parallelism" `Quick test_latency_must_divide;
     Alcotest.test_case "clean-line flush is free" `Quick test_clean_line_flush_free;
     Alcotest.test_case "crash injection" `Quick test_crash_injection;
     Alcotest.test_case "crash re-arm and cancel" `Quick test_crash_rearm_and_cancel;

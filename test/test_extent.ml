@@ -7,7 +7,8 @@ let mib = 1024 * 1024
 
 (* Immediate decay windows would perturb most tests: by default keep them
    long. [booklog_chunks] sizes the bookkeeping log (at most 256). *)
-let mk ?(log_bookkeeping = true) ?(decay_interval_ns = 1e12) ?(booklog_chunks = 256) () =
+let mk ?(log_bookkeeping = true) ?(decay_interval_ns = 1_000_000_000_000) ?(booklog_chunks = 256)
+    () =
   let config =
     {
       Config.log_default with
@@ -17,7 +18,7 @@ let mk ?(log_bookkeeping = true) ?(decay_interval_ns = 1e12) ?(booklog_chunks = 
       wal_entries = 1024;
       log_bookkeeping;
       decay_interval_ns;
-      decay_window_ns = 10.0 *. decay_interval_ns;
+      decay_window_ns = 10 * decay_interval_ns;
     }
   in
   let dev = Pmem.Device.create ~size:(256 * mib) () in
@@ -87,7 +88,7 @@ let test_huge_path () =
   Alcotest.(check int) "returned to the OS" before (Pmem.Dax.mapped_bytes (Heap.dax heap))
 
 let test_decay_releases_memory () =
-  let config_decay = 1e6 (* 1 ms *) in
+  let config_decay = 1_000_000 (* 1 ms *) in
   let dev = Pmem.Device.create ~size:(256 * mib) () in
   let clock = Sim.Clock.create () in
   let config =
@@ -96,7 +97,7 @@ let test_decay_releases_memory () =
       Config.arenas = 1;
       root_slots = 1024;
       decay_interval_ns = config_decay;
-      decay_window_ns = 4.0 *. config_decay;
+      decay_window_ns = 4 * config_decay;
     }
   in
   let heap = Heap.init dev config in
@@ -117,9 +118,9 @@ let test_decay_releases_memory () =
   let mapped_full = Pmem.Dax.mapped_bytes (Heap.dax heap) in
   Alcotest.(check bool) "reclaimed memory still mapped" true (mapped_full > 0);
   (* Advance simulated time well past the decay window and tick. *)
-  Sim.Clock.charge clock (20.0 *. config_decay);
+  Sim.Clock.charge clock (20 * config_decay);
   Extent.decay_tick large clock;
-  Sim.Clock.charge clock (20.0 *. config_decay);
+  Sim.Clock.charge clock (20 * config_decay);
   Extent.decay_tick large clock;
   Alcotest.(check bool) "memory decayed"
     true
@@ -131,7 +132,7 @@ let test_empty_page_release () =
      the frees coalesce back into one whole-page reclaimed extent, the
      next decay tick unmaps the region outright — without waiting for
      the retain window. *)
-  let config_decay = 1e6 (* 1 ms *) in
+  let config_decay = 1_000_000 (* 1 ms *) in
   let dev = Pmem.Device.create ~size:(256 * mib) () in
   let clock = Sim.Clock.create () in
   let config =
@@ -140,7 +141,7 @@ let test_empty_page_release () =
       Config.arenas = 1;
       root_slots = 1024;
       decay_interval_ns = config_decay;
-      decay_window_ns = 100.0 *. config_decay;
+      decay_window_ns = 100 * config_decay;
     }
   in
   let heap = Heap.init dev config in
@@ -168,7 +169,7 @@ let test_empty_page_release () =
   List.iter (fun v -> Extent.free large clock v) vs;
   (* Tick just past the decay interval: the retain window (100 ms) is
      nowhere near over, yet the fully-free page goes back to the OS. *)
-  Sim.Clock.charge clock (2.0 *. config_decay);
+  Sim.Clock.charge clock (2 * config_decay);
   Extent.decay_tick large clock;
   Alcotest.(check int) "empty region unmapped" before
     (Pmem.Dax.mapped_bytes (Heap.dax heap));
@@ -178,7 +179,7 @@ let test_empty_page_release () =
 let test_partial_page_stays_mapped () =
   (* The release is gated on the descriptor's live count and the extent
      spanning the whole data area: one surviving extent pins the region. *)
-  let config_decay = 1e6 in
+  let config_decay = 1_000_000 in
   let dev = Pmem.Device.create ~size:(256 * mib) () in
   let clock = Sim.Clock.create () in
   let config =
@@ -187,7 +188,7 @@ let test_partial_page_stays_mapped () =
       Config.arenas = 1;
       root_slots = 1024;
       decay_interval_ns = config_decay;
-      decay_window_ns = 100.0 *. config_decay;
+      decay_window_ns = 100 * config_decay;
     }
   in
   let heap = Heap.init dev config in
@@ -208,7 +209,7 @@ let test_partial_page_stays_mapped () =
     match vs with v :: rest -> (v, rest) | [] -> assert false
   in
   List.iter (fun v -> Extent.free large clock v) rest;
-  Sim.Clock.charge clock (2.0 *. config_decay);
+  Sim.Clock.charge clock (2 * config_decay);
   Extent.decay_tick large clock;
   Alcotest.(check int) "region still mapped" 1 (Extent.page_count large);
   (match Extent.page_of_addr large survivor.Extent.addr with
@@ -219,7 +220,7 @@ let test_partial_page_stays_mapped () =
      window passes, the head decommits, coalesces with the tail into one
      spanning retained extent, and the page releases in the same tick. *)
   Extent.free large clock survivor;
-  Sim.Clock.charge clock (300.0 *. config_decay);
+  Sim.Clock.charge clock (300 * config_decay);
   Extent.decay_tick large clock;
   Alcotest.(check int) "now released" 0 (Extent.page_count large)
 
@@ -256,14 +257,14 @@ let prop_no_overlap_model =
            (list_size (int_range 1 120)
               (pair (int_range 16 512) (int_range 0 1000)))))
     (fun (log_bookkeeping, ops) ->
-      let ms = 1e6 in
+      let ms = 1_000_000 in
       let _, clock, _, large = mk ~log_bookkeeping ~decay_interval_ns:ms () in
       let live = ref [] in
       let ok = ref true in
       let check () = if not (pages_consistent large !live) then ok := false in
       List.iter
         (fun (kib, sel) ->
-          Sim.Clock.charge clock (float_of_int (sel mod 5) *. 0.5 *. ms);
+          Sim.Clock.charge clock (sel mod 5 * ms / 2);
           if List.length !live > 20 && sel mod 2 = 0 then begin
             let idx = sel mod List.length !live in
             let v = List.nth !live idx in
@@ -285,13 +286,13 @@ let prop_no_overlap_model =
         ops;
       List.iter
         (fun v ->
-          Sim.Clock.charge clock (0.5 *. ms);
+          Sim.Clock.charge clock (ms / 2);
           live := List.filter (fun u -> u != v) !live;
           Extent.free large clock v;
           check ())
         !live;
       for _ = 1 to 3 do
-        Sim.Clock.charge clock (20.0 *. ms);
+        Sim.Clock.charge clock (20 * ms);
         Extent.decay_tick large clock;
         check ()
       done;

@@ -33,11 +33,11 @@ let test_lock_serializes () =
   let lock = Sim.Lock.create () in
   let a = Sim.Clock.create () and b = Sim.Clock.create () in
   Sim.Lock.acquire lock a;
-  Sim.Clock.charge a 1000.0;
+  Sim.Clock.charge a 1000;
   Sim.Lock.release lock a;
   (* b arrives earlier but must wait until a released. *)
   Sim.Lock.acquire lock b;
-  Alcotest.(check bool) "b waited for a" true (Sim.Clock.now b >= 1000.0);
+  Alcotest.(check bool) "b waited for a" true (Sim.Clock.ns b >= 1000);
   Alcotest.(check int) "contention counted" 1 (Sim.Lock.contention_count lock)
 
 let test_scheduler_min_clock () =
@@ -59,13 +59,13 @@ let test_scheduler_min_clock () =
           end);
     }
   in
-  let fast = mk "f" 10.0 4 in
-  let slow = mk "s" 100.0 2 in
+  let fast = mk "f" 10 4 in
+  let slow = mk "s" 100 2 in
   Sim.Scheduler.run [| fast; slow |];
   (* All fast steps (40ns total) happen before the second slow step. *)
   let l = List.rev !order in
   Alcotest.(check (list string)) "interleaving" [ "f"; "s"; "f"; "f"; "f"; "s" ] l;
-  Alcotest.(check (float 1e-9)) "makespan" 200.0 (Sim.Scheduler.makespan [| fast; slow |])
+  Alcotest.(check int) "makespan" 200 (Sim.Scheduler.makespan [| fast; slow |])
 
 (* The seeded pick rule: every thread still runs to completion, the
    order is a pure function of the seed, and it reaches orders the
@@ -90,7 +90,7 @@ let test_scheduler_seeded () =
             end);
       }
     in
-    Sim.Scheduler.run ~rng:(Sim.Rng.create seed) [| mk "f" 10.0 4; mk "s" 100.0 2 |];
+    Sim.Scheduler.run ~rng:(Sim.Rng.create seed) [| mk "f" 10 4; mk "s" 100 2 |];
     String.concat "" (List.rev !order)
   in
   let orders = List.init 32 order_of in
@@ -151,18 +151,16 @@ let test_xpbuffer_bounds_bandwidth () =
   let wpq = Pmem.Xpbuffer.create lat in
   (* Hammer it far above the drain rate: completions must fall behind
      arrival times by at least the queueing discipline. *)
-  let finish = ref 0.0 in
+  let finish = ref 0 in
   let n = 10_000 in
   for i = 0 to n - 1 do
-    let now = float_of_int i *. 10.0 (* 10 ns between flushes: oversubscribed *) in
+    let now = i * 10 (* 10 ns between flushes: oversubscribed *) in
     finish := Pmem.Xpbuffer.admit wpq ~now ~media_ns:lat.Pmem.Latency.rand_flush_ns
   done;
   (* Sustained throughput can't beat media_ns / parallelism per line. *)
-  let min_duration =
-    float_of_int n *. lat.Pmem.Latency.rand_flush_ns /. lat.Pmem.Latency.media_parallelism
-  in
-  Alcotest.(check bool) "bandwidth bound holds" true (!finish >= min_duration *. 0.9);
-  Alcotest.(check bool) "stalls recorded" true (Pmem.Xpbuffer.stall_time wpq > 0.0)
+  let min_duration = n * lat.Pmem.Latency.rand_flush_ns / lat.Pmem.Latency.media_parallelism in
+  Alcotest.(check bool) "bandwidth bound holds" true (!finish * 10 >= min_duration * 9);
+  Alcotest.(check bool) "stalls recorded" true (Pmem.Xpbuffer.stall_time wpq > 0)
 
 let test_smootherstep_decay_limit () =
   Alcotest.(check bool) "limit shrinks over time" true

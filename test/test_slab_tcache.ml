@@ -118,7 +118,7 @@ let test_tcache_rotation_avoids_lines () =
     ignore (Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b })
   done;
   (* Any 4 consecutive pops map to 4 distinct bitmap lines. *)
-  let pops = List.init 24 (fun _ -> Option.get (Tcache.pop tc)) in
+  let pops = List.init 24 (fun _ -> Tcache.pop tc) in
   let lines =
     List.map
       (fun e ->
@@ -148,11 +148,11 @@ let prop_tcache_conserves_entries =
         blocks;
       let popped = ref [] in
       let rec drain () =
-        match Tcache.pop tc with
-        | Some e ->
-            popped := Slab.block_index e.Tcache.slab e.Tcache.addr :: !popped;
-            drain ()
-        | None -> ()
+        if not (Tcache.is_empty tc) then begin
+          let e = Tcache.pop tc in
+          popped := Slab.block_index e.Tcache.slab e.Tcache.addr :: !popped;
+          drain ()
+        end
       in
       drain ();
       List.sort compare !popped = List.sort compare blocks)

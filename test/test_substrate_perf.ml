@@ -342,7 +342,7 @@ let ps_flush_line m th cat line =
   let distance = Pmem.Lru_ring.touch st.s_recent line in
   let sequential = Pmem.Lru_ring.touch_seq st.s_xplines (line * 64 / 256) in
   let media_ns = Pmem.Latency.flush_cost lat ~distance ~sequential in
-  let finish = Pmem.Xpbuffer.admit m.p_wpq ~now:(Sim.Clock.now m.p_clocks.(th)) ~media_ns in
+  let finish = Pmem.Xpbuffer.admit m.p_wpq ~now:(Sim.Clock.ns m.p_clocks.(th)) ~media_ns in
   Pmem.Stats.record_flush m.p_stats cat ~addr:(line * 64) ~reflush:(distance >= 0)
     ~sequential ~ns:media_ns;
   finish
@@ -355,9 +355,9 @@ let ps_span addr len = (addr / 64, (addr + len - 1) / 64)
 
 let ps_sync_flush m th cat ~addr ~len =
   let first, last = ps_span addr len in
-  let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+  let finish = ref (Sim.Clock.ns m.p_clocks.(th)) in
   for line = first to last do
-    if Hashtbl.mem m.p_dirty line then finish := Float.max !finish (ps_flush_line m th cat line)
+    if Hashtbl.mem m.p_dirty line then finish := Int.max !finish (ps_flush_line m th cat line)
   done;
   Sim.Clock.wait_until m.p_clocks.(th) !finish;
   ps_fence m th
@@ -379,11 +379,11 @@ let ps_drain m th =
     Hashtbl.reset st.s_pending;
     Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
     st.s_calls <- 0;
-    let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+    let finish = ref (Sim.Clock.ns m.p_clocks.(th)) in
     List.iter
       (fun (line, cat) ->
         if Hashtbl.mem m.p_dirty line then
-          finish := Float.max !finish (ps_flush_line m th cat line)
+          finish := Int.max !finish (ps_flush_line m th cat line)
         else Pmem.Stats.record_flush_coalesced m.p_stats)
       (List.sort compare lines);
     Sim.Clock.wait_until m.p_clocks.(th) !finish
@@ -458,9 +458,9 @@ let ps_apply dev dclocks m op =
           end)
         m.p_streams;
       let lines = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) m.p_dirty []) in
-      let finish = ref (Sim.Clock.now m.p_clocks.(th)) in
+      let finish = ref (Sim.Clock.ns m.p_clocks.(th)) in
       List.iter
-        (fun line -> finish := Float.max !finish (ps_flush_line m th Pmem.Stats.Meta line))
+        (fun line -> finish := Int.max !finish (ps_flush_line m th Pmem.Stats.Meta line))
         lines;
       Sim.Clock.wait_until m.p_clocks.(th) !finish;
       ps_fence m th
@@ -548,7 +548,7 @@ let prop_pending_set_model =
         && Pmem.Stats.flushes_coalesced ds = Pmem.Stats.flushes_coalesced ms
         && Pmem.Stats.fences_saved ds = Pmem.Stats.fences_saved ms
         && Array.for_all2
-             (fun d c -> Sim.Clock.now d = Sim.Clock.now c)
+             (fun d c -> Sim.Clock.ns d = Sim.Clock.ns c)
              dclocks m.p_clocks
         && Array.for_all
              (fun th ->
@@ -601,7 +601,7 @@ let prop_scheduler_order =
        Gen.(int_range 1 8)
        (list_of_size Gen.(int_range 0 20) (int_range 0 2)))
     (fun scripts ->
-      let scripts = List.map (List.map (fun c -> float_of_int (c * 10))) scripts in
+      let scripts = List.map (List.map (fun c -> c * 10)) scripts in
       let n = List.length scripts in
       let arr = Array.of_list scripts in
       (* Real scheduler. *)
@@ -624,7 +624,7 @@ let prop_scheduler_order =
       Sim.Scheduler.run threads;
       let visits = List.rev !visits in
       (* Linear-scan reference. *)
-      let clocks = Array.make n 0.0 in
+      let clocks = Array.make n 0 in
       let remaining = Array.map (fun s -> ref s) arr in
       let live = Array.make n true in
       let expected = ref [] in
@@ -639,7 +639,7 @@ let prop_scheduler_order =
           (match !(remaining.(i)) with
           | [] -> live.(i) <- false
           | c :: tl ->
-              clocks.(i) <- clocks.(i) +. c;
+              clocks.(i) <- clocks.(i) + c;
               remaining.(i) := tl);
           loop ()
         end
@@ -674,11 +674,11 @@ let test_trace_truncation () =
   for i = 0 to 19 do
     let cat = if i mod 2 = 0 then Pmem.Stats.Meta else Pmem.Stats.Wal in
     Pmem.Stats.record_flush stats cat ~addr:(i * 64) ~reflush:false ~sequential:true
-      ~ns:10.0
+      ~ns:10
   done;
   (* Data flushes never enter the trace. *)
   Pmem.Stats.record_flush stats Pmem.Stats.Data ~addr:9999 ~reflush:false
-    ~sequential:true ~ns:10.0;
+    ~sequential:true ~ns:10;
   let trace = Pmem.Stats.trace stats in
   Alcotest.(check int) "truncated to limit" 5 (List.length trace);
   List.iteri
@@ -690,6 +690,64 @@ let test_trace_truncation () =
         (cat = if i mod 2 = 0 then Pmem.Stats.Meta else Pmem.Stats.Wal))
     trace;
   Alcotest.(check int) "all flushes counted" 21 (Pmem.Stats.flushes stats)
+
+(* --- Allocation-free hot paths ------------------------------------------ *)
+
+(* Simulated time is an int, so charging it, reading a clock and
+   releasing a lock box nothing even in the dev profile (-opaque, no
+   cross-module inlining). Each path runs [calls] times after a warm-up
+   and must add no minor words at all. Flushes cycle over 1024 lines, so
+   the warm-up has already materialised every chunk they touch. *)
+let words_per_call ~calls f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_no_words name f =
+  let words = words_per_call ~calls:10_000 f in
+  Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0 words
+
+let test_hot_paths_allocation_free () =
+  let dev = Pmem.Device.create ~size:mib () in
+  let clock = Sim.Clock.create () in
+  let i = ref 0 in
+  check_no_words "sync Device.flush" (fun () ->
+      incr i;
+      let addr = !i mod 1024 * 64 in
+      Pmem.Device.write_int64 dev addr 42L;
+      Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr ~len:8);
+  let bdev = Pmem.Device.create ~size:mib () in
+  Pmem.Device.set_batching bdev true;
+  check_no_words "four batched flushes and a fence" (fun () ->
+      for k = 0 to 3 do
+        incr i;
+        let addr = !i mod 1024 * 64 in
+        Pmem.Device.write_int bdev addr k;
+        Pmem.Device.flush bdev clock Pmem.Stats.Wal ~addr ~len:8
+      done;
+      Pmem.Device.fence bdev clock);
+  let lock = Sim.Lock.create () in
+  let holder = Sim.Clock.create () and waiter = Sim.Clock.create () in
+  let contended = ref 0 in
+  check_no_words "contended Sim.Lock pair" (fun () ->
+      Sim.Clock.charge holder 1000;
+      Sim.Lock.acquire lock holder;
+      Sim.Lock.release lock holder;
+      let before = Sim.Lock.contention_count lock in
+      Sim.Lock.acquire lock waiter;
+      Sim.Lock.release lock waiter;
+      contended := !contended + Sim.Lock.contention_count lock - before);
+  Alcotest.(check bool) "every waiter acquire contended" true (!contended >= 10_000);
+  let wdev = Pmem.Device.create ~size:(4 * mib) () in
+  let wal = Nvalloc_core.Wal.create wdev ~base:0 ~entries:65536 ~interleave:true in
+  check_no_words "Wal.append" (fun () ->
+      if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
+      Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192)
 
 let suite =
   [
@@ -704,4 +762,6 @@ let suite =
     Alcotest.test_case "stats trace truncates at limit" `Quick test_trace_truncation;
     Alcotest.test_case "pending membership allocates nothing" `Quick
       test_pending_membership_allocation_free;
+    Alcotest.test_case "flush, fence, lock and WAL append allocate nothing" `Quick
+      test_hot_paths_allocation_free;
   ]

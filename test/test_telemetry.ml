@@ -108,7 +108,7 @@ let test_json_error_stability () =
 let test_histogram () =
   let h = Telemetry.Histogram.create "h" in
   Alcotest.(check int) "empty count" 0 (Telemetry.Histogram.count h);
-  List.iter (Telemetry.Histogram.observe h) [ 100.0; 200.0; 300.0; 400.0; 100000.0 ];
+  List.iter (Telemetry.Histogram.observe h) [ 100; 200; 300; 400; 100000 ];
   Alcotest.(check int) "count" 5 (Telemetry.Histogram.count h);
   Alcotest.(check (float 1e-9)) "min" 100.0 (Telemetry.Histogram.min_value h);
   Alcotest.(check (float 1e-9)) "max" 100000.0 (Telemetry.Histogram.max_value h);
@@ -127,11 +127,9 @@ let prop_histogram_merge =
   let open QCheck in
   Test.make ~name:"Histogram.merge equals one histogram of all observations" ~count:200
     (make
-       (* Integral values so partial sums are exact in double precision:
+       (* Partial sums of int observations are exact in double precision:
           the oracle compares totals with [=], not a tolerance. *)
-       Gen.(
-         list_size (int_range 0 6)
-           (list_size (int_range 0 40) (map float_of_int (int_range 0 200_000)))))
+       Gen.(list_size (int_range 0 6) (list_size (int_range 0 40) (int_range 0 200_000))))
     (fun groups ->
       let parts =
         List.map
@@ -159,13 +157,13 @@ let test_histogram_merge_empty () =
   let m = Telemetry.Histogram.merge ~name:"m" [] in
   Alcotest.(check int) "empty merge" 0 (Telemetry.Histogram.count m);
   let h = Telemetry.Histogram.create "h" in
-  Telemetry.Histogram.observe h 7.0;
+  Telemetry.Histogram.observe h 7;
   let m1 = Telemetry.Histogram.merge ~name:"m" [ h ] in
   Alcotest.(check int) "singleton count" 1 (Telemetry.Histogram.count m1);
   Alcotest.(check (float 1e-9)) "singleton mean" 7.0 (Telemetry.Histogram.mean m1);
   (* Merge does not alias its inputs: observing into the merge leaves
      the parts untouched. *)
-  Telemetry.Histogram.observe m1 9.0;
+  Telemetry.Histogram.observe m1 9;
   Alcotest.(check int) "input untouched" 1 (Telemetry.Histogram.count h)
 
 (* --- Rings --------------------------------------------------------------- *)
@@ -174,7 +172,7 @@ let test_ring_bounds () =
   let t = Telemetry.create ~ring_capacity:4 () in
   let name = Telemetry.intern t "ev" in
   for i = 1 to 10 do
-    Telemetry.span t ~tid:0 ~name ~ts:(float_of_int i) ~dur:1.0
+    Telemetry.span t ~tid:0 ~name ~ts:i ~dur:1
   done;
   Alcotest.(check int) "recorded" 10 (Telemetry.events_recorded t);
   Alcotest.(check int) "dropped oldest" 6 (Telemetry.events_dropped t);
@@ -318,12 +316,12 @@ let test_attr_blame_tree () =
   let sink = Telemetry.create () in
   let a = Telemetry.enable_attribution sink in
   Alcotest.(check bool) "enable is idempotent" true (Telemetry.enable_attribution sink == a);
-  A.enter_root_named a ~tid:3 ~name:"op" ~ts:0.0;
-  A.charge_named a ~tid:3 ~name:"fence" ~ns:10.0;
-  A.enter_named a ~tid:3 ~name:"refill" ~ts:20.0;
-  A.charge_named a ~tid:3 ~name:"flush" ~ns:30.0;
-  A.leave a ~tid:3 ~ts:60.0;
-  A.leave a ~tid:3 ~ts:100.0;
+  A.enter_root_named a ~tid:3 ~name:"op" ~ts:0;
+  A.charge_named a ~tid:3 ~name:"fence" ~ns:10;
+  A.enter_named a ~tid:3 ~name:"refill" ~ts:20;
+  A.charge_named a ~tid:3 ~name:"flush" ~ns:30;
+  A.leave a ~tid:3 ~ts:60;
+  A.leave a ~tid:3 ~ts:100;
   Alcotest.(check string) "folded export"
     "op 50\nop;fence 10\nop;refill 10\nop;refill;flush 30\n" (A.folded a);
   Alcotest.(check (list string)) "op names" [ "op" ] (A.op_names a);
@@ -335,10 +333,10 @@ let test_attr_blame_tree () =
   List.iter
     (fun (path, self, count) ->
       match String.concat ";" path with
-      | "op" -> Alcotest.(check (float 1e-9)) "op self" 50.0 self
+      | "op" -> Alcotest.(check int) "op self" 50 self
       | "op;fence" -> Alcotest.(check int) "fence count" 1 count
-      | "op;refill" -> Alcotest.(check (float 1e-9)) "refill self" 10.0 self
-      | "op;refill;flush" -> Alcotest.(check (float 1e-9)) "flush self" 30.0 self
+      | "op;refill" -> Alcotest.(check int) "refill self" 10 self
+      | "op;refill;flush" -> Alcotest.(check int) "flush self" 30 self
       | p -> Alcotest.fail ("unexpected node " ^ p))
     (A.nodes a)
 
@@ -347,27 +345,27 @@ let test_attr_edge_cases () =
   let a = Telemetry.enable_attribution sink in
   (* A charge with no open frame still lands (directly under the root)
      rather than being dropped or crashing. *)
-  A.charge_named a ~tid:0 ~name:"orphan" ~ns:5.0;
+  A.charge_named a ~tid:0 ~name:"orphan" ~ns:5;
   (* Leaving with no open frame is a no-op. *)
-  A.leave a ~tid:0 ~ts:50.0;
+  A.leave a ~tid:0 ~ts:50;
   Alcotest.(check string) "orphan charge kept" "orphan 5\n" (A.folded a);
   (* enter_root resets a stack left open by a faulted op. *)
-  A.enter_root_named a ~tid:0 ~name:"op1" ~ts:0.0;
-  A.enter_named a ~tid:0 ~name:"inner" ~ts:1.0;
+  A.enter_root_named a ~tid:0 ~name:"op1" ~ts:0;
+  A.enter_named a ~tid:0 ~name:"inner" ~ts:1;
   Alcotest.(check int) "two frames open" 2 (A.depth a ~tid:0);
-  A.enter_root_named a ~tid:0 ~name:"op2" ~ts:2.0;
+  A.enter_root_named a ~tid:0 ~name:"op2" ~ts:2;
   Alcotest.(check int) "root reset the stack" 1 (A.depth a ~tid:0);
   (* Charges beyond the frame's wall time clamp self at zero (batched
      flush charges are pipeline occupancy and can outlast the op), but
      the op histogram still records the true wall time. *)
-  A.charge_named a ~tid:0 ~name:"pipeline" ~ns:1000.0;
-  A.leave a ~tid:0 ~ts:52.0;
+  A.charge_named a ~tid:0 ~name:"pipeline" ~ns:1000;
+  A.leave a ~tid:0 ~ts:52;
   let h = A.op_histogram a "op2" in
   Alcotest.(check (float 1e-9)) "wall time not inflated" 50.0 (Telemetry.Histogram.mean h);
   List.iter
     (fun (path, self, _) ->
       if String.concat ";" path = "op2" then
-        Alcotest.(check (float 1e-9)) "self clamped at 0" 0.0 self)
+        Alcotest.(check int) "self clamped at 0" 0 self)
     (A.nodes a)
 
 let test_attr_slo_windows () =
@@ -378,9 +376,9 @@ let test_attr_slo_windows () =
     A.enter_root_named a ~tid:0 ~name:"op" ~ts:start;
     A.leave a ~tid:0 ~ts:stop
   in
-  complete ~start:0.0 ~stop:5.0;
-  complete ~start:10.0 ~stop:30.0;
-  complete ~start:150.0 ~stop:170.0;
+  complete ~start:0 ~stop:5;
+  complete ~start:10 ~stop:30;
+  complete ~start:150 ~stop:170;
   Alcotest.(check int) "two violations" 2 (A.violations a ~op:"op");
   (match A.windows a ~op:"op" with
   | [ (0, h0, v0); (1, h1, v1) ] ->
@@ -395,10 +393,10 @@ let test_attr_slo_windows () =
   Alcotest.(check (float 1e-9)) "no ops, no burn" 0.0
     (Harness.Slo_report.burn_rate ~violations:0 ~count:0 ~goal:0.9);
   (* Degradation events are capped, ordered, and annotate the timeline. *)
-  A.note_event a ~ts:42.0 ~name:"media:repair";
-  A.note_event a ~ts:77.0 ~name:"wal:checkpoint";
-  Alcotest.(check (list (pair (float 1e-9) string))) "events oldest first"
-    [ (42.0, "media:repair"); (77.0, "wal:checkpoint") ]
+  A.note_event a ~ts:42 ~name:"media:repair";
+  A.note_event a ~ts:77 ~name:"wal:checkpoint";
+  Alcotest.(check (list (pair int string))) "events oldest first"
+    [ (42, "media:repair"); (77, "wal:checkpoint") ]
     (A.events a)
 
 let test_attr_invalid_window () =
@@ -548,12 +546,12 @@ let test_slo_report_gate () =
 
 let populated_stats () =
   let st = Pmem.Stats.create ~trace_limit:8 () in
-  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:100.0;
-  Pmem.Stats.record_flush st Pmem.Stats.Wal ~addr:128 ~reflush:true ~sequential:false ~ns:200.0;
-  Pmem.Stats.record_flush st Pmem.Stats.Data ~addr:256 ~reflush:false ~sequential:true ~ns:300.0;
-  Pmem.Stats.record_fence st ~ns:20.0;
-  Pmem.Stats.record_read st ~ns:50.0;
-  Pmem.Stats.charge_work st Pmem.Stats.Search ~ns:75.0;
+  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:100;
+  Pmem.Stats.record_flush st Pmem.Stats.Wal ~addr:128 ~reflush:true ~sequential:false ~ns:200;
+  Pmem.Stats.record_flush st Pmem.Stats.Data ~addr:256 ~reflush:false ~sequential:true ~ns:300;
+  Pmem.Stats.record_fence st ~ns:20;
+  Pmem.Stats.record_read st ~ns:50;
+  Pmem.Stats.charge_work st Pmem.Stats.Search ~ns:75;
   Pmem.Stats.record_fences_saved st 3;
   Pmem.Stats.record_flush_coalesced st;
   Pmem.Stats.record_group_commit st ~entries:5;
@@ -606,6 +604,21 @@ let test_stats_json_rejects () =
       | Ok _ -> Alcotest.fail ("of_json accepted: " ^ s))
     [ "{}"; "{\"schema\":\"nvalloc/stats/v2\"}"; "[1,2]"; "not json" ]
 
+(* Simulated times are whole ns: a fractional one is an error naming the
+   field, never a silent truncation. *)
+let test_stats_json_non_integral_time () =
+  let doc =
+    match Pmem.Stats.to_json (populated_stats ()) with
+    | J.Obj fields ->
+        J.Obj (List.map (fun (k, v) -> if k = "fence_ns" then (k, J.Num 0.5) else (k, v)) fields)
+    | _ -> Alcotest.fail "stats JSON is not an object"
+  in
+  match Pmem.Stats.of_json doc with
+  | Error e ->
+      Alcotest.(check string)
+        "names the field" "Stats.of_json: non-integral time \"fence_ns\" = 0.5" e
+  | Ok _ -> Alcotest.fail "fractional fence_ns accepted"
+
 let test_stats_reset_clears_trace () =
   let st = populated_stats () in
   Alcotest.(check bool) "trace non-empty before" true (Pmem.Stats.trace st <> []);
@@ -615,12 +628,12 @@ let test_stats_reset_clears_trace () =
   Alcotest.(check string) "reset = fresh" (Pmem.Stats.to_json_string (Pmem.Stats.create ~trace_limit:8 ()))
     (Pmem.Stats.to_json_string st);
   (* And the trace records again after the reset. *)
-  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1.0;
+  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1;
   Alcotest.(check int) "records after reset" 1 (List.length (Pmem.Stats.trace st))
 
 let test_stats_trace_limit_zero () =
   let st = Pmem.Stats.create ~trace_limit:0 () in
-  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1.0;
+  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1;
   Alcotest.(check int) "counts still work" 1 (Pmem.Stats.flushes st);
   Alcotest.(check bool) "no trace kept" true (Pmem.Stats.trace st = []);
   Pmem.Stats.reset st;
@@ -673,6 +686,8 @@ let suite =
     Alcotest.test_case "slo report: regression gate" `Quick test_slo_report_gate;
     Alcotest.test_case "stats: json round trip" `Quick test_stats_json_roundtrip;
     Alcotest.test_case "stats: json rejects bad input" `Quick test_stats_json_rejects;
+    Alcotest.test_case "stats: json rejects a non-integral time" `Quick
+      test_stats_json_non_integral_time;
     Alcotest.test_case "stats: v1-v3 rejected" `Quick test_stats_json_old_schemas_rejected;
     Alcotest.test_case "stats: reset clears trace" `Quick test_stats_reset_clears_trace;
     Alcotest.test_case "stats: trace_limit 0" `Quick test_stats_trace_limit_zero;
