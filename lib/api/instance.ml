@@ -80,11 +80,7 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
         let clock = Sim.Clock.create () in
         let _t', _report = Nvalloc.recover ~config ?mutation dev clock in
         Sim.Clock.now clock);
-    snapshot =
-      (fun ts ->
-        match Nvalloc.telemetry t with
-        | Some sink -> Nvalloc.telemetry_snapshot t sink ~ts
-        | None -> ());
+    snapshot = (fun ts -> Nvalloc.telemetry_snapshot t ~ts);
     iter_live = Some (fun f -> Nvalloc.iter_allocated t f);
     integrity = Some (fun () -> Nvalloc.integrity_walk t clocks.(0));
     maintenance =

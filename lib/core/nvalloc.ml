@@ -43,6 +43,8 @@ and ntelem = {
   ta_addr : int;
   th_alloc : Telemetry.Histogram.t;
   th_free : Telemetry.Histogram.t;
+  tn_class_slabs : int array; (* snapshot counters, per size class *)
+  tn_class_occupancy : int array;
 }
 
 type thread = { id : int; clock : Sim.Clock.t; arena : int; tcaches : Tcache.t array }
@@ -184,6 +186,12 @@ let set_telemetry t sink =
             ta_addr = Telemetry.intern s "addr";
             th_alloc = Telemetry.histogram s "alloc";
             th_free = Telemetry.histogram s "free";
+            tn_class_slabs =
+              Array.init Size_class.count (fun c ->
+                  Telemetry.intern s (Printf.sprintf "slabs:c%d" c));
+            tn_class_occupancy =
+              Array.init Size_class.count (fun c ->
+                  Telemetry.intern s (Printf.sprintf "occupancy:c%d" c));
           };
       (* Contended owner/region-lock acquires charge [lock_wait] leaves
          into the waiting thread's open frame (the arena locks hook
@@ -799,42 +807,48 @@ let integrity_walk t clock =
    track — per-size-class slab counts and mean occupancy, free/full/
    partial slab counts, extent byte totals and fragmentation, mapped
    bytes. Read-only over volatile bookkeeping; charges nothing. *)
-let telemetry_snapshot t sink ~ts =
-  let tid = Telemetry.snapshot_tid in
-  let emit name value = Telemetry.counter_named sink ~tid ~name ~ts ~value in
-  let nclasses = Size_class.count in
-  let nslabs = Array.make nclasses 0 in
-  let occ = Array.make nclasses 0.0 in
-  let free = ref 0 and full = ref 0 and partial = ref 0 in
-  iter_slabs t (fun s ->
-      let c = s.Slab.layout.Slab.class_idx in
-      nslabs.(c) <- nslabs.(c) + 1;
-      occ.(c) <- occ.(c) +. Slab.occupancy_ratio s;
-      if s.Slab.free_count = 0 then incr full
-      else if s.Slab.free_count = s.Slab.layout.Slab.nblocks then incr free
-      else incr partial);
-  emit "slabs:free" (float_of_int !free);
-  emit "slabs:full" (float_of_int !full);
-  emit "slabs:partial" (float_of_int !partial);
-  for c = 0 to nclasses - 1 do
-    if nslabs.(c) > 0 then begin
-      emit (Printf.sprintf "slabs:c%d" c) (float_of_int nslabs.(c));
-      emit (Printf.sprintf "occupancy:c%d" c) (occ.(c) /. float_of_int nslabs.(c))
-    end
-  done;
-  let sum f = Array.fold_left (fun acc a -> acc + f (Arena.large a)) 0 t.arenas in
-  let activated = sum Extent.activated_bytes in
-  let reclaimed = sum Extent.reclaimed_bytes in
-  let retained = sum Extent.retained_bytes in
-  emit "extent:activated_bytes" (float_of_int activated);
-  emit "extent:reclaimed_bytes" (float_of_int reclaimed);
-  emit "extent:retained_bytes" (float_of_int retained);
-  (* Fragmentation: share of once-activated address space now sitting in
-     reclaimed (free but carved-up) extents. *)
-  let denom = activated + reclaimed in
-  emit "extent:fragmentation"
-    (if denom = 0 then 0.0 else float_of_int reclaimed /. float_of_int denom);
-  emit "mapped_bytes" (float_of_int (mapped_bytes t))
+let telemetry_snapshot t ~ts =
+  match t.telem with
+  | None -> ()
+  | Some e ->
+      let sink = e.tsink in
+      let tid = Telemetry.snapshot_tid in
+      let emit name value = Telemetry.counter_named sink ~tid ~name ~ts ~value in
+      let nclasses = Size_class.count in
+      let nslabs = Array.make nclasses 0 in
+      let occ = Array.make nclasses 0.0 in
+      let free = ref 0 and full = ref 0 and partial = ref 0 in
+      iter_slabs t (fun s ->
+          let c = s.Slab.layout.Slab.class_idx in
+          nslabs.(c) <- nslabs.(c) + 1;
+          occ.(c) <- occ.(c) +. Slab.occupancy_ratio s;
+          if s.Slab.free_count = 0 then incr full
+          else if s.Slab.free_count = s.Slab.layout.Slab.nblocks then incr free
+          else incr partial);
+      emit "slabs:free" (float_of_int !free);
+      emit "slabs:full" (float_of_int !full);
+      emit "slabs:partial" (float_of_int !partial);
+      for c = 0 to nclasses - 1 do
+        if nslabs.(c) > 0 then begin
+          Telemetry.counter sink ~tid ~name:e.tn_class_slabs.(c) ~ts
+            ~value:(float_of_int nslabs.(c));
+          Telemetry.counter sink ~tid ~name:e.tn_class_occupancy.(c) ~ts
+            ~value:(occ.(c) /. float_of_int nslabs.(c))
+        end
+      done;
+      let sum f = Array.fold_left (fun acc a -> acc + f (Arena.large a)) 0 t.arenas in
+      let activated = sum Extent.activated_bytes in
+      let reclaimed = sum Extent.reclaimed_bytes in
+      let retained = sum Extent.retained_bytes in
+      emit "extent:activated_bytes" (float_of_int activated);
+      emit "extent:reclaimed_bytes" (float_of_int reclaimed);
+      emit "extent:retained_bytes" (float_of_int retained);
+      (* Fragmentation: share of once-activated address space now sitting in
+         reclaimed (free but carved-up) extents. *)
+      let denom = activated + reclaimed in
+      emit "extent:fragmentation"
+        (if denom = 0 then 0.0 else float_of_int reclaimed /. float_of_int denom);
+      emit "mapped_bytes" (float_of_int (mapped_bytes t))
 
 (* --- media scrub and fault injection ------------------------------------ *)
 

@@ -220,9 +220,10 @@ val set_telemetry : t -> Telemetry.t option -> unit
 
 val telemetry : t -> Telemetry.t option
 
-val telemetry_snapshot : t -> Telemetry.t -> ts:int -> unit
+val telemetry_snapshot : t -> ts:int -> unit
 (** Emit one heap-introspection snapshot at simulated time [ts] on the
-    {!Telemetry.snapshot_tid} track: per-size-class slab counts and mean
-    occupancy, free/full/partial slab counts, extent activated /
-    reclaimed / retained bytes and fragmentation ratio, mapped bytes.
-    Read-only; charges nothing. *)
+    {!Telemetry.snapshot_tid} track of the attached sink: per-size-class
+    slab counts and mean occupancy, free/full/partial slab counts,
+    extent activated / reclaimed / retained bytes and fragmentation
+    ratio, mapped bytes. Read-only; charges nothing; a no-op with no
+    sink attached. *)

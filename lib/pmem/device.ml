@@ -634,8 +634,8 @@ let note_group_commit t clock ~entries =
   match t.telem with
   | None -> ()
   | Some e ->
-      Telemetry.counter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_group
-        ~ts:(Sim.Clock.ns clock) ~value:(float_of_int entries);
+      Telemetry.counter_int e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_group
+        ~ts:(Sim.Clock.ns clock) ~value:entries;
       Telemetry.Histogram.observe e.th_group entries
 
 let charge_pm_read t clock ~lines =

@@ -5,9 +5,12 @@
 
    Cost model: a disabled sink is never consulted (emitters hold a
    [Telemetry.t option] and test it with one load+compare on the hot
-   path); an enabled sink records an event with a handful of stores into
-   preallocated parallel arrays — no allocation per event, no clock
-   charge, so enabling telemetry never changes simulated results. *)
+   path). An enabled sink finds the emitting thread's lane through a
+   last-lane cache, probing its table only on a thread switch; recording
+   an event, a blame charge, a frame or an op completion is then stores
+   into preallocated arrays — no allocation (pinned by
+   test/test_telemetry.ml, "enabled primitives allocate nothing") and no
+   clock charge, so enabling telemetry never changes simulated results. *)
 
 (* --- minimal JSON ------------------------------------------------------- *)
 
@@ -258,17 +261,16 @@ module Histogram = struct
 
   let name t = t.name
 
-  let bucket_of v =
-    if v < 1.0 then 0
-    else
-      let i = int_of_float v in
-      (* Number of significant bits of [i]: values in [2^(b-1), 2^b). *)
-      let rec bits acc i = if i = 0 then acc else bits (acc + 1) (i lsr 1) in
-      min (nbuckets - 1) (bits 0 i)
+  (* Takes the whole part of the value as an int: this function is not
+     inlined, so a float argument would be boxed on every observation. *)
+  let bucket_of i =
+    (* Number of significant bits of [i]: values in [2^(b-1), 2^b). *)
+    let rec bits acc i = if i = 0 then acc else bits (acc + 1) (i lsr 1) in
+    min (nbuckets - 1) (bits 0 i)
 
   let[@inline] observe_float t v =
     let v = if v < 0.0 then 0.0 else v in
-    let b = bucket_of v in
+    let b = bucket_of (int_of_float v) in
     t.buckets.(b) <- t.buckets.(b) + 1;
     t.n <- t.n + 1;
     let acc = t.acc in
@@ -327,15 +329,16 @@ module Histogram = struct
     end
 end
 
-(* --- per-thread event rings ---------------------------------------------- *)
+(* --- per-thread lanes ---------------------------------------------------- *)
 
-(* One bounded ring per emitting thread (simulated clock id). Parallel
-   preallocated arrays, oldest entries overwritten on wrap: recording is
-   a bump + a few stores, and "the last N events" — what a failing fuzz
-   repro wants — is exactly what survives. *)
-type ring = {
-  r_tid : int;
-  r_cap : int;
+(* Everything one emitting thread (simulated clock id) records, in one
+   record: its bounded event ring, its blame-tree frame stack and its
+   per-op latency histograms. The ring is parallel preallocated arrays,
+   oldest entries overwritten on wrap: recording is a bump + a few
+   stores, and "the last N events" — what a failing fuzz repro wants —
+   is exactly what survives. *)
+type lane = {
+  l_tid : int;
   mutable r_total : int; (* events ever recorded (>= kept) *)
   mutable r_head : int; (* next write slot *)
   e_ts : int array; (* simulated ns *)
@@ -346,6 +349,12 @@ type ring = {
   e_v1 : float array;
   e_k2 : int array;
   e_v2 : float array;
+  mutable f_depth : int; (* attribution frame stack *)
+  mutable f_node : int array; (* frame -> blame-tree node *)
+  mutable f_name : int array; (* frame -> interned name *)
+  mutable f_ts : int array; (* frame -> entry timestamp *)
+  mutable f_acc : int array; (* frame -> ns accounted to children/leaves *)
+  mutable l_ops : Histogram.t option array; (* op name id -> latency *)
 }
 
 type t = {
@@ -353,8 +362,8 @@ type t = {
   mutable names : string array; (* interned names, id = index *)
   mutable nnames : int;
   name_ids : (string, int) Hashtbl.t;
-  rings : (int, ring) Hashtbl.t;
-  mutable ring_tids : int list; (* creation order, for deterministic export *)
+  lanes : (int, lane) Hashtbl.t; (* tid -> lane *)
+  mutable last : lane; (* lane of the last emitting thread *)
   hists : (string, Histogram.t) Hashtbl.t;
   mutable hist_names : string list;
   mutable attr : attr option; (* blame-tree attribution, off by default *)
@@ -362,51 +371,69 @@ type t = {
 
 (* Blame-tree attribution state. Nodes live in growable parallel arrays;
    node 0 is a synthetic root whose children are the per-operation root
-   frames (malloc:small, free, recovery, ...). Each emitting thread keeps
-   a frame stack; leaf charges (fence, flush, pm_read, lock_wait, ...)
-   accumulate into the node keyed by (innermost frame, component name).
-   When a frame is left, the wall time not accounted to children or leaf
-   charges becomes the frame node's self time (clamped at zero: batched
-   flushes charge device-pipeline occupancy that can outlast the frame).
-   Root-frame completions additionally feed per-(thread, op) latency
-   histograms and the SLO windows. *)
+   frames (malloc:small, free, recovery, ...). A node's children form a
+   list through [a_child]/[a_sibling] (0 ends it: the root is nobody's
+   child). Each emitting thread's lane keeps a frame stack; leaf charges
+   (fence, flush, pm_read, lock_wait, ...) accumulate into the child of
+   the innermost frame named by the component. When a frame is left, the
+   wall time not accounted to children or leaf charges becomes the frame
+   node's self time (clamped at zero: batched flushes charge
+   device-pipeline occupancy that can outlast the frame). Root-frame
+   completions additionally feed the lane's per-op latency histograms and
+   the SLO windows. *)
 and attr = {
   owner : t;
   mutable a_parent : int array; (* node -> parent node *)
   mutable a_name : int array; (* node -> interned component name *)
+  mutable a_child : int array; (* node -> first child *)
+  mutable a_sibling : int array; (* node -> next child of its parent *)
   mutable a_self : int array; (* node -> attributed self ns *)
   mutable a_count : int array; (* node -> charges + frame completions *)
   mutable a_nodes : int;
-  a_edges : (int * int, int) Hashtbl.t; (* (parent, name) -> node *)
-  a_stacks : (int, frames) Hashtbl.t; (* tid -> frame stack *)
-  mutable a_last_tid : int; (* one-entry stack cache *)
-  mutable a_last_stack : frames option;
-  a_ops : (int * int, Histogram.t) Hashtbl.t; (* (tid, op name) -> latency *)
   mutable a_op_ids : int list; (* distinct op name ids, creation order *)
   (* SLO monitoring (set_slo): fixed-width simulated-time windows. *)
   mutable a_window_ns : float; (* 0 = SLO monitoring off *)
   mutable a_targets : (string * float * float) list; (* (op, target_ns, goal) *)
-  a_target_ids : (int, float * float) Hashtbl.t; (* op name -> (target, goal) *)
-  a_windows : (int * int, window) Hashtbl.t; (* (op name, window idx) *)
+  mutable a_target : float array; (* op name id -> target ns, infinity = none *)
+  mutable a_windows : window list array; (* op name id -> windows, newest first *)
   mutable a_events : (int * string) list; (* degradations, newest first *)
   mutable a_nevents : int;
 }
 
-and frames = {
-  mutable f_depth : int;
-  mutable f_node : int array; (* frame -> blame-tree node *)
-  mutable f_name : int array; (* frame -> interned name *)
-  mutable f_ts : int array; (* frame -> entry timestamp *)
-  mutable f_acc : int array; (* frame -> ns accounted to children/leaves *)
-}
-
-and window = { w_hist : Histogram.t; mutable w_viol : int }
+and window = { w_idx : int; w_hist : Histogram.t; mutable w_viol : int }
 
 let default_ring_capacity = 65536
 
 (* Counter/snapshot events that belong to no simulated thread (heap
    snapshots) land on this pseudo-thread. *)
 let snapshot_tid = max_int
+
+(* [arr] grown to cover index [i] (which it does not), new slots [fill]. *)
+let grow arr i fill =
+  let b = Array.make (Int.max (i + 1) (2 * Array.length arr)) fill in
+  Array.blit arr 0 b 0 (Array.length arr);
+  b
+
+let new_lane ~cap tid =
+  {
+    l_tid = tid;
+    r_total = 0;
+    r_head = 0;
+    e_ts = Array.make cap 0;
+    e_dur = Array.make cap 0;
+    e_name = Array.make cap 0;
+    e_phase = Bytes.make cap 'X';
+    e_k1 = Array.make cap (-1);
+    e_v1 = Array.make cap 0.0;
+    e_k2 = Array.make cap (-1);
+    e_v2 = Array.make cap 0.0;
+    f_depth = 0;
+    f_node = Array.make 16 0;
+    f_name = Array.make 16 0;
+    f_ts = Array.make 16 0;
+    f_acc = Array.make 16 0;
+    l_ops = [||];
+  }
 
 let create ?(ring_capacity = default_ring_capacity) () =
   if ring_capacity <= 0 then
@@ -418,8 +445,9 @@ let create ?(ring_capacity = default_ring_capacity) () =
     names = Array.make 64 "";
     nnames = 0;
     name_ids = Hashtbl.create 64;
-    rings = Hashtbl.create 16;
-    ring_tids = [];
+    lanes = Hashtbl.create 16;
+    (* A placeholder no clock id matches, so the first emission probes. *)
+    last = new_lane ~cap:0 min_int;
     hists = Hashtbl.create 16;
     hist_names = [];
     attr = None;
@@ -428,14 +456,10 @@ let create ?(ring_capacity = default_ring_capacity) () =
 let ring_capacity t = t.cap
 
 let intern t name =
-  match Hashtbl.find_opt t.name_ids name with
-  | Some id -> id
-  | None ->
-      if t.nnames = Array.length t.names then begin
-        let bigger = Array.make (2 * t.nnames) "" in
-        Array.blit t.names 0 bigger 0 t.nnames;
-        t.names <- bigger
-      end;
+  match Hashtbl.find t.name_ids name with
+  | id -> id
+  | exception Not_found ->
+      if t.nnames = Array.length t.names then t.names <- grow t.names t.nnames "";
       let id = t.nnames in
       t.names.(id) <- name;
       t.nnames <- t.nnames + 1;
@@ -444,32 +468,26 @@ let intern t name =
 
 let name_of t id = t.names.(id)
 
-let ring_of t tid =
-  match Hashtbl.find_opt t.rings tid with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          r_tid = tid;
-          r_cap = t.cap;
-          r_total = 0;
-          r_head = 0;
-          e_ts = Array.make t.cap 0;
-          e_dur = Array.make t.cap 0;
-          e_name = Array.make t.cap 0;
-          e_phase = Bytes.make t.cap 'X';
-          e_k1 = Array.make t.cap (-1);
-          e_v1 = Array.make t.cap 0.0;
-          e_k2 = Array.make t.cap (-1);
-          e_v2 = Array.make t.cap 0.0;
-        }
-      in
-      Hashtbl.replace t.rings tid r;
-      t.ring_tids <- tid :: t.ring_tids;
-      r
+let lane_slow t tid =
+  let l =
+    match Hashtbl.find t.lanes tid with
+    | l -> l
+    | exception Not_found ->
+        let l = new_lane ~cap:t.cap tid in
+        Hashtbl.replace t.lanes tid l;
+        l
+  in
+  t.last <- l;
+  l
+
+(* Consecutive emissions mostly come from one thread: the table is
+   probed only when the emitting thread changes. *)
+let[@inline] lane t tid =
+  let l = t.last in
+  if l.l_tid = tid then l else lane_slow t tid
 
 let[@inline] record t ~tid ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
-  let r = ring_of t tid in
+  let r = lane t tid in
   let i = r.r_head in
   r.e_ts.(i) <- ts;
   r.e_dur.(i) <- dur;
@@ -479,7 +497,7 @@ let[@inline] record t ~tid ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
   r.e_v1.(i) <- v1;
   r.e_k2.(i) <- k2;
   r.e_v2.(i) <- v2;
-  r.r_head <- (if i + 1 = r.r_cap then 0 else i + 1);
+  r.r_head <- (if i + 1 = t.cap then 0 else i + 1);
   r.r_total <- r.r_total + 1
 
 let span t ~tid ~name ~ts ~dur =
@@ -490,6 +508,9 @@ let span2 t ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
 
 let counter t ~tid ~name ~ts ~value =
   record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
+
+let counter_int t ~tid ~name ~ts ~value =
+  record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value) ~k2:(-1) ~v2:0.0
 
 let span_named t ~tid ~name ~ts ~dur = span t ~tid ~name:(intern t name) ~ts ~dur
 
@@ -505,6 +526,13 @@ let histogram t name =
       t.hist_names <- name :: t.hist_names;
       h
 
+(* Every lane in ascending raw-tid order — clock ids are assigned in
+   creation order, so this is the deterministic "thread 0, thread 1, ..."
+   order of the run. *)
+let lanes_by_tid t =
+  Hashtbl.fold (fun _ l acc -> l :: acc) t.lanes []
+  |> List.sort (fun l1 l2 -> compare l1.l_tid l2.l_tid)
+
 (* --- blame-tree attribution + SLO windows -------------------------------- *)
 
 module Attr = struct
@@ -512,124 +540,119 @@ module Attr = struct
 
   let max_events = 1024
 
+  let rec find_child a ~name c =
+    if c = 0 || a.a_name.(c) = name then c else find_child a ~name a.a_sibling.(c)
+
   let node_of a ~parent ~name =
-    match Hashtbl.find_opt a.a_edges (parent, name) with
-    | Some id -> id
-    | None ->
-        if a.a_nodes = Array.length a.a_parent then begin
-          let n = a.a_nodes in
-          let grow src = Array.append src (Array.make n 0) in
-          a.a_parent <- grow a.a_parent;
-          a.a_name <- grow a.a_name;
-          a.a_count <- grow a.a_count;
-          a.a_self <- grow a.a_self
-        end;
+    match find_child a ~name a.a_child.(parent) with
+    | 0 ->
         let id = a.a_nodes in
+        if id = Array.length a.a_parent then begin
+          a.a_parent <- grow a.a_parent id 0;
+          a.a_name <- grow a.a_name id 0;
+          a.a_child <- grow a.a_child id 0;
+          a.a_sibling <- grow a.a_sibling id 0;
+          a.a_count <- grow a.a_count id 0;
+          a.a_self <- grow a.a_self id 0
+        end;
         a.a_parent.(id) <- parent;
         a.a_name.(id) <- name;
-        a.a_self.(id) <- 0;
-        a.a_count.(id) <- 0;
+        a.a_sibling.(id) <- a.a_child.(parent);
+        a.a_child.(parent) <- id;
         a.a_nodes <- id + 1;
-        Hashtbl.replace a.a_edges (parent, name) id;
         id
+    | id -> id
 
-  let stack_of a tid =
-    match a.a_last_stack with
-    | Some st when a.a_last_tid = tid -> st
-    | _ ->
-        let st =
-          match Hashtbl.find_opt a.a_stacks tid with
-          | Some st -> st
-          | None ->
-              let st =
-                {
-                  f_depth = 0;
-                  f_node = Array.make 16 0;
-                  f_name = Array.make 16 0;
-                  f_ts = Array.make 16 0;
-                  f_acc = Array.make 16 0;
-                }
-              in
-              Hashtbl.replace a.a_stacks tid st;
-              st
-        in
-        a.a_last_tid <- tid;
-        a.a_last_stack <- Some st;
-        st
+  (* An op's windows are kept newest first: an in-order completion
+     matches the head, and one from a thread whose clock lags walks back
+     a window or two. Memory follows the windows used, not the span of
+     simulated time they cover. *)
+  let rec find_window idx = function
+    | w :: ws ->
+        if w.w_idx = idx then w else if w.w_idx < idx then raise Not_found else find_window idx ws
+    | [] -> raise Not_found
 
-  (* SLO bookkeeping on a completed root operation: the op's end-of-life
-     timestamp picks the fixed-width simulated-time window it lands in. *)
-  let complete_op a ~tid ~op ~ts ~dur =
+  let rec insert_window w = function
+    | x :: ws when x.w_idx > w.w_idx -> x :: insert_window w ws
+    | ws -> w :: ws
+
+  (* A completed root operation: the lane's latency histogram for the op,
+     and the fixed-width simulated-time window its end-of-life timestamp
+     lands in. *)
+  let complete_op a l ~op ~ts ~dur =
+    if op >= Array.length l.l_ops then l.l_ops <- grow l.l_ops op None;
     let h =
-      match Hashtbl.find_opt a.a_ops (tid, op) with
+      match l.l_ops.(op) with
       | Some h -> h
       | None ->
           let h = Histogram.create (name_of a.owner op) in
-          Hashtbl.replace a.a_ops (tid, op) h;
+          l.l_ops.(op) <- Some h;
           if not (List.mem op a.a_op_ids) then a.a_op_ids <- op :: a.a_op_ids;
           h
     in
     Histogram.observe h dur;
     if a.a_window_ns > 0.0 then begin
       let idx = int_of_float (float_of_int ts /. a.a_window_ns) in
+      if op >= Array.length a.a_windows then a.a_windows <- grow a.a_windows op [];
+      let ws = a.a_windows.(op) in
       let w =
-        match Hashtbl.find_opt a.a_windows (op, idx) with
-        | Some w -> w
-        | None ->
-            let w = { w_hist = Histogram.create (name_of a.owner op); w_viol = 0 } in
-            Hashtbl.replace a.a_windows (op, idx) w;
+        match find_window idx ws with
+        | w -> w
+        | exception Not_found ->
+            let w = { w_idx = idx; w_hist = Histogram.create (name_of a.owner op); w_viol = 0 } in
+            a.a_windows.(op) <- insert_window w ws;
             w
       in
       Histogram.observe w.w_hist dur;
-      match Hashtbl.find_opt a.a_target_ids op with
-      | Some (target_ns, _) when float_of_int dur > target_ns -> w.w_viol <- w.w_viol + 1
-      | _ -> ()
+      if op < Array.length a.a_target && float_of_int dur > a.a_target.(op) then
+        w.w_viol <- w.w_viol + 1
     end
 
-  let enter a ~tid ~name ~ts =
-    let st = stack_of a tid in
-    let d = st.f_depth in
-    if d = Array.length st.f_node then begin
-      let grow src = Array.append src (Array.make d 0) in
-      st.f_node <- grow st.f_node;
-      st.f_name <- grow st.f_name;
-      st.f_ts <- grow st.f_ts;
-      st.f_acc <- grow st.f_acc
+  let push a l ~name ~ts =
+    let d = l.f_depth in
+    if d = Array.length l.f_node then begin
+      l.f_node <- grow l.f_node d 0;
+      l.f_name <- grow l.f_name d 0;
+      l.f_ts <- grow l.f_ts d 0;
+      l.f_acc <- grow l.f_acc d 0
     end;
-    let parent = if d = 0 then 0 else st.f_node.(d - 1) in
-    st.f_node.(d) <- node_of a ~parent ~name;
-    st.f_name.(d) <- name;
-    st.f_ts.(d) <- ts;
-    st.f_acc.(d) <- 0;
-    st.f_depth <- d + 1
+    let parent = if d = 0 then 0 else l.f_node.(d - 1) in
+    l.f_node.(d) <- node_of a ~parent ~name;
+    l.f_name.(d) <- name;
+    l.f_ts.(d) <- ts;
+    l.f_acc.(d) <- 0;
+    l.f_depth <- d + 1
+
+  let enter a ~tid ~name ~ts = push a (lane a.owner tid) ~name ~ts
 
   (* Root frames also reset the stack: an operation aborted by a fault
      can leave frames open, and the next op must not inherit them. *)
   let enter_root a ~tid ~name ~ts =
-    (stack_of a tid).f_depth <- 0;
-    enter a ~tid ~name ~ts
+    let l = lane a.owner tid in
+    l.f_depth <- 0;
+    push a l ~name ~ts
 
   let charge a ~tid ~name ~ns =
-    let st = stack_of a tid in
-    let d = st.f_depth in
-    let parent = if d = 0 then 0 else st.f_node.(d - 1) in
+    let l = lane a.owner tid in
+    let d = l.f_depth in
+    let parent = if d = 0 then 0 else l.f_node.(d - 1) in
     let node = node_of a ~parent ~name in
     a.a_self.(node) <- a.a_self.(node) + ns;
     a.a_count.(node) <- a.a_count.(node) + 1;
-    if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) + ns
+    if d > 0 then l.f_acc.(d - 1) <- l.f_acc.(d - 1) + ns
 
   let leave a ~tid ~ts =
-    let st = stack_of a tid in
-    if st.f_depth > 0 then begin
-      let d = st.f_depth - 1 in
-      st.f_depth <- d;
-      let node = st.f_node.(d) in
-      let dur = Int.max 0 (ts - st.f_ts.(d)) in
-      let self = Int.max 0 (dur - st.f_acc.(d)) in
+    let l = lane a.owner tid in
+    if l.f_depth > 0 then begin
+      let d = l.f_depth - 1 in
+      l.f_depth <- d;
+      let node = l.f_node.(d) in
+      let dur = Int.max 0 (ts - l.f_ts.(d)) in
+      let self = Int.max 0 (dur - l.f_acc.(d)) in
       a.a_self.(node) <- a.a_self.(node) + self;
       a.a_count.(node) <- a.a_count.(node) + 1;
-      if d > 0 then st.f_acc.(d - 1) <- st.f_acc.(d - 1) + dur
-      else complete_op a ~tid ~op:st.f_name.(d) ~ts ~dur
+      if d > 0 then l.f_acc.(d - 1) <- l.f_acc.(d - 1) + dur
+      else complete_op a l ~op:l.f_name.(d) ~ts ~dur
     end
 
   let enter_named a ~tid ~name ~ts = enter a ~tid ~name:(intern a.owner name) ~ts
@@ -638,7 +661,7 @@ module Attr = struct
     enter_root a ~tid ~name:(intern a.owner name) ~ts
 
   let charge_named a ~tid ~name ~ns = charge a ~tid ~name:(intern a.owner name) ~ns
-  let depth a ~tid = (stack_of a tid).f_depth
+  let depth a ~tid = (lane a.owner tid).f_depth
 
   (* --- SLO configuration and queries --- *)
 
@@ -649,11 +672,9 @@ module Attr = struct
            window_ns);
     a.a_window_ns <- window_ns;
     a.a_targets <- targets;
-    Hashtbl.reset a.a_target_ids;
-    List.iter
-      (fun (op, target_ns, goal) ->
-        Hashtbl.replace a.a_target_ids (intern a.owner op) (target_ns, goal))
-      targets
+    let ids = List.map (fun (op, target_ns, _) -> (intern a.owner op, target_ns)) targets in
+    a.a_target <- Array.make a.owner.nnames infinity;
+    List.iter (fun (id, target_ns) -> a.a_target.(id) <- target_ns) ids
 
   let slo_window_ns a = a.a_window_ns
   let slo_targets a = a.a_targets
@@ -675,22 +696,17 @@ module Attr = struct
     match op_id a op with
     | None -> []
     | Some id ->
-        Hashtbl.fold
-          (fun (tid, o) h acc -> if o = id then (tid, h) :: acc else acc)
-          a.a_ops []
-        |> List.sort (fun (t1, _) (t2, _) -> compare t1 t2)
-        |> List.map snd
+        List.filter_map
+          (fun l -> if id < Array.length l.l_ops then l.l_ops.(id) else None)
+          (lanes_by_tid a.owner)
 
   let op_histogram a op = Histogram.merge ~name:op (op_thread_histograms a op)
 
   let windows a ~op =
     match op_id a op with
-    | None -> []
-    | Some id ->
-        Hashtbl.fold
-          (fun (o, idx) w acc -> if o = id then (idx, w.w_hist, w.w_viol) :: acc else acc)
-          a.a_windows []
-        |> List.sort (fun (i1, _, _) (i2, _, _) -> compare i1 i2)
+    | Some id when id < Array.length a.a_windows ->
+        List.rev_map (fun w -> (w.w_idx, w.w_hist, w.w_viol)) a.a_windows.(id)
+    | _ -> []
 
   let violations a ~op = List.fold_left (fun acc (_, _, v) -> acc + v) 0 (windows a ~op)
 
@@ -730,19 +746,16 @@ let enable_attribution t =
           owner = t;
           a_parent = Array.make 64 0;
           a_name = Array.make 64 0;
+          a_child = Array.make 64 0;
+          a_sibling = Array.make 64 0;
           a_self = Array.make 64 0;
           a_count = Array.make 64 0;
           a_nodes = 1 (* node 0: synthetic root *);
-          a_edges = Hashtbl.create 64;
-          a_stacks = Hashtbl.create 16;
-          a_last_tid = min_int;
-          a_last_stack = None;
-          a_ops = Hashtbl.create 16;
           a_op_ids = [];
           a_window_ns = 0.0;
           a_targets = [];
-          a_target_ids = Hashtbl.create 8;
-          a_windows = Hashtbl.create 64;
+          a_target = [||];
+          a_windows = [||];
           a_events = [];
           a_nevents = 0;
         }
@@ -752,31 +765,27 @@ let enable_attribution t =
 
 let attribution t = t.attr
 
-let events_recorded t =
-  Hashtbl.fold (fun _ r acc -> acc + r.r_total) t.rings 0
+let events_recorded t = Hashtbl.fold (fun _ l acc -> acc + l.r_total) t.lanes 0
 
 let events_dropped t =
-  Hashtbl.fold (fun _ r acc -> acc + max 0 (r.r_total - r.r_cap)) t.rings 0
+  Hashtbl.fold (fun _ l acc -> acc + max 0 (l.r_total - t.cap)) t.lanes 0
 
 (* Oldest-first iteration over the surviving events of one ring. *)
-let iter_ring r f =
-  let kept = min r.r_total r.r_cap in
-  let start = if r.r_total <= r.r_cap then 0 else r.r_head in
+let iter_ring t r f =
+  let kept = min r.r_total t.cap in
+  let start = if r.r_total <= t.cap then 0 else r.r_head in
   for k = 0 to kept - 1 do
-    let i = (start + k) mod r.r_cap in
+    let i = (start + k) mod t.cap in
     f ~ts:r.e_ts.(i) ~dur:r.e_dur.(i) ~name:r.e_name.(i)
       ~phase:(Bytes.get r.e_phase i) ~k1:r.e_k1.(i) ~v1:r.e_v1.(i) ~k2:r.e_k2.(i)
       ~v2:r.e_v2.(i)
   done
 
-(* Rings in ascending raw-tid order — clock ids are assigned in creation
-   order, so this is the deterministic "thread 0, thread 1, ..." order of
-   the run. The export NORMALISES tids to 0..n-1 on that order: raw clock
-   ids are process-global and would differ between two same-seed runs in
-   one process, breaking byte-identity. *)
-let sorted_rings t =
-  let tids = List.sort compare t.ring_tids in
-  List.map (fun tid -> Hashtbl.find t.rings tid) tids
+(* Lanes that recorded events, in ascending raw-tid order. The export
+   NORMALISES tids to 0..n-1 on that order: raw clock ids are
+   process-global and would differ between two same-seed runs in one
+   process, breaking byte-identity. *)
+let sorted_rings t = List.filter (fun l -> l.r_total > 0) (lanes_by_tid t)
 
 (* --- exporters ----------------------------------------------------------- *)
 
@@ -834,7 +843,7 @@ let chrome_json t =
   List.iteri
     (fun norm r ->
       sep ();
-      let label = if r.r_tid = snapshot_tid then "heap" else Printf.sprintf "thread-%d" norm in
+      let label = if r.l_tid = snapshot_tid then "heap" else Printf.sprintf "thread-%d" norm in
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
@@ -842,7 +851,7 @@ let chrome_json t =
     rings;
   List.iteri
     (fun norm r ->
-      iter_ring r (fun ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 ->
+      iter_ring t r (fun ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 ->
           sep ();
           chrome_event b t ~pid ~tid:norm ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2))
     rings;
@@ -977,7 +986,7 @@ let tail_events t ~n =
   List.iteri
     (fun norm r ->
       let seq = ref 0 in
-      iter_ring r (fun ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 ->
+      iter_ring t r (fun ~ts ~dur ~name ~phase ~k1 ~v1 ~k2 ~v2 ->
           acc := (ts, norm, !seq, (dur, name, phase, k1, v1, k2, v2)) :: !acc;
           incr seq))
     (sorted_rings t);

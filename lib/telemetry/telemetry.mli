@@ -3,11 +3,17 @@
     Perfetto/chrome://tracing, histogram CSV).
 
     Dependency-free by design so sim, pmem, core and the harness can all
-    emit without layering cycles. Recording never allocates per event and
-    never charges simulated clocks: enabling telemetry cannot change
-    simulated results. Disabled cost is one [option] check at each
-    emission site (the sink is held as a [Telemetry.t option] by the
-    emitter; this module is never consulted when that is [None]). *)
+    emit without layering cycles. Recording never charges simulated
+    clocks: enabling telemetry cannot change simulated results. Disabled
+    cost is one [option] check at each emission site (the sink is held as
+    a [Telemetry.t option] by the emitter; this module is never consulted
+    when that is [None]). Enabled cost, through the interned-id API, is
+    array loads and stores per event, blame charge, frame and op
+    completion: no allocation, and a hash probe only when the emitting
+    thread changes ([_named] variants also hash the name). Only the first
+    appearance of a thread, blame-tree node, per-thread op histogram or
+    SLO window allocates. [test/test_telemetry.ml] ("enabled primitives
+    allocate nothing") pins zero minor words per call. *)
 
 (** Minimal JSON value type, printer and parser — enough for the trace
     and stats dumps; the repo deliberately has no JSON dependency. *)
@@ -73,8 +79,9 @@ module Histogram : sig
 end
 
 type t
-(** A telemetry sink: interned names, one event ring per emitting thread
-    (keyed by simulated clock id), and named histograms. *)
+(** A telemetry sink: interned names, named histograms, and one lane per
+    emitting thread (keyed by simulated clock id) holding its event ring,
+    attribution frame stack and per-op latency histograms. *)
 
 val create : ?ring_capacity:int -> unit -> t
 (** Per-thread ring capacity in events (default 65536). Oldest events
@@ -89,8 +96,9 @@ val snapshot_tid : int
     (periodic heap snapshots). Exported as the last, "heap", track. *)
 
 val intern : t -> string -> int
-(** Intern a name (event or arg-key), returning a stable id. Hot
-    emitters intern once at attach time and use the [int] API below. *)
+(** Intern a name (event or arg-key), returning a stable id. A hit
+    allocates nothing, but hashes the string: hot emitters intern once at
+    attach time and use the [int] API below. *)
 
 val name_of : t -> int -> string
 
@@ -107,6 +115,10 @@ val span2 :
 
 val counter : t -> tid:int -> name:int -> ts:int -> value:float -> unit
 (** Counter sample; the value may be fractional (a queue depth). *)
+
+val counter_int : t -> tid:int -> name:int -> ts:int -> value:int -> unit
+(** Counter sample of a whole value: unlike [counter], the caller boxes
+    no float. *)
 
 val span_named : t -> tid:int -> name:string -> ts:int -> dur:int -> unit
 val counter_named : t -> tid:int -> name:string -> ts:int -> value:float -> unit

@@ -40,7 +40,7 @@ stage "unit tests (dune runtest)" dune runtest
 stage "bench regression (scripts/bench_check.sh)" sh scripts/bench_check.sh
 stage "trace determinism (scripts/trace_check.sh)" sh scripts/trace_check.sh
 stage "slo attribution gate (scripts/slo_check.sh)" sh scripts/slo_check.sh
-stage "telemetry-off hot path (bench/hotloop.exe --check)" \
+stage "write+flush hot paths, telemetry off/attached/attributed (bench/hotloop.exe --check)" \
   dune exec --no-build bench/hotloop.exe -- --check
 stage "crash fuzzer (scripts/fuzz_check.sh)" sh scripts/fuzz_check.sh
 stage "model checker (scripts/model_check.sh)" sh scripts/model_check.sh

@@ -406,6 +406,274 @@ let test_attr_invalid_window () =
     (Invalid_argument "Telemetry.Attr.set_slo: window_ns must be positive (got 0)") (fun () ->
       A.set_slo a ~window_ns:0.0 ~targets:[])
 
+(* --- Enabled-path cost --------------------------------------------------- *)
+
+(* Minor words per call of [f i], after a warm-up that creates every lane,
+   node, histogram and window the measured calls touch. *)
+let words_per_call f =
+  for i = 0 to 99 do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 100 to 10_099 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. 10_000.0
+
+(* The recording primitives an enabled sink runs per event, charge, frame
+   and op completion cost stores only: no allocation even when every call
+   switches thread (tids 1 and 2 alternate). *)
+let test_enabled_primitives_allocation_free () =
+  let sink = Telemetry.create () in
+  let a = Telemetry.enable_attribution sink in
+  A.set_slo a ~window_ns:1e12 ~targets:[ ("op", 50.0, 0.9) ];
+  let name = Telemetry.intern sink "ev" and key = Telemetry.intern sink "k" in
+  let fence = Telemetry.intern sink "fence" and inner = Telemetry.intern sink "inner" in
+  let op = Telemetry.intern sink "op" in
+  let h = Telemetry.Histogram.create "h" in
+  let tid i = 1 + (i land 1) in
+  (* An open root frame on each thread, so frames and charges nest. *)
+  A.enter_root a ~tid:1 ~name:op ~ts:0;
+  A.enter_root a ~tid:2 ~name:op ~ts:0;
+  let check label f =
+    Alcotest.(check (float 0.0)) (label ^ ": minor words per call") 0.0 (words_per_call f)
+  in
+  check "span2" (fun i ->
+      Telemetry.span2 sink ~tid:(tid i) ~name ~ts:i ~dur:3 ~k1:key ~v1:i ~k2:(-1) ~v2:0);
+  check "counter_int" (fun i -> Telemetry.counter_int sink ~tid:(tid i) ~name ~ts:i ~value:i);
+  check "Histogram.observe" (fun i -> Telemetry.Histogram.observe h (i land 1023));
+  check "Attr.charge" (fun i -> A.charge a ~tid:(tid i) ~name:fence ~ns:20);
+  check "Attr.enter + leave" (fun i ->
+      A.enter a ~tid:(tid i) ~name:inner ~ts:i;
+      A.leave a ~tid:(tid i) ~ts:(i + 5));
+  check "Attr.enter_named + leave" (fun i ->
+      A.enter_named a ~tid:(tid i) ~name:"named" ~ts:i;
+      A.leave a ~tid:(tid i) ~ts:(i + 5));
+  check "root op with SLO on" (fun i ->
+      A.enter_root a ~tid:(tid i) ~name:op ~ts:i;
+      A.charge a ~tid:(tid i) ~name:fence ~ns:20;
+      A.leave a ~tid:(tid i) ~ts:(i + 40 + (i land 31)));
+  Alcotest.(check bool) "root ops reached the SLO windows" true (A.violations a ~op:"op" > 0)
+
+(* Reference model of attribution over plain keyed tables:
+   (parent, name) -> node, (tid, op) -> histogram and
+   (op, window index) -> window. *)
+module Model = struct
+  type frame = { node : int; fname : string; fts : int; mutable facc : int }
+
+  type t = {
+    window_ns : float;
+    targets : (string * float) list;
+    edges : (int * string, int) Hashtbl.t;
+    node_info : (int, int * string) Hashtbl.t; (* node -> (parent, name) *)
+    self : (int, int ref * int ref) Hashtbl.t; (* node -> (self ns, count) *)
+    stacks : (int, frame list) Hashtbl.t;
+    ops : (int * string, Telemetry.Histogram.t) Hashtbl.t;
+    windows : (string * int, Telemetry.Histogram.t * int ref) Hashtbl.t;
+  }
+
+  let create ~window_ns ~targets =
+    {
+      window_ns;
+      targets;
+      edges = Hashtbl.create 16;
+      node_info = Hashtbl.create 16;
+      self = Hashtbl.create 16;
+      stacks = Hashtbl.create 4;
+      ops = Hashtbl.create 8;
+      windows = Hashtbl.create 64;
+    }
+
+  let node m ~parent ~name =
+    match Hashtbl.find_opt m.edges (parent, name) with
+    | Some n -> n
+    | None ->
+        let n = Hashtbl.length m.edges + 1 in
+        Hashtbl.replace m.edges (parent, name) n;
+        Hashtbl.replace m.node_info n (parent, name);
+        Hashtbl.replace m.self n (ref 0, ref 0);
+        n
+
+  let add m n ns =
+    let self, count = Hashtbl.find m.self n in
+    self := !self + ns;
+    incr count
+
+  let stack m tid = Option.value ~default:[] (Hashtbl.find_opt m.stacks tid)
+  let top_node = function f :: _ -> f.node | [] -> 0
+
+  let enter m ~tid ~name ~ts =
+    let st = stack m tid in
+    let node = node m ~parent:(top_node st) ~name in
+    Hashtbl.replace m.stacks tid ({ node; fname = name; fts = ts; facc = 0 } :: st)
+
+  let enter_root m ~tid ~name ~ts =
+    Hashtbl.replace m.stacks tid [];
+    enter m ~tid ~name ~ts
+
+  let charge m ~tid ~name ~ns =
+    let st = stack m tid in
+    add m (node m ~parent:(top_node st) ~name) ns;
+    match st with f :: _ -> f.facc <- f.facc + ns | [] -> ()
+
+  let find_or_add tbl key make =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = make () in
+        Hashtbl.replace tbl key v;
+        v
+
+  let complete m ~tid ~op ~ts ~dur =
+    Telemetry.Histogram.observe
+      (find_or_add m.ops (tid, op) (fun () -> Telemetry.Histogram.create op))
+      dur;
+    let idx = int_of_float (float_of_int ts /. m.window_ns) in
+    let h, viol =
+      find_or_add m.windows (op, idx) (fun () -> (Telemetry.Histogram.create op, ref 0))
+    in
+    Telemetry.Histogram.observe h dur;
+    match List.assoc_opt op m.targets with
+    | Some target when float_of_int dur > target -> incr viol
+    | _ -> ()
+
+  let leave m ~tid ~ts =
+    match stack m tid with
+    | [] -> ()
+    | f :: rest ->
+        Hashtbl.replace m.stacks tid rest;
+        let dur = Int.max 0 (ts - f.fts) in
+        add m f.node (Int.max 0 (dur - f.facc));
+        (match rest with
+        | g :: _ -> g.facc <- g.facc + dur
+        | [] -> complete m ~tid ~op:f.fname ~ts ~dur)
+
+  let nodes m =
+    let rec path n =
+      if n = 0 then []
+      else
+        let parent, name = Hashtbl.find m.node_info n in
+        path parent @ [ name ]
+    in
+    Hashtbl.fold
+      (fun n (self, count) acc -> (path n, !self, !count) :: acc)
+      m.self []
+    |> List.sort compare
+
+  let op_names m = List.sort_uniq compare (Hashtbl.fold (fun (_, op) _ acc -> op :: acc) m.ops [])
+
+  let op_thread_histograms m op =
+    Hashtbl.fold (fun (tid, o) h acc -> if o = op then (tid, h) :: acc else acc) m.ops []
+    |> List.sort (fun (t1, _) (t2, _) -> compare t1 t2)
+    |> List.map snd
+
+  let windows m op =
+    Hashtbl.fold
+      (fun (o, idx) (h, viol) acc -> if o = op then (idx, h, !viol) :: acc else acc)
+      m.windows []
+    |> List.sort (fun (i1, _, _) (i2, _, _) -> compare i1 i2)
+end
+
+let model_ops = [ "op1"; "op2"; "op3" ]
+let model_targets = [ ("op1", 20.0); ("op2", 5.0) ]
+
+(* Everything a histogram reports, so two histograms compare as values. *)
+let hist_summary h =
+  let module H = Telemetry.Histogram in
+  ( H.name h,
+    H.count h,
+    H.total h,
+    H.min_value h,
+    H.max_value h,
+    List.map (H.percentile h) [ 0.0; 0.5; 0.9; 0.99; 1.0 ] )
+
+let agrees_with_model a m =
+  Alcotest.(check (list (triple (list string) int int)))
+    "nodes" (Model.nodes m) (A.nodes a);
+  Alcotest.(check (list string)) "op names" (Model.op_names m) (A.op_names a);
+  List.iter
+    (fun op ->
+      let summaries = List.map hist_summary in
+      Alcotest.(check bool) (op ^ ": per-thread histograms") true
+        (summaries (Model.op_thread_histograms m op) = summaries (A.op_thread_histograms a op));
+      let windows = List.map (fun (idx, h, v) -> (idx, hist_summary h, v)) in
+      Alcotest.(check bool) (op ^ ": windows") true
+        (windows (Model.windows m op) = windows (A.windows a ~op));
+      Alcotest.(check int) (op ^ ": violations")
+        (List.fold_left (fun acc (_, _, v) -> acc + v) 0 (Model.windows m op))
+        (A.violations a ~op))
+    model_ops
+
+(* One step of a random script: [(kind, thread, name, clock advance)].
+   Each thread has its own clock, so completions reach the windows out of
+   order, as lagging simulated threads do. *)
+let run_script ~window_ns steps =
+  let sink = Telemetry.create ~ring_capacity:4 () in
+  let a = Telemetry.enable_attribution sink in
+  A.set_slo a ~window_ns
+    ~targets:(List.map (fun (op, target) -> (op, target, 0.9)) model_targets);
+  let m = Model.create ~window_ns ~targets:model_targets in
+  let clocks = Array.make 3 0 in
+  let frame_names = [| "refill"; "morph"; "wal"; "extent" |] in
+  let leaf_names = [| "fence"; "flush"; "refill"; "lock_wait" |] in
+  List.iter
+    (fun (kind, th, k, dt) ->
+      let tid = 10 + th in
+      clocks.(th) <- clocks.(th) + dt;
+      let ts = clocks.(th) in
+      match kind with
+      | 0 ->
+          A.enter_named a ~tid ~name:frame_names.(k) ~ts;
+          Model.enter m ~tid ~name:frame_names.(k) ~ts
+      | 1 ->
+          let op = List.nth model_ops (k mod 3) in
+          A.enter_root_named a ~tid ~name:op ~ts;
+          Model.enter_root m ~tid ~name:op ~ts
+      | 2 ->
+          A.charge_named a ~tid ~name:leaf_names.(k) ~ns:dt;
+          Model.charge m ~tid ~name:leaf_names.(k) ~ns:dt
+      | _ ->
+          A.leave a ~tid ~ts;
+          Model.leave m ~tid ~ts)
+    steps;
+  (a, m, Array.fold_left Int.max 0 clocks)
+
+let script_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 120)
+      (quad (int_range 0 4) (int_range 0 2) (int_range 0 3) (int_range 0 30)))
+
+let prop_attr_model =
+  QCheck.Test.make ~name:"attr: lanes, linked tree and windows equal the keyed-table model"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair (oneofl [ 1.0; 16.0; 1000.0 ]) script_gen))
+    (fun (window_ns, steps) ->
+      let a, m, _ = run_script ~window_ns steps in
+      agrees_with_model a m;
+      true)
+
+(* A completion far past the last window materialises that one window:
+   window memory follows the windows used, not simulated time / width
+   ([--window-ns] is user input). *)
+let test_attr_far_window () =
+  let steps = QCheck.Gen.generate1 ~rand:(Random.State.make [| 17 |]) script_gen in
+  let a, m, last = run_script ~window_ns:1.0 steps in
+  let count () = List.length (A.windows a ~op:"op1") in
+  let before = count () in
+  let ts = last + 10_000_000 in
+  let bytes = Gc.allocated_bytes () in
+  A.enter_root_named a ~tid:10 ~name:"op1" ~ts;
+  A.leave a ~tid:10 ~ts:(ts + 30);
+  let allocated = Gc.allocated_bytes () -. bytes in
+  Model.enter_root m ~tid:10 ~name:"op1" ~ts;
+  Model.leave m ~tid:10 ~ts:(ts + 30);
+  Alcotest.(check int) "one window materialised" (before + 1) (count ());
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 MiB allocated (%.0f bytes)" allocated)
+    true
+    (allocated < 1048576.0);
+  agrees_with_model a m
+
 (* --- SLO report: build, determinism, gate -------------------------------- *)
 
 let slo_meta =
@@ -681,6 +949,11 @@ let suite =
     Alcotest.test_case "attr: orphan charge, reset, clamp" `Quick test_attr_edge_cases;
     Alcotest.test_case "attr: slo windows + violations + burn" `Quick test_attr_slo_windows;
     Alcotest.test_case "attr: invalid window rejected" `Quick test_attr_invalid_window;
+    Alcotest.test_case "enabled primitives allocate nothing" `Quick
+      test_enabled_primitives_allocation_free;
+    QCheck_alcotest.to_alcotest prop_attr_model;
+    Alcotest.test_case "attr: a far completion materialises one window" `Quick
+      test_attr_far_window;
     Alcotest.test_case "slo report: deterministic + non-perturbing" `Quick
       test_slo_report_determinism;
     Alcotest.test_case "slo report: regression gate" `Quick test_slo_report_gate;
