@@ -55,18 +55,18 @@ let baseline_pair ~knobs ~size () =
     inst.Alloc_api.Instance.free ~tid:0 ~dest
 
 let rbtree () =
-  let module Rb = Support.Rbtree.Make (Int) in
-  let t = Rb.create () in
+  let module Rb = Support.Rbtree in
+  let t = Rb.create ~dummy:0 in
   let rng = Sim.Rng.create 1 in
   for _ = 1 to 10_000 do
-    Rb.insert t (Sim.Rng.int rng 1_000_000) 0
+    ignore (Rb.insert t (Sim.Rng.int rng 1_000_000) 0 0 : Rb.node)
   done;
   let i = ref 0 in
   fun () ->
     incr i;
     let k = 1_000_000 + (!i mod 4096) in
-    Rb.insert t k 0;
-    Rb.remove t k
+    ignore (Rb.insert t k 0 0 : Rb.node);
+    Rb.remove t k 0
 
 let booklog () =
   let dev = Pmem.Device.create ~size:(16 * mib) () in

@@ -1,5 +1,4 @@
-module Int_rb = Support.Rbtree.Make (Int)
-
+module Rbtree = Support.Rbtree
 module Bitmap = Nvalloc_core.Bitmap
 module Size_class = Nvalloc_core.Size_class
 
@@ -30,14 +29,14 @@ type arena = {
   mutable wal_cursor : int;
 }
 
-type owner = Slab_o of slab | Large_o of arena
+type owner = Unowned (* fills free index slots *) | Slab_o of slab | Large_o of arena
 
 type t = {
   knobs : Knobs.t;
   dev : Pmem.Device.t;
   dax : Pmem.Dax.t;
   arenas : arena array;
-  owner_index : owner Int_rb.t;
+  owner_index : owner Rbtree.t; (* (addr, 0) *)
   root_base : int;
   root_slots : int;
   tcaches : (slab * int) list array array; (* [thread].[class] *)
@@ -123,7 +122,7 @@ let new_slab t arena clock class_idx =
     }
   in
   t.slab_count <- t.slab_count + 1;
-  Int_rb.insert t.owner_index addr (Slab_o s);
+  ignore (Rbtree.insert t.owner_index addr 0 (Slab_o s) : Rbtree.node);
   s.node <- Some (Support.Dlist.push_back arena.freelists.(class_idx) s);
   s
 
@@ -133,7 +132,7 @@ let destroy_slab t arena clock s =
       Support.Dlist.remove arena.freelists.(s.class_idx) n;
       s.node <- None
   | None -> ());
-  Int_rb.remove t.owner_index s.addr;
+  Rbtree.remove t.owner_index s.addr 0;
   t.slab_count <- t.slab_count - 1;
   Blarge.free arena.large clock ~addr:s.addr
 
@@ -281,7 +280,7 @@ let instance ~knobs ~threads ~dev_size ?(eadr = false) ?(root_slots = 1 lsl 20) 
       dev;
       dax;
       arenas = [||];
-      owner_index = Int_rb.create ();
+      owner_index = Rbtree.create ~dummy:Unowned;
       root_base;
       root_slots;
       tcaches = Array.init threads (fun _ -> Array.make Size_class.count []);
@@ -334,7 +333,7 @@ let instance ~knobs ~threads ~dev_size ?(eadr = false) ?(root_slots = 1 lsl 20) 
             Sim.Lock.with_lock arena.lock clock (fun () ->
                 Blarge.malloc arena.large clock ~size)
           in
-          Int_rb.insert t.owner_index addr (Large_o arena);
+          ignore (Rbtree.insert t.owner_index addr 0 (Large_o arena) : Rbtree.node);
           addr
     in
     publish clock ~dest ~addr;
@@ -347,10 +346,10 @@ let instance ~knobs ~threads ~dev_size ?(eadr = false) ?(root_slots = 1 lsl 20) 
     (* Same message as Nvalloc.free_from: freeing an unpublished slot is
        a uniform error across every allocator (Alloc_api.Instance.free). *)
     if addr <= 0 then invalid_arg Nvalloc_core.Nvalloc.err_free_unpublished;
-    (match Int_rb.find_last_leq t.owner_index addr with
-    | Some (_, Slab_o s) when addr < s.addr + slab_bytes -> free_small t clock ~tid s addr
-    | Some (_, Large_o arena) ->
-        Int_rb.remove t.owner_index addr;
+    (match Rbtree.value t.owner_index (Rbtree.find_last_leq t.owner_index addr 0) with
+    | Slab_o s when addr < s.addr + slab_bytes -> free_small t clock ~tid s addr
+    | Large_o arena ->
+        Rbtree.remove t.owner_index addr 0;
         Sim.Lock.with_lock arena.lock clock (fun () -> Blarge.free arena.large clock ~addr)
     | _ -> invalid_arg "baseline free: unknown address");
     Pmem.Device.write_int64 dev dest 0L;

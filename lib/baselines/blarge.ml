@@ -1,12 +1,4 @@
-module Int_rb = Support.Rbtree.Make (Int)
-
-module Size_rb = Support.Rbtree.Make (struct
-  type t = int * int
-
-  let compare (s1, a1) (s2, a2) =
-    let c = Int.compare s1 s2 in
-    if c <> 0 then c else Int.compare a1 a2
-end)
+module Rbtree = Support.Rbtree
 
 type ext = {
   mutable addr : int;
@@ -14,6 +6,9 @@ type ext = {
   mutable used : bool;
   region : int;
 }
+
+(* Fills the trees' free slots, and stands for "no extent". *)
+let dummy = { addr = -1; size = 0; used = false; region = -1 }
 
 type t = {
   dax : Pmem.Dax.t;
@@ -25,8 +20,8 @@ type t = {
   page_headers : bool;
   light : bool;
   wal_write : Sim.Clock.t -> unit;
-  addr_tree : ext Int_rb.t; (* every extent, used and free *)
-  free_by_size : ext Size_rb.t;
+  addr_tree : ext Rbtree.t; (* (addr, 0): every extent, used and free *)
+  free_by_size : ext Rbtree.t; (* (size, addr) *)
   regions : (int, int) Hashtbl.t; (* base -> total *)
 }
 
@@ -46,13 +41,13 @@ let create ~dax ~region_lock ~persist ~hoard ~extra_flush ~page_headers ~light ~
     page_headers;
     light;
     wal_write;
-    addr_tree = Int_rb.create ();
-    free_by_size = Size_rb.create ();
+    addr_tree = Rbtree.create ~dummy;
+    free_by_size = Rbtree.create ~dummy;
     regions = Hashtbl.create 16;
   }
 
 let charge_search t clock n =
-  let steps = Support.Rbtree.search_steps n in
+  let steps = Rbtree.search_steps n in
   Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(steps * 25)
 
 (* In-place header slot update: the random small metadata write of
@@ -81,13 +76,18 @@ let bump_region_counter t clock region =
     end
   end
 
+let insert_addr t e = ignore (Rbtree.insert t.addr_tree e.addr 0 e : Rbtree.node)
+
 let attach_free t e =
-  Int_rb.insert t.addr_tree e.addr e;
-  Size_rb.insert t.free_by_size (e.size, e.addr) e
+  insert_addr t e;
+  ignore (Rbtree.insert t.free_by_size e.size e.addr e : Rbtree.node)
 
 let detach_free t e =
-  Int_rb.remove t.addr_tree e.addr;
-  Size_rb.remove t.free_by_size (e.size, e.addr)
+  Rbtree.remove t.addr_tree e.addr 0;
+  Rbtree.remove t.free_by_size e.size e.addr
+
+(* The extent starting at [addr], or [dummy]. *)
+let at t addr = Rbtree.value t.addr_tree (Rbtree.find t.addr_tree addr 0)
 
 let map_region t clock ~total =
   Sim.Lock.with_lock t.region_lock clock (fun () ->
@@ -119,7 +119,7 @@ let alloc_huge t clock ~size =
   let total = round4k (size + header_bytes) in
   let base = map_region t clock ~total in
   let e = { addr = base + header_bytes; size = total - header_bytes; used = true; region = base } in
-  Int_rb.insert t.addr_tree e.addr e;
+  insert_addr t e;
   write_slot t clock e;
   bump_region_counter t clock e.region;
   write_page_headers t clock e;
@@ -129,16 +129,17 @@ let malloc t clock ~size =
   let need = round4k size in
   if need > huge then alloc_huge t clock ~size:need
   else begin
-    charge_search t clock (Size_rb.cardinal t.free_by_size);
+    charge_search t clock (Rbtree.cardinal t.free_by_size);
+    let e = Rbtree.value t.free_by_size (Rbtree.find_first_geq t.free_by_size need 0) in
     let e =
-      match Size_rb.find_first_geq t.free_by_size (need, 0) with
-      | Some (_, e) ->
-          detach_free t e;
-          e
-      | None ->
-          let base = map_region t clock ~total:region_bytes in
-          { addr = base + header_bytes; size = region_bytes - header_bytes; used = false;
-            region = base }
+      if e != dummy then begin
+        detach_free t e;
+        e
+      end
+      else
+        let base = map_region t clock ~total:region_bytes in
+        { addr = base + header_bytes; size = region_bytes - header_bytes; used = false;
+          region = base }
     in
     if e.size > need then begin
       let rest = { addr = e.addr + need; size = e.size - need; used = false; region = e.region } in
@@ -147,7 +148,7 @@ let malloc t clock ~size =
       write_slot ~log:false t clock rest
     end;
     e.used <- true;
-    Int_rb.insert t.addr_tree e.addr e;
+    insert_addr t e;
     write_slot t clock e;
     bump_region_counter t clock e.region;
     (* Slabs are engine-internal 64 KB extents: no GC page headers. *)
@@ -156,17 +157,13 @@ let malloc t clock ~size =
   end
 
 let owns t addr =
-  match Int_rb.find_last_leq t.addr_tree addr with
-  | Some (_, e) -> addr >= e.addr && addr < e.addr + e.size
-  | None -> false
+  let e = Rbtree.value t.addr_tree (Rbtree.find_last_leq t.addr_tree addr 0) in
+  addr >= e.addr && addr < e.addr + e.size
 
 let free t clock ~addr =
-  charge_search t clock (Int_rb.cardinal t.addr_tree);
-  let e =
-    match Int_rb.find_opt t.addr_tree addr with
-    | Some e when e.used -> e
-    | _ -> invalid_arg "Blarge.free: not an allocated extent"
-  in
+  charge_search t clock (Rbtree.cardinal t.addr_tree);
+  let e = at t addr in
+  if not e.used then invalid_arg "Blarge.free: not an allocated extent";
   let total = Hashtbl.find t.regions e.region in
   e.used <- false;
   write_slot t clock e;
@@ -174,27 +171,27 @@ let free t clock ~addr =
   if total > region_bytes && not t.hoard then begin
     (* Dedicated huge region: give it straight back (Makalu hoards it,
        hence its space curve in Figure 13(b)). *)
-    Int_rb.remove t.addr_tree e.addr;
+    Rbtree.remove t.addr_tree e.addr 0;
     unmap_region t clock e.region
   end
   else begin
-    Int_rb.remove t.addr_tree e.addr;
+    Rbtree.remove t.addr_tree e.addr 0;
     (* Coalesce with free neighbours of the same region, persisting the
        merged extent's slot. *)
     let merged = ref false in
-    (match Int_rb.find_last_lt t.addr_tree e.addr with
-    | Some (_, u) when (not u.used) && u.region = e.region && u.addr + u.size = e.addr ->
-        detach_free t u;
-        e.addr <- u.addr;
-        e.size <- e.size + u.size;
-        merged := true
-    | _ -> ());
-    (match Int_rb.find_opt t.addr_tree (e.addr + e.size) with
-    | Some u when (not u.used) && u.region = e.region ->
-        detach_free t u;
-        e.size <- e.size + u.size;
-        merged := true
-    | _ -> ());
+    let u = Rbtree.value t.addr_tree (Rbtree.find_last_lt t.addr_tree e.addr 0) in
+    if (not u.used) && u.region = e.region && u.addr + u.size = e.addr then begin
+      detach_free t u;
+      e.addr <- u.addr;
+      e.size <- e.size + u.size;
+      merged := true
+    end;
+    let u = at t (e.addr + e.size) in
+    if (not u.used) && u.region = e.region then begin
+      detach_free t u;
+      e.size <- e.size + u.size;
+      merged := true
+    end;
     if !merged then write_slot ~log:false t clock e;
     if (not t.hoard) && total <= region_bytes && e.size = region_bytes - header_bytes then
       unmap_region t clock e.region
@@ -202,9 +199,9 @@ let free t clock ~addr =
   end
 
 let live_extents t =
-  Int_rb.fold (fun _ e acc -> if e.used then (e.addr, e.size) :: acc else acc) t.addr_tree []
+  Rbtree.fold (fun _ _ e acc -> if e.used then (e.addr, e.size) :: acc else acc) t.addr_tree []
 
 let region_count t = Hashtbl.length t.regions
 
 let slab_like_count t =
-  Int_rb.fold (fun _ e acc -> if e.used && e.size = 65536 then acc + 1 else acc) t.addr_tree 0
+  Rbtree.fold (fun _ _ e acc -> if e.used && e.size = 65536 then acc + 1 else acc) t.addr_tree 0

@@ -58,7 +58,7 @@ let build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destr
   let large =
     Extent.create heap ~mode ~region_lock
       ~on_new_extent:(fun v -> on_extent_created v index)
-      ~on_drop_extent:on_extent_dropped
+      ~on_drop_extent:(fun v -> on_extent_dropped v index)
   in
   {
     heap;
@@ -785,12 +785,17 @@ let free_small t clock ~tcaches s ~addr ~dest =
 
 (* --- large allocation ------------------------------------------------------ *)
 
+(* No [with_lock]: its closure would allocate on every call. *)
 let malloc_large t clock ~size =
-  Sim.Lock.with_lock t.lock clock (fun () ->
-      Extent.malloc t.large clock ~size ~kind:Booklog.Extent)
+  Sim.Lock.acquire t.lock clock;
+  let veh = Extent.malloc t.large clock ~size ~kind:Booklog.Extent in
+  Sim.Lock.release t.lock clock;
+  veh
 
 let free_large t clock veh =
-  Sim.Lock.with_lock t.lock clock (fun () -> Extent.free t.large clock veh)
+  Sim.Lock.acquire t.lock clock;
+  Extent.free t.large clock veh;
+  Sim.Lock.release t.lock clock
 
 (* --- recovery / observability ----------------------------------------------- *)
 
@@ -803,7 +808,8 @@ let restore_slab t s =
   if s.Slab.free_count > 0 then freelist_add t s;
   if s.Slab.morph = None then lru_touch t s
 
-let iter_slabs t f = Hashtbl.iter (fun _ s -> f s) t.all_slabs
+(* [f] takes the base too, so no closure is built per arena. *)
+let iter_slabs t f = if Hashtbl.length t.all_slabs > 0 then Hashtbl.iter f t.all_slabs
 
 let recover_return_block t clock s b = return_block t clock s b
 

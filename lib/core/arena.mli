@@ -34,7 +34,7 @@ val create :
   on_slab_created:(Slab.t -> unit) ->
   on_slab_destroyed:(Slab.t -> unit) ->
   on_extent_created:(Extent.veh -> int -> unit) ->
-  on_extent_dropped:(Extent.veh -> unit) ->
+  on_extent_dropped:(Extent.veh -> int -> unit) ->
   t
 (** The callbacks maintain the owner's global address index ([int] is the
     arena index). *)
@@ -48,7 +48,7 @@ val of_recovered :
   on_slab_created:(Slab.t -> unit) ->
   on_slab_destroyed:(Slab.t -> unit) ->
   on_extent_created:(Extent.veh -> int -> unit) ->
-  on_extent_dropped:(Extent.veh -> unit) ->
+  on_extent_dropped:(Extent.veh -> int -> unit) ->
   t
 (** Build an arena around recovered persistent structures (recovery
     constructs the booklog/WAL handles itself). *)
@@ -115,10 +115,6 @@ val wal_dep : t -> Wal.kind -> int -> (string * Pstruct.span) list
 val malloc_large : t -> Sim.Clock.t -> size:int -> Extent.veh
 val free_large : t -> Sim.Clock.t -> Extent.veh -> unit
 
-val checkpoint_if_needed : t -> Sim.Clock.t -> unit
-(** Drain registered tcaches and reset the WAL when it is near full;
-    called internally before WAL appends, exposed for tests. *)
-
 val async_checkpoint_tick : t -> Sim.Clock.t -> bool
 (** Background-checkpoint poll: when [Config.async_checkpoint] is a
     positive fraction and this arena's WAL occupancy has reached it,
@@ -137,8 +133,9 @@ val restore_slab : t -> Slab.t -> unit
 (** Recovery hook: adopt a rebuilt vslab into freelists/LRU;
     {!adopt_slab_veh} must have been called for its extent. *)
 
-val iter_slabs : t -> (Slab.t -> unit) -> unit
-(** All live slabs of this arena (for tests and recovery sweeps). *)
+val iter_slabs : t -> (int -> Slab.t -> unit) -> unit
+(** All live slabs of this arena, each with its base address (for tests
+    and recovery sweeps). *)
 
 val recover_return_block : t -> Sim.Clock.t -> Slab.t -> int -> unit
 (** Recovery hook: return a leaked current-class block to its slab

@@ -1,5 +1,3 @@
-module Int_rb = Support.Rbtree.Make (Int)
-
 type entry_ref = int
 type kind = Extent | Slab_extent
 type scanned = { ref_ : entry_ref; kind : kind; addr : int; size : int }
@@ -12,29 +10,36 @@ let entries_per_chunk = entry_lines * entries_per_line (* 120 *)
 let ref_stride = 128
 let none = -1
 
+(* One record per chunk, made at its first grab and reset at each one. *)
 type vchunk = {
   idx : int;
   valid : bool array;
+  mutable in_use : bool;
   mutable live : int;  (** live normal entries *)
   mutable tombs : int;  (** tombstones not yet retired *)
   mutable next_slot : int;
+  tomb_refs : int array;  (** the tombstones that target this chunk *)
+  mutable ntomb_refs : int;
 }
+
+let unused_chunk =
+  { idx = -1; valid = [||]; in_use = false; live = 0; tombs = 0; next_slot = 0; tomb_refs = [||];
+    ntomb_refs = 0 }
 
 type t = {
   dev : Pmem.Device.t;
   base : int;
   nchunks : int;
   interleave : bool;
-  vchunks : vchunk Int_rb.t;
+  vchunks : vchunk array; (* by chunk index; [unused_chunk] until first use *)
+  mutable used_chunks : int;
   mutable free : int list;
   mutable next_unused : int;
   mutable head : int;
   mutable tail : int;
   list_prev : int array;
   list_next : int array;
-  tomb_index : (int, entry_ref list) Hashtbl.t;
   mutable alt : int;
-  mutable fast_runs : int;
   mutable slow_runs : int;
   replicate : bool; (* maintain the header's guard replica (media model) *)
 }
@@ -82,7 +87,7 @@ module Chunk = struct
   let active = Pstruct.u8 l "active" ~off:4
 
   let entries =
-    Pstruct.array l "entries" ~off:Pmem.Cacheline.size ~count:entries_per_chunk Pstruct.I64
+    Pstruct.array l "entries" ~off:Pmem.Cacheline.size ~count:entries_per_chunk Pstruct.Int
 
   let () = Pstruct.seal l ~size:chunk_bytes
 end
@@ -110,20 +115,15 @@ let code_extent = 1
 let code_slab = 2
 let code_tomb = 3
 
+(* Entries are written as OCaml ints. The payload field is 36 bits on
+   media; asserting 34 keeps the word a non-negative int, stored with the
+   same bits as the int64 it stands for. *)
 let encode ~code ~size4k ~payload =
   assert (size4k >= 0 && size4k < 1 lsl 26);
-  assert (payload >= 0 && payload < 1 lsl 36);
-  Int64.logor
-    (Int64.of_int code)
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int size4k) 2)
-       (Int64.shift_left (Int64.of_int payload) 28))
+  assert (payload >= 0 && payload < 1 lsl 34);
+  code lor (size4k lsl 2) lor (payload lsl 28)
 
-let decode v =
-  let code = Int64.to_int (Int64.logand v 3L) in
-  let size4k = Int64.to_int (Int64.logand (Int64.shift_right_logical v 2) 0x3FFFFFFL) in
-  let payload = Int64.to_int (Int64.shift_right_logical v 28) in
-  (code, size4k, payload)
+let decode v = (v land 3, (v lsr 2) land 0x3FFFFFF, v lsr 28)
 
 (* Logical slot -> byte offset within the chunk. Interleaving rotates
    consecutive entries across the chunk's 15 entry lines. *)
@@ -155,23 +155,20 @@ let create ?(replicate = false) dev ~base ~chunks ~interleave =
     base;
     nchunks = chunks;
     interleave;
-    vchunks = Int_rb.create ();
+    vchunks = Array.make chunks unused_chunk;
+    used_chunks = 0;
     free = [];
     next_unused = 0;
     head = none;
     tail = none;
     list_prev = Array.make chunks none;
     list_next = Array.make chunks none;
-    tomb_index = Hashtbl.create 64;
     alt = 0;
-    fast_runs = 0;
     slow_runs = 0;
     replicate;
   }
 
-let chunks_in_use t = Int_rb.cardinal t.vchunks
-let capacity_chunks t = t.nchunks
-let fast_gc_runs t = t.fast_runs
+let chunks_in_use t = t.used_chunks
 let slow_gc_runs t = t.slow_runs
 
 let needs_slow_gc t ~threshold =
@@ -206,9 +203,23 @@ let grab_chunk t clock =
   Pstruct.set t.dev ~base Chunk.active 1;
   Pstruct.flush_span t.dev clock Pmem.Stats.Log
     (Pstruct.union (Pstruct.span ~base Chunk.next) (Pstruct.span ~base Chunk.active));
-  let vc = { idx; valid = Array.make entries_per_chunk false; live = 0; tombs = 0; next_slot = 0 } in
-  Int_rb.insert t.vchunks idx vc;
+  if t.vchunks.(idx) == unused_chunk then
+    t.vchunks.(idx) <-
+      { unused_chunk with idx; valid = Array.make entries_per_chunk false;
+        tomb_refs = Array.make entries_per_chunk 0 };
+  let vc = t.vchunks.(idx) in
+  Array.fill vc.valid 0 entries_per_chunk false;
+  vc.in_use <- true;
+  vc.live <- 0;
+  vc.tombs <- 0;
+  vc.next_slot <- 0;
+  vc.ntomb_refs <- 0;
+  t.used_chunks <- t.used_chunks + 1;
   vc
+
+let release_chunk t vc =
+  vc.in_use <- false;
+  t.used_chunks <- t.used_chunks - 1
 
 let link_tail t clock (vc : vchunk) =
   if t.tail = none then begin
@@ -223,52 +234,50 @@ let link_tail t clock (vc : vchunk) =
     t.tail <- vc.idx
   end
 
-let rec tail_vchunk t clock =
-  if t.tail <> none then
-    match Int_rb.find_opt t.vchunks t.tail with
-    | Some vc when vc.next_slot < entries_per_chunk -> vc
-    | _ ->
-        let vc = grab_chunk t clock in
-        link_tail t clock vc;
-        vc
+let tail_vchunk t clock =
+  let vc = if t.tail = none then unused_chunk else t.vchunks.(t.tail) in
+  if vc.in_use && vc.next_slot < entries_per_chunk then vc
   else begin
     let vc = grab_chunk t clock in
     link_tail t clock vc;
-    tail_vchunk t clock
+    vc
   end
 
 (* --- appends ------------------------------------------------------------ *)
 
+(* Write one entry at the tail; returns its reference. *)
 let append_raw t clock ~code ~size4k ~payload =
   let vc = tail_vchunk t clock in
   let s = vc.next_slot in
   vc.next_slot <- s + 1;
   let base = chunk_base t vc.idx in
-  let phys = slot_index ~interleave:t.interleave s in
-  Pstruct.set_elt t.dev ~base Chunk.entries phys (encode ~code ~size4k ~payload);
-  Pstruct.flush_span t.dev clock Pmem.Stats.Log (Pstruct.elt_span ~base Chunk.entries phys);
-  (vc, s)
+  Pstruct.set_elt t.dev ~base Chunk.entries (slot_index ~interleave:t.interleave s)
+    (encode ~code ~size4k ~payload);
+  Pmem.Device.flush t.dev clock Pmem.Stats.Log ~addr:(base + slot_offset ~interleave:t.interleave s)
+    ~len:8;
+  (vc.idx * ref_stride) + s
+
+let vchunk_of t r = t.vchunks.(r / ref_stride)
+
+(* The normal entry just appended at [r] is live. *)
+let mark_live t r =
+  let vc = vchunk_of t r in
+  vc.valid.(r mod ref_stride) <- true;
+  vc.live <- vc.live + 1
 
 let append_normal t clock kind ~addr ~size =
   assert (addr mod 4096 = 0 && size mod 4096 = 0);
   let code = match kind with Extent -> code_extent | Slab_extent -> code_slab in
-  let vc, s = append_raw t clock ~code ~size4k:(size / 4096) ~payload:(addr / 4096) in
-  vc.valid.(s) <- true;
-  vc.live <- vc.live + 1;
-  (vc.idx * ref_stride) + s
+  let r = append_raw t clock ~code ~size4k:(size / 4096) ~payload:(addr / 4096) in
+  mark_live t r;
+  r
 
-let retire_tombstones_for t retired_chunk =
-  match Hashtbl.find_opt t.tomb_index retired_chunk with
-  | None -> ()
-  | Some refs ->
-      Hashtbl.remove t.tomb_index retired_chunk;
-      List.iter
-        (fun r ->
-          let c = r / ref_stride in
-          match Int_rb.find_opt t.vchunks c with
-          | Some vc -> vc.tombs <- vc.tombs - 1
-          | None -> ())
-        refs
+let retire_tombstones_for t retired =
+  for i = 0 to retired.ntomb_refs - 1 do
+    let vc = vchunk_of t retired.tomb_refs.(i) in
+    if vc.in_use then vc.tombs <- vc.tombs - 1
+  done;
+  retired.ntomb_refs <- 0
 
 let unlink_chunk t clock idx =
   let prev = t.list_prev.(idx) and next = t.list_next.(idx) in
@@ -286,43 +295,40 @@ let unlink_chunk t clock idx =
   t.list_next.(idx) <- none
 
 let fast_gc t clock =
-  t.fast_runs <- t.fast_runs + 1;
   let freed = ref 0 in
   let progress = ref true in
   while !progress do
     progress := false;
-    let victims =
-      Int_rb.fold
-        (fun idx vc acc ->
-          (* The tail keeps receiving appends; never retire it. *)
-          if vc.live = 0 && vc.tombs = 0 && idx <> t.tail then idx :: acc else acc)
-        t.vchunks []
-    in
+    (* Collected in increasing index order, retired in decreasing. The
+       tail keeps receiving appends; never retire it. *)
+    let victims = ref [] in
+    Array.iter
+      (fun vc ->
+        if vc.in_use && vc.live = 0 && vc.tombs = 0 && vc.idx <> t.tail then
+          victims := vc :: !victims)
+      t.vchunks;
     List.iter
-      (fun idx ->
-        unlink_chunk t clock idx;
-        Int_rb.remove t.vchunks idx;
-        t.free <- idx :: t.free;
-        retire_tombstones_for t idx;
+      (fun vc ->
+        unlink_chunk t clock vc.idx;
+        release_chunk t vc;
+        t.free <- vc.idx :: t.free;
+        retire_tombstones_for t vc;
         incr freed;
         progress := true)
-      victims
+      !victims
   done;
   !freed
 
 let append_tombstone t clock ref_ =
-  let target_chunk = ref_ / ref_stride and target_slot = ref_ mod ref_stride in
-  let vc, s = append_raw t clock ~code:code_tomb ~size4k:0 ~payload:ref_ in
+  let target = vchunk_of t ref_ and target_slot = ref_ mod ref_stride in
+  let self_ref = append_raw t clock ~code:code_tomb ~size4k:0 ~payload:ref_ in
+  let vc = vchunk_of t self_ref in
   vc.tombs <- vc.tombs + 1;
-  let self_ref = (vc.idx * ref_stride) + s in
-  (match Int_rb.find_opt t.vchunks target_chunk with
-  | Some target ->
-      assert target.valid.(target_slot);
-      target.valid.(target_slot) <- false;
-      target.live <- target.live - 1
-  | None -> assert false);
-  Hashtbl.replace t.tomb_index target_chunk
-    (self_ref :: Option.value ~default:[] (Hashtbl.find_opt t.tomb_index target_chunk))
+  assert (target.in_use && target.valid.(target_slot));
+  target.valid.(target_slot) <- false;
+  target.live <- target.live - 1;
+  target.tomb_refs.(target.ntomb_refs) <- self_ref;
+  target.ntomb_refs <- target.ntomb_refs + 1
 
 let decode_kind = function
   | c when c = code_extent -> Some Extent
@@ -335,43 +341,46 @@ let slow_gc t clock =
   let live = ref [] in
   let c = ref t.head in
   while !c <> none do
-    (match Int_rb.find_opt t.vchunks !c with
-    | Some vc ->
-        for s = 0 to vc.next_slot - 1 do
-          if vc.valid.(s) then begin
-            let v =
-              Pstruct.get_elt t.dev ~base:(chunk_base t vc.idx) Chunk.entries
-                (slot_index ~interleave:t.interleave s)
-            in
-            let code, size4k, payload = decode v in
-            assert (code = code_extent || code = code_slab);
-            live := ((vc.idx * ref_stride) + s, code, size4k, payload) :: !live
-          end
-        done
-    | None -> assert false);
+    let vc = t.vchunks.(!c) in
+    assert vc.in_use;
+    for s = 0 to vc.next_slot - 1 do
+      if vc.valid.(s) then begin
+        let v =
+          Pstruct.get_elt t.dev ~base:(chunk_base t vc.idx) Chunk.entries
+            (slot_index ~interleave:t.interleave s)
+        in
+        let code, size4k, payload = decode v in
+        assert (code = code_extent || code = code_slab);
+        live := ((vc.idx * ref_stride) + s, code, size4k, payload) :: !live
+      end
+    done;
     c := t.list_next.(!c)
   done;
   let live = List.rev !live in
-  let old_chunks = Int_rb.fold (fun idx _ acc -> idx :: acc) t.vchunks [] in
-  (* Build the new list on fresh chunks. *)
-  let old_vchunks = Int_rb.to_list t.vchunks in
-  List.iter (fun (idx, _) -> Int_rb.remove t.vchunks idx) old_vchunks;
+  (* Retire every chunk (the list keeps decreasing index order), then
+     build the new list on fresh chunks. *)
+  let old_chunks = ref [] in
+  Array.iter
+    (fun vc ->
+      if vc.in_use then begin
+        old_chunks := vc.idx :: !old_chunks;
+        release_chunk t vc
+      end)
+    t.vchunks;
   t.head <- none;
   t.tail <- none;
   t.alt <- 1 - t.alt;
-  Hashtbl.reset t.tomb_index;
   let remap = ref [] in
   List.iter
     (fun (old_ref, code, size4k, payload) ->
-      let vc, s = append_raw t clock ~code ~size4k ~payload in
-      vc.valid.(s) <- true;
-      vc.live <- vc.live + 1;
-      remap := (old_ref, (vc.idx * ref_stride) + s) :: !remap)
+      let r = append_raw t clock ~code ~size4k ~payload in
+      mark_live t r;
+      remap := (old_ref, r) :: !remap)
     live;
   (* Publish the new list by flipping the alt bit, then recycle. *)
   Pstruct.set t.dev ~base:t.base Hdr.alt t.alt;
   commit_header t clock (Pstruct.span ~base:t.base Hdr.alt);
-  t.free <- old_chunks @ t.free;
+  t.free <- !old_chunks @ t.free;
   Array.fill t.list_prev 0 t.nchunks none;
   Array.fill t.list_next 0 t.nchunks none;
   (* Rebuild volatile list links of the new chain from the entries just
@@ -400,7 +409,7 @@ let scan dev ~base ~interleave =
     let cb = base + Pmem.Cacheline.size + (!c * chunk_bytes) in
     for s = 0 to entries_per_chunk - 1 do
       let v = Pstruct.get_elt dev ~base:cb Chunk.entries (slot_index ~interleave s) in
-      if v <> 0L then begin
+      if v <> 0 then begin
         let code, size4k, payload = decode v in
         let ref_ = (!c * ref_stride) + s in
         if code = code_tomb then Hashtbl.remove normals payload
@@ -448,16 +457,15 @@ let open_existing ?(replicate = false) dev clock ~base ~chunks ~interleave =
       base;
       nchunks = chunks;
       interleave;
-      vchunks = Int_rb.create ();
+      vchunks = Array.make chunks unused_chunk;
+      used_chunks = 0;
       free = List.filter (fun i -> not in_old.(i)) (List.init chunks (fun i -> i));
       next_unused = chunks;
       head = none;
       tail = none;
       list_prev = Array.make chunks none;
       list_next = Array.make chunks none;
-      tomb_index = Hashtbl.create 64;
       alt = 1 - alt;
-      fast_runs = 0;
       slow_runs = 0;
       replicate;
     }

@@ -9,11 +9,13 @@
     pointer + active flag); its 15 remaining lines hold 8 B entries — 120
     per chunk. An entry packs 2 type bits (extent / slab / tombstone),
     a 26-bit size and a 36-bit address, both in 4 KB units, exactly the
-    encoding the paper describes. A tombstone's address field carries the
+    encoding the paper describes (written as an OCaml int, so addresses
+    stay below 2{^34} units). A tombstone's address field carries the
     entry reference of the normal entry it deletes.
 
-    Volatile vchunks mirror per-entry liveness in DRAM and are indexed by
-    a red-black tree; freed chunks are kept on a free list.
+    Volatile vchunks, an array by chunk, mirror per-entry liveness and
+    list the tombstones that target each chunk; freed chunks are kept on
+    a free list.
 
     GC: {e fast GC} frees chunks with no live normal entries and no
     pending tombstones by unlinking them from the persistent list (one
@@ -75,7 +77,6 @@ val append_tombstone : t -> Sim.Clock.t -> entry_ref -> unit
 (** Log the deletion of a previously appended normal entry. *)
 
 val chunks_in_use : t -> int
-val capacity_chunks : t -> int
 
 val needs_slow_gc : t -> threshold:float -> bool
 
@@ -85,7 +86,6 @@ val fast_gc : t -> Sim.Clock.t -> int
 val slow_gc : t -> Sim.Clock.t -> (entry_ref * entry_ref) list
 (** Rewrites live entries; returns old-to-new reference remappings. *)
 
-val fast_gc_runs : t -> int
 val slow_gc_runs : t -> int
 
 val scan : Pmem.Device.t -> base:int -> interleave:bool -> scanned list

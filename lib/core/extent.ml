@@ -1,22 +1,4 @@
-module Int_rb = Support.Rbtree.Make (Int)
-
-(* Monomorphic lexicographic compares: the same order as the polymorphic
-   [compare], without a [caml_compare] call per node visit. *)
-module Size_rb = Support.Rbtree.Make (struct
-  type t = int * int (* size, addr *)
-
-  let compare (s1, a1) (s2, a2) =
-    let c = Int.compare s1 s2 in
-    if c <> 0 then c else Int.compare a1 a2
-end)
-
-module Time_rb = Support.Rbtree.Make (struct
-  type t = int * int (* free_time, addr *)
-
-  let compare (t1, a1) (t2, a2) =
-    let c = Int.compare t1 t2 in
-    if c <> 0 then c else Int.compare a1 a2
-end)
+module Rbtree = Support.Rbtree
 
 type mode = In_place | Logged of Booklog.t
 type state = Activated | Reclaimed | Retained
@@ -37,6 +19,9 @@ type veh = {
   mutable log_ref : int;
   mutable free_time : int;
   page : pagedesc;
+  mutable addr_node : Rbtree.node;
+  mutable size_node : Rbtree.node;
+  mutable time_node : Rbtree.node;
 }
 
 let region_bytes = 4 * 1024 * 1024
@@ -50,12 +35,12 @@ type t = {
   region_lock : Sim.Lock.t;
   on_new_extent : veh -> unit;
   on_drop_extent : veh -> unit;
-  addr_tree : veh Int_rb.t;
-  reclaimed_by_size : veh Size_rb.t;
-  retained_by_size : veh Size_rb.t;
-  reclaimed_by_time : veh Time_rb.t; (* oldest free first *)
-  retained_by_time : veh Time_rb.t;
-  pages : pagedesc Int_rb.t; (* keyed by region base *)
+  addr_tree : veh Rbtree.t; (* (addr, 0) *)
+  reclaimed_by_size : veh Rbtree.t; (* (size, addr) *)
+  retained_by_size : veh Rbtree.t;
+  reclaimed_by_time : veh Rbtree.t; (* (free_time, addr): oldest free first *)
+  retained_by_time : veh Rbtree.t;
+  pages : pagedesc Rbtree.t; (* (base, 0) *)
   empty_pages : int Queue.t; (* bases to consider for whole-page release *)
   mutable activated_bytes : int;
   mutable reclaimed_bytes : int;
@@ -67,6 +52,14 @@ type t = {
 
 let round4k n = (n + 4095) land lnot 4095
 
+let fresh_veh ~addr ~size ~kind ~page ~now =
+  { addr; size; state = Reclaimed; kind; log_ref = -1; free_time = now; page;
+    addr_node = Rbtree.none; size_node = Rbtree.none; time_node = Rbtree.none }
+
+(* Fill the trees' free slots, and stand for "no extent"/"no page". *)
+let dummy_page = { base = -1; total = 0; page_data_off = 0; dedicated = false; activated_count = 0 }
+let dummy = fresh_veh ~addr:(-1) ~size:0 ~kind:Booklog.Extent ~page:dummy_page ~now:0
+
 let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
   {
     heap;
@@ -75,12 +68,12 @@ let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
     region_lock;
     on_new_extent;
     on_drop_extent;
-    addr_tree = Int_rb.create ();
-    reclaimed_by_size = Size_rb.create ();
-    retained_by_size = Size_rb.create ();
-    reclaimed_by_time = Time_rb.create ();
-    retained_by_time = Time_rb.create ();
-    pages = Int_rb.create ();
+    addr_tree = Rbtree.create ~dummy;
+    reclaimed_by_size = Rbtree.create ~dummy;
+    retained_by_size = Rbtree.create ~dummy;
+    reclaimed_by_time = Rbtree.create ~dummy;
+    retained_by_time = Rbtree.create ~dummy;
+    pages = Rbtree.create ~dummy:dummy_page;
     empty_pages = Queue.create ();
     activated_bytes = 0;
     reclaimed_bytes = 0;
@@ -101,7 +94,7 @@ let data_off t = match t.mode with In_place -> header_bytes | Logged _ -> 0
    so tree-walk cost separates from the surrounding malloc/free. *)
 let charge_search t clock n =
   Pmem.Device.note_extent_lookup t.dev;
-  let steps = Support.Rbtree.search_steps n in
+  let steps = Rbtree.search_steps n in
   let attr = Pmem.Device.attribution t.dev in
   (match attr with
   | None -> ()
@@ -119,16 +112,15 @@ let charge_search t clock n =
    operation already charged) still counts toward the lookup telemetry. *)
 let note_lookup t = Pmem.Device.note_extent_lookup t.dev
 
-let page_of t base = Int_rb.find_opt t.pages base
+let page_of t base = Rbtree.value t.pages (Rbtree.find t.pages base 0)
 
 let page_of_addr t addr =
   note_lookup t;
-  match Int_rb.find_last_leq t.pages addr with
-  | Some (_, pd) when addr < pd.base + pd.total -> Some pd
-  | Some _ | None -> None
+  let pd = Rbtree.value t.pages (Rbtree.find_last_leq t.pages addr 0) in
+  if addr < pd.base + pd.total then Some pd else None
 
-let iter_pages t f = Int_rb.iter (fun _ pd -> f pd) t.pages
-let page_count t = Int_rb.cardinal t.pages
+let iter_pages t f = Rbtree.iter (fun _ _ pd -> f pd) t.pages
+let page_count t = Rbtree.cardinal t.pages
 
 (* --- persistent bookkeeping -------------------------------------------- *)
 
@@ -177,8 +169,8 @@ let run_booklog_gc t clock log =
         note_lookup t;
         Hashtbl.replace table old_ref new_ref)
       (Booklog.slow_gc log clock);
-    Int_rb.iter
-      (fun _ v ->
+    Rbtree.iter
+      (fun _ _ v ->
         match Hashtbl.find_opt table v.log_ref with
         | Some r -> v.log_ref <- r
         | None -> ())
@@ -201,16 +193,23 @@ let persist_freed t clock v =
 
 let page_data_size pd = pd.total - pd.page_data_off
 
+(* The extent starting at [addr], or [dummy]. *)
+let at t addr = Rbtree.value t.addr_tree (Rbtree.find t.addr_tree addr 0)
+
 (* A non-dedicated page whose data area collapsed back into one reclaimed
-   extent: nothing of it is live, the whole region can go back to the OS. *)
+   extent: nothing of it is live, the whole region can go back to the OS.
+   Either free state qualifies: the decay loop may retain the extent in
+   the same tick that queued its page. *)
 let page_fully_free t pd =
   (not pd.dedicated) && pd.activated_count = 0
   && (note_lookup t;
-      match Int_rb.find_opt t.addr_tree (pd.base + pd.page_data_off) with
-      (* Either free state qualifies: the decay loop may retain the
-         extent in the same tick that queued its page. *)
-      | Some v -> v.state <> Activated && v.size = page_data_size pd
-      | None -> false)
+      let v = at t (pd.base + pd.page_data_off) in
+      v != dummy && v.state <> Activated && v.size = page_data_size pd)
+
+(* Remove [v]'s node [n]; a stale handle (not holding [v]) fails loudly. *)
+let drop tree v n =
+  assert (Rbtree.value tree n == v);
+  Rbtree.remove_node tree n
 
 (* [unlink]/[link] move [v] out of/into its state's indexes and byte
    count; the address tree is [detach]/[attach]'s, so a caller that keeps
@@ -221,12 +220,12 @@ let unlink t v =
       v.page.activated_count <- v.page.activated_count - 1;
       t.activated_bytes <- t.activated_bytes - v.size
   | Reclaimed ->
-      Size_rb.remove t.reclaimed_by_size (v.size, v.addr);
-      Time_rb.remove t.reclaimed_by_time (v.free_time, v.addr);
+      drop t.reclaimed_by_size v v.size_node;
+      drop t.reclaimed_by_time v v.time_node;
       t.reclaimed_bytes <- t.reclaimed_bytes - v.size
   | Retained ->
-      Size_rb.remove t.retained_by_size (v.size, v.addr);
-      Time_rb.remove t.retained_by_time (v.free_time, v.addr);
+      drop t.retained_by_size v v.size_node;
+      drop t.retained_by_time v v.time_node;
       t.retained_bytes <- t.retained_bytes - v.size
 
 let link t v state =
@@ -236,14 +235,14 @@ let link t v state =
       v.page.activated_count <- v.page.activated_count + 1;
       t.activated_bytes <- t.activated_bytes + v.size
   | Reclaimed ->
-      Size_rb.insert t.reclaimed_by_size (v.size, v.addr) v;
-      Time_rb.insert t.reclaimed_by_time (v.free_time, v.addr) v;
+      v.size_node <- Rbtree.insert t.reclaimed_by_size v.size v.addr v;
+      v.time_node <- Rbtree.insert t.reclaimed_by_time v.free_time v.addr v;
       t.reclaimed_bytes <- t.reclaimed_bytes + v.size;
       if t.reclaimed_bytes > t.reclaimed_peak then t.reclaimed_peak <- t.reclaimed_bytes;
       if page_fully_free t v.page then Queue.add v.page.base t.empty_pages
   | Retained ->
-      Size_rb.insert t.retained_by_size (v.size, v.addr) v;
-      Time_rb.insert t.retained_by_time (v.free_time, v.addr) v;
+      v.size_node <- Rbtree.insert t.retained_by_size v.size v.addr v;
+      v.time_node <- Rbtree.insert t.retained_by_time v.free_time v.addr v;
       t.retained_bytes <- t.retained_bytes + v.size;
       (* A page split between reclaimed and retained halves only becomes
          one spanning free extent after retention coalesces them: queue
@@ -252,41 +251,34 @@ let link t v state =
 
 let detach t v =
   unlink t v;
-  Int_rb.remove t.addr_tree v.addr
+  drop t.addr_tree v v.addr_node
 
 let attach t v state =
-  Int_rb.insert t.addr_tree v.addr v;
+  v.addr_node <- Rbtree.insert t.addr_tree v.addr 0 v;
   link t v state
+
+(* Merge [u] into [v] if it is a free neighbour in state [state] on the
+   same page ([dummy] never is). *)
+let try_merge t v ~state u =
+  if
+    u != v && u.page == v.page && u.state = state
+    && (u.addr + u.size = v.addr || v.addr + v.size = u.addr)
+  then begin
+    detach t u;
+    v.addr <- Int.min v.addr u.addr;
+    v.size <- v.size + u.size;
+    v.free_time <- Int.min v.free_time u.free_time;
+    Pmem.Device.note_extent_coalesced t.dev
+  end
 
 (* Merge adjacent free neighbours in state [state] (within one page) into
    [v]; [v] must not be in any structure yet. Neighbours come from floor /
    exact probes of the address tree, O(log n) each. *)
 let coalesce t v ~state =
-  let try_merge u =
-    if u != v && u.page == v.page && u.state = state then begin
-      if u.addr + u.size = v.addr then begin
-        detach t u;
-        v.addr <- u.addr;
-        v.size <- v.size + u.size;
-        v.free_time <- Int.min v.free_time u.free_time;
-        Pmem.Device.note_extent_coalesced t.dev
-      end
-      else if v.addr + v.size = u.addr then begin
-        detach t u;
-        v.size <- v.size + u.size;
-        v.free_time <- Int.min v.free_time u.free_time;
-        Pmem.Device.note_extent_coalesced t.dev
-      end
-    end
-  in
   note_lookup t;
-  (match Int_rb.find_last_lt t.addr_tree v.addr with
-  | Some (_, u) -> try_merge u
-  | None -> ());
+  try_merge t v ~state (Rbtree.value t.addr_tree (Rbtree.find_last_lt t.addr_tree v.addr 0));
   note_lookup t;
-  match Int_rb.find_opt t.addr_tree (v.addr + v.size) with
-  | Some u -> try_merge u
-  | None -> ()
+  try_merge t v ~state (at t (v.addr + v.size))
 
 (* --- pages ---------------------------------------------------------------- *)
 
@@ -295,14 +287,14 @@ let map_region t clock ~total ~dedicated =
       let base = Pmem.Dax.mmap (Heap.dax t.heap) clock ~size:total in
       Heap.register_region t.heap clock ~addr:base ~size:total;
       let pd = { base; total; page_data_off = data_off t; dedicated; activated_count = 0 } in
-      Int_rb.insert t.pages base pd;
+      ignore (Rbtree.insert t.pages base 0 pd : Rbtree.node);
       pd)
 
 let unmap_region ?(decommitted = 0) t clock pd =
   Sim.Lock.with_lock t.region_lock clock (fun () ->
       Heap.unregister_region t.heap clock ~addr:pd.base;
       Pmem.Dax.munmap (Heap.dax t.heap) clock ~decommitted ~addr:pd.base ~size:pd.total ();
-      Int_rb.remove t.pages pd.base)
+      Rbtree.remove t.pages pd.base 0)
 
 (* --- decay ---------------------------------------------------------------- *)
 
@@ -327,15 +319,13 @@ let drain_empty_pages t clock =
     match Queue.take_opt t.empty_pages with
     | None -> ()
     | Some base ->
-        (match page_of t base with
-        | Some pd when page_fully_free t pd -> (
-            match Int_rb.find_opt t.addr_tree (pd.base + pd.page_data_off) with
-            | Some v ->
-                let decommitted = if v.state = Retained then v.size else 0 in
-                detach t v;
-                unmap_region ~decommitted t clock pd
-            | None -> ())
-        | Some _ | None -> ());
+        let pd = page_of t base in
+        if pd != dummy_page && page_fully_free t pd then begin
+          let v = at t (pd.base + pd.page_data_off) in
+          let decommitted = if v.state = Retained then v.size else 0 in
+          detach t v;
+          unmap_region ~decommitted t clock pd
+        end;
         go ()
   in
   go ()
@@ -350,54 +340,50 @@ let decay_tick t clock =
        cap; the time-keyed tree replaces the FIFO list. *)
     let continue_ = ref true in
     while !continue_ do
-      match Time_rb.min_binding_opt t.reclaimed_by_time with
-      | None -> continue_ := false
-      | Some (_, v) ->
-          let frac = float_of_int (now - v.free_time) /. float_of_int window in
-          let cap = Support.Smootherstep.limit ~total:t.reclaimed_peak ~elapsed_fraction:frac in
-          if t.reclaimed_bytes > cap && frac > 0.0 then begin
-            detach t v;
-            Pmem.Dax.decommit (Heap.dax t.heap) clock ~addr:v.addr ~size:v.size;
-            coalesce t v ~state:Retained;
-            attach t v Retained
-          end
-          else continue_ := false
+      let v = Rbtree.value t.reclaimed_by_time (Rbtree.min_node t.reclaimed_by_time) in
+      if v == dummy then continue_ := false
+      else
+        let frac = float_of_int (now - v.free_time) /. float_of_int window in
+        let cap = Support.Smootherstep.limit ~total:t.reclaimed_peak ~elapsed_fraction:frac in
+        if t.reclaimed_bytes > cap && frac > 0.0 then begin
+          detach t v;
+          Pmem.Dax.decommit (Heap.dax t.heap) clock ~addr:v.addr ~size:v.size;
+          coalesce t v ~state:Retained;
+          attach t v Retained
+        end
+        else continue_ := false
     done;
     (* Retained -> OS after a full window: walk the time tree in order and
        stop at the first extent still inside the window. *)
     let victims = ref [] in
-    let rec collect key =
+    let tree = t.retained_by_time in
+    let rec collect ft addr =
       note_lookup t;
-      match Time_rb.find_first_geq t.retained_by_time key with
-      | Some ((ft, addr), v) when now - ft >= window ->
-          victims := v :: !victims;
-          collect (ft, addr + 1)
-      | Some _ | None -> ()
+      let n = Rbtree.find_first_geq tree ft addr in
+      if n <> Rbtree.none && now - Rbtree.key1 tree n >= window then begin
+        victims := Rbtree.value tree n :: !victims;
+        collect (Rbtree.key1 tree n) (Rbtree.key2 tree n + 1)
+      end
     in
-    collect (min_int, 0);
+    collect min_int 0;
     List.iter (fun v -> release_retained t clock v) !victims;
     drain_empty_pages t clock
   end
 
 (* --- allocation ------------------------------------------------------------ *)
 
-let fresh_veh ~addr ~size ~kind ~page ~now =
-  { addr; size; state = Reclaimed; kind; log_ref = -1; free_time = now; page }
-
 (* Split [need] bytes off the front of free extent [v] (in the address
    tree only); the remainder (if any) is attached in [remainder_state].
-   [v] keeps its address, hence its address-tree key. *)
+   [v] keeps its address, hence its address-tree node. *)
 let split_front t v ~need ~remainder_state =
   assert (v.size >= need);
-  if v.size = need then None
-  else begin
+  if v.size > need then begin
     let rest =
       fresh_veh ~addr:(v.addr + need) ~size:(v.size - need) ~kind:Booklog.Extent
         ~page:v.page ~now:v.free_time
     in
     v.size <- need;
-    attach t rest remainder_state;
-    Some rest
+    attach t rest remainder_state
   end
 
 (* [v] is in the address tree already. *)
@@ -413,7 +399,7 @@ let fresh_region_veh t clock page ~kind =
     fresh_veh ~addr:(page.base + page.page_data_off) ~size:(page_data_size page) ~kind ~page
       ~now:(Sim.Clock.ns clock)
   in
-  Int_rb.insert t.addr_tree v.addr v;
+  v.addr_node <- Rbtree.insert t.addr_tree v.addr 0 v;
   v
 
 let alloc_huge t clock ~size ~kind =
@@ -422,43 +408,45 @@ let alloc_huge t clock ~size ~kind =
   activate t clock v kind;
   v
 
-(* Best fit leaves the extent in the address tree: the split keeps its
-   start address. *)
+(* The smallest free extent of [tree] that fits [need], unlinked from its
+   state's indexes, or [dummy]. Best fit leaves the extent in the address
+   tree: the split keeps its start address. *)
 let take_best_fit t clock tree ~need =
-  charge_search t clock (Size_rb.cardinal tree);
-  match Size_rb.find_first_geq tree (need, 0) with
-  | None -> None
-  | Some (_, v) ->
-      unlink t v;
-      Some v
+  charge_search t clock (Rbtree.cardinal tree);
+  let v = Rbtree.value tree (Rbtree.find_first_geq tree need 0) in
+  if v != dummy then unlink t v;
+  v
 
 let malloc t clock ~size ~kind =
   decay_tick t clock;
   let need = round4k size in
   if need > huge_threshold then alloc_huge t clock ~size:need ~kind
   else
-    match take_best_fit t clock t.reclaimed_by_size ~need with
-    | Some v ->
-        ignore (split_front t v ~need ~remainder_state:Reclaimed);
+    let v = take_best_fit t clock t.reclaimed_by_size ~need in
+    if v != dummy then begin
+      split_front t v ~need ~remainder_state:Reclaimed;
+      activate t clock v kind;
+      v
+    end
+    else
+      let v = take_best_fit t clock t.retained_by_size ~need in
+      if v != dummy then begin
+        split_front t v ~need ~remainder_state:Retained;
+        Pmem.Dax.recommit (Heap.dax t.heap) clock ~addr:v.addr ~size:v.size;
         activate t clock v kind;
         v
-    | None -> (
-        match take_best_fit t clock t.retained_by_size ~need with
-        | Some v ->
-            ignore (split_front t v ~need ~remainder_state:Retained);
-            Pmem.Dax.recommit (Heap.dax t.heap) clock ~addr:v.addr ~size:v.size;
-            activate t clock v kind;
-            v
-        | None ->
-            let page = map_region t clock ~total:region_bytes ~dedicated:false in
-            let v = fresh_region_veh t clock page ~kind:Booklog.Extent in
-            ignore (split_front t v ~need ~remainder_state:Reclaimed);
-            activate t clock v kind;
-            v)
+      end
+      else begin
+        let page = map_region t clock ~total:region_bytes ~dedicated:false in
+        let v = fresh_region_veh t clock page ~kind:Booklog.Extent in
+        split_front t v ~need ~remainder_state:Reclaimed;
+        activate t clock v kind;
+        v
+      end
 
 let free t clock v =
   assert (v.state = Activated);
-  charge_search t clock (Int_rb.cardinal t.addr_tree);
+  charge_search t clock (Rbtree.cardinal t.addr_tree);
   detach t v;
   persist_freed t clock v;
   t.on_drop_extent v;
@@ -478,19 +466,16 @@ let free t clock v =
 let restore_region t ~base ~total =
   (* A region whose size differs from the default granularity was mapped
      for one huge object. *)
-  Int_rb.insert t.pages base
-    {
-      base;
-      total;
-      page_data_off = data_off t;
-      dedicated = total <> region_bytes;
-      activated_count = 0;
-    }
+  let pd =
+    { base; total; page_data_off = data_off t; dedicated = total <> region_bytes; activated_count = 0 }
+  in
+  ignore (Rbtree.insert t.pages base 0 pd : Rbtree.node)
 
 let restore_extent t ~addr ~size ~kind ~state ~log_ref ~region =
   (* Region totals are re-derived from the persistent region table by the
      recovery driver before extents are restored. *)
-  let page = match page_of t region with Some pd -> pd | None -> assert false in
+  let page = page_of t region in
+  assert (page != dummy_page);
   let v = fresh_veh ~addr ~size ~kind ~page ~now:0 in
   v.log_ref <- log_ref;
   attach t v state;

@@ -9,12 +9,12 @@
     - {e retained}: free extents whose physical pages were released
       (decommitted) but whose address range is still reserved.
 
-    Every index is a balanced tree: the address-ordered extent tree (the
+    Every index is a {!Support.Rbtree}: the [(addr, 0)] extent tree (the
     paper's "R-tree") answers the floor/ceiling probes that splitting and
-    neighbour coalescing need in O(log n); (size, addr)-ordered trees give
-    best-fit; (free_time, addr)-ordered trees give oldest-first decay
-    without list walks; the mapped regions themselves live in an
-    address-ordered tree of {e page descriptors}, each counting its
+    neighbour coalescing need in O(log n); [(size, addr)] trees give
+    best-fit; [(free_time, addr)] trees give oldest-first decay without
+    list walks; the mapped regions live in a [(base, 0)] tree of {e page
+    descriptors}, each counting its
     activated extents so a page whose last live extent dies is detected in
     O(1) and the whole region released back to the OS at the next decay
     tick — reclaimed space coalesces across slab boundaries instead of
@@ -22,8 +22,10 @@
     smootherstep curve (50 ms ticks) moves idle reclaimed extents to
     retained and releases fully-retained regions.
 
-    Each VEH holds its page's descriptor, so no operation on an extent
-    looks its page up. A best-fit allocation splits its extent in place:
+    Each VEH holds its page's descriptor, and its node handles in the
+    trees, so unlinking it removes by handle (a stale handle fails an
+    assertion) and no operation looks its page up; index work allocates
+    nothing. A best-fit allocation splits its extent in place:
     the front keeps its start address, hence its address-tree entry. When
     slow GC rewrites the bookkeeping log, one walk of the address tree
     re-points the activated VEHs' log references.
@@ -62,9 +64,15 @@ type veh = {
   page : pagedesc;
       (** the owning mapped region's descriptor, held so that no operation
           on the extent looks its page up *)
+  mutable addr_node : Support.Rbtree.node;  (** in the address tree *)
+  mutable size_node : Support.Rbtree.node;  (** in its free state's trees *)
+  mutable time_node : Support.Rbtree.node;
 }
 
 type t
+
+val dummy : veh
+(** Never live: fills the free slots of VEH indexes. *)
 
 val region_bytes : int
 (** Default mapped-region granularity (4 MB). *)

@@ -1,4 +1,4 @@
-module Int_rb = Support.Rbtree.Make (Int)
+module Rbtree = Support.Rbtree
 
 type owner = Small_owner of Slab.t | Large_owner of Extent.veh * int
 
@@ -7,7 +7,10 @@ type t = {
   dev : Pmem.Device.t;
   config : Config.t;
   mutable arenas : Arena.t array;
-  owner_index : owner Int_rb.t;
+  (* The owner index: slabs keyed (addr, 0), large extents (addr, arena);
+     addresses are unique, so the second component only names the arena. *)
+  slab_index : Slab.t Rbtree.t;
+  large_index : Extent.veh Rbtree.t;
   owner_lock : Sim.Lock.t;
   region_lock : Sim.Lock.t;
   arena_threads : int array;
@@ -45,6 +48,8 @@ and ntelem = {
   th_free : Telemetry.Histogram.t;
   tn_class_slabs : int array; (* snapshot counters, per size class *)
   tn_class_occupancy : int array;
+  ts_nslabs : int array; (* snapshot scratch: per class, then free/full/partial *)
+  ts_occ : float array; (* snapshot scratch: occupancy sums per class *)
 }
 
 type thread = { id : int; clock : Sim.Clock.t; arena : int; tcaches : Tcache.t array }
@@ -79,32 +84,45 @@ let pp_recovery_report ppf r =
 
 (* --- owner index --------------------------------------------------------- *)
 
-let owner_insert t addr owner = Int_rb.insert t.owner_index addr owner
-let owner_remove t addr = Int_rb.remove t.owner_index addr
+let slab_insert t s = ignore (Rbtree.insert t.slab_index s.Slab.addr 0 s : Rbtree.node)
 
-(* Find the slab or extent containing [addr]; charges a search. *)
+(* The node of the slab / large extent holding [addr], or none. *)
+let slab_node t addr =
+  let n = Rbtree.find_last_leq t.slab_index addr 0 in
+  if n <> Rbtree.none && addr < Rbtree.key1 t.slab_index n + Slab.slab_bytes then n else Rbtree.none
+
+let large_node t addr =
+  let n = Rbtree.find_last_leq t.large_index addr max_int in
+  let v = Rbtree.value t.large_index n in
+  if addr < v.Extent.addr + v.Extent.size then n else Rbtree.none
+
+(* One search of the owner index: both trees, charged as one. *)
+let charge_owner_search t clock =
+  let n = Rbtree.cardinal t.slab_index + Rbtree.cardinal t.large_index in
+  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(Rbtree.search_steps n * 25)
+
+(* The owner of [addr], uncharged; [free_from] uses the node queries instead. *)
+let owner_find t addr =
+  let sn = slab_node t addr in
+  if sn <> Rbtree.none then Some (Small_owner (Rbtree.value t.slab_index sn))
+  else
+    let ln = large_node t addr in
+    if ln = Rbtree.none then None
+    else Some (Large_owner (Rbtree.value t.large_index ln, Rbtree.key2 t.large_index ln))
+
 let owner_lookup t clock addr =
-  let steps = Support.Rbtree.search_steps (Int_rb.cardinal t.owner_index) in
-  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(steps * 25);
-  match Int_rb.find_last_leq t.owner_index addr with
-  | None -> None
-  | Some (_, (Small_owner s as o)) ->
-      if addr < s.Slab.addr + Slab.slab_bytes then Some o else None
-  | Some (_, (Large_owner (v, _) as o)) ->
-      if addr < v.Extent.addr + v.Extent.size then Some o else None
+  charge_owner_search t clock;
+  owner_find t addr
 
 let callbacks t =
-  let on_slab_created s = owner_insert t s.Slab.addr (Small_owner s) in
-  let on_slab_destroyed s = owner_remove t s.Slab.addr in
+  let on_slab_created s = slab_insert t s in
+  let on_slab_destroyed s = Rbtree.remove t.slab_index s.Slab.addr 0 in
   let on_extent_created v arena =
-    match v.Extent.kind with
-    | Booklog.Extent -> owner_insert t v.Extent.addr (Large_owner (v, arena))
-    | Booklog.Slab_extent -> ()
+    if v.Extent.kind = Booklog.Extent then
+      ignore (Rbtree.insert t.large_index v.Extent.addr arena v : Rbtree.node)
   in
-  let on_extent_dropped v =
-    match v.Extent.kind with
-    | Booklog.Extent -> owner_remove t v.Extent.addr
-    | Booklog.Slab_extent -> ()
+  let on_extent_dropped v arena =
+    if v.Extent.kind = Booklog.Extent then Rbtree.remove t.large_index v.Extent.addr arena
   in
   (on_slab_created, on_slab_destroyed, on_extent_created, on_extent_dropped)
 
@@ -130,7 +148,8 @@ let create ?(config = Config.log_default) ?mutation dev clock =
       dev;
       config;
       arenas = [||];
-      owner_index = Int_rb.create ();
+      slab_index = Rbtree.create ~dummy:Slab.dummy;
+      large_index = Rbtree.create ~dummy:Extent.dummy;
       owner_lock = Sim.Lock.create ();
       region_lock = Sim.Lock.create ();
       arena_threads = Array.make config.Config.arenas 0;
@@ -192,6 +211,8 @@ let set_telemetry t sink =
             tn_class_occupancy =
               Array.init Size_class.count (fun c ->
                   Telemetry.intern s (Printf.sprintf "occupancy:c%d" c));
+            ts_nslabs = Array.make (Size_class.count + 3) 0;
+            ts_occ = Array.make Size_class.count 0.0;
           };
       (* Contended owner/region-lock acquires charge [lock_wait] leaves
          into the waiting thread's open frame (the arena locks hook
@@ -252,8 +273,6 @@ let thread t clock =
   t.next_thread <- t.next_thread + 1;
   th
 
-let thread_clock th = th.clock
-let thread_arena th = th.arena
 
 (* --- media faults: demand repair and quarantine ------------------------------
 
@@ -333,10 +352,8 @@ let guard_of_line t line =
            ~chunks:t.config.Config.booklog_chunks)
   done;
   (if !found = None then
-     let addr = line * cl in
-     match Int_rb.find_last_leq t.owner_index addr with
-     | Some (_, Small_owner s) when addr < s.Slab.addr + Slab.slab_bytes ->
-         try_r ~slab:s (Slab.guard_record s.Slab.addr)
+     match owner_find t (line * cl) with
+     | Some (Small_owner s) -> try_r ~slab:s (Slab.guard_record s.Slab.addr)
      | _ -> ());
   !found
 
@@ -400,11 +417,12 @@ end
    group's close instead of retiring inline — the watermark then commits
    entry and pointer together, so a crash mid-group loses the whole
    operation rather than publishing a pointer whose entry replay
-   discards. *)
+   discards. With no deps (check mode off) the commit builds no span. *)
 let publish ~deps ?via t clock ~dest ~addr =
   Pstruct.set t.dev ~base:dest Ptr.v addr;
   match via with
   | Some wal -> Wal.defer_commit wal clock Pmem.Stats.Data ~deps ~addr:dest ~len:8
+  | None when deps == [] -> Pmem.Device.commit_flush t.dev clock Pmem.Stats.Data ~addr:dest ~len:8
   | None -> Pstruct.commit ~deps t.dev clock Pmem.Stats.Data (Pstruct.span ~base:dest Ptr.v)
 
 let malloc_to t th ~size ~dest =
@@ -475,26 +493,29 @@ let free_from t th ~dest =
        dangling destination. *)
     if t.config.Config.consistency = Config.Internal_collection then
       publish ~deps:[] t clock ~dest ~addr:0;
-    let deps, via =
-      match owner_lookup t clock addr with
-      | Some (Small_owner slab) ->
-          let arena = t.arenas.(slab.Slab.arena) in
-          let wal_off = Arena.free_small arena clock ~tcaches:th.tcaches slab ~addr ~dest in
-          (* The morph-release path logs no entry (wal_off = -1): its
-             metadata committed inline above, so the retraction must too —
-             deferring it with no covering entry would leave the published
-             pointer dangling at a freed block across the group window. *)
-          let via = if wal_off < 0 then None else Some (Arena.wal arena) in
-          (Arena.wal_dep arena Wal.Free wal_off, via)
-      | Some (Large_owner (veh, aidx)) ->
-          assert (veh.Extent.addr = addr);
-          let arena = t.arenas.(aidx) in
-          let wal_off = Arena.log_op arena clock Wal.Large_free ~addr ~dest in
-          Arena.free_large arena clock veh;
-          (Arena.wal_dep arena Wal.Large_free wal_off, None)
-      | None -> invalid_arg "Nvalloc.free_from: address not owned by the allocator"
-    in
-    publish ~deps ?via t clock ~dest ~addr:0
+    charge_owner_search t clock;
+    let sn = slab_node t addr in
+    if sn <> Rbtree.none then begin
+      let slab = Rbtree.value t.slab_index sn in
+      let arena = t.arenas.(slab.Slab.arena) in
+      let wal_off = Arena.free_small arena clock ~tcaches:th.tcaches slab ~addr ~dest in
+      (* The morph-release path logs no entry (wal_off = -1): its
+         metadata committed inline above, so the retraction must too —
+         deferring it with no covering entry would leave the published
+         pointer dangling at a freed block across the group window. *)
+      let via = if wal_off < 0 then None else Some (Arena.wal arena) in
+      publish ~deps:(Arena.wal_dep arena Wal.Free wal_off) ?via t clock ~dest ~addr:0
+    end
+    else begin
+      let ln = large_node t addr in
+      if ln = Rbtree.none then invalid_arg "Nvalloc.free_from: address not owned by the allocator";
+      let veh = Rbtree.value t.large_index ln in
+      assert (veh.Extent.addr = addr);
+      let arena = t.arenas.(Rbtree.key2 t.large_index ln) in
+      let wal_off = Arena.log_op arena clock Wal.Large_free ~addr ~dest in
+      Arena.free_large arena clock veh;
+      publish ~deps:(Arena.wal_dep arena Wal.Large_free wal_off) t clock ~dest ~addr:0
+    end
   end;
   aroot_leave t clock;
   match t.telem with
@@ -533,10 +554,9 @@ let info_of_owner = function
   | Large_owner (v, _) -> { base = v.Extent.addr; size = v.Extent.size; is_slab = false }
 
 let owner_of_addr t addr =
-  match Int_rb.find_last_leq t.owner_index addr with
-  | Some (_, o) when addr < (info_of_owner o).base + (info_of_owner o).size ->
-      Some (info_of_owner o)
-  | _ ->
+  match owner_find t addr with
+  | Some o -> Some (info_of_owner o)
+  | None ->
       (* Recovery-quarantined ranges have no index entry (no vslab was
          built) but remain the allocator's: queries must keep reporting
          them so callers free (and get swallowed) instead of erroring. *)
@@ -546,11 +566,17 @@ let owner_of_addr t addr =
           else None)
         t.quarantined_ranges
 
+(* Both trees' bindings, merged in address order. *)
+let owners t =
+  let slabs = Rbtree.fold (fun k _ s acc -> (k, Small_owner s) :: acc) t.slab_index [] in
+  let all = Rbtree.fold (fun k a v acc -> (k, Large_owner (v, a)) :: acc) t.large_index slabs in
+  List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) all
+
 let check_owner_index t =
   let prev = ref None in
   let error = ref None in
-  Int_rb.iter
-    (fun key o ->
+  List.iter
+    (fun (key, o) ->
       let i = info_of_owner o in
       if key <> i.base then
         error := Some (Printf.sprintf "key %d <> base %d" key i.base);
@@ -564,10 +590,12 @@ let check_owner_index t =
                  (if i.is_slab then "slab" else "ext"))
       | _ -> ());
       prev := Some i)
-    t.owner_index;
+    (owners t);
   match !error with None -> Ok "disjoint" | Some e -> Error e
 
-let iter_slabs t f = Array.iter (fun a -> Arena.iter_slabs a f) t.arenas
+let iter_slabs t f =
+  let f _ s = f s in
+  Array.iter (fun a -> Arena.iter_slabs a f) t.arenas
 
 let iter_allocated t f =
   (* Small objects: marked, non-pinned blocks; old-class blocks of a
@@ -586,12 +614,7 @@ let iter_allocated t f =
             m.Slab.old_live
       | None -> ());
   (* Large objects. *)
-  Int_rb.iter
-    (fun _ o ->
-      match o with
-      | Large_owner (v, _) -> f ~addr:v.Extent.addr ~size:v.Extent.size
-      | Small_owner _ -> ())
-    t.owner_index
+  Rbtree.iter (fun _ _ v -> f ~addr:v.Extent.addr ~size:v.Extent.size) t.large_index
 
 let allocated_small_blocks t =
   Array.fold_left (fun acc a -> acc + Arena.live_small_blocks a) 0 t.arenas
@@ -750,7 +773,7 @@ let structural_walk t ~quiesced =
   let slabs = ref 0 in
   Array.iter
     (fun a ->
-      Arena.iter_slabs a (fun s ->
+      Arena.iter_slabs a (fun _ s ->
           incr slabs;
           if s.Slab.arena <> Arena.index a then
             failf "slab %#x: belongs to arena %d, registered with arena %d" s.Slab.addr
@@ -803,52 +826,62 @@ let integrity_walk t clock =
   | Pmem.Device.Media_error { op; addr; line; _ } ->
       Error (Printf.sprintf "media error during walk: %s at %#x (line %d)" op addr line)
 
+(* A whole-valued snapshot counter (an intern hit allocates nothing). *)
+let snapshot_int sink ~ts name value =
+  Telemetry.counter_int sink ~tid:Telemetry.snapshot_tid ~name:(Telemetry.intern sink name) ~ts
+    ~value
+
 (* Periodic heap introspection: counter events on the snapshot pseudo-
    track — per-size-class slab counts and mean occupancy, free/full/
    partial slab counts, extent byte totals and fragmentation, mapped
-   bytes. Read-only over volatile bookkeeping; charges nothing. *)
+   bytes. Read-only over volatile bookkeeping; charges nothing. Only the
+   per-class mean occupancies box a float. *)
 let telemetry_snapshot t ~ts =
   match t.telem with
   | None -> ()
   | Some e ->
       let sink = e.tsink in
       let tid = Telemetry.snapshot_tid in
-      let emit name value = Telemetry.counter_named sink ~tid ~name ~ts ~value in
       let nclasses = Size_class.count in
-      let nslabs = Array.make nclasses 0 in
-      let occ = Array.make nclasses 0.0 in
-      let free = ref 0 and full = ref 0 and partial = ref 0 in
+      let nslabs = e.ts_nslabs and occ = e.ts_occ in
+      Array.fill nslabs 0 (nclasses + 3) 0;
+      Array.fill occ 0 nclasses 0.0;
       iter_slabs t (fun s ->
           let c = s.Slab.layout.Slab.class_idx in
           nslabs.(c) <- nslabs.(c) + 1;
-          occ.(c) <- occ.(c) +. Slab.occupancy_ratio s;
-          if s.Slab.free_count = 0 then incr full
-          else if s.Slab.free_count = s.Slab.layout.Slab.nblocks then incr free
-          else incr partial);
-      emit "slabs:free" (float_of_int !free);
-      emit "slabs:full" (float_of_int !full);
-      emit "slabs:partial" (float_of_int !partial);
+          (* [Slab.occupancy_ratio], inline: its float result would be boxed. *)
+          let total = s.Slab.layout.Slab.nblocks in
+          occ.(c) <- occ.(c) +. (float_of_int (total - s.Slab.free_count) /. float_of_int total);
+          let kind =
+            if s.Slab.free_count = 0 then 1 else if s.Slab.free_count = total then 0 else 2
+          in
+          nslabs.(nclasses + kind) <- nslabs.(nclasses + kind) + 1);
+      snapshot_int sink ~ts "slabs:free" nslabs.(nclasses);
+      snapshot_int sink ~ts "slabs:full" nslabs.(nclasses + 1);
+      snapshot_int sink ~ts "slabs:partial" nslabs.(nclasses + 2);
       for c = 0 to nclasses - 1 do
         if nslabs.(c) > 0 then begin
-          Telemetry.counter sink ~tid ~name:e.tn_class_slabs.(c) ~ts
-            ~value:(float_of_int nslabs.(c));
+          Telemetry.counter_int sink ~tid ~name:e.tn_class_slabs.(c) ~ts ~value:nslabs.(c);
           Telemetry.counter sink ~tid ~name:e.tn_class_occupancy.(c) ~ts
             ~value:(occ.(c) /. float_of_int nslabs.(c))
         end
       done;
-      let sum f = Array.fold_left (fun acc a -> acc + f (Arena.large a)) 0 t.arenas in
-      let activated = sum Extent.activated_bytes in
-      let reclaimed = sum Extent.reclaimed_bytes in
-      let retained = sum Extent.retained_bytes in
-      emit "extent:activated_bytes" (float_of_int activated);
-      emit "extent:reclaimed_bytes" (float_of_int reclaimed);
-      emit "extent:retained_bytes" (float_of_int retained);
+      let activated = ref 0 and reclaimed = ref 0 and retained = ref 0 in
+      for i = 0 to Array.length t.arenas - 1 do
+        let l = Arena.large t.arenas.(i) in
+        activated := !activated + Extent.activated_bytes l;
+        reclaimed := !reclaimed + Extent.reclaimed_bytes l;
+        retained := !retained + Extent.retained_bytes l
+      done;
+      snapshot_int sink ~ts "extent:activated_bytes" !activated;
+      snapshot_int sink ~ts "extent:reclaimed_bytes" !reclaimed;
+      snapshot_int sink ~ts "extent:retained_bytes" !retained;
       (* Fragmentation: share of once-activated address space now sitting in
          reclaimed (free but carved-up) extents. *)
-      let denom = activated + reclaimed in
-      emit "extent:fragmentation"
-        (if denom = 0 then 0.0 else float_of_int reclaimed /. float_of_int denom);
-      emit "mapped_bytes" (float_of_int (mapped_bytes t))
+      let denom = !activated + !reclaimed in
+      Telemetry.counter_ratio sink ~tid ~name:(Telemetry.intern sink "extent:fragmentation") ~ts
+        ~num:!reclaimed ~den:(if denom = 0 then 1 else denom);
+      snapshot_int sink ~ts "mapped_bytes" (mapped_bytes t)
 
 (* --- media scrub and fault injection ------------------------------------ *)
 
@@ -1090,7 +1123,8 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
       dev;
       config;
       arenas = [||];
-      owner_index = Int_rb.create ();
+      slab_index = Rbtree.create ~dummy:Slab.dummy;
+      large_index = Rbtree.create ~dummy:Extent.dummy;
       owner_lock = Sim.Lock.create ();
       region_lock = Sim.Lock.create ();
       arena_threads = Array.make config.Config.arenas 0;
@@ -1287,7 +1321,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
               Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:s.Booklog.addr
                 ~len:Slab.slab_bytes
             end;
-            owner_insert t vslab.Slab.addr (Small_owner vslab);
+            slab_insert t vslab;
             Arena.restore_slab arena vslab
           end
       | Booklog.Extent -> ())
@@ -1301,8 +1335,8 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
         if s.Booklog.size = Slab.slab_bytes && Slab.is_slab_header dev s.Booklog.addr then begin
           let arena = t.arenas.(arena_idx) in
           (match owner_lookup t clock s.Booklog.addr with
-          | Some (Large_owner (veh, _)) ->
-              owner_remove t veh.Extent.addr;
+          | Some (Large_owner (veh, a)) ->
+              Rbtree.remove t.large_index veh.Extent.addr a;
               veh.Extent.kind <- Booklog.Slab_extent;
               Arena.adopt_slab_veh arena veh
           | _ -> ());
@@ -1312,7 +1346,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
               ~arena:arena_idx ~mapping
           in
           if undone then incr undone_morphs;
-          owner_insert t vslab.Slab.addr (Small_owner vslab);
+          slab_insert t vslab;
           Arena.restore_slab arena vslab
         end)
       activated;
@@ -1541,14 +1575,11 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
           !slabs;
         (* Unmarked large extents are leaks. *)
         let unmarked = ref [] in
-        Int_rb.iter
-          (fun _ o ->
-            match o with
-            | Large_owner (veh, aidx) ->
-                if not (Hashtbl.mem mark_large veh.Extent.addr) then
-                  unmarked := (veh, aidx) :: !unmarked
-            | Small_owner _ -> ())
-          t.owner_index;
+        Rbtree.iter
+          (fun _ aidx veh ->
+            if not (Hashtbl.mem mark_large veh.Extent.addr) then
+              unmarked := (veh, aidx) :: !unmarked)
+          t.large_index;
         List.iter
           (fun (veh, aidx) ->
             Arena.free_large t.arenas.(aidx) clock veh;

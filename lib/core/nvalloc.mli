@@ -82,8 +82,6 @@ val device : t -> Pmem.Device.t
 val heap : t -> Heap.t
 
 val thread : t -> Sim.Clock.t -> thread
-val thread_clock : thread -> Sim.Clock.t
-val thread_arena : thread -> int
 
 val root_addr : t -> int -> int
 (** Address of root-table slot [i] (use as [dest]). *)

@@ -237,6 +237,12 @@ let recompute_free dev t =
     if (not (Bitmap.get dev t.bitmap b)) && usable t b then free_put t b
   done
 
+let dummy =
+  let mapping = Bitmap.Sequential in
+  { addr = -1; arena = -1; layout = layout_of_class ~class_idx:0 ~mapping;
+    bitmap = Bitmap.make ~base:0 ~nbits:1 ~mapping; free_count = 0; avail = [||]; tcached = 0;
+    freelist_node = None; lru_node = None; morph = None; dying = false; quarantined = false }
+
 let format dev ~addr ~arena ~mapping layout =
   assert (addr mod 4096 = 0);
   assert (arena land lnot mask_arena = 0);

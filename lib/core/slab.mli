@@ -113,6 +113,9 @@ and morph = {
 
 (** {1 Creation and header access} *)
 
+val dummy : t
+(** Never live: fills the free slots of indexes over vslabs. *)
+
 val format :
   Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> layout -> t
 (** Write a fresh persistent header (volatile image only; caller flushes

@@ -36,6 +36,7 @@ type t = {
   mutable neffects : int;
   skip_record : bool; (* [Mutation.Wal_record]: the seeded commit-record bug *)
   replicate : bool; (* maintain the header's guard replica (media model) *)
+  guard : Guard.record; (* [guard_record] of this log, built once *)
 }
 
 (* One leading header line, the entry area, one trailing guard-replica
@@ -160,11 +161,9 @@ let write_header t =
     Pstruct.set t.dev ~base:t.base Hdr.gc_ck 0;
     Pstruct.set t.dev ~base:t.base Hdr.gc_seq 0
   end;
-  Guard.refresh t.dev (guard_record ~base:t.base ~entries:t.nentries)
+  Guard.refresh t.dev t.guard
 
-let write_replica t clock =
-  if t.replicate then
-    Guard.write_replica t.dev clock (guard_record ~base:t.base ~entries:t.nentries)
+let write_replica t clock = if t.replicate then Guard.write_replica t.dev clock t.guard
 
 (* The volatile handle; [create] formats the region, [adopt] reads it. *)
 let make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch ~ready =
@@ -192,6 +191,7 @@ let make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch ~read
     neffects = 0;
     skip_record = mutation = Mutation.Wal_record;
     replicate;
+    guard = guard_record ~base ~entries;
   }
 
 let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
@@ -199,11 +199,11 @@ let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~bas
   let t = make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch:1 ~ready:true in
   (* Entry epochs are all 0 (the device zero-fills), hence invalid. *)
   write_header t;
-  if replicate then
+  if replicate then begin
     (* Volatile-only here; the caller persists the whole init image. *)
-    let r = guard_record ~base ~entries in
+    let r = t.guard in
     Pmem.Device.blit dev ~src:r.Guard.primary ~dst:r.Guard.replica ~len:(r.Guard.len + 2)
-  else ();
+  end;
   t
 
 let entries t = t.nentries
@@ -299,7 +299,7 @@ let flush_group t clock =
       Pstruct.set t.dev ~base:t.base Hdr.gc_epoch t.epoch;
       Pstruct.set t.dev ~base:t.base Hdr.gc_ck (gc_checksum ~epoch:t.epoch ~seq:t.seq);
       Pstruct.set t.dev ~base:t.base Hdr.gc_seq t.seq;
-      Guard.refresh t.dev (guard_record ~base:t.base ~entries:t.nentries);
+      Guard.refresh t.dev t.guard;
       Pmem.Device.flush_weak t.dev clock Pmem.Stats.Wal ~addr:t.base ~len:8;
       write_replica t clock;
       Pmem.Device.fence t.dev clock;
@@ -307,10 +307,12 @@ let flush_group t clock =
     end;
     if t.neffects > 0 then begin
       for i = 0 to t.neffects - 1 do
-        List.iter
-          (fun (note, (s : Pstruct.span)) ->
-            Pmem.Device.depends_on ~note t.dev clock ~addr:s.addr ~len:s.len)
-          t.edeps.(i);
+        (* Deps exist in check mode only: elsewhere no closure is built. *)
+        if t.edeps.(i) != [] then
+          List.iter
+            (fun (note, (s : Pstruct.span)) ->
+              Pmem.Device.depends_on ~note t.dev clock ~addr:s.addr ~len:s.len)
+            t.edeps.(i);
         t.edeps.(i) <- [];
         Pmem.Device.commit_flush_weak t.dev clock t.ecat.(i) ~addr:t.eaddr.(i)
           ~len:t.elen.(i)

@@ -45,8 +45,8 @@ type t = {
      resolved stream is memoised so the per-flush lookup is a single
      integer compare on the common (same thread flushes again) path. *)
   streams : (int, stream) Hashtbl.t;
-  mutable cached_id : int;
-  mutable cached_stream : stream option;
+  mutable cached_id : int; (* -1 (with [no_stream]) when none *)
+  mutable cached_stream : stream;
   mutable crash_after : int option;
   mutable torn : (torn_mode * int) option;
   mutable check : checker option;
@@ -112,6 +112,20 @@ and temit = {
   mutable tflush_seq : int; (* flushes since attach, for WPQ sampling *)
 }
 
+let new_stream window =
+  {
+    recent = Lru_ring.create window;
+    xplines = Lru_ring.create 4;
+    pend = Array.make 16 0;
+    npend = 0;
+    keys = Array.make 32 0;
+    stamps = Array.make 32 0;
+    gen = 1;
+    pending_calls = 0;
+  }
+
+let no_stream = new_stream 1
+
 (* WPQ occupancy is a queue-depth curve, not a per-event latency: sample
    it once per this many flushes to keep counter tracks readable. *)
 let wpq_sample_period = 64
@@ -127,7 +141,7 @@ let create ?(lat = Latency.default) ?trace_limit ~size () =
     wpq = Xpbuffer.create lat;
     streams = Hashtbl.create 64;
     cached_id = -1;
-    cached_stream = None;
+    cached_stream = no_stream;
     crash_after = None;
     torn = None;
     check = None;
@@ -299,33 +313,23 @@ let fill t addr len c =
 
 (* --- persistence ------------------------------------------------------ *)
 
+(* A thread switch allocates nothing: no option in the cache or the probe. *)
 let stream_of t clock =
   let id = Sim.Clock.id clock in
-  match t.cached_stream with
-  | Some s when t.cached_id = id -> s
-  | _ ->
-      let s =
-        match Hashtbl.find_opt t.streams id with
-        | Some s -> s
-        | None ->
-            let s =
-              {
-                recent = Lru_ring.create t.lat.Latency.reflush_window;
-                xplines = Lru_ring.create 4;
-                pend = Array.make 16 0;
-                npend = 0;
-                keys = Array.make 32 0;
-                stamps = Array.make 32 0;
-                gen = 1;
-                pending_calls = 0;
-              }
-            in
-            Hashtbl.replace t.streams id s;
-            s
-      in
-      t.cached_id <- id;
-      t.cached_stream <- Some s;
-      s
+  if t.cached_id = id then t.cached_stream
+  else begin
+    let s =
+      match Hashtbl.find t.streams id with
+      | s -> s
+      | exception Not_found ->
+          let s = new_stream t.lat.Latency.reflush_window in
+          Hashtbl.replace t.streams id s;
+          s
+    in
+    t.cached_id <- id;
+    t.cached_stream <- s;
+    s
+  end
 
 (* --- pending set -------------------------------------------------------- *)
 
@@ -415,7 +419,7 @@ let do_crash t =
   Dirtymap.reset t.dirty;
   Hashtbl.reset t.streams;
   t.cached_id <- -1;
-  t.cached_stream <- None;
+  t.cached_stream <- no_stream;
   Xpbuffer.reset t.wpq;
   t.crash_after <- None;
   t.torn <- None;
@@ -514,9 +518,9 @@ let flush_line t clock cat line =
       | Some a -> Telemetry.Attr.charge a ~tid ~name ~ns:(finish - now));
       e.tflush_seq <- e.tflush_seq + 1;
       if e.tflush_seq mod wpq_sample_period = 0 then begin
-        let depth = Xpbuffer.occupancy t.wpq ~now:finish in
-        Telemetry.counter e.tsink ~tid ~name:e.tn_wpq ~ts:finish ~value:depth;
-        Telemetry.Histogram.observe_float e.th_wpq depth
+        let num = Xpbuffer.backlog t.wpq ~now:finish and den = t.lat.Latency.wpq_drain_ns in
+        Telemetry.counter_ratio e.tsink ~tid ~name:e.tn_wpq ~ts:finish ~num ~den;
+        Telemetry.Histogram.observe_ratio e.th_wpq ~num ~den
       end);
   finish
 

@@ -44,9 +44,5 @@ let admit t ~now ~media_ns =
 
 let stall_time t = t.stalls
 
-let occupancy t ~now =
-  (* Entries still queued at [now]: the backlog the media has yet to
-     drain, in drain-slot units. Telemetry-only — never consulted on the
-     simulation path. *)
-  let backlog = t.media_free - now in
-  if backlog <= 0 then 0.0 else float_of_int backlog /. float_of_int t.lat.Latency.wpq_drain_ns
+(* Telemetry-only — never consulted on the simulation path. *)
+let backlog t ~now = Int.max 0 (t.media_free - now)

@@ -30,6 +30,7 @@ val admit : t -> now:int -> media_ns:int -> int
 val stall_time : t -> int
 (** Total stall time injected so far (for diagnostics). *)
 
-val occupancy : t -> now:int -> float
-(** Queue depth at simulated time [now], in entries (may exceed the
+val backlog : t -> now:int -> int
+(** Media work queued at simulated time [now], in ns; over
+    [wpq_drain_ns] it is the queue depth in entries (may exceed the
     nominal capacity while a stall drains). Telemetry/diagnostics only. *)

@@ -1,13 +1,20 @@
-type t = { mutable state : int64 }
+(* The state sits in an 8-byte buffer, not a mutable int64 field: it is
+   read and written unboxed, so an int or bool draw allocates nothing. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* splitmix64: tiny, high-quality, and identical on every platform. *)
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
@@ -22,10 +29,11 @@ let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 *. bound
 
+let chance t p = float t 1.0 < p
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let poisson_in t lo hi =
@@ -47,10 +55,10 @@ let poisson_in t lo hi =
 let split t i =
   assert (i >= 0);
   let open Int64 in
-  let z = add t.state (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L) in
+  let z = add (Bytes.get_int64_le t 0) (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L) in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  { state = logxor z (shift_right_logical z 31) }
+  of_state (logxor z (shift_right_logical z 31))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -36,6 +36,10 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]; unlike a returned float, the
+    result is not boxed. Int and bool draws allocate nothing either. *)
+
 val bool : t -> bool
 
 val poisson_in : t -> int -> int -> int

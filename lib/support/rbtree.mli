@@ -1,21 +1,22 @@
-(** Red-black tree (ordered map), updated in place.
+(** Red-black tree (ordered map) over [(int, int)] keys, held in arrays.
 
     NVAlloc keeps its DRAM indexes in red-black trees: the address index
     of extents (the paper calls it an R-tree: keys are extent start
-    addresses), the best-fit size and oldest-first decay indexes over free
-    extents, the vchunk index of the bookkeeping log and the allocator's
+    addresses), the best-fit [(size, addr)] and oldest-first
+    [(free_time, addr)] indexes over free extents, and the allocator's
     owner index. They are volatile — recovery rebuilds them from
     persistent state — so their representation is free to choose.
 
-    Nodes are mutable and carry parent links; insertion and deletion
-    rebalance in place with the CLRS fix-ups. Cost model, host side:
-
-    - [insert] of a new key allocates one node (7 words); replacing an
-      existing binding allocates nothing;
-    - [remove] allocates nothing;
-    - a query allocates at most its result ([Some v] or [Some (k, v)]),
-      and builds no closure per call;
-    - updates and queries take O(log n) comparisons.
+    Keys compare lexicographically, inline; a one-int key passes 0 as
+    the second component. A node is an index into two arrays: an int
+    array of keys, links and colours (no store into it calls
+    [caml_modify]) and the values. Removed nodes are reused by later
+    inserts; a freed slot holds the [dummy] given to {!create}, so it
+    keeps no removed value reachable. Updates rebalance in place with the
+    CLRS fix-ups. Cost model, host side: once the arrays have grown
+    (doubling), no update or query allocates — queries return a node or
+    {!none}, never a key tuple or an option; {!remove_node} needs no
+    search; the rest take O(log n) inline key compares.
 
     Tree work costs no simulated time by itself: callers charge the
     simulated cost of a search through {!search_steps}.
@@ -24,59 +25,60 @@
 
     - do not mutate a tree from inside [iter] or [fold] over it: collect
       what to change first, then change it;
-    - an update calls nothing but [Ord.compare] (which must not raise),
-      so an exception raised elsewhere — an injected crash — can never
-      leave a rebalance half done.
-
-    [find_first_geq]/[find_last_leq] provide the ceiling/floor searches
-    that best-fit allocation and neighbour coalescing need. *)
-
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
+    - an update calls nothing that can raise except the array growth of
+      [insert], which precedes any link change, so an exception raised
+      elsewhere — an injected crash — can never leave a rebalance half
+      done. *)
 
 val search_steps : int -> int
 (** Simulated steps of one search in a tree of [n] bindings:
     [1 + floor (log2 n)], and 1 when [n <= 1]. Integer arithmetic only. *)
 
-module Make (Ord : ORDERED) : sig
-  type key = Ord.t
-  type 'a t
+type 'a t
 
-  val create : unit -> 'a t
-  val is_empty : 'a t -> bool
-  val cardinal : 'a t -> int
+type node = int
+(** A binding's handle, valid until the binding is removed. *)
 
-  val insert : 'a t -> key -> 'a -> unit
-  (** Replaces any existing binding for the key. *)
+val none : node
 
-  val remove : 'a t -> key -> unit
-  (** No-op if the key is absent. *)
+val create : dummy:'a -> 'a t
+(** Allocates its arrays at the first insert. *)
 
-  val find_opt : 'a t -> key -> 'a option
-  val mem : 'a t -> key -> bool
-  val min_binding_opt : 'a t -> (key * 'a) option
-  val max_binding_opt : 'a t -> (key * 'a) option
+val cardinal : 'a t -> int
 
-  val find_first_geq : 'a t -> key -> (key * 'a) option
-  (** Smallest binding whose key is >= the argument. *)
+val insert : 'a t -> int -> int -> 'a -> node
+(** Replaces the value of an existing binding, returning its node. *)
 
-  val find_last_leq : 'a t -> key -> (key * 'a) option
-  (** Largest binding whose key is <= the argument. *)
+val remove : 'a t -> int -> int -> unit
+(** No-op if the key is absent. *)
 
-  val find_last_lt : 'a t -> key -> (key * 'a) option
-  (** Largest binding whose key is < the argument (left neighbour). *)
+val remove_node : 'a t -> node -> unit
 
-  val iter : (key -> 'a -> unit) -> 'a t -> unit
-  (** In increasing key order. *)
+val value : 'a t -> node -> 'a
+(** [value t none] is the dummy, which then reads as "absent". *)
 
-  val fold : (key -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  val to_list : 'a t -> (key * 'a) list
+val key1 : 'a t -> node -> int
+val key2 : 'a t -> node -> int
+val find : 'a t -> int -> int -> node
+val min_node : 'a t -> node
+val max_node : 'a t -> node
 
-  val invariants_ok : 'a t -> bool
-  (** Checks BST order, no red node with a red child, equal black height
-      on all paths, a black root, every node's parent link, and that
-      [cardinal] counts the nodes. Exposed for the property tests. *)
-end
+val find_first_geq : 'a t -> int -> int -> node
+(** Smallest binding whose key is >= the argument. *)
+
+val find_last_leq : 'a t -> int -> int -> node
+(** Largest binding whose key is <= the argument. *)
+
+val find_last_lt : 'a t -> int -> int -> node
+(** Largest binding whose key is < the argument (left neighbour). *)
+
+val iter : (int -> int -> 'a -> unit) -> 'a t -> unit
+(** In increasing key order. *)
+
+val fold : (int -> int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+
+val invariants_ok : 'a t -> bool
+(** Checks BST order, no red node with a red child, equal black height
+    on all paths, a black root, every node's parent link, that
+    [cardinal] counts the nodes, and that the free list holds every
+    other slot, each with the dummy. Exposed for the property tests. *)

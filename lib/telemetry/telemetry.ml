@@ -279,6 +279,7 @@ module Histogram = struct
     if v > acc.(2) then acc.(2) <- v
 
   let observe t ns = observe_float t (float_of_int ns)
+  let observe_ratio t ~num ~den = observe_float t (float_of_int num /. float_of_int den)
   let count t = t.n
   let total t = t.acc.(0)
   let mean t = if t.n = 0 then 0.0 else t.acc.(0) /. float_of_int t.n
@@ -512,10 +513,10 @@ let counter t ~tid ~name ~ts ~value =
 let counter_int t ~tid ~name ~ts ~value =
   record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value) ~k2:(-1) ~v2:0.0
 
-let span_named t ~tid ~name ~ts ~dur = span t ~tid ~name:(intern t name) ~ts ~dur
+let counter_ratio t ~tid ~name ~ts ~num ~den =
+  counter t ~tid ~name ~ts ~value:(float_of_int num /. float_of_int den)
 
-let counter_named t ~tid ~name ~ts ~value =
-  counter t ~tid ~name:(intern t name) ~ts ~value
+let span_named t ~tid ~name ~ts ~dur = span t ~tid ~name:(intern t name) ~ts ~dur
 
 let histogram t name =
   match Hashtbl.find_opt t.hists name with

@@ -58,8 +58,8 @@ module Histogram : sig
   val observe : t -> int -> unit
   (** Record one value: simulated ns, or a count. *)
 
-  val observe_float : t -> float -> unit
-  (** Record one fractional value (a sampled gauge such as queue depth). *)
+  val observe_ratio : t -> num:int -> den:int -> unit
+  (** Record [num / den] (a sampled gauge such as queue depth). *)
 
   val count : t -> int
   val total : t -> float
@@ -120,8 +120,10 @@ val counter_int : t -> tid:int -> name:int -> ts:int -> value:int -> unit
 (** Counter sample of a whole value: unlike [counter], the caller boxes
     no float. *)
 
+val counter_ratio : t -> tid:int -> name:int -> ts:int -> num:int -> den:int -> unit
+(** Sample of [num / den]; unlike [counter], the caller boxes no float. *)
+
 val span_named : t -> tid:int -> name:string -> ts:int -> dur:int -> unit
-val counter_named : t -> tid:int -> name:string -> ts:int -> value:float -> unit
 
 val histogram : t -> string -> Histogram.t
 (** Find-or-create; emitters cache the handle. *)

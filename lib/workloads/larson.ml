@@ -22,7 +22,7 @@ let run (inst : Alloc_api.Instance.t) ?(params = small) ?(seed = 11) () =
     else begin
       let rng = rngs.(tid) in
       let owner =
-        if inst.threads > 1 && Sim.Rng.float rng 1.0 < params.cross_frac then
+        if inst.threads > 1 && Sim.Rng.chance rng params.cross_frac then
           (tid + 1) mod inst.threads
         else tid
       in

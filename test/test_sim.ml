@@ -7,6 +7,34 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Sim.Rng.next_int64 a) (Sim.Rng.next_int64 b)
   done
 
+(* The splitmix64 stream is pinned: these are the values every seed-
+   driven experiment, checked interleaving and fuzz plan rests on. *)
+let test_rng_stream () =
+  let t = Sim.Rng.create 42 in
+  List.iter
+    (fun v -> Alcotest.(check int64) "seed 42" v (Sim.Rng.next_int64 t))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+  let t = Sim.Rng.create 7 in
+  Alcotest.(check int) "int" 621 (Sim.Rng.int t 1000);
+  Alcotest.(check int) "int_in" 6 (Sim.Rng.int_in t 5 9);
+  Alcotest.(check (float 0.0)) "float" 0x1.203e50a0e95d7p+1 (Sim.Rng.float t 2.5);
+  Alcotest.(check bool) "bool" true (Sim.Rng.bool t);
+  Alcotest.(check int64) "split" (-4522930727942559297L) (Sim.Rng.next_int64 (Sim.Rng.split t 3))
+
+(* A draw that returns an int or a bool allocates nothing. *)
+let test_rng_allocation () =
+  let t = Sim.Rng.create 1 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "int" 0.0 (words (fun () -> Sim.Rng.int t 1000));
+  Alcotest.(check (float 0.0)) "bool" 0.0 (words (fun () -> Sim.Rng.bool t));
+  Alcotest.(check (float 0.0)) "chance" 0.0 (words (fun () -> Sim.Rng.chance t 0.2))
+
 let prop_rng_bounds =
   let open QCheck in
   Test.make ~name:"rng int stays in bounds" ~count:300
@@ -170,6 +198,8 @@ let test_smootherstep_decay_limit () =
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_allocation;
     QCheck_alcotest.to_alcotest prop_rng_bounds;
     QCheck_alcotest.to_alcotest prop_rng_shuffle_is_permutation;
     Alcotest.test_case "lock serializes" `Quick test_lock_serializes;

@@ -441,7 +441,11 @@ let test_enabled_primitives_allocation_free () =
   check "span2" (fun i ->
       Telemetry.span2 sink ~tid:(tid i) ~name ~ts:i ~dur:3 ~k1:key ~v1:i ~k2:(-1) ~v2:0);
   check "counter_int" (fun i -> Telemetry.counter_int sink ~tid:(tid i) ~name ~ts:i ~value:i);
+  check "counter_ratio" (fun i ->
+      Telemetry.counter_ratio sink ~tid:(tid i) ~name ~ts:i ~num:i ~den:64);
   check "Histogram.observe" (fun i -> Telemetry.Histogram.observe h (i land 1023));
+  check "Histogram.observe_ratio" (fun i ->
+      Telemetry.Histogram.observe_ratio h ~num:(i land 1023) ~den:64);
   check "Attr.charge" (fun i -> A.charge a ~tid:(tid i) ~name:fence ~ns:20);
   check "Attr.enter + leave" (fun i ->
       A.enter a ~tid:(tid i) ~name:inner ~ts:i;
