@@ -89,15 +89,17 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
        if checkpointing || scrubbing then
          Some
            (fun clock ->
-             let ran =
-               checkpointing
-               && Array.fold_left
-                    (fun ran a -> Arena.async_checkpoint_tick a clock || ran)
-                    false (Nvalloc.arenas t)
-             in
+             (* Every arena ticks, in order; a loop builds no closure. *)
+             let ran = ref false in
+             if checkpointing then begin
+               let arenas = Nvalloc.arenas t in
+               for i = 0 to Array.length arenas - 1 do
+                 if Arena.async_checkpoint_tick arenas.(i) clock then ran := true
+               done
+             end;
              (* Background scrub rides the same idle slots as the
                 checkpoint daemon (tentpole (c)). *)
              let scrubbed = scrubbing && Nvalloc.scrub_tick t clock in
-             ran || scrubbed)
+             !ran || scrubbed)
        else None);
   }

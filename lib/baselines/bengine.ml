@@ -169,9 +169,8 @@ let arena_of t ~tid =
 
 let take_block t arena clock class_idx =
   let fl = arena.freelists.(class_idx) in
-  let s = match Support.Dlist.peek_front fl with
-    | Some s -> s
-    | None -> new_slab t arena clock class_idx
+  let s =
+    if Support.Dlist.is_empty fl then new_slab t arena clock class_idx else Support.Dlist.front fl
   in
   match s.free_stack with
   | [] -> assert false
@@ -324,17 +323,17 @@ let instance ~knobs ~threads ~dev_size ?(eadr = false) ?(root_slots = 1 lsl 20) 
   let malloc ~tid ~size ~dest =
     let clock = clocks.(tid) in
     overhead clock;
+    let class_idx = Size_class.of_size size in
     let addr =
-      match Size_class.of_size size with
-      | Some class_idx -> alloc_small t clock ~tid ~class_idx
-      | None ->
-          let arena = arena_of t ~tid in
-          let addr =
-            Sim.Lock.with_lock arena.lock clock (fun () ->
-                Blarge.malloc arena.large clock ~size)
-          in
-          ignore (Rbtree.insert t.owner_index addr 0 (Large_o arena) : Rbtree.node);
-          addr
+      if class_idx >= 0 then alloc_small t clock ~tid ~class_idx
+      else begin
+        let arena = arena_of t ~tid in
+        let addr =
+          Sim.Lock.with_lock arena.lock clock (fun () -> Blarge.malloc arena.large clock ~size)
+        in
+        ignore (Rbtree.insert t.owner_index addr 0 (Large_o arena) : Rbtree.node);
+        addr
+      end
     in
     publish clock ~dest ~addr;
     addr

@@ -10,7 +10,7 @@ type t = {
   lru : Slab.t Support.Dlist.t;
   slab_vehs : (int, Extent.veh) Hashtbl.t; (* slab base -> its extent *)
   all_slabs : (int, Slab.t) Hashtbl.t; (* slab base -> vslab *)
-  mutable thread_tcaches : Tcache.t array list;
+  mutable thread_tcaches : Tcache.t array; (* every registered thread's, newest first *)
   (* All arenas of the owning heap (self included), indexed by arena
      index. Tcache entries can hold foreign-arena blocks (a cross-arena
      free pushes into the freeing thread's tcache), and a drain must
@@ -72,7 +72,7 @@ let build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destr
     lru = Support.Dlist.create ();
     slab_vehs = Hashtbl.create 64;
     all_slabs = Hashtbl.create 64;
-    thread_tcaches = [];
+    thread_tcaches = [||];
     peers = [||];
     dropped_frees = 0;
     layouts = Array.init Size_class.count (fun c -> Slab.layout_of_class ~class_idx:c ~mapping);
@@ -174,7 +174,6 @@ let index t = t.idx
 let lock t = t.lock
 let wal t = t.wal
 let large t = t.large
-let heap t = t.heap
 let is_log t = t.config.Config.consistency = Config.Log_based
 let is_ic t = t.config.Config.consistency = Config.Internal_collection
 let is_gc t = t.config.Config.consistency = Config.Gc_based
@@ -182,7 +181,7 @@ let is_gc t = t.config.Config.consistency = Config.Gc_based
 (* Whether small-allocator metadata (bits, index entries) is flushed:
    LOG and IC persist it eagerly; GC rebuilds it post-crash. *)
 let flushes_small_meta t = t.config.Config.consistency <> Config.Gc_based
-let register_tcaches t tcaches = t.thread_tcaches <- tcaches :: t.thread_tcaches
+let register_tcaches t tcaches = t.thread_tcaches <- Array.append tcaches t.thread_tcaches
 
 (* --- slab plumbing ------------------------------------------------------- *)
 
@@ -204,18 +203,20 @@ let freelist_remove t s =
       s.Slab.freelist_node <- None
   | None -> ()
 
-let lru_touch t s =
-  (match s.Slab.lru_node with
-  | Some node -> Support.Dlist.remove t.lru node
-  | None -> ());
-  s.Slab.lru_node <- Some (Support.Dlist.push_back t.lru s)
-
 let lru_remove t s =
   match s.Slab.lru_node with
   | Some node ->
       Support.Dlist.remove t.lru node;
       s.Slab.lru_node <- None
   | None -> ()
+
+(* A slab already at the back stays put: the same list, no allocation. *)
+let lru_touch t s =
+  match s.Slab.lru_node with
+  | Some node when Support.Dlist.is_last t.lru node -> ()
+  | _ ->
+      lru_remove t s;
+      s.Slab.lru_node <- Some (Support.Dlist.push_back t.lru s)
 
 let flush_meta t clock ~addr ~len =
   Pmem.Device.flush t.dev clock Pmem.Stats.Meta ~addr ~len
@@ -365,8 +366,7 @@ let transform_slab t clock s target_class =
         { old_class = old_layout.class_idx; old_block_size = old_layout.block_size;
           old_data_off = old_layout.data_off; cnt_slab = 0; cnt_block; old_live }
       in
-      let lo, hi = overlapping_new_blocks s m_stub b in
-      for j = lo to hi do
+      for j = first_overlap s m_stub b to last_overlap s m_stub b do
         if cnt_block.(j) = 0 then Bitmap.set dev new_bitmap j;
         cnt_block.(j) <- cnt_block.(j) + 1
       done)
@@ -462,9 +462,16 @@ let return_block t clock s b =
   maybe_destroy_empty t clock s
   end
 
+(* The old-class block of a morphing slab that [addr] names, or -1. *)
+let old_block s addr =
+  match s.Slab.morph with
+  | Some m -> Slab.old_block_index m (addr - s.Slab.addr)
+  | None -> -1
+
 (* Release of a block_before: resolved against the index table, bypassing
    the tcache (section 5.2, "Block release"). *)
-let release_old_block t clock s (m : Slab.morph) old_b =
+let release_old_block t clock s old_b =
+  let m = Option.get s.Slab.morph in
   let slot = Hashtbl.find m.Slab.old_live old_b in
   (* Derived state first, commit last: the overlap bits exist only to pin
      new-grid blocks while this old block lives, and recovery rebuilds the
@@ -472,16 +479,16 @@ let release_old_block t clock s (m : Slab.morph) old_b =
      crash strand set bits that the rebuilt morph no longer pins — misread
      by WAL replay as user-live new-class blocks (found by the crash-plan
      fuzzer, crash-during-recovery case). *)
-  let lo, hi = Slab.overlapping_new_blocks s m old_b in
   let cleared = ref [] in
-  for j = lo to hi do
+  for j = Slab.first_overlap s m old_b to Slab.last_overlap s m old_b do
     m.Slab.cnt_block.(j) <- m.Slab.cnt_block.(j) - 1;
     if m.Slab.cnt_block.(j) = 0 then begin
       Bitmap.clear t.dev s.Slab.bitmap j;
       if flushes_small_meta t then begin
-        let sp = Bitmap.bit_span s.Slab.bitmap j in
-        Pstruct.flush_span t.dev clock Pmem.Stats.Meta sp;
-        cleared := ("bitmap:unpin", sp) :: !cleared
+        flush_meta t clock ~addr:(Bitmap.line_addr s.Slab.bitmap j) ~len:Pmem.Cacheline.size;
+        (* Only the persist-ordering checker reads deps. *)
+        if Pmem.Device.check_mode t.dev then
+          cleared := ("bitmap:unpin", Bitmap.bit_span s.Slab.bitmap j) :: !cleared
       end;
       (* The pinned slot may already sit in the free set after a crash in
          the GC variant: resurrection aliasing (see return_block) can mark
@@ -496,8 +503,12 @@ let release_old_block t clock s (m : Slab.morph) old_b =
   Slab.write_index_entry t.dev s.Slab.addr slot
     (Slab.pack_index_entry ~block:old_b ~allocated:false);
   if flushes_small_meta t then
-    Pstruct.commit t.dev clock Pmem.Stats.Meta ~deps:!cleared
-      (Slab.index_entry_span s.Slab.addr slot);
+    if !cleared == [] then
+      Pmem.Device.commit_flush t.dev clock Pmem.Stats.Meta ~addr:(Slab.index_entry_addr s slot)
+        ~len:2
+    else
+      Pstruct.commit t.dev clock Pmem.Stats.Meta ~deps:!cleared
+        (Slab.index_entry_span s.Slab.addr slot);
   Hashtbl.remove m.Slab.old_live old_b;
   m.Slab.cnt_slab <- m.Slab.cnt_slab - 1;
   if m.Slab.cnt_slab = 0 then begin
@@ -526,36 +537,33 @@ let return_entry t clock s addr =
     Pmem.Device.dram_op t.dev clock
   end
   else begin
-  let off = addr - s.Slab.addr in
   if is_ic t then s.Slab.tcached <- s.Slab.tcached - 1;
-  match s.Slab.morph with
-  | Some m -> (
-      match Slab.old_block_index m off with
-      | Some b -> release_old_block t clock s m b
-      | None -> return_block t clock s (Slab.block_index s addr))
-  | None -> return_block t clock s (Slab.block_index s addr)
+  let old_b = old_block s addr in
+  if old_b >= 0 then release_old_block t clock s old_b
+  else return_block t clock s (Slab.block_index s addr)
   end
 
 (* --- WAL ------------------------------------------------------------------ *)
 
 let set_peers t arenas = t.peers <- arenas
 
-let drain_tcache t clock tc =
-  List.iter
-    (fun e ->
-      let s = e.Tcache.slab in
-      if s.Slab.arena = t.idx || Array.length t.peers = 0 then
-        return_entry t clock s e.Tcache.addr
-      else
-        (* Foreign-arena block: return it under its home arena's lock so
-           freelist membership and empty-slab destruction act on the arena
-           that actually owns the slab's extent. *)
-        let home = t.peers.(s.Slab.arena) in
-        Sim.Lock.with_lock home.lock clock (fun () -> return_entry home clock s e.Tcache.addr))
-    (Tcache.drain tc)
+(* Top-level, so a drain builds no closure. *)
+let return_drained t clock s addr =
+  if s.Slab.arena = t.idx || Array.length t.peers = 0 then return_entry t clock s addr
+  else begin
+    (* Foreign-arena block: return it under its home arena's lock so
+       freelist membership and empty-slab destruction act on the arena
+       that actually owns the slab's extent. *)
+    let home = t.peers.(s.Slab.arena) in
+    Sim.Lock.acquire home.lock clock;
+    return_entry home clock s addr;
+    Sim.Lock.release home.lock clock
+  end
 
 let drain_all_tcaches t clock =
-  List.iter (fun tcs -> Array.iter (fun tc -> drain_tcache t clock tc) tcs) t.thread_tcaches
+  for i = 0 to Array.length t.thread_tcaches - 1 do
+    Tcache.drain t.thread_tcaches.(i) return_drained t clock
+  done
 
 (* Caller holds [t.lock]. *)
 let checkpoint_locked t clock =
@@ -578,28 +586,30 @@ let checkpoint_locked t clock =
       | Some a -> Telemetry.Attr.note_event a ~ts:t0 ~name:"wal:checkpoint")
 
 let checkpoint_if_needed t clock =
-  if Wal.near_full t.wal then
-    Sim.Lock.with_lock t.lock clock (fun () ->
-        (* Re-check under the lock; another thread may have checkpointed. *)
-        if Wal.near_full t.wal then checkpoint_locked t clock)
+  if Wal.near_full t.wal then begin
+    Sim.Lock.acquire t.lock clock;
+    (* Re-check under the lock; another thread may have checkpointed. *)
+    if Wal.near_full t.wal then checkpoint_locked t clock;
+    Sim.Lock.release t.lock clock
+  end
 
 (* One background-maintenance poll: checkpoint once the ring passes the
    configured fraction, taking the drain + epoch bump off the allocating
    threads' hot path (the near-full inline checkpoint above remains as the
    hard backstop). Returns whether a checkpoint ran. *)
-let async_checkpoint_tick t clock =
+let over_async_fraction t =
   let frac = t.config.Config.async_checkpoint in
-  let over () =
-    float_of_int (Wal.used t.wal) >= frac *. float_of_int (Wal.entries t.wal)
-  in
-  if frac > 0.0 && Wal.is_ready t.wal && Wal.used t.wal > 0 && over () then begin
-    let ran = ref false in
-    Sim.Lock.with_lock t.lock clock (fun () ->
-        if over () then begin
-          checkpoint_locked t clock;
-          ran := true
-        end);
-    !ran
+  frac > 0.0 && Wal.is_ready t.wal && Wal.used t.wal > 0
+  && float_of_int (Wal.used t.wal) >= frac *. float_of_int (Wal.entries t.wal)
+
+let async_checkpoint_tick t clock =
+  if over_async_fraction t then begin
+    Sim.Lock.acquire t.lock clock;
+    (* Re-check under the lock; another thread may have checkpointed. *)
+    let ran = over_async_fraction t in
+    if ran then checkpoint_locked t clock;
+    Sim.Lock.release t.lock clock;
+    ran
   end
   else false
 
@@ -654,12 +664,12 @@ let wal_dep t kind off =
 (* --- small allocation ------------------------------------------------------ *)
 
 let take_slab_with_space t clock class_idx =
-  match Support.Dlist.peek_front t.freelists.(class_idx) with
-  | Some s -> s
-  | None -> (
-      match try_morph t clock class_idx with
-      | Some s -> s
-      | None -> new_slab t clock class_idx)
+  let fl = t.freelists.(class_idx) in
+  if not (Support.Dlist.is_empty fl) then Support.Dlist.front fl
+  else
+    match try_morph t clock class_idx with
+    | Some s -> s
+    | None -> new_slab t clock class_idx
 
 let refill_tcache t clock tc class_idx =
   let t0 = Sim.Clock.ns clock in
@@ -682,7 +692,7 @@ let refill_tcache t clock tc class_idx =
           if b >= 0 then Slab.free_claim s b else assert (s.Slab.free_count = 0);
           b
         end
-        else match Slab.free_take_first s with Some b -> b | None -> -1
+        else Slab.free_take_first s
       in
       if b < 0 then begin
         freelist_remove t s;
@@ -715,7 +725,7 @@ let refill_tcache t clock tc class_idx =
                 ~deps:(wal_dep t Wal.Refill wal_off)
                 ~addr:(Bitmap.line_addr s.Slab.bitmap b) ~len:Pmem.Cacheline.size
           end;
-          let pushed = Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b } in
+          let pushed = Tcache.push tc s (Slab.block_addr s b) in
           assert pushed
       end
     done;
@@ -730,58 +740,60 @@ let refill_tcache t clock tc class_idx =
         ~dur:(now - t0) ~k1:e.ta_class ~v1:class_idx ~k2:(-1) ~v2:0;
       Telemetry.Histogram.observe e.th_refill (now - t0)
 
-let ic_mark t clock (e : Tcache.entry) =
-  let s = e.Tcache.slab in
+let ic_mark t clock s addr =
   s.Slab.tcached <- s.Slab.tcached - 1;
-  let b = Slab.block_index s e.Tcache.addr in
+  let b = Slab.block_index s addr in
   Bitmap.set t.dev s.Slab.bitmap b;
   flush_meta t clock ~addr:(Bitmap.line_addr s.Slab.bitmap b) ~len:1
 
+(* No [with_lock] on the small path either: its closures would allocate. *)
 let alloc_small t clock ~tcaches ~class_idx =
   let tc = tcaches.(class_idx) in
-  let e =
+  let addr =
     if Tcache.is_empty tc then begin
-      Sim.Lock.with_lock t.lock clock (fun () -> refill_tcache t clock tc class_idx);
+      Sim.Lock.acquire t.lock clock;
+      refill_tcache t clock tc class_idx;
+      Sim.Lock.release t.lock clock;
       Tcache.pop tc
     end
     else begin
-      let e = Tcache.pop tc in
+      let addr = Tcache.pop tc in
       Pmem.Device.dram_op t.dev clock;
-      e
+      addr
     end
   in
-  if is_ic t then ic_mark t clock e;
-  e.Tcache.addr
+  if is_ic t then ic_mark t clock (Tcache.last_slab tc) addr;
+  addr
 
 let free_small t clock ~tcaches s ~addr ~dest =
-  let off = addr - s.Slab.addr in
-  let old_block =
-    match s.Slab.morph with
-    | Some m -> Option.map (fun b -> (m, b)) (Slab.old_block_index m off)
-    | None -> None
-  in
-  match old_block with
-  | Some (m, b) ->
-      Sim.Lock.with_lock t.lock clock (fun () -> release_old_block t clock s m b);
-      -1
-  | None ->
-      let b = Slab.block_index s addr (* validates the grid *) in
-      let wal_off = log_op t clock Wal.Free ~addr ~dest in
-      if is_ic t then begin
-        (* Internal collection: unmark eagerly so the persistent bitmap
-           never claims a freed object. *)
-        Bitmap.clear t.dev s.Slab.bitmap b;
-        flush_meta t clock ~addr:(Bitmap.line_addr s.Slab.bitmap b) ~len:1
-      end;
-      let tc = tcaches.(s.Slab.layout.Slab.class_idx) in
-      Pmem.Device.dram_op t.dev clock;
-      (if Tcache.push tc { Tcache.slab = s; addr } then begin
-         if is_ic t then s.Slab.tcached <- s.Slab.tcached + 1
-       end
-       else
-         (* Full tcache: bypass it and return the block to its slab. *)
-         Sim.Lock.with_lock t.lock clock (fun () -> return_block t clock s b));
-      wal_off
+  let old_b = old_block s addr in
+  if old_b >= 0 then begin
+    Sim.Lock.acquire t.lock clock;
+    release_old_block t clock s old_b;
+    Sim.Lock.release t.lock clock;
+    -1
+  end
+  else
+    let b = Slab.block_index s addr (* validates the grid *) in
+    let wal_off = log_op t clock Wal.Free ~addr ~dest in
+    if is_ic t then begin
+      (* Internal collection: unmark eagerly so the persistent bitmap
+         never claims a freed object. *)
+      Bitmap.clear t.dev s.Slab.bitmap b;
+      flush_meta t clock ~addr:(Bitmap.line_addr s.Slab.bitmap b) ~len:1
+    end;
+    let tc = tcaches.(s.Slab.layout.Slab.class_idx) in
+    Pmem.Device.dram_op t.dev clock;
+    if Tcache.push tc s addr then begin
+      if is_ic t then s.Slab.tcached <- s.Slab.tcached + 1
+    end
+    else begin
+      (* Full tcache: bypass it and return the block to its slab. *)
+      Sim.Lock.acquire t.lock clock;
+      return_block t clock s b;
+      Sim.Lock.release t.lock clock
+    end;
+    wal_off
 
 (* --- large allocation ------------------------------------------------------ *)
 
@@ -840,9 +852,8 @@ let recover_rebuild_slab t clock s ~live =
   !released
 
 let recover_release_old_block t clock s b =
-  match s.Slab.morph with
-  | Some m -> release_old_block t clock s m b
-  | None -> invalid_arg "Arena.recover_release_old_block: slab not morphing"
+  if s.Slab.morph = None then invalid_arg "Arena.recover_release_old_block: slab not morphing";
+  release_old_block t clock s b
 
 let live_small_blocks t =
   Hashtbl.fold

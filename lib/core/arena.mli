@@ -65,7 +65,6 @@ val set_telemetry : t -> Telemetry.t option -> unit
 val lock : t -> Sim.Lock.t
 val wal : t -> Wal.t
 val large : t -> Extent.t
-val heap : t -> Heap.t
 
 val register_tcaches : t -> Tcache.t array -> unit
 (** Announce a thread's tcaches so WAL checkpoints can drain them. *)

@@ -265,8 +265,8 @@ let thread t clock =
     if t.config.Config.interleave_tcache then max 2 t.config.Config.bit_stripes else 1
   in
   let tcaches =
-    Array.init Size_class.count (fun class_idx ->
-        Tcache.create ~class_idx ~capacity:t.config.Config.tcache_capacity ~nsub)
+    Array.init Size_class.count (fun _ ->
+        Tcache.create ~capacity:t.config.Config.tcache_capacity ~nsub)
   in
   Arena.register_tcaches t.arenas.(arena) tcaches;
   let th = { id = t.next_thread; clock; arena; tcaches } in
@@ -412,18 +412,25 @@ module Ptr = struct
 end
 
 (* Publishing (and retracting) a pointer is a commit point: the WAL entry
-   covering the operation must already be persistent. When the entry sits
-   in an open commit group ([via] the arena's WAL), the publish rides the
-   group's close instead of retiring inline — the watermark then commits
+   covering the operation must already be persistent. With no deps (check
+   mode off) the commit builds no span. *)
+let publish ~deps t clock ~dest ~addr =
+  Pstruct.set t.dev ~base:dest Ptr.v addr;
+  if deps == [] then Pmem.Device.commit_flush t.dev clock Pmem.Stats.Data ~addr:dest ~len:8
+  else Pstruct.commit ~deps t.dev clock Pmem.Stats.Data (Pstruct.span ~base:dest Ptr.v)
+
+(* A small op's publish. An op whose entry sits in an open commit group
+   ([wal_off >= 0]) rides the group's close — the watermark then commits
    entry and pointer together, so a crash mid-group loses the whole
    operation rather than publishing a pointer whose entry replay
-   discards. With no deps (check mode off) the commit builds no span. *)
-let publish ~deps ?via t clock ~dest ~addr =
-  Pstruct.set t.dev ~base:dest Ptr.v addr;
-  match via with
-  | Some wal -> Wal.defer_commit wal clock Pmem.Stats.Data ~deps ~addr:dest ~len:8
-  | None when deps == [] -> Pmem.Device.commit_flush t.dev clock Pmem.Stats.Data ~addr:dest ~len:8
-  | None -> Pstruct.commit ~deps t.dev clock Pmem.Stats.Data (Pstruct.span ~base:dest Ptr.v)
+   discards. A morph release logs no entry and commits inline. *)
+let publish_small t clock arena kind ~wal_off ~dest ~addr =
+  let deps = Arena.wal_dep arena kind wal_off in
+  if wal_off < 0 then publish ~deps t clock ~dest ~addr
+  else begin
+    Pstruct.set t.dev ~base:dest Ptr.v addr;
+    Wal.defer_commit (Arena.wal arena) clock Pmem.Stats.Data ~deps ~addr:dest ~len:8
+  end
 
 let malloc_to t th ~size ~dest =
   assert (not t.closed);
@@ -431,26 +438,26 @@ let malloc_to t th ~size ~dest =
   let clock = th.clock in
   media_gate t clock;
   let t0 = Sim.Clock.ns clock in
-  let addr, deps, via =
-    match Size_class.of_size size with
-    | Some class_idx ->
-        aroot_enter t clock (fun e -> e.tn_op_small) t0;
-        let arena = t.arenas.(th.arena) in
-        let addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
-        let wal_off = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
-        (* Grouped only when an entry covers the op: the publish must
-           never outlive its entry's commit record. *)
-        let via = if wal_off < 0 then None else Some (Arena.wal arena) in
-        (addr, Arena.wal_dep arena Wal.Alloc wal_off, via)
-    | None ->
-        aroot_enter t clock (fun e -> e.tn_op_large) t0;
-        let arena = t.arenas.(th.arena) in
-        let veh = Arena.malloc_large arena clock ~size in
-        let wal_off = Arena.log_op arena clock Wal.Large_alloc ~addr:veh.Extent.addr ~dest in
-        (* [log_op] closed the group behind a Large_* entry: commit inline. *)
-        (veh.Extent.addr, Arena.wal_dep arena Wal.Large_alloc wal_off, None)
+  let class_idx = Size_class.of_size size in
+  let arena = t.arenas.(th.arena) in
+  let addr =
+    if class_idx >= 0 then begin
+      aroot_enter t clock (fun e -> e.tn_op_small) t0;
+      let addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
+      let wal_off = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
+      publish_small t clock arena Wal.Alloc ~wal_off ~dest ~addr;
+      addr
+    end
+    else begin
+      aroot_enter t clock (fun e -> e.tn_op_large) t0;
+      let veh = Arena.malloc_large arena clock ~size in
+      let addr = veh.Extent.addr in
+      let wal_off = Arena.log_op arena clock Wal.Large_alloc ~addr ~dest in
+      (* [log_op] closed the group behind a Large_* entry: commit inline. *)
+      publish ~deps:(Arena.wal_dep arena Wal.Large_alloc wal_off) t clock ~dest ~addr;
+      addr
+    end
   in
-  publish ~deps ?via t clock ~dest ~addr;
   aroot_leave t clock;
   (match t.telem with
   | None -> ()
@@ -499,12 +506,7 @@ let free_from t th ~dest =
       let slab = Rbtree.value t.slab_index sn in
       let arena = t.arenas.(slab.Slab.arena) in
       let wal_off = Arena.free_small arena clock ~tcaches:th.tcaches slab ~addr ~dest in
-      (* The morph-release path logs no entry (wal_off = -1): its
-         metadata committed inline above, so the retraction must too —
-         deferring it with no covering entry would leave the published
-         pointer dangling at a freed block across the group window. *)
-      let via = if wal_off < 0 then None else Some (Arena.wal arena) in
-      publish ~deps:(Arena.wal_dep arena Wal.Free wal_off) ?via t clock ~dest ~addr:0
+      publish_small t clock arena Wal.Free ~wal_off ~dest ~addr:0
     end
     else begin
       let ln = large_node t addr in
@@ -752,8 +754,7 @@ let walk_slab t ~quiesced s =
       let cnt = Array.make (Array.length m.Slab.cnt_block) 0 in
       Hashtbl.iter
         (fun b _ ->
-          let lo, hi = Slab.overlapping_new_blocks s m b in
-          for j = lo to hi do
+          for j = Slab.first_overlap s m b to Slab.last_overlap s m b do
             cnt.(j) <- cnt.(j) + 1
           done)
         m.Slab.old_live;
@@ -1515,17 +1516,10 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
               let old_hit =
                 match s.Slab.morph with
                 | Some m -> Slab.old_block_index m off
-                | None -> None
+                | None -> -1
               in
               (match old_hit with
-              | Some _ ->
-                  if not (Hashtbl.mem mark_old addr) then begin
-                    Hashtbl.add mark_old addr ();
-                    incr marked;
-                    let m = Option.get s.Slab.morph in
-                    scan_range addr m.Slab.old_block_size
-                  end
-              | None ->
+              | -1 ->
                   let d = off - s.Slab.layout.Slab.data_off in
                   if d >= 0 && d / s.Slab.layout.Slab.block_size < s.Slab.layout.Slab.nblocks
                   then begin
@@ -1536,6 +1530,13 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
                       incr marked;
                       scan_range base s.Slab.layout.Slab.block_size
                     end
+                  end
+              | _ ->
+                  if not (Hashtbl.mem mark_old addr) then begin
+                    Hashtbl.add mark_old addr ();
+                    incr marked;
+                    let m = Option.get s.Slab.morph in
+                    scan_range addr m.Slab.old_block_size
                   end)
           | Some (Large_owner (veh, _)) ->
               if not (Hashtbl.mem mark_large veh.Extent.addr) then begin
@@ -1605,7 +1606,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
       | Some (Small_owner s) -> (
           let off = addr - s.Slab.addr in
           match s.Slab.morph with
-          | Some m when Slab.old_block_index m off <> None -> true
+          | Some m when Slab.old_block_index m off >= 0 -> true
           | _ ->
               Slab.contains_new_block s addr
               && Bitmap.get dev s.Slab.bitmap (Slab.block_index s addr))

@@ -17,15 +17,9 @@ let size_of c =
   if c < 0 || c >= count then invalid_arg "Size_class.size_of";
   table.(c)
 
-let of_size n =
-  if n <= 0 || n > max_small then None
-  else begin
-    (* The table is sorted and tiny; a linear scan is clear and the cost is
-       charged through the simulated search model, not measured here. *)
-    let rec go i = if table.(i) >= n then Some i else go (i + 1) in
-    go 0
-  end
-
-let pp ppf c = Format.fprintf ppf "class %d (%d B)" c table.(c)
+(* The table is sorted and tiny; a linear scan is clear and the cost is
+   charged through the simulated search model, not measured here. *)
+let rec first_fit n i = if table.(i) >= n then i else first_fit n (i + 1)
+let of_size n = if n <= 0 || n > max_small then -1 else first_fit n 0
 
 let () = assert (max_small = 16384)

@@ -14,8 +14,8 @@ val max_small : int
 val size_of : int -> int
 (** [size_of c] is the block size of class [c]; raises on bad index. *)
 
-val of_size : int -> int option
-(** [of_size n] is the smallest class whose blocks fit [n] bytes, or
-    [None] when [n > max_small] (a large allocation) or [n <= 0]. *)
-
-val pp : Format.formatter -> int -> unit
+val of_size : int -> int
+(** [of_size n] is the smallest class whose blocks fit [n] bytes, or [-1]
+    when [n > max_small] (a large allocation) or [n <= 0]. Like the other
+    lookups on the allocation path it returns [-1] for "none" instead of
+    an option, so a call allocates nothing. *)

@@ -199,21 +199,21 @@ let free_claim t b =
 
 let free_take_first t =
   let n = Array.length t.avail in
-  let rec scan i =
-    if i >= n then None
-    else if t.avail.(i) = 0 then scan (i + 1)
-    else begin
-      let w = t.avail.(i) in
-      let j = ref 0 in
-      while w land (1 lsl !j) = 0 do
-        incr j
-      done;
-      let b = (i * avail_bits) + !j in
-      free_claim t b;
-      Some b
-    end
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < n && t.avail.(!i) = 0 do
+    incr i
+  done;
+  if !i >= n then -1
+  else begin
+    let w = t.avail.(!i) in
+    let j = ref 0 in
+    while w land (1 lsl !j) = 0 do
+      incr j
+    done;
+    let b = (!i * avail_bits) + !j in
+    free_claim t b;
+    b
+  end
 
 let iter_free t f =
   for b = 0 to t.layout.nblocks - 1 do
@@ -307,19 +307,18 @@ let unpack_index_entry e = (e land 0x0FFF, e land 0x8000 <> 0)
 let old_block_index m addr_off =
   (* [addr_off] is the slab-relative offset of the freed address. *)
   let off = addr_off - m.old_data_off in
-  if off < 0 || off mod m.old_block_size <> 0 then None
+  if off < 0 || off mod m.old_block_size <> 0 then -1
   else
     let b = off / m.old_block_size in
-    if Hashtbl.mem m.old_live b then Some b else None
+    if Hashtbl.mem m.old_live b then b else -1
 
-let overlapping_new_blocks t m old_b =
-  let start = m.old_data_off + (old_b * m.old_block_size) in
-  let stop = start + m.old_block_size in
-  let d = t.layout.data_off in
-  let bs = t.layout.block_size in
-  let lo = if start <= d then 0 else (start - d) / bs in
-  let hi = if stop <= d then -1 else (stop - 1 - d) / bs in
-  (max 0 lo, min (t.layout.nblocks - 1) hi)
+let first_overlap t m old_b =
+  let start = m.old_data_off + (old_b * m.old_block_size) - t.layout.data_off in
+  if start <= 0 then 0 else start / t.layout.block_size
+
+let last_overlap t m old_b =
+  let stop = m.old_data_off + ((old_b + 1) * m.old_block_size) - t.layout.data_off in
+  min (t.layout.nblocks - 1) (if stop <= 0 then -1 else (stop - 1) / t.layout.block_size)
 
 (* --- recovery -------------------------------------------------------------- *)
 
@@ -375,8 +374,7 @@ let rebuild_vslab ~mutation dev ~addr ~arena ~mapping =
       if allocated then begin
         Hashtbl.replace old_live b slot;
         m.cnt_slab <- m.cnt_slab + 1;
-        let lo, hi = overlapping_new_blocks s m b in
-        for j = lo to hi do
+        for j = first_overlap s m b to last_overlap s m b do
           cnt_block.(j) <- cnt_block.(j) + 1
         done
       end

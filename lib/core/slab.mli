@@ -114,7 +114,7 @@ and morph = {
 (** {1 Creation and header access} *)
 
 val dummy : t
-(** Never live: fills the free slots of indexes over vslabs. *)
+(** Never live: fills the free slots of indexes and tcaches over vslabs. *)
 
 val format :
   Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> layout -> t
@@ -209,9 +209,9 @@ val free_claim : t -> int -> unit
 (** Remove block [b] from the free set (asserts it is present);
     decrements [free_count]. *)
 
-val free_take_first : t -> int option
+val free_take_first : t -> int
 (** Claim and return the lowest-index free block (word-scan first-fit),
-    [None] when the free set is empty. *)
+    [-1] when the free set is empty. *)
 
 val iter_free : t -> (int -> unit) -> unit
 (** Apply to every free block index, ascending. *)
@@ -226,15 +226,19 @@ val recompute_free : Pmem.Device.t -> t -> unit
 
 val pack_index_entry : block:int -> allocated:bool -> int
 val unpack_index_entry : int -> int * bool
-val old_block_index : morph -> int -> int option
+val old_block_index : morph -> int -> int
 (** [old_block_index m off] is the old-class block index for a
     slab-relative byte offset [off], provided it lies on the old block
-    grid and that block is live. *)
+    grid and that block is live; [-1] otherwise. Lookups on the
+    allocation path return [-1] for "none", never an option, so they
+    allocate nothing. *)
 
-val overlapping_new_blocks : t -> morph -> int -> int * int
-(** [overlapping_new_blocks t m old_b] is the inclusive range of
-    current-class block indices overlapped by old-class block [old_b]
-    (clamped to valid blocks). *)
+val first_overlap : t -> morph -> int -> int
+val last_overlap : t -> morph -> int -> int
+(** [first_overlap t m old_b] to [last_overlap t m old_b] is the
+    inclusive range of current-class block indices overlapped by
+    old-class block [old_b] (clamped to valid blocks; empty when the
+    last is below the first). Two ints, so no tuple is built. *)
 
 (** {1 Recovery} *)
 

@@ -1,56 +1,76 @@
-type entry = { slab : Slab.t; addr : int }
-
+(* Sub-tcache [i] is a stack, oldest first: addresses
+   [addrs.(i).(0 .. top.(i) - 1)], owners at the same indexes of
+   [slabs.(i)]. Both arrays double on demand up to [capacity]. *)
 type t = {
-  class_idx : int;
   capacity : int;
-  sub : entry list array;
+  addrs : int array array;
+  slabs : Slab.t array array;
+  top : int array;
   mutable cursor : int;
   mutable count : int;
+  mutable last : int; (* sub-tcache of the last pop *)
 }
 
-let create ~class_idx ~capacity ~nsub =
+let create ~capacity ~nsub =
   assert (capacity > 0 && nsub > 0);
-  { class_idx; capacity; sub = Array.make nsub []; cursor = 0; count = 0 }
+  { capacity; addrs = Array.make nsub [||]; slabs = Array.make nsub [||];
+    top = Array.make nsub 0; cursor = 0; count = 0; last = 0 }
 
-let class_idx t = t.class_idx
 let count t = t.count
 let is_empty t = t.count = 0
 let is_full t = t.count >= t.capacity
 
-(* Sub-tcache of an entry: the cache line of its bitmap bit. An entry
-   whose slab has since morphed to another class (the address no longer
-   lies on the current block grid) has no bit; bucket 0 is fine — such
-   entries are rare stragglers. *)
-let home t e =
-  if Slab.contains_new_block e.slab e.addr then
-    Bitmap.line_of e.slab.Slab.bitmap (Slab.block_index e.slab e.addr) mod Array.length t.sub
+(* Sub-tcache of a block: the cache line of its bitmap bit. A block whose
+   slab has since morphed to another class (the address no longer lies on
+   the current block grid) has no bit; bucket 0 is fine — such entries
+   are rare stragglers. *)
+let home t s addr =
+  if Slab.contains_new_block s addr then
+    Bitmap.line_of s.Slab.bitmap (Slab.block_index s addr) mod Array.length t.top
   else 0
 
-let push t e =
+let push t s addr =
   if is_full t then false
   else begin
-    let i = home t e in
-    t.sub.(i) <- e :: t.sub.(i);
+    let i = home t s addr in
+    let k = t.top.(i) in
+    if k = Array.length t.addrs.(i) then begin
+      let n = min t.capacity (max 8 (2 * k)) and addrs = t.addrs.(i) and slabs = t.slabs.(i) in
+      t.addrs.(i) <- Array.init n (fun j -> if j < k then addrs.(j) else 0);
+      t.slabs.(i) <- Array.init n (fun j -> if j < k then slabs.(j) else Slab.dummy)
+    end;
+    t.addrs.(i).(k) <- addr;
+    t.slabs.(i).(k) <- s;
+    t.top.(i) <- k + 1;
     t.count <- t.count + 1;
     true
   end
 
 let pop t =
   assert (t.count > 0);
-  let n = Array.length t.sub in
-  (* Find the next non-empty sub-tcache from the cursor. *)
-  let rec find i = match t.sub.(i) with [] -> find ((i + 1) mod n) | _ :: _ -> i in
-  let i = find t.cursor in
-  match t.sub.(i) with
-  | [] -> assert false
-  | e :: rest ->
-      t.sub.(i) <- rest;
-      t.count <- t.count - 1;
-      t.cursor <- (i + 1) mod n;
-      e
+  let n = Array.length t.top in
+  (* The next non-empty sub-tcache from the cursor. *)
+  let i = ref t.cursor in
+  while t.top.(!i) = 0 do
+    i := (!i + 1) mod n
+  done;
+  let i = !i in
+  t.top.(i) <- t.top.(i) - 1;
+  t.count <- t.count - 1;
+  t.cursor <- (i + 1) mod n;
+  t.last <- i;
+  t.addrs.(i).(t.top.(i))
 
-let drain t =
-  let all = Array.fold_left (fun acc l -> List.rev_append l acc) [] t.sub in
-  Array.fill t.sub 0 (Array.length t.sub) [];
-  t.count <- 0;
-  all
+(* The popped slot stays intact until the next push into its sub-tcache. *)
+let last_slab t = t.slabs.(t.last).(t.top.(t.last))
+
+let drain t f a b =
+  for i = Array.length t.top - 1 downto 0 do
+    let n = t.top.(i) in
+    t.top.(i) <- 0;
+    t.count <- t.count - n;
+    for k = 0 to n - 1 do
+      f a b t.slabs.(i).(k) t.addrs.(i).(k);
+      t.slabs.(i).(k) <- Slab.dummy
+    done
+  done

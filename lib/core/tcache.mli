@@ -13,26 +13,37 @@
     threads' tcaches, and only the address stays meaningful across the
     layout change. The owning vslab rides along so that overflow (a free
     arriving at a full tcache) can return the block without an index
-    lookup. *)
+    lookup.
 
-type entry = { slab : Slab.t; addr : int }
+    Each sub-tcache is a stack in two parallel arrays: an [int] array of
+    addresses and a [Slab.t] array of owners. They start empty and double
+    on first use up to [capacity]; once grown, no operation allocates. *)
+
 type t
 
-val create : class_idx:int -> capacity:int -> nsub:int -> t
-(** [nsub = 1] degenerates to a single LIFO list. *)
+val create : capacity:int -> nsub:int -> t
+(** [nsub = 1] degenerates to a single LIFO stack. *)
 
-val class_idx : t -> int
 val count : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
 
-val push : t -> entry -> bool
-(** Adds to the block's home sub-tcache (the one matching its bitmap
-    line). Returns [false] — and does nothing — when full. *)
+val push : t -> Slab.t -> int -> bool
+(** [push t slab addr] adds the block at [addr] of [slab] to its home
+    sub-tcache (the one matching its bitmap line). Returns [false] — and
+    does nothing — when full. *)
 
-val pop : t -> entry
-(** Pops from the cursor's sub-tcache and advances the cursor, skipping
-    empty sub-tcaches. The tcache must not be empty ({!is_empty}). *)
+val pop : t -> int
+(** Pops an address from the cursor's sub-tcache and advances the cursor,
+    skipping empty sub-tcaches. The tcache must not be empty
+    ({!is_empty}). *)
 
-val drain : t -> entry list
-(** Remove and return everything (used at thread exit / shutdown). *)
+val last_slab : t -> Slab.t
+(** The owner of the block the last {!pop} returned. Valid until the next
+    {!push}. *)
+
+val drain : t -> ('a -> 'b -> Slab.t -> int -> unit) -> 'a -> 'b -> unit
+(** [drain t f a b] removes every block, calling [f a b slab addr] on
+    each: sub-tcaches from last to first, each oldest block first. [f]
+    must not push into [t]; taking [a] and [b] apart lets it be a
+    top-level function, so a drain builds no closure. *)

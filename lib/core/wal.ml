@@ -120,8 +120,6 @@ let guard_record ~base ~entries =
    a stale word from a previous format of the region. *)
 let gc_checksum ~epoch ~seq = checksum ~kind:0x6C ~epoch ~seq ~addr:0 ~dest:0
 
-let hdr_word_span base = Pstruct.span_of ~addr:base ~len:8
-
 module Entry = struct
   let l = Pstruct.layout "wal.entry"
   let kind = Pstruct.u8 l "kind" ~off:0
@@ -359,7 +357,7 @@ let checkpoint t clock =
   t.epoch <- (if t.epoch >= 255 then 1 else t.epoch + 1);
   t.next <- 0;
   write_header t;
-  Pstruct.commit t.dev clock Pmem.Stats.Meta (hdr_word_span t.base);
+  Pmem.Device.commit_flush t.dev clock Pmem.Stats.Meta ~addr:t.base ~len:8;
   write_replica t clock
 
 let adopt ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
@@ -374,7 +372,7 @@ let seal t clock =
   t.seq <- 0;
   t.ready <- true;
   write_header t;
-  Pstruct.commit t.dev clock Pmem.Stats.Meta (hdr_word_span t.base);
+  Pmem.Device.commit_flush t.dev clock Pmem.Stats.Meta ~addr:t.base ~len:8;
   write_replica t clock
 
 let reopen ?group ?replicate dev clock ~base ~entries ~interleave =

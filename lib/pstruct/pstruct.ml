@@ -176,9 +176,10 @@ let layout_span ~base l = { addr = base; len = size l }
 let[@inline] flush_span dev clock cat s = Pmem.Device.flush dev clock cat ~addr:s.addr ~len:s.len
 
 let commit ?(deps = []) dev clock cat s =
-  List.iter
-    (fun (note, d) -> Pmem.Device.depends_on ~note dev clock ~addr:d.addr ~len:d.len)
-    deps;
+  if deps != [] then
+    List.iter
+      (fun (note, d) -> Pmem.Device.depends_on ~note dev clock ~addr:d.addr ~len:d.len)
+      deps;
   Pmem.Device.commit_flush dev clock cat ~addr:s.addr ~len:s.len
 
 (* --- debugging ---------------------------------------------------------- *)

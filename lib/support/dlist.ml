@@ -46,7 +46,8 @@ let pop_front t =
       remove t n;
       Some n.v
 
-let peek_front t = match t.head with None -> None | Some n -> Some n.v
+let front t = match t.head with None -> invalid_arg "Dlist.front" | Some n -> n.v
+let is_last t n = match t.tail with None -> false | Some tl -> tl == n
 
 let iter f t =
   let rec go = function

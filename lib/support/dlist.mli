@@ -21,7 +21,12 @@ val remove : 'a t -> 'a node -> unit
     (asserted). *)
 
 val pop_front : 'a t -> 'a option
-val peek_front : 'a t -> 'a option
+
+val front : 'a t -> 'a
+(** The front value, without an option; [t] must not be empty. *)
+
+val is_last : 'a t -> 'a node -> bool
+(** The node is the back of [t]. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front to back. The callback must not modify the list. *)

@@ -16,12 +16,16 @@ type frag_result = { result : Driver.result; peak_before : int; peak_after : int
 
 let draw rng = function Fixed n -> n | Uniform (lo, hi) -> Sim.Rng.int_in rng lo hi
 
-(* Live-object table: slot index -> size. *)
+(* Live object [k] < [count] sits in root slot [live_slot.(k)] with size
+   [live_size.(k)]; free slots are a stack, [free_slots.(nfree - 1)] on
+   top. Int arrays, so an op allocates nothing. *)
 type state = {
   rng : Sim.Rng.t;
-  mutable live : (int * int) array; (* (slot, size), dense prefix of [count] *)
+  live_slot : int array;
+  live_size : int array;
   mutable count : int;
-  free_slots : int Stack.t;
+  free_slots : int array;
+  mutable nfree : int;
   mutable live_bytes : int;
   mutable churned : int;
   mutable ops : int;
@@ -31,11 +35,13 @@ let delete_random inst st =
   let open Alloc_api.Instance in
   assert (st.count > 0);
   let k = Sim.Rng.int st.rng st.count in
-  let slot, size = st.live.(k) in
-  st.live.(k) <- st.live.(st.count - 1);
+  let slot = st.live_slot.(k) and size = st.live_size.(k) in
+  st.live_slot.(k) <- st.live_slot.(st.count - 1);
+  st.live_size.(k) <- st.live_size.(st.count - 1);
   st.count <- st.count - 1;
   inst.free ~tid:0 ~dest:(Driver.slot inst ~tid:0 slot);
-  Stack.push slot st.free_slots;
+  st.free_slots.(st.nfree) <- slot;
+  st.nfree <- st.nfree + 1;
   st.live_bytes <- st.live_bytes - size;
   st.ops <- st.ops + 1
 
@@ -47,9 +53,11 @@ let churn_phase inst st ~(params : params) ~dist =
     while st.live_bytes + size > params.live_cap do
       delete_random inst st
     done;
-    let slot = Stack.pop st.free_slots in
+    st.nfree <- st.nfree - 1;
+    let slot = st.free_slots.(st.nfree) in
     ignore (inst.malloc ~tid:0 ~size ~dest:(Driver.slot inst ~tid:0 slot));
-    st.live.(st.count) <- (slot, size);
+    st.live_slot.(st.count) <- slot;
+    st.live_size.(st.count) <- size;
     st.count <- st.count + 1;
     st.live_bytes <- st.live_bytes + size;
     st.churned <- st.churned + size;
@@ -60,16 +68,15 @@ let run (inst : Alloc_api.Instance.t) ~workload ?(params = default) ?(seed = 31)
   let open Alloc_api.Instance in
   let max_live = (params.live_cap / 64) + 64 in
   Driver.require_slots inst max_live;
-  let free_slots = Stack.create () in
-  for i = max_live - 1 downto 0 do
-    Stack.push i free_slots
-  done;
   let st =
     {
       rng = Sim.Rng.create seed;
-      live = Array.make max_live (0, 0);
+      live_slot = Array.make max_live 0;
+      live_size = Array.make max_live 0;
       count = 0;
-      free_slots;
+      (* Slot 0 on top, so slots pop as 0, 1, 2, ... *)
+      free_slots = Array.init max_live (fun k -> max_live - 1 - k);
+      nfree = max_live;
       live_bytes = 0;
       churned = 0;
       ops = 0;

@@ -10,19 +10,17 @@ let mk_dev () = Pmem.Device.create ~size:(1 lsl 20) ()
 let test_size_class_table () =
   Alcotest.(check int) "first class is 16 B" 16 (Size_class.size_of 0);
   Alcotest.(check int) "largest is 16 KiB" 16384 (Size_class.size_of (Size_class.count - 1));
-  Alcotest.(check (option int)) "zero has no class" None (Size_class.of_size 0);
-  Alcotest.(check (option int)) "above max is large" None (Size_class.of_size 16385);
-  Alcotest.(check (option int)) "1 B fits class 0" (Some 0) (Size_class.of_size 1)
+  Alcotest.(check int) "zero has no class" (-1) (Size_class.of_size 0);
+  Alcotest.(check int) "above max is large" (-1) (Size_class.of_size 16385);
+  Alcotest.(check int) "1 B fits class 0" 0 (Size_class.of_size 1)
 
 let prop_size_class_fits =
   let open QCheck in
   Test.make ~name:"of_size returns the smallest fitting class" ~count:300
     (make Gen.(int_range 1 16384))
     (fun n ->
-      match Size_class.of_size n with
-      | None -> false
-      | Some c ->
-          Size_class.size_of c >= n && (c = 0 || Size_class.size_of (c - 1) < n))
+      let c = Size_class.of_size n in
+      c >= 0 && Size_class.size_of c >= n && (c = 0 || Size_class.size_of (c - 1) < n))
 
 let prop_classes_monotone =
   let open QCheck in
@@ -98,33 +96,29 @@ let mk_slab dev = Slab.format dev ~addr:65536 ~arena:0 ~mapping:(Bitmap.Interlea
 let test_tcache_fifo_capacity () =
   let dev = mk_dev () in
   let s = mk_slab dev in
-  let tc = Tcache.create ~class_idx:2 ~capacity:4 ~nsub:1 in
+  let tc = Tcache.create ~capacity:4 ~nsub:1 in
   for b = 0 to 3 do
-    Alcotest.(check bool) "push ok" true
-      (Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b })
+    Alcotest.(check bool) "push ok" true (Tcache.push tc s (Slab.block_addr s b))
   done;
-  Alcotest.(check bool) "full rejects" false
-    (Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s 4 });
+  Alcotest.(check bool) "full rejects" false (Tcache.push tc s (Slab.block_addr s 4));
   Alcotest.(check int) "count" 4 (Tcache.count tc);
-  Alcotest.(check int) "drain returns all" 4 (List.length (Tcache.drain tc));
+  let drained = ref 0 in
+  Tcache.drain tc (fun n () _ _ -> incr n) drained ();
+  Alcotest.(check int) "drain returns all" 4 !drained;
   Alcotest.(check bool) "empty after drain" true (Tcache.is_empty tc)
 
 let test_tcache_rotation_avoids_lines () =
   let dev = mk_dev () in
   let s = mk_slab dev in
   let nsub = 6 in
-  let tc = Tcache.create ~class_idx:2 ~capacity:64 ~nsub in
+  let tc = Tcache.create ~capacity:64 ~nsub in
   for b = 0 to 47 do
-    ignore (Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b })
+    ignore (Tcache.push tc s (Slab.block_addr s b))
   done;
   (* Any 4 consecutive pops map to 4 distinct bitmap lines. *)
   let pops = List.init 24 (fun _ -> Tcache.pop tc) in
   let lines =
-    List.map
-      (fun e ->
-        let b = Slab.block_index e.Tcache.slab e.Tcache.addr in
-        fst (Bitmap.bit_location s.Slab.bitmap b))
-      pops
+    List.map (fun addr -> fst (Bitmap.bit_location s.Slab.bitmap (Slab.block_index s addr))) pops
   in
   let rec windows = function
     | a :: b :: c :: d :: rest ->
@@ -142,20 +136,134 @@ let prop_tcache_conserves_entries =
       let dev = mk_dev () in
       let s = mk_slab dev in
       let blocks = List.filter (fun b -> b < s.Slab.layout.Slab.nblocks) blocks in
-      let tc = Tcache.create ~class_idx:2 ~capacity:1000 ~nsub in
-      List.iter
-        (fun b -> ignore (Tcache.push tc { Tcache.slab = s; addr = Slab.block_addr s b }))
-        blocks;
+      let tc = Tcache.create ~capacity:1000 ~nsub in
+      List.iter (fun b -> ignore (Tcache.push tc s (Slab.block_addr s b))) blocks;
       let popped = ref [] in
       let rec drain () =
         if not (Tcache.is_empty tc) then begin
-          let e = Tcache.pop tc in
-          popped := Slab.block_index e.Tcache.slab e.Tcache.addr :: !popped;
+          let addr = Tcache.pop tc in
+          assert (Tcache.last_slab tc == s);
+          popped := Slab.block_index s addr :: !popped;
           drain ()
         end
       in
       drain ();
       List.sort compare !popped = List.sort compare blocks)
+
+(* The list-of-lists tcache the array-backed one replaced, kept as the
+   order oracle: simulated output depends on the exact pop and drain
+   order, not just on the multiset of blocks. *)
+module Ref_tcache = struct
+  type entry = { slab : Slab.t; addr : int }
+  type t = { capacity : int; sub : entry list array; mutable cursor : int; mutable count : int }
+
+  let create ~capacity ~nsub = { capacity; sub = Array.make nsub []; cursor = 0; count = 0 }
+  let is_full t = t.count >= t.capacity
+
+  let home t e =
+    if Slab.contains_new_block e.slab e.addr then
+      Bitmap.line_of e.slab.Slab.bitmap (Slab.block_index e.slab e.addr) mod Array.length t.sub
+    else 0
+
+  let push t e =
+    if is_full t then false
+    else begin
+      let i = home t e in
+      t.sub.(i) <- e :: t.sub.(i);
+      t.count <- t.count + 1;
+      true
+    end
+
+  let pop t =
+    let n = Array.length t.sub in
+    let rec find i = match t.sub.(i) with [] -> find ((i + 1) mod n) | _ :: _ -> i in
+    let i = find t.cursor in
+    match t.sub.(i) with
+    | [] -> assert false
+    | e :: rest ->
+        t.sub.(i) <- rest;
+        t.count <- t.count - 1;
+        t.cursor <- (i + 1) mod n;
+        e
+
+  let drain t =
+    let all = Array.fold_left (fun acc l -> List.rev_append l acc) [] t.sub in
+    Array.fill t.sub 0 (Array.length t.sub) [];
+    t.count <- 0;
+    all
+end
+
+type tc_op = Push of int * int * bool | Pop | Drain
+
+let tc_op_print = function
+  | Push (slab, b, stray) -> Printf.sprintf "Push(%d,%d,%b)" slab b stray
+  | Pop -> "Pop"
+  | Drain -> "Drain"
+
+let prop_tcache_matches_reference =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 6,
+            map3
+              (fun s b stray -> Push (s, b, stray))
+              (int_range 0 1) (int_range 0 300)
+              (map (( = ) 0) (int_range 0 9)) );
+          (4, return Pop);
+          (1, return Drain);
+        ])
+  in
+  Test.make ~name:"tcache pop and drain order = list-of-lists reference" ~count:300
+    (make
+       ~print:(fun (nsub, cap, ops) ->
+         Printf.sprintf "nsub=%d cap=%d %s" nsub cap
+           (String.concat " " (List.map tc_op_print ops)))
+       ~shrink:Shrink.(triple nil nil list)
+       Gen.(triple (int_range 1 8) (int_range 1 12) (list_size (int_range 0 120) op)))
+    (fun (nsub, capacity, ops) ->
+      let dev = mk_dev () in
+      let mapping = Bitmap.Interleaved 6 in
+      (* Two slabs of different classes, so block grids and bitmap lines
+         differ; a stray address (off the grid, as after a morph) homes
+         to sub-tcache 0. *)
+      let slab addr class_idx =
+        Slab.format dev ~addr ~arena:0 ~mapping (Slab.layout_of_class ~class_idx ~mapping)
+      in
+      let slabs = [| slab 65536 2; slab 131072 9 |] in
+      let tc = Tcache.create ~capacity ~nsub in
+      let r = Ref_tcache.create ~capacity ~nsub in
+      let drained = ref [] in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Push (k, b, stray) ->
+                let s = slabs.(k) in
+                let addr =
+                  Slab.block_addr s (b mod s.Slab.layout.Slab.nblocks) + if stray then 8 else 0
+                in
+                Tcache.push tc s addr = Ref_tcache.push r { Ref_tcache.slab = s; addr }
+            | Pop ->
+                Tcache.is_empty tc = (r.Ref_tcache.count = 0)
+                && (Tcache.is_empty tc
+                   ||
+                   let addr = Tcache.pop tc in
+                   let e = Ref_tcache.pop r in
+                   addr = e.Ref_tcache.addr && Tcache.last_slab tc == e.Ref_tcache.slab)
+            | Drain ->
+                drained := [];
+                Tcache.drain tc (fun acc () s addr -> acc := (s.Slab.addr, addr) :: !acc) drained ();
+                List.rev !drained
+                = List.map
+                    (fun e -> (e.Ref_tcache.slab.Slab.addr, e.Ref_tcache.addr))
+                    (Ref_tcache.drain r)
+          in
+          same
+          && Tcache.count tc = r.Ref_tcache.count
+          && Tcache.is_full tc = Ref_tcache.is_full r)
+        ops)
 
 let suite =
   [
@@ -169,4 +277,5 @@ let suite =
     Alcotest.test_case "tcache capacity and drain" `Quick test_tcache_fifo_capacity;
     Alcotest.test_case "tcache rotation avoids lines" `Quick test_tcache_rotation_avoids_lines;
     QCheck_alcotest.to_alcotest prop_tcache_conserves_entries;
+    QCheck_alcotest.to_alcotest prop_tcache_matches_reference;
   ]

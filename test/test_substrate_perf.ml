@@ -698,8 +698,8 @@ let test_trace_truncation () =
    cross-module inlining). Each path runs [calls] times after a warm-up
    and must add no minor words at all. Flushes cycle over 1024 lines, so
    the warm-up has already materialised every chunk they touch. *)
-let words_per_call ~calls f =
-  for _ = 1 to 100 do
+let words_per_call ?(warmup = 100) ~calls f =
+  for _ = 1 to warmup do
     f ()
   done;
   let before = Gc.minor_words () in
@@ -708,8 +708,8 @@ let words_per_call ~calls f =
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
-let check_no_words name f =
-  let words = words_per_call ~calls:10_000 f in
+let check_no_words ?warmup ?(calls = 10_000) name f =
+  let words = words_per_call ?warmup ~calls f in
   Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0 words
 
 let test_hot_paths_allocation_free () =
@@ -749,6 +749,44 @@ let test_hot_paths_allocation_free () =
       if Nvalloc_core.Wal.near_full wal then Nvalloc_core.Wal.checkpoint wal clock;
       Nvalloc_core.Wal.append wal clock Nvalloc_core.Wal.Alloc ~addr:4096 ~dest:8192)
 
+(* NVAlloc's small path, one thread of NVAlloc-LOG with the default
+   configuration: once the tcache arrays have grown, no step of it
+   allocates. A tcache-hit pair also crosses the inline WAL checkpoints
+   and the refills after them; the 64-malloc/64-free loop refills once
+   per iteration and returns 32 frees through [return_block] (the tcache
+   holds 32); the daemon's tick checkpoints and drains. *)
+let test_small_path_allocation_free () =
+  let open Nvalloc_core in
+  let dev = Pmem.Device.create ~size:(64 * mib) () in
+  let clock = Sim.Clock.create () in
+  let t = Nvalloc.create ~config:Config.log_default dev clock in
+  let th = Nvalloc.thread t clock in
+  let arena = (Nvalloc.arenas t).(0) in
+  let wal = Arena.wal arena in
+  let dest i = Nvalloc.root_addr t i in
+  let pair () =
+    ignore (Nvalloc.malloc_to t th ~size:64 ~dest:(dest 0) : int);
+    Nvalloc.free_from t th ~dest:(dest 0)
+  in
+  check_no_words ~warmup:10_000 "tcache-hit malloc_to/free_from pair" pair;
+  let checkpoints = ref 0 in
+  check_no_words ~calls:1_000 "64 mallocs then 64 frees" (fun () ->
+      let used = Wal.used wal in
+      for i = 0 to 63 do
+        ignore (Nvalloc.malloc_to t th ~size:64 ~dest:(dest i) : int)
+      done;
+      for i = 0 to 63 do
+        Nvalloc.free_from t th ~dest:(dest i)
+      done;
+      if Wal.used wal < used then incr checkpoints);
+  Alcotest.(check bool) "the loop crossed inline checkpoints" true (!checkpoints >= 10);
+  check_no_words ~warmup:5 ~calls:20 "async_checkpoint_tick that checkpoints and drains"
+    (fun () ->
+      while not (Arena.async_checkpoint_tick arena clock) do
+        pair ()
+      done);
+  Alcotest.(check int) "the last tick checkpointed" 0 (Wal.used wal)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dirtymap_model;
@@ -764,4 +802,6 @@ let suite =
       test_pending_membership_allocation_free;
     Alcotest.test_case "flush, fence, lock and WAL append allocate nothing" `Quick
       test_hot_paths_allocation_free;
+    Alcotest.test_case "small malloc/free, refill, overflow and checkpoints allocate nothing"
+      `Quick test_small_path_allocation_free;
   ]

@@ -13,7 +13,7 @@ let test_dlist_basic () =
   D.remove l b;
   Alcotest.(check (list int)) "middle removed" [ 1; 3 ] (D.to_list l);
   Alcotest.(check (option int)) "pop front" (Some 1) (D.pop_front l);
-  Alcotest.(check (option int)) "peek" (Some 3) (D.peek_front l);
+  Alcotest.(check int) "peek" 3 (D.front l);
   Alcotest.(check (option int)) "pop last" (Some 3) (D.pop_front l);
   Alcotest.(check (option int)) "pop empty" None (D.pop_front l)
 
