@@ -1,19 +1,19 @@
 (* Host-time microbenchmarks of the substrate and allocator fast paths,
-   plus the persisted perf baseline (BENCH_micro.json).
+   and the perf gate over the committed baseline (BENCH_micro.json).
 
-   Three kinds of numbers go into the baseline file:
+   The baseline has three sections:
 
-   - Bechamel ns/run estimates (host time): catch real-time performance
-     regressions of this implementation itself;
-   - minor words per run of the same primitives: deterministic, so the
-     allocation gate is exact;
-   - simulated makespans of a few fixed workload probes: deterministic
-     to the bit, so any change is an intentional model/allocator change,
-     never noise.
+   - micro_ns_per_run: Bechamel host ns/run of each primitive, the fixed
+     origin of the host-ns trajectory. It is recorded once and copied
+     verbatim by every rewrite; it never decides a verdict;
+   - minor_words_per_run: minor words per run of the same primitives;
+   - simulated_makespan_ns: simulated makespans of a few fixed workload
+     probes.
 
-   `scripts/bench_check.sh` re-runs the microbenchmarks and fails if any
-   tracked one regresses more than [regression_threshold] versus the
-   committed baseline, or allocates more minor words per run. *)
+   The last two are deterministic, so `micro --check`
+   (scripts/bench_check.sh) compares them exactly: a words increase or
+   any makespan difference fails. It then prints each primitive's host
+   ns/run next to its origin, as a trajectory with no verdict. *)
 
 open Bechamel
 open Toolkit
@@ -155,12 +155,12 @@ let microbenches () =
   Test.make_grouped ~name:group
     (List.map (fun (name, make) -> Test.make ~name (Staged.stage (make ()))) primitives)
 
-(* --- allocation gate --------------------------------------------------------- *)
+(* --- minor words per run ---------------------------------------------------- *)
 
 (* Minor words per run of each primitive: [words_runs] runs after
-   [words_warmup], from fresh state. Deterministic, so the gate compares
-   exactly: any increase fails (dev builds pass -opaque, so an allocation
-   that cross-module inlining would have removed still counts). *)
+   [words_warmup], from fresh state. Deterministic (dev builds pass
+   -opaque, so an allocation that cross-module inlining would have
+   removed still counts). *)
 let words_warmup = 1_000
 let words_runs = 10_000
 
@@ -178,8 +178,7 @@ let minor_words_per_run () =
       (group ^ "/" ^ name, (Gc.minor_words () -. w0) /. float_of_int words_runs))
     primitives
 
-(* The recorded precision; the gate compares at exactly this one. *)
-let recorded_words w = float_of_string (Printf.sprintf "%.3f" w)
+(* --- host ns per run --------------------------------------------------------- *)
 
 let estimates () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -192,33 +191,16 @@ let estimates () =
       match Analyze.OLS.estimates r with Some [ est ] -> Some (name, est) | _ -> None)
     (List.sort compare rows)
 
-let print_estimates ests =
-  List.iter (fun (name, est) -> Printf.printf "%-56s %10.1f ns/run\n" name est) ests;
-  flush stdout
-
 let run_print () =
   print_endline "\n### Bechamel microbenchmarks (host time per run)";
-  let ests = estimates () in
-  print_estimates ests;
-  ests
-
-(* Per-bench median over [rounds] independent measurement passes: the
-   recorded baseline should not inherit one pass's scheduling noise. *)
-let median_estimates ~rounds () =
-  let runs = List.init rounds (fun _ -> estimates ()) in
-  let names = List.map fst (List.hd runs) in
-  List.filter_map
-    (fun name ->
-      match List.sort compare (List.filter_map (List.assoc_opt name) runs) with
-      | [] -> None
-      | samples -> Some (name, List.nth samples (List.length samples / 2)))
-    names
+  List.iter (fun (name, est) -> Printf.printf "%-56s %10.1f ns/run\n%!" name est) (estimates ())
 
 (* --- simulated makespan probes ------------------------------------------- *)
 
-(* Fixed, fast workload runs whose simulated makespans are recorded next
-   to the host-time numbers: they are deterministic, so the committed
-   baseline doubles as a regression oracle for the simulation itself. *)
+(* Fixed, fast workload runs whose simulated makespans are deterministic
+   to the bit: the gate makes the committed baseline a regression oracle
+   for the simulation itself, so any change is an intentional model or
+   allocator change, never noise. *)
 let makespan_probes () =
   let probe name kind run =
     let inst = Harness.Factory.make ~threads:4 kind in
@@ -246,269 +228,133 @@ let makespan_probes () =
         Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest 4) ());
   ]
 
-(* --- host-parallel throughput probes -------------------------------------- *)
+(* --- the baseline file ------------------------------------------------------ *)
 
-(* Host wall-time of a domain-parallel seed sweep: a fixed check sweep
-   at one domain vs the host's recommended count. Host time is noisy and
-   machine-dependent by nature, so these live in their own [host_par]
-   section that the regression gate never reads ([run_check] parses only
-   [micro_ns_per_run]); the informational speedup line lives in
-   scripts/interleave_check.sh. Every probe doubles as a correctness
-   assertion: a counterexample aborts the baseline write. *)
-let host_par_probes () =
-  let sweep_ns domains =
-    let pool = Par.Pool.create ~domains in
-    let t0 = Unix.gettimeofday () in
-    (match
-       Par.Sweep.check_sweep pool ~alloc:"NVAlloc-LOG" ~seed:1 ~runs:8 ~ops:600 ~threads:2 ()
-     with
-    | None -> ()
-    | Some cex ->
-        failwith ("host_par probe counterexample: " ^ cex.Check.Runner.reason));
-    (Unix.gettimeofday () -. t0) *. 1e9
-  in
-  let nd = max 2 (Domain.recommended_domain_count ()) in
-  let d1_ns = sweep_ns 1 in
-  let dn_ns = sweep_ns nd in
-  [
-    ("domains", float_of_int nd);
-    ("check_sweep_8x600_1d_ns", d1_ns);
-    ("check_sweep_8x600_nd_ns", dn_ns);
-    ("sweep_speedup_x", if dn_ns > 0.0 then d1_ns /. dn_ns else 0.0);
-  ]
+let read_baseline path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> Result.map_error (fun e -> path ^ ": " ^ e) (Telemetry.Json.parse text)
 
-(* --- JSON baseline -------------------------------------------------------- *)
-
-let schema = "nvalloc/bench-micro/v1"
-let regression_threshold = 0.25
-
-let json_escape s =
-  (* Bench names contain no quotes or control characters; keep the
-     writer honest anyway. *)
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char b '\\'; Buffer.add_char b c
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The ["name": number] entries of one section, in file order. *)
+let section json name =
+  match Telemetry.Json.member name json with
+  | Some (Telemetry.Json.Obj entries) ->
+      List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (Telemetry.Json.num v)) entries
+  | _ -> []
 
 let json_section b name fmt entries =
-  Buffer.add_string b (Printf.sprintf "  \"%s\": {\n" name);
+  Printf.bprintf b "  \"%s\": {\n" name;
   List.iteri
     (fun i (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %s%s\n" (json_escape k) (Printf.sprintf fmt v)
-           (if i = List.length entries - 1 then "" else ",")))
+      Buffer.add_string b "    \"";
+      Telemetry.Json.escape b k;
+      Printf.bprintf b "\": %s%s\n" (Printf.sprintf fmt v)
+        (if i = List.length entries - 1 then "" else ","))
     entries;
   Buffer.add_string b "  }"
 
-let json_string ?host_par ~micro ~words ~makespans () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
+let json_string ~origin ~words ~makespans =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b "{\n  \"schema\": \"nvalloc/bench-micro/v1\",\n";
   Buffer.add_string b
-    "  \"note\": \"micro_ns_per_run is host time (noisy); minor_words_per_run is deterministic (gated exactly); simulated_makespan_ns is deterministic simulated time; host_par is host time of domain-parallel seed sweeps (informational, never gated)\",\n";
-  json_section b "micro_ns_per_run" "%.1f" micro;
+    "  \"note\": \"micro_ns_per_run is the fixed host-ns origin (recorded once, copied verbatim, reported as a trajectory, never gated); minor_words_per_run (any increase fails) and simulated_makespan_ns (any difference fails) are deterministic and gated exactly\",\n";
+  json_section b "micro_ns_per_run" "%.1f" origin;
   Buffer.add_string b ",\n";
   json_section b "minor_words_per_run" "%.3f" words;
   Buffer.add_string b ",\n";
   json_section b "simulated_makespan_ns" "%.3f" makespans;
-  (match host_par with
-  | None -> ()
-  | Some entries ->
-      Buffer.add_string b ",\n";
-      json_section b "host_par" "%.1f" entries);
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
-(* --- minimal reader for our own baseline format --------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Extract the ["name": number] pairs of one [section] of a baseline
-   file. Not a general JSON parser — it reads exactly the line-oriented
-   format [json_string] emits, which is all it is ever pointed at. *)
-let parse_section text section =
-  let needle = "\"" ^ section ^ "\"" in
-  let rec find_from i =
-    if i + String.length needle > String.length text then None
-    else if String.sub text i (String.length needle) = needle then Some i
-    else find_from (i + 1)
-  in
-  match find_from 0 with
-  | None -> []
-  | Some start ->
-      let stop = try String.index_from text start '}' with Not_found -> String.length text in
-      let body = String.sub text start (stop - start) in
-      let lines = String.split_on_char '\n' body in
-      List.filter_map
-        (fun line ->
-          let line = String.trim line in
-          (* lines look like:  "name": 123.4,  *)
-          if String.length line < 4 || line.[0] <> '"' then None
-          else
-            match String.index_from_opt line 1 '"' with
-            | None -> None
-            | Some q ->
-                let name = String.sub line 1 (q - 1) in
-                let rest = String.sub line (q + 1) (String.length line - q - 1) in
-                let rest = String.trim rest in
-                if String.length rest < 2 || rest.[0] <> ':' then None
-                else
-                  let num = String.trim (String.sub rest 1 (String.length rest - 1)) in
-                  let num =
-                    if String.length num > 0 && num.[String.length num - 1] = ',' then
-                      String.sub num 0 (String.length num - 1)
-                    else num
-                  in
-                  float_of_string_opt num |> Option.map (fun v -> (name, v)))
-        lines
-
-(* [micro_ns_per_run] is the fixed origin of the host-ns trajectory and
-   is never re-recorded: when [path] already holds that section it is kept
-   as it is, and only the deterministic sections and [host_par] are
-   rewritten. [estimates] measures an origin for a file that has none. *)
-let write_json ~path ~estimates =
-  let micro =
-    match parse_section (read_file path) "micro_ns_per_run" with
-    | _ :: _ as origin ->
-        Printf.printf "keeping the host-ns origin recorded in %s\n%!" path;
-        origin
-    | [] | (exception Sys_error _) -> estimates ()
-  in
-  print_endline "counting minor words per run...";
-  let words = minor_words_per_run () in
-  print_endline "running simulated makespan probes...";
-  let makespans = makespan_probes () in
-  print_endline "running host-parallel probes...";
-  let host_par = host_par_probes () in
-  let oc = open_out path in
-  output_string oc (json_string ~host_par ~micro ~words ~makespans ());
-  close_out oc;
-  Printf.printf
-    "wrote %s (%d microbenches, %d allocation counts, %d makespan probes, %d host_par probes)\n%!"
-    path (List.length micro) (List.length words) (List.length makespans)
-    (List.length host_par)
-
-(* The exact allocation gate: any increase over the baseline's
-   [minor_words_per_run] fails, decreases are printed so they can be
-   recorded. Returns the number of failures. *)
-let check_words ~baseline base =
-  match parse_section base "minor_words_per_run" with
-  | [] ->
-      Printf.printf "no minor_words_per_run section in %s: allocation gate skipped\n%!" baseline;
+(* Rewrites [path]'s deterministic sections from fresh measurements. The
+   origin is copied verbatim: it was recorded at 0.1 ns, so "%.1f"
+   reprints it byte for byte. A file without an origin is refused (exit
+   2): this never measures a new one. *)
+let write_json ~path =
+  match Result.map (fun base -> section base "micro_ns_per_run") (read_baseline path) with
+  | Error msg ->
+      prerr_endline msg;
+      2
+  | Ok [] ->
+      Printf.eprintf "no micro_ns_per_run origin in %s; micro --json never measures one\n" path;
+      2
+  | Ok origin ->
+      let words = minor_words_per_run () in
+      let makespans = makespan_probes () in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (json_string ~origin ~words ~makespans));
+      Printf.printf "wrote %s (origin kept, %d allocation counts, %d makespan probes)\n" path
+        (List.length words) (List.length makespans);
       0
-  | base_words ->
-      Printf.printf "checking minor words per run against %s (fail on any increase)\n%!"
-        baseline;
-      let fresh = List.map (fun (name, w) -> (name, recorded_words w)) (minor_words_per_run ()) in
-      let failures = ref 0 in
-      List.iter
-        (fun (name, old_w) ->
-          match List.assoc_opt name fresh with
-          | None ->
-              incr failures;
-              Printf.printf "MISSING   %-52s (baseline %.3f words/run)\n" name old_w
-          | Some now_w ->
-              let verdict =
-                if now_w > old_w then begin
-                  incr failures;
-                  "INCREASED"
-                end
-                else if now_w < old_w then "decreased"
-                else "ok"
-              in
-              Printf.printf "%-9s %-52s %10.3f -> %10.3f words/run\n" verdict name old_w now_w)
-        base_words;
-      !failures
+
+(* --- the exact gate ---------------------------------------------------------- *)
+
+(* Both exact sections are recorded at three decimals; fresh numbers are
+   compared at that precision. *)
+let recorded v = float_of_string (Printf.sprintf "%.3f" v)
+
+(* One line per entry of either side: [(failed, line)]. An entry on one
+   side only fails, and so does any [now] for which [fails base now]. *)
+let compare_section ~fails ~unit base fresh =
+  let line verdict name b now =
+    let show = function Some v -> Printf.sprintf "%.3f" v | None -> "-" in
+    Printf.sprintf "%-9s %-52s %16s -> %16s %s" verdict name (show b) (show now) unit
+  in
+  List.map
+    (fun (name, b) ->
+      match List.assoc_opt name fresh with
+      | None -> (true, line "MISSING" name (Some b) None)
+      | Some now ->
+          let now = recorded now in
+          let failed = fails b now in
+          let verdict = if failed then "FAIL" else if now < b then "decreased" else "ok" in
+          (failed, line verdict name (Some b) (Some now)))
+    base
+  @ List.filter_map
+      (fun (name, now) ->
+        if List.mem_assoc name base then None
+        else Some (true, line "NEW" name None (Some (recorded now))))
+      fresh
+
+(* The gate, as a pure function of the parsed baseline and the fresh
+   numbers: any words increase, any makespan difference, and any entry
+   on one side only fail. *)
+let exact_check base ~words ~makespans =
+  compare_section ~fails:(fun b now -> now > b) ~unit:"words/run"
+    (section base "minor_words_per_run") words
+  @ compare_section ~fails:(fun b now -> now <> b) ~unit:"sim ns"
+      (section base "simulated_makespan_ns") makespans
 
 let run_check ~baseline =
-  match read_file baseline with
-  | exception Sys_error msg ->
-      Printf.eprintf "cannot read baseline: %s\n" msg;
+  match read_baseline baseline with
+  | Error msg ->
+      prerr_endline msg;
       2
-  | base ->
-  let base_micro = parse_section base "micro_ns_per_run" in
-  if base_micro = [] then begin
-    Printf.eprintf "no micro_ns_per_run entries in %s\n" baseline;
-    2
-  end
-  else begin
-    let word_failures = check_words ~baseline base in
-    Printf.printf "checking microbenchmarks against %s (fail threshold: +%.0f%%)\n%!"
-      baseline (100.0 *. regression_threshold);
-    (* Interference only ever inflates a timing, so the minimum over
-       rounds is the robust estimate: re-measure (up to [max_rounds])
-       keeping per-bench minima, and stop as soon as nothing exceeds the
-       threshold. A regression that survives every round is real. *)
-    let max_rounds = 3 in
-    let regressed merged =
-      List.exists
-        (fun (name, old_ns) ->
-          match List.assoc_opt name merged with
-          | None -> true
-          | Some now_ns -> (now_ns -. old_ns) /. old_ns > regression_threshold)
-        base_micro
-    in
-    let merge a b =
-      List.map
-        (fun (name, v) ->
-          match List.assoc_opt name a with
-          | Some prev -> (name, Float.min prev v)
-          | None -> (name, v))
-        b
-    in
-    let rec measure round acc =
-      let merged = merge acc (estimates ()) in
-      if round < max_rounds && regressed merged then begin
-        Printf.printf "round %d/%d: over threshold, re-measuring...\n%!" round max_rounds;
-        measure (round + 1) merged
+  | Ok base ->
+      Printf.printf
+        "checking %s exactly: minor words per run (any increase fails), simulated makespans \
+         (any difference fails)\n%!"
+        baseline;
+      let rows =
+        exact_check base ~words:(minor_words_per_run ()) ~makespans:(makespan_probes ())
+      in
+      List.iter (fun (_, line) -> print_endline line) rows;
+      Printf.printf "host ns/run against the fixed origin in %s (a trajectory, not gated)\n%!"
+        baseline;
+      let origin = section base "micro_ns_per_run" in
+      List.iter
+        (fun (name, now) ->
+          match List.assoc_opt name origin with
+          | Some o ->
+              Printf.printf "%-52s origin %9.1f  now %9.1f ns/run  x%.2f\n" name o now (now /. o)
+          | None -> Printf.printf "%-52s origin %9s  now %9.1f ns/run\n" name "-" now)
+        (estimates ());
+      let failures = List.length (List.filter fst rows) in
+      if failures > 0 then begin
+        Printf.printf "FAIL: %d exact entries differ from %s\n" failures baseline;
+        1
       end
-      else merged
-    in
-    let fresh = measure 1 [] in
-    let failures = ref 0 in
-    List.iter
-      (fun (name, old_ns) ->
-        match List.assoc_opt name fresh with
-        | None ->
-            incr failures;
-            Printf.printf "MISSING  %-52s (baseline %.1f ns/run)\n" name old_ns
-        | Some now_ns ->
-            let delta = (now_ns -. old_ns) /. old_ns in
-            let verdict =
-              if delta > regression_threshold then begin
-                incr failures;
-                "REGRESSED"
-              end
-              else "ok"
-            in
-            Printf.printf "%-9s %-52s %10.1f -> %10.1f ns/run (%+.1f%%)\n" verdict name
-              old_ns now_ns (100.0 *. delta))
-      base_micro;
-    List.iter
-      (fun (name, now_ns) ->
-        if not (List.mem_assoc name base_micro) then
-          Printf.printf "NEW      %-52s %10.1f ns/run (not in baseline)\n" name now_ns)
-      fresh;
-    flush stdout;
-    if word_failures > 0 then
-      Printf.printf "%d microbench(es) allocate more minor words than the baseline\n%!"
-        word_failures;
-    if !failures > 0 then
-      Printf.printf "%d microbench(es) regressed beyond %.0f%%\n%!" !failures
-        (100.0 *. regression_threshold);
-    if !failures > 0 || word_failures > 0 then 1
-    else begin
-      print_endline "all tracked microbenches within threshold";
-      0
-    end
-  end
+      else begin
+        Printf.printf "words and makespans match %s exactly\n" baseline;
+        0
+      end

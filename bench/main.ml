@@ -10,19 +10,21 @@
       reproduction targets (see EXPERIMENTS.md).
 
    2. Bechamel microbenchmarks (one Test.make per core primitive,
-      host-time): allocator fast paths and the substrate data structures,
-      to catch real-time performance regressions of this implementation
-      itself (see Bench_micro).
+      host-time): allocator fast paths and the substrate data structures
+      (see Bench_micro).
 
    Usage:
      bench/main.exe                    full paper run + microbenches
      bench/main.exe micro              microbenches only
-     bench/main.exe micro --json [P]   also write the JSON baseline
-                                       (default BENCH_micro.json); an
-                                       existing micro_ns_per_run section
-                                       (the host-ns origin) is kept
-     bench/main.exe micro --check [P]  compare against a committed
-                                       baseline; exit 1 on regression *)
+     bench/main.exe micro --check [P]  the perf gate against a baseline
+                                       (default BENCH_micro.json): exit 1
+                                       if minor words per run rose or a
+                                       simulated makespan changed, 2 if P
+                                       is unreadable; host ns/run is
+                                       printed against P's origin
+     bench/main.exe micro --json [P]   rewrite P's words and makespans,
+                                       copying its host-ns origin; exit 2
+                                       if P has none *)
 
 let () =
   let argv = Array.to_list Sys.argv in
@@ -39,19 +41,10 @@ let () =
     in
     go argv
   in
-  let json = opt_value "--json" "BENCH_micro.json" in
-  let check = opt_value "--check" "BENCH_micro.json" in
-  match check with
-  | Some baseline -> exit (Bench_micro.run_check ~baseline)
-  | None ->
+  match (opt_value "--check" "BENCH_micro.json", opt_value "--json" "BENCH_micro.json") with
+  | Some baseline, _ -> exit (Bench_micro.run_check ~baseline)
+  | None, Some path -> exit (Bench_micro.write_json ~path)
+  | None, None ->
       print_endline "NVAlloc (ASPLOS'22) reproduction — full benchmark run";
       if not micro_only then Harness.Registry.run_all ();
-      (match json with
-      | None -> ignore (Bench_micro.run_print () : (string * float) list)
-      | Some path ->
-          ignore (Bench_micro.run_print () : (string * float) list);
-          Bench_micro.write_json ~path ~estimates:(fun () ->
-              (* A new origin uses the per-bench median of 5 passes so one
-                 pass's scheduling noise does not become the yardstick. *)
-              print_endline "measuring the host-ns origin (median of 5 passes)...";
-              Bench_micro.median_estimates ~rounds:5 ()))
+      Bench_micro.run_print ()

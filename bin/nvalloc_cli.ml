@@ -37,13 +37,19 @@ let telemetry_flag =
   in
   Arg.(value & flag & info [ "telemetry" ] ~doc)
 
+(* Run [f] with global telemetry capture requested; return its result
+   and the sinks of every instance it built, oldest first. *)
+let capture f =
+  Telemetry.request_capture ();
+  let result = Fun.protect ~finally:Telemetry.cancel_capture f in
+  let sinks = Telemetry.registered () in
+  Telemetry.reset_registered ();
+  (result, sinks)
+
 let with_capture enabled f =
   if not enabled then f ()
   else begin
-    Telemetry.request_capture ();
-    Fun.protect ~finally:Telemetry.cancel_capture f;
-    let sinks = Telemetry.registered () in
-    Telemetry.reset_registered ();
+    let (), sinks = capture f in
     List.iteri
       (fun i (name, sink) ->
         let base = Printf.sprintf "trace_%02d_%s" i (slug name) in
@@ -142,6 +148,32 @@ let flushes_cmd =
   in
   Cmd.v (Cmd.info "flushes" ~doc) Term.(const run $ alloc)
 
+(* One instance of [alloc] built under capture, with its telemetry sink. *)
+let captured_instance alloc ~threads =
+  let kind = allocator_kind alloc in
+  match capture (fun () -> Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads kind) with
+  | inst, [ (_, sink) ] -> (inst, sink)
+  | _ -> failwith "expected exactly one captured telemetry sink"
+
+(* The workloads [trace] and [slo] run, by name. *)
+let run_workload workload inst ~threads ~seed =
+  match workload with
+  | "threadtest" -> Workloads.Threadtest.run inst ~params:(Harness.Sizes.threadtest threads) ()
+  | "prodcon" -> Workloads.Prodcon.run inst ~params:(Harness.Sizes.prodcon threads) ()
+  | "shbench" -> Workloads.Shbench.run inst ~params:(Harness.Sizes.shbench threads) ~seed ()
+  | "larson" -> Workloads.Larson.run inst ~params:(Harness.Sizes.larson_small threads) ~seed ()
+  | "larson-large" ->
+      Workloads.Larson.run inst ~params:(Harness.Sizes.larson_large threads) ~seed ()
+  | "dbmstest" -> Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest threads) ~seed ()
+  | w -> failwith ("unknown workload " ^ w)
+
+let workload_arg = Arg.(value & pos 0 string "larson" & info [] ~docv:"WORKLOAD")
+
+let threads_arg =
+  Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
+
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload RNG seed.")
+
 let trace_cmd =
   let doc =
     "Run one workload with telemetry enabled and print its timeline as \
@@ -150,16 +182,9 @@ let trace_cmd =
      across runs with the same seed. Workloads: threadtest, prodcon, \
      shbench, larson (small objects), larson-large, dbmstest."
   in
-  let workload = Arg.(value & pos 0 string "larson" & info [] ~docv:"WORKLOAD") in
   let alloc =
     let doc = "Allocator to trace (see $(b,flushes) for the list)." in
     Arg.(value & opt string "NVAlloc-LOG" & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
-  in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload RNG seed.")
   in
   let out =
     let doc = "Write the trace JSON to $(docv) instead of stdout." in
@@ -171,29 +196,8 @@ let trace_cmd =
   in
   let run workload alloc threads seed out hist batch =
     with_batching batch @@ fun () ->
-    let kind = allocator_kind alloc in
-    Telemetry.request_capture ();
-    let inst =
-      Fun.protect ~finally:Telemetry.cancel_capture (fun () ->
-          Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads kind)
-    in
-    let sink =
-      match Telemetry.registered () with
-      | [ (_, sink) ] -> sink
-      | _ -> failwith "expected exactly one captured telemetry sink"
-    in
-    Telemetry.reset_registered ();
-    let result =
-      match workload with
-      | "threadtest" -> Workloads.Threadtest.run inst ~params:(Harness.Sizes.threadtest threads) ()
-      | "prodcon" -> Workloads.Prodcon.run inst ~params:(Harness.Sizes.prodcon threads) ()
-      | "shbench" -> Workloads.Shbench.run inst ~params:(Harness.Sizes.shbench threads) ~seed ()
-      | "larson" -> Workloads.Larson.run inst ~params:(Harness.Sizes.larson_small threads) ~seed ()
-      | "larson-large" ->
-          Workloads.Larson.run inst ~params:(Harness.Sizes.larson_large threads) ~seed ()
-      | "dbmstest" -> Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest threads) ~seed ()
-      | w -> failwith ("unknown workload " ^ w)
-    in
+    let inst, sink = captured_instance alloc ~threads in
+    let result = run_workload workload inst ~threads ~seed in
     Printf.eprintf "%s on %s: %d ops, %.0f simulated ns, %.2f Mops/s (%d events, %d dropped)\n"
       workload result.Workloads.Driver.allocator result.Workloads.Driver.total_ops
       result.Workloads.Driver.makespan_ns result.Workloads.Driver.mops
@@ -204,7 +208,7 @@ let trace_cmd =
     Option.iter (fun path -> write_file path (Telemetry.hist_csv sink)) hist
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ workload $ alloc $ threads $ seed $ out $ hist $ batch_flag)
+    Term.(const run $ workload_arg $ alloc $ threads_arg $ seed_arg $ out $ hist $ batch_flag)
 
 let slo_cmd =
   let doc =
@@ -217,16 +221,9 @@ let slo_cmd =
      Workloads: threadtest, prodcon, shbench, larson, larson-large, \
      dbmstest."
   in
-  let workload = Arg.(value & pos 0 string "larson" & info [] ~docv:"WORKLOAD") in
   let alloc =
     let doc = "Allocator to attribute (see $(b,flushes) for the list)." in
     Arg.(value & opt string "NVAlloc-LOG" & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
-  in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload RNG seed.")
   in
   let json =
     let doc = "Print the report as JSON (schema nvalloc/slo/v1) instead of text." in
@@ -260,32 +257,11 @@ let slo_cmd =
   in
   let run workload alloc threads seed json out folded prom window_ns check batch =
     with_batching batch @@ fun () ->
-    let kind = allocator_kind alloc in
-    Telemetry.request_capture ();
-    let inst =
-      Fun.protect ~finally:Telemetry.cancel_capture (fun () ->
-          Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads kind)
-    in
-    let sink =
-      match Telemetry.registered () with
-      | [ (_, sink) ] -> sink
-      | _ -> failwith "expected exactly one captured telemetry sink"
-    in
-    Telemetry.reset_registered ();
+    let inst, sink = captured_instance alloc ~threads in
     let attr = Telemetry.enable_attribution sink in
     Telemetry.Attr.set_slo attr ~window_ns
       ~targets:Nvalloc_core.Config.log_default.Nvalloc_core.Config.slo_targets;
-    let result =
-      match workload with
-      | "threadtest" -> Workloads.Threadtest.run inst ~params:(Harness.Sizes.threadtest threads) ()
-      | "prodcon" -> Workloads.Prodcon.run inst ~params:(Harness.Sizes.prodcon threads) ()
-      | "shbench" -> Workloads.Shbench.run inst ~params:(Harness.Sizes.shbench threads) ~seed ()
-      | "larson" -> Workloads.Larson.run inst ~params:(Harness.Sizes.larson_small threads) ~seed ()
-      | "larson-large" ->
-          Workloads.Larson.run inst ~params:(Harness.Sizes.larson_large threads) ~seed ()
-      | "dbmstest" -> Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest threads) ~seed ()
-      | w -> failwith ("unknown workload " ^ w)
-    in
+    let result = run_workload workload inst ~threads ~seed in
     let meta =
       {
         Harness.Slo_report.workload;
@@ -322,8 +298,8 @@ let slo_cmd =
   in
   Cmd.v (Cmd.info "slo" ~doc)
     Term.(
-      const run $ workload $ alloc $ threads $ seed $ json $ out $ folded $ prom $ window_ns
-      $ check $ batch_flag)
+      const run $ workload_arg $ alloc $ threads_arg $ seed_arg $ json $ out $ folded $ prom
+      $ window_ns $ check $ batch_flag)
 
 let stats_cmd =
   let doc =
@@ -406,40 +382,6 @@ let stats_cmd =
     if Pmem.Device.ordering_violation_count dev > 0 then exit 1
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ alloc $ batch_flag $ json)
-
-let bench_cmd =
-  let doc =
-    "Run the host-time microbenchmarks (Bechamel ns/run per core primitive). \
-     With $(b,--json) also write the machine-readable baseline; with \
-     $(b,--check) compare against a committed baseline instead and exit \
-     non-zero if any benchmark regressed beyond the threshold."
-  in
-  let json =
-    let doc =
-      "Write the baseline to $(docv): minor words per run, simulated makespans and \
-       host-parallel probes. A host ns/run section already in $(docv) is kept as \
-       the fixed origin; otherwise these estimates become it."
-    in
-    Arg.(
-      value
-      & opt ~vopt:(Some "BENCH_micro.json") (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let check =
-    let doc = "Compare against the baseline JSON at $(docv); no benchmark output." in
-    Arg.(
-      value
-      & opt ~vopt:(Some "BENCH_micro.json") (some string) None
-      & info [ "check" ] ~docv:"PATH" ~doc)
-  in
-  let run json check =
-    match check with
-    | Some baseline -> exit (Bench_micro.run_check ~baseline)
-    | None ->
-        let ests = Bench_micro.run_print () in
-        Option.iter (fun path -> Bench_micro.write_json ~path ~estimates:(fun () -> ests)) json
-  in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ json $ check)
 
 let fuzz_cmd =
   let doc =
@@ -736,7 +678,6 @@ let () =
             slo_cmd;
             flushes_cmd;
             stats_cmd;
-            bench_cmd;
             fuzz_cmd;
             check_cmd;
           ]))

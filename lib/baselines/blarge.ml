@@ -202,6 +202,3 @@ let live_extents t =
   Rbtree.fold (fun _ _ e acc -> if e.used then (e.addr, e.size) :: acc else acc) t.addr_tree []
 
 let region_count t = Hashtbl.length t.regions
-
-let slab_like_count t =
-  Rbtree.fold (fun _ _ e acc -> if e.used && e.size = 65536 then acc + 1 else acc) t.addr_tree 0

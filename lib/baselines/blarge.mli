@@ -39,4 +39,3 @@ val live_extents : t -> (int * int) list
 (** Activated [(addr, size)] pairs (recovery-cost modelling). *)
 
 val region_count : t -> int
-val slab_like_count : t -> int

@@ -228,7 +228,6 @@ let regions t = read_regions t.dev
 
 (* --- media verification ------------------------------------------------ *)
 
-let replicated t = t.replicate
 let verify_superblock dev clock = Guard.verify_repair dev clock sb_guard
 
 let verify_regions dev clock =

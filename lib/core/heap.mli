@@ -35,8 +35,6 @@ type state = Running | Shutdown | Recovering
 
 type t
 
-val region_slots : int
-
 val init : ?mutation:Mutation.t -> Pmem.Device.t -> Config.t -> t
 (** Format a fresh heap (volatile image; the first fence persists).
     The heap carries [mutation] (default [Off]) for every layer built
@@ -85,8 +83,6 @@ val read_regions : Pmem.Device.t -> (int * int) list
     Only meaningful for heaps initialised with
     [Config.media_replication]; on other heaps the guard areas hold
     garbage and these must not be called. *)
-
-val replicated : t -> bool
 
 val sb_guard : Guard.record
 val region_guard : int -> Guard.record

@@ -18,9 +18,6 @@
 
 type t
 
-val fanout : int
-(** 64. *)
-
 val create : Alloc_api.Instance.t -> max_leaves:int -> t
 (** Uses root-table slots [0, max_leaves) to anchor leaves. *)
 

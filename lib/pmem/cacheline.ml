@@ -1,5 +1,4 @@
 let size = 64
-let xpline_size = 256
 let index addr = addr lsr 6
 let base addr = addr land lnot 63
 

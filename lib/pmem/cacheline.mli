@@ -8,9 +8,6 @@
 val size : int
 (** Cache line size in bytes (64). *)
 
-val xpline_size : int
-(** Optane media write granularity in bytes (256). *)
-
 val index : int -> int
 (** [index addr] is the cache-line number containing byte [addr]. *)
 

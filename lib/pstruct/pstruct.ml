@@ -51,7 +51,6 @@ type 'a arr = {
 }
 
 let layout name = { l_name = name; l_entries = []; l_sealed = None }
-let layout_name l = l.l_name
 
 let reject l fmt =
   Printf.ksprintf (fun msg -> invalid_arg (Printf.sprintf "Pstruct %s: %s" l.l_name msg)) fmt

@@ -68,8 +68,6 @@ val seal : layout -> size:int -> unit
 val size : layout -> int
 (** The sealed size. Raises [Invalid_argument] if not sealed. *)
 
-val layout_name : layout -> string
-
 (** {1 Typed access}
 
     A struct instance is a [base] address on a device; fields address

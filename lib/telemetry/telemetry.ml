@@ -1037,7 +1037,6 @@ let request_capture ?(ring_capacity = default_ring_capacity) () =
   locked (fun () -> capture := Some ring_capacity)
 
 let cancel_capture () = locked (fun () -> capture := None)
-let capture_requested () = locked (fun () -> !capture <> None)
 
 let attach_if_capturing ~name ~attach =
   match locked (fun () -> !capture) with

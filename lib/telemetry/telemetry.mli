@@ -88,7 +88,6 @@ val create : ?ring_capacity:int -> unit -> t
     are overwritten on wrap. Raises [Invalid_argument] if
     [ring_capacity <= 0]. *)
 
-val default_ring_capacity : int
 val ring_capacity : t -> int
 
 val snapshot_tid : int
@@ -269,7 +268,6 @@ val tail_events : t -> n:int -> string list
 
 val request_capture : ?ring_capacity:int -> unit -> unit
 val cancel_capture : unit -> unit
-val capture_requested : unit -> bool
 
 val attach_if_capturing : name:string -> attach:(t -> unit) -> t option
 (** If capture was requested: create a sink, call [attach], register it

@@ -1,12 +1,11 @@
 #!/bin/sh
-# Build the benchmark harness and compare the host-time microbenchmarks
-# against the committed baseline (BENCH_micro.json). Exits non-zero if
-# any tracked benchmark regressed more than the threshold (25%) —
-# see Bench_micro.run_check.
-#
-# Host timings are noisy: re-run before trusting a single failure, and
-# regenerate the baseline (`bench/main.exe micro --json`) only on a
-# quiet machine. Usage: scripts/bench_check.sh [baseline.json]
+# The perf gate: build the benchmark harness and check the committed
+# baseline (BENCH_micro.json) exactly — minor words per run (any
+# increase fails) and simulated makespans (any difference fails); both
+# are deterministic. Host ns/run is then printed against the baseline's
+# fixed origin, as a trajectory with no verdict. See Bench_micro.
+# Exit 0 ok, 1 an exact entry differs, 2 unreadable baseline.
+# Usage: scripts/bench_check.sh [baseline.json]
 set -eu
 cd "$(dirname "$0")/.."
 baseline="${1:-BENCH_micro.json}"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The full local gate, in dependency order: formatting, build, unit
-# tests, host-time benchmark check, crash-plan fuzzer, model checker,
-# media faults and the seeded-interleaving gate.
+# tests, the exact micro-benchmark gate, trace and SLO determinism,
+# crash-plan fuzzer, model checker, media faults and the
+# seeded-interleaving gate.
 # Each stage is the corresponding single-purpose script (or dune
 # target), so a failure names the stage and can be re-run in isolation.
 # The fuzzer and model-checker stages sweep both persistence pipelines:
@@ -37,11 +38,10 @@ stage() {
 stage "fmt (scripts/fmt_check.sh)" sh scripts/fmt_check.sh
 stage "build (dune build)" dune build
 stage "unit tests (dune runtest)" dune runtest
-stage "bench regression (scripts/bench_check.sh)" sh scripts/bench_check.sh
+stage "micro bench: words and makespans exact, host ns reported (scripts/bench_check.sh)" \
+  sh scripts/bench_check.sh
 stage "trace determinism (scripts/trace_check.sh)" sh scripts/trace_check.sh
 stage "slo attribution gate (scripts/slo_check.sh)" sh scripts/slo_check.sh
-stage "write+flush hot paths, telemetry off/attached/attributed (bench/hotloop.exe --check)" \
-  dune exec --no-build bench/hotloop.exe -- --check
 stage "crash fuzzer (scripts/fuzz_check.sh)" sh scripts/fuzz_check.sh
 stage "model checker (scripts/model_check.sh)" sh scripts/model_check.sh
 stage "media faults (scripts/fault_media_check.sh)" sh scripts/fault_media_check.sh

@@ -28,4 +28,5 @@ let () =
       ("par", Test_par.suite);
       ("telemetry", Test_telemetry.suite);
       ("harness", Test_harness.suite);
+      ("bench-gate", Test_bench_gate.suite);
     ]

@@ -716,11 +716,28 @@ let test_hot_paths_allocation_free () =
   let dev = Pmem.Device.create ~size:mib () in
   let clock = Sim.Clock.create () in
   let i = ref 0 in
-  check_no_words "sync Device.flush" (fun () ->
-      incr i;
-      let addr = !i mod 1024 * 64 in
-      Pmem.Device.write_int64 dev addr 42L;
-      Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr ~len:8);
+  let write_flush dev clock () =
+    incr i;
+    let addr = !i mod 1024 * 64 in
+    Pmem.Device.write_int64 dev addr 42L;
+    Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr ~len:8
+  in
+  check_no_words "sync Device.flush" (write_flush dev clock);
+  (* The same with a telemetry sink attached (a span and a histogram
+     observation per flush), then with attribution on and an open root
+     frame (a blame-tree charge per flush, as under malloc). *)
+  let with_sink ~attribution =
+    let sink = Telemetry.create () in
+    let tdev = Pmem.Device.create ~size:mib () in
+    let tclock = Sim.Clock.create () in
+    Pmem.Device.set_telemetry tdev (Some sink);
+    if attribution then
+      Telemetry.Attr.enter_root_named (Telemetry.enable_attribution sink)
+        ~tid:(Sim.Clock.id tclock) ~name:"bench" ~ts:0;
+    write_flush tdev tclock
+  in
+  check_no_words "sync Device.flush, telemetry sink attached" (with_sink ~attribution:false);
+  check_no_words "sync Device.flush, attribution on" (with_sink ~attribution:true);
   let bdev = Pmem.Device.create ~size:mib () in
   Pmem.Device.set_batching bdev true;
   check_no_words "four batched flushes and a fence" (fun () ->
