@@ -95,6 +95,37 @@ let mutate_flag =
     & opt (enum (List.map (fun m -> (M.to_string m, m)) M.all)) M.Off
     & info [ "mutate" ] ~docv:"NAME" ~doc)
 
+(* Counts (--runs, --ops, --threads, --domains): anything below 1 or
+   above [max] is a usage error (exit 124, naming the flag), not a crash
+   or a vacuous ok. *)
+let count ~max expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = count ~max:max_int "a positive integer"
+
+(* Shared --domains flag of the two counterexample searches. *)
+let domains_flag =
+  let max = Support.Search.max_domains in
+  let doc =
+    Printf.sprintf
+      "Run the search on $(docv) OCaml domains, 1 to %d (each case on its \
+       own fresh device). The output is the same for every $(docv); only \
+       the wall clock changes."
+      max
+  in
+  let domains = count ~max (Printf.sprintf "an integer from 1 to %d" max) in
+  Arg.(value & opt domains 1 & info [ "domains" ] ~docv:"N" ~doc)
+
+(* Both searches print a counterexample the same way. *)
+let print_counterexample to_string (cex : _ Support.Search.counterexample) =
+  Printf.printf "counterexample (shrunk): %s\n  reason: %s\n  original: %s\n"
+    (to_string cex.shrunk) cex.reason (to_string cex.original)
+
 let with_batching batch f =
   Harness.Factory.force_sync := not batch;
   Fun.protect ~finally:(fun () -> Harness.Factory.force_sync := false) f
@@ -170,7 +201,7 @@ let run_workload workload inst ~threads ~seed =
 let workload_arg = Arg.(value & pos 0 string "larson" & info [] ~docv:"WORKLOAD")
 
 let threads_arg =
-  Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
+  Arg.(value & opt positive 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload RNG seed.")
 
@@ -395,7 +426,7 @@ let fuzz_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Plan-sampling RNG seed.")
   in
   let runs =
-    Arg.(value & opt int 200 & info [ "runs" ] ~docv:"N" ~doc:"Number of plans to run.")
+    Arg.(value & opt positive 200 & info [ "runs" ] ~docv:"N" ~doc:"Number of plans to run.")
   in
   let variant =
     let doc = "Pin the consistency variant ($(b,log), $(b,gc), $(b,ic), or $(b,any))." in
@@ -471,15 +502,6 @@ let fuzz_cmd =
       Printf.printf "  device media counters: %s\n" !media_line
     end
   in
-  let domains =
-    let doc =
-      "Fan the plans out over $(docv) OCaml domains (each plan on its own \
-       fresh device). Sampling switches to pure per-index RNG splitting, so \
-       the output is byte-identical for every $(docv) — including 1 — but \
-       differs from the sequential sampler's plans at the same seed."
-    in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let run seed runs variant plan batch mutation media poison_n bitrot_n scrub check_order tail
       domains =
     let variant =
@@ -521,30 +543,21 @@ let fuzz_cmd =
                 dump_tail ~batch ~mutation ~check_order ~tail p;
                 exit 1))
     | None -> (
-        let outcome =
-          match domains with
-          | None ->
-              Fault.Fuzz.fuzz ~batch ~mutation ~check_order ?variant ~media ~adjust ~seed ~runs ()
-          | Some d ->
-              Par.Sweep.fuzz_sweep ~batch ~mutation ~check_order ?variant ~media ~adjust
-                (Par.Pool.create ~domains:d)
-                ~seed ~runs ()
-        in
-        match outcome with
+        match
+          Fault.Fuzz.fuzz ~batch ~mutation ~check_order ?variant ~media ~adjust ~domains ~seed
+            ~runs ()
+        with
         | None -> Printf.printf "ok: %d plans, no counterexamples (seed %d)\n" runs seed
         | Some cex ->
-            Format.printf "counterexample (shrunk): %s@.  reason: %s@.  original: %s@."
-              (Fault.Plan.to_string cex.Fault.Fuzz.shrunk)
-              cex.Fault.Fuzz.reason
-              (Fault.Plan.to_string cex.Fault.Fuzz.original);
-            dump_tail ~batch ~mutation ~check_order ~tail cex.Fault.Fuzz.shrunk;
+            print_counterexample Fault.Plan.to_string cex;
+            dump_tail ~batch ~mutation ~check_order ~tail cex.Support.Search.shrunk;
             exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ seed $ runs $ variant $ plan $ batch_flag $ mutate_flag $ media $ poison_n
-      $ bitrot_n $ scrub $ check_order $ tail $ domains)
+      $ bitrot_n $ scrub $ check_order $ tail $ domains_flag)
 
 let check_cmd =
   let doc =
@@ -562,16 +575,16 @@ let check_cmd =
   in
   let runs =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "runs" ] ~docv:"N" ~doc:"Scenarios per allocator (seeds SEED..SEED+N-1).")
   in
   let ops =
     Arg.(
-      value & opt int 2000
+      value & opt positive 2000
       & info [ "ops" ] ~docv:"N" ~doc:"Total operations per scenario, across all threads.")
   in
   let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Simulated threads.")
+    Arg.(value & opt positive 4 & info [ "threads" ] ~docv:"N" ~doc:"Simulated threads.")
   in
   let crash =
     let doc =
@@ -605,14 +618,6 @@ let check_cmd =
     in
     Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"LINE" ~doc)
   in
-  let domains =
-    let doc =
-      "Fan the scenarios out over $(docv) OCaml domains (each seed on its own \
-       fresh device, still on the simulated scheduler). The verdict is \
-       byte-identical to the sequential checker's for every $(docv)."
-    in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let run seed runs ops threads crash allocators batch mutation interleave scenario domains =
     match scenario with
     | Some line -> (
@@ -632,17 +637,10 @@ let check_cmd =
         let failed = ref false in
         List.iter
           (fun alloc ->
-            let outcome =
-              match domains with
-              | None ->
-                  Check.Runner.check ~batch ~mutation ~interleave ~alloc ~seed ~runs ~ops
-                    ~threads ?crash ()
-              | Some d ->
-                  Par.Sweep.check_sweep ~batch ~mutation ~interleave
-                    (Par.Pool.create ~domains:d)
-                    ~alloc ~seed ~runs ~ops ~threads ?crash ()
-            in
-            match outcome with
+            match
+              Check.Runner.check ~batch ~mutation ~interleave ~domains ~alloc ~seed ~runs ~ops
+                ~threads ?crash ()
+            with
             | None ->
                 Printf.printf "ok: %-12s %d scenario(s), ops=%d threads=%d seed=%d%s%s\n" alloc
                   runs ops threads seed
@@ -650,11 +648,7 @@ let check_cmd =
                   (if interleave then " interleaved" else "")
             | Some cex ->
                 failed := true;
-                Printf.printf
-                  "counterexample (shrunk): %s\n  reason: %s\n  original: %s\n"
-                  (Check.History.to_string cex.Check.Runner.shrunk)
-                  cex.Check.Runner.reason
-                  (Check.History.to_string cex.Check.Runner.original))
+                print_counterexample Check.History.to_string cex)
           names;
         if !failed then exit 1
   in
@@ -662,7 +656,7 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const run $ seed $ runs $ ops $ threads $ crash $ allocators $ batch_flag $ mutate_flag
-      $ interleave $ scenario $ domains)
+      $ interleave $ scenario $ domains_flag)
 
 let () =
   let doc = "NVAlloc (ASPLOS'22) reproduction driver" in

@@ -156,10 +156,6 @@ let malloc t clock ~size =
     e.addr
   end
 
-let owns t addr =
-  let e = Rbtree.value t.addr_tree (Rbtree.find_last_leq t.addr_tree addr 0) in
-  addr >= e.addr && addr < e.addr + e.size
-
 let free t clock ~addr =
   charge_search t clock (Rbtree.cardinal t.addr_tree);
   let e = at t addr in

@@ -31,9 +31,6 @@ val create :
 
 val malloc : t -> Sim.Clock.t -> size:int -> int
 val free : t -> Sim.Clock.t -> addr:int -> unit
-val owns : t -> int -> bool
-(** Whether the address lies in an extent of this instance (cross-arena
-    free routing). *)
 
 val live_extents : t -> (int * int) list
 (** Activated [(addr, size)] pairs (recovery-cost modelling). *)

@@ -14,62 +14,22 @@ let to_string t =
 
 let of_string s =
   let ( let* ) = Result.bind in
-  let fields = Hashtbl.create 8 in
-  let* () =
-    List.fold_left
-      (fun acc tok ->
-        let* () = acc in
-        if tok = "" then Ok ()
-        else
-          match String.index_opt tok '=' with
-          | Some i ->
-              Hashtbl.replace fields
-                (String.sub tok 0 i)
-                (String.sub tok (i + 1) (String.length tok - i - 1));
-              Ok ()
-          | None -> Error (Printf.sprintf "bad token %S (expected key=value)" tok))
-      (Ok ())
-      (String.split_on_char ' ' (String.trim s))
-  in
-  let get k =
-    match Hashtbl.find_opt fields k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" k)
-  in
-  let int_field k =
-    let* v = get k in
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %s: not an integer (%S)" k v)
-  in
-  let* alloc = get "alloc" in
-  let* seed = int_field "seed" in
-  let* ops = int_field "ops" in
-  let* threads = int_field "threads" in
-  let* crash =
-    let* v = get "crash" in
-    if v = "-" then Ok None
-    else
-      match int_of_string_opt v with
-      | Some n -> Ok (Some n)
-      | None -> Error (Printf.sprintf "field crash: expected - or an integer (%S)" v)
-  in
+  let* f = Support.Search.fields s in
+  let* alloc = Support.Search.field f "alloc" in
+  let* seed = Support.Search.int_field f "seed" in
+  let* ops = Support.Search.int_field f "ops" in
+  let* threads = Support.Search.int_field f "threads" in
+  let* crash = Support.Search.dash_int_field f "crash" in
   (* Optional, so every repro line printed before seeded scheduling
      existed still parses (as a min-clock scenario). *)
-  let* sched =
-    if Hashtbl.mem fields "sched" then Result.map Option.some (int_field "sched") else Ok None
-  in
+  let* sched = Support.Search.opt_int_field f "sched" in
   if ops < 1 then Error "ops must be >= 1"
   else if threads < 1 then Error "threads must be >= 1"
   else if (match crash with Some n -> n < 1 | None -> false) then Error "crash must be >= 1"
   else Ok { alloc; seed; ops; threads; crash; sched }
 
 let shrink_candidates t =
-  let dedup = Hashtbl.create 8 in
-  List.filter
-    (fun c ->
-      let key = to_string c in
-      c <> t && not (Hashtbl.mem dedup key) && (Hashtbl.replace dedup key (); true))
+  Support.Search.dedup ~key:to_string t
     [
       { t with crash = None };
       (match t.crash with Some n when n > 1 -> { t with crash = Some (n / 2) } | _ -> t);

@@ -200,41 +200,14 @@ let run ?(batch = true) ?mutation (sc : History.t) =
       | None -> Ok ()
       | Some walk -> Result.map (fun (_ : string) -> ()) (walk ()))
 
-type counterexample = { original : History.t; shrunk : History.t; reason : string }
+type counterexample = History.t Support.Search.counterexample
 
-let max_shrink_rounds = 64
-
-let shrink ?batch ?mutation sc ~reason =
-  let fails c =
-    match run ?batch ?mutation c with
-    | Error e -> Some e
-    | Ok () -> None
+let check ?batch ?mutation ?(interleave = false) ?domains ~alloc ~seed ~runs ~ops ~threads ?crash
+    () =
+  let scenario i =
+    let seed = seed + i in
+    { History.alloc; seed; ops; threads; crash; sched = (if interleave then Some seed else None) }
   in
-  let rec go sc reason rounds =
-    if rounds = 0 then (sc, reason)
-    else
-      match
-        List.find_map
-          (fun c -> Option.map (fun r -> (c, r)) (fails c))
-          (History.shrink_candidates sc)
-      with
-      | Some (smaller, reason') -> go smaller reason' (rounds - 1)
-      | None -> (sc, reason)
-  in
-  go sc reason max_shrink_rounds
-
-let scenario ?(interleave = false) ~alloc ~seed ~ops ~threads ?crash () =
-  { History.alloc; seed; ops; threads; crash; sched = (if interleave then Some seed else None) }
-
-let check ?batch ?mutation ?interleave ~alloc ~seed ~runs ~ops ~threads ?crash () =
-  let rec loop i =
-    if i >= runs then None
-    else
-      let sc = scenario ?interleave ~alloc ~seed:(seed + i) ~ops ~threads ?crash () in
-      match run ?batch ?mutation sc with
-      | Ok () -> loop (i + 1)
-      | Error reason ->
-          let shrunk, reason = shrink ?batch ?mutation sc ~reason in
-          Some { original = sc; shrunk; reason }
-  in
-  loop 0
+  Support.Search.run ?domains
+    ~test:(fun sc -> run ?batch ?mutation sc)
+    ~candidates:History.shrink_candidates (Array.init runs scenario)

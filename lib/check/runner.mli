@@ -20,7 +20,7 @@
     cost model, so their crash points are ignored).
 
     Failures shrink greedily ({!History.shrink_candidates}) to a one-line
-    repro, mirroring the crash-plan fuzzer. *)
+    repro, through the same search as the crash-plan fuzzer. *)
 
 val allocator_names : string list
 (** Every allocator the checker can drive: the NVAlloc variants first,
@@ -36,25 +36,13 @@ val run : ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> History.t -> (unit
     [sched] set runs under the scheduler's seeded pick rule. Raises
     [Invalid_argument] on an unknown allocator name. *)
 
-type counterexample = { original : History.t; shrunk : History.t; reason : string }
-
-val shrink :
-  ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> History.t -> reason:string ->
-  History.t * string
-(** Greedy bounded-round minimisation of a failing scenario; the
-    scheduling seed is kept. *)
-
-val scenario :
-  ?interleave:bool -> alloc:string -> seed:int -> ops:int -> threads:int -> ?crash:int ->
-  unit -> History.t
-(** The scenario {!check} generates for one seed. [interleave] (default
-    false) sets [sched] to the scenario seed, so the seeded pick rule
-    runs a different op order per seed. *)
+type counterexample = History.t Support.Search.counterexample
 
 val check :
   ?batch:bool ->
   ?mutation:Nvalloc_core.Mutation.t ->
   ?interleave:bool ->
+  ?domains:int ->
   alloc:string ->
   seed:int ->
   runs:int ->
@@ -63,6 +51,10 @@ val check :
   ?crash:int ->
   unit ->
   counterexample option
-(** Run [runs] scenarios ({!scenario}) with seeds [seed], [seed+1], ...
-    against one allocator; on the first failure, shrink and return the
-    counterexample. [None] = all passed. *)
+(** Run [runs] scenarios with seeds [seed], [seed+1], ... against one
+    allocator, on [domains] OCaml domains (default 1;
+    {!Support.Search.run}); the lowest failing scenario is shrunk and
+    returned. [None] = all passed. The verdict does not depend on
+    [domains]. [interleave] (default false) sets each scenario's
+    [sched] to its seed, so the seeded pick rule runs a different op
+    order per seed. *)

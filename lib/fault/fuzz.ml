@@ -1,6 +1,6 @@
 open Nvalloc_core
 
-type counterexample = { original : Plan.t; shrunk : Plan.t; reason : string }
+type counterexample = Plan.t Support.Search.counterexample
 
 let sizes = [| 32; 48; 136; 1024; 40 * 1024 |]
 let workload_slots = 512
@@ -85,62 +85,40 @@ let run_plan ?(batch = true) ?mutation ?(check_order = true) ?telemetry ?on_devi
   let th = Nvalloc.thread t clock in
   Pmem.Device.schedule_crash_after ?torn:plan.Plan.torn ~torn_seed:plan.Plan.torn_seed dev
     plan.Plan.crash_after;
-  (try
-     workload t th ~seed:plan.Plan.seed ~ops:plan.Plan.ops ~inject;
-     (* The countdown outlived the workload: crash at the natural end. *)
-     Pmem.Device.cancel_scheduled_crash dev;
-     Pmem.Device.crash dev
-   with Pmem.Device.Injected_crash -> ());
-  (match plan.Plan.recovery_crash with
-  | None -> ()
-  | Some n -> (
-      (* Second crash, armed across recovery itself: whether it fires
-         mid-recovery or recovery completes first, the oracle's own
-         recovery must still reach a consistent state. *)
-      Pmem.Device.schedule_crash_after dev n;
-      try
-        let _t, _report = Nvalloc.recover ~config dev clock in
-        Pmem.Device.cancel_scheduled_crash dev;
-        Pmem.Device.crash dev
-      with Pmem.Device.Injected_crash -> ()));
-  let verdict = Oracle.check ~config dev clock in
+  let crash_and_recover () =
+    (try
+       workload t th ~seed:plan.Plan.seed ~ops:plan.Plan.ops ~inject;
+       (* The countdown outlived the workload: crash at the natural end. *)
+       Pmem.Device.cancel_scheduled_crash dev;
+       Pmem.Device.crash dev
+     with Pmem.Device.Injected_crash -> ());
+    match plan.Plan.recovery_crash with
+    | None -> ()
+    | Some n -> (
+        (* Second crash, armed across recovery itself: whether it fires
+           mid-recovery or recovery completes first, the oracle's own
+           recovery must still reach a consistent state. *)
+        Pmem.Device.schedule_crash_after dev n;
+        try
+          let _t, _report = Nvalloc.recover ~config dev clock in
+          Pmem.Device.cancel_scheduled_crash dev;
+          Pmem.Device.crash dev
+        with Pmem.Device.Injected_crash -> ())
+  in
+  (* Any other exception before the oracle is a verdict too, worded as
+     the oracle words its own, so the search shrinks it like any other. *)
+  let verdict =
+    match crash_and_recover () with
+    | () -> Oracle.check ~config dev clock
+    | exception e -> Error (Printf.sprintf "exception: %s" (Printexc.to_string e))
+  in
   (match on_device with Some f -> f dev | None -> ());
   verdict
 
-let max_shrink_rounds = 64
-
-let shrink ?batch ?mutation ?check_order plan ~reason =
-  let fails p =
-    match run_plan ?batch ?mutation ?check_order p with
-    | Error e -> Some e
-    | Ok _ -> None
-  in
-  let rec go plan reason rounds =
-    if rounds = 0 then (plan, reason)
-    else
-      match
-        List.find_map
-          (fun c -> Option.map (fun r -> (c, r)) (fails c))
-          (Plan.shrink_candidates plan)
-      with
-      | Some (smaller, reason') -> go smaller reason' (rounds - 1)
-      | None -> (plan, reason)
-  in
-  go plan reason max_shrink_rounds
-
-let fuzz ?batch ?mutation ?check_order ?variant ?media
-    ?(adjust = fun p -> p) ?(on_plan = fun _ _ -> ()) ~seed ~runs () =
+let fuzz ?batch ?mutation ?check_order ?variant ?media ?(adjust = fun p -> p) ?domains ~seed
+    ~runs () =
   let rng = Sim.Rng.create seed in
-  let rec loop i =
-    if i >= runs then None
-    else begin
-      let plan = adjust (Plan.sample ?variant ?media rng) in
-      on_plan i plan;
-      match run_plan ?batch ?mutation ?check_order plan with
-      | Ok _ -> loop (i + 1)
-      | Error reason ->
-          let shrunk, reason = shrink ?batch ?mutation ?check_order plan ~reason in
-          Some { original = plan; shrunk; reason }
-    end
-  in
-  loop 0
+  let plans = Array.init runs (fun _ -> adjust (Plan.sample ?variant ?media rng)) in
+  Support.Search.run ?domains
+    ~test:(fun p -> run_plan ?batch ?mutation ?check_order p)
+    ~candidates:Plan.shrink_candidates plans

@@ -2,10 +2,11 @@
 
     {!run_plan} executes one {!Plan.t}: seeded workload, first crash
     (optionally torn), optional second crash armed inside recovery, then
-    the full {!Oracle}. {!fuzz} samples plans from a seeded {!Sim.Rng},
-    and when one fails, greedily shrinks it (fewer ops, earlier crash,
-    simpler fault) until no smaller plan still fails, returning a
-    replayable counterexample.
+    the full {!Oracle}. {!fuzz} samples plans from one seeded {!Sim.Rng}
+    stream and runs them through {!Support.Search.run}: the first
+    failing plan is shrunk (fewer ops, earlier crash, simpler fault)
+    until no smaller plan still fails, giving a replayable
+    counterexample.
 
     [?mutation] (default [Off]) seeds one protocol bug
     ({!Nvalloc_core.Mutation}) into the workload heap; the oracle's own
@@ -37,11 +38,7 @@
     step against a live slab header — the only window in which the
     scrubber, not demand repair, meets the damage. *)
 
-type counterexample = {
-  original : Plan.t;  (** the sampled plan that first failed *)
-  shrunk : Plan.t;  (** the smallest still-failing plan found *)
-  reason : string;  (** the oracle's verdict on [shrunk] *)
-}
+type counterexample = Plan.t Support.Search.counterexample
 
 val run_plan :
   ?batch:bool ->
@@ -55,15 +52,11 @@ val run_plan :
     [telemetry], the sink is attached to the plan's allocator stack
     before the workload starts, so the whole timeline — workload,
     crash(es), recovery — lands in it; simulated behaviour is unchanged
-    (the result is identical with or without a sink). [on_device] runs
-    after the oracle against the plan's device (the CLI dumps its media
-    counters from it). *)
-
-val shrink :
-  ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> ?check_order:bool -> Plan.t ->
-  reason:string -> Plan.t * string
-(** Greedy shrinking: recurse on the first {!Plan.shrink_candidates}
-    member that still fails (bounded number of rounds). *)
+    (the result is identical with or without a sink). Any exception
+    other than the injected crashes, raised before the oracle runs,
+    becomes [Error "exception: ..."], as the oracle words its own.
+    [on_device] runs last, against the plan's device (the CLI dumps its
+    media counters from it). *)
 
 val fuzz :
   ?batch:bool ->
@@ -72,13 +65,14 @@ val fuzz :
   ?variant:Plan.variant ->
   ?media:bool ->
   ?adjust:(Plan.t -> Plan.t) ->
-  ?on_plan:(int -> Plan.t -> unit) ->
+  ?domains:int ->
   seed:int ->
   runs:int ->
   unit ->
   counterexample option
-(** Sample and run up to [runs] plans; [None] means every plan passed.
-    [on_plan] observes each plan before it runs (progress reporting).
+(** Sample [runs] plans from the stream seeded [seed] and run them on
+    [domains] OCaml domains (default 1; {!Support.Search.run}); [None]
+    means every plan passed. The verdict does not depend on [domains].
     [?media] passes through to {!Plan.sample}: sampled plans draw
     poison/bit-rot/scrub faults and pin the LOG variant. [?adjust]
     rewrites each sampled plan before it runs (the CLI uses it to pin

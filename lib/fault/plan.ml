@@ -60,47 +60,20 @@ let to_string t =
 
 let of_string s =
   let ( let* ) = Result.bind in
-  let fields = Hashtbl.create 8 in
-  let* () =
-    List.fold_left
-      (fun acc tok ->
-        let* () = acc in
-        if tok = "" then Ok ()
-        else
-          match String.index_opt tok '=' with
-          | Some i ->
-              Hashtbl.replace fields
-                (String.sub tok 0 i)
-                (String.sub tok (i + 1) (String.length tok - i - 1));
-              Ok ()
-          | None -> Error (Printf.sprintf "bad token %S (expected key=value)" tok))
-      (Ok ())
-      (String.split_on_char ' ' (String.trim s))
-  in
-  let get k =
-    match Hashtbl.find_opt fields k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" k)
-  in
-  let int_field k =
-    let* v = get k in
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %s: not an integer (%S)" k v)
-  in
+  let* f = Support.Search.fields s in
   let* variant =
-    let* v = get "v" in
+    let* v = Support.Search.field f "v" in
     match v with
     | "log" -> Ok Log
     | "gc" -> Ok Gc
     | "ic" -> Ok Ic
     | _ -> Error (Printf.sprintf "field v: unknown variant %S" v)
   in
-  let* seed = int_field "seed" in
-  let* ops = int_field "ops" in
-  let* crash_after = int_field "crash" in
+  let* seed = Support.Search.int_field f "seed" in
+  let* ops = Support.Search.int_field f "ops" in
+  let* crash_after = Support.Search.int_field f "crash" in
   let* torn =
-    let* v = get "torn" in
+    let* v = Support.Search.field f "torn" in
     match v with
     | "line" -> Ok None
     | "prefix" -> Ok (Some Pmem.Device.Torn_prefix)
@@ -108,29 +81,16 @@ let of_string s =
     | "random" -> Ok (Some Pmem.Device.Torn_random)
     | _ -> Error (Printf.sprintf "field torn: unknown mode %S" v)
   in
-  let opt_int_field k =
-    match Hashtbl.find_opt fields k with
-    | None -> Ok 0
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "field %s: not an integer (%S)" k v))
-  in
-  let* torn_seed = int_field "tseed" in
-  let* recovery_crash =
-    let* v = get "rcrash" in
-    if v = "-" then Ok None
-    else
-      match int_of_string_opt v with
-      | Some n -> Ok (Some n)
-      | None -> Error (Printf.sprintf "field rcrash: expected - or an integer (%S)" v)
-  in
-  let* poison = opt_int_field "poison" in
-  let* pseed = opt_int_field "pseed" in
-  let* rot = opt_int_field "rot" in
-  let* rseed = opt_int_field "rseed" in
+  (* Media fields are optional (absent = 0), so legacy repros parse. *)
+  let media_field k = Result.map (Option.value ~default:0) (Support.Search.opt_int_field f k) in
+  let* torn_seed = Support.Search.int_field f "tseed" in
+  let* recovery_crash = Support.Search.dash_int_field f "rcrash" in
+  let* poison = media_field "poison" in
+  let* pseed = media_field "pseed" in
+  let* rot = media_field "rot" in
+  let* rseed = media_field "rseed" in
   let* scrub =
-    let* n = opt_int_field "scrub" in
+    let* n = media_field "scrub" in
     match n with
     | 0 -> Ok false
     | 1 -> Ok true
@@ -183,11 +143,7 @@ let sample ?variant ?(media = false) rng =
     recovery_crash; poison; pseed; rot; rseed; scrub }
 
 let shrink_candidates t =
-  let dedup = Hashtbl.create 8 in
-  List.filter
-    (fun c ->
-      let key = to_string c in
-      c <> t && not (Hashtbl.mem dedup key) && (Hashtbl.replace dedup key (); true))
+  Support.Search.dedup ~key:to_string t
     [
       { t with recovery_crash = None };
       { t with torn = None };

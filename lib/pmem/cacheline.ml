@@ -1,6 +1,5 @@
 let size = 64
 let index addr = addr lsr 6
-let base addr = addr land lnot 63
 
 let span addr len =
   assert (len > 0);

@@ -11,9 +11,6 @@ val size : int
 val index : int -> int
 (** [index addr] is the cache-line number containing byte [addr]. *)
 
-val base : int -> int
-(** [base addr] is the first byte address of [addr]'s cache line. *)
-
 val span : int -> int -> (int * int)
 (** [span addr len] is the inclusive range [(first_line, last_line)] of
     cache lines touched by the byte range [addr, addr+len). [len] must be

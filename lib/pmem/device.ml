@@ -152,7 +152,6 @@ let create ?(lat = Latency.default) ?trace_limit ~size () =
   }
 
 let set_batching t on = t.batching <- on
-let batching t = t.batching
 
 let size t = Store.size t.volatile
 let stats t = t.stats
@@ -204,7 +203,6 @@ let reset_stats t =
       Lru_ring.reset st.recent;
       Lru_ring.reset st.xplines)
     t.streams
-let latency t = t.lat
 let is_eadr t =
   t.lat.Latency.reflush_step_ns = 0 && t.lat.Latency.seq_flush_ns = t.lat.Latency.reflush_base_ns
 

@@ -45,7 +45,6 @@ val create : ?lat:Latency.t -> ?trace_limit:int -> size:int -> unit -> t
 
 val size : t -> int
 val stats : t -> Stats.t
-val latency : t -> Latency.t
 val is_eadr : t -> bool
 
 (** {1 Telemetry}
@@ -110,8 +109,6 @@ val set_batching : t -> bool -> unit
     ordering point ({!fence}, {!commit_flush}, {!flush_all}) drains the
     set under its single fence. A crash discards pending (undrained)
     flushes, exactly as ADR discards unflushed cache lines. *)
-
-val batching : t -> bool
 
 val flush : t -> Sim.Clock.t -> Stats.category -> addr:int -> len:int -> unit
 (** Write back every dirty cache line in [addr, addr+len); clean lines are

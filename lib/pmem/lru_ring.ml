@@ -14,8 +14,6 @@ let create capacity =
   assert (capacity >= 0);
   { cap = capacity; slots = Array.make (max capacity 1) min_int; head = 0; len = 0 }
 
-let capacity t = t.cap
-let length t = t.len
 
 (* Physical slot of logical position [i] (0 = most recent). *)
 let slot t i =

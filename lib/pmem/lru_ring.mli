@@ -12,9 +12,6 @@ val create : int -> t
 (** [create capacity]. A capacity of 0 yields a ring on which {!touch}
     always misses and records nothing. *)
 
-val capacity : t -> int
-val length : t -> int
-
 val touch : t -> int -> int
 (** [touch t v] returns the LRU distance of [v] before the touch
     ([0] = most recently touched, [-1] = not in the window) and moves [v]

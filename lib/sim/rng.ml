@@ -2,13 +2,10 @@
    read and written unboxed, so an int or bool draw allocates nothing. *)
 type t = Bytes.t
 
-let of_state s =
+let create seed =
   let t = Bytes.create 8 in
-  Bytes.set_int64_le t 0 s;
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
   t
-
-let create seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 (* splitmix64: tiny, high-quality, and identical on every platform. *)
 let[@inline] next_int64 t =
@@ -42,23 +39,6 @@ let poisson_in t lo hi =
   let quarter () = int_in t 0 ((hi - lo) / 4) in
   let v = lo + quarter () + quarter () + quarter () + quarter () in
   if v < lo then lo else if v > hi then hi else v
-
-(* Deterministic child stream for parallel fan-out: child [i] is a pure
-   function of (parent state, i) — the parent is not advanced, so the
-   same parent state yields the same child for any execution order or
-   domain count. The derivation is the splitmix64 finaliser over the
-   parent state offset by (i+1) golden-ratio steps, i.e. child [i]
-   starts where a dedicated generator seeded [i+1] increments ahead of
-   the parent would, then diffuses; children of distinct indices are
-   independent streams by the same argument splitmix64 itself rests
-   on. *)
-let split t i =
-  assert (i >= 0);
-  let open Int64 in
-  let z = add (Bytes.get_int64_le t 0) (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L) in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  of_state (logxor z (shift_right_logical z 31))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -3,25 +3,17 @@
     All workload generators, and the scheduler's seeded pick rule, draw
     from this module so that every experiment and every checked
     interleaving is reproducible bit-for-bit across runs and OCaml
-    versions, which the crash-injection tests rely on. *)
+    versions, which the crash-injection tests rely on.
+
+    A generator is one sequential stream. [Fault.Fuzz.fuzz] draws all
+    its plans from one before any runs, so they do not depend on how
+    many domains run them. *)
 
 type t
 
 val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
-
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
-val split : t -> int -> t
-(** [split t i] derives child generator [i] as a pure function of [t]'s
-    current state and [i] ([t] is not advanced): the same parent state
-    yields the same child stream regardless of how many other children
-    are split off, or in which order. The fuzzer's seed sweeps
-    ([Par.Sweep.fuzz_sweep]) sample plan [i] from child [i], so the
-    sampled plans are the same for any [--domains] count. [i] must be
-    non-negative. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit value. *)

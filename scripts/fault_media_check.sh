@@ -13,8 +13,10 @@
 # 3. Mutation smoke (--mutate scrub: scrub blesses a damaged primary
 #    instead of repairing it from the replica). A pinned plan must
 #    FAIL under the mutation and stay green without it, and a short
-#    sampled hunt must find the bug on its own — if the blessed
-#    corruption survives the oracle, this script exits non-zero.
+#    sampled hunt must find the bug on its own. Both must end in a
+#    counterexample (exit 1, scripts/must_exit.sh) — if the blessed
+#    corruption survives the oracle, or a stanza exits any other way,
+#    this script exits non-zero.
 #
 # Replay a failure with: nvalloc-cli fuzz [--no-batch] --plan "<line>"
 # Usage: scripts/fault_media_check.sh [seed] [runs]
@@ -30,6 +32,7 @@ if [ "${CHECK_FAST:-0}" = "1" ]; then
 fi
 cli=./_build/default/bin/nvalloc_cli.exe
 dune build bin/nvalloc_cli.exe
+. scripts/must_exit.sh
 
 echo "media fuzz: batched pipeline ($runs media plans)"
 "$cli" fuzz --media --seed "$seed" --runs "$runs"
@@ -47,15 +50,9 @@ echo "media mutation smoke: pinned scrub plan, clean run must pass"
 "$cli" fuzz --plan "$plan"
 
 echo "media mutation smoke: pinned scrub plan under --mutate scrub must FAIL"
-if "$cli" fuzz --plan "$plan" --mutate scrub >/dev/null 2>&1; then
-  echo "FAIL: the blessing-scrub mutation was NOT caught on the pinned plan" >&2
-  exit 1
-fi
-echo "mutation caught, as it must be"
+must_exit 1 "the blessing-scrub mutation on the pinned plan" \
+  "$cli" fuzz --plan "$plan" --mutate scrub
 
 echo "media mutation smoke: sampled hunt ($hunt_runs plans) must find --mutate scrub"
-if "$cli" fuzz --media --mutate scrub --seed 7 --runs "$hunt_runs" >/dev/null 2>&1; then
-  echo "FAIL: the blessing-scrub mutation survived the sampled hunt" >&2
-  exit 1
-fi
-echo "mutation found by sampling, as it must be"
+must_exit 1 "the blessing-scrub mutation in the sampled hunt" \
+  "$cli" fuzz --media --mutate scrub --seed 7 --runs "$hunt_runs"

@@ -7,9 +7,9 @@
 #    torn in-flight lines and crashes armed inside recovery — every
 #    crash point also lands inside flush-coalescing buffers, open WAL
 #    groups and async-checkpoint windows.
-# 2. Synchronous (--no-batch): half the budget with the batched
-#    pipeline forced off, so a regression in the plain path cannot hide
-#    behind the batched one (or vice versa).
+# 2. Synchronous (--no-batch): half the budget, at least one plan, with
+#    the batched pipeline forced off, so a regression in the plain path
+#    cannot hide behind the batched one (or vice versa).
 #
 # Exits non-zero (printing the shrunk one-line repro) if any plan
 # violates the recovery invariants.
@@ -31,5 +31,8 @@ echo "fuzz: batched pipeline ($runs plans)"
 "$cli" fuzz --seed "$seed" --runs "$runs"
 
 sync_runs=$((runs / 2))
+if [ "$sync_runs" -lt 1 ]; then
+  sync_runs=1
+fi
 echo "fuzz: synchronous pipeline ($sync_runs plans)"
 exec "$cli" fuzz --no-batch --seed "$seed" --runs "$sync_runs"

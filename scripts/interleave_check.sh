@@ -11,13 +11,18 @@
 #    iter_live cross-check, deep integrity walk).
 # 2. The same for crash scenarios (post-crash oracle) and the
 #    synchronous pipeline.
-# 3. Determinism: two runs with the same seed print byte-identical
-#    output, clean and failing (shrunk counterexample) alike.
-# 4. Seed-sweep determinism: `check --domains 1` and `check --domains 4`
-#    must print byte-identical output (ditto `fuzz --domains`), the
-#    guarantee that lets parallel sweeps replace sequential ones.
+# 3. Determinism, and --domains changes wall clock only: `check` and
+#    `fuzz` print the same bytes and exit status for the same seed
+#    without --domains and with --domains 4, on budgets that must stay
+#    clean (exit 0) and on ones that must fail (exit 1: a mutated check
+#    or fuzz, whose lowest failing case is shrunk the same way at any
+#    domain count). Both oracles run one search, so a parallel sweep is
+#    the sequential one.
+# 4. Counts out of range (--runs, --ops, --threads below 1; --domains
+#    outside 1..64) are usage errors (exit 124), not a crash or an ok.
 # 5. Mutation teeth: the packed-header mis-decode and the WAL-flush
-#    ordering bug must FAIL under --interleave.
+#    ordering bug must FAIL under --interleave, with a counterexample
+#    (exit 1, scripts/must_exit.sh).
 # 6. Wall-time speedup of a parallel seed sweep vs one domain — measured
 #    always, ENFORCED (> 1.5x) only on hosts with >= 4 cores (a 1-core
 #    host can only lose from domain switching; the number is still
@@ -53,19 +58,38 @@ if [ "${CHECK_FAST:-0}" = "1" ]; then
 fi
 cli=./_build/default/bin/nvalloc_cli.exe
 dune build bin/nvalloc_cli.exe
+. scripts/must_exit.sh
 
 cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
+par_domains=$((cores < 64 ? cores : 64)) # --domains takes 1..64
 a=/tmp/interleave_check_a.$$
 b=/tmp/interleave_check_b.$$
 trap 'rm -f "$a" "$b"' EXIT
 
-same_output() {
+# same_across_domains WANT CMD...: run one search without --domains
+# into $a and with --domains 4 into $b, exit status included. The first
+# run must exit WANT (0: clean, 1: a counterexample) and the second must
+# print the same bytes.
+same_across_domains() {
+  want="$1"
+  shift
+  status=0
+  "$cli" "$@" >"$a" 2>&1 || status=$?
+  echo "exit $status" >>"$a"
+  if [ "$status" != "$want" ]; then
+    echo "FAIL: $1 exited $status without --domains, expected $want" >&2
+    cat "$a" >&2
+    exit 1
+  fi
+  status=0
+  "$cli" "$@" --domains 4 >"$b" 2>&1 || status=$?
+  echo "exit $status" >>"$b"
   if ! cmp -s "$a" "$b"; then
-    echo "FAIL: $1" >&2
+    echo "FAIL: $1 output differs between no --domains and --domains 4" >&2
     diff "$a" "$b" >&2 || true
     exit 1
   fi
-  echo "byte-identical, as it must be"
+  echo "same bytes and exit $want at --domains 4, as it must be"
 }
 
 echo "interleave gate: batched pipeline (NVAlloc variants, ${clean_runs} histories each)"
@@ -84,40 +108,33 @@ echo "interleave gate: synchronous pipeline (NVAlloc variants, ${sync_runs} hist
 "$cli" check --interleave --no-batch --seed "$seed" --runs "$sync_runs" --ops "$ops" \
   --threads 4 --allocators NVAlloc-LOG,NVAlloc-GC,NVAlloc-IC
 
-echo "interleave gate: same seed, same output (clean run)"
-for f in "$a" "$b"; do
-  "$cli" check --interleave --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" \
-    --threads 4 --allocators NVAlloc-LOG,PMDK >"$f"
+echo "interleave gate: same seed, same output at any --domains (clean checks)"
+same_across_domains 0 check --interleave --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" \
+  --threads 4 --allocators NVAlloc-LOG,PMDK
+same_across_domains 0 check --interleave --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" \
+  --threads 2 --allocators NVAlloc-LOG
+
+echo "interleave gate: same seed, same output at any --domains (shrunk check counterexample)"
+same_across_domains 1 check --interleave --mutate header --seed "$seed" --runs "$mut_runs" \
+  --ops "$mut_ops" --threads 4 --allocators NVAlloc-LOG
+
+echo "interleave gate: same seed, same output at any --domains (clean fuzz)"
+same_across_domains 0 fuzz --seed "$seed" --runs "$sweep_runs"
+
+echo "interleave gate: same seed, same output at any --domains (shrunk fuzz counterexample)"
+same_across_domains 1 fuzz --mutate wal-flush --variant log --seed 1 --runs 30
+
+echo "interleave gate: out-of-range counts are usage errors (--domains takes 1..64)"
+for args in "fuzz --runs=-5" "fuzz --domains 0" "fuzz --runs=-5 --domains 2" "fuzz --domains 65" \
+  "check --runs=-2" "check --ops=0" "check --threads 0" "check --domains 65"; do
+  must_exit 124 "$args" "$cli" $args
 done
-same_output "two clean --interleave runs with seed $seed differ"
-
-echo "interleave gate: same seed, same output (shrunk counterexample)"
-for f in "$a" "$b"; do
-  "$cli" check --interleave --mutate header --seed "$seed" --runs "$mut_runs" \
-    --ops "$mut_ops" --threads 4 --allocators NVAlloc-LOG >"$f" || true
-done
-same_output "two --interleave --mutate header runs with seed $seed differ"
-
-echo "interleave gate: seed-sweep determinism (check --domains 1 vs 4)"
-"$cli" check --interleave --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" --threads 2 \
-  --allocators NVAlloc-LOG --domains 1 >"$a"
-"$cli" check --interleave --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" --threads 2 \
-  --allocators NVAlloc-LOG --domains 4 >"$b"
-same_output "check sweep output differs between --domains 1 and --domains 4"
-
-echo "interleave gate: seed-sweep determinism (fuzz --domains 1 vs 4)"
-"$cli" fuzz --seed "$seed" --runs "$sweep_runs" --domains 1 >"$a"
-"$cli" fuzz --seed "$seed" --runs "$sweep_runs" --domains 4 >"$b"
-same_output "fuzz sweep output differs between --domains 1 and --domains 4"
 
 for m in header wal-flush; do
   echo "interleave gate: mutation smoke (--mutate $m must be caught under --interleave)"
-  if "$cli" check --interleave --mutate "$m" --seed "$seed" --runs "$mut_runs" \
-    --ops "$mut_ops" --threads 2 --allocators NVAlloc-LOG >/dev/null 2>&1; then
-    echo "FAIL: the $m mutation was NOT caught under --interleave" >&2
-    exit 1
-  fi
-  echo "mutation caught, as it must be"
+  must_exit 1 "the $m mutation under --interleave" \
+    "$cli" check --interleave --mutate "$m" --seed "$seed" --runs "$mut_runs" \
+    --ops "$mut_ops" --threads 2 --allocators NVAlloc-LOG
 done
 
 echo "interleave gate: wall-time speedup of a parallel seed sweep (host has ${cores} core(s))"
@@ -126,12 +143,12 @@ t0=$(date +%s%N)
   --allocators NVAlloc-LOG --domains 1 >/dev/null
 t1=$(date +%s%N)
 "$cli" check --seed "$seed" --runs "$sweep_runs" --ops "$sweep_ops" --threads 2 \
-  --allocators NVAlloc-LOG --domains "$cores" >/dev/null
+  --allocators NVAlloc-LOG --domains "$par_domains" >/dev/null
 t2=$(date +%s%N)
 seq_ms=$(( (t1 - t0) / 1000000 ))
 par_ms=$(( (t2 - t1) / 1000000 ))
 speedup=$(awk "BEGIN { if ($par_ms > 0) printf \"%.2f\", $seq_ms / $par_ms; else print 0 }")
-echo "sweep: 1 domain ${seq_ms} ms, ${cores} domain(s) ${par_ms} ms, speedup ${speedup}x"
+echo "sweep: 1 domain ${seq_ms} ms, ${par_domains} domain(s) ${par_ms} ms, speedup ${speedup}x"
 if [ "$cores" -ge 4 ]; then
   ok=$(awk "BEGIN { print ($speedup > 1.5) ? 1 : 0 }")
   if [ "$ok" != "1" ]; then

@@ -17,8 +17,9 @@
 #    wal-record: group effects persist while the group's entries never
 #    do) must FAIL, and the packed-header mis-decode (--mutate header:
 #    every header read flips the size-class field's lowest bit) must
-#    FAIL — if any seeded bug survives the checker, this script exits
-#    non-zero.
+#    FAIL with a counterexample (exit 1, scripts/must_exit.sh) — if any
+#    seeded bug survives the checker, or a stanza exits any other way,
+#    this script exits non-zero.
 #
 # Replay a failure with: nvalloc-cli check [--no-batch] --scenario "<line>"
 # Usage: scripts/model_check.sh [seed] [runs]
@@ -40,6 +41,7 @@ if [ "${CHECK_FAST:-0}" = "1" ]; then
 fi
 cli=./_build/default/bin/nvalloc_cli.exe
 dune build bin/nvalloc_cli.exe
+. scripts/must_exit.sh
 
 echo "model check: clean gate, batched pipeline (all allocators)"
 "$cli" check --seed "$seed" --runs "$runs" --ops "$ops" --threads 4
@@ -57,25 +59,16 @@ echo "model check: crash scenarios, synchronous pipeline (NVAlloc variants)"
   --allocators NVAlloc-LOG,NVAlloc-GC,NVAlloc-IC
 
 echo "model check: mutation smoke (--mutate wal-flush must be caught)"
-if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
-  --mutate wal-flush --allocators NVAlloc-LOG >/dev/null 2>&1; then
-  echo "FAIL: the seeded WAL ordering bug was NOT caught" >&2
-  exit 1
-fi
-echo "mutation caught, as it must be"
+must_exit 1 "the seeded WAL ordering bug" \
+  "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
+  --mutate wal-flush --allocators NVAlloc-LOG
 
 echo "model check: mutation smoke (--mutate wal-record must be caught)"
-if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 --crash 200 \
-  --mutate wal-record --allocators NVAlloc-LOG >/dev/null 2>&1; then
-  echo "FAIL: the forgotten-commit-record mutation was NOT caught" >&2
-  exit 1
-fi
-echo "mutation caught, as it must be"
+must_exit 1 "the forgotten-commit-record mutation" \
+  "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 --crash 200 \
+  --mutate wal-record --allocators NVAlloc-LOG
 
 echo "model check: mutation smoke (--mutate header must be caught)"
-if "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
-  --mutate header --allocators NVAlloc-LOG >/dev/null 2>&1; then
-  echo "FAIL: the packed-header mis-decode was NOT caught" >&2
-  exit 1
-fi
-echo "mutation caught, as it must be"
+must_exit 1 "the packed-header mis-decode" \
+  "$cli" check --seed "$seed" --runs "$mut_runs" --ops "$mut_ops" --threads 2 \
+  --mutate header --allocators NVAlloc-LOG

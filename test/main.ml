@@ -25,7 +25,8 @@ let () =
       ("workloads", Test_workloads.suite);
       ("check", Test_check.suite);
       ("guard", Test_guard.suite);
-      ("par", Test_par.suite);
+      ("search", Test_search.suite);
+      ("par", Test_search.par_suite);
       ("telemetry", Test_telemetry.suite);
       ("harness", Test_harness.suite);
       ("bench-gate", Test_bench_gate.suite);

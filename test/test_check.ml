@@ -224,9 +224,9 @@ let test_checker_deterministic () =
   | Some a, Some b ->
       Alcotest.(check string)
         "identical shrunk repro"
-        (Check.History.to_string a.Check.Runner.shrunk)
-        (Check.History.to_string b.Check.Runner.shrunk);
-      Alcotest.(check string) "identical reason" a.Check.Runner.reason b.Check.Runner.reason
+        (Check.History.to_string a.Support.Search.shrunk)
+        (Check.History.to_string b.Support.Search.shrunk);
+      Alcotest.(check string) "identical reason" a.Support.Search.reason b.Support.Search.reason
   | None, None -> Alcotest.fail "mutation not caught (expected a counterexample)"
   | _ -> Alcotest.fail "verdict differs between identical runs"
 
@@ -269,7 +269,7 @@ let history_makespan ~sched =
 
 let verdict_of = function
   | None -> "ok"
-  | Some { Check.Runner.original; shrunk; reason } ->
+  | Some { Support.Search.original; shrunk; reason } ->
       Printf.sprintf "cex original=%s shrunk=%s reason=%s"
         (Check.History.to_string original)
         (Check.History.to_string shrunk)

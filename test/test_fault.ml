@@ -64,8 +64,8 @@ let test_fuzz_clean () =
   | None -> ()
   | Some cex ->
       Alcotest.failf "counterexample: %s (%s)"
-        (Fault.Plan.to_string cex.Fault.Fuzz.shrunk)
-        cex.Fault.Fuzz.reason
+        (Fault.Plan.to_string cex.Support.Search.shrunk)
+        cex.Support.Search.reason
 
 let test_fuzz_catches_broken_ordering () =
   (* Disable the WAL's flush-before-effect ordering: the fuzzer must
@@ -76,7 +76,7 @@ let test_fuzz_catches_broken_ordering () =
       ~runs:60 ()
   with
   | None -> Alcotest.fail "broken WAL ordering escaped the fuzzer"
-  | Some { Fault.Fuzz.original; shrunk; reason } ->
+  | Some { Support.Search.original; shrunk; reason } ->
       Alcotest.(check bool) "reason is non-empty" true (String.length reason > 0);
       Alcotest.(check bool) "shrunk no bigger than original" true
         (shrunk.Fault.Plan.ops <= original.Fault.Plan.ops

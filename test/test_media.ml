@@ -429,6 +429,27 @@ let test_fuzz_mutated_scrub_caught () =
       Alcotest.(check bool) "verdict names the corruption" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "broken scrub escaped the oracle"
 
+(* A plan whose blessed superblock makes the second, armed recovery
+   raise before the oracle runs: the fuzzer reports it as a verdict
+   instead of dying, so it shrinks like any other. *)
+let test_fuzz_exception_is_verdict () =
+  let plan =
+    match
+      Fault.Plan.of_string
+        "v=log seed=675967 ops=150 crash=830 torn=random tseed=445058 rcrash=113 poison=1 \
+         pseed=844184 rot=3 rseed=659237 scrub=1"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan: %s" e
+  in
+  (match Fault.Fuzz.run_plan plan with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "clean run failed the oracle: %s" e);
+  match Fault.Fuzz.run_plan ~mutation:Nvalloc_core.Mutation.Scrub plan with
+  | Error e ->
+      Alcotest.(check string) "worded as an exception" "exception: " (String.sub e 0 11)
+  | Ok _ -> Alcotest.fail "broken scrub escaped the oracle"
+
 let test_media_plans_deterministic_stats () =
   (* Same plan, two runs: the whole media pipeline — injection, demand
      repair, scrub, recovery — must leave byte-identical device stats. *)
@@ -459,8 +480,8 @@ let test_fuzz_media_clean_sweep () =
   | None -> ()
   | Some cex ->
       Alcotest.failf "media counterexample: %s (%s)"
-        (Fault.Plan.to_string cex.Fault.Fuzz.shrunk)
-        cex.Fault.Fuzz.reason
+        (Fault.Plan.to_string cex.Support.Search.shrunk)
+        cex.Support.Search.reason
 
 let suite =
   [
@@ -489,6 +510,8 @@ let suite =
       test_crash_during_scrub_sweep;
     Alcotest.test_case "maintenance: scrub tick" `Quick test_scrub_tick_maintenance;
     Alcotest.test_case "fuzz: broken scrub caught" `Quick test_fuzz_mutated_scrub_caught;
+    Alcotest.test_case "fuzz: an exception before the oracle is a verdict" `Quick
+      test_fuzz_exception_is_verdict;
     Alcotest.test_case "fuzz: media stats deterministic" `Quick
       test_media_plans_deterministic_stats;
     Alcotest.test_case "fuzz: media clean sweep" `Slow test_fuzz_media_clean_sweep;
