@@ -95,18 +95,51 @@ let mutate_flag =
     & opt (enum (List.map (fun m -> (M.to_string m, m)) M.all)) M.Off
     & info [ "mutate" ] ~docv:"NAME" ~doc)
 
-(* Counts (--runs, --ops, --threads, --domains): anything below 1 or
-   above [max] is a usage error (exit 124, naming the flag), not a crash
-   or a vacuous ok. *)
-let count ~max expected =
+(* Every value is parsed where cmdliner reads it: a bad one is a usage
+   error (exit 124, naming the flag), not a crash or a vacuous ok. *)
+let int_within ~min ~max expected =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 && n <= max -> Ok n
+    | Some n when n >= min && n <= max -> Ok n
     | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive = count ~max:max_int "a positive integer"
+let positive = int_within ~min:1 ~max:max_int "a positive integer"
+let non_negative = int_within ~min:0 ~max:max_int "a non-negative integer"
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 && Float.is_finite x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* Allocator names match case-insensitively. *)
+let caseless names s =
+  match
+    List.find_opt (fun n -> String.lowercase_ascii n = String.lowercase_ascii s) names
+  with
+  | Some n -> Ok n
+  | None ->
+      Error (Printf.sprintf "unknown allocator %S, expected one of %s" s (String.concat ", " names))
+
+(* The eight persistent allocators. *)
+let allocator =
+  let kinds =
+    Harness.Factory.[ Pmdk; Nvm_malloc; Pallocator; Makalu; Ralloc; Nv_log; Nv_gc; Nv_ic ]
+  in
+  let parse s =
+    Result.map
+      (fun n -> List.find (fun k -> Harness.Factory.name k = n) kinds)
+      (caseless (List.map Harness.Factory.name kinds) s)
+  in
+  Arg.conv' (parse, fun ppf k -> Format.pp_print_string ppf (Harness.Factory.name k))
+
+(* A one-line repro ([--plan], [--scenario]) read by its own parser. *)
+let repro of_string to_string =
+  Arg.conv' (of_string, fun ppf v -> Format.pp_print_string ppf (to_string v))
 
 (* Shared --domains flag of the two counterexample searches. *)
 let domains_flag =
@@ -118,7 +151,7 @@ let domains_flag =
        the wall clock changes."
       max
   in
-  let domains = count ~max (Printf.sprintf "an integer from 1 to %d" max) in
+  let domains = int_within ~min:1 ~max (Printf.sprintf "an integer from 1 to %d" max) in
   Arg.(value & opt domains 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 (* Both searches print a counterexample the same way. *)
@@ -132,7 +165,10 @@ let with_batching batch f =
 
 let run_cmd =
   let doc = "Run the experiments with the given ids." in
-  let ids = Arg.(non_empty & pos_all string [] & info [] ~docv:"ID") in
+  let ids =
+    let id e = (e.Harness.Registry.id, e.Harness.Registry.id) in
+    Arg.(non_empty & pos_all (enum (List.map id Harness.Registry.all)) [] & info [] ~docv:"ID")
+  in
   let run telemetry batch ids =
     with_batching batch (fun () ->
         with_capture telemetry (fun () -> List.iter Harness.Registry.run_one ids))
@@ -146,15 +182,6 @@ let all_cmd =
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ telemetry_flag $ batch_flag $ const ())
 
-let allocator_kind name =
-  match
-    List.find_opt
-      (fun k -> String.lowercase_ascii (Harness.Factory.name k) = String.lowercase_ascii name)
-      Harness.Factory.[ Pmdk; Nvm_malloc; Pallocator; Makalu; Ralloc; Nv_log; Nv_gc; Nv_ic ]
-  with
-  | Some k -> k
-  | None -> failwith ("unknown allocator " ^ name)
-
 let flushes_cmd =
   (* Figure 2 as raw data: one CSV line per metadata flush, for external
      plotting of the scatter the paper shows. *)
@@ -162,11 +189,8 @@ let flushes_cmd =
     "Dump the first 1000 metadata-flush addresses of a DBMStest run as CSV \
      (seq,category,address) for the given allocator (default NVAlloc-LOG)."
   in
-  let alloc =
-    Arg.(value & pos 0 string "NVAlloc-LOG" & info [] ~docv:"ALLOCATOR")
-  in
-  let run name =
-    let kind = allocator_kind name in
+  let alloc = Arg.(value & pos 0 allocator Harness.Factory.Nv_log & info [] ~docv:"ALLOCATOR") in
+  let run kind =
     let inst = Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads:4 kind in
     let _ =
       Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest 4) ()
@@ -179,26 +203,40 @@ let flushes_cmd =
   in
   Cmd.v (Cmd.info "flushes" ~doc) Term.(const run $ alloc)
 
-(* One instance of [alloc] built under capture, with its telemetry sink. *)
-let captured_instance alloc ~threads =
-  let kind = allocator_kind alloc in
+(* One instance of [kind] built under capture, with its telemetry sink. *)
+let captured_instance kind ~threads =
   match capture (fun () -> Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads kind) with
   | inst, [ (_, sink) ] -> (inst, sink)
   | _ -> failwith "expected exactly one captured telemetry sink"
 
 (* The workloads [trace] and [slo] run, by name. *)
-let run_workload workload inst ~threads ~seed =
-  match workload with
-  | "threadtest" -> Workloads.Threadtest.run inst ~params:(Harness.Sizes.threadtest threads) ()
-  | "prodcon" -> Workloads.Prodcon.run inst ~params:(Harness.Sizes.prodcon threads) ()
-  | "shbench" -> Workloads.Shbench.run inst ~params:(Harness.Sizes.shbench threads) ~seed ()
-  | "larson" -> Workloads.Larson.run inst ~params:(Harness.Sizes.larson_small threads) ~seed ()
-  | "larson-large" ->
-      Workloads.Larson.run inst ~params:(Harness.Sizes.larson_large threads) ~seed ()
-  | "dbmstest" -> Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest threads) ~seed ()
-  | w -> failwith ("unknown workload " ^ w)
+let workloads =
+  [
+    ( "threadtest",
+      fun inst ~threads ~seed:_ ->
+        Workloads.Threadtest.run inst ~params:(Harness.Sizes.threadtest threads) () );
+    ( "prodcon",
+      fun inst ~threads ~seed:_ ->
+        Workloads.Prodcon.run inst ~params:(Harness.Sizes.prodcon threads) () );
+    ( "shbench",
+      fun inst ~threads ~seed ->
+        Workloads.Shbench.run inst ~params:(Harness.Sizes.shbench threads) ~seed () );
+    ( "larson",
+      fun inst ~threads ~seed ->
+        Workloads.Larson.run inst ~params:(Harness.Sizes.larson_small threads) ~seed () );
+    ( "larson-large",
+      fun inst ~threads ~seed ->
+        Workloads.Larson.run inst ~params:(Harness.Sizes.larson_large threads) ~seed () );
+    ( "dbmstest",
+      fun inst ~threads ~seed ->
+        Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest threads) ~seed () );
+  ]
 
-let workload_arg = Arg.(value & pos 0 string "larson" & info [] ~docv:"WORKLOAD")
+let run_workload workload = List.assoc workload workloads
+
+let workload_arg =
+  let names = List.map (fun (n, _) -> (n, n)) workloads in
+  Arg.(value & pos 0 (enum names) "larson" & info [] ~docv:"WORKLOAD")
 
 let threads_arg =
   Arg.(value & opt positive 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
@@ -215,7 +253,7 @@ let trace_cmd =
   in
   let alloc =
     let doc = "Allocator to trace (see $(b,flushes) for the list)." in
-    Arg.(value & opt string "NVAlloc-LOG" & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
+    Arg.(value & opt allocator Harness.Factory.Nv_log & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
   in
   let out =
     let doc = "Write the trace JSON to $(docv) instead of stdout." in
@@ -254,7 +292,7 @@ let slo_cmd =
   in
   let alloc =
     let doc = "Allocator to attribute (see $(b,flushes) for the list)." in
-    Arg.(value & opt string "NVAlloc-LOG" & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
+    Arg.(value & opt allocator Harness.Factory.Nv_log & info [ "allocator" ] ~docv:"ALLOCATOR" ~doc)
   in
   let json =
     let doc = "Print the report as JSON (schema nvalloc/slo/v1) instead of text." in
@@ -277,14 +315,14 @@ let slo_cmd =
   in
   let window_ns =
     let doc = "SLO window width in simulated nanoseconds." in
-    Arg.(value & opt float 1_000_000.0 & info [ "window-ns" ] ~docv:"NS" ~doc)
+    Arg.(value & opt positive_float 1_000_000.0 & info [ "window-ns" ] ~docv:"NS" ~doc)
   in
   let check =
     let doc =
       "Gate the report against the baseline JSON at $(docv) \
        (Harness.Slo_report.check); exit 1 listing every failed gate."
     in
-    Arg.(value & opt (some string) None & info [ "check" ] ~docv:"BASELINE" ~doc)
+    Arg.(value & opt (some file) None & info [ "check" ] ~docv:"BASELINE" ~doc)
   in
   let run workload alloc threads seed json out folded prom window_ns check batch =
     with_batching batch @@ fun () ->
@@ -340,20 +378,16 @@ let stats_cmd =
      live object, header flush lines per allocation) and the checker's \
      counters (commits checked, dependencies tracked, violations recorded)."
   in
-  let alloc =
-    Arg.(value & pos 0 string "NVAlloc-LOG" & info [] ~docv:"ALLOCATOR")
-  in
+  let alloc = Arg.(value & pos 0 allocator Harness.Factory.Nv_log & info [] ~docv:"ALLOCATOR") in
   let json =
     let doc =
-      "Print the device's flush statistics as JSON (schema nvalloc/stats/v4: \
-       v3 plus the metadata-layout counters extents_coalesced, \
-       extent_tree_lookups, header_flush_lines; v1-v3 documents still \
-       parse, counters their schema predates default to 0)."
+      "Print the device's flush statistics as JSON (schema nvalloc/stats/v4): \
+       every counter by name, the reflush ratio, flush time per category, \
+       the mean WAL group size and the first metadata-flush addresses."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run name batch json =
-    let kind = allocator_kind name in
+  let run kind batch json =
     let inst =
       with_batching batch (fun () ->
           Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads:4 kind)
@@ -388,9 +422,7 @@ let stats_cmd =
             (fun iter -> iter (fun ~addr:_ ~size:_ -> incr live))
             inst.Alloc_api.Instance.iter_live;
           let meta = metadata_bytes () in
-          let header_lines =
-            Pmem.Stats.header_flush_lines (Pmem.Device.stats dev)
-          in
+          let header_lines = Pmem.Stats.get (Pmem.Device.stats dev) Header_flush_lines in
           Printf.printf "metadata overhead:\n";
           Printf.printf "  metadata bytes        %d\n" meta;
           Printf.printf "  live objects          %d\n" !live;
@@ -430,11 +462,15 @@ let fuzz_cmd =
   in
   let variant =
     let doc = "Pin the consistency variant ($(b,log), $(b,gc), $(b,ic), or $(b,any))." in
-    Arg.(value & opt string "any" & info [ "variant" ] ~docv:"VARIANT" ~doc)
+    let variants =
+      Fault.Plan.[ ("log", Some Log); ("gc", Some Gc); ("ic", Some Ic); ("any", None) ]
+    in
+    Arg.(value & opt (enum variants) None & info [ "variant" ] ~docv:"VARIANT" ~doc)
   in
   let plan =
     let doc = "Replay one plan (a line previously printed by the fuzzer) instead of sampling." in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
+    let plan = repro Fault.Plan.of_string Fault.Plan.to_string in
+    Arg.(value & opt (some plan) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
   let check_order =
     let doc =
@@ -454,11 +490,11 @@ let fuzz_cmd =
   in
   let poison_n =
     let doc = "Pin $(docv) poisoned metadata lines on every plan (implies media sampling)." in
-    Arg.(value & opt int 0 & info [ "poison" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 0 & info [ "poison" ] ~docv:"N" ~doc)
   in
   let bitrot_n =
     let doc = "Pin $(docv) at-rest bit flips on every plan (implies media sampling)." in
-    Arg.(value & opt int 0 & info [ "bitrot" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 0 & info [ "bitrot" ] ~docv:"N" ~doc)
   in
   let scrub =
     let doc =
@@ -473,7 +509,7 @@ let fuzz_cmd =
        last $(docv) timeline events (flushes, WAL appends, recovery phases) \
        leading up to the failure, plus the device's media counters."
     in
-    Arg.(value & opt int 32 & info [ "tail" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 32 & info [ "tail" ] ~docv:"N" ~doc)
   in
   (* Replay a failing plan with a telemetry sink attached and print the
      last few events: the flushes/WAL appends/recovery phases right
@@ -488,9 +524,9 @@ let fuzz_cmd =
         media_line :=
           Printf.sprintf
             "poison_hits=%d media_repairs=%d quarantines=%d bitrot_flips=%d scrub_passes=%d"
-            (Pmem.Stats.poison_hits s) (Pmem.Stats.media_repairs s)
-            (Pmem.Stats.media_quarantines s) (Pmem.Stats.bitrot_flips s)
-            (Pmem.Stats.scrub_passes s)
+            (Pmem.Stats.get s Poison_hits) (Pmem.Stats.get s Media_repairs)
+            (Pmem.Stats.get s Media_quarantines) (Pmem.Stats.get s Bitrot_flips)
+            (Pmem.Stats.get s Scrub_passes)
       in
       ignore
         (Fault.Fuzz.run_plan ~batch ~mutation ~check_order ~telemetry:sink ~on_device plan);
@@ -504,14 +540,6 @@ let fuzz_cmd =
   in
   let run seed runs variant plan batch mutation media poison_n bitrot_n scrub check_order tail
       domains =
-    let variant =
-      match variant with
-      | "any" -> None
-      | "log" -> Some Fault.Plan.Log
-      | "gc" -> Some Fault.Plan.Gc
-      | "ic" -> Some Fault.Plan.Ic
-      | v -> failwith ("unknown variant " ^ v ^ " (expected log|gc|ic|any)")
-    in
     let media = media || poison_n > 0 || bitrot_n > 0 || scrub in
     (* Pin the flag-selected media fields over whatever was sampled or
        parsed; seeds fall back to the plan's workload seed so pinned
@@ -529,19 +557,16 @@ let fuzz_cmd =
         }
     in
     match plan with
-    | Some line -> (
-        match Fault.Plan.of_string line with
-        | Error e -> failwith ("bad --plan: " ^ e)
-        | Ok p -> (
-            let p = adjust p in
-            match Fault.Fuzz.run_plan ~batch ~mutation ~check_order p with
-            | Ok report ->
-                Format.printf "ok: %s@.  %a@." (Fault.Plan.to_string p)
-                  Nvalloc_core.Nvalloc.pp_recovery_report report
-            | Error reason ->
-                Format.printf "FAIL: %s@.  %s@." (Fault.Plan.to_string p) reason;
-                dump_tail ~batch ~mutation ~check_order ~tail p;
-                exit 1))
+    | Some p -> (
+        let p = adjust p in
+        match Fault.Fuzz.run_plan ~batch ~mutation ~check_order p with
+        | Ok report ->
+            Format.printf "ok: %s@.  %a@." (Fault.Plan.to_string p)
+              Nvalloc_core.Nvalloc.pp_recovery_report report
+        | Error reason ->
+            Format.printf "FAIL: %s@.  %s@." (Fault.Plan.to_string p) reason;
+            dump_tail ~batch ~mutation ~check_order ~tail p;
+            exit 1)
     | None -> (
         match
           Fault.Fuzz.fuzz ~batch ~mutation ~check_order ?variant ~media ~adjust ~domains ~seed
@@ -591,15 +616,25 @@ let check_cmd =
       "Also arm a crash after $(docv) flushed lines and run the post-crash \
        oracle (NVAlloc variants only; baselines ignore the crash point)."
     in
-    Arg.(value & opt (some int) None & info [ "crash" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "crash" ] ~docv:"N" ~doc)
   in
   let allocators =
+    let all = Check.Runner.allocator_names in
     let doc =
-      "Comma-separated allocator names to check, or $(b,all). See \
-       $(b,nvalloc-cli list) / the NVAlloc variants NVAlloc-LOG, NVAlloc-GC, \
-       NVAlloc-IC."
+      "Comma-separated allocator names to check (any case), or $(b,all): "
+      ^ String.concat ", " all ^ "."
     in
-    Arg.(value & opt string "all" & info [ "allocators" ] ~docv:"NAMES" ~doc)
+    let rec names = function
+      | [] -> Ok []
+      | n :: rest ->
+          Result.bind (caseless all (String.trim n)) (fun n ->
+              Result.map (List.cons n) (names rest))
+    in
+    let parse s = if s = "all" then Ok all else names (String.split_on_char ',' s) in
+    let print ppf names =
+      Format.pp_print_string ppf (if names = all then "all" else String.concat "," names)
+    in
+    Arg.(value & opt (conv' (parse, print)) all & info [ "allocators" ] ~docv:"NAMES" ~doc)
   in
   let interleave =
     let doc =
@@ -616,24 +651,24 @@ let check_cmd =
       "Replay one scenario (a line previously printed by the checker) instead \
        of generating fresh ones; overrides the other selection flags."
     in
-    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"LINE" ~doc)
+    let of_string line =
+      Result.bind (Check.History.of_string line) (fun sc ->
+          Result.map
+            (fun alloc -> { sc with Check.History.alloc })
+            (caseless Check.Runner.allocator_names sc.Check.History.alloc))
+    in
+    let scenario = repro of_string Check.History.to_string in
+    Arg.(value & opt (some scenario) None & info [ "scenario" ] ~docv:"LINE" ~doc)
   in
   let run seed runs ops threads crash allocators batch mutation interleave scenario domains =
     match scenario with
-    | Some line -> (
-        match Check.History.of_string line with
-        | Error e -> failwith ("bad --scenario: " ^ e)
-        | Ok sc -> (
-            match Check.Runner.run ~batch ~mutation sc with
-            | Ok () -> Printf.printf "ok: %s\n" (Check.History.to_string sc)
-            | Error reason ->
-                Printf.printf "FAIL: %s\n  reason: %s\n" (Check.History.to_string sc) reason;
-                exit 1))
+    | Some sc -> (
+        match Check.Runner.run ~batch ~mutation sc with
+        | Ok () -> Printf.printf "ok: %s\n" (Check.History.to_string sc)
+        | Error reason ->
+            Printf.printf "FAIL: %s\n  reason: %s\n" (Check.History.to_string sc) reason;
+            exit 1)
     | None ->
-        let names =
-          if allocators = "all" then Check.Runner.allocator_names
-          else String.split_on_char ',' allocators |> List.map String.trim
-        in
         let failed = ref false in
         List.iter
           (fun alloc ->
@@ -649,7 +684,7 @@ let check_cmd =
             | Some cex ->
                 failed := true;
                 print_counterexample Check.History.to_string cex)
-          names;
+          allocators;
         if !failed then exit 1
   in
   Cmd.v

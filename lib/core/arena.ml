@@ -238,7 +238,7 @@ let commit_slab_header ?deps t clock addr =
   (* The packed-word payoff, asserted: the commit unit (word + checksum)
      sits in a single cache line at the line-aligned slab base. *)
   assert (addr land (Pmem.Cacheline.size - 1) = 0);
-  Pmem.Device.note_header_flush_line t.dev;
+  Pmem.Stats.bump (Pmem.Device.stats t.dev) Header_flush_lines;
   Pstruct.commit t.dev clock Pmem.Stats.Meta ?deps (Slab.header_commit_span addr);
   if replicate_meta t then Guard.write_replica t.dev clock r
 
@@ -873,7 +873,7 @@ let quarantine_slab t s =
   freelist_remove t s;
   lru_remove t s;
   Hashtbl.remove t.all_slabs s.Slab.addr;
-  Pmem.Device.note_quarantine t.dev
+  Pmem.Stats.bump (Pmem.Device.stats t.dev) Media_quarantines
 
 let dropped_frees t = t.dropped_frees
 let find_slab t addr = Hashtbl.find_opt t.all_slabs addr

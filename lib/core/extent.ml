@@ -89,11 +89,15 @@ let reclaimed_bytes t = t.reclaimed_bytes
 let retained_bytes t = t.retained_bytes
 let data_off t = match t.mode with In_place -> header_bytes | Logged _ -> 0
 
+(* A tree probe that costs no simulated time (neighbour peeks inside an
+   operation already charged) still counts toward the lookup telemetry. *)
+let note_lookup t = Pmem.Stats.bump (Pmem.Device.stats t.dev) Extent_tree_lookups
+
 (* Charge a DRAM tree search of [n] elements and count it. With blame
    attribution on, the search steps land under an [extent:lookup] frame
    so tree-walk cost separates from the surrounding malloc/free. *)
 let charge_search t clock n =
-  Pmem.Device.note_extent_lookup t.dev;
+  note_lookup t;
   let steps = Rbtree.search_steps n in
   let attr = Pmem.Device.attribution t.dev in
   (match attr with
@@ -107,10 +111,6 @@ let charge_search t clock n =
   match attr with
   | None -> ()
   | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
-
-(* A tree probe that costs no simulated time (neighbour peeks inside an
-   operation already charged) still counts toward the lookup telemetry. *)
-let note_lookup t = Pmem.Device.note_extent_lookup t.dev
 
 let page_of t base = Rbtree.value t.pages (Rbtree.find t.pages base 0)
 
@@ -268,7 +268,7 @@ let try_merge t v ~state u =
     v.addr <- Int.min v.addr u.addr;
     v.size <- v.size + u.size;
     v.free_time <- Int.min v.free_time u.free_time;
-    Pmem.Device.note_extent_coalesced t.dev
+    Pmem.Stats.bump (Pmem.Device.stats t.dev) Extents_coalesced
   end
 
 (* Merge adjacent free neighbours in state [state] (within one page) into

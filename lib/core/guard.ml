@@ -82,7 +82,7 @@ let verify_repair dev clock r =
       Pmem.Device.clear_poison_within dev ~addr:r.replica ~len:r.len;
       Pmem.Device.clear_poison_within dev ~addr:r.r_ck ~len:2;
       write_replica dev clock r;
-      Pmem.Device.note_media_repair dev;
+      Pmem.Stats.bump (Pmem.Device.stats dev) Media_repairs;
       Repaired
     end
   end
@@ -92,7 +92,7 @@ let verify_repair dev clock r =
     Pmem.Device.blit dev ~src:r.replica ~dst:r.primary ~len:r.len;
     if r.r_ck <> r.p_ck then Pmem.Device.blit dev ~src:r.r_ck ~dst:r.p_ck ~len:2;
     persist_record dev clock r ~addr:r.primary;
-    Pmem.Device.note_media_repair dev;
+    Pmem.Stats.bump (Pmem.Device.stats dev) Media_repairs;
     Repaired
   end
   else Lost

@@ -327,9 +327,27 @@ let record_covers_line (r : Guard.record) line =
   || within r.Guard.replica r.Guard.len
   || within r.Guard.p_ck 2 || within r.Guard.r_ck 2
 
+(* The fixed guarded records, in the order every walk takes them: the
+   superblock, the region-table lines (with [~regions:true]), then each
+   arena's WAL and bookkeeping-log headers. Slab headers come after,
+   from the owner index or [iter_slabs]. *)
+let iter_fixed_guards ?(regions = false) t f =
+  f Heap.sb_guard;
+  if regions then
+    for l = 0 to Heap.region_lines - 1 do
+      f (Heap.region_guard l)
+    done;
+  for i = 0 to Array.length t.arenas - 1 do
+    f (Wal.guard_record ~base:(Heap.wal_base t.heap ~arena:i) ~entries:t.config.Config.wal_entries);
+    if t.config.Config.log_bookkeeping then
+      f
+        (Booklog.guard_record
+           ~base:(Heap.booklog_base t.heap ~arena:i)
+           ~chunks:t.config.Config.booklog_chunks)
+  done
+
 (* Map a damaged line to the guard record covering it: fixed metadata
-   first (superblock, region table, per-arena WAL and bookkeeping-log
-   headers), then slab headers through the owner index. [None] means the
+   first, then slab headers through the owner index. [None] means the
    line holds block data or unguarded bulk (WAL entries, log chunks,
    bitmaps): nothing to repair from, the caller keeps the error. *)
 let guard_of_line t line =
@@ -337,20 +355,7 @@ let guard_of_line t line =
   let try_r ?slab r =
     if !found = None && record_covers_line r line then found := Some (r, slab)
   in
-  try_r Heap.sb_guard;
-  for l = 0 to Heap.region_lines - 1 do
-    if !found = None then try_r (Heap.region_guard l)
-  done;
-  for i = 0 to Array.length t.arenas - 1 do
-    try_r
-      (Wal.guard_record ~base:(Heap.wal_base t.heap ~arena:i)
-         ~entries:t.config.Config.wal_entries);
-    if t.config.Config.log_bookkeeping then
-      try_r
-        (Booklog.guard_record
-           ~base:(Heap.booklog_base t.heap ~arena:i)
-           ~chunks:t.config.Config.booklog_chunks)
-  done;
+  iter_fixed_guards ~regions:true t try_r;
   (if !found = None then
      match owner_find t (line * cl) with
      | Some (Small_owner s) -> try_r ~slab:s (Slab.guard_record s.Slab.addr)
@@ -903,9 +908,7 @@ let scrub t clock =
     let n = n + Pmem.Device.scrub_lines t.dev ~addr:r.Guard.replica ~len:r.Guard.len in
     let n = n + Pmem.Device.scrub_lines t.dev ~addr:r.Guard.r_ck ~len:2 in
     repaired := !repaired + n;
-    for _ = 1 to n do
-      Pmem.Device.note_media_repair t.dev
-    done;
+    Pmem.Stats.add (Pmem.Device.stats t.dev) Media_repairs n;
     if Heap.mutation t.heap = Mutation.Scrub then begin
       (* The seeded mutation ([Mutation.Scrub]): bless whatever a damaged
          primary contains instead of repairing it from the replica. The
@@ -924,25 +927,12 @@ let scrub t clock =
           | Some _ -> ()
           | None -> incr lost)
   in
-  handle Heap.sb_guard;
-  for line = 0 to Heap.region_lines - 1 do
-    handle (Heap.region_guard line)
-  done;
-  for i = 0 to Array.length t.arenas - 1 do
-    handle
-      (Wal.guard_record ~base:(Heap.wal_base t.heap ~arena:i)
-         ~entries:t.config.Config.wal_entries);
-    if t.config.Config.log_bookkeeping then
-      handle
-        (Booklog.guard_record
-           ~base:(Heap.booklog_base t.heap ~arena:i)
-           ~chunks:t.config.Config.booklog_chunks)
-  done;
+  iter_fixed_guards ~regions:true t handle;
   (* Collect first: a quarantine mutates the arena's slab table. *)
   let slabs = ref [] in
   iter_slabs t (fun s -> slabs := s :: !slabs);
   List.iter (fun s -> handle ~slab:s (Slab.guard_record s.Slab.addr)) !slabs;
-  Pmem.Device.note_scrub_pass t.dev;
+  Pmem.Stats.bump (Pmem.Device.stats t.dev) Scrub_passes;
   media_span t clock "scrub" t0;
   (!repaired, !lost)
 
@@ -963,36 +953,29 @@ let dropped_frees t =
   t.media_dropped_frees
   + Array.fold_left (fun acc a -> acc + Arena.dropped_frees a) 0 t.arenas
 
-(* Injection candidates: the primary and replica lines of every guarded
-   record, each paired with its partner. Sampling never takes both
-   halves of one record, so a seeded fault is always repairable — the
-   acceptance bound: no block whose data lines are intact may be lost.
-   Region-table lines are excluded (their checksums share cache lines
-   across 32 records); double faults are exercised directly in tests via
+(* Injection candidates: both copies of every guarded record, as
+   [(base, len, partner)] — the primary then the replica per record, the
+   last record walked first. Sampling never takes both halves of one
+   record, so a seeded fault is always repairable — the acceptance
+   bound: no block whose data lines are intact may be lost. Region-table
+   lines are excluded (their checksums share cache lines across 32
+   records); double faults are exercised directly in tests via
    [Device.poison]. *)
-let poison_candidates t =
-  let cands = ref [] in
-  let pair (r : Guard.record) =
-    let pl = r.Guard.primary / cl and rl = r.Guard.replica / cl in
-    cands := (pl, rl) :: (rl, pl) :: !cands
+let guarded_halves t =
+  let halves = ref [] in
+  let add (r : Guard.record) =
+    halves :=
+      (r.Guard.primary, r.Guard.len, r.Guard.replica)
+      :: (r.Guard.replica, r.Guard.len, r.Guard.primary)
+      :: !halves
   in
-  pair Heap.sb_guard;
-  for i = 0 to Array.length t.arenas - 1 do
-    pair
-      (Wal.guard_record ~base:(Heap.wal_base t.heap ~arena:i)
-         ~entries:t.config.Config.wal_entries);
-    if t.config.Config.log_bookkeeping then
-      pair
-        (Booklog.guard_record
-           ~base:(Heap.booklog_base t.heap ~arena:i)
-           ~chunks:t.config.Config.booklog_chunks)
-  done;
-  iter_slabs t (fun s -> pair (Slab.guard_record s.Slab.addr));
-  Array.of_list !cands
+  iter_fixed_guards t add;
+  iter_slabs t (fun s -> add (Slab.guard_record s.Slab.addr));
+  Array.of_list !halves
 
 let seed_poison t ~seed ~count =
   assert (media_on t);
-  let cands = poison_candidates t in
+  let cands = Array.map (fun (base, _, partner) -> (base / cl, partner / cl)) (guarded_halves t) in
   let n = Array.length cands in
   let rng = Sim.Rng.create (0x50150 lxor seed) in
   for i = n - 1 downto 1 do
@@ -1024,26 +1007,7 @@ let seed_poison t ~seed ~count =
    surviving copy, or rewritten earlier by a scrub pass. *)
 let inject_bitrot t ~seed ~flips =
   assert (media_on t);
-  let spans = ref [] in
-  let add (r : Guard.record) =
-    spans :=
-      (r.Guard.primary, r.Guard.len, r.Guard.replica)
-      :: (r.Guard.replica, r.Guard.len, r.Guard.primary)
-      :: !spans
-  in
-  add Heap.sb_guard;
-  for i = 0 to Array.length t.arenas - 1 do
-    add
-      (Wal.guard_record ~base:(Heap.wal_base t.heap ~arena:i)
-         ~entries:t.config.Config.wal_entries);
-    if t.config.Config.log_bookkeeping then
-      add
-        (Booklog.guard_record
-           ~base:(Heap.booklog_base t.heap ~arena:i)
-           ~chunks:t.config.Config.booklog_chunks)
-  done;
-  iter_slabs t (fun s -> add (Slab.guard_record s.Slab.addr));
-  let spans = Array.of_list !spans in
+  let spans = guarded_halves t in
   let rng = Sim.Rng.create (0xB17 lxor seed) in
   let taken = Hashtbl.create 8 in
   let applied = ref 0 in

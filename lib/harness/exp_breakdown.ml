@@ -38,11 +38,12 @@ let fig11 () =
                 0.0 inst.Alloc_api.Instance.clocks
             in
             let part v = Output.pct (if total > 0.0 then v /. total else 0.0) in
-            let meta = Pmem.Stats.flush_time st Pmem.Stats.Meta in
-            let wal = Pmem.Stats.flush_time st Pmem.Stats.Wal in
-            let log = Pmem.Stats.flush_time st Pmem.Stats.Log in
-            let data = Pmem.Stats.flush_time st Pmem.Stats.Data in
-            let search = Pmem.Stats.work_time st Pmem.Stats.Search in
+            let flush cat = float_of_int (Pmem.Stats.flush_ns st cat) in
+            let meta = flush Meta in
+            let wal = flush Wal in
+            let log = flush Log in
+            let data = flush Data in
+            let search = float_of_int (Pmem.Stats.get st Search_ns) in
             let other = total -. meta -. wal -. log -. data -. search in
             [
               label; Output.ms total; part meta; part wal; part log; part data; part search;

@@ -13,13 +13,11 @@ let fig1a () =
             let inst = Factory.make ~threads kind in
             let _ = run inst ~threads in
             let st = Pmem.Device.stats inst.Alloc_api.Instance.dev in
-            let total = Pmem.Stats.flushes st in
-            let re = Pmem.Stats.reflushes st in
             [
               bench_name;
               Factory.name kind;
-              string_of_int total;
-              Output.pct (if total = 0 then 0.0 else float_of_int re /. float_of_int total);
+              string_of_int (Pmem.Stats.get st Flushes);
+              Output.pct (Pmem.Stats.ratio st Reflushes Flushes);
             ])
           kinds)
       Exp_small.benchmarks

@@ -130,14 +130,14 @@ let no_stream = new_stream 1
    it once per this many flushes to keep counter tracks readable. *)
 let wpq_sample_period = 64
 
-let create ?(lat = Latency.default) ?trace_limit ~size () =
+let create ?(lat = Latency.default) ~size () =
   assert (size > 0 && size mod Cacheline.size = 0);
   {
     lat;
     volatile = Store.create ~size;
     persisted = Store.create ~size;
     dirty = Dirtymap.create ~size;
-    stats = Stats.create ?trace_limit ();
+    stats = Stats.create ();
     wpq = Xpbuffer.create lat;
     streams = Hashtbl.create 64;
     cached_id = -1;
@@ -224,7 +224,7 @@ let[@inline] check_bounds t op addr len =
    the per-line probe. Writes skip the check — the repair path rewrites a
    poisoned line in place before clearing it. *)
 let[@inline never] poison_fail t op addr len line =
-  Stats.record_poison_hit t.stats;
+  Stats.bump t.stats Poison_hits;
   raise (Media_error { op; addr; len; line })
 
 let[@inline never] check_poison_slow t op addr len =
@@ -525,7 +525,7 @@ let flush_line t clock cat line =
 let charge_fence t clock =
   let fence_ns = t.lat.Latency.fence_ns in
   Sim.Clock.charge clock fence_ns;
-  Stats.record_fence t.stats ~ns:fence_ns;
+  Stats.add t.stats Fence_ns fence_ns;
   match t.telem with
   | None -> ()
   | Some e ->
@@ -558,7 +558,7 @@ let flush_weak t clock cat ~addr ~len =
     let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
     for line = first to last do
       if Dirtymap.test t.dirty line && not (pending_add st line cat) then
-        Stats.record_flush_coalesced t.stats
+        Stats.bump t.stats Flushes_coalesced
     done
   end
 
@@ -575,7 +575,7 @@ let drain_pending t clock st =
     sort_prefix st.pend n;
     st.npend <- 0;
     st.gen <- st.gen + 1;
-    Stats.record_fences_saved t.stats (st.pending_calls - 1);
+    Stats.add t.stats Fences_saved (st.pending_calls - 1);
     st.pending_calls <- 0;
     let finish = ref (Sim.Clock.ns clock) in
     for k = 0 to n - 1 do
@@ -583,7 +583,7 @@ let drain_pending t clock st =
       let line = e lsr 2 in
       if Dirtymap.test t.dirty line then
         finish := Int.max !finish (flush_line t clock (Stats.cat_of_index (e land 3)) line)
-      else Stats.record_flush_coalesced t.stats
+      else Stats.bump t.stats Flushes_coalesced
     done;
     Sim.Clock.wait_until clock !finish
   end
@@ -614,7 +614,7 @@ let flush_all t clock cat =
   Hashtbl.iter
     (fun _ st ->
       if st.npend > 0 || st.pending_calls > 0 then begin
-        Stats.record_fences_saved t.stats (st.pending_calls - 1);
+        Stats.add t.stats Fences_saved (st.pending_calls - 1);
         st.npend <- 0;
         st.gen <- st.gen + 1;
         st.pending_calls <- 0
@@ -632,7 +632,8 @@ let fence t clock =
   charge_fence t clock
 
 let note_group_commit t clock ~entries =
-  Stats.record_group_commit t.stats ~entries;
+  Stats.bump t.stats Group_commits;
+  Stats.add t.stats Group_commit_entries entries;
   match t.telem with
   | None -> ()
   | Some e ->
@@ -643,7 +644,7 @@ let note_group_commit t clock ~entries =
 let charge_pm_read t clock ~lines =
   let ns = lines * t.lat.Latency.pm_read_line_ns in
   Sim.Clock.charge clock ns;
-  Stats.record_read t.stats ~ns;
+  Stats.add t.stats Read_ns ns;
   match t.telem with
   | None -> ()
   | Some e -> (
@@ -653,7 +654,7 @@ let charge_pm_read t clock ~lines =
 
 let charge_work t clock work ~ns =
   Sim.Clock.charge clock ns;
-  Stats.charge_work t.stats work ~ns;
+  Stats.add t.stats (match work with Stats.Search -> Search_ns | Other -> Other_ns) ns;
   match t.telem with
   | None -> ()
   | Some e -> (
@@ -775,7 +776,7 @@ let corrupt_bit t ~addr ~bit =
     invalid_arg (Printf.sprintf "Pmem.Device.corrupt_bit: bit must be 0..7 (got %d)" bit);
   Store.set_u8 t.persisted addr (Store.get_u8 t.persisted addr lxor (1 lsl bit));
   Hashtbl.replace t.rotted (Cacheline.index addr) ();
-  Stats.record_bitrot t.stats 1
+  Stats.bump t.stats Bitrot_flips
 
 (* At-rest bit-rot: [flips] random single-bit flips over [addr, addr+len),
    deterministic from [seed]. Poisoned lines are skipped (their content is
@@ -851,15 +852,6 @@ let blit t ~src ~dst ~len =
     done;
     mark_dirty t dst len
   end
-
-(* Stat hooks for the allocator's repair machinery — the counters live on
-   the device so a one-line repro dump can print them without plumbing. *)
-let note_media_repair t = Stats.record_media_repair t.stats
-let note_quarantine t = Stats.record_quarantine t.stats
-let note_scrub_pass t = Stats.record_scrub_pass t.stats
-let note_extent_coalesced t = Stats.record_extent_coalesced t.stats
-let note_extent_lookup t = Stats.record_extent_lookup t.stats
-let note_header_flush_line t = Stats.record_header_flush_line t.stats
 
 (* --- persist-ordering checker ----------------------------------------- *)
 
@@ -962,7 +954,7 @@ let commit_flush t clock cat ~addr ~len =
       charge_fence t clock
     end
     else if st.pending_calls > 0 then begin
-      Stats.record_fences_saved t.stats (st.pending_calls - 1);
+      Stats.add t.stats Fences_saved (st.pending_calls - 1);
       st.pending_calls <- 0
     end
   end;

@@ -39,7 +39,7 @@ type torn_mode =
   | Torn_suffix  (** the last k words persist *)
   | Torn_random  (** a strict word subset drawn from the seed persists *)
 
-val create : ?lat:Latency.t -> ?trace_limit:int -> size:int -> unit -> t
+val create : ?lat:Latency.t -> size:int -> unit -> t
 (** [size] is the device capacity in bytes; it must be a multiple of the
     cache-line size. *)
 
@@ -243,21 +243,6 @@ val sum16 : t -> addr:int -> len:int -> int
 val blit : t -> src:int -> dst:int -> len:int -> unit
 (** Volatile-image copy that bypasses the poison check and dirties the
     destination — the repair path's "rewrite primary from replica". *)
-
-val note_media_repair : t -> unit
-(** Count one repaired record (see {!Stats.record_media_repair}). *)
-
-val note_quarantine : t -> unit
-val note_scrub_pass : t -> unit
-
-val note_extent_coalesced : t -> unit
-(** Count one extent merge (see {!Stats.record_extent_coalesced}). *)
-
-val note_extent_lookup : t -> unit
-(** Count one extent-index tree search. *)
-
-val note_header_flush_line : t -> unit
-(** Count one cache line dirtied by a slab-header commit. *)
 
 (** {1 Persist-ordering checker}
 

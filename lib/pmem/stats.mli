@@ -5,7 +5,11 @@
     - a trace of the first flush addresses of metadata (Figure 2);
     - execution-time breakdown by category (Figure 11: FlushMeta,
       FlushWAL, Search, Other — we additionally separate the bookkeeping
-      log as FlushLog and user payload as FlushData). *)
+      log as FlushLog and user payload as FlushData).
+
+    Every count and non-flush time is one {!counter} in one table:
+    {!create}, {!reset}, {!to_json} and {!pp_summary} read the table, so
+    a new counter is one constructor and one JSON name. *)
 
 type category = Meta | Wal | Log | Data
 (** What a flush persists. [Meta] — slab bitmaps / headers / extent
@@ -14,6 +18,37 @@ type category = Meta | Wal | Log | Data
 
 type work = Search | Other
 (** CPU-side time categories for the breakdown. *)
+
+(** The counters, in {!to_json} order. Times are whole simulated ns. *)
+type counter =
+  | Flushes  (** Flush operations, reflushes included ({!record_flush}). *)
+  | Reflushes
+  | Sequential_flushes
+  | Random_flushes
+  | Fence_ns
+  | Read_ns  (** PM media reads. *)
+  | Search_ns  (** {!work} [Search]. *)
+  | Other_ns  (** {!work} [Other]. *)
+  | Fences_saved
+      (** Fence charges avoided: a single drain persisted what [n+1]
+          synchronous commit sites would each have fenced for. *)
+  | Flushes_coalesced
+      (** Deferred flushes deduplicated against a line already pending (or
+          already persisted by the time its batch drained). *)
+  | Group_commits  (** Closed WAL groups. *)
+  | Group_commit_entries  (** Appends those groups covered. *)
+  | Poison_hits  (** Reads that touched a poisoned line ([Device.Media_error]). *)
+  | Media_repairs
+      (** Damaged metadata records rewritten from their replica (or
+          replicas re-synced from a healthy primary). *)
+  | Media_quarantines  (** Metadata regions written off as unrepairable. *)
+  | Bitrot_flips  (** Bit flips injected into the persisted image. *)
+  | Scrub_passes  (** Completed background scrub passes. *)
+  | Extents_coalesced  (** Adjacent free extents merged into one. *)
+  | Extent_tree_lookups  (** Balanced-tree searches in the extent index. *)
+  | Header_flush_lines
+      (** Cache lines dirtied by slab-header commits (one per commit with
+          the packed header word). *)
 
 type t
 
@@ -36,88 +71,27 @@ val reset : t -> unit
 (** Zero every counter, time and the flush trace (buffers included) — a
     reset instance is indistinguishable from a fresh one. *)
 
-(* Recording (used by Device and by allocators). *)
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to [c]; no-op for [n <= 0] (counters only grow). *)
 
-(* Times are whole simulated ns. *)
+val bump : t -> counter -> unit
+(** [add t c 1]. *)
+
+val get : t -> counter -> int
 
 val record_flush :
   t -> category -> addr:int -> reflush:bool -> sequential:bool -> ns:int -> unit
+(** One flush: counts it under [Flushes] and one of [Reflushes],
+    [Sequential_flushes] and [Random_flushes], adds [ns] to its
+    category's flush time, and traces it if it is metadata and the trace
+    has room. *)
 
-val record_fence : t -> ns:int -> unit
-val record_read : t -> ns:int -> unit
-val charge_work : t -> work -> ns:int -> unit
+val flush_ns : t -> category -> int
 
-val record_fences_saved : t -> int -> unit
-(** [n] fence charges avoided because a single drain persisted what [n+1]
-    synchronous commit sites would each have fenced for. No-op for n<=0. *)
-
-val record_flush_coalesced : t -> unit
-(** A deferred flush deduplicated against a line already pending (or
-    already persisted by the time its batch drained). *)
-
-val record_group_commit : t -> entries:int -> unit
-(** One WAL group closed, covering [entries] appends. *)
-
-(* Media-fault model (poisoned lines, bit-rot, repair and scrub). *)
-
-val record_poison_hit : t -> unit
-(** A read touched a poisoned cache line and raised [Device.Media_error]. *)
-
-val record_media_repair : t -> unit
-(** A damaged metadata record was rewritten from its replica (or its
-    replica re-synced from a healthy primary). *)
-
-val record_quarantine : t -> unit
-(** A metadata region was written off as unrepairable and withdrawn from
-    service. *)
-
-val record_bitrot : t -> int -> unit
-(** [n] bit flips were injected into the persisted image. No-op for n<=0. *)
-
-val record_scrub_pass : t -> unit
-(** One background scrub pass over the metadata regions completed. *)
-
-(* Metadata layout (packed headers + extent trees). *)
-
-val record_extent_coalesced : t -> unit
-(** Two adjacent free extents were merged into one. *)
-
-val record_extent_lookup : t -> unit
-(** One balanced-tree search in the extent index (floor/ceiling/best-fit). *)
-
-val record_header_flush_line : t -> unit
-(** One cache line dirtied by a slab-header commit (exactly one per
-    commit with the packed header word). *)
-
-(* Reporting. *)
-
-val flushes : t -> int
-(** Total flush operations (reflushes included). *)
-
-val reflushes : t -> int
-val sequential_flushes : t -> int
-val random_flushes : t -> int
-val fences_saved : t -> int
-val flushes_coalesced : t -> int
-val group_commits : t -> int
-val group_commit_entries : t -> int
-val poison_hits : t -> int
-val media_repairs : t -> int
-val media_quarantines : t -> int
-val bitrot_flips : t -> int
-val scrub_passes : t -> int
-val extents_coalesced : t -> int
-val extent_tree_lookups : t -> int
-val header_flush_lines : t -> int
-
-val group_commit_size : t -> float
-(** Mean appends per closed WAL group; 0 when no group ever closed. *)
-
-val reflush_ratio : t -> float
-(** Fraction of flushes that were reflushes; 0 when no flushes occurred. *)
-
-val flush_time : t -> category -> float
-val work_time : t -> work -> float
+val ratio : t -> counter -> counter -> float
+(** [ratio t a b] is [get t a / get t b], 0 when [b] is 0: the reflush
+    ratio is [ratio t Reflushes Flushes], the mean WAL group size
+    [ratio t Group_commit_entries Group_commits]. *)
 
 val trace : t -> (category * int) list
 (** Flush trace in issue order: category and byte address, truncated to
@@ -126,18 +100,10 @@ val trace : t -> (category * int) list
 
 val pp_summary : Format.formatter -> t -> unit
 
-(** {1 Machine-readable dump} *)
-
 val to_json : t -> Telemetry.Json.t
-(** Every counter, time and the recorded flush trace, schema
-    ["nvalloc/stats/v4"]. *)
-
-val of_json : Telemetry.Json.t -> (t, string) result
-(** Inverse of {!to_json}: [of_json (to_json t)] reconstructs an
-    observationally equal instance. Only ["nvalloc/stats/v4"] parses:
-    any other schema, the earlier v1–v3 included, is an
-    ["unknown schema"] error, every counter must be present, and a
-    non-integral time is an error naming the field. *)
+(** Schema ["nvalloc/stats/v4"]: [trace_limit], every counter by its
+    JSON name, [reflush_ratio] and the per-category [flush_ns] after
+    [random_flushes], [group_commit_size] after [group_commit_entries],
+    then the flush trace. *)
 
 val to_json_string : t -> string
-val of_json_string : string -> (t, string) result

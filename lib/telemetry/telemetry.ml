@@ -1020,32 +1020,31 @@ let tail_events t ~n =
    every timeline at the end of the run.
 
    The registry is the one piece of process-global telemetry state, so
-   it is the one piece that needs a real mutex: the domain-parallel
-   sweeps (lib/par) construct a full allocator stack per swept seed,
-   and several domains can reach [attach_if_capturing] at once. Sinks
-   themselves stay single-writer (each belongs to one instance, and a
-   sweep hands each instance to exactly one domain). *)
+   it is the one piece that needs a real mutex: the counterexample
+   search ([Support.Search.run], behind [fuzz]/[check --domains])
+   builds a full allocator stack per case, and several domains can
+   reach [attach_if_capturing] at once. Sinks themselves stay
+   single-writer (each belongs to one instance, and the search runs
+   each case on exactly one domain). *)
 let capture_mutex = Mutex.create ()
-let capture : int option ref = ref None
+let capture = ref false
 let registry : (string * t) list ref = ref []
 
 let locked f =
   Mutex.lock capture_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock capture_mutex) f
 
-let request_capture ?(ring_capacity = default_ring_capacity) () =
-  locked (fun () -> capture := Some ring_capacity)
-
-let cancel_capture () = locked (fun () -> capture := None)
+let request_capture () = locked (fun () -> capture := true)
+let cancel_capture () = locked (fun () -> capture := false)
 
 let attach_if_capturing ~name ~attach =
-  match locked (fun () -> !capture) with
-  | None -> None
-  | Some ring_capacity ->
-      let t = create ~ring_capacity () in
-      attach t;
-      locked (fun () -> registry := (name, t) :: !registry);
-      Some t
+  if not (locked (fun () -> !capture)) then None
+  else begin
+    let t = create () in
+    attach t;
+    locked (fun () -> registry := (name, t) :: !registry);
+    Some t
+  end
 
 let registered () = locked (fun () -> List.rev !registry)
 let reset_registered () = locked (fun () -> registry := [])

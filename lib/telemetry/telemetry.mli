@@ -266,7 +266,7 @@ val tail_events : t -> n:int -> string list
     timelines after the run, even for instances it never sees (the
     experiment registry builds its own). *)
 
-val request_capture : ?ring_capacity:int -> unit -> unit
+val request_capture : unit -> unit
 val cancel_capture : unit -> unit
 
 val attach_if_capturing : name:string -> attach:(t -> unit) -> t option

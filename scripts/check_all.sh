@@ -1,7 +1,7 @@
 #!/bin/sh
 # The full local gate, in dependency order: formatting, build, unit
-# tests, the exact micro-benchmark gate, trace and SLO determinism,
-# crash-plan fuzzer, model checker, media faults and the
+# tests, usage errors, the exact micro-benchmark gate, trace and SLO
+# determinism, crash-plan fuzzer, model checker, media faults and the
 # seeded-interleaving gate.
 # Each stage is the corresponding single-purpose script (or dune
 # target), so a failure names the stage and can be re-run in isolation.
@@ -38,6 +38,7 @@ stage() {
 stage "fmt (scripts/fmt_check.sh)" sh scripts/fmt_check.sh
 stage "build (dune build)" dune build
 stage "unit tests (dune runtest)" dune runtest
+stage "usage errors exit 124 (scripts/usage_check.sh)" sh scripts/usage_check.sh
 stage "micro bench: words and makespans exact, host ns reported (scripts/bench_check.sh)" \
   sh scripts/bench_check.sh
 stage "trace determinism (scripts/trace_check.sh)" sh scripts/trace_check.sh

@@ -18,12 +18,10 @@
 #    or fuzz, whose lowest failing case is shrunk the same way at any
 #    domain count). Both oracles run one search, so a parallel sweep is
 #    the sequential one.
-# 4. Counts out of range (--runs, --ops, --threads below 1; --domains
-#    outside 1..64) are usage errors (exit 124), not a crash or an ok.
-# 5. Mutation teeth: the packed-header mis-decode and the WAL-flush
+# 4. Mutation teeth: the packed-header mis-decode and the WAL-flush
 #    ordering bug must FAIL under --interleave, with a counterexample
 #    (exit 1, scripts/must_exit.sh).
-# 6. Wall-time speedup of a parallel seed sweep vs one domain — measured
+# 5. Wall-time speedup of a parallel seed sweep vs one domain — measured
 #    always, ENFORCED (> 1.5x) only on hosts with >= 4 cores (a 1-core
 #    host can only lose from domain switching; the number is still
 #    printed so EXPERIMENTS.md stays honest).
@@ -123,12 +121,6 @@ same_across_domains 0 fuzz --seed "$seed" --runs "$sweep_runs"
 
 echo "interleave gate: same seed, same output at any --domains (shrunk fuzz counterexample)"
 same_across_domains 1 fuzz --mutate wal-flush --variant log --seed 1 --runs 30
-
-echo "interleave gate: out-of-range counts are usage errors (--domains takes 1..64)"
-for args in "fuzz --runs=-5" "fuzz --domains 0" "fuzz --runs=-5 --domains 2" "fuzz --domains 65" \
-  "check --runs=-2" "check --ops=0" "check --threads 0" "check --domains 65"; do
-  must_exit 124 "$args" "$cli" $args
-done
 
 for m in header wal-flush; do
   echo "interleave gate: mutation smoke (--mutate $m must be caught under --interleave)"

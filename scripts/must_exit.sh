@@ -3,9 +3,10 @@
 #
 # must_exit WANT WHAT CMD...: CMD must exit WANT. nvalloc-cli fuzz and
 # check exit 0 when clean, 1 with a counterexample, 124 on a usage
-# error (a misspelt --mutate name, an out-of-range count) and 125 on an
-# uncaught exception. So a mutation stanza wants 1: neither an escaped
-# bug (0) nor a broken stanza (124, 125) passes for a catch.
+# error (a misspelt name, an out-of-range count, an unparseable repro
+# line; scripts/usage_check.sh) and 125 on an uncaught exception. So a
+# mutation stanza wants 1: neither an escaped bug (0) nor a broken
+# stanza (124, 125) passes for a catch.
 must_exit() {
   want="$1"
   what="$2"

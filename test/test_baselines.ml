@@ -49,7 +49,7 @@ let test_volatile_never_flushes () =
   for i = 0 to 199 do
     ignore (inst.malloc ~tid:0 ~size:64 ~dest:(inst.root i))
   done;
-  Alcotest.(check int) "no flushes" 0 (Pmem.Stats.flushes (Pmem.Device.stats inst.dev))
+  Alcotest.(check int) "no flushes" 0 (Pmem.Stats.get (Pmem.Device.stats inst.dev) Flushes)
 
 let test_reflush_signatures () =
   (* PMDK's commit marks guarantee reflushes; sequential bitmaps too. *)
@@ -59,7 +59,7 @@ let test_reflush_signatures () =
     for i = 0 to 199 do
       ignore (inst.malloc ~tid:0 ~size:64 ~dest:(inst.root i))
     done;
-    Pmem.Stats.reflush_ratio (Pmem.Device.stats inst.dev)
+    Pmem.Stats.ratio (Pmem.Device.stats inst.dev) Reflushes Flushes
   in
   Alcotest.(check bool) "pmdk reflush-heavy" true (ratio Baselines.Knobs.pmdk > 0.5);
   Alcotest.(check bool) "nvm_malloc reflush-heavy" true (ratio Baselines.Knobs.nvm_malloc > 0.4);

@@ -183,14 +183,14 @@ let test_batching_saves_fences () =
     let th = Nvalloc.thread t clock in
     scenario t th 600;
     Nvalloc.exit_ t clock;
-    (Pmem.Stats.flushes (Pmem.Device.stats dev), Sim.Clock.now clock, dev)
+    (Pmem.Stats.get (Pmem.Device.stats dev) Flushes, Sim.Clock.now clock, dev)
   in
   let sync_flushes, sync_ns, _ = run true in
   let batch_flushes, batch_ns, bdev = run false in
   let st = Pmem.Device.stats bdev in
-  Alcotest.(check bool) "fences saved" true (Pmem.Stats.fences_saved st > 0);
-  Alcotest.(check bool) "flushes coalesced" true (Pmem.Stats.flushes_coalesced st > 0);
-  Alcotest.(check bool) "group commits ran" true (Pmem.Stats.group_commits st > 0);
+  Alcotest.(check bool) "fences saved" true (Pmem.Stats.get st Fences_saved > 0);
+  Alcotest.(check bool) "flushes coalesced" true (Pmem.Stats.get st Flushes_coalesced > 0);
+  Alcotest.(check bool) "group commits ran" true (Pmem.Stats.get st Group_commits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "fewer media flushes batched (%d vs %d sync)" batch_flushes
        sync_flushes)
@@ -215,10 +215,10 @@ let test_batched_determinism () =
     Nvalloc.exit_ t clock;
     let st = Pmem.Device.stats dev in
     ( Sim.Clock.now clock,
-      Pmem.Stats.flushes st,
-      Pmem.Stats.fences_saved st,
-      Pmem.Stats.flushes_coalesced st,
-      Pmem.Stats.group_commits st )
+      Pmem.Stats.get st Flushes,
+      Pmem.Stats.get st Fences_saved,
+      Pmem.Stats.get st Flushes_coalesced,
+      Pmem.Stats.get st Group_commits )
   in
   let t1, f1, s1, c1, g1 = run () in
   let t2, f2, s2, c2, g2 = run () in

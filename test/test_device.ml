@@ -51,8 +51,8 @@ let test_reflush_classification () =
   Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:0 ~len:1;
   Pmem.Device.write_u8 dev 1 1;
   Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:1 ~len:1;
-  Alcotest.(check int) "two flushes" 2 (Pmem.Stats.flushes stats);
-  Alcotest.(check int) "one reflush" 1 (Pmem.Stats.reflushes stats)
+  Alcotest.(check int) "two flushes" 2 (Pmem.Stats.get stats Flushes);
+  Alcotest.(check int) "one reflush" 1 (Pmem.Stats.get stats Reflushes)
 
 let test_reflush_window () =
   let dev, clock = mk () in
@@ -63,10 +63,10 @@ let test_reflush_window () =
   in
   (* A, B, C, D, E then A again: distance 4 >= window, not a reflush. *)
   List.iter touch [ 0; 100; 200; 300; 400; 0 ];
-  Alcotest.(check int) "no reflush at distance >= 4" 0 (Pmem.Stats.reflushes stats);
+  Alcotest.(check int) "no reflush at distance >= 4" 0 (Pmem.Stats.get stats Reflushes);
   (* A, B, A: distance 1, reflush. *)
   List.iter touch [ 10; 20; 10 ];
-  Alcotest.(check int) "reflush at distance 1" 1 (Pmem.Stats.reflushes stats)
+  Alcotest.(check int) "reflush at distance 1" 1 (Pmem.Stats.get stats Reflushes)
 
 let test_sequential_vs_random () =
   let dev, clock = mk () in
@@ -81,8 +81,8 @@ let test_sequential_vs_random () =
   touch 256;
   touch 512;
   touch 65536;
-  Alcotest.(check int) "sequential count" 2 (Pmem.Stats.sequential_flushes stats);
-  Alcotest.(check int) "random count" 2 (Pmem.Stats.random_flushes stats)
+  Alcotest.(check int) "sequential count" 2 (Pmem.Stats.get stats Sequential_flushes);
+  Alcotest.(check int) "random count" 2 (Pmem.Stats.get stats Random_flushes)
 
 let test_reflush_costs_more () =
   let lat = Pmem.Latency.default in
@@ -122,10 +122,10 @@ let test_clean_line_flush_free () =
   let dev, clock = mk () in
   Pmem.Device.write_u8 dev 0 1;
   Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:0 ~len:1;
-  let n = Pmem.Stats.flushes (Pmem.Device.stats dev) in
+  let n = Pmem.Stats.get (Pmem.Device.stats dev) Flushes in
   (* Flushing a clean line does nothing. *)
   Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:0 ~len:1;
-  Alcotest.(check int) "clean flush skipped" n (Pmem.Stats.flushes (Pmem.Device.stats dev))
+  Alcotest.(check int) "clean flush skipped" n (Pmem.Stats.get (Pmem.Device.stats dev) Flushes)
 
 let test_crash_injection () =
   let dev, clock = mk () in
@@ -374,9 +374,9 @@ let test_batching_coalesces_same_line () =
     Pmem.Device.flush dev clock Pmem.Stats.Data ~addr:(i * 8) ~len:8
   done;
   Pmem.Device.fence dev clock;
-  Alcotest.(check int) "one media flush" 1 (Pmem.Stats.flushes stats);
-  Alcotest.(check int) "two coalesced" 2 (Pmem.Stats.flushes_coalesced stats);
-  Alcotest.(check int) "two fences saved" 2 (Pmem.Stats.fences_saved stats)
+  Alcotest.(check int) "one media flush" 1 (Pmem.Stats.get stats Flushes);
+  Alcotest.(check int) "two coalesced" 2 (Pmem.Stats.get stats Flushes_coalesced);
+  Alcotest.(check int) "two fences saved" 2 (Pmem.Stats.get stats Fences_saved)
 
 let test_batching_crash_discards_pending () =
   let dev, clock = mk () in
@@ -431,7 +431,7 @@ let test_batching_same_seed_deterministic () =
     done;
     Pmem.Device.fence dev clock;
     let s = Pmem.Device.stats dev in
-    (Sim.Clock.now clock, Pmem.Stats.flushes s, Pmem.Stats.fences_saved s)
+    (Sim.Clock.now clock, Pmem.Stats.get s Flushes, Pmem.Stats.get s Fences_saved)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same clock and counters" true (a = b)

@@ -106,11 +106,11 @@ let fresh_heap () =
 
 let test_register_region_flush_count () =
   let dev, clock, heap = fresh_heap () in
-  let before = Pmem.Stats.flushes (Pmem.Device.stats dev) in
+  let before = Pmem.Stats.get (Pmem.Device.stats dev) Flushes in
   Heap.register_region heap clock ~addr:region_addr ~size:region_size;
   Alcotest.(check int)
     "replica line, checksum line, primary commit" 3
-    (Pmem.Stats.flushes (Pmem.Device.stats dev) - before)
+    (Pmem.Stats.get (Pmem.Device.stats dev) Flushes - before)
 
 let test_register_region_crash_sweep () =
   let expected_after_repair = [ (1, []); (2, [ (region_addr, region_size) ]); (3, [ (region_addr, region_size) ]) ] in

@@ -32,7 +32,7 @@ let test_device_poison () =
   | _ -> Alcotest.fail "read of a poisoned line succeeded");
   Pmem.Device.write_int64 dev 260 1L;
   Alcotest.(check bool) "poison hit counted" true
-    (Pmem.Stats.poison_hits (Pmem.Device.stats dev) >= 1);
+    (Pmem.Stats.get (Pmem.Device.stats dev) Poison_hits >= 1);
   (* The line's content is deterministically scrambled: a second device
      poisoned at the same line holds the same garbage. *)
   let dev' = Pmem.Device.create ~size:(1 lsl 20) () in
@@ -54,7 +54,7 @@ let test_device_bitrot_persisted_only () =
   (* Rot lives in the media image only: the cached copy still reads
      clean, and only the crash promotion exposes the flip. *)
   Alcotest.(check int64) "cached read unaffected" 0x5AL (Pmem.Device.read_int64 dev 128);
-  Alcotest.(check int) "flip counted" 1 (Pmem.Stats.bitrot_flips (Pmem.Device.stats dev));
+  Alcotest.(check int) "flip counted" 1 (Pmem.Stats.get (Pmem.Device.stats dev) Bitrot_flips);
   Pmem.Device.crash dev;
   Alcotest.(check int64) "crash promotes the rotten byte" 0x5BL
     (Pmem.Device.read_int64 dev 128)
@@ -192,47 +192,6 @@ let prop_media_plans_roundtrip =
       && p.Fault.Plan.variant = Fault.Plan.Log
       && Fault.Plan.of_string (Fault.Plan.to_string p) = Ok p)
 
-(* --- stats schema: only nvalloc/stats/v4 parses ------------------------- *)
-
-let test_stats_only_v4 () =
-  let doc schema extra =
-    Printf.sprintf
-      {|{"schema":"%s","trace_limit":8,"flushes":7,"reflushes":1,
-         "sequential_flushes":4,"random_flushes":3,"reflush_ratio":0.14,
-         "flush_ns":{"meta":100,"wal":200,"log":0,"data":300},
-         "fence_ns":20,"read_ns":50,"search_ns":75,"other_ns":0%s,
-         "trace":[]}|}
-      schema extra
-  in
-  let batching =
-    {|,"fences_saved":3,"flushes_coalesced":1,"group_commits":1,
-      "group_commit_entries":5,"group_commit_size":5|}
-  in
-  let media =
-    {|,"poison_hits":2,"media_repairs":4,"media_quarantines":1,
-      "bitrot_flips":6,"scrub_passes":3|}
-  in
-  (* A v3 document carrying every v3 counter is still an unknown schema. *)
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v3" (batching ^ media)) with
-  | Error e ->
-      Alcotest.(check string) "v3 rejected by schema"
-        "Stats.of_json: unknown schema \"nvalloc/stats/v3\"" e
-  | Ok _ -> Alcotest.fail "v3 document accepted");
-  (* A v4 document missing the metadata-layout counters is truncated. *)
-  (match Pmem.Stats.of_json_string (doc "nvalloc/stats/v4" (batching ^ media)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v4 document without metadata-layout counters accepted");
-  let layout =
-    {|,"extents_coalesced":9,"extent_tree_lookups":120,"header_flush_lines":33|}
-  in
-  match Pmem.Stats.of_json_string (doc "nvalloc/stats/v4" (batching ^ media ^ layout)) with
-  | Error e -> Alcotest.fail ("complete v4 document rejected: " ^ e)
-  | Ok st ->
-      Alcotest.(check int) "v4: extents_coalesced load" 9 (Pmem.Stats.extents_coalesced st);
-      Alcotest.(check int) "v4: extent_tree_lookups load" 120
-        (Pmem.Stats.extent_tree_lookups st);
-      Alcotest.(check int) "v4: header_flush_lines load" 33 (Pmem.Stats.header_flush_lines st)
-
 (* --- allocator: demand repair, quarantine, degradation -------------------- *)
 
 let media_config =
@@ -268,7 +227,7 @@ let test_demand_repair_zero_loss () =
   Alcotest.(check bool) "allocation proceeds" true (extra > 0);
   Alcotest.(check int) "all poison healed" 0 (Pmem.Device.poisoned_count dev);
   Alcotest.(check bool) "repairs counted" true
-    (Pmem.Stats.media_repairs (Pmem.Device.stats dev) >= injected);
+    (Pmem.Stats.get (Pmem.Device.stats dev) Media_repairs >= injected);
   Alcotest.(check int) "nothing quarantined" 0 (Nvalloc.quarantined_slabs t);
   Array.iter
     (fun (dest, addr) ->
@@ -298,7 +257,7 @@ let test_runtime_quarantine_degrades () =
   Alcotest.(check int) "slab quarantined" 1 (Nvalloc.quarantined_slabs t);
   Alcotest.(check int) "capacity withdrawn" Slab.slab_bytes (Nvalloc.quarantined_bytes t);
   Alcotest.(check bool) "quarantine counted on device" true
-    (Pmem.Stats.media_quarantines (Pmem.Device.stats dev) >= 1);
+    (Pmem.Stats.get (Pmem.Device.stats dev) Media_quarantines >= 1);
   (* Owner queries keep answering for the range; frees into it are
      swallowed with only the publication retracted. *)
   List.iter
@@ -405,9 +364,9 @@ let test_scrub_tick_maintenance () =
   Alcotest.(check bool) "rot applied" true (rotted > 0);
   Alcotest.(check bool) "first tick runs a pass" true (Nvalloc.scrub_tick t clock);
   Alcotest.(check bool) "second tick waits out the interval" false (Nvalloc.scrub_tick t clock);
-  Alcotest.(check int) "pass counted" 1 (Pmem.Stats.scrub_passes (Pmem.Device.stats dev));
+  Alcotest.(check int) "pass counted" 1 (Pmem.Stats.get (Pmem.Device.stats dev) Scrub_passes);
   Alcotest.(check bool) "rot rewritten" true
-    (Pmem.Stats.media_repairs (Pmem.Device.stats dev) >= 1)
+    (Pmem.Stats.get (Pmem.Device.stats dev) Media_repairs >= 1)
 
 (* --- fuzz pipeline -------------------------------------------------------- *)
 
@@ -498,7 +457,6 @@ let suite =
     Alcotest.test_case "config: media knob validation" `Quick test_media_config_validation;
     Alcotest.test_case "plan: media fields roundtrip" `Quick test_plan_media_roundtrip;
     QCheck_alcotest.to_alcotest prop_media_plans_roundtrip;
-    Alcotest.test_case "stats: only v4 parses" `Quick test_stats_only_v4;
     Alcotest.test_case "alloc: demand repair, zero loss" `Quick test_demand_repair_zero_loss;
     Alcotest.test_case "alloc: runtime quarantine degrades" `Quick
       test_runtime_quarantine_degrades;

@@ -273,10 +273,10 @@ let prop_device_model =
         ops;
       let stats = Pmem.Device.stats dev in
       let counters_ok =
-        Pmem.Stats.flushes stats = m.m_flushes
-        && Pmem.Stats.reflushes stats = m.m_reflushes
-        && Pmem.Stats.sequential_flushes stats = m.m_seq
-        && Pmem.Stats.random_flushes stats = m.m_rand
+        Pmem.Stats.get stats Flushes = m.m_flushes
+        && Pmem.Stats.get stats Reflushes = m.m_reflushes
+        && Pmem.Stats.get stats Sequential_flushes = m.m_seq
+        && Pmem.Stats.get stats Random_flushes = m.m_rand
       in
       let dirty_ok = Pmem.Device.dirty_lines dev = Hashtbl.length m.dirty in
       (* Crash: surviving volatile state must match the model's. *)
@@ -349,7 +349,7 @@ let ps_flush_line m th cat line =
 
 let ps_fence m th =
   Sim.Clock.charge m.p_clocks.(th) lat.Pmem.Latency.fence_ns;
-  Pmem.Stats.record_fence m.p_stats ~ns:lat.Pmem.Latency.fence_ns
+  Pmem.Stats.add m.p_stats Fence_ns lat.Pmem.Latency.fence_ns
 
 let ps_span addr len = (addr / 64, (addr + len - 1) / 64)
 
@@ -368,7 +368,7 @@ let ps_flush_weak m th cat ~addr ~len =
   let first, last = ps_span addr len in
   for line = first to last do
     if Hashtbl.mem m.p_dirty line then
-      if Hashtbl.mem st.s_pending line then Pmem.Stats.record_flush_coalesced m.p_stats
+      if Hashtbl.mem st.s_pending line then Pmem.Stats.bump m.p_stats Flushes_coalesced
       else Hashtbl.replace st.s_pending line cat
   done
 
@@ -377,14 +377,14 @@ let ps_drain m th =
   if Hashtbl.length st.s_pending > 0 || st.s_calls > 0 then begin
     let lines = Hashtbl.fold (fun line cat acc -> (line, cat) :: acc) st.s_pending [] in
     Hashtbl.reset st.s_pending;
-    Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+    Pmem.Stats.add m.p_stats Fences_saved (st.s_calls - 1);
     st.s_calls <- 0;
     let finish = ref (Sim.Clock.ns m.p_clocks.(th)) in
     List.iter
       (fun (line, cat) ->
         if Hashtbl.mem m.p_dirty line then
           finish := Int.max !finish (ps_flush_line m th cat line)
-        else Pmem.Stats.record_flush_coalesced m.p_stats)
+        else Pmem.Stats.bump m.p_stats Flushes_coalesced)
       (List.sort compare lines);
     Sim.Clock.wait_until m.p_clocks.(th) !finish
   end
@@ -440,7 +440,7 @@ let ps_apply dev dclocks m op =
         ps_fence m th
       end
       else if st.s_calls > 0 then begin
-        Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+        Pmem.Stats.add m.p_stats Fences_saved (st.s_calls - 1);
         st.s_calls <- 0
       end;
       ps_sync_flush m th (ps_cat c) ~addr ~len
@@ -452,7 +452,7 @@ let ps_apply dev dclocks m op =
       Hashtbl.iter
         (fun _ st ->
           if Hashtbl.length st.s_pending > 0 || st.s_calls > 0 then begin
-            Pmem.Stats.record_fences_saved m.p_stats (st.s_calls - 1);
+            Pmem.Stats.add m.p_stats Fences_saved (st.s_calls - 1);
             Hashtbl.reset st.s_pending;
             st.s_calls <- 0
           end)
@@ -543,10 +543,10 @@ let prop_pending_set_model =
       (* Counters, clocks and pending sizes after every op; the flush
          trace (addresses and categories in order) once at the end. *)
       let agree () =
-        Pmem.Stats.flushes ds = Pmem.Stats.flushes ms
-        && Pmem.Stats.reflushes ds = Pmem.Stats.reflushes ms
-        && Pmem.Stats.flushes_coalesced ds = Pmem.Stats.flushes_coalesced ms
-        && Pmem.Stats.fences_saved ds = Pmem.Stats.fences_saved ms
+        Pmem.Stats.get ds Flushes = Pmem.Stats.get ms Flushes
+        && Pmem.Stats.get ds Reflushes = Pmem.Stats.get ms Reflushes
+        && Pmem.Stats.get ds Flushes_coalesced = Pmem.Stats.get ms Flushes_coalesced
+        && Pmem.Stats.get ds Fences_saved = Pmem.Stats.get ms Fences_saved
         && Array.for_all2
              (fun d c -> Sim.Clock.ns d = Sim.Clock.ns c)
              dclocks m.p_clocks
@@ -587,7 +587,7 @@ let test_pending_membership_allocation_free () =
   Pmem.Device.fence dev clock;
   Alcotest.(check int) "drained" 0 (Pmem.Device.pending_flushes dev clock);
   Alcotest.(check int) "each line flushed once" lines
-    (Pmem.Stats.flushes (Pmem.Device.stats dev))
+    (Pmem.Stats.get (Pmem.Device.stats dev) Flushes)
 
 (* --- Scheduler: heap visits = linear-scan visits ----------------------- *)
 
@@ -689,7 +689,7 @@ let test_trace_truncation () =
         true
         (cat = if i mod 2 = 0 then Pmem.Stats.Meta else Pmem.Stats.Wal))
     trace;
-  Alcotest.(check int) "all flushes counted" 21 (Pmem.Stats.flushes stats)
+  Alcotest.(check int) "all flushes counted" 21 (Pmem.Stats.get stats Flushes)
 
 (* --- Allocation-free hot paths ------------------------------------------ *)
 

@@ -104,7 +104,7 @@ let prop_interleaved_appends_rotate_lines =
       for i = 1 to n do
         Wal.append wal clock Wal.Alloc ~addr:(i * 4096) ~dest:i
       done;
-      Pmem.Stats.reflushes (Pmem.Device.stats dev) = 0)
+      Pmem.Stats.get (Pmem.Device.stats dev) Reflushes = 0)
 
 let prop_sequential_appends_reflush =
   let open QCheck in
@@ -117,7 +117,7 @@ let prop_sequential_appends_reflush =
       for i = 1 to n do
         Wal.append wal clock Wal.Alloc ~addr:(i * 4096) ~dest:i
       done;
-      Pmem.Stats.reflushes (Pmem.Device.stats dev) > 0)
+      Pmem.Stats.get (Pmem.Device.stats dev) Reflushes > 0)
 
 let prop_replay_roundtrip =
   let open QCheck in
