@@ -116,6 +116,33 @@ let positive_float =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* An output file, opened where cmdliner reads it (and removed again if
+   that created it): an unwritable path fails before any workload runs. *)
+let writable =
+  let parse s =
+    let existed = Sys.file_exists s in
+    match open_out_gen [ Open_wronly; Open_creat ] 0o666 s with
+    | oc ->
+        close_out oc;
+        if not existed then Sys.remove s;
+        Ok s
+    | exception Sys_error e -> Error (`Msg (Printf.sprintf "cannot write %s" e))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* An slo --check baseline: read and parsed as JSON where cmdliner reads
+   it, kept with its path. *)
+let baseline =
+  let parse s =
+    match In_channel.with_open_bin s In_channel.input_all with
+    | exception Sys_error e -> Error (`Msg e)
+    | contents -> (
+        match Telemetry.Json.parse contents with
+        | Ok j -> Ok (s, j)
+        | Error e -> Error (`Msg (Printf.sprintf "cannot parse baseline %s: %s" s e)))
+  in
+  Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+
 (* Allocator names match case-insensitively. *)
 let caseless names s =
   match
@@ -257,11 +284,11 @@ let trace_cmd =
   in
   let out =
     let doc = "Write the trace JSON to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"PATH" ~doc)
+    Arg.(value & opt (some writable) None & info [ "out"; "o" ] ~docv:"PATH" ~doc)
   in
   let hist =
     let doc = "Also write latency-histogram percentiles as CSV to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "hist" ] ~docv:"PATH" ~doc)
+    Arg.(value & opt (some writable) None & info [ "hist" ] ~docv:"PATH" ~doc)
   in
   let run workload alloc threads seed out hist batch =
     with_batching batch @@ fun () ->
@@ -300,18 +327,18 @@ let slo_cmd =
   in
   let out =
     let doc = "Write the report to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"PATH" ~doc)
+    Arg.(value & opt (some writable) None & info [ "out"; "o" ] ~docv:"PATH" ~doc)
   in
   let folded =
     let doc =
       "Also write the blame tree as folded stacks (flamegraph.pl collapsed \
        format, one 'path;to;leaf self-ns' line per node) to $(docv)."
     in
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"PATH" ~doc)
+    Arg.(value & opt (some writable) None & info [ "folded" ] ~docv:"PATH" ~doc)
   in
   let prom =
     let doc = "Also write Prometheus text exposition to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"PATH" ~doc)
+    Arg.(value & opt (some writable) None & info [ "prom" ] ~docv:"PATH" ~doc)
   in
   let window_ns =
     let doc = "SLO window width in simulated nanoseconds." in
@@ -322,7 +349,7 @@ let slo_cmd =
       "Gate the report against the baseline JSON at $(docv) \
        (Harness.Slo_report.check); exit 1 listing every failed gate."
     in
-    Arg.(value & opt (some file) None & info [ "check" ] ~docv:"BASELINE" ~doc)
+    Arg.(value & opt (some baseline) None & info [ "check" ] ~docv:"BASELINE" ~doc)
   in
   let run workload alloc threads seed json out folded prom window_ns check batch =
     with_batching batch @@ fun () ->
@@ -352,14 +379,8 @@ let slo_cmd =
     Option.iter (fun path -> write_file path (Telemetry.prometheus sink)) prom;
     match check with
     | None -> ()
-    | Some path ->
-        let contents = In_channel.with_open_bin path In_channel.input_all in
-        let baseline =
-          match Telemetry.Json.parse contents with
-          | Ok j -> j
-          | Error e -> failwith (Printf.sprintf "cannot parse baseline %s: %s" path e)
-        in
-        (match Harness.Slo_report.check ~baseline ~current:report with
+    | Some (path, baseline) -> (
+        match Harness.Slo_report.check ~baseline ~current:report with
         | Ok () -> Printf.eprintf "slo check: OK against %s\n" path
         | Error failures ->
             List.iter (fun f -> Printf.eprintf "slo check FAIL: %s\n" f) failures;

@@ -13,7 +13,7 @@ let none = -1
 (* One record per chunk, made at its first grab and reset at each one. *)
 type vchunk = {
   idx : int;
-  valid : bool array;
+  valid : Bytes.t;  (** one byte per slot, non-zero while its entry is live *)
   mutable in_use : bool;
   mutable live : int;  (** live normal entries *)
   mutable tombs : int;  (** tombstones not yet retired *)
@@ -23,8 +23,8 @@ type vchunk = {
 }
 
 let unused_chunk =
-  { idx = -1; valid = [||]; in_use = false; live = 0; tombs = 0; next_slot = 0; tomb_refs = [||];
-    ntomb_refs = 0 }
+  { idx = -1; valid = Bytes.empty; in_use = false; live = 0; tombs = 0; next_slot = 0;
+    tomb_refs = [||]; ntomb_refs = 0 }
 
 type t = {
   dev : Pmem.Device.t;
@@ -42,6 +42,8 @@ type t = {
   mutable alt : int;
   mutable slow_runs : int;
   replicate : bool; (* maintain the header's guard replica (media model) *)
+  guard : Guard.record; (* [guard_record] of this log, built once *)
+  mutable victims : int array; (* fast GC's chunk buffer, made at its first run *)
 }
 
 (* Header line, chunk array, one trailing guard-replica line. *)
@@ -58,6 +60,11 @@ module Hdr = struct
   let ptrs = Pstruct.array l "ptr" ~off:4 ~count:2 Pstruct.U32
   let cksum = Pstruct.u16 l "cksum" ~off:12
   let () = Pstruct.seal l ~size:Pmem.Cacheline.size
+
+  (* Commit lengths from the header's start: the alt byte alone, or the
+     alt byte through both list heads (the guarded bytes). *)
+  let alt_len = 1
+  let heads_len = 12
 end
 
 let _ = Hdr.cksum
@@ -72,7 +79,7 @@ let _ = Hdr.cksum
 let guard_record ~base ~chunks =
   {
     Guard.primary = base;
-    len = 12;
+    len = Hdr.heads_len;
     p_ck = base + 12;
     replica = base + Pmem.Cacheline.size + (chunks * chunk_bytes);
     r_ck = base + Pmem.Cacheline.size + (chunks * chunk_bytes) + 12;
@@ -90,24 +97,27 @@ module Chunk = struct
     Pstruct.array l "entries" ~off:Pmem.Cacheline.size ~count:entries_per_chunk Pstruct.Int
 
   let () = Pstruct.seal l ~size:chunk_bytes
+
+  (* Flush lengths from the chunk's start: the next pointer alone, or it
+     and the active flag. *)
+  let next_len = 4
+  let header_len = 5
 end
 
-let guard t = guard_record ~base:t.base ~chunks:t.nchunks
-
-let commit_header t clock span =
-  Guard.refresh t.dev (guard t);
-  Pstruct.commit t.dev clock Pmem.Stats.Log span;
-  if t.replicate then Guard.write_replica t.dev clock (guard t)
+(* Header commits flush [len] bytes from the header's start. *)
+let commit_header t clock ~len =
+  Guard.refresh t.dev t.guard;
+  Pmem.Device.commit_flush t.dev clock Pmem.Stats.Log ~addr:t.base ~len;
+  if t.replicate then Guard.write_replica t.dev clock t.guard
 
 let write_list_head t clock head =
   Pstruct.set_elt t.dev ~base:t.base Hdr.ptrs t.alt (head + 1);
-  commit_header t clock
-    (Pstruct.union (Pstruct.span ~base:t.base Hdr.alt) (Pstruct.arr_span ~base:t.base Hdr.ptrs))
+  commit_header t clock ~len:Hdr.heads_len
 
 let write_chunk_next t clock c next =
   let base = chunk_base t c in
   Pstruct.set t.dev ~base Chunk.next (next + 1);
-  Pstruct.commit t.dev clock Pmem.Stats.Log (Pstruct.span ~base Chunk.next)
+  Pmem.Device.commit_flush t.dev clock Pmem.Stats.Log ~addr:base ~len:Chunk.next_len
 
 (* --- entry encoding ----------------------------------------------------- *)
 
@@ -141,15 +151,15 @@ let slot_index ~interleave s = (slot_offset ~interleave s - Pmem.Cacheline.size)
 (* --- construction ------------------------------------------------------- *)
 
 let create ?(replicate = false) dev ~base ~chunks ~interleave =
+  let guard = guard_record ~base ~chunks in
   Pstruct.set dev ~base Hdr.alt 0;
   Pstruct.set_elt dev ~base Hdr.ptrs 0 0;
   Pstruct.set_elt dev ~base Hdr.ptrs 1 0;
-  Guard.refresh dev (guard_record ~base ~chunks);
-  if replicate then begin
-    let r = guard_record ~base ~chunks in
+  Guard.refresh dev guard;
+  if replicate then
     (* Volatile-only here; the caller persists the whole init image. *)
-    Pmem.Device.blit dev ~src:r.Guard.primary ~dst:r.Guard.replica ~len:(r.Guard.len + 2)
-  end;
+    Pmem.Device.blit dev ~src:guard.Guard.primary ~dst:guard.Guard.replica
+      ~len:(guard.Guard.len + 2);
   {
     dev;
     base;
@@ -166,6 +176,8 @@ let create ?(replicate = false) dev ~base ~chunks ~interleave =
     alt = 0;
     slow_runs = 0;
     replicate;
+    guard;
+    victims = [||];
   }
 
 let chunks_in_use t = t.used_chunks
@@ -179,36 +191,32 @@ let needs_slow_gc t ~threshold =
 exception Full
 
 let grab_chunk t clock =
-  let reused, idx =
+  let idx =
     match t.free with
     | c :: rest ->
         t.free <- rest;
-        (true, c)
+        (* Stale entries from the previous life of the chunk must not be
+           replayable: zero the whole chunk. Sequential writes, cheap. *)
+        let base = chunk_base t c in
+        Pmem.Device.fill t.dev base chunk_bytes '\000';
+        Pmem.Device.flush t.dev clock Pmem.Stats.Log ~addr:base ~len:chunk_bytes;
+        c
     | [] ->
-        if t.next_unused >= t.nchunks then raise Full
-        else begin
-          let c = t.next_unused in
-          t.next_unused <- c + 1;
-          (false, c)
-        end
+        if t.next_unused >= t.nchunks then raise Full;
+        let c = t.next_unused in
+        t.next_unused <- c + 1;
+        c
   in
   let base = chunk_base t idx in
-  if reused then begin
-    (* Stale entries from the previous life of the chunk must not be
-       replayable: zero the whole chunk. Sequential writes, cheap. *)
-    Pmem.Device.fill t.dev base chunk_bytes '\000';
-    Pstruct.flush_span t.dev clock Pmem.Stats.Log (Pstruct.layout_span ~base Chunk.l)
-  end;
   Pstruct.set t.dev ~base Chunk.next 0;
   Pstruct.set t.dev ~base Chunk.active 1;
-  Pstruct.flush_span t.dev clock Pmem.Stats.Log
-    (Pstruct.union (Pstruct.span ~base Chunk.next) (Pstruct.span ~base Chunk.active));
+  Pmem.Device.flush t.dev clock Pmem.Stats.Log ~addr:base ~len:Chunk.header_len;
   if t.vchunks.(idx) == unused_chunk then
     t.vchunks.(idx) <-
-      { unused_chunk with idx; valid = Array.make entries_per_chunk false;
+      { unused_chunk with idx; valid = Bytes.make entries_per_chunk '\000';
         tomb_refs = Array.make entries_per_chunk 0 };
   let vc = t.vchunks.(idx) in
-  Array.fill vc.valid 0 entries_per_chunk false;
+  Bytes.fill vc.valid 0 entries_per_chunk '\000';
   vc.in_use <- true;
   vc.live <- 0;
   vc.tombs <- 0;
@@ -262,7 +270,7 @@ let vchunk_of t r = t.vchunks.(r / ref_stride)
 (* The normal entry just appended at [r] is live. *)
 let mark_live t r =
   let vc = vchunk_of t r in
-  vc.valid.(r mod ref_stride) <- true;
+  Bytes.set vc.valid (r mod ref_stride) '\001';
   vc.live <- vc.live + 1
 
 let append_normal t clock kind ~addr ~size =
@@ -294,38 +302,45 @@ let unlink_chunk t clock idx =
   t.list_prev.(idx) <- none;
   t.list_next.(idx) <- none
 
-let fast_gc t clock =
-  let freed = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    (* Collected in increasing index order, retired in decreasing. The
-       tail keeps receiving appends; never retire it. *)
-    let victims = ref [] in
-    Array.iter
-      (fun vc ->
-        if vc.in_use && vc.live = 0 && vc.tombs = 0 && vc.idx <> t.tail then
-          victims := vc :: !victims)
-      t.vchunks;
-    List.iter
-      (fun vc ->
-        unlink_chunk t clock vc.idx;
-        release_chunk t vc;
-        t.free <- vc.idx :: t.free;
-        retire_tombstones_for t vc;
-        incr freed;
-        progress := true)
-      !victims
+(* Store in [t.victims], in increasing index order from chunk [i], the
+   chunks fast GC may retire: in use, with nothing live and no pending
+   tombstone. The tail keeps receiving appends; never retire it. Returns
+   the count, [n] plus those found. *)
+let rec collect_victims t i n =
+  if i = t.nchunks then n
+  else
+    let vc = t.vchunks.(i) in
+    if vc.in_use && vc.live = 0 && vc.tombs = 0 && i <> t.tail then begin
+      t.victims.(n) <- i;
+      collect_victims t (i + 1) (n + 1)
+    end
+    else collect_victims t (i + 1) n
+
+(* Rounds until one finds nothing: retiring a chunk retires the
+   tombstones that target it, which may free more. Each round retires in
+   decreasing index order. *)
+let rec fast_gc_rounds t clock freed =
+  let n = collect_victims t 0 0 in
+  for j = n - 1 downto 0 do
+    let vc = t.vchunks.(t.victims.(j)) in
+    unlink_chunk t clock vc.idx;
+    release_chunk t vc;
+    t.free <- vc.idx :: t.free;
+    retire_tombstones_for t vc
   done;
-  !freed
+  if n = 0 then freed else fast_gc_rounds t clock (freed + n)
+
+let fast_gc t clock =
+  if Array.length t.victims = 0 then t.victims <- Array.make t.nchunks 0;
+  fast_gc_rounds t clock 0
 
 let append_tombstone t clock ref_ =
   let target = vchunk_of t ref_ and target_slot = ref_ mod ref_stride in
   let self_ref = append_raw t clock ~code:code_tomb ~size4k:0 ~payload:ref_ in
   let vc = vchunk_of t self_ref in
   vc.tombs <- vc.tombs + 1;
-  assert (target.in_use && target.valid.(target_slot));
-  target.valid.(target_slot) <- false;
+  assert (target.in_use && Bytes.get target.valid target_slot <> '\000');
+  Bytes.set target.valid target_slot '\000';
   target.live <- target.live - 1;
   target.tomb_refs.(target.ntomb_refs) <- self_ref;
   target.ntomb_refs <- target.ntomb_refs + 1
@@ -344,7 +359,7 @@ let slow_gc t clock =
     let vc = t.vchunks.(!c) in
     assert vc.in_use;
     for s = 0 to vc.next_slot - 1 do
-      if vc.valid.(s) then begin
+      if Bytes.get vc.valid s <> '\000' then begin
         let v =
           Pstruct.get_elt t.dev ~base:(chunk_base t vc.idx) Chunk.entries
             (slot_index ~interleave:t.interleave s)
@@ -379,7 +394,7 @@ let slow_gc t clock =
     live;
   (* Publish the new list by flipping the alt bit, then recycle. *)
   Pstruct.set t.dev ~base:t.base Hdr.alt t.alt;
-  commit_header t clock (Pstruct.span ~base:t.base Hdr.alt);
+  commit_header t clock ~len:Hdr.alt_len;
   t.free <- !old_chunks @ t.free;
   Array.fill t.list_prev 0 t.nchunks none;
   Array.fill t.list_next 0 t.nchunks none;
@@ -468,6 +483,8 @@ let open_existing ?(replicate = false) dev clock ~base ~chunks ~interleave =
       alt = 1 - alt;
       slow_runs = 0;
       replicate;
+      guard = guard_record ~base ~chunks;
+      victims = [||];
     }
   in
   (* Compact the live entries into the new chain (section 4.4's slow GC on
@@ -480,7 +497,7 @@ let open_existing ?(replicate = false) dev clock ~base ~chunks ~interleave =
       live
   in
   Pstruct.set t.dev ~base:t.base Hdr.alt t.alt;
-  commit_header t clock (Pstruct.span ~base:t.base Hdr.alt);
+  commit_header t clock ~len:Hdr.alt_len;
   (* The old chain is now garbage: hand its chunks to the free pool. *)
   for i = 0 to chunks - 1 do
     if in_old.(i) then t.free <- i :: t.free

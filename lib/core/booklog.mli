@@ -13,9 +13,16 @@
     stay below 2{^34} units). A tombstone's address field carries the
     entry reference of the normal entry it deletes.
 
-    Volatile vchunks, an array by chunk, mirror per-entry liveness and
-    list the tombstones that target each chunk; freed chunks are kept on
-    a free list.
+    Volatile vchunks, an array by chunk, mirror per-entry liveness (one
+    byte per slot, a 120-byte [Bytes]) and list the tombstones that
+    target each chunk; freed chunks are kept on a free list. A vchunk is
+    made at its chunk's first grab and reset at each later one, and chunk
+    turnover allocates nothing beyond that: grabs, list-head and
+    next-pointer commits flush the field's address and length directly,
+    the header's guard record is built once per log, and fast GC collects
+    into a buffer made at its first run. The VEHs whose entries the log
+    holds are recycled by the extent layer (see {!Extent}), which
+    rewrites a reused VEH's entry reference at its next activation.
 
     GC: {e fast GC} frees chunks with no live normal entries and no
     pending tombstones by unlinking them from the persistent list (one

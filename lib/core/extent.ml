@@ -18,7 +18,7 @@ type veh = {
   mutable kind : Booklog.kind;
   mutable log_ref : int;
   mutable free_time : int;
-  page : pagedesc;
+  mutable page : pagedesc;
   mutable addr_node : Rbtree.node;
   mutable size_node : Rbtree.node;
   mutable time_node : Rbtree.node;
@@ -48,6 +48,8 @@ type t = {
   mutable reclaimed_peak : int;
   mutable last_decay : int;
   mutable tombs_since_fast_gc : int;
+  mutable spare : veh array; (* dropped VEHs for reuse; [dummy] from [nspare] on *)
+  mutable nspare : int;
 }
 
 let round4k n = (n + 4095) land lnot 4095
@@ -81,6 +83,8 @@ let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
     reclaimed_peak = 0;
     last_decay = 0;
     tombs_since_fast_gc = 0;
+    spare = [||];
+    nspare = 0;
   }
 
 let booklog t = match t.mode with In_place -> None | Logged l -> Some l
@@ -88,6 +92,43 @@ let activated_bytes t = t.activated_bytes
 let reclaimed_bytes t = t.reclaimed_bytes
 let retained_bytes t = t.retained_bytes
 let data_off t = match t.mode with In_place -> header_bytes | Logged _ -> 0
+
+(* --- VEH pool ----------------------------------------------------------- *)
+
+(* A VEH the layer drops (merged into a neighbour, or its region unmapped)
+   goes on [spare], and every new VEH comes off it, so extent churn
+   allocates nothing once the stack has grown. A spare VEH is free and on
+   no page; only the layer holds it (see the aliasing audit in the .mli). *)
+let retire t v =
+  if t.nspare = Array.length t.spare then begin
+    let spare = Array.make (Int.max 8 (2 * t.nspare)) dummy in
+    Array.blit t.spare 0 spare 0 t.nspare;
+    t.spare <- spare
+  end;
+  v.state <- Reclaimed;
+  v.page <- dummy_page;
+  t.spare.(t.nspare) <- v;
+  t.nspare <- t.nspare + 1
+
+(* A reclaimed VEH in no tree, from the pool when it has one. *)
+let new_veh t ~addr ~size ~kind ~page ~now =
+  if t.nspare = 0 then fresh_veh ~addr ~size ~kind ~page ~now
+  else begin
+    let n = t.nspare - 1 in
+    let v = t.spare.(n) in
+    t.spare.(n) <- dummy;
+    t.nspare <- n;
+    v.addr <- addr;
+    v.size <- size;
+    v.kind <- kind;
+    v.log_ref <- -1;
+    v.free_time <- now;
+    v.page <- page;
+    v.addr_node <- Rbtree.none;
+    v.size_node <- Rbtree.none;
+    v.time_node <- Rbtree.none;
+    v
+  end
 
 (* A tree probe that costs no simulated time (neighbour peeks inside an
    operation already charged) still counts toward the lookup telemetry. *)
@@ -268,6 +309,7 @@ let try_merge t v ~state u =
     v.addr <- Int.min v.addr u.addr;
     v.size <- v.size + u.size;
     v.free_time <- Int.min v.free_time u.free_time;
+    retire t u;
     Pmem.Stats.bump (Pmem.Device.stats t.dev) Extents_coalesced
   end
 
@@ -305,7 +347,8 @@ let release_retained t clock v =
     detach t v;
     (* Retained extents were decommitted on retention: only the header
        area still counts as mapped. *)
-    unmap_region ~decommitted:v.size t clock v.page
+    unmap_region ~decommitted:v.size t clock v.page;
+    retire t v
   end
 
 (* Whole-page release: a page queued when its last live extent died is
@@ -324,7 +367,8 @@ let drain_empty_pages t clock =
           let v = at t (pd.base + pd.page_data_off) in
           let decommitted = if v.state = Retained then v.size else 0 in
           detach t v;
-          unmap_region ~decommitted t clock pd
+          unmap_region ~decommitted t clock pd;
+          retire t v
         end;
         go ()
   in
@@ -379,8 +423,8 @@ let split_front t v ~need ~remainder_state =
   assert (v.size >= need);
   if v.size > need then begin
     let rest =
-      fresh_veh ~addr:(v.addr + need) ~size:(v.size - need) ~kind:Booklog.Extent
-        ~page:v.page ~now:v.free_time
+      new_veh t ~addr:(v.addr + need) ~size:(v.size - need) ~kind:Booklog.Extent ~page:v.page
+        ~now:v.free_time
     in
     v.size <- need;
     attach t rest remainder_state
@@ -396,7 +440,7 @@ let activate t clock v kind =
 (* The whole data area of a freshly mapped region, in the address tree. *)
 let fresh_region_veh t clock page ~kind =
   let v =
-    fresh_veh ~addr:(page.base + page.page_data_off) ~size:(page_data_size page) ~kind ~page
+    new_veh t ~addr:(page.base + page.page_data_off) ~size:(page_data_size page) ~kind ~page
       ~now:(Sim.Clock.ns clock)
   in
   v.addr_node <- Rbtree.insert t.addr_tree v.addr 0 v;
@@ -450,9 +494,11 @@ let free t clock v =
   detach t v;
   persist_freed t clock v;
   t.on_drop_extent v;
-  if v.page.dedicated then
+  if v.page.dedicated then begin
     (* Dedicated huge region: straight back to the OS. *)
-    unmap_region t clock v.page
+    unmap_region t clock v.page;
+    retire t v
+  end
   else begin
     v.free_time <- Sim.Clock.ns clock;
     v.kind <- Booklog.Extent;
@@ -476,7 +522,7 @@ let restore_extent t ~addr ~size ~kind ~state ~log_ref ~region =
      recovery driver before extents are restored. *)
   let page = page_of t region in
   assert (page != dummy_page);
-  let v = fresh_veh ~addr ~size ~kind ~page ~now:0 in
+  let v = new_veh t ~addr ~size ~kind ~page ~now:0 in
   v.log_ref <- log_ref;
   attach t v state;
   if state = Activated then t.on_new_extent v;

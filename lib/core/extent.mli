@@ -30,6 +30,26 @@
     slow GC rewrites the bookkeeping log, one walk of the address tree
     re-points the activated VEHs' log references.
 
+    VEHs are recycled. Every VEH the layer drops (a neighbour a merge
+    absorbs, the extent of a region it unmaps) goes on a per-instance
+    stack of spares, and every VEH it needs (a split's remainder, a fresh
+    region's data area) comes off it; the stack is an array grown by
+    doubling, so extent churn allocates nothing once it has grown.
+
+    {b Ownership and aliasing.} A caller owns the VEH {!malloc} returns
+    until it passes it to {!free}; after that the layer may merge it into
+    a neighbour, hand it out again from a best fit, or reuse the record
+    for another extent, so a caller must not read a VEH it has freed.
+    Outside this module only these hold VEHs, all of them Activated:
+    - [Nvalloc]'s [large_index], whose entry [on_drop_extent] removes
+      inside {!free} before any coalescing;
+    - [Arena]'s [slab_vehs], whose entry is removed before {!free};
+    - recovery's torn-slab list and the GC variant's unmarked list, each
+      freed in turn with no {!malloc} in between;
+    - transient [Large_owner] lookups.
+    A merged-away or unmapped VEH is never Activated, so none of these
+    can hold one that the stack recycles.
+
     Tree searches and merges feed the device counters
     [extent_tree_lookups] and [extents_coalesced].
 
@@ -61,7 +81,7 @@ type veh = {
   mutable kind : Booklog.kind;
   mutable log_ref : int;  (** bookkeeping-log entry, -1 when none *)
   mutable free_time : int;
-  page : pagedesc;
+  mutable page : pagedesc;
       (** the owning mapped region's descriptor, held so that no operation
           on the extent looks its page up *)
   mutable addr_node : Support.Rbtree.node;  (** in the address tree *)
@@ -97,11 +117,13 @@ val create :
 
 val malloc : t -> Sim.Clock.t -> size:int -> kind:Booklog.kind -> veh
 (** Allocate [size] bytes (rounded up to 4 KB). Requests above 2 MB map a
-    dedicated region, as the paper's mmap path does. *)
+    dedicated region, as the paper's mmap path does. The caller owns the
+    returned VEH until it passes it to {!free}. *)
 
 val free : t -> Sim.Clock.t -> veh -> unit
 (** Return an activated extent; coalesces with reclaimed neighbours and
-    runs the decay tick. *)
+    runs the decay tick. The VEH passes back to the layer, which may
+    merge it away and reuse it. *)
 
 val decay_tick : t -> Sim.Clock.t -> unit
 (** Run decay if the 50 ms interval elapsed (also called internally). *)

@@ -2,10 +2,6 @@ type span = { addr : int; len : int }
 
 let span_of ~addr ~len = { addr; len }
 
-let union a b =
-  let lo = min a.addr b.addr and hi = max (a.addr + a.len) (b.addr + b.len) in
-  { addr = lo; len = hi - lo }
-
 type _ ty =
   | U8 : int ty
   | U16 : int ty
@@ -36,7 +32,7 @@ type entry = {
 type layout = {
   l_name : string;
   mutable l_entries : entry list; (* reverse declaration order *)
-  mutable l_sealed : int option;
+  mutable l_sealed : bool;
 }
 
 type 'a field = { f_layout : layout; f_name : string; f_off : int; f_ty : 'a ty }
@@ -50,13 +46,13 @@ type 'a arr = {
   a_ty : 'a ty;
 }
 
-let layout name = { l_name = name; l_entries = []; l_sealed = None }
+let layout name = { l_name = name; l_entries = []; l_sealed = false }
 
 let reject l fmt =
   Printf.ksprintf (fun msg -> invalid_arg (Printf.sprintf "Pstruct %s: %s" l.l_name msg)) fmt
 
 let reserve l name ~off ~len pp =
-  if l.l_sealed <> None then reject l "field %s declared after seal" name;
+  if l.l_sealed then reject l "field %s declared after seal" name;
   if off < 0 || len <= 0 then reject l "field %s has bad extent (off=%d, len=%d)" name off len;
   List.iter
     (fun e ->
@@ -135,7 +131,7 @@ let int_ l name ~off = field l name ~off Int
 let bytes_ l name ~off ~len = field l name ~off (Bytes len)
 
 let seal l ~size =
-  if l.l_sealed <> None then reject l "sealed twice";
+  if l.l_sealed then reject l "sealed twice";
   if size <= 0 then reject l "sealed with non-positive size %d" size;
   List.iter
     (fun e ->
@@ -143,10 +139,7 @@ let seal l ~size =
         reject l "field %s [%d..%d) escapes sealed size %d" e.e_name e.e_off
           (e.e_off + e.e_len) size)
     l.l_entries;
-  l.l_sealed <- Some size
-
-let size l =
-  match l.l_sealed with Some s -> s | None -> reject l "size of unsealed layout"
+  l.l_sealed <- true
 
 (* --- typed access ------------------------------------------------------ *)
 
@@ -167,8 +160,6 @@ let[@inline] set_elt dev ~base a i v = write a.a_ty dev (elt_addr a base i) v
 
 let[@inline] span ~base f = { addr = base + f.f_off; len = ty_len f.f_ty }
 let elt_span ~base a i = { addr = elt_addr a base i; len = ty_len a.a_ty }
-let arr_span ~base a = { addr = base + a.a_off; len = a.a_stride * a.a_count }
-let layout_span ~base l = { addr = base; len = size l }
 
 (* --- persistence -------------------------------------------------------- *)
 

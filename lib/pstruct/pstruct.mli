@@ -20,10 +20,6 @@ type span = { addr : int; len : int }
     dependencies. *)
 
 val span_of : addr:int -> len:int -> span
-val union : span -> span -> span
-(** Bounding box of two spans. Flushing is cache-line granular, so the
-    union of spans that share lines flushes the same line set as flushing
-    each span separately. *)
 
 (** Field types. [Int] is a 63-bit OCaml int stored as a little-endian
     int64; [Bytes n] is a raw [n]-byte field. *)
@@ -65,9 +61,6 @@ val seal : layout -> size:int -> unit
 (** Freeze the layout at [size] bytes. Raises [Invalid_argument] if
     already sealed or any declared field extends past [size]. *)
 
-val size : layout -> int
-(** The sealed size. Raises [Invalid_argument] if not sealed. *)
-
 (** {1 Typed access}
 
     A struct instance is a [base] address on a device; fields address
@@ -85,9 +78,6 @@ val set_elt : Pmem.Device.t -> base:int -> 'a arr -> int -> 'a -> unit
 
 val span : base:int -> 'a field -> span
 val elt_span : base:int -> 'a arr -> int -> span
-val arr_span : base:int -> 'a arr -> span
-val layout_span : base:int -> layout -> span
-(** The whole sealed struct. *)
 
 (** {1 Persistence} *)
 

@@ -7,7 +7,10 @@
 # - names: allocator, workload, experiment id and consistency variant;
 # - repro lines: --plan and --scenario;
 # - a non-positive --window-ns, a negative --tail, --poison or
-#   --bitrot, and a missing slo --check baseline.
+#   --bitrot, and a missing slo --check baseline;
+# - files: an unwritable trace/slo output (--out, --hist, --folded,
+#   --prom) and an slo --check baseline that is not JSON, caught before
+#   any workload runs.
 #
 # Usage: scripts/usage_check.sh
 set -eu
@@ -25,6 +28,9 @@ for args in \
   "trace nosuch" "slo nosuch" "run nosuchfig" "run fig1a nosuchfig" "fuzz --variant xyz" \
   "fuzz --plan garbage" "check --scenario garbage" \
   "slo --window-ns 0" "slo --window-ns=-1" "slo --check /nonexistent/baseline.json" \
-  "fuzz --tail=-1" "fuzz --poison=-3" "fuzz --bitrot=-3"; do
+  "fuzz --tail=-1" "fuzz --poison=-3" "fuzz --bitrot=-3" \
+  "trace --out /nonexistent/x.json --threads 1 shbench" "trace --hist /nonexistent/h.csv" \
+  "slo --out /nonexistent/r.txt" "slo --folded /nonexistent/f.txt" \
+  "slo --prom /nonexistent/p.txt" "slo --check README.md"; do
   must_exit 124 "$args" "$cli" $args
 done

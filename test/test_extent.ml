@@ -224,6 +224,63 @@ let test_partial_page_stays_mapped () =
   Extent.decay_tick large clock;
   Alcotest.(check int) "now released" 0 (Extent.page_count large)
 
+(* A VEH that a merge absorbs is recycled: the next VEH the layer needs,
+   here the data area of the next region it maps, is that record, which
+   malloc splits and returns. It comes back with the new region's address,
+   size, page and log entry, and none of the tree handles it held as a
+   free extent. *)
+let test_merged_veh_recycled () =
+  List.iter
+    (fun log_bookkeeping ->
+      let dev, clock, heap, large = mk ~log_bookkeeping () in
+      let kib n = n * 1024 in
+      let malloc size = Extent.malloc large clock ~size ~kind:Booklog.Extent in
+      (* a, b, c and d fill the first region's data area exactly. *)
+      let a = malloc (kib 64) in
+      let b = malloc (kib 64) in
+      let page = a.Extent.page in
+      let data = page.Extent.total - page.Extent.page_data_off in
+      let c = malloc (2 * mib) in
+      let d = malloc (data - kib 128 - (2 * mib)) in
+      let a_addr = a.Extent.addr in
+      Extent.free large clock a;
+      let a_size_node = a.Extent.size_node and a_time_node = a.Extent.time_node in
+      Alcotest.(check bool) "a holds free-tree handles" true
+        (a_size_node <> Support.Rbtree.none && a_time_node <> Support.Rbtree.none);
+      (* b absorbs its free left neighbour a. *)
+      Extent.free large clock b;
+      Alcotest.(check int) "b starts where a did" a_addr b.Extent.addr;
+      Alcotest.(check bool) "a is not Activated" true (a.Extent.state <> Extent.Activated);
+      (* 256 KiB fits no free extent of the full region: a new region. *)
+      let e = malloc (kib 256) in
+      Alcotest.(check bool) "the merged-away VEH comes back" true (e == a);
+      Alcotest.(check bool) "on a new page" true (e.Extent.page != page);
+      (match Extent.page_of_addr large e.Extent.addr with
+      | Some pd -> Alcotest.(check bool) "its page descriptor" true (pd == e.Extent.page)
+      | None -> Alcotest.fail "no page for the recycled VEH");
+      Alcotest.(check int) "at the new region's data start"
+        (e.Extent.page.Extent.base + e.Extent.page.Extent.page_data_off)
+        e.Extent.addr;
+      Alcotest.(check int) "with the new size" (kib 256) e.Extent.size;
+      Alcotest.(check bool) "Activated" true (e.Extent.state = Extent.Activated);
+      Alcotest.(check bool) "no free-tree handle" true
+        (e.Extent.size_node = Support.Rbtree.none && e.Extent.time_node = Support.Rbtree.none);
+      Alcotest.(check bool) "in the address tree" true (e.Extent.addr_node <> Support.Rbtree.none);
+      (if log_bookkeeping then
+         let scanned =
+           Booklog.scan dev ~base:(Heap.booklog_base heap ~arena:0) ~interleave:true
+         in
+         match List.find_opt (fun s -> s.Booklog.ref_ = e.Extent.log_ref) scanned with
+         | Some s ->
+             Alcotest.(check (pair int int))
+               "its log entry" (e.Extent.addr, e.Extent.size) (s.Booklog.addr, s.Booklog.size)
+         | None -> Alcotest.failf "log_ref %d not live" e.Extent.log_ref
+       else Alcotest.(check int) "no log entry" (-1) e.Extent.log_ref);
+      (* Its handles are live: freeing it unlinks by handle. *)
+      List.iter (fun v -> Extent.free large clock v) [ e; c; d ];
+      Alcotest.(check int) "nothing activated" 0 (Extent.activated_bytes large))
+    [ true; false ]
+
 (* Every live VEH holds the descriptor of the page it lies on, and every
    mapped page counts exactly its activated extents. *)
 let pages_consistent large live =
@@ -248,7 +305,9 @@ let prop_no_overlap_model =
      millisecond of simulated time and the ops advance the clock, so
      extents are retained, coalesce across states and whole pages go back
      to the OS along the way; a final drain frees everything and waits
-     out the retain window. *)
+     out the retain window. VEHs are recycled, so after every op each
+     VEH the model holds must still read its malloc-time address and size
+     and be Activated: the layer never reuses one a caller owns. *)
   let open QCheck in
   Test.make ~name:"extent allocations never overlap (model)" ~count:40
     (make
@@ -259,35 +318,47 @@ let prop_no_overlap_model =
     (fun (log_bookkeeping, ops) ->
       let ms = 1_000_000 in
       let _, clock, _, large = mk ~log_bookkeeping ~decay_interval_ns:ms () in
+      (* Each live VEH with the address and size malloc gave it. *)
       let live = ref [] in
       let ok = ref true in
-      let check () = if not (pages_consistent large !live) then ok := false in
+      let check () =
+        let vehs = List.map (fun (v, _, _) -> v) !live in
+        if
+          not
+            (pages_consistent large vehs
+            && List.for_all
+                 (fun (v, addr, size) ->
+                   v.Extent.addr = addr && v.Extent.size = size
+                   && v.Extent.state = Extent.Activated)
+                 !live)
+        then ok := false
+      in
       List.iter
         (fun (kib, sel) ->
           Sim.Clock.charge clock (sel mod 5 * ms / 2);
           if List.length !live > 20 && sel mod 2 = 0 then begin
             let idx = sel mod List.length !live in
-            let v = List.nth !live idx in
+            let v, _, _ = List.nth !live idx in
             live := List.filteri (fun i _ -> i <> idx) !live;
             Extent.free large clock v
           end
           else begin
             let v = Extent.malloc large clock ~size:(kib * 1024) ~kind:Booklog.Extent in
             List.iter
-              (fun u ->
+              (fun (u, _, _) ->
                 if
                   v.Extent.addr < u.Extent.addr + u.Extent.size
                   && u.Extent.addr < v.Extent.addr + v.Extent.size
                 then ok := false)
               !live;
-            live := v :: !live
+            live := (v, v.Extent.addr, v.Extent.size) :: !live
           end;
           check ())
         ops;
       List.iter
-        (fun v ->
+        (fun (v, _, _) ->
           Sim.Clock.charge clock (ms / 2);
-          live := List.filter (fun u -> u != v) !live;
+          live := List.filter (fun (u, _, _) -> u != v) !live;
           Extent.free large clock v;
           check ())
         !live;
@@ -339,5 +410,6 @@ let suite =
     Alcotest.test_case "empty page released whole" `Quick test_empty_page_release;
     Alcotest.test_case "partial page stays mapped" `Quick test_partial_page_stays_mapped;
     Alcotest.test_case "slow GC re-points log refs" `Quick test_slow_gc_remaps_log_refs;
+    Alcotest.test_case "merged-away VEH is recycled" `Quick test_merged_veh_recycled;
     QCheck_alcotest.to_alcotest prop_no_overlap_model;
   ]
