@@ -211,7 +211,8 @@ let makespan_probes () =
      records the batched-vs-sync makespan contrast. *)
   let sync_log =
     Harness.Factory.Nv_custom
-      ("NVAlloc-LOG-sync", Nvalloc_core.Config.sync Nvalloc_core.Config.log_default)
+      ( "NVAlloc-LOG-sync",
+        { Nvalloc_core.Config.log_default with Nvalloc_core.Config.batch = false } )
   in
   [
     probe "Threadtest/NVAlloc-LOG/4t" Harness.Factory.Nv_log (fun inst ->

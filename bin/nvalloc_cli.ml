@@ -61,9 +61,9 @@ let with_capture enabled f =
       sinks
   end
 
-(* Shared --batch/--no-batch pair: whether NVAlloc instances keep the
-   batched persistence pipeline (flush coalescing, WAL group commit,
-   async checkpointing) or run fully synchronous for comparison. *)
+(* Shared --batch/--no-batch pair: [Config.batch] on NVAlloc instances,
+   the batched persistence pipeline or the synchronous one for
+   comparison. *)
 let batch_flag =
   let batch =
     Arg.info [ "batch" ]
@@ -74,7 +74,7 @@ let batch_flag =
       ~doc:
         "Force the synchronous persistence pipeline on NVAlloc instances: \
          no flush coalescing, no WAL group commit, no async checkpointing \
-         (Config.sync). Baselines are unaffected."
+         (Config.batch off). Baselines are unaffected."
   in
   Arg.(value & vflag true [ (true, batch); (false, no_batch) ])
 
@@ -471,7 +471,8 @@ let fuzz_cmd =
   let doc =
     "Run the crash-plan fuzzer: sample (workload seed, crash point, torn mode, \
      optional crash-during-recovery) plans, execute each against a fresh device \
-     and check the full post-crash invariant oracle. On failure the plan is \
+     with the persist-ordering checker on and check the full post-crash \
+     invariant oracle. On failure the plan is \
      shrunk and printed as a replayable one-liner (re-run it with $(b,--plan)). \
      Exits non-zero on a counterexample."
   in
@@ -492,14 +493,6 @@ let fuzz_cmd =
     let doc = "Replay one plan (a line previously printed by the fuzzer) instead of sampling." in
     let plan = repro Fault.Plan.of_string Fault.Plan.to_string in
     Arg.(value & opt (some plan) None & info [ "plan" ] ~docv:"PLAN" ~doc)
-  in
-  let check_order =
-    let doc =
-      "Run every plan with the device's persist-ordering checker enabled: \
-       commits that retire before a declared dependency persisted become \
-       oracle failures even when the crash misses the vulnerable window."
-    in
-    Arg.(value & opt bool true & info [ "check-order" ] ~docv:"BOOL" ~doc)
   in
   let media =
     let doc =
@@ -536,7 +529,7 @@ let fuzz_cmd =
      last few events: the flushes/WAL appends/recovery phases right
      before the oracle's verdict, alongside the one-line repro and the
      device's media-fault counters. *)
-  let dump_tail ~batch ~mutation ~check_order ~tail plan =
+  let dump_tail ~batch ~mutation ~tail plan =
     if tail > 0 then begin
       let sink = Telemetry.create () in
       let media_line = ref "" in
@@ -549,8 +542,7 @@ let fuzz_cmd =
             (Pmem.Stats.get s Media_quarantines) (Pmem.Stats.get s Bitrot_flips)
             (Pmem.Stats.get s Scrub_passes)
       in
-      ignore
-        (Fault.Fuzz.run_plan ~batch ~mutation ~check_order ~telemetry:sink ~on_device plan);
+      ignore (Fault.Fuzz.run_plan ~batch ~mutation ~telemetry:sink ~on_device plan);
       let events = Telemetry.tail_events sink ~n:tail in
       if events <> [] then begin
         Printf.printf "  last %d telemetry events before failure:\n" (List.length events);
@@ -559,8 +551,7 @@ let fuzz_cmd =
       Printf.printf "  device media counters: %s\n" !media_line
     end
   in
-  let run seed runs variant plan batch mutation media poison_n bitrot_n scrub check_order tail
-      domains =
+  let run seed runs variant plan batch mutation media poison_n bitrot_n scrub tail domains =
     let media = media || poison_n > 0 || bitrot_n > 0 || scrub in
     (* Pin the flag-selected media fields over whatever was sampled or
        parsed; seeds fall back to the plan's workload seed so pinned
@@ -580,30 +571,29 @@ let fuzz_cmd =
     match plan with
     | Some p -> (
         let p = adjust p in
-        match Fault.Fuzz.run_plan ~batch ~mutation ~check_order p with
+        match Fault.Fuzz.run_plan ~batch ~mutation p with
         | Ok report ->
             Format.printf "ok: %s@.  %a@." (Fault.Plan.to_string p)
               Nvalloc_core.Nvalloc.pp_recovery_report report
         | Error reason ->
             Format.printf "FAIL: %s@.  %s@." (Fault.Plan.to_string p) reason;
-            dump_tail ~batch ~mutation ~check_order ~tail p;
+            dump_tail ~batch ~mutation ~tail p;
             exit 1)
     | None -> (
         match
-          Fault.Fuzz.fuzz ~batch ~mutation ~check_order ?variant ~media ~adjust ~domains ~seed
-            ~runs ()
+          Fault.Fuzz.fuzz ~batch ~mutation ?variant ~media ~adjust ~domains ~seed ~runs ()
         with
         | None -> Printf.printf "ok: %d plans, no counterexamples (seed %d)\n" runs seed
         | Some cex ->
             print_counterexample Fault.Plan.to_string cex;
-            dump_tail ~batch ~mutation ~check_order ~tail cex.Support.Search.shrunk;
+            dump_tail ~batch ~mutation ~tail cex.Support.Search.shrunk;
             exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ seed $ runs $ variant $ plan $ batch_flag $ mutate_flag $ media $ poison_n
-      $ bitrot_n $ scrub $ check_order $ tail $ domains_flag)
+      $ bitrot_n $ scrub $ tail $ domains_flag)
 
 let check_cmd =
   let doc =

@@ -36,8 +36,7 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
         config with
         Config.bit_stripes = 1;
         interleave_tcache = false;
-        interleave_wal = false;
-        interleave_log = false;
+        interleave_logs = false;
       }
     else config
   in
@@ -84,7 +83,10 @@ let of_nvalloc ?name ~config ~threads ~dev_size ?(eadr = false) ?(eadr_keep_inte
     iter_live = Some (fun f -> Nvalloc.iter_allocated t f);
     integrity = Some (fun () -> Nvalloc.integrity_walk t clocks.(0));
     maintenance =
-      (let checkpointing = config.Config.async_checkpoint > 0.0 in
+      (* Read the config the heap runs: eADR turns batching off, and
+         with it every checkpoint the daemon could take. *)
+      (let config = Nvalloc.config t in
+       let checkpointing = config.Config.batch in
        let scrubbing = config.Config.media_scrub in
        if checkpointing || scrubbing then
          Some

@@ -58,11 +58,13 @@ type t = {
   maintenance : (Sim.Clock.t -> bool) option;
       (** background-maintenance poll for the workload driver's daemon
           thread (NVAlloc: async WAL checkpoints over all arenas,
-          [Arena.async_checkpoint_tick], plus the media scrub pass
+          [Arena.async_checkpoint_tick], when the heap runs with
+          [Config.batch] on, plus the media scrub pass
           [Nvalloc.scrub_tick] when [Config.media_scrub] is on); returns
           whether any work ran. Latency lands on the daemon's clock, off
-          the worker critical path. [None] when the allocator has none
-          configured *)
+          the worker critical path. [None] when the allocator has no
+          such work: baselines, and NVAlloc with neither (an eADR
+          device always runs with batching off) *)
 }
 
 val of_nvalloc :

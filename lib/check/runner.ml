@@ -33,8 +33,7 @@ let nv_config base ~threads =
 let build ~batch ?mutation (sc : History.t) =
   match nv_base sc.History.alloc with
   | Some base ->
-      let config = nv_config base ~threads:sc.History.threads in
-      let config = if batch then config else Config.sync config in
+      let config = { (nv_config base ~threads:sc.History.threads) with Config.batch } in
       let inst =
         Alloc_api.Instance.of_nvalloc ~config ~threads:sc.History.threads ~dev_size ?mutation ()
       in

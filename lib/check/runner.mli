@@ -28,11 +28,11 @@ val allocator_names : string list
 
 val run : ?batch:bool -> ?mutation:Nvalloc_core.Mutation.t -> History.t -> (unit, string) result
 (** Execute one scenario; [Error reason] names the first violated
-    invariant. [batch] (default true) keeps the config's batched
-    persistence pipeline; [false] forces the synchronous pipeline
-    ([Config.sync]). [mutation] (default [Off]) seeds one protocol bug
-    into the NVAlloc heap under test (no-op for baselines); the
-    post-crash oracle's own recovery stays clean. A scenario with
+    invariant. [batch] (default true) sets [Config.batch]: the batched
+    persistence pipeline, or with [false] the synchronous one.
+    [mutation] (default [Off]) seeds one protocol bug into the NVAlloc
+    heap under test (no-op for baselines); the post-crash oracle's own
+    recovery stays clean. A scenario with
     [sched] set runs under the scheduler's seeded pick rule. Raises
     [Invalid_argument] on an unknown allocator name. *)
 

@@ -138,6 +138,16 @@ let aframe_leave t clock =
       | None -> ()
       | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock))
 
+(* Only the log-based variant groups small-op appends; GC/IC write so
+   few WAL entries (Large_* only) that grouping would just delay extent
+   commits for nothing. A ring is a multiple of 64 entries, so a group
+   always fits well inside it. *)
+let wal_group_size = 8
+
+let wal_group config =
+  if config.Config.batch && config.Config.consistency = Config.Log_based then wal_group_size
+  else 0
+
 let create heap ~index ~region_lock ~on_slab_created ~on_slab_destroyed ~on_extent_created
     ~on_extent_dropped =
   let config = Heap.config heap in
@@ -147,20 +157,14 @@ let create heap ~index ~region_lock ~on_slab_created ~on_slab_destroyed ~on_exte
         (Booklog.create (Heap.device heap)
            ~replicate:config.Config.media_replication
            ~base:(Heap.booklog_base heap ~arena:index)
-           ~chunks:config.Config.booklog_chunks ~interleave:config.Config.interleave_log)
+           ~chunks:config.Config.booklog_chunks ~interleave:config.Config.interleave_logs)
     else None
   in
   let wal =
-    (* Only the log-based variant groups small-op appends; GC/IC write so
-       few WAL entries (Large_* only) that grouping would just delay
-       extent commits for nothing. *)
-    let group =
-      if config.Config.consistency = Config.Log_based then config.Config.wal_group_commit
-      else 0
-    in
-    Wal.create (Heap.device heap) ~group ~replicate:config.Config.media_replication
-      ~mutation:(Heap.mutation heap) ~base:(Heap.wal_base heap ~arena:index)
-      ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_wal
+    Wal.create (Heap.device heap) ~group:(wal_group config)
+      ~replicate:config.Config.media_replication ~mutation:(Heap.mutation heap)
+      ~base:(Heap.wal_base heap ~arena:index) ~entries:config.Config.wal_entries
+      ~interleave:config.Config.interleave_logs
   in
   build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destroyed
     ~on_extent_created ~on_extent_dropped
@@ -593,14 +597,12 @@ let checkpoint_if_needed t clock =
     Sim.Lock.release t.lock clock
   end
 
-(* One background-maintenance poll: checkpoint once the ring passes the
-   configured fraction, taking the drain + epoch bump off the allocating
-   threads' hot path (the near-full inline checkpoint above remains as the
-   hard backstop). Returns whether a checkpoint ran. *)
+(* One background-maintenance poll: checkpoint once the ring is half
+   full, taking the drain + epoch bump off the allocating threads' hot
+   path (the near-full inline checkpoint above remains as the hard
+   backstop). Returns whether a checkpoint ran. *)
 let over_async_fraction t =
-  let frac = t.config.Config.async_checkpoint in
-  frac > 0.0 && Wal.is_ready t.wal && Wal.used t.wal > 0
-  && float_of_int (Wal.used t.wal) >= frac *. float_of_int (Wal.entries t.wal)
+  t.config.Config.batch && Wal.is_ready t.wal && 2 * Wal.used t.wal >= Wal.entries t.wal
 
 let async_checkpoint_tick t clock =
   if over_async_fraction t then begin

@@ -27,6 +27,11 @@
 
 type t
 
+val wal_group : Config.t -> int
+(** WAL group-commit size for an arena's ring: 8 entries under the
+    log-based variant with [Config.batch] on, 0 (every append commits
+    synchronously) otherwise. *)
+
 val create :
   Heap.t ->
   index:int ->
@@ -115,11 +120,11 @@ val malloc_large : t -> Sim.Clock.t -> size:int -> Extent.veh
 val free_large : t -> Sim.Clock.t -> Extent.veh -> unit
 
 val async_checkpoint_tick : t -> Sim.Clock.t -> bool
-(** Background-checkpoint poll: when [Config.async_checkpoint] is a
-    positive fraction and this arena's WAL occupancy has reached it,
-    take the arena lock and checkpoint. Returns whether a checkpoint
-    ran. Driven off the critical path by the workload driver's daemon
-    thread so foreground appends rarely hit a full ring. *)
+(** Background-checkpoint poll: when [Config.batch] is on and this
+    arena's WAL is at least half full, take the arena lock and
+    checkpoint. Returns whether a checkpoint ran. Driven off the
+    critical path by the workload driver's daemon thread so foreground
+    appends rarely hit a full ring. *)
 
 val drain_all_tcaches : t -> Sim.Clock.t -> unit
 (** Return every tcache-resident block to its slab (shutdown path). *)

@@ -4,8 +4,7 @@ type t = {
   consistency : consistency;
   bit_stripes : int;
   interleave_tcache : bool;
-  interleave_wal : bool;
-  interleave_log : bool;
+  interleave_logs : bool;
   slab_morphing : bool;
   morph_su_threshold : float;
   log_bookkeeping : bool;
@@ -18,13 +17,9 @@ type t = {
   decay_interval_ns : int;
   decay_window_ns : int;
   root_slots : int;
-  flush_batch : bool;
-  wal_group_commit : int;
-  async_checkpoint : float;
+  batch : bool;
   media_replication : bool;
   media_scrub : bool;
-  media_scrub_interval_ns : int;
-  media_max_repair : int;
   (* Declared SLO targets for latency attribution: (op class, target ns,
      goal fraction of ops expected within target). The error budget is
      1 - goal; the burn rate reported by [nvalloc-cli slo] is the
@@ -37,8 +32,7 @@ let log_default =
     consistency = Log_based;
     bit_stripes = 6;
     interleave_tcache = true;
-    interleave_wal = true;
-    interleave_log = true;
+    interleave_logs = true;
     slab_morphing = true;
     morph_su_threshold = 0.20;
     log_bookkeeping = true;
@@ -51,13 +45,9 @@ let log_default =
     decay_interval_ns = 50_000_000;
     decay_window_ns = 500_000_000;
     root_slots = 1 lsl 20;
-    flush_batch = true;
-    wal_group_commit = 8;
-    async_checkpoint = 0.5;
+    batch = true;
     media_replication = false;
     media_scrub = false;
-    media_scrub_interval_ns = 1_000_000;
-    media_max_repair = 3;
     (* Calibrated against the batched Larson run in EXPERIMENTS.md "SLO
        attribution": p99 sits comfortably inside these with batching on;
        forcing the sync pipeline burns through the budgets. *)
@@ -106,22 +96,6 @@ let validate ?dev_size t =
   if not (t.booklog_slow_gc_threshold > 0.0 && t.booklog_slow_gc_threshold <= 1.0) then
     reject "Config.booklog_slow_gc_threshold: must be within (0, 1] (got %g)"
       t.booklog_slow_gc_threshold;
-  if t.wal_group_commit < 0 then
-    reject "Config.wal_group_commit: group size cannot be negative (got %d)"
-      t.wal_group_commit;
-  if t.wal_group_commit > t.wal_entries / 2 then
-    reject
-      "Config.wal_group_commit: an open group must fit well inside the ring (got %d for \
-       %d entries)"
-      t.wal_group_commit t.wal_entries;
-  if not (t.async_checkpoint >= 0.0 && t.async_checkpoint <= 1.0) then
-    reject "Config.async_checkpoint: must be a ring fraction within [0, 1] (got %g)"
-      t.async_checkpoint;
-  if t.media_max_repair < 1 then
-    reject
-      "Config.media_max_repair: need at least one repair attempt before quarantine (got \
-       %d)"
-      t.media_max_repair;
   List.iter
     (fun (op, target_ns, goal) ->
       if op = "" then reject "Config.slo_targets: op class name cannot be empty";
@@ -133,9 +107,6 @@ let validate ?dev_size t =
            budget to burn (got %g)"
           op goal)
     t.slo_targets;
-  if t.media_scrub && t.media_scrub_interval_ns <= 0 then
-    reject "Config.media_scrub_interval_ns: scrubbing needs a positive interval (got %d)"
-      t.media_scrub_interval_ns;
   if t.media_scrub && not t.media_replication then
     reject "Config.media_scrub: scrubbing repairs from replicas, enable media_replication";
   if t.media_replication && not t.log_bookkeeping then
@@ -152,19 +123,13 @@ let validate ?dev_size t =
 
 let ic_default = { log_default with consistency = Internal_collection }
 
-(* Everything synchronous: one flush + fence per commit site, no group
-   commit, no background checkpointing — the pre-batching behaviour,
-   selectable for A/B runs via the CLI's --no-batch. *)
-let sync t = { t with flush_batch = false; wal_group_commit = 0; async_checkpoint = 0.0 }
-
 let base consistency =
   {
     log_default with
     consistency;
     bit_stripes = 1;
     interleave_tcache = false;
-    interleave_wal = false;
-    interleave_log = false;
+    interleave_logs = false;
     slab_morphing = false;
     log_bookkeeping = false;
   }
@@ -173,4 +138,4 @@ let base consistency =
    by the cache line of their bitmap bit, which only has an effect when the
    bitmap itself is striped; the ablation therefore enables both. *)
 let with_interleaved_tcache t = { t with interleave_tcache = true; bit_stripes = 6 }
-let with_log_bookkeeping t = { t with log_bookkeeping = true; interleave_log = false }
+let with_log_bookkeeping t = { t with log_bookkeeping = true; interleave_logs = false }

@@ -25,8 +25,8 @@ type t = {
       (** Bit stripes of the interleaved slab-bitmap mapping (section 5.1).
           [1] selects the sequential baseline mapping. Default 6. *)
   interleave_tcache : bool;  (** interleaved sub-tcache layout (section 5.1) *)
-  interleave_wal : bool;  (** interleaved mapping of WAL entries *)
-  interleave_log : bool;  (** interleaved mapping of bookkeeping-log entries *)
+  interleave_logs : bool;
+      (** interleaved mapping of WAL and bookkeeping-log entries *)
   slab_morphing : bool;  (** slab morphing (section 5.2) *)
   morph_su_threshold : float;
       (** Space-utilisation threshold SU below which a slab may morph;
@@ -45,22 +45,22 @@ type t = {
   decay_interval_ns : int;  (** decay tick, 50 ms as in jemalloc *)
   decay_window_ns : int;  (** full smootherstep decay horizon *)
   root_slots : int;  (** persistent root-table entries *)
-  flush_batch : bool;
-      (** Per-thread flush coalescing: [Device.flush] calls are absorbed
-          into a pending buffer, deduplicated per cache line, and drained
-          (in one burst, under a single fence) at the next ordering point.
-          Default on. *)
-  wal_group_commit : int;
-      (** WAL group commit: batch up to this many small-op log appends
-          behind one commit record and one fence triple, instead of a
-          flush + fence per append. [0] disables grouping (every append
-          commits synchronously). Only the log-based variant groups. *)
-  async_checkpoint : float;
-      (** Background WAL checkpointing threshold, as a fraction of the
-          ring: when a workload driver runs a maintenance thread, it
-          checkpoints any arena whose WAL is fuller than this fraction
-          off the hot path. [0.0] disables the daemon (the inline
-          near-full checkpoint still guards the ring). Default 0.5. *)
+  batch : bool;
+      (** The batched persistence pipeline, on or off as a whole
+          (default on):
+          - flush coalescing: [Device.flush] calls are absorbed into a
+            per-thread pending buffer, deduplicated per cache line, and
+            drained in one burst under a single fence at the next
+            ordering point;
+          - WAL group commit (log-based variant only): up to 8 small-op
+            appends share one commit record and one fence triple
+            ([Arena.wal_group]);
+          - background checkpointing: a workload driver's maintenance
+            thread checkpoints any arena whose WAL is at least half full,
+            off the hot path (the inline near-full checkpoint still
+            guards the ring).
+          Off is the synchronous pipeline, one flush + fence per commit
+          site: the CLI's [--no-batch], and what eADR devices run. *)
   media_replication : bool;
       (** Maintain a mirrored replica (plus content checksum) of each
           critical metadata record — slab headers, region-table lines,
@@ -74,13 +74,8 @@ type t = {
   media_scrub : bool;
       (** Background scrub: [Instance.maintenance] idle slots walk the
           metadata records verifying checksums and pre-emptively
-          repairing rot. Requires [media_replication]. Default off. *)
-  media_scrub_interval_ns : int;
-      (** Minimum simulated time between scrub passes. Default 1 ms. *)
-  media_max_repair : int;
-      (** Bounded-retry policy: repair attempts per damaged record before
-          it is quarantined (capacity withdrawn, allocation continues
-          degraded). Default 3. *)
+          repairing rot, at most one pass per simulated millisecond.
+          Requires [media_replication]. Default off. *)
   slo_targets : (string * float * float) list;
       (** Declared SLO targets for latency attribution, as
           [(op class, target ns, goal)]: [goal] is the fraction of ops
@@ -118,8 +113,3 @@ val with_interleaved_tcache : t -> t
 
 val with_log_bookkeeping : t -> t
 (** Base + log-structured bookkeeping only ("+Log"). *)
-
-val sync : t -> t
-(** The same configuration with the whole batched-persistence pipeline
-    off: no flush coalescing, no WAL group commit, no async
-    checkpointing. The CLI's [--no-batch] A/B switch. *)

@@ -135,12 +135,12 @@ let callbacks t =
    pipeline, like NVAlloc's pmem_has_auto_flush() path disables the
    interleaved mapping (section 6.7). *)
 let effective_config config dev =
-  if Pmem.Device.is_eadr dev then Config.sync config else config
+  if Pmem.Device.is_eadr dev then { config with Config.batch = false } else config
 
 let create ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
-  Pmem.Device.set_batching dev config.Config.flush_batch;
+  Pmem.Device.set_batching dev config.Config.batch;
   let heap = Heap.init ?mutation dev config in
   let t =
     {
@@ -362,11 +362,15 @@ let guard_of_line t line =
      | _ -> ());
   !found
 
+(* Bounded-retry policy: repair attempts per damaged record before it is
+   quarantined (capacity withdrawn, allocation continues degraded). *)
+let media_max_repair = 3
+
 (* Demand repair, run before an operation touches the heap: map every
    poisoned line to its guard record and heal it from the replica —
-   bounded attempts per record ([Config.media_max_repair]), quarantine
-   when a slab header loses both copies. Lines in already-quarantined
-   ranges stay poisoned: nothing will read them again. *)
+   bounded attempts per record ([media_max_repair]), quarantine when a
+   slab header loses both copies. Lines in already-quarantined ranges
+   stay poisoned: nothing will read them again. *)
 let handle_poison t clock =
   List.iter
     (fun line ->
@@ -383,7 +387,7 @@ let handle_poison t clock =
                   ~name:"guard:verify" ~ts:t0);
             let status = ref Guard.Lost in
             let attempts = ref 0 in
-            while !attempts < t.config.Config.media_max_repair && !status = Guard.Lost do
+            while !attempts < media_max_repair && !status = Guard.Lost do
               incr attempts;
               status := Guard.verify_repair t.dev clock r
             done;
@@ -936,14 +940,17 @@ let scrub t clock =
   media_span t clock "scrub" t0;
   (!repaired, !lost)
 
+(* Minimum simulated time between scrub passes. *)
+let media_scrub_interval_ns = 1_000_000
+
 (* Idle-slot hook for [Instance.maintenance]: at most one pass per
-   [Config.media_scrub_interval_ns] of simulated time. *)
+   [media_scrub_interval_ns] of simulated time. *)
 let scrub_tick t clock =
   if
     media_on t && t.config.Config.media_scrub && (not t.closed)
     && Sim.Clock.ns clock >= t.next_scrub
   then begin
-    t.next_scrub <- Sim.Clock.ns clock + t.config.Config.media_scrub_interval_ns;
+    t.next_scrub <- Sim.Clock.ns clock + media_scrub_interval_ns;
     ignore (scrub t clock);
     true
   end
@@ -1037,7 +1044,7 @@ let charge_lines t clock n = Pmem.Device.charge_pm_read t.dev clock ~lines:n
 let recover ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
-  Pmem.Device.set_batching dev config.Config.flush_batch;
+  Pmem.Device.set_batching dev config.Config.batch;
   (* Recovery emits phase spans into a sink already attached to the
      device (there is no allocator to attach to until recovery returns).
      [phase] charges nothing; without a sink it is the identity. *)
@@ -1163,21 +1170,18 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
               let log, live =
                 Booklog.open_existing dev clock ~replicate:media ~base
                   ~chunks:config.Config.booklog_chunks
-                  ~interleave:config.Config.interleave_log
+                  ~interleave:config.Config.interleave_logs
               in
               booklog_live.(i) <- live;
               Some log)
         else Array.make n_arenas None)
   in
   let wals =
-    let group =
-      if config.Config.consistency = Config.Log_based then config.Config.wal_group_commit
-      else 0
-    in
+    let group = Arena.wal_group config in
     Array.init n_arenas (fun i ->
         Wal.adopt dev ~group ~replicate:media ~mutation:(Heap.mutation heap)
           ~base:(Heap.wal_base heap ~arena:i)
-          ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_wal)
+          ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_logs)
   in
   let on_sc, on_sd, on_ec, on_ed = callbacks t in
   t.arenas <-

@@ -78,6 +78,9 @@ val exit_ : t -> Sim.Clock.t -> unit
     the heap [Shutdown]. The handle must not be used afterwards. *)
 
 val config : t -> Config.t
+(** The configuration the heap runs: the one given to {!create} or
+    {!recover}, with [batch] off on an eADR device. *)
+
 val device : t -> Pmem.Device.t
 val heap : t -> Heap.t
 
@@ -174,8 +177,8 @@ val slab_utilization_histogram : t -> buckets:float list -> int array
     headers, slab headers) carries a {!Guard} checksum-plus-replica
     pair; poisoned or rotten copies are healed on demand (a one-integer
     gate on every [malloc_to]/[free_from] maps outstanding poisoned
-    lines to their records and repairs them, bounded by
-    [Config.media_max_repair]), pre-emptively by {!scrub}, and at
+    lines to their records and repairs them, up to 3 attempts per
+    record), pre-emptively by {!scrub}, and at
     {!recover} time before any header is decoded. A slab header that
     loses {e both} copies is quarantined: its capacity is withdrawn,
     live blocks are written off, frees into the range are swallowed, and
@@ -190,8 +193,8 @@ val scrub : t -> Sim.Clock.t -> int * int
 
 val scrub_tick : t -> Sim.Clock.t -> bool
 (** Idle-slot hook ([Instance.maintenance]): run {!scrub} if
-    [Config.media_scrub] is on and [Config.media_scrub_interval_ns] has
-    elapsed since the last pass. Returns whether a pass ran. *)
+    [Config.media_scrub] is on and 1 ms of simulated time has elapsed
+    since the last pass. Returns whether a pass ran. *)
 
 val quarantined_slabs : t -> int
 val quarantined_bytes : t -> int

@@ -49,14 +49,12 @@ let poison_and_scrub t dev clock =
   Pmem.Device.poison dev ~line:(Heap.sb_guard.Guard.primary / Pmem.Cacheline.size);
   ignore (Nvalloc.scrub t clock : int * int)
 
-let run_plan ?(batch = true) ?mutation ?(check_order = true) ?telemetry ?on_device
-    (plan : Plan.t) =
+let run_plan ?(batch = true) ?mutation ?telemetry ?on_device (plan : Plan.t) =
   let media = Plan.media_active plan in
   let config = Plan.config plan.Plan.variant in
-  let config = if media then { config with Config.media_replication = true } else config in
-  let config = if batch then config else Config.sync config in
+  let config = { config with Config.media_replication = media; batch } in
   let dev = Pmem.Device.create ~size:(64 * 1024 * 1024) () in
-  Pmem.Device.set_check_mode dev check_order;
+  Pmem.Device.set_check_mode dev true;
   let clock = Sim.Clock.create () in
   let t = Nvalloc.create ~config ?mutation dev clock in
   (* Attaching a sink records the full timeline — workload flushes, the
@@ -115,10 +113,9 @@ let run_plan ?(batch = true) ?mutation ?(check_order = true) ?telemetry ?on_devi
   (match on_device with Some f -> f dev | None -> ());
   verdict
 
-let fuzz ?batch ?mutation ?check_order ?variant ?media ?(adjust = fun p -> p) ?domains ~seed
-    ~runs () =
+let fuzz ?batch ?mutation ?variant ?media ?(adjust = fun p -> p) ?domains ~seed ~runs () =
   let rng = Sim.Rng.create seed in
   let plans = Array.init runs (fun _ -> adjust (Plan.sample ?variant ?media rng)) in
   Support.Search.run ?domains
-    ~test:(fun p -> run_plan ?batch ?mutation ?check_order p)
+    ~test:(fun p -> run_plan ?batch ?mutation p)
     ~candidates:Plan.shrink_candidates plans

@@ -19,17 +19,16 @@
     [Header] is accepted too, but only walks that decode slab headers
     before the crash can see it, and the fuzzer runs none.
 
-    [?check_order] (default [true]) runs every plan with the device's
-    persist-ordering checker enabled ({!Pmem.Device.set_check_mode}):
-    commits whose declared dependencies are still dirty are recorded and
-    turned into oracle failures, catching ordering bugs {e without}
-    needing the crash to land in the vulnerable window.
+    Every plan runs with the device's persist-ordering checker enabled
+    ({!Pmem.Device.set_check_mode}): commits whose declared dependencies
+    are still dirty are recorded and turned into oracle failures,
+    catching ordering bugs {e without} needing the crash to land in the
+    vulnerable window.
 
-    [?batch] (default [true]) keeps the variant config's batched
+    [?batch] (default [true]) sets [Config.batch]: the batched
     persistence pipeline — flush coalescing, WAL group commit, async
-    checkpoint threshold — so every sampled crash point also exercises
-    the deferred paths; [~batch:false] forces the synchronous pipeline
-    ({!Nvalloc_core.Config.sync}).
+    checkpointing — so every sampled crash point also exercises the
+    deferred paths; [~batch:false] runs the synchronous pipeline.
 
     Media plans ({!Plan.media_active}) run with
     [Config.media_replication] forced on and fire three deterministic
@@ -43,7 +42,6 @@ type counterexample = Plan.t Support.Search.counterexample
 val run_plan :
   ?batch:bool ->
   ?mutation:Nvalloc_core.Mutation.t ->
-  ?check_order:bool ->
   ?telemetry:Telemetry.t ->
   ?on_device:(Pmem.Device.t -> unit) ->
   Plan.t ->
@@ -61,7 +59,6 @@ val run_plan :
 val fuzz :
   ?batch:bool ->
   ?mutation:Nvalloc_core.Mutation.t ->
-  ?check_order:bool ->
   ?variant:Plan.variant ->
   ?media:bool ->
   ?adjust:(Plan.t -> Plan.t) ->

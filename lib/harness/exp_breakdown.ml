@@ -2,10 +2,12 @@
     (Base, +Interleaved, +Log, full NVAlloc-LOG) at 8 threads. *)
 
 let configs =
+  let open Nvalloc_core in
+  let base = Config.base Config.Log_based in
   [
-    ("Base", Factory.log_base);
-    ("+Interleaved", Factory.log_interleaved);
-    ("+Log", Factory.log_booklog);
+    ("Base", base);
+    ("+Interleaved", Config.with_interleaved_tcache base);
+    ("+Log", Config.with_log_bookkeeping base);
     ("NVAlloc-LOG", Factory.log_full);
   ]
 

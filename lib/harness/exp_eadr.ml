@@ -28,27 +28,7 @@ let fig19 () =
   ]
 
 let fig20 () =
-  List.mapi
-    (fun i (bench_name, run) ->
-      let rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun kind ->
-                   let inst = Factory.make ~eadr:true ~threads kind in
-                   let r = run inst ~threads in
-                   Output.mops r.Workloads.Driver.mops)
-                 Factory.strong)
-          Sizes.threads_sweep
-      in
-      {
-        Output.id = Printf.sprintf "fig20%c" (Char.chr (Char.code 'a' + i));
-        title = Printf.sprintf "%s throughput (Mops/s) vs threads [eADR]" bench_name;
-        header = "threads" :: List.map Factory.name Factory.strong;
-        rows;
-        notes = [];
-      })
+  Exp_small.sweep ~eadr:true ~id_prefix:"fig20" ~kinds:Factory.strong ~notes:[]
     Exp_small.benchmarks
 
 let fig21 () = Exp_large.sweep ~id_prefix:"fig21" ~eadr:true ()

@@ -1,5 +1,11 @@
 (** Figure 15 and Table 1: the Fragbench evaluation (section 6.4). *)
 
+let log_no_morph =
+  { Nvalloc_core.Config.log_default with Nvalloc_core.Config.slab_morphing = false }
+
+let gc_no_morph =
+  { Nvalloc_core.Config.gc_default with Nvalloc_core.Config.slab_morphing = false }
+
 let tab1 () =
   [
     {
@@ -27,7 +33,7 @@ let tab1 () =
 let space_kinds =
   [
     Factory.Makalu;
-    Factory.Nv_custom ("NVAlloc-LOG w/o SM", Factory.log_no_morph);
+    Factory.Nv_custom ("NVAlloc-LOG w/o SM", log_no_morph);
     Factory.Nv_log;
   ]
 
@@ -57,7 +63,7 @@ let fig15a () =
 
 let fig15b () =
   let configs =
-    [ ("w/o SM", Factory.log_no_morph); ("with SM", Factory.log_full) ]
+    [ ("w/o SM", log_no_morph); ("with SM", Factory.log_full) ]
   in
   let rows =
     List.concat_map
@@ -111,7 +117,7 @@ let fig15c () =
       [
         Factory.Pmdk;
         Factory.Nvm_malloc;
-        Factory.Nv_custom ("NVAlloc-LOG w/o SM", Factory.log_no_morph);
+        Factory.Nv_custom ("NVAlloc-LOG w/o SM", log_no_morph);
         Factory.Nv_log;
       ];
   ]
@@ -122,7 +128,7 @@ let fig15d () =
       [
         Factory.Makalu;
         Factory.Ralloc;
-        Factory.Nv_custom ("NVAlloc-GC w/o SM", Factory.gc_no_morph);
+        Factory.Nv_custom ("NVAlloc-GC w/o SM", gc_no_morph);
         Factory.Nv_gc;
       ];
   ]

@@ -8,29 +8,8 @@ let benchmarks :
   ]
 
 let sweep ~id_prefix ~eadr () =
-  List.mapi
-    (fun i (bench_name, run) ->
-      let rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun kind ->
-                   let inst = Factory.make ~eadr ~dev_size:Sizes.large_dev ~threads kind in
-                   let r = run inst ~threads in
-                   Output.mops r.Workloads.Driver.mops)
-                 Factory.large_set)
-          Sizes.threads_sweep
-      in
-      {
-        Output.id = Printf.sprintf "%s%c" id_prefix (Char.chr (Char.code 'a' + i));
-        title =
-          Printf.sprintf "%s throughput (Mops/s) vs threads%s" bench_name
-            (if eadr then " [eADR]" else "");
-        header = "threads" :: List.map Factory.name Factory.large_set;
-        rows;
-        notes = [ "Ralloc excluded: its open-source build mishandles large objects (paper)" ];
-      })
+  Exp_small.sweep ~eadr ~id_prefix ~kinds:Factory.large_set
+    ~notes:[ "Ralloc excluded: its open-source build mishandles large objects (paper)" ]
     benchmarks
 
 let fig12 () = sweep ~id_prefix:"fig12" ~eadr:false ()

@@ -10,32 +10,36 @@ let benchmarks :
     ("Larson-small", fun inst ~threads -> Workloads.Larson.run inst ~params:(Sizes.larson_small threads) ());
   ]
 
-let sweep ~id_prefix ~kinds () =
+(* The threads x allocators table: a row per [Sizes.threads_sweep] entry,
+   a fresh instance and one [run] per allocator cell. *)
+let table ~eadr ~id ~title ~kinds ~notes ~cell run =
+  {
+    Output.id;
+    title;
+    header = "threads" :: List.map Factory.name kinds;
+    rows =
+      List.map
+        (fun threads ->
+          string_of_int threads
+          :: List.map (fun kind -> cell (run (Factory.make ~eadr ~threads kind) ~threads)) kinds)
+        Sizes.threads_sweep;
+    notes;
+  }
+
+(* One throughput table per benchmark, ids [<id_prefix>a], [<id_prefix>b], ... *)
+let sweep ~eadr ~id_prefix ~kinds ~notes benchmarks =
   List.mapi
     (fun i (bench_name, run) ->
-      let rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun kind ->
-                   let inst = Factory.make ~threads kind in
-                   let r = run inst ~threads in
-                   Output.mops r.Workloads.Driver.mops)
-                 kinds)
-          Sizes.threads_sweep
-      in
-      {
-        Output.id = Printf.sprintf "%s%c" id_prefix (Char.chr (Char.code 'a' + i));
-        title = Printf.sprintf "%s throughput (Mops/s) vs threads" bench_name;
-        header = "threads" :: List.map Factory.name kinds;
-        rows;
-        notes = [];
-      })
+      table ~eadr ~kinds ~notes run
+        ~id:(Printf.sprintf "%s%c" id_prefix (Char.chr (Char.code 'a' + i)))
+        ~title:
+          (Printf.sprintf "%s throughput (Mops/s) vs threads%s" bench_name
+             (if eadr then " [eADR]" else ""))
+        ~cell:(fun r -> Output.mops r.Workloads.Driver.mops))
     benchmarks
 
-let fig9 () = sweep ~id_prefix:"fig9" ~kinds:Factory.strong ()
-let fig10 () = sweep ~id_prefix:"fig10" ~kinds:Factory.weak ()
+let fig9 () = sweep ~eadr:false ~id_prefix:"fig9" ~kinds:Factory.strong ~notes:[] benchmarks
+let fig10 () = sweep ~eadr:false ~id_prefix:"fig10" ~kinds:Factory.weak ~notes:[] benchmarks
 
 let tab2 () =
   [

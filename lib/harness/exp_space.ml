@@ -1,48 +1,18 @@
 (** Figure 13: space consumption vs thread count. *)
 
 let fig13 () =
-  let kinds_tt =
-    [ Factory.Pmdk; Factory.Nvm_malloc; Factory.Makalu; Factory.Ralloc; Factory.Nv_log ]
-  in
-  let kinds_dbms = [ Factory.Pmdk; Factory.Nvm_malloc; Factory.Makalu; Factory.Nv_log ] in
+  let peak r = Output.mib r.Workloads.Driver.peak_bytes in
   let tt =
-    {
-      Output.id = "fig13a";
-      title = "Threadtest peak memory (MiB) vs threads";
-      header = "threads" :: List.map Factory.name kinds_tt;
-      rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun kind ->
-                   let inst = Factory.make ~threads kind in
-                   let r =
-                     Workloads.Threadtest.run inst ~params:(Sizes.threadtest threads) ()
-                   in
-                   Output.mib r.Workloads.Driver.peak_bytes)
-                 kinds_tt)
-          Sizes.threads_sweep;
-      notes = [];
-    }
+    Exp_small.table ~eadr:false ~id:"fig13a" ~title:"Threadtest peak memory (MiB) vs threads"
+      ~kinds:[ Factory.Pmdk; Factory.Nvm_malloc; Factory.Makalu; Factory.Ralloc; Factory.Nv_log ]
+      ~notes:[] ~cell:peak
+      (fun inst ~threads -> Workloads.Threadtest.run inst ~params:(Sizes.threadtest threads) ())
   in
   let dbms =
-    {
-      Output.id = "fig13b";
-      title = "DBMStest peak memory (MiB) vs threads";
-      header = "threads" :: List.map Factory.name kinds_dbms;
-      rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun kind ->
-                   let inst = Factory.make ~dev_size:Sizes.large_dev ~threads kind in
-                   let r = Workloads.Dbmstest.run inst ~params:(Sizes.dbmstest threads) () in
-                   Output.mib r.Workloads.Driver.peak_bytes)
-                 kinds_dbms)
-          Sizes.threads_sweep;
-      notes = [ "Ralloc excluded on large objects, as in the paper's Figure 13(b)" ];
-    }
+    Exp_small.table ~eadr:false ~id:"fig13b" ~title:"DBMStest peak memory (MiB) vs threads"
+      ~kinds:[ Factory.Pmdk; Factory.Nvm_malloc; Factory.Makalu; Factory.Nv_log ]
+      ~notes:[ "Ralloc excluded on large objects, as in the paper's Figure 13(b)" ]
+      ~cell:peak
+      (fun inst ~threads -> Workloads.Dbmstest.run inst ~params:(Sizes.dbmstest threads) ())
   in
   [ tt; dbms ]

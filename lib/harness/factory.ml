@@ -33,7 +33,7 @@ let make ?(eadr = false) ?(dev_size = 512 * 1024 * 1024) ?(root_slots = 1 lsl 18
     Baselines.Bengine.instance ~knobs ~threads ~dev_size ~eadr ~root_slots ()
   in
   let nvalloc ?name config =
-    let config = if !force_sync then Config.sync config else config in
+    let config = if !force_sync then { config with Config.batch = false } else config in
     Alloc_api.Instance.of_nvalloc ?name
       ~config:{ config with Config.root_slots }
       ~threads ~dev_size ~eadr ()
@@ -55,11 +55,6 @@ let strong = [ Pmdk; Nvm_malloc; Pallocator; Nv_log ]
 let weak = [ Makalu; Ralloc; Nv_gc ]
 let large_set = [ Pmdk; Nvm_malloc; Pallocator; Makalu; Nv_log ]
 
-let log_base = Config.base Config.Log_based
-let log_interleaved = Config.with_interleaved_tcache log_base
-let log_booklog = Config.with_log_bookkeeping log_base
 let log_full = Config.log_default
-let log_no_morph = { Config.log_default with Config.slab_morphing = false }
-let gc_no_morph = { Config.gc_default with Config.slab_morphing = false }
 let log_stripes n = { Config.log_default with Config.bit_stripes = n }
 let log_su su = { Config.log_default with Config.morph_su_threshold = su }

@@ -16,12 +16,11 @@ type kind =
 val name : kind -> string
 
 val force_sync : bool ref
-(** When set, every NVAlloc config {!make} builds is passed through
-    {!Nvalloc_core.Config.sync} — flush coalescing, WAL group commit and
-    the async checkpoint threshold all off. Lets the CLI's
-    [--no-batch] flag compare the synchronous pipeline across whole
-    experiment runs without threading a parameter through the registry.
-    Baselines are unaffected. Default [false]. *)
+(** When set, every NVAlloc config {!make} builds runs with
+    [Config.batch] off. Lets the CLI's [--no-batch] flag compare the
+    synchronous persistence pipeline across whole experiment runs
+    without threading a parameter through the registry. Baselines are
+    unaffected. Default [false]. *)
 
 val make :
   ?eadr:bool ->
@@ -42,11 +41,6 @@ val weak : kind list
 val large_set : kind list
 (** Figure 12's set (Ralloc excluded as in the paper). *)
 
-val log_base : Nvalloc_core.Config.t
-val log_interleaved : Nvalloc_core.Config.t
-val log_booklog : Nvalloc_core.Config.t
 val log_full : Nvalloc_core.Config.t
-val log_no_morph : Nvalloc_core.Config.t
-val gc_no_morph : Nvalloc_core.Config.t
 val log_stripes : int -> Nvalloc_core.Config.t
 val log_su : float -> Nvalloc_core.Config.t

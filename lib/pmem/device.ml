@@ -745,25 +745,6 @@ let clear_poison_within t ~addr ~len =
     done
   end
 
-(* Seed [count] poisoned lines, sampled without replacement from [lines].
-   Deterministic from [seed]: the fuzzer's one-line repros replay the same
-   damage. Returns the lines actually poisoned (in poisoning order). *)
-let seed_poison t ~seed ~count lines =
-  let pool = Array.of_list lines in
-  let n = Array.length pool in
-  let rng = Sim.Rng.create (0x50150 lxor seed) in
-  let picked = ref [] in
-  let avail = ref n in
-  for _ = 1 to min count n do
-    let i = Sim.Rng.int rng !avail in
-    let line = pool.(i) in
-    pool.(i) <- pool.(!avail - 1);
-    decr avail;
-    poison t ~line;
-    picked := line :: !picked
-  done;
-  List.rev !picked
-
 (* At-rest rot flips the media image only: the runtime's cached copy
    (the volatile image) stays intact, so reads are unaffected and the
    next writeback of the line silently absorbs the flip. The damage
@@ -777,26 +758,6 @@ let corrupt_bit t ~addr ~bit =
   Store.set_u8 t.persisted addr (Store.get_u8 t.persisted addr lxor (1 lsl bit));
   Hashtbl.replace t.rotted (Cacheline.index addr) ();
   Stats.bump t.stats Bitrot_flips
-
-(* At-rest bit-rot: [flips] random single-bit flips over [addr, addr+len),
-   deterministic from [seed]. Poisoned lines are skipped (their content is
-   already garbage). Returns the number of flips applied. *)
-let inject_bitrot t ~seed ~flips ~addr ~len =
-  check_bounds t "inject_bitrot" addr len;
-  if len = 0 || flips <= 0 then 0
-  else begin
-    let rng = Sim.Rng.create (0xB17 lxor seed) in
-    let applied = ref 0 in
-    for _ = 1 to flips do
-      let a = addr + Sim.Rng.int rng len in
-      let bit = Sim.Rng.int rng 8 in
-      if not (Hashtbl.mem t.poisoned (Cacheline.index a)) then begin
-        corrupt_bit t ~addr:a ~bit;
-        incr applied
-      end
-    done;
-    !applied
-  end
 
 (* Media scrub over [addr, addr+len): rewrite any clean line whose
    persisted bytes have drifted from the cached (volatile) copy — the

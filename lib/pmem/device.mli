@@ -210,12 +210,6 @@ val poisoned_within : t -> addr:int -> len:int -> bool
 
 val clear_poison_within : t -> addr:int -> len:int -> unit
 
-val seed_poison : t -> seed:int -> count:int -> int list -> int list
-(** [seed_poison t ~seed ~count lines] poisons [count] lines sampled
-    without replacement from [lines], deterministically from [seed].
-    Returns the lines poisoned (fewer than [count] when the pool is
-    smaller). *)
-
 val corrupt_bit : t -> addr:int -> bit:int -> unit
 (** Flip bit [bit] (0..7) of the {e persisted} byte at [addr] — at-rest
     rot in the media image. The cached (volatile) copy stays intact, so
@@ -223,11 +217,6 @@ val corrupt_bit : t -> addr:int -> bit:int -> unit
     absorbs the flip; otherwise the damage surfaces when a crash
     promotes the persisted image (or a {!scrub_lines} pass catches it
     first). *)
-
-val inject_bitrot : t -> seed:int -> flips:int -> addr:int -> len:int -> int
-(** At-rest bit-rot: [flips] random single-bit flips over
-    [addr, addr+len), deterministic from [seed], skipping poisoned lines.
-    Returns the number of flips applied. *)
 
 val scrub_lines : t -> addr:int -> len:int -> int
 (** Rewrite every clean line in [addr, addr+len) whose persisted bytes

@@ -78,10 +78,12 @@ let cat_index = function Meta -> 0 | Wal -> 1 | Log -> 2 | Data -> 3
 let cat_of_index = function 0 -> Meta | 1 -> Wal | 2 -> Log | _ -> Data
 let cat_name = function Meta -> "meta" | Wal -> "wal" | Log -> "log" | Data -> "data"
 
+(* Figure 2 plots the first 1000 metadata flushes. *)
+let trace_limit = 1000
+
 type t = {
   counts : int array; (* by [index] *)
   cat_ns : int array; (* flush time by category, simulated ns *)
-  trace_limit : int;
   (* First [trace_limit] metadata-class flushes, as two preallocated
      parallel buffers (category tag byte + address): recording is two
      stores and no allocation. *)
@@ -90,16 +92,12 @@ type t = {
   mutable traced : int;
 }
 
-let create ?(trace_limit = 1000) () =
-  if trace_limit < 0 then
-    invalid_arg
-      (Printf.sprintf "Pmem.Stats.create: trace_limit must be >= 0 (got %d)" trace_limit);
+let create () =
   {
     counts = Array.make (List.length counters) 0;
     cat_ns = Array.make 4 0;
-    trace_limit;
-    trace_cats = Bytes.make (max trace_limit 1) '\000';
-    trace_addrs = Array.make (max trace_limit 1) 0;
+    trace_cats = Bytes.make trace_limit '\000';
+    trace_addrs = Array.make trace_limit 0;
     traced = 0;
   }
 
@@ -129,7 +127,7 @@ let record_flush t cat ~addr ~reflush ~sequential ~ns =
   t.cat_ns.(idx) <- t.cat_ns.(idx) + ns;
   (* Data flushes (idx 3) are not traced; once the trace is full the
      whole branch is one compare on the common path. *)
-  if t.traced < t.trace_limit && idx < 3 then begin
+  if t.traced < trace_limit && idx < 3 then begin
     Bytes.set t.trace_cats t.traced (Char.chr idx);
     t.trace_addrs.(t.traced) <- addr;
     t.traced <- t.traced + 1
@@ -163,7 +161,7 @@ let to_json t =
   in
   let trace_entry (cat, addr) = Obj [ ("cat", Str (cat_name cat)); ("addr", int addr) ] in
   Obj
-    ((("schema", Str "nvalloc/stats/v4") :: ("trace_limit", int t.trace_limit)
+    ((("schema", Str "nvalloc/stats/v4") :: ("trace_limit", int trace_limit)
      :: List.concat_map (fun (c, key) -> (key, int (get t c)) :: after c) counters)
     @ [ ("trace", Arr (List.map trace_entry (trace t))) ])
 

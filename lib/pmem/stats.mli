@@ -62,10 +62,10 @@ val cat_of_index : int -> category
 val cat_name : category -> string
 (** Lower-case label: ["meta"], ["wal"], ["log"], ["data"]. *)
 
-val create : ?trace_limit:int -> unit -> t
-(** [trace_limit] bounds the recorded flush-address trace (default 1000,
-    matching Figure 2's "first 1000 flush operations"). [trace_limit:0]
-    disables tracing; negative raises [Invalid_argument]. *)
+val create : unit -> t
+(** Zeroed counters and an empty flush-address trace, which records the
+    first 1000 metadata flushes (Figure 2's "first 1000 flush
+    operations"). *)
 
 val reset : t -> unit
 (** Zero every counter, time and the flush trace (buffers included) — a
@@ -95,15 +95,15 @@ val ratio : t -> counter -> counter -> float
 
 val trace : t -> (category * int) list
 (** Flush trace in issue order: category and byte address, truncated to
-    [trace_limit] metadata-class entries (Meta, Wal and Log; Figure 2
+    the first 1000 metadata-class entries (Meta, Wal and Log; Figure 2
     plots metadata flushes only). *)
 
 val pp_summary : Format.formatter -> t -> unit
 
 val to_json : t -> Telemetry.Json.t
-(** Schema ["nvalloc/stats/v4"]: [trace_limit], every counter by its
-    JSON name, [reflush_ratio] and the per-category [flush_ns] after
-    [random_flushes], [group_commit_size] after [group_commit_entries],
-    then the flush trace. *)
+(** Schema ["nvalloc/stats/v4"]: [trace_limit] (always 1000), every
+    counter by its JSON name, [reflush_ratio] and the per-category
+    [flush_ns] after [random_flushes], [group_commit_size] after
+    [group_commit_entries], then the flush trace. *)
 
 val to_json_string : t -> string

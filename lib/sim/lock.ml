@@ -1,6 +1,5 @@
 type t = {
   mutable free_at : int;
-  acquire_ns : int;
   mutable contended : int;
   (* Observation hook for latency attribution: called with the stall
      duration on contended acquires, before the wait. Must not touch the
@@ -8,7 +7,9 @@ type t = {
   mutable on_wait : (Clock.t -> int -> unit) option;
 }
 
-let create ?(acquire_ns = 20) () = { free_at = 0; acquire_ns; contended = 0; on_wait = None }
+(* Uncontended acquisition cost: CAS + cache traffic. *)
+let acquire_ns = 20
+let create () = { free_at = 0; contended = 0; on_wait = None }
 
 let set_wait_hook t hook = t.on_wait <- hook
 
@@ -18,7 +19,7 @@ let acquire t clock =
     (match t.on_wait with None -> () | Some f -> f clock (t.free_at - Clock.ns clock));
     Clock.wait_until clock t.free_at
   end;
-  Clock.charge clock t.acquire_ns;
+  Clock.charge clock acquire_ns;
   (* Reserve the lock up to the holder's current time; extended on
      release. This keeps a second acquirer from slipping in between. *)
   t.free_at <- Clock.ns clock

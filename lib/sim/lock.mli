@@ -9,13 +9,12 @@
 
 type t
 
-val create : ?acquire_ns:int -> unit -> t
-(** [acquire_ns] is the uncontended acquisition cost (CAS + cache traffic),
-    default 20 ns. *)
+val create : unit -> t
 
 val acquire : t -> Clock.t -> unit
-(** Stalls [clock] until the lock is free, then charges the acquisition
-    cost. Counts a contention event when a stall occurred. *)
+(** Stalls [clock] until the lock is free, then charges the uncontended
+    acquisition cost (CAS + cache traffic), 20 ns. Counts a contention
+    event when a stall occurred. *)
 
 val release : t -> Clock.t -> unit
 

@@ -5,10 +5,10 @@
 # seeded-interleaving gate.
 # Each stage is the corresponding single-purpose script (or dune
 # target), so a failure names the stage and can be re-run in isolation.
-# The fuzzer and model-checker stages sweep both persistence pipelines:
-# batched (flush coalescing + WAL group commit + async checkpointing,
-# the default config) and synchronous (--no-batch), and the media stage
-# adds poisoned-line / bit-rot / scrub plans on top.
+# The fuzzer and model-checker stages sweep both settings of the one
+# batching switch (Config.batch): batched, the default, and synchronous
+# (--no-batch); the media stage adds poisoned-line / bit-rot / scrub
+# plans on top.
 #
 # Each stage prints its wall-clock seconds, and the run ends with a
 # table of them.

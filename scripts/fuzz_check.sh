@@ -7,9 +7,9 @@
 #    torn in-flight lines and crashes armed inside recovery — every
 #    crash point also lands inside flush-coalescing buffers, open WAL
 #    groups and async-checkpoint windows.
-# 2. Synchronous (--no-batch): half the budget, at least one plan, with
-#    the batched pipeline forced off, so a regression in the plain path
-#    cannot hide behind the batched one (or vice versa).
+# 2. Synchronous (--no-batch, Config.batch off): half the budget, at
+#    least one plan, so a regression in the plain path cannot hide
+#    behind the batched one (or vice versa).
 #
 # Exits non-zero (printing the shrunk one-line repro) if any plan
 # violates the recovery invariants.

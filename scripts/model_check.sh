@@ -8,9 +8,8 @@
 #    model and post-run against NVAlloc's deep heap-integrity walker
 #    with zero persist-ordering violations; plus a crash scenario per
 #    NVAlloc variant through the post-crash oracle.
-# 2. Clean gate, synchronous pipeline (--no-batch): the same scenarios
-#    with flush coalescing / group commit / async checkpointing forced
-#    off, so both pipelines stay independently green.
+# 2. Clean gate, synchronous pipeline (--no-batch, Config.batch off):
+#    the same scenarios, so both pipelines stay independently green.
 # 3. Mutation smoke: the budget with the PR 2 refill WAL-before-bitmap
 #    ordering bug re-introduced (--mutate wal-flush) must FAIL, the
 #    batched pipeline's "forgotten commit record" mutation (--mutate

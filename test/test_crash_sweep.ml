@@ -52,23 +52,26 @@ let scenario ?(every = fun _ -> ()) t th n =
   done
 
 let run_crash_point ?lat ?torn ?(torn_seed = 0) ?recovery_crash ?(sync = false)
-    ?(async_tick = false) variant ~crash_after =
-  let cfg = config variant in
-  let cfg = if sync then Config.sync cfg else cfg in
-  (* A low ring-fraction threshold so the explicit ticks below actually
-     fire checkpoints mid-workload, putting crash points inside them. *)
-  let cfg = if async_tick then { cfg with Config.async_checkpoint = 0.05 } else cfg in
+    ?async_ticks variant ~crash_after =
+  let cfg = { (config variant) with Config.batch = not sync } in
+  (* A 64-entry ring passes the half-full threshold within a few dozen
+     ops, so the explicit ticks below actually fire checkpoints
+     mid-workload, putting crash points inside them. [async_ticks]
+     counts the ticks that checkpointed. *)
+  let cfg = if async_ticks = None then cfg else { cfg with Config.wal_entries = 64 } in
   let dev = Pmem.Device.create ?lat ~size:(128 * mib) () in
   let clock = Sim.Clock.create () in
   let t = Nvalloc.create ~config:cfg dev clock in
   let th = Nvalloc.thread t clock in
   let every =
-    if async_tick then (fun i ->
-      if i mod 50 = 49 then
-        Array.iter
-          (fun a -> ignore (Arena.async_checkpoint_tick a clock))
-          (Nvalloc.arenas t))
-    else fun _ -> ()
+    match async_ticks with
+    | Some ran ->
+        fun i ->
+          if i mod 50 = 49 then
+            Array.iter
+              (fun a -> if Arena.async_checkpoint_tick a clock then incr ran)
+              (Nvalloc.arenas t)
+    | None -> fun _ -> ()
   in
   Pmem.Device.schedule_crash_after ?torn ~torn_seed dev crash_after;
   (try
@@ -159,24 +162,29 @@ let sweep_sync variant () =
 
 (* Crashes landing inside background-checkpoint work: the workload is
    interleaved with explicit [Arena.async_checkpoint_tick] polls (what
-   the driver's daemon thread does) under a low occupancy threshold, so
-   many of the countdown points fall within a checkpoint's own flushes. *)
+   the driver's daemon thread does) over a small ring, so many of the
+   countdown points fall within a checkpoint's own flushes. *)
 let sweep_async_checkpoint variant () =
+  let ran = ref 0 in
   List.iter
     (fun n ->
-      try run_crash_point ~async_tick:true variant ~crash_after:n
+      try run_crash_point ~async_ticks:ran variant ~crash_after:n
       with e ->
         Alcotest.failf "async-checkpoint crash point %d (%s): %s" n (name_of variant)
           (Printexc.to_string e))
-    points
+    points;
+  Alcotest.(check bool)
+    (Printf.sprintf "ticks checkpointed (%d)" !ran)
+    true (!ran > 0)
 
 (* The perf claim behind the pipeline, asserted at sweep scale: the same
    workload issues measurably fewer fences and media flushes when
-   batched, and finishes earlier on the simulated clock. *)
+   batched, and finishes earlier on the simulated clock. [batch = false]
+   turns every batching mechanism off, the maintenance daemon included,
+   and so does an eADR device. *)
 let test_batching_saves_fences () =
   let run sync =
-    let cfg = config `Log in
-    let cfg = if sync then Config.sync cfg else cfg in
+    let cfg = { (config `Log) with Config.batch = not sync } in
     let dev = Pmem.Device.create ~size:(128 * mib) () in
     let clock = Sim.Clock.create () in
     let t = Nvalloc.create ~config:cfg dev clock in
@@ -185,12 +193,25 @@ let test_batching_saves_fences () =
     Nvalloc.exit_ t clock;
     (Pmem.Stats.get (Pmem.Device.stats dev) Flushes, Sim.Clock.now clock, dev)
   in
-  let sync_flushes, sync_ns, _ = run true in
+  let sync_flushes, sync_ns, sdev = run true in
   let batch_flushes, batch_ns, bdev = run false in
   let st = Pmem.Device.stats bdev in
   Alcotest.(check bool) "fences saved" true (Pmem.Stats.get st Fences_saved > 0);
   Alcotest.(check bool) "flushes coalesced" true (Pmem.Stats.get st Flushes_coalesced > 0);
   Alcotest.(check bool) "group commits ran" true (Pmem.Stats.get st Group_commits > 0);
+  let st = Pmem.Device.stats sdev in
+  Alcotest.(check int) "no fences saved unbatched" 0 (Pmem.Stats.get st Fences_saved);
+  Alcotest.(check int) "no flushes coalesced unbatched" 0
+    (Pmem.Stats.get st Flushes_coalesced);
+  Alcotest.(check int) "no group commits unbatched" 0 (Pmem.Stats.get st Group_commits);
+  let maintenance ?eadr batch =
+    let config = { (config `Log) with Config.batch } in
+    let inst = Alloc_api.Instance.of_nvalloc ~config ~threads:2 ~dev_size:(128 * mib) ?eadr () in
+    inst.Alloc_api.Instance.maintenance <> None
+  in
+  Alcotest.(check bool) "batched instance has maintenance" true (maintenance true);
+  Alcotest.(check bool) "no maintenance unbatched" false (maintenance false);
+  Alcotest.(check bool) "no maintenance on eADR" false (maintenance ~eadr:true true);
   Alcotest.(check bool)
     (Printf.sprintf "fewer media flushes batched (%d vs %d sync)" batch_flushes
        sync_flushes)

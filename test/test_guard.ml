@@ -89,7 +89,7 @@ let test_bless_blesses_bitrot () =
    k=2 rolls forward from the persisted mirror+checksum (full region),
    k=3 is simply complete — never a torn entry, never a lost line. *)
 let sync_replicated =
-  Config.sync { Config.log_default with Config.media_replication = true }
+  { Config.log_default with Config.media_replication = true; batch = false }
 
 let region_addr = 8 * 1024 * 1024
 let region_size = 4 * 1024 * 1024

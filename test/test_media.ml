@@ -145,11 +145,6 @@ let test_media_config_validation () =
   let d = { Config.log_default with Config.media_replication = true } in
   Config.validate d;
   Config.validate { d with Config.media_scrub = true };
-  rejects "zero repair attempts" "media_max_repair" { d with Config.media_max_repair = 0 };
-  rejects "zero scrub interval" "media_scrub_interval_ns"
-    { d with Config.media_scrub = true; media_scrub_interval_ns = 0 };
-  rejects "negative scrub interval" "media_scrub_interval_ns"
-    { d with Config.media_scrub = true; media_scrub_interval_ns = -1 };
   rejects "scrub without replication" "media_scrub"
     { Config.log_default with Config.media_scrub = true };
   rejects "replication without booklog" "media_replication"
@@ -347,9 +342,7 @@ let test_crash_during_scrub_sweep () =
   done
 
 let test_scrub_tick_maintenance () =
-  let config =
-    { media_config with Config.media_scrub = true; media_scrub_interval_ns = 1_000_000 }
-  in
+  let config = { media_config with Config.media_scrub = true } in
   let dev = Pmem.Device.create ~size:(64 * 1024 * 1024) () in
   let clock = Sim.Clock.create () in
   let t = Nvalloc.create ~config dev clock in

@@ -168,7 +168,7 @@ let test_crash_leak_reclaim () =
      at an arbitrary crash point, which group commit deliberately does
      not promise (a crash forfeits the open group). *)
   let variant = `Log in
-  let config = Config.sync (small_config variant) in
+  let config = { (small_config variant) with Config.batch = false } in
   let dev = Pmem.Device.create ~size:(64 * 1024 * 1024) () in
   let clock = Sim.Clock.create () in
   let t = Nvalloc.create ~config dev clock in

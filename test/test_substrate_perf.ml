@@ -669,18 +669,19 @@ let test_fill_zero_no_chunks () =
 
 (* --- Stats trace buffers ----------------------------------------------- *)
 
+(* The trace keeps the first 1000 metadata flushes (Figure 2). *)
 let test_trace_truncation () =
-  let stats = Pmem.Stats.create ~trace_limit:5 () in
-  for i = 0 to 19 do
+  let stats = Pmem.Stats.create () in
+  (* Data flushes never enter the trace. *)
+  Pmem.Stats.record_flush stats Pmem.Stats.Data ~addr:9999 ~reflush:false
+    ~sequential:true ~ns:10;
+  for i = 0 to 1004 do
     let cat = if i mod 2 = 0 then Pmem.Stats.Meta else Pmem.Stats.Wal in
     Pmem.Stats.record_flush stats cat ~addr:(i * 64) ~reflush:false ~sequential:true
       ~ns:10
   done;
-  (* Data flushes never enter the trace. *)
-  Pmem.Stats.record_flush stats Pmem.Stats.Data ~addr:9999 ~reflush:false
-    ~sequential:true ~ns:10;
   let trace = Pmem.Stats.trace stats in
-  Alcotest.(check int) "truncated to limit" 5 (List.length trace);
+  Alcotest.(check int) "truncated to limit" 1000 (List.length trace);
   List.iteri
     (fun i (cat, addr) ->
       Alcotest.(check int) (Printf.sprintf "addr %d" i) (i * 64) addr;
@@ -689,7 +690,7 @@ let test_trace_truncation () =
         true
         (cat = if i mod 2 = 0 then Pmem.Stats.Meta else Pmem.Stats.Wal))
     trace;
-  Alcotest.(check int) "all flushes counted" 21 (Pmem.Stats.get stats Flushes)
+  Alcotest.(check int) "all flushes counted" 1006 (Pmem.Stats.get stats Flushes)
 
 (* --- Allocation-free hot paths ------------------------------------------ *)
 

@@ -820,7 +820,7 @@ let test_slo_report_gate () =
    flushes (one of each classification) and three untraced data
    flushes. *)
 let populated_stats () =
-  let st = Pmem.Stats.create ~trace_limit:8 () in
+  let st = Pmem.Stats.create () in
   let flush cat addr ~reflush ~sequential ns =
     Pmem.Stats.record_flush st cat ~addr ~reflush ~sequential ~ns
   in
@@ -847,7 +847,7 @@ let populated_stats () =
 let test_stats_json_pinned () =
   Alcotest.(check string)
     "stats JSON"
-    ({|{"schema":"nvalloc/stats/v4","trace_limit":8,"flushes":6,"reflushes":1,|}
+    ({|{"schema":"nvalloc/stats/v4","trace_limit":1000,"flushes":6,"reflushes":1,|}
    ^ {|"sequential_flushes":2,"random_flushes":3,"reflush_ratio":0.167,|}
    ^ {|"flush_ns":{"meta":100,"wal":200,"log":300,"data":150},"fence_ns":21,|}
    ^ {|"read_ns":22,"search_ns":23,"other_ns":24,"fences_saved":25,|}
@@ -865,24 +865,11 @@ let test_stats_reset_clears_trace () =
   Pmem.Stats.reset st;
   Alcotest.(check int) "flushes zero" 0 (Pmem.Stats.get st Flushes);
   Alcotest.(check bool) "trace cleared" true (Pmem.Stats.trace st = []);
-  Alcotest.(check string) "reset = fresh" (Pmem.Stats.to_json_string (Pmem.Stats.create ~trace_limit:8 ()))
+  Alcotest.(check string) "reset = fresh" (Pmem.Stats.to_json_string (Pmem.Stats.create ()))
     (Pmem.Stats.to_json_string st);
   (* And the trace records again after the reset. *)
   Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1;
   Alcotest.(check int) "records after reset" 1 (List.length (Pmem.Stats.trace st))
-
-let test_stats_trace_limit_zero () =
-  let st = Pmem.Stats.create ~trace_limit:0 () in
-  Pmem.Stats.record_flush st Pmem.Stats.Meta ~addr:64 ~reflush:false ~sequential:true ~ns:1;
-  Alcotest.(check int) "counts still work" 1 (Pmem.Stats.get st Flushes);
-  Alcotest.(check bool) "no trace kept" true (Pmem.Stats.trace st = []);
-  Pmem.Stats.reset st;
-  Alcotest.(check int) "reset fine" 0 (Pmem.Stats.get st Flushes)
-
-let test_stats_trace_limit_negative () =
-  Alcotest.check_raises "negative trace_limit"
-    (Invalid_argument "Pmem.Stats.create: trace_limit must be >= 0 (got -1)") (fun () ->
-      ignore (Pmem.Stats.create ~trace_limit:(-1) ()))
 
 let test_device_reset_stats () =
   (* Device.reset_stats clears the reflush bookkeeping too: the same
@@ -931,7 +918,5 @@ let suite =
     Alcotest.test_case "slo report: regression gate" `Quick test_slo_report_gate;
     Alcotest.test_case "stats: json writer pinned" `Quick test_stats_json_pinned;
     Alcotest.test_case "stats: reset clears trace" `Quick test_stats_reset_clears_trace;
-    Alcotest.test_case "stats: trace_limit 0" `Quick test_stats_trace_limit_zero;
-    Alcotest.test_case "stats: negative trace_limit" `Quick test_stats_trace_limit_negative;
     Alcotest.test_case "device: reset_stats clears reflush state" `Quick test_device_reset_stats;
   ]
