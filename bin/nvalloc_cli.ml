@@ -218,7 +218,7 @@ let flushes_cmd =
   in
   let alloc = Arg.(value & pos 0 allocator Harness.Factory.Nv_log & info [] ~docv:"ALLOCATOR") in
   let run kind =
-    let inst = Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads:4 kind in
+    let inst = Harness.Factory.make ~threads:4 kind in
     let _ =
       Workloads.Dbmstest.run inst ~params:(Harness.Sizes.dbmstest 4) ()
     in
@@ -232,7 +232,7 @@ let flushes_cmd =
 
 (* One instance of [kind] built under capture, with its telemetry sink. *)
 let captured_instance kind ~threads =
-  match capture (fun () -> Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads kind) with
+  match capture (fun () -> Harness.Factory.make ~threads kind) with
   | inst, [ (_, sink) ] -> (inst, sink)
   | _ -> failwith "expected exactly one captured telemetry sink"
 
@@ -410,8 +410,7 @@ let stats_cmd =
   in
   let run kind batch json =
     let inst =
-      with_batching batch (fun () ->
-          Harness.Factory.make ~dev_size:(512 * 1024 * 1024) ~threads:4 kind)
+      with_batching batch (fun () -> Harness.Factory.make ~threads:4 kind)
     in
     let dev = inst.Alloc_api.Instance.dev in
     Pmem.Device.set_check_mode dev true;

@@ -825,8 +825,6 @@ let restore_slab t s =
 (* [f] takes the base too, so no closure is built per arena. *)
 let iter_slabs t f = if Hashtbl.length t.all_slabs > 0 then Hashtbl.iter f t.all_slabs
 
-let recover_return_block t clock s b = return_block t clock s b
-
 (* GC-variant recovery: the persisted bitmap is stale in both directions
    (bits are never flushed at runtime), so rebuild it wholesale from the
    conservative-GC mark set. Returns the number of stale-allocated blocks
@@ -852,10 +850,6 @@ let recover_rebuild_slab t clock s ~live =
   | Some _ | None -> ());
   maybe_destroy_empty t clock s;
   !released
-
-let recover_release_old_block t clock s b =
-  if s.Slab.morph = None then invalid_arg "Arena.recover_release_old_block: slab not morphing";
-  release_old_block t clock s b
 
 let live_small_blocks t =
   Hashtbl.fold

@@ -27,6 +27,10 @@
 
 type t
 
+val mapping_of_config : Config.t -> Bitmap.mapping
+(** The slab bitmap mapping [Config.bit_stripes] selects: sequential for
+    one stripe, interleaved otherwise. *)
+
 val wal_group : Config.t -> int
 (** WAL group-commit size for an arena's ring: 8 entries under the
     log-based variant with [Config.batch] on, 0 (every append commits
@@ -126,6 +130,15 @@ val async_checkpoint_tick : t -> Sim.Clock.t -> bool
     critical path by the workload driver's daemon thread so foreground
     appends rarely hit a full ring. *)
 
+val return_entry : t -> Sim.Clock.t -> Slab.t -> int -> unit
+(** Return the block at this address to its slab's free set: an
+    old-class block of a morphing slab is released against the index
+    table; any other block has its bitmap bit cleared, except under
+    internal collection, where the block was a tcache entry with no bit.
+    A quarantined slab swallows the block and counts it. Tcache drains
+    and recovery's releases of leaked blocks go through here; [t] must
+    be the slab's owning arena. *)
+
 val drain_all_tcaches : t -> Sim.Clock.t -> unit
 (** Return every tcache-resident block to its slab (shutdown path). *)
 
@@ -140,13 +153,6 @@ val restore_slab : t -> Slab.t -> unit
 val iter_slabs : t -> (int -> Slab.t -> unit) -> unit
 (** All live slabs of this arena, each with its base address (for tests
     and recovery sweeps). *)
-
-val recover_return_block : t -> Sim.Clock.t -> Slab.t -> int -> unit
-(** Recovery hook: return a leaked current-class block to its slab
-    (bit cleared and persisted, freelist membership fixed). *)
-
-val recover_release_old_block : t -> Sim.Clock.t -> Slab.t -> int -> unit
-(** Recovery hook: release a leaked old-class block of a morphing slab. *)
 
 val recover_rebuild_slab : t -> Sim.Clock.t -> Slab.t -> live:(int -> bool) -> int
 (** GC-variant recovery: rebuild a slab's bitmap and free list wholesale

@@ -166,13 +166,14 @@ let page_count t = Rbtree.cardinal t.pages
 (* --- persistent bookkeeping -------------------------------------------- *)
 
 (* In-place mode: one 8 B slot per possible extent start, in the region's
-   header area. Persisted on activation (state 1 + size) and on free
-   (cleared); recovery reads only state-1 slots. *)
+   header area. Persisted on activation (the activated bit + the size in
+   pages) and on free (cleared); recovery reads only activated slots. *)
 module Veh = struct
   let nslots = header_bytes / 8
   let l = Pstruct.layout "extent.veh_slots"
   let slots = Pstruct.array l "slots" ~off:0 ~stride:8 ~count:nslots Pstruct.U32
   let () = Pstruct.seal l ~size:header_bytes
+  let activated = 1 lsl 24
 end
 
 let slot_index v =
@@ -180,7 +181,21 @@ let slot_index v =
   assert (off >= 0 && off mod 4096 = 0);
   off / 4096
 
-let read_slot dev ~region i = Pstruct.get_elt dev ~base:region Veh.slots i
+let scan_region dev ~base ~total =
+  let rec go off acc =
+    if off >= total then List.rev acc
+    else
+      let slot = Pstruct.get_elt dev ~base Veh.slots ((off - header_bytes) / 4096) in
+      if slot land Veh.activated = 0 then go (off + 4096) acc
+      else
+        let addr = base + off and size = (slot land (Veh.activated - 1)) * 4096 in
+        let kind =
+          if size = Slab.slab_bytes && Slab.is_slab_header dev addr then Booklog.Slab_extent
+          else Booklog.Extent
+        in
+        go (off + size) ({ Booklog.ref_ = -1; kind; addr; size } :: acc)
+  in
+  go header_bytes []
 
 let persist_activated t clock v =
   match t.mode with
@@ -188,7 +203,7 @@ let persist_activated t clock v =
       v.log_ref <- Booklog.append_normal log clock v.kind ~addr:v.addr ~size:v.size
   | In_place ->
       let i = slot_index v in
-      Pstruct.set_elt t.dev ~base:v.page.base Veh.slots i ((v.size / 4096) lor (1 lsl 24));
+      Pstruct.set_elt t.dev ~base:v.page.base Veh.slots i ((v.size / 4096) lor Veh.activated);
       Pstruct.commit t.dev clock Pmem.Stats.Meta (Pstruct.elt_span ~base:v.page.base Veh.slots i)
 
 let run_booklog_gc t clock log =

@@ -102,8 +102,11 @@ val header_bytes : int
     slot table (one u32 slot on an 8 B stride per possible 4 KB extent
     start). *)
 
-val read_slot : Pmem.Device.t -> region:int -> int -> int
-(** In-place VEH slot [i] of the region at [region] (recovery scans). *)
+val scan_region : Pmem.Device.t -> base:int -> total:int -> Booklog.scanned list
+(** In-place mode: the activated extents that the slot table of the
+    region at [base] ([total] bytes mapped) records, in address order
+    (recovery scans). A slab-sized extent whose header carries the slab
+    magic is tagged [Slab_extent], every other one [Extent]. *)
 
 val create :
   Heap.t ->

@@ -137,15 +137,15 @@ let callbacks t =
 let effective_config config dev =
   if Pmem.Device.is_eadr dev then { config with Config.batch = false } else config
 
-let create ?(config = Config.log_default) ?mutation dev clock =
-  Config.validate ~dev_size:(Pmem.Device.size dev) config;
-  let config = effective_config config dev in
-  Pmem.Device.set_batching dev config.Config.batch;
-  let heap = Heap.init ?mutation dev config in
+(* The one constructor of [t]: [arena] builds arena [index] around the
+   owner-index callbacks — [Arena.create] on a fresh heap,
+   [Arena.of_recovered] on a recovered one. *)
+let make heap arena =
+  let config = Heap.config heap in
   let t =
     {
       heap;
-      dev;
+      dev = Heap.device heap;
       config;
       arenas = [||];
       slab_index = Rbtree.create ~dummy:Slab.dummy;
@@ -163,12 +163,20 @@ let create ?(config = Config.log_default) ?mutation dev clock =
       telem = None;
     }
   in
-  let on_sc, on_sd, on_ec, on_ed = callbacks t in
+  let on_slab_created, on_slab_destroyed, on_extent_created, on_extent_dropped = callbacks t in
   t.arenas <-
     Array.init config.Config.arenas (fun index ->
-        Arena.create heap ~index ~region_lock:t.region_lock ~on_slab_created:on_sc
-          ~on_slab_destroyed:on_sd ~on_extent_created:on_ec ~on_extent_dropped:on_ed);
+        arena ~index ~region_lock:t.region_lock ~on_slab_created ~on_slab_destroyed
+          ~on_extent_created ~on_extent_dropped);
   Array.iter (fun a -> Arena.set_peers a t.arenas) t.arenas;
+  t
+
+let create ?(config = Config.log_default) ?mutation dev clock =
+  Config.validate ~dev_size:(Pmem.Device.size dev) config;
+  let config = effective_config config dev in
+  Pmem.Device.set_batching dev config.Config.batch;
+  let heap = Heap.init ?mutation dev config in
+  let t = make heap (Arena.create heap) in
   (* Persist the freshly formatted metadata (superblock, WAL and
      bookkeeping-log headers): initialisation must survive a crash that
      happens before the first operation flushes anything nearby. *)
@@ -618,10 +626,7 @@ let iter_allocated t f =
       match s.Slab.morph with
       | Some m ->
           Hashtbl.iter
-            (fun b _ ->
-              f
-                ~addr:(s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size))
-                ~size:m.Slab.old_block_size)
+            (fun b _ -> f ~addr:(Slab.old_block_addr s m b) ~size:m.Slab.old_block_size)
             m.Slab.old_live
       | None -> ());
   (* Large objects. *)
@@ -1039,12 +1044,11 @@ let inject_bitrot t ~seed ~flips =
 
 (* --- recovery (section 4.4) ----------------------------------------------------- *)
 
-let charge_lines t clock n = Pmem.Device.charge_pm_read t.dev clock ~lines:n
-
 let recover ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
   Pmem.Device.set_batching dev config.Config.batch;
+  let charge_lines n = Pmem.Device.charge_pm_read dev clock ~lines:n in
   (* Recovery emits phase spans into a sink already attached to the
      device (there is no allocator to attach to until recovery returns).
      [phase] charges nothing; without a sink it is the identity. *)
@@ -1089,27 +1093,6 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
         media_repaired := !media_repaired + r;
         if l > 0 then failwith "Nvalloc.recover: region table unrepairable");
   let found_state, heap = Heap.open_existing ?mutation dev config in
-  let t =
-    {
-      heap;
-      dev;
-      config;
-      arenas = [||];
-      slab_index = Rbtree.create ~dummy:Slab.dummy;
-      large_index = Rbtree.create ~dummy:Extent.dummy;
-      owner_lock = Sim.Lock.create ();
-      region_lock = Sim.Lock.create ();
-      arena_threads = Array.make config.Config.arenas 0;
-      next_thread = 0;
-      closed = false;
-      quarantined_ranges = [];
-      quarantined_vslabs = [];
-      media_dropped_frees = 0;
-      next_scrub = 0;
-      rotted_lines = [];
-      telem = None;
-    }
-  in
   Heap.set_state heap clock Heap.Recovering;
   let n_arenas = config.Config.arenas in
   (* Verify/repair the per-arena log headers before the decode below
@@ -1145,7 +1128,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
     phase "recovery:wal-decode" (fun () ->
         Array.init n_arenas (fun i ->
             let base = Heap.wal_base heap ~arena:i in
-            charge_lines t clock (config.Config.wal_entries / 4);
+            charge_lines (config.Config.wal_entries / 4);
             let committed, discarded, torn =
               Wal.replay_full dev ~base ~entries:config.Config.wal_entries
             in
@@ -1166,7 +1149,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
         if config.Config.log_bookkeeping then
           Array.init n_arenas (fun i ->
               let base = Heap.booklog_base heap ~arena:i in
-              charge_lines t clock (Booklog.scanned_chunks dev ~base * 16);
+              charge_lines (Booklog.scanned_chunks dev ~base * 16);
               let log, live =
                 Booklog.open_existing dev clock ~replicate:media ~base
                   ~chunks:config.Config.booklog_chunks
@@ -1183,48 +1166,32 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
           ~base:(Heap.wal_base heap ~arena:i)
           ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_logs)
   in
-  let on_sc, on_sd, on_ec, on_ed = callbacks t in
-  t.arenas <-
-    Array.init n_arenas (fun index ->
-        Arena.of_recovered heap ~index ~region_lock:t.region_lock ~booklog:booklogs.(index)
-          ~wal:wals.(index) ~on_slab_created:on_sc ~on_slab_destroyed:on_sd
-          ~on_extent_created:on_ec ~on_extent_dropped:on_ed);
-  Array.iter (fun a -> Arena.set_peers a t.arenas) t.arenas;
+  let t =
+    make heap (fun ~index ->
+        Arena.of_recovered heap ~index ~booklog:booklogs.(index) ~wal:wals.(index))
+  in
   (* 3. Regions. *)
   let regions = Heap.read_regions dev in
   let region_of_addr addr =
     List.find (fun (base, total) -> addr >= base && addr < base + total) regions
   in
-  let mapping = if config.Config.bit_stripes <= 1 then Bitmap.Sequential
-    else Bitmap.Interleaved config.Config.bit_stripes
-  in
+  let mapping = Arena.mapping_of_config config in
   (* Collect activated extents per arena: from the bookkeeping logs, or by
-     scanning region headers in in-place mode (round-robin ownership). *)
+     scanning region headers in in-place mode (round-robin ownership).
+     The list order is the restore order, which slab freelists and the
+     LRU inherit; in-place, it runs from the last region's last extent. *)
   let activated : (int * Booklog.scanned) list =
     if config.Config.log_bookkeeping then
       List.concat
         (List.init n_arenas (fun i -> List.map (fun s -> (i, s)) booklog_live.(i)))
-    else begin
-      let acc = ref [] in
-      List.iteri
-        (fun ri (base, total) ->
-          let arena = ri mod n_arenas in
-          charge_lines t clock (Extent.region_bytes / 4096 / 8);
-          let off = ref 16384 in
-          while !off < total do
-            let v = Extent.read_slot dev ~region:base ((!off - 16384) / 4096) in
-            if v land (1 lsl 24) <> 0 then begin
-              let size = v land 0xFFFFFF * 4096 in
-              acc :=
-                (arena, { Booklog.ref_ = -1; kind = Booklog.Extent; addr = base + !off; size })
-                :: !acc;
-              off := !off + size
-            end
-            else off := !off + 4096
-          done)
-        regions;
-      !acc
-    end
+    else
+      List.rev
+        (List.concat
+           (List.mapi
+              (fun ri (base, total) ->
+                charge_lines (Extent.region_bytes / 4096 / 8);
+                List.map (fun s -> (ri mod n_arenas, s)) (Extent.scan_region dev ~base ~total))
+              regions))
   in
   (* Register regions with the arena that owns extents in them; regions
      with no activated extents go to arena 0. *)
@@ -1240,7 +1207,6 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
       Extent.restore_region (Arena.large t.arenas.(arena)) ~base ~total)
     regions;
   (* 4. Restore activated extents; rebuild vslabs for slab extents. *)
-  let undone_morphs = ref 0 in
   let torn_slabs : (Arena.t * Extent.veh) list ref = ref [] in
   phase "recovery:restore-extents" (fun () ->
   List.iter
@@ -1280,45 +1246,20 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
             torn_slabs := (arena, veh) :: !torn_slabs
           else begin
             Arena.adopt_slab_veh arena veh;
-            charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
+            charge_lines (Slab.slab_bytes / Pmem.Cacheline.size / 8);
             let vslab, undone =
               Slab.recover ~mutation:(Heap.mutation heap) dev ~addr:s.Booklog.addr
                 ~arena:arena_idx ~mapping
             in
-            if undone then begin
-              incr undone_morphs;
+            if undone then
               Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:s.Booklog.addr
-                ~len:Slab.slab_bytes
-            end;
+                ~len:Slab.slab_bytes;
             slab_insert t vslab;
             Arena.restore_slab arena vslab
           end
       | Booklog.Extent -> ())
     activated);
   t.quarantined_ranges <- !quarantined;
-  (* In-place mode marks every activated extent kind Extent; detect slabs
-     by their magic. *)
-  if not config.Config.log_bookkeeping then
-    List.iter
-      (fun (arena_idx, (s : Booklog.scanned)) ->
-        if s.Booklog.size = Slab.slab_bytes && Slab.is_slab_header dev s.Booklog.addr then begin
-          let arena = t.arenas.(arena_idx) in
-          (match owner_lookup t clock s.Booklog.addr with
-          | Some (Large_owner (veh, a)) ->
-              Rbtree.remove t.large_index veh.Extent.addr a;
-              veh.Extent.kind <- Booklog.Slab_extent;
-              Arena.adopt_slab_veh arena veh
-          | _ -> ());
-          charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
-          let vslab, undone =
-            Slab.recover ~mutation:(Heap.mutation heap) dev ~addr:s.Booklog.addr
-              ~arena:arena_idx ~mapping
-          in
-          if undone then incr undone_morphs;
-          slab_insert t vslab;
-          Arena.restore_slab arena vslab
-        end)
-      activated;
   (* 5. Gaps between activated extents become reclaimed free extents. *)
   phase "recovery:gaps" (fun () ->
   let by_region = Hashtbl.create 16 in
@@ -1329,7 +1270,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
         ((s.Booklog.addr, s.Booklog.size)
         :: Option.value ~default:[] (Hashtbl.find_opt by_region base)))
     activated;
-  let header_off = if config.Config.log_bookkeeping then 0 else 16384 in
+  let header_off = if config.Config.log_bookkeeping then 0 else Extent.header_bytes in
   List.iter
     (fun (base, total) ->
       let arena_idx = Option.value ~default:0 (Hashtbl.find_opt region_arena base) in
@@ -1360,10 +1301,6 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
   let clear_dest dest addr =
     if dest > 0 && read_ptr t ~dest = addr then publish ~deps:[] t clock ~dest ~addr:0
   in
-  let release_block arena_idx slab block =
-    Arena.recover_return_block t.arenas.(arena_idx) clock slab block;
-    incr leaked_blocks
-  in
   phase "recovery:sanity" (fun () ->
   if found_state <> Heap.Shutdown then begin
     (match config.Config.consistency with
@@ -1374,59 +1311,51 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
            allocator itself has no sanity pass to run. *)
         ()
     | Config.Log_based ->
-        (* WAL replay: decide the fate of every allocated-marked block from
+        (* WAL replay: decide the fate of every allocated small block from
            its last log entry (protocol in wal.mli). *)
         let last : (int, Wal.replayed) Hashtbl.t = Hashtbl.create 1024 in
         Array.iter (List.iter (fun (e : Wal.replayed) -> Hashtbl.replace last e.addr e)) windows;
+        (* The verdict on an allocated block: -1 while it is the user's,
+           else the destination that may still point at it (0 for none). *)
+        let fate addr =
+          match Hashtbl.find_opt last addr with
+          | Some { kind = Wal.Refill; _ } -> 0
+          | Some { kind = Wal.Free; dest; _ } -> dest
+          | Some { kind = Wal.Alloc; dest; _ } -> if read_ptr t ~dest <> addr then 0 else -1
+          | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> -1
+        in
+        let victims = ref [] in
+        let judge addr =
+          let dest = fate addr in
+          if dest >= 0 then victims := (addr, dest) :: !victims
+        in
+        (* The runtime free's release: it tells an old-class block of a
+           morphing slab from a current-class one. *)
+        let release s =
+          List.iter
+            (fun (addr, dest) ->
+              clear_dest dest addr;
+              Arena.return_entry t.arenas.(s.Slab.arena) clock s addr;
+              incr leaked_blocks;
+              incr wal_undone)
+            !victims;
+          victims := []
+        in
         (* Collect first: releases can destroy now-empty slabs, which
            would mutate the iteration set. *)
         let slabs = ref [] in
         iter_slabs t (fun s -> slabs := s :: !slabs);
         List.iter
           (fun s ->
-            let pinned b = not (Slab.usable s b) in
-            let victims = ref [] in
             Bitmap.iter_set dev s.Slab.bitmap (fun b ->
-                if not (pinned b) then begin
-                  let addr = Slab.block_addr s b in
-                  match Hashtbl.find_opt last addr with
-                  | Some { kind = Wal.Refill; _ } -> victims := (b, 0) :: !victims
-                  | Some { kind = Wal.Free; dest; _ } ->
-                      victims := (b, dest) :: !victims
-                  | Some { kind = Wal.Alloc; dest; _ } ->
-                      if read_ptr t ~dest <> addr then victims := (b, 0) :: !victims
-                  | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> ()
-                end);
-            List.iter
-              (fun (b, dest) ->
-                clear_dest dest (Slab.block_addr s b);
-                release_block s.Slab.arena s b;
-                incr wal_undone)
-              !victims;
+                if Slab.usable s b then judge (Slab.block_addr s b));
+            release s;
             (* Old-class blocks of a morphing slab live in the index
-               table, not the bitmap: judge them by the same WAL rules. *)
-            match s.Slab.morph with
-            | Some m ->
-                let dead = ref [] in
-                Hashtbl.iter
-                  (fun b _ ->
-                    let addr = s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size) in
-                    match Hashtbl.find_opt last addr with
-                    | Some { kind = Wal.Refill; _ } -> dead := (b, 0) :: !dead
-                    | Some { kind = Wal.Free; dest; _ } -> dead := (b, dest) :: !dead
-                    | Some { kind = Wal.Alloc; dest; _ } ->
-                        if read_ptr t ~dest <> addr then dead := (b, 0) :: !dead
-                    | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> ())
-                  m.Slab.old_live;
-                List.iter
-                  (fun (b, dest) ->
-                    clear_dest dest
-                      (s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size));
-                    Arena.recover_release_old_block t.arenas.(s.Slab.arena) clock s b;
-                    incr leaked_blocks;
-                    incr wal_undone)
-                  !dead
-            | None -> ())
+               table, not the bitmap. *)
+            (match s.Slab.morph with
+            | Some m -> Hashtbl.iter (fun b _ -> judge (Slab.old_block_addr s m b)) m.Slab.old_live
+            | None -> ());
+            release s)
           !slabs;
         (* Large objects: a Large_alloc whose destination was never
            published is a leak; a Large_free that never reached the
@@ -1463,13 +1392,13 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
         let queue = Queue.create () in
         let enqueue addr = if addr >= heap_lo && addr < heap_hi then Queue.add addr queue in
         (* Roots. *)
-        charge_lines t clock (Heap.root_slots heap / 8);
+        charge_lines (Heap.root_slots heap / 8);
         for i = 0 to Heap.root_slots heap - 1 do
           let v = Int64.to_int (Pmem.Device.read_int64 dev (Heap.root_addr heap i)) in
           if v > 0 then enqueue v
         done;
         let scan_range addr size =
-          charge_lines t clock ((size + Pmem.Cacheline.size - 1) / Pmem.Cacheline.size);
+          charge_lines ((size + Pmem.Cacheline.size - 1) / Pmem.Cacheline.size);
           let words = size / 8 in
           for w = 0 to words - 1 do
             let v = Int64.to_int (Pmem.Device.read_int64 dev (addr + (w * 8))) in
@@ -1527,12 +1456,12 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
                 let dead = ref [] in
                 Hashtbl.iter
                   (fun b _ ->
-                    let addr = s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size) in
-                    if not (Hashtbl.mem mark_old addr) then dead := b :: !dead)
+                    let addr = Slab.old_block_addr s m b in
+                    if not (Hashtbl.mem mark_old addr) then dead := addr :: !dead)
                   m.Slab.old_live;
                 List.iter
-                  (fun b ->
-                    Arena.recover_release_old_block t.arenas.(s.Slab.arena) clock s b;
+                  (fun addr ->
+                    Arena.return_entry t.arenas.(s.Slab.arena) clock s addr;
                     incr leaked_blocks)
                   !dead
             | None -> ());

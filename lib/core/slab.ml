@@ -280,6 +280,7 @@ let format dev ~addr ~arena ~mapping layout =
   t
 
 let block_addr t b = t.addr + t.layout.data_off + (b * t.layout.block_size)
+let old_block_addr t m b = t.addr + m.old_data_off + (b * m.old_block_size)
 
 let block_index t addr =
   let off = addr - t.addr - t.layout.data_off in

@@ -185,6 +185,10 @@ val block_addr : t -> int -> int
 val block_index : t -> int -> int
 (** Inverse of {!block_addr}; asserts alignment to the block grid. *)
 
+val old_block_addr : t -> morph -> int -> int
+(** [old_block_addr t m b] is the address of old-class block [b] of the
+    morphing slab [t]. *)
+
 val contains_new_block : t -> int -> bool
 (** Whether the address lies on the current-class block grid. *)
 

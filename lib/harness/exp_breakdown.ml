@@ -18,7 +18,7 @@ let benchmarks :
       fun inst ~threads -> Workloads.Threadtest.run inst ~params:(Sizes.threadtest threads) () );
     ( "Larson-small", 128 * 1024 * 1024,
       fun inst ~threads -> Workloads.Larson.run inst ~params:(Sizes.larson_small threads) () );
-    ( "DBMStest", Sizes.large_dev,
+    ( "DBMStest", 512 * 1024 * 1024,
       fun inst ~threads -> Workloads.Dbmstest.run inst ~params:(Sizes.dbmstest threads) () );
   ]
 

@@ -69,7 +69,7 @@ let fig2 () =
   let rows =
     List.map
       (fun kind ->
-        let inst = Factory.make ~dev_size:Sizes.large_dev ~threads kind in
+        let inst = Factory.make ~threads kind in
         let _ = Workloads.Dbmstest.run inst ~params:(Sizes.dbmstest threads) () in
         let st = Pmem.Device.stats inst.Alloc_api.Instance.dev in
         let addrs = List.map snd (Pmem.Stats.trace st) in

@@ -22,10 +22,7 @@ let fig17 () =
         bench_name
         :: List.map
              (fun (label, config) ->
-               let inst =
-                 Factory.make ~dev_size:Sizes.large_dev ~threads
-                   (Factory.Nv_custom (label, config))
-               in
+               let inst = Factory.make ~threads (Factory.Nv_custom (label, config)) in
                let r = run inst ~threads in
                Output.mops r.Workloads.Driver.mops)
              configs)

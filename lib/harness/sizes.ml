@@ -42,5 +42,3 @@ let dbmstest threads =
     max_size = 512 * 1024;
     delete_frac = 0.9;
   }
-
-let large_dev = 512 * 1024 * 1024

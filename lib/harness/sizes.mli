@@ -15,6 +15,3 @@ val shbench : int -> Workloads.Shbench.params
 val larson_small : int -> Workloads.Larson.params
 val larson_large : int -> Workloads.Larson.params
 val dbmstest : int -> Workloads.Dbmstest.params
-
-val large_dev : int
-(** Device size for large-object experiments (512 MiB). *)

@@ -12,7 +12,10 @@
      [Nvalloc.recover] itself, then recovery re-run — recovery must be
      idempotent at every one of its own flushes;
    - eADR: crashes keep the CPU caches, so every crash point must be
-     invariant-clean with no replay work at all. *)
+     invariant-clean with no replay work at all;
+   - in-place bookkeeping (the Figure 11 "Base" configuration): no
+     bookkeeping log, so recovery finds activated extents and slabs by
+     scanning each region's slot table. *)
 
 open Nvalloc_core
 
@@ -20,7 +23,11 @@ let mib = 1024 * 1024
 
 let config variant =
   let base =
-    match variant with `Log -> Config.log_default | `Gc -> Config.gc_default
+    match variant with
+    | `Log -> Config.log_default
+    | `Gc -> Config.gc_default
+    | `Log_in_place -> Config.base Config.Log_based
+    | `Gc_in_place -> Config.base Config.Gc_based
   in
   {
     base with
@@ -96,7 +103,11 @@ let run_crash_point ?lat ?torn ?(torn_seed = 0) ?recovery_crash ?(sync = false)
 
 (* Dense at the start (metadata formation), then geometric. *)
 let points = [ 1; 2; 3; 5; 8; 13; 21; 34; 55; 89; 144; 233; 377; 610; 987; 1600; 2600 ]
-let name_of = function `Log -> "LOG" | `Gc -> "GC"
+let name_of = function
+  | `Log -> "LOG"
+  | `Gc -> "GC"
+  | `Log_in_place -> "in-place LOG"
+  | `Gc_in_place -> "in-place GC"
 
 let sweep variant () =
   List.iter
@@ -288,6 +299,18 @@ let suite =
       (sweep_async_checkpoint `Log);
     Alcotest.test_case "async-checkpoint crash sweep, GC" `Slow
       (sweep_async_checkpoint `Gc);
+    Alcotest.test_case "crash sweep, in-place LOG" `Slow (sweep `Log_in_place);
+    Alcotest.test_case "crash sweep, in-place GC" `Slow (sweep `Gc_in_place);
+    Alcotest.test_case "sync crash sweep, in-place LOG" `Slow (sweep_sync `Log_in_place);
+    Alcotest.test_case "sync crash sweep, in-place GC" `Slow (sweep_sync `Gc_in_place);
+    Alcotest.test_case "torn random sweep, in-place LOG" `Slow
+      (sweep_torn `Log_in_place Pmem.Device.Torn_random);
+    Alcotest.test_case "torn random sweep, in-place GC" `Slow
+      (sweep_torn `Gc_in_place Pmem.Device.Torn_random);
+    Alcotest.test_case "crash during recovery, in-place LOG" `Slow
+      (sweep_recovery_crash `Log_in_place);
+    Alcotest.test_case "crash during recovery, in-place GC" `Slow
+      (sweep_recovery_crash `Gc_in_place);
     Alcotest.test_case "batching saves fences" `Quick test_batching_saves_fences;
     Alcotest.test_case "batched run is deterministic" `Quick test_batched_determinism;
   ]

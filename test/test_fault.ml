@@ -1,7 +1,7 @@
 (* The fault-injection subsystem: crash plans (parse/print/sample),
    the fuzzer end to end (clean allocator -> no counterexamples; broken
-   WAL ordering -> caught, shrunk, replayable), and configuration
-   validation. *)
+   WAL ordering -> caught, shrunk, replayable), recovery's decisions on
+   pinned plans, and configuration validation. *)
 
 open Nvalloc_core
 
@@ -92,6 +92,89 @@ let test_fuzz_catches_broken_ordering () =
       in
       Alcotest.(check bool) "reparsed equals shrunk" true (reparsed = shrunk)
 
+(* What recovery decided on [plan]: the oracle recovery's report line,
+   and a digest of the device counters, which cover the workload, the
+   crash, both recoveries and the oracle's own traffic. A passing oracle
+   alone does not show that recovery released the same blocks in the
+   same order. *)
+let decisions plan =
+  let stats = ref "" in
+  let on_device dev =
+    stats := Digest.to_hex (Digest.string (Pmem.Stats.to_json_string (Pmem.Device.stats dev)))
+  in
+  match Fault.Fuzz.run_plan ~on_device plan with
+  | Error e -> Alcotest.failf "%s: %s" (Fault.Plan.to_string plan) e
+  | Ok r -> (Format.asprintf "%a" Nvalloc.pp_recovery_report r, !stats)
+
+(* Plan, report line, counter digest. In order: LOG undoing old-class
+   blocks of a morphing slab; a leaked large extent; a torn WAL entry and
+   a crash inside recovery; GC marking; a torn slab creation under GC;
+   the IC variant; and the media plan of scripts/fault_media_check.sh. *)
+let pinned_decisions =
+  [
+    ( "v=log seed=6750 ops=514 crash=439 torn=prefix tseed=681071 rcrash=-",
+      "state=running wal_replayed=178 wal_torn_skipped=0 wal_undone=19 torn_slabs=0 \
+       leaked_blocks=19 leaked_extents=0 gc_marked=0 booklog_entries=24 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "48ab374c54ce53b29a578303530e9bf0" );
+    ( "v=log seed=740403 ops=185 crash=146 torn=line tseed=862143 rcrash=-",
+      "state=running wal_replayed=58 wal_torn_skipped=0 wal_undone=11 torn_slabs=0 \
+       leaked_blocks=10 leaked_extents=1 gc_marked=0 booklog_entries=5 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "b11f7d3040b798ea994d0c3644b0323d" );
+    ( "v=log seed=917647 ops=422 crash=401 torn=random tseed=592272 rcrash=15",
+      "state=recovering wal_replayed=161 wal_torn_skipped=1 wal_undone=18 torn_slabs=0 \
+       leaked_blocks=18 leaked_extents=0 gc_marked=0 booklog_entries=21 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "d4f51d5cfb1880e24023ba163940f95b" );
+    ( "v=gc seed=858307 ops=437 crash=2615 torn=line tseed=336077 rcrash=120",
+      "state=running wal_replayed=0 wal_torn_skipped=0 wal_undone=0 torn_slabs=0 \
+       leaked_blocks=4 leaked_extents=0 gc_marked=244 booklog_entries=52 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "c900816c9a4af77d8f544068e2bed050" );
+    ( "v=gc seed=524170 ops=474 crash=185 torn=suffix tseed=116043 rcrash=32",
+      "state=recovering wal_replayed=20 wal_torn_skipped=0 wal_undone=0 torn_slabs=1 \
+       leaked_blocks=0 leaked_extents=1 gc_marked=84 booklog_entries=24 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "1253d6c5d0f4275b67ce9bd8a9f632d7" );
+    ( "v=ic seed=768127 ops=555 crash=2300 torn=line tseed=55248 rcrash=-",
+      "state=running wal_replayed=87 wal_torn_skipped=0 wal_undone=1 torn_slabs=0 \
+       leaked_blocks=0 leaked_extents=0 gc_marked=0 booklog_entries=58 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "13408d18130f76c5de4318b0eef3e432" );
+    ( "v=log seed=67770 ops=40 crash=240 torn=line tseed=368050 rcrash=- poison=1 \
+       pseed=126106 rot=2 rseed=769496 scrub=1",
+      "state=running wal_replayed=74 wal_torn_skipped=0 wal_undone=12 torn_slabs=0 \
+       leaked_blocks=12 leaked_extents=0 gc_marked=0 booklog_entries=8 media_repaired=0 \
+       quarantined=0 quarantined_bytes=0",
+      "5ab5dfc72b5bf3d1654b31b5b01ae4f8" );
+  ]
+
+let test_recovery_decisions_pinned () =
+  List.iter
+    (fun (line, report, stats) ->
+      let plan =
+        match Fault.Plan.of_string line with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "parse %S: %s" line e
+      in
+      let r, s = decisions plan in
+      Alcotest.(check string) (line ^ ": report") report r;
+      Alcotest.(check string) (line ^ ": device counters") stats s)
+    pinned_decisions
+
+(* The same two values over the plans of [fuzz --seed 2 --runs 200],
+   folded into one digest. *)
+let test_sampled_decisions_pinned () =
+  let rng = Sim.Rng.create 2 in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to 200 do
+    let r, s = decisions (Fault.Plan.sample rng) in
+    Printf.bprintf buf "%s %s\n" r s
+  done;
+  Alcotest.(check string) "200 plans from seed 2" "c932d6973399e63b21c58bc5550dc2a4"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_config_validation () =
   let rejects name field cfg =
     match Config.validate cfg with
@@ -135,6 +218,9 @@ let suite =
     Alcotest.test_case "fuzz: clean allocator passes" `Slow test_fuzz_clean;
     Alcotest.test_case "fuzz: broken ordering caught and shrunk" `Slow
       test_fuzz_catches_broken_ordering;
+    Alcotest.test_case "recovery decisions pinned" `Quick test_recovery_decisions_pinned;
+    Alcotest.test_case "recovery decisions pinned: 200 sampled plans" `Slow
+      test_sampled_decisions_pinned;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "create rejects invalid config" `Quick test_create_rejects_invalid;
   ]
