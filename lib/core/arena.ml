@@ -23,9 +23,9 @@ type t = {
   mapping : Bitmap.mapping;
   on_slab_created : Slab.t -> unit;
   on_slab_destroyed : Slab.t -> unit;
-  (* Telemetry emission state, pre-interned at attach; None (the default)
-     costs one compare per instrumented operation. Emission never charges
-     clocks. *)
+  (* Telemetry sink and its region/arg-key ids, interned at attach; None
+     (the default) costs one compare per instrumented region. Emission
+     never charges clocks. *)
   mutable telem : atelem option;
 }
 
@@ -38,10 +38,6 @@ and atelem = {
   ta_class : int;
   ta_old_class : int;
   ta_live : int;
-  th_refill : Telemetry.Histogram.t;
-  th_morph : Telemetry.Histogram.t;
-  th_checkpoint : Telemetry.Histogram.t;
-  th_wal_append : Telemetry.Histogram.t;
 }
 
 let mapping_of_config (cfg : Config.t) =
@@ -83,60 +79,21 @@ let build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destr
   }
 
 let set_telemetry t sink =
-  match sink with
-  | None ->
-      t.telem <- None;
-      Sim.Lock.set_wait_hook t.lock None
-  | Some s ->
-      t.telem <-
-        Some
-          {
-            tsink = s;
-            tn_refill = Telemetry.intern s "refill";
-            tn_morph = Telemetry.intern s "morph";
-            tn_checkpoint = Telemetry.intern s "wal:checkpoint";
-            tn_wal_append = Telemetry.intern s "wal:append";
-            ta_class = Telemetry.intern s "class";
-            ta_old_class = Telemetry.intern s "old_class";
-            ta_live = Telemetry.intern s "live";
-            th_refill = Telemetry.histogram s "refill";
-            th_morph = Telemetry.histogram s "morph";
-            th_checkpoint = Telemetry.histogram s "wal:checkpoint";
-            th_wal_append = Telemetry.histogram s "wal:append";
-          };
-      (* Latency attribution: contended acquires of the arena lock charge
-         a [lock_wait] leaf into the waiting thread's open frame. The hook
-         observes the stall without touching clocks. *)
-      let lock_wait = Telemetry.intern s "lock_wait" in
-      Sim.Lock.set_wait_hook t.lock
-        (Some
-           (fun clock ns ->
-             match Telemetry.attribution s with
-             | None -> ()
-             | Some a ->
-                 Telemetry.Attr.charge a ~tid:(Sim.Clock.id clock) ~name:lock_wait ~ns))
-
-(* Open/close an interior blame frame on the calling thread's stack when
-   the attached sink has attribution enabled; no-ops otherwise. [pick]
-   selects the pre-interned frame name (constant closures, no per-call
-   allocation). Never touches simulated clocks. *)
-let aframe_enter t clock pick =
-  match t.telem with
-  | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a ->
-          Telemetry.Attr.enter a ~tid:(Sim.Clock.id clock) ~name:(pick e)
-            ~ts:(Sim.Clock.ns clock))
-
-let aframe_leave t clock =
-  match t.telem with
-  | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock))
+  Sim.Lock.set_telemetry t.lock sink;
+  t.telem <-
+    Option.map
+      (fun s ->
+        {
+          tsink = s;
+          tn_refill = Telemetry.intern s "refill";
+          tn_morph = Telemetry.intern s "morph";
+          tn_checkpoint = Telemetry.intern s "wal:checkpoint";
+          tn_wal_append = Telemetry.intern s "wal:append";
+          ta_class = Telemetry.intern s "class";
+          ta_old_class = Telemetry.intern s "old_class";
+          ta_live = Telemetry.intern s "live";
+        })
+      sink
 
 (* Only the log-based variant groups small-op appends; GC/IC write so
    few WAL entries (Large_* only) that grouping would just delay extent
@@ -323,8 +280,10 @@ let transform_slab t clock s target_class =
      morph record commits synchronously; close the group first so a crash
      cannot roll those frees back after a record that presumed them. *)
   Wal.flush_group t.wal clock;
-  let t0 = Sim.Clock.ns clock in
-  aframe_enter t clock (fun e -> e.tn_morph);
+  (match t.telem with
+  | None -> ()
+  | Some e ->
+      Telemetry.enter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_morph ~ts:(Sim.Clock.ns clock));
   let open Slab in
   let dev = t.dev in
   let addr = s.addr in
@@ -397,14 +356,11 @@ let transform_slab t clock s target_class =
   Header.write_flag dev addr 0;
   (* Flag 0 asserts the new class's bitmap is in place. *)
   commit_slab_header t clock addr ~deps:[ ("bitmap:rebuilt", bitmap_span) ];
-  aframe_leave t clock;
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.ns clock in
-      Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_morph ~ts:t0
-        ~dur:(now - t0) ~k1:e.ta_old_class ~v1:old_layout.class_idx ~k2:e.ta_live ~v2:nlive;
-      Telemetry.Histogram.observe e.th_morph (now - t0)
+      Telemetry.leave2 e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+        ~k1:e.ta_old_class ~v1:old_layout.class_idx ~k2:e.ta_live ~v2:nlive
 
 let try_morph t clock target_class =
   if not t.config.Config.slab_morphing then None
@@ -572,20 +528,18 @@ let drain_all_tcaches t clock =
 (* Caller holds [t.lock]. *)
 let checkpoint_locked t clock =
   let t0 = Sim.Clock.ns clock in
-  aframe_enter t clock (fun e -> e.tn_checkpoint);
+  (match t.telem with
+  | None -> ()
+  | Some e -> Telemetry.enter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_checkpoint ~ts:t0);
   drain_all_tcaches t clock;
   Wal.checkpoint t.wal clock;
-  aframe_leave t clock;
   match t.telem with
   | None -> ()
-  | Some e ->
-      let now = Sim.Clock.ns clock in
-      Telemetry.span e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_checkpoint ~ts:t0
-        ~dur:(now - t0);
-      Telemetry.Histogram.observe e.th_checkpoint (now - t0);
+  | Some e -> (
+      Telemetry.leave e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock);
       (* Checkpoints stall whoever pays for them (an allocating thread
          inline, or the maintenance daemon): annotate the SLO timeline. *)
-      (match Telemetry.attribution e.tsink with
+      match Telemetry.attribution e.tsink with
       | None -> ()
       | Some a -> Telemetry.Attr.note_event a ~ts:t0 ~name:"wal:checkpoint")
 
@@ -627,8 +581,11 @@ let log_op t clock kind ~addr ~dest =
   in
   if wanted then begin
     checkpoint_if_needed t clock;
-    let t0 = Sim.Clock.ns clock in
-    aframe_enter t clock (fun e -> e.tn_wal_append);
+    (match t.telem with
+    | None -> ()
+    | Some e ->
+        Telemetry.enter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_wal_append
+          ~ts:(Sim.Clock.ns clock));
     (* Slot reservation is a CAS, not a lock. *)
     Pmem.Device.dram_op t.dev clock;
     let off = Wal.append_off t.wal clock kind ~addr ~dest in
@@ -638,14 +595,9 @@ let log_op t clock kind ~addr ~dest =
     (match kind with
     | Wal.Large_alloc | Wal.Large_free -> Wal.flush_group t.wal clock
     | Wal.Alloc | Wal.Free | Wal.Refill -> ());
-    aframe_leave t clock;
     (match t.telem with
     | None -> ()
-    | Some e ->
-        let now = Sim.Clock.ns clock in
-        Telemetry.span e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_wal_append ~ts:t0
-          ~dur:(now - t0);
-        Telemetry.Histogram.observe e.th_wal_append (now - t0));
+    | Some e -> Telemetry.leave e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
     off
   end
   else -1
@@ -674,8 +626,10 @@ let take_slab_with_space t clock class_idx =
     | None -> new_slab t clock class_idx
 
 let refill_tcache t clock tc class_idx =
-  let t0 = Sim.Clock.ns clock in
-  aframe_enter t clock (fun e -> e.tn_refill);
+  (match t.telem with
+  | None -> ()
+  | Some e ->
+      Telemetry.enter e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_refill ~ts:(Sim.Clock.ns clock));
   (while not (Tcache.is_full tc) do
     let s = take_slab_with_space t clock class_idx in
     lru_touch t s;
@@ -733,14 +687,11 @@ let refill_tcache t clock tc class_idx =
     done;
     if s.Slab.free_count = 0 then freelist_remove t s
   done);
-  aframe_leave t clock;
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.ns clock in
-      Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_refill ~ts:t0
-        ~dur:(now - t0) ~k1:e.ta_class ~v1:class_idx ~k2:(-1) ~v2:0;
-      Telemetry.Histogram.observe e.th_refill (now - t0)
+      Telemetry.leave2 e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock) ~k1:e.ta_class
+        ~v1:class_idx ~k2:(-1) ~v2:0
 
 let ic_mark t clock s addr =
   s.Slab.tcached <- s.Slab.tcached - 1;

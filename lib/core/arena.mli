@@ -66,10 +66,11 @@ val index : t -> int
 
 val set_telemetry : t -> Telemetry.t option -> unit
 (** Attach/detach a telemetry sink: tcache refills, slab morphs, WAL
-    appends and WAL checkpoints become spans (["refill"], ["morph"],
-    ["wal:append"], ["wal:checkpoint"]) with matching latency histograms.
-    Emission never charges simulated time; detached costs one compare
-    per operation. *)
+    appends and WAL checkpoints become regions (["refill"], ["morph"],
+    ["wal:append"], ["wal:checkpoint"]) — a span, a latency histogram
+    and, with attribution on, a blame frame each — and contended
+    acquires of the arena lock charge [lock_wait]. Emission never
+    charges simulated time; detached costs one compare per operation. *)
 
 val lock : t -> Sim.Lock.t
 val wal : t -> Wal.t

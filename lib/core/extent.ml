@@ -134,24 +134,24 @@ let new_veh t ~addr ~size ~kind ~page ~now =
    operation already charged) still counts toward the lookup telemetry. *)
 let note_lookup t = Pmem.Stats.bump (Pmem.Device.stats t.dev) Extent_tree_lookups
 
-(* Charge a DRAM tree search of [n] elements and count it. With blame
-   attribution on, the search steps land under an [extent:lookup] frame
-   so tree-walk cost separates from the surrounding malloc/free. *)
+(* Charge a DRAM tree search of [n] elements and count it. The search
+   steps are an [extent:lookup] region, so tree-walk cost separates from
+   the surrounding malloc/free. *)
 let charge_search t clock n =
   note_lookup t;
   let steps = Rbtree.search_steps n in
-  let attr = Pmem.Device.attribution t.dev in
-  (match attr with
+  let sink = Pmem.Device.telemetry t.dev in
+  (match sink with
   | None -> ()
-  | Some a ->
-      Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock) ~name:"extent:lookup"
+  | Some s ->
+      Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "extent:lookup")
         ~ts:(Sim.Clock.ns clock));
   for _ = 1 to steps do
     Pmem.Device.search_step t.dev clock
   done;
-  match attr with
+  match sink with
   | None -> ()
-  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+  | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
 
 let page_of t base = Rbtree.value t.pages (Rbtree.find t.pages base 0)
 
@@ -525,6 +525,9 @@ let free t clock v =
 (* --- recovery hooks --------------------------------------------------------- *)
 
 let restore_region t ~base ~total =
+  (* Recovery's fresh DAX manager sees the whole heap free: the region
+     is mapped already, so it must never be handed out again. *)
+  Pmem.Dax.reserve (Heap.dax t.heap) ~addr:base ~size:total;
   (* A region whose size differs from the default granularity was mapped
      for one huge object. *)
   let pd =

@@ -146,7 +146,8 @@ val page_count : t -> int
 
 val restore_region : t -> base:int -> total:int -> unit
 (** Recovery hook: re-register a mapped region read back from the
-    persistent region table (before restoring its extents). *)
+    persistent region table (before restoring its extents), reserving
+    its range in the heap's DAX manager ({!Pmem.Dax.reserve}). *)
 
 val restore_extent :
   t -> addr:int -> size:int -> kind:Booklog.kind -> state:state -> log_ref:int -> region:int -> veh

@@ -24,12 +24,6 @@ type t = {
   mutable quarantined_vslabs : Slab.t list;
   mutable media_dropped_frees : int;
   mutable next_scrub : int;
-  (* Lines whose persisted copy was rotted by [inject_bitrot]: the
-     injectors consult this so poison never lands on the partner of a
-     rotted copy (and vice versa) — a rot+poison double fault on a
-     non-slab record would make recovery fatal, which is a test-harness
-     artefact, not an allocator property. *)
-  mutable rotted_lines : int list;
   (* Telemetry emission state, pre-interned at attach; None (the default)
      costs one compare per malloc/free. Emission never charges clocks. *)
   mutable telem : ntelem option;
@@ -37,15 +31,11 @@ type t = {
 
 and ntelem = {
   tsink : Telemetry.t;
-  tn_alloc : int;
-  tn_free : int;
-  tn_op_small : int; (* attribution root frames *)
+  tn_op_small : int; (* root regions *)
   tn_op_large : int;
   tn_op_free : int;
   ta_size : int;
   ta_addr : int;
-  th_alloc : Telemetry.Histogram.t;
-  th_free : Telemetry.Histogram.t;
   tn_class_slabs : int array; (* snapshot counters, per size class *)
   tn_class_occupancy : int array;
   ts_nslabs : int array; (* snapshot scratch: per class, then free/full/partial *)
@@ -159,7 +149,6 @@ let make heap arena =
       quarantined_vslabs = [];
       media_dropped_frees = 0;
       next_scrub = 0;
-      rotted_lines = [];
       telem = None;
     }
   in
@@ -194,71 +183,29 @@ let set_telemetry t sink =
      emit into the same per-thread rings. *)
   Pmem.Device.set_telemetry t.dev sink;
   Array.iter (fun a -> Arena.set_telemetry a sink) t.arenas;
-  match sink with
-  | None ->
-      t.telem <- None;
-      Sim.Lock.set_wait_hook t.owner_lock None;
-      Sim.Lock.set_wait_hook t.region_lock None
-  | Some s ->
-      t.telem <-
-        Some
-          {
-            tsink = s;
-            tn_alloc = Telemetry.intern s "alloc";
-            tn_free = Telemetry.intern s "free";
-            tn_op_small = Telemetry.intern s "malloc:small";
-            tn_op_large = Telemetry.intern s "malloc:large";
-            tn_op_free = Telemetry.intern s "free";
-            ta_size = Telemetry.intern s "size";
-            ta_addr = Telemetry.intern s "addr";
-            th_alloc = Telemetry.histogram s "alloc";
-            th_free = Telemetry.histogram s "free";
-            tn_class_slabs =
-              Array.init Size_class.count (fun c ->
-                  Telemetry.intern s (Printf.sprintf "slabs:c%d" c));
-            tn_class_occupancy =
-              Array.init Size_class.count (fun c ->
-                  Telemetry.intern s (Printf.sprintf "occupancy:c%d" c));
-            ts_nslabs = Array.make (Size_class.count + 3) 0;
-            ts_occ = Array.make Size_class.count 0.0;
-          };
-      (* Contended owner/region-lock acquires charge [lock_wait] leaves
-         into the waiting thread's open frame (the arena locks hook
-         themselves in Arena.set_telemetry). *)
-      let lock_wait = Telemetry.intern s "lock_wait" in
-      let hook =
-        Some
-          (fun clock ns ->
-            match Telemetry.attribution s with
-            | None -> ()
-            | Some a ->
-                Telemetry.Attr.charge a ~tid:(Sim.Clock.id clock) ~name:lock_wait ~ns)
-      in
-      Sim.Lock.set_wait_hook t.owner_lock hook;
-      Sim.Lock.set_wait_hook t.region_lock hook
+  Sim.Lock.set_telemetry t.owner_lock sink;
+  Sim.Lock.set_telemetry t.region_lock sink;
+  t.telem <-
+    Option.map
+      (fun s ->
+        {
+          tsink = s;
+          tn_op_small = Telemetry.intern s "malloc:small";
+          tn_op_large = Telemetry.intern s "malloc:large";
+          tn_op_free = Telemetry.intern s "free";
+          ta_size = Telemetry.intern s "size";
+          ta_addr = Telemetry.intern s "addr";
+          tn_class_slabs =
+            Array.init Size_class.count (fun c ->
+                Telemetry.intern s (Printf.sprintf "slabs:c%d" c));
+          tn_class_occupancy =
+            Array.init Size_class.count (fun c ->
+                Telemetry.intern s (Printf.sprintf "occupancy:c%d" c));
+          ts_nslabs = Array.make (Size_class.count + 3) 0;
+          ts_occ = Array.make Size_class.count 0.0;
+        })
+      sink
 
-(* Open/close the per-operation root frame of the blame tree. Entering a
-   root resets the thread's stack (a faulted op may have left frames
-   open); leaving one records the op completion into the per-thread
-   latency histograms and SLO windows. No-ops without attribution. *)
-let aroot_enter t clock pick t0 =
-  match t.telem with
-  | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a ->
-          Telemetry.Attr.enter_root a ~tid:(Sim.Clock.id clock) ~name:(pick e) ~ts:t0)
-
-let aroot_leave t clock =
-  match t.telem with
-  | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock))
-
-let telemetry t = Option.map (fun e -> e.tsink) t.telem
 let root_addr t i = Heap.root_addr t.heap i
 let root_slots t = Heap.root_slots t.heap
 let arenas t = t.arenas
@@ -314,7 +261,7 @@ let media_span t clock name t0 =
   match Pmem.Device.telemetry t.dev with
   | None -> ()
   | Some s ->
-      Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name ~ts:t0
+      Telemetry.span s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s name) ~ts:t0
         ~dur:(Sim.Clock.ns clock - t0);
       (* Media degradations annotate the SLO timeline. *)
       (match Telemetry.attribution s with
@@ -387,23 +334,21 @@ let handle_poison t clock =
         | None -> ()
         | Some (r, slab) ->
             let t0 = Sim.Clock.ns clock in
-            let attr = Pmem.Device.attribution t.dev in
-            (match attr with
+            let sink = Pmem.Device.telemetry t.dev in
+            (match sink with
             | None -> ()
-            | Some a ->
-                Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock)
-                  ~name:"guard:verify" ~ts:t0);
+            | Some s ->
+                Telemetry.enter s ~tid:(Sim.Clock.id clock)
+                  ~name:(Telemetry.intern s "guard:verify") ~ts:t0);
             let status = ref Guard.Lost in
             let attempts = ref 0 in
             while !attempts < media_max_repair && !status = Guard.Lost do
               incr attempts;
               status := Guard.verify_repair t.dev clock r
             done;
-            (match attr with
+            (match sink with
             | None -> ()
-            | Some a ->
-                Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock)
-                  ~ts:(Sim.Clock.ns clock));
+            | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
             (match !status with
             | Guard.Clean | Guard.Repaired -> media_span t clock "media:repair" t0
             | Guard.Lost -> (
@@ -457,16 +402,20 @@ let malloc_to t th ~size ~dest =
   let t0 = Sim.Clock.ns clock in
   let class_idx = Size_class.of_size size in
   let arena = t.arenas.(th.arena) in
+  (match t.telem with
+  | None -> ()
+  | Some e ->
+      Telemetry.enter_root e.tsink ~tid:(Sim.Clock.id clock)
+        ~name:(if class_idx >= 0 then e.tn_op_small else e.tn_op_large)
+        ~ts:t0);
   let addr =
     if class_idx >= 0 then begin
-      aroot_enter t clock (fun e -> e.tn_op_small) t0;
       let addr = Arena.alloc_small arena clock ~tcaches:th.tcaches ~class_idx in
       let wal_off = Arena.log_op arena clock Wal.Alloc ~addr ~dest in
       publish_small t clock arena Wal.Alloc ~wal_off ~dest ~addr;
       addr
     end
     else begin
-      aroot_enter t clock (fun e -> e.tn_op_large) t0;
       let veh = Arena.malloc_large arena clock ~size in
       let addr = veh.Extent.addr in
       let wal_off = Arena.log_op arena clock Wal.Large_alloc ~addr ~dest in
@@ -475,14 +424,11 @@ let malloc_to t th ~size ~dest =
       addr
     end
   in
-  aroot_leave t clock;
   (match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.ns clock in
-      Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_alloc ~ts:t0
-        ~dur:(now - t0) ~k1:e.ta_size ~v1:size ~k2:e.ta_addr ~v2:addr;
-      Telemetry.Histogram.observe e.th_alloc (now - t0));
+      Telemetry.leave2 e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock) ~k1:e.ta_size
+        ~v1:size ~k2:e.ta_addr ~v2:addr);
   addr
 
 let read_ptr t ~dest = Pstruct.get t.dev ~base:dest Ptr.v
@@ -499,9 +445,11 @@ let free_from t th ~dest =
   let t0 = Sim.Clock.ns clock in
   let addr = read_ptr t ~dest in
   if addr <= 0 then invalid_arg err_free_unpublished;
-  (* One root frame for both small and large frees: the owner is unknown
-     until the lookup, which itself belongs inside the frame. *)
-  aroot_enter t clock (fun e -> e.tn_op_free) t0;
+  (* One root region for both small and large frees: the owner is
+     unknown until the lookup, which itself belongs inside the region. *)
+  (match t.telem with
+  | None -> ()
+  | Some e -> Telemetry.enter_root e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_op_free ~ts:t0);
   if media_on t && in_quarantine t addr then begin
     (* Graceful degradation: the block's home metadata is written off —
        its capacity already left the heap, so the free is swallowed and
@@ -536,14 +484,11 @@ let free_from t th ~dest =
       publish ~deps:(Arena.wal_dep arena Wal.Large_free wal_off) t clock ~dest ~addr:0
     end
   end;
-  aroot_leave t clock;
   match t.telem with
   | None -> ()
   | Some e ->
-      let now = Sim.Clock.ns clock in
-      Telemetry.span2 e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_free ~ts:t0
-        ~dur:(now - t0) ~k1:e.ta_addr ~v1:addr ~k2:(-1) ~v2:0;
-      Telemetry.Histogram.observe e.th_free (now - t0)
+      Telemetry.leave2 e.tsink ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock) ~k1:e.ta_addr
+        ~v1:addr ~k2:(-1) ~v2:0
 
 let exit_ t clock =
   assert (not t.closed);
@@ -998,13 +943,16 @@ let seed_poison t ~seed ~count =
   done;
   let taken = Hashtbl.create 16 in
   let injected = ref 0 in
+  (* Never poison the partner of a rotted copy: a rot+poison double
+     fault on a non-slab record would make recovery fatal, which is a
+     harness artefact, not an allocator property. *)
   Array.iter
     (fun (line, partner) ->
       if
         !injected < count
         && (not (Hashtbl.mem taken line))
         && (not (Hashtbl.mem taken partner))
-        && (not (List.mem partner t.rotted_lines))
+        && (not (Pmem.Device.is_rotted t.dev ~line:partner))
         && not (Pmem.Device.is_poisoned t.dev ~line)
       then begin
         Hashtbl.replace taken line ();
@@ -1035,7 +983,6 @@ let inject_bitrot t ~seed ~flips =
       let a = base + Sim.Rng.int rng len in
       if not (Pmem.Device.is_poisoned t.dev ~line:(a / cl)) then begin
         Pmem.Device.corrupt_bit t.dev ~addr:a ~bit:(Sim.Rng.int rng 8);
-        t.rotted_lines <- (a / cl) :: t.rotted_lines;
         incr applied
       end
     end
@@ -1049,27 +996,26 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
   let config = effective_config config dev in
   Pmem.Device.set_batching dev config.Config.batch;
   let charge_lines n = Pmem.Device.charge_pm_read dev clock ~lines:n in
-  (* Recovery emits phase spans into a sink already attached to the
-     device (there is no allocator to attach to until recovery returns).
-     [phase] charges nothing; without a sink it is the identity. *)
+  (* Recovery records into a sink already attached to the device (there
+     is no allocator to attach to until recovery returns). It is its own
+     root op class — its WAL replay reads, guard repairs and metadata
+     flushes attribute under [recovery] instead of polluting
+     malloc/free — and each [phase] is a region under it. Recording
+     charges nothing; without a sink [phase] is the identity. *)
   let tsink = Pmem.Device.telemetry dev in
-  let t_start = Sim.Clock.ns clock in
-  (* Blame attribution: recovery is its own root op class — its WAL
-     replay reads, guard repairs and metadata flushes attribute under
-     [recovery] instead of polluting malloc/free. *)
-  (match Pmem.Device.attribution dev with
+  (match tsink with
   | None -> ()
-  | Some a ->
-      Telemetry.Attr.enter_root_named a ~tid:(Sim.Clock.id clock) ~name:"recovery"
-        ~ts:t_start);
+  | Some s ->
+      Telemetry.enter_root s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "recovery")
+        ~ts:(Sim.Clock.ns clock));
   let phase name f =
     match tsink with
     | None -> f ()
     | Some s ->
-        let t0 = Sim.Clock.ns clock in
+        Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s name)
+          ~ts:(Sim.Clock.ns clock);
         let r = f () in
-        Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name ~ts:t0
-          ~dur:(Sim.Clock.ns clock - t0);
+        Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock);
         r
   in
   (* 0. Media pass, before anything reads a (possibly damaged) header:
@@ -1556,14 +1502,9 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
      the heap already sane, with nothing left to replay. *)
   phase "recovery:seal" (fun () -> Array.iter (fun wal -> Wal.seal wal clock) wals);
   Heap.set_state heap clock Heap.Running;
-  (match Pmem.Device.attribution dev with
-  | None -> ()
-  | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
   (match tsink with
   | None -> ()
-  | Some s ->
-      Telemetry.span_named s ~tid:(Sim.Clock.id clock) ~name:"recovery" ~ts:t_start
-        ~dur:(Sim.Clock.ns clock - t_start));
+  | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
   ( t,
     {
       found_state;

@@ -214,12 +214,12 @@ val inject_bitrot : t -> seed:int -> flips:int -> int
 (** {1 Telemetry} *)
 
 val set_telemetry : t -> Telemetry.t option -> unit
-(** Attach one sink to the whole stack: the device (flush/fence spans,
-    WPQ depth), every arena (refill/morph/WAL spans) and the allocator
-    itself (["alloc"]/["free"] spans with latency histograms). Emission
-    never charges simulated time; [None] detaches everywhere. *)
-
-val telemetry : t -> Telemetry.t option
+(** Attach one sink to the whole stack: the device (flush/fence
+    leaves, WPQ depth and group-commit samples), every arena
+    (refill/morph/WAL regions), the locks ([lock_wait] charges) and the
+    allocator itself (root regions ["malloc:small"], ["malloc:large"]
+    and ["free"]). Emission never charges simulated time; [None]
+    detaches everywhere. *)
 
 val telemetry_snapshot : t -> ts:int -> unit
 (** Emit one heap-introspection snapshot at simulated time [ts] on the

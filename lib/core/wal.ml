@@ -270,13 +270,13 @@ let append t clock kind ~addr ~dest = ignore (append_off t clock kind ~addr ~des
    effects, so no pointer dangles); a crash after B replays it. *)
 let flush_group t clock =
   if t.group_n > 0 && (t.gcount > 0 || t.neffects > 0) then begin
-    (* Blame attribution: the whole three-phase close is one interior
-       frame, so its flushes and fences separate from the op that
-       happened to trip the group boundary. *)
-    (match Pmem.Device.attribution t.dev with
+    (* The whole three-phase close is one region, so its flushes and
+       fences separate from the op that happened to trip the group
+       boundary. *)
+    (match Pmem.Device.telemetry t.dev with
     | None -> ()
-    | Some a ->
-        Telemetry.Attr.enter_named a ~tid:(Sim.Clock.id clock) ~name:"wal:group_commit"
+    | Some s ->
+        Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "wal:group_commit")
           ~ts:(Sim.Clock.ns clock));
     for i = 0 to t.gnents - 1 do
       if t.skip_record then
@@ -320,9 +320,9 @@ let flush_group t clock =
     t.gcount <- 0;
     t.gnents <- 0;
     t.neffects <- 0;
-    match Pmem.Device.attribution t.dev with
+    match Pmem.Device.telemetry t.dev with
     | None -> ()
-    | Some a -> Telemetry.Attr.leave a ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+    | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
   end
 
 (* A metadata commit ordered after a grouped entry: queue it for the

@@ -37,6 +37,23 @@ let mmap t clock ~size =
   if t.mapped > t.peak then t.peak <- t.mapped;
   addr
 
+let reserve t ~addr ~size =
+  let size = round_up size in
+  let rec take acc = function
+    | [] ->
+        invalid_arg
+          (Printf.sprintf "Pmem.Dax.reserve: [%d, +%d) is not a free range" addr size)
+    | r :: rest when r.addr <= addr && addr + size <= r.addr + r.size ->
+        let before = if addr > r.addr then [ { addr = r.addr; size = addr - r.addr } ] else [] in
+        let stop = r.addr + r.size in
+        let after = if addr + size < stop then [ { addr = addr + size; size = stop - addr - size } ] else [] in
+        t.free <- List.rev_append acc (before @ after @ rest)
+    | r :: rest -> take (r :: acc) rest
+  in
+  take [] t.free;
+  t.mapped <- t.mapped + size;
+  if t.mapped > t.peak then t.peak <- t.mapped
+
 let munmap t clock ?(decommitted = 0) ~addr ~size () =
   let size = round_up size in
   if addr mod page_size <> 0 then

@@ -33,6 +33,12 @@ val mmap : t -> Sim.Clock.t -> size:int -> int
     models the kernel VMA allocator closely enough for this purpose.
     Raises [Out_of_memory] if the device is exhausted. *)
 
+val reserve : t -> addr:int -> size:int -> unit
+(** Take the range [addr, addr+size) (rounded up to pages) out of the
+    free list and count it mapped, charging nothing: recovery's way of
+    telling a fresh manager about the regions the heap already maps.
+    Raises [Invalid_argument] if the range is not wholly free. *)
+
 val munmap : t -> Sim.Clock.t -> ?decommitted:int -> addr:int -> size:int -> unit -> unit
 (** Return a region. Adjacent free regions coalesce. An [addr] that is
     not page-aligned raises [Invalid_argument]. [decommitted] bytes of

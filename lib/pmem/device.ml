@@ -65,10 +65,9 @@ type t = {
      the next ordering point (fence / commit / quiesce) drains the set —
      deduplicated per line — under its single fence. *)
   mutable batching : bool;
-  (* Telemetry sink with everything the per-flush emission needs cached:
-     interned name/arg-key ids and histogram handles, so an enabled
-     emission is stores into preallocated arrays and the disabled path is
-     this one option check. *)
+  (* Telemetry sink with the interned name/arg-key ids the per-flush
+     emission needs, so an enabled emission is stores into preallocated
+     arrays and the disabled path is this one option check. *)
   mutable telem : temit option;
 }
 
@@ -95,20 +94,17 @@ and stream = {
 
 and temit = {
   tsink : Telemetry.t;
-  tn_flush : int array; (* span name ids, indexed by Stats.cat_index *)
+  sink : Telemetry.t option; (* [Some tsink], built once for [telemetry] *)
+  tn_flush : int array; (* leaf name ids, indexed by Stats.cat_index *)
   tn_reflush : int array;
   tn_fence : int;
-  tn_wpq : int;
+  tn_wpq : int; (* samples *)
   tn_group : int;
-  tn_pm_read : int; (* attribution leaf components *)
+  tn_pm_read : int; (* blame-only charges *)
   tn_search : int;
   tn_dram : int;
   ta_addr : int; (* arg-key ids *)
   ta_dist : int;
-  th_flush : Telemetry.Histogram.t array; (* per-category flush latency *)
-  th_fence : Telemetry.Histogram.t;
-  th_wpq : Telemetry.Histogram.t;
-  th_group : Telemetry.Histogram.t; (* entries per closed WAL group *)
   mutable tflush_seq : int; (* flushes since attach, for WPQ sampling *)
 }
 
@@ -167,6 +163,7 @@ let set_telemetry t sink =
         Some
           {
             tsink = s;
+            sink;
             tn_flush = Array.map (Telemetry.intern s) flush_span_names;
             tn_reflush = Array.map (Telemetry.intern s) reflush_span_names;
             tn_fence = Telemetry.intern s "fence";
@@ -177,19 +174,12 @@ let set_telemetry t sink =
             tn_dram = Telemetry.intern s "dram";
             ta_addr = Telemetry.intern s "addr";
             ta_dist = Telemetry.intern s "dist";
-            th_flush = Array.map (Telemetry.histogram s) flush_span_names;
-            th_fence = Telemetry.histogram s "fence";
-            th_wpq = Telemetry.histogram s "wpq_depth";
-            th_group = Telemetry.histogram s "group_commit";
             tflush_seq = 0;
           }
 
-let telemetry t = Option.map (fun e -> e.tsink) t.telem
-
-(* Blame-tree handle of the attached sink, if attribution was enabled on
-   it — upper layers (WAL, extent, guard) open frames through this. *)
-let attribution t =
-  match t.telem with None -> None | Some e -> Telemetry.attribution e.tsink
+(* Upper layers (WAL, extent, guard, recovery) open their regions in
+   the attached sink through this; it allocates nothing. *)
+let telemetry t = match t.telem with None -> None | Some e -> e.sink
 
 let reset_stats t =
   Stats.reset t.stats;
@@ -504,22 +494,18 @@ let flush_line t clock cat line =
   | Some e ->
       let idx = Stats.cat_index cat in
       let tid = Sim.Clock.id clock in
-      let name = if reflush then e.tn_reflush.(idx) else e.tn_flush.(idx) in
-      Telemetry.span2 e.tsink ~tid ~name ~ts:now ~dur:(finish - now) ~k1:e.ta_addr ~v1:addr
+      (* The flush's device occupancy is the leaf: a span, the
+         [flush:<cat>] or [reflush:<cat>] histogram, and a blame charge
+         under whatever frame the thread has open. *)
+      Telemetry.leaf e.tsink ~tid
+        ~name:(if reflush then e.tn_reflush.(idx) else e.tn_flush.(idx))
+        ~ts:now ~dur:(finish - now) ~k1:e.ta_addr ~v1:addr
         ~k2:(if reflush then e.ta_dist else -1)
         ~v2:(if reflush then distance else 0);
-      Telemetry.Histogram.observe e.th_flush.(idx) (finish - now);
-      (* Blame attribution: the flush's device occupancy is a leaf charge
-         under whatever frame the thread has open. *)
-      (match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a -> Telemetry.Attr.charge a ~tid ~name ~ns:(finish - now));
       e.tflush_seq <- e.tflush_seq + 1;
-      if e.tflush_seq mod wpq_sample_period = 0 then begin
-        let num = Xpbuffer.backlog t.wpq ~now:finish and den = t.lat.Latency.wpq_drain_ns in
-        Telemetry.counter_ratio e.tsink ~tid ~name:e.tn_wpq ~ts:finish ~num ~den;
-        Telemetry.Histogram.observe_ratio e.th_wpq ~num ~den
-      end);
+      if e.tflush_seq mod wpq_sample_period = 0 then
+        Telemetry.sample e.tsink ~tid ~name:e.tn_wpq ~ts:finish
+          ~num:(Xpbuffer.backlog t.wpq ~now:finish) ~den:t.lat.Latency.wpq_drain_ns);
   finish
 
 let charge_fence t clock =
@@ -529,13 +515,8 @@ let charge_fence t clock =
   match t.telem with
   | None -> ()
   | Some e ->
-      let tid = Sim.Clock.id clock in
-      Telemetry.span e.tsink ~tid ~name:e.tn_fence ~ts:(Sim.Clock.ns clock - fence_ns)
-        ~dur:fence_ns;
-      Telemetry.Histogram.observe e.th_fence fence_ns;
-      (match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a -> Telemetry.Attr.charge a ~tid ~name:e.tn_fence ~ns:fence_ns)
+      Telemetry.leaf e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_fence
+        ~ts:(Sim.Clock.ns clock - fence_ns) ~dur:fence_ns ~k1:(-1) ~v1:0 ~k2:(-1) ~v2:0
 
 let sync_flush t clock cat ~addr ~len =
   if len > 0 then begin
@@ -637,9 +618,8 @@ let note_group_commit t clock ~entries =
   match t.telem with
   | None -> ()
   | Some e ->
-      Telemetry.counter_int e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_group
-        ~ts:(Sim.Clock.ns clock) ~value:entries;
-      Telemetry.Histogram.observe e.th_group entries
+      Telemetry.sample e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_group
+        ~ts:(Sim.Clock.ns clock) ~num:entries ~den:1
 
 let charge_pm_read t clock ~lines =
   let ns = lines * t.lat.Latency.pm_read_line_ns in
@@ -647,24 +627,17 @@ let charge_pm_read t clock ~lines =
   Stats.add t.stats Read_ns ns;
   match t.telem with
   | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a -> Telemetry.Attr.charge a ~tid:(Sim.Clock.id clock) ~name:e.tn_pm_read ~ns)
+  | Some e -> Telemetry.charge e.tsink ~tid:(Sim.Clock.id clock) ~name:e.tn_pm_read ~ns
 
 let charge_work t clock work ~ns =
   Sim.Clock.charge clock ns;
   Stats.add t.stats (match work with Stats.Search -> Search_ns | Other -> Other_ns) ns;
   match t.telem with
   | None -> ()
-  | Some e -> (
-      match Telemetry.attribution e.tsink with
-      | None -> ()
-      | Some a ->
-          let name =
-            match work with Stats.Search -> e.tn_search | _ -> e.tn_dram
-          in
-          Telemetry.Attr.charge a ~tid:(Sim.Clock.id clock) ~name ~ns)
+  | Some e ->
+      Telemetry.charge e.tsink ~tid:(Sim.Clock.id clock)
+        ~name:(match work with Stats.Search -> e.tn_search | Other -> e.tn_dram)
+        ~ns
 
 let dram_op t clock = charge_work t clock Stats.Other ~ns:t.lat.Latency.dram_ns
 let search_step t clock = charge_work t clock Stats.Search ~ns:t.lat.Latency.search_ns
@@ -718,6 +691,10 @@ let clear_poison t ~line =
 let is_poisoned t ~line =
   check_line t "is_poisoned" line;
   Hashtbl.mem t.poisoned line
+
+let is_rotted t ~line =
+  check_line t "is_rotted" line;
+  Hashtbl.mem t.rotted line
 
 let poisoned_lines t =
   List.sort compare (Hashtbl.fold (fun line () acc -> line :: acc) t.poisoned [])

@@ -49,24 +49,23 @@ val is_eadr : t -> bool
 
 (** {1 Telemetry}
 
-    With a sink attached the device emits, per line flush, a span named
-    [flush:<cat>] / [reflush:<cat>] (args: byte address, reflush
-    distance) plus a latency-histogram observation; per fence, a [fence]
-    span; and a [wpq_depth] counter sampled every 64 flushes. Emission
-    never charges simulated clocks — attaching telemetry cannot change
-    simulated results. Detached ([None], the default), the cost is one
-    field check per flush/fence. *)
+    With a sink attached the device records one {!Telemetry.leaf} per
+    line flush, named [flush:<cat>] / [reflush:<cat>] (args: byte
+    address, reflush distance), and per fence ([fence]); a
+    {!Telemetry.sample} of [wpq_depth] every 64 flushes and of
+    [group_commit] per closed WAL group; and a blame-only
+    {!Telemetry.charge} per PM read ([pm_read]) and DRAM/search work
+    ([dram], [search]). Emission never charges simulated clocks —
+    attaching telemetry cannot change simulated results. Detached
+    ([None], the default), the cost is one field check per
+    flush/fence. *)
 
 val set_telemetry : t -> Telemetry.t option -> unit
-val telemetry : t -> Telemetry.t option
 
-val attribution : t -> Telemetry.Attr.t option
-(** Blame-tree handle of the attached sink, when
-    [Telemetry.enable_attribution] was called on it. With attribution on,
-    flushes/reflushes, fences, PM reads and DRAM/search work additionally
-    charge leaf components into the calling thread's open frame; upper
-    layers use this handle to open interior frames (WAL group commit,
-    extent lookup, guard verify). Charges never touch simulated clocks. *)
+val telemetry : t -> Telemetry.t option
+(** The attached sink, which upper layers (WAL group commit, extent
+    lookup, guard verify, recovery) open their regions in. Allocates
+    nothing. *)
 
 val reset_stats : t -> unit
 (** {!Stats.reset} plus the classification state behind the counters:
@@ -218,6 +217,10 @@ val corrupt_bit : t -> addr:int -> bit:int -> unit
     promotes the persisted image (or a {!scrub_lines} pass catches it
     first). *)
 
+val is_rotted : t -> line:int -> bool
+(** Whether [line] holds at-rest rot from {!corrupt_bit} that no
+    writeback, scrub or crash has resolved yet. *)
+
 val scrub_lines : t -> addr:int -> len:int -> int
 (** Rewrite every clean line in [addr, addr+len) whose persisted bytes
     have drifted from the cached copy (clean lines otherwise satisfy
@@ -287,7 +290,7 @@ val commit_flush_weak : t -> Sim.Clock.t -> Stats.category -> addr:int -> len:in
 
 val note_group_commit : t -> Sim.Clock.t -> entries:int -> unit
 (** Record one closed WAL group of [entries] appends (stats counter plus
-    a [group_commit] telemetry counter/histogram when a sink is attached). *)
+    a [group_commit] telemetry sample when a sink is attached). *)
 
 val ordering_commits_checked : t -> int
 val ordering_deps_tracked : t -> int

@@ -1,22 +1,27 @@
 type t = {
   mutable free_at : int;
   mutable contended : int;
-  (* Observation hook for latency attribution: called with the stall
-     duration on contended acquires, before the wait. Must not touch the
-     clock — the wait itself is charged identically with or without it. *)
-  mutable on_wait : (Clock.t -> int -> unit) option;
+  (* Latency attribution: the attached sink and its interned
+     [lock_wait] name. Contended acquires charge the stall into the
+     waiting thread's open frame; observation only — the wait itself is
+     charged identically with or without a sink. *)
+  mutable telem : (Telemetry.t * int) option;
 }
 
 (* Uncontended acquisition cost: CAS + cache traffic. *)
 let acquire_ns = 20
-let create () = { free_at = 0; contended = 0; on_wait = None }
+let create () = { free_at = 0; contended = 0; telem = None }
 
-let set_wait_hook t hook = t.on_wait <- hook
+let set_telemetry t sink =
+  t.telem <- Option.map (fun s -> (s, Telemetry.intern s "lock_wait")) sink
 
 let acquire t clock =
   if t.free_at > Clock.ns clock then begin
     t.contended <- t.contended + 1;
-    (match t.on_wait with None -> () | Some f -> f clock (t.free_at - Clock.ns clock));
+    (match t.telem with
+    | None -> ()
+    | Some (s, name) ->
+        Telemetry.charge s ~tid:(Clock.id clock) ~name ~ns:(t.free_at - Clock.ns clock));
     Clock.wait_until clock t.free_at
   end;
   Clock.charge clock acquire_ns;

@@ -26,9 +26,8 @@ val with_lock : t -> Clock.t -> (unit -> 'a) -> 'a
 val contention_count : t -> int
 (** Number of acquisitions that had to wait. *)
 
-val set_wait_hook : t -> (Clock.t -> int -> unit) option -> unit
-(** Observation hook called with the stall duration on every contended
-    acquire, before the stall. Used by latency attribution to charge
-    lock-wait components; the hook must not touch simulated clocks (the
-    stall is charged identically either way). [None] (the default)
-    restores the unobserved path. *)
+val set_telemetry : t -> Telemetry.t option -> unit
+(** Attach a sink: every contended acquire then charges the stall as a
+    [lock_wait] leaf ({!Telemetry.charge}) into the waiting thread's
+    open frame, before the stall, without touching simulated clocks.
+    [None] (the default) restores the unobserved path. *)

@@ -1,16 +1,17 @@
 (* Simulated-time telemetry: per-thread bounded event rings, log-bucketed
-   latency histograms, and exporters (Chrome trace-event JSON, histogram
-   CSV). The library is dependency-free so every layer of the stack —
-   sim, pmem, core, harness — can emit into it without cycles.
+   latency histograms, blame-tree attribution, and exporters (Chrome
+   trace-event JSON, histogram CSV, Prometheus text). The library is
+   dependency-free so every layer of the stack — sim, pmem, core,
+   harness — can emit into it without cycles.
 
    Cost model: a disabled sink is never consulted (emitters hold a
    [Telemetry.t option] and test it with one load+compare on the hot
    path). An enabled sink finds the emitting thread's lane through a
-   last-lane cache, probing its table only on a thread switch; recording
-   an event, a blame charge, a frame or an op completion is then stores
-   into preallocated arrays — no allocation (pinned by
-   test/test_telemetry.ml, "enabled primitives allocate nothing") and no
-   clock charge, so enabling telemetry never changes simulated results. *)
+   last-lane cache, probing its table only on a thread switch; a region,
+   leaf, charge or sample is then stores into preallocated arrays — no
+   allocation (pinned by test/test_telemetry.ml, "enabled primitives
+   allocate nothing") and no clock charge, so enabling telemetry never
+   changes simulated results. *)
 
 (* --- minimal JSON ------------------------------------------------------- *)
 
@@ -250,7 +251,7 @@ module Histogram = struct
      unboxed, where mutable float fields of this mixed record would
      allocate a box per update. *)
   type t = {
-    name : string;
+    mutable name : string; (* set once, when a sink's name slot is interned *)
     buckets : int array; (* bucket i: values in [2^(i-1), 2^i) ns; bucket 0: < 1 ns *)
     mutable n : int;
     acc : float array;
@@ -333,11 +334,11 @@ end
 (* --- per-thread lanes ---------------------------------------------------- *)
 
 (* Everything one emitting thread (simulated clock id) records, in one
-   record: its bounded event ring, its blame-tree frame stack and its
-   per-op latency histograms. The ring is parallel preallocated arrays,
-   oldest entries overwritten on wrap: recording is a bump + a few
-   stores, and "the last N events" — what a failing fuzz repro wants —
-   is exactly what survives. *)
+   record: its bounded event ring, its frame stack and its per-op latency
+   histograms. The ring is parallel preallocated arrays, oldest entries
+   overwritten on wrap: recording is a bump + a few stores, and "the last
+   N events" — what a failing fuzz repro wants — is exactly what
+   survives. *)
 type lane = {
   l_tid : int;
   mutable r_total : int; (* events ever recorded (>= kept) *)
@@ -350,8 +351,8 @@ type lane = {
   e_v1 : float array;
   e_k2 : int array;
   e_v2 : float array;
-  mutable f_depth : int; (* attribution frame stack *)
-  mutable f_node : int array; (* frame -> blame-tree node *)
+  mutable f_depth : int; (* open regions *)
+  mutable f_node : int array; (* frame -> blame-tree node, -1 = none *)
   mutable f_name : int array; (* frame -> interned name *)
   mutable f_ts : int array; (* frame -> entry timestamp *)
   mutable f_acc : int array; (* frame -> ns accounted to children/leaves *)
@@ -365,8 +366,7 @@ type t = {
   name_ids : (string, int) Hashtbl.t;
   lanes : (int, lane) Hashtbl.t; (* tid -> lane *)
   mutable last : lane; (* lane of the last emitting thread *)
-  hists : (string, Histogram.t) Hashtbl.t;
-  mutable hist_names : string list;
+  mutable hists : Histogram.t array; (* name id -> histogram, allocated with the slot *)
   mutable attr : attr option; (* blame-tree attribution, off by default *)
 }
 
@@ -374,14 +374,13 @@ type t = {
    node 0 is a synthetic root whose children are the per-operation root
    frames (malloc:small, free, recovery, ...). A node's children form a
    list through [a_child]/[a_sibling] (0 ends it: the root is nobody's
-   child). Each emitting thread's lane keeps a frame stack; leaf charges
-   (fence, flush, pm_read, lock_wait, ...) accumulate into the child of
-   the innermost frame named by the component. When a frame is left, the
-   wall time not accounted to children or leaf charges becomes the frame
-   node's self time (clamped at zero: batched flushes charge
-   device-pipeline occupancy that can outlast the frame). Root-frame
-   completions additionally feed the lane's per-op latency histograms and
-   the SLO windows. *)
+   child). Leaf charges (fence, flush, pm_read, lock_wait, ...)
+   accumulate into the child of the innermost frame named by the
+   component. When a frame is left, the wall time not accounted to
+   children or leaf charges becomes the frame node's self time (clamped
+   at zero: batched flushes charge device-pipeline occupancy that can
+   outlast the frame). Root-frame completions additionally feed the
+   lane's per-op latency histograms and the SLO windows. *)
 and attr = {
   owner : t;
   mutable a_parent : int array; (* node -> parent node *)
@@ -415,6 +414,10 @@ let grow arr i fill =
   Array.blit arr 0 b 0 (Array.length arr);
   b
 
+(* Histograms are allocated with the name slots they serve, so a first
+   observation in the middle of a run allocates nothing. *)
+let new_hists n = Array.init n (fun _ -> Histogram.create "")
+
 let new_lane ~cap tid =
   {
     l_tid = tid;
@@ -444,25 +447,26 @@ let create ?(ring_capacity = default_ring_capacity) () =
   {
     cap = ring_capacity;
     names = Array.make 64 "";
+    hists = new_hists 64;
     nnames = 0;
     name_ids = Hashtbl.create 64;
     lanes = Hashtbl.create 16;
     (* A placeholder no clock id matches, so the first emission probes. *)
     last = new_lane ~cap:0 min_int;
-    hists = Hashtbl.create 16;
-    hist_names = [];
     attr = None;
   }
-
-let ring_capacity t = t.cap
 
 let intern t name =
   match Hashtbl.find t.name_ids name with
   | id -> id
   | exception Not_found ->
-      if t.nnames = Array.length t.names then t.names <- grow t.names t.nnames "";
+      if t.nnames = Array.length t.names then begin
+        t.names <- grow t.names t.nnames "";
+        t.hists <- Array.append t.hists (new_hists (Array.length t.names - t.nnames))
+      end;
       let id = t.nnames in
       t.names.(id) <- name;
+      t.hists.(id).name <- name;
       t.nnames <- t.nnames + 1;
       Hashtbl.replace t.name_ids name id;
       id
@@ -487,8 +491,7 @@ let[@inline] lane t tid =
   let l = t.last in
   if l.l_tid = tid then l else lane_slow t tid
 
-let[@inline] record t ~tid ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
-  let r = lane t tid in
+let[@inline] record t r ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
   let i = r.r_head in
   r.e_ts.(i) <- ts;
   r.e_dur.(i) <- dur;
@@ -502,30 +505,21 @@ let[@inline] record t ~tid ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
   r.r_total <- r.r_total + 1
 
 let span t ~tid ~name ~ts ~dur =
-  record t ~tid ~phase:'X' ~name ~ts ~dur ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
-
-let span2 t ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
-  record t ~tid ~phase:'X' ~name ~ts ~dur ~k1 ~v1:(float_of_int v1) ~k2 ~v2:(float_of_int v2)
+  record t (lane t tid) ~phase:'X' ~name ~ts ~dur ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
 
 let counter t ~tid ~name ~ts ~value =
-  record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
+  record t (lane t tid) ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
 
 let counter_int t ~tid ~name ~ts ~value =
-  record t ~tid ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value) ~k2:(-1) ~v2:0.0
+  record t (lane t tid) ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value) ~k2:(-1)
+    ~v2:0.0
 
 let counter_ratio t ~tid ~name ~ts ~num ~den =
   counter t ~tid ~name ~ts ~value:(float_of_int num /. float_of_int den)
 
-let span_named t ~tid ~name ~ts ~dur = span t ~tid ~name:(intern t name) ~ts ~dur
-
-let histogram t name =
-  match Hashtbl.find_opt t.hists name with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create name in
-      Hashtbl.replace t.hists name h;
-      t.hist_names <- name :: t.hist_names;
-      h
+let histograms t =
+  List.filter (fun h -> Histogram.count h > 0) (Array.to_list (Array.sub t.hists 0 t.nnames))
+  |> List.sort (fun h1 h2 -> compare (Histogram.name h1) (Histogram.name h2))
 
 (* Every lane in ascending raw-tid order — clock ids are assigned in
    creation order, so this is the deterministic "thread 0, thread 1, ..."
@@ -609,61 +603,6 @@ module Attr = struct
         w.w_viol <- w.w_viol + 1
     end
 
-  let push a l ~name ~ts =
-    let d = l.f_depth in
-    if d = Array.length l.f_node then begin
-      l.f_node <- grow l.f_node d 0;
-      l.f_name <- grow l.f_name d 0;
-      l.f_ts <- grow l.f_ts d 0;
-      l.f_acc <- grow l.f_acc d 0
-    end;
-    let parent = if d = 0 then 0 else l.f_node.(d - 1) in
-    l.f_node.(d) <- node_of a ~parent ~name;
-    l.f_name.(d) <- name;
-    l.f_ts.(d) <- ts;
-    l.f_acc.(d) <- 0;
-    l.f_depth <- d + 1
-
-  let enter a ~tid ~name ~ts = push a (lane a.owner tid) ~name ~ts
-
-  (* Root frames also reset the stack: an operation aborted by a fault
-     can leave frames open, and the next op must not inherit them. *)
-  let enter_root a ~tid ~name ~ts =
-    let l = lane a.owner tid in
-    l.f_depth <- 0;
-    push a l ~name ~ts
-
-  let charge a ~tid ~name ~ns =
-    let l = lane a.owner tid in
-    let d = l.f_depth in
-    let parent = if d = 0 then 0 else l.f_node.(d - 1) in
-    let node = node_of a ~parent ~name in
-    a.a_self.(node) <- a.a_self.(node) + ns;
-    a.a_count.(node) <- a.a_count.(node) + 1;
-    if d > 0 then l.f_acc.(d - 1) <- l.f_acc.(d - 1) + ns
-
-  let leave a ~tid ~ts =
-    let l = lane a.owner tid in
-    if l.f_depth > 0 then begin
-      let d = l.f_depth - 1 in
-      l.f_depth <- d;
-      let node = l.f_node.(d) in
-      let dur = Int.max 0 (ts - l.f_ts.(d)) in
-      let self = Int.max 0 (dur - l.f_acc.(d)) in
-      a.a_self.(node) <- a.a_self.(node) + self;
-      a.a_count.(node) <- a.a_count.(node) + 1;
-      if d > 0 then l.f_acc.(d - 1) <- l.f_acc.(d - 1) + dur
-      else complete_op a l ~op:l.f_name.(d) ~ts ~dur
-    end
-
-  let enter_named a ~tid ~name ~ts = enter a ~tid ~name:(intern a.owner name) ~ts
-
-  let enter_root_named a ~tid ~name ~ts =
-    enter_root a ~tid ~name:(intern a.owner name) ~ts
-
-  let charge_named a ~tid ~name ~ns = charge a ~tid ~name:(intern a.owner name) ~ns
-  let depth a ~tid = (lane a.owner tid).f_depth
-
   (* --- SLO configuration and queries --- *)
 
   let set_slo a ~window_ns ~targets =
@@ -737,6 +676,87 @@ module Attr = struct
       (nodes a);
     Buffer.contents b
 end
+
+(* --- recording: regions, leaves, charges, samples ------------------------ *)
+
+(* A frame's blame node: under its parent's, or -1 when attribution is
+   off or the parent has none (a frame opened before
+   [enable_attribution] settles nothing, and neither do its children). *)
+let push t l ~name ~ts =
+  let d = l.f_depth in
+  if d = Array.length l.f_node then begin
+    l.f_node <- grow l.f_node d 0;
+    l.f_name <- grow l.f_name d 0;
+    l.f_ts <- grow l.f_ts d 0;
+    l.f_acc <- grow l.f_acc d 0
+  end;
+  l.f_node.(d) <-
+    (match t.attr with
+    | None -> -1
+    | Some a ->
+        let parent = if d = 0 then 0 else l.f_node.(d - 1) in
+        if parent < 0 then -1 else Attr.node_of a ~parent ~name);
+  l.f_name.(d) <- name;
+  l.f_ts.(d) <- ts;
+  l.f_acc.(d) <- 0;
+  l.f_depth <- d + 1
+
+let enter t ~tid ~name ~ts = push t (lane t tid) ~name ~ts
+
+(* Root frames also reset the stack: an operation aborted by a fault
+   can leave frames open, and the next op must not inherit them. *)
+let enter_root t ~tid ~name ~ts =
+  let l = lane t tid in
+  l.f_depth <- 0;
+  push t l ~name ~ts
+
+(* [self] ns and one count to [node]; [ns] to the time the frame below
+   depth [d] has accounted to its children and leaves. *)
+let credit a l ~node ~self ~d ~ns =
+  a.a_self.(node) <- a.a_self.(node) + self;
+  a.a_count.(node) <- a.a_count.(node) + 1;
+  if d > 0 then l.f_acc.(d - 1) <- l.f_acc.(d - 1) + ns
+
+let leave2 t ~tid ~ts ~k1 ~v1 ~k2 ~v2 =
+  let l = lane t tid in
+  let d = l.f_depth - 1 in
+  if d >= 0 then begin
+    l.f_depth <- d;
+    let name = l.f_name.(d) in
+    let dur = Int.max 0 (ts - l.f_ts.(d)) in
+    record t l ~phase:'X' ~name ~ts:l.f_ts.(d) ~dur ~k1 ~v1:(float_of_int v1) ~k2
+      ~v2:(float_of_int v2);
+    Histogram.observe t.hists.(name) dur;
+    let node = l.f_node.(d) in
+    match t.attr with
+    | Some a when node >= 0 ->
+        credit a l ~node ~self:(Int.max 0 (dur - l.f_acc.(d))) ~d ~ns:dur;
+        if d = 0 then Attr.complete_op a l ~op:name ~ts ~dur
+    | _ -> ()
+  end
+
+let leave t ~tid ~ts = leave2 t ~tid ~ts ~k1:(-1) ~v1:0 ~k2:(-1) ~v2:0
+
+let charge t ~tid ~name ~ns =
+  match t.attr with
+  | None -> ()
+  | Some a ->
+      let l = lane t tid in
+      let d = l.f_depth in
+      let parent = if d = 0 then 0 else l.f_node.(d - 1) in
+      if parent >= 0 then credit a l ~node:(Attr.node_of a ~parent ~name) ~self:ns ~d ~ns
+
+let leaf t ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
+  record t (lane t tid) ~phase:'X' ~name ~ts ~dur ~k1 ~v1:(float_of_int v1) ~k2
+    ~v2:(float_of_int v2);
+  Histogram.observe t.hists.(name) dur;
+  charge t ~tid ~name ~ns:dur
+
+let sample t ~tid ~name ~ts ~num ~den =
+  counter_ratio t ~tid ~name ~ts ~num ~den;
+  Histogram.observe_ratio t.hists.(name) ~num ~den
+
+let depth t ~tid = (lane t tid).f_depth
 
 let enable_attribution t =
   match t.attr with
@@ -866,17 +886,15 @@ let chrome_json t =
 let hist_csv t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "histogram,count,min_ns,p50_ns,p90_ns,p99_ns,max_ns,mean_ns,total_ns\n";
-  let names = List.sort compare t.hist_names in
   List.iter
-    (fun name ->
-      let h = Hashtbl.find t.hists name in
+    (fun h ->
       Buffer.add_string b
-        (Printf.sprintf "%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n" name
+        (Printf.sprintf "%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n" (Histogram.name h)
            (Histogram.count h) (Histogram.min_value h)
            (Histogram.percentile h 0.50) (Histogram.percentile h 0.90)
            (Histogram.percentile h 0.99) (Histogram.max_value h) (Histogram.mean h)
            (Histogram.total h)))
-    names;
+    (histograms t);
   Buffer.contents b
 
 (* Prometheus text exposition of everything the sink holds: event-ring
@@ -930,13 +948,11 @@ let prometheus t =
   Buffer.add_string b (Printf.sprintf "nvalloc_events_recorded_total %d\n" (events_recorded t));
   header "nvalloc_events_dropped_total" "counter";
   Buffer.add_string b (Printf.sprintf "nvalloc_events_dropped_total %d\n" (events_dropped t));
-  let names = List.sort compare t.hist_names in
-  if names <> [] then header "nvalloc_hist" "histogram";
+  let hists = histograms t in
+  if hists <> [] then header "nvalloc_hist" "histogram";
   List.iter
-    (fun name ->
-      add_hist ~metric:"nvalloc_hist" ~label_key:"hist" ~label_value:name
-        (Hashtbl.find t.hists name))
-    names;
+    (fun h -> add_hist ~metric:"nvalloc_hist" ~label_key:"hist" ~label_value:(Histogram.name h) h)
+    hists;
   (match t.attr with
   | None -> ()
   | Some a ->

@@ -1,6 +1,7 @@
 (** Simulated-time telemetry: per-thread bounded event rings, log-bucketed
-    latency histograms, and exporters (Chrome trace-event JSON for
-    Perfetto/chrome://tracing, histogram CSV).
+    latency histograms, blame-tree attribution, and exporters (Chrome
+    trace-event JSON for Perfetto/chrome://tracing, histogram CSV,
+    Prometheus text).
 
     Dependency-free by design so sim, pmem, core and the harness can all
     emit without layering cycles. Recording never charges simulated
@@ -8,11 +9,11 @@
     cost is one [option] check at each emission site (the sink is held as
     a [Telemetry.t option] by the emitter; this module is never consulted
     when that is [None]). Enabled cost, through the interned-id API, is
-    array loads and stores per event, blame charge, frame and op
+    array loads and stores per region, leaf, charge, sample and op
     completion: no allocation, and a hash probe only when the emitting
-    thread changes ([_named] variants also hash the name). Only the first
-    appearance of a thread, blame-tree node, per-thread op histogram or
-    SLO window allocates. [test/test_telemetry.ml] ("enabled primitives
+    thread changes ({!intern} hashes the name). Only the first
+    appearance of a thread, name histogram, blame-tree node, per-thread
+    op histogram or SLO window allocates. [test/test_telemetry.ml] ("enabled primitives
     allocate nothing") pins zero minor words per call. *)
 
 (** Minimal JSON value type, printer and parser — enough for the trace
@@ -81,14 +82,12 @@ end
 type t
 (** A telemetry sink: interned names, named histograms, and one lane per
     emitting thread (keyed by simulated clock id) holding its event ring,
-    attribution frame stack and per-op latency histograms. *)
+    frame stack and per-op latency histograms. *)
 
 val create : ?ring_capacity:int -> unit -> t
 (** Per-thread ring capacity in events (default 65536). Oldest events
     are overwritten on wrap. Raises [Invalid_argument] if
     [ring_capacity <= 0]. *)
-
-val ring_capacity : t -> int
 
 val snapshot_tid : int
 (** Pseudo thread id for events that belong to no simulated thread
@@ -101,16 +100,58 @@ val intern : t -> string -> int
 
 val name_of : t -> int -> string
 
-(** {2 Recording} — interned-id variants are the hot path: a bump and a
-    few stores into preallocated arrays, no allocation. *)
+(** {2 Recording}
+
+    Each instrumented region of the stack is one {!enter} (or
+    {!enter_root}) and one {!leave}; each device leaf is one {!leaf}.
+    [leave] writes the region's span, observes its duration into the
+    histogram of the region's own name and, with attribution on, settles
+    its blame-tree node: one name per region in every view. The
+    interned-id calls are the hot path — a bump and a few stores into
+    preallocated arrays, no allocation. *)
+
+val enter : t -> tid:int -> name:int -> ts:int -> unit
+(** Open a region on [tid]'s frame stack, nested in the innermost open
+    one. *)
+
+val enter_root : t -> tid:int -> name:int -> ts:int -> unit
+(** Open an operation's root region, first resetting [tid]'s stack (an
+    op aborted by a fault may have left regions open). *)
+
+val leave : t -> tid:int -> ts:int -> unit
+(** Close the innermost region: a span from its entry to [ts], an
+    observation of that duration into the histogram of its name, and,
+    when its frame was opened with attribution on, its blame settle —
+    wall time minus child/leaf charges becomes the node's self time
+    (clamped at 0: batched flushes charge pipeline occupancy that can
+    outlast the frame), and closing a root records the op completion
+    into the per-thread latency histogram and the SLO window containing
+    [ts]. No-op on an empty stack. *)
+
+val leave2 : t -> tid:int -> ts:int -> k1:int -> v1:int -> k2:int -> v2:int -> unit
+(** {!leave} whose span carries up to two integer args (interned key
+    ids; pass [-1] to omit a slot). *)
+
+val leaf :
+  t -> tid:int -> name:int -> ts:int -> dur:int -> k1:int -> v1:int -> k2:int -> v2:int -> unit
+(** A device leaf (flush, fence): a span with args, an observation into
+    the histogram of [name], and a blame {!charge} of [dur]. *)
+
+val charge : t -> tid:int -> name:int -> ns:int -> unit
+(** Attribute [ns] of a leaf component under the innermost open frame
+    (blame only; no-op without attribution, or under a frame opened
+    before it). *)
+
+val sample : t -> tid:int -> name:int -> ts:int -> num:int -> den:int -> unit
+(** A sampled gauge: a counter event of [num / den] and an observation
+    of it into the histogram of [name]. *)
+
+val depth : t -> tid:int -> int
+(** Open regions on [tid]'s stack (0 = no op in flight). *)
 
 val span : t -> tid:int -> name:int -> ts:int -> dur:int -> unit
-(** Complete span ([ph:"X"]), simulated-ns start and duration. *)
-
-val span2 :
-  t -> tid:int -> name:int -> ts:int -> dur:int -> k1:int -> v1:int -> k2:int -> v2:int -> unit
-(** Span with up to two integer args (interned key ids; pass [-1] to
-    omit a slot). *)
+(** Bare span ([ph:"X"]), simulated-ns start and duration: no histogram
+    and no blame. *)
 
 val counter : t -> tid:int -> name:int -> ts:int -> value:float -> unit
 (** Counter sample; the value may be fractional (a queue depth). *)
@@ -122,15 +163,14 @@ val counter_int : t -> tid:int -> name:int -> ts:int -> value:int -> unit
 val counter_ratio : t -> tid:int -> name:int -> ts:int -> num:int -> den:int -> unit
 (** Sample of [num / den]; unlike [counter], the caller boxes no float. *)
 
-val span_named : t -> tid:int -> name:string -> ts:int -> dur:int -> unit
-
-val histogram : t -> string -> Histogram.t
-(** Find-or-create; emitters cache the handle. *)
+val histograms : t -> Histogram.t list
+(** The histogram of every name observed at least once, sorted by name.
+    Each interned name has one, allocated with its name slot. *)
 
 (** {2 Blame-tree attribution and SLO monitoring}
 
     Per-operation latency attribution: each [malloc]/[free]/recovery op
-    opens a root frame, layers it crosses open nested frames (refill,
+    opens a root region, layers it crosses open nested regions (refill,
     morph, WAL append/group-commit, extent lookup, ...), and leaf
     components (fence, flush/reflush, pm_read, lock_wait) charge
     simulated nanoseconds into the innermost frame. The result is a
@@ -138,39 +178,12 @@ val histogram : t -> string -> Histogram.t
     per-(thread, op) latency histograms and fixed-width simulated-time
     SLO windows with violation counts against [Config]-declared targets.
 
-    Attribution is opt-in per sink ({!enable_attribution}); emitters
-    consult {!attribution} (a field read) on their already
-    telemetry-enabled paths only, so the disabled cost stays one option
+    Attribution is opt-in per sink ({!enable_attribution}); recording is
+    the sink's ({!enter}, {!leave}, {!leaf}, {!charge}), which settles
+    blame when attribution is on, so the disabled cost stays one option
     check per site and charges never touch simulated clocks. *)
 module Attr : sig
   type t
-
-  (** {3 Recording} *)
-
-  val enter : t -> tid:int -> name:int -> ts:int -> unit
-  (** Push a nested frame (name interned in the owning sink). *)
-
-  val enter_root : t -> tid:int -> name:int -> ts:int -> unit
-  (** Push an operation root frame, first resetting the thread's stack
-      (an op aborted by a fault may have left frames open). *)
-
-  val leave : t -> tid:int -> ts:int -> unit
-  (** Pop the innermost frame: wall time minus child/leaf charges
-      becomes the frame node's self time (clamped at 0 — batched
-      flushes charge pipeline occupancy that can outlast the frame).
-      Popping a root frame records the op completion into the
-      per-thread latency histogram and the SLO window containing [ts].
-      No-op on an empty stack. *)
-
-  val charge : t -> tid:int -> name:int -> ns:int -> unit
-  (** Attribute [ns] of a leaf component under the innermost frame. *)
-
-  val enter_named : t -> tid:int -> name:string -> ts:int -> unit
-  val enter_root_named : t -> tid:int -> name:string -> ts:int -> unit
-  val charge_named : t -> tid:int -> name:string -> ns:int -> unit
-
-  val depth : t -> tid:int -> int
-  (** Current frame-stack depth of [tid] (0 = no op in flight). *)
 
   (** {3 SLO monitoring} *)
 
@@ -227,7 +240,7 @@ end
 
 val enable_attribution : t -> Attr.t
 (** Find-or-create the sink's attribution state. Safe to call before or
-    after emitters attach: they re-read {!attribution} per emission. *)
+    after emitters attach; frames opened before it settle no blame. *)
 
 val attribution : t -> Attr.t option
 

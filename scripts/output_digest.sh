@@ -36,6 +36,8 @@ digest trace larson --threads 2
 digest trace larson --threads 2 --no-batch
 digest slo larson
 digest slo larson --no-batch
+digest slo larson --json
+digest slo larson --no-batch --json
 digest check --seed 1 --runs 20
 digest check --seed 1 --runs 20 --no-batch
 digest check --seed 1 --runs 2 --ops 800 --threads 2 --crash 100 \

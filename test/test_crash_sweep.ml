@@ -188,6 +188,28 @@ let sweep_async_checkpoint variant () =
     (Printf.sprintf "ticks checkpointed (%d)" !ran)
     true (!ran > 0)
 
+(* Recovery of an in-place heap reserves its regions too: after a crash
+   at flush 987 of the sweep's scenario, new slabs never overlap a live
+   extent (before the fix, [696320, +40960) was both). *)
+let test_in_place_recovery_reserves_regions () =
+  let cfg = config `Log_in_place in
+  let dev = Pmem.Device.create ~size:(128 * mib) () in
+  let clock = Sim.Clock.create () in
+  let t = Nvalloc.create ~config:cfg dev clock in
+  let th = Nvalloc.thread t clock in
+  Pmem.Device.schedule_crash_after dev 987;
+  (try
+     scenario t th 600;
+     Alcotest.fail "the scenario finished before the crash"
+   with Pmem.Device.Injected_crash -> ());
+  let t, _ = Nvalloc.recover ~config:cfg dev clock in
+  let th = Nvalloc.thread t clock in
+  for i = 600 to 4095 do
+    ignore (Nvalloc.malloc_to t th ~size:136 ~dest:(Nvalloc.root_addr t i))
+  done;
+  Alcotest.(check (result string string)) "owner index" (Ok "disjoint")
+    (Nvalloc.check_owner_index t)
+
 (* The perf claim behind the pipeline, asserted at sweep scale: the same
    workload issues measurably fewer fences and media flushes when
    batched, and finishes earlier on the simulated clock. [batch = false]
@@ -311,6 +333,8 @@ let suite =
       (sweep_recovery_crash `Log_in_place);
     Alcotest.test_case "crash during recovery, in-place GC" `Slow
       (sweep_recovery_crash `Gc_in_place);
+    Alcotest.test_case "in-place recovery reserves mapped regions" `Quick
+      test_in_place_recovery_reserves_regions;
     Alcotest.test_case "batching saves fences" `Quick test_batching_saves_fences;
     Alcotest.test_case "batched run is deterministic" `Quick test_batched_determinism;
   ]

@@ -234,6 +234,35 @@ let test_linked_list_gc_reachability () =
   done;
   Alcotest.(check int) "list walk length" n !count
 
+(* A recovered heap reserves its mapped regions in the fresh DAX
+   manager: clean shutdown and recovery keep the mapped bytes, and
+   regions mapped afterwards never land on live ones (before the fix,
+   mapped bytes read 0 after recovery and only 300 of 301 addresses
+   were distinct). *)
+let test_recovery_reserves_regions () =
+  let dev = Pmem.Device.create ~size:(256 * 1024 * 1024) () in
+  let clock = Sim.Clock.create () in
+  let t = Nvalloc.create ~config:Config.log_default dev clock in
+  let th = Nvalloc.thread t clock in
+  let malloc t th i size = ignore (Nvalloc.malloc_to t th ~size ~dest:(Nvalloc.root_addr t i)) in
+  malloc t th 0 (3 * 1024 * 1024);
+  for i = 1 to 100 do
+    malloc t th i (40 * 1024)
+  done;
+  let mapped = Nvalloc.mapped_bytes t in
+  Alcotest.(check int) "mapped before shutdown" 7_340_032 mapped;
+  Nvalloc.exit_ t clock;
+  let t, _ = Nvalloc.recover ~config:Config.log_default dev clock in
+  Alcotest.(check int) "mapped bytes survive recovery" mapped (Nvalloc.mapped_bytes t);
+  let th = Nvalloc.thread t clock in
+  for i = 101 to 300 do
+    malloc t th i (40 * 1024)
+  done;
+  let addrs = List.init 301 (fun i -> Nvalloc.read_ptr t ~dest:(Nvalloc.root_addr t i)) in
+  Alcotest.(check int) "distinct addresses" 301 (List.length (List.sort_uniq compare addrs));
+  Alcotest.(check (result string string)) "owner index" (Ok "disjoint")
+    (Nvalloc.check_owner_index t)
+
 let suite =
   [
     Alcotest.test_case "small alloc/free" `Quick test_alloc_free_small;
@@ -248,4 +277,5 @@ let suite =
     Alcotest.test_case "crash reclaims tcache blocks (LOG)" `Quick test_crash_leak_reclaim;
     Alcotest.test_case "crash GC collects garbage (GC)" `Quick test_gc_crash_collects_garbage;
     Alcotest.test_case "GC follows pointers in blocks" `Quick test_linked_list_gc_reachability;
+    Alcotest.test_case "recovery reserves mapped regions" `Quick test_recovery_reserves_regions;
   ]

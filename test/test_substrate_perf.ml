@@ -732,9 +732,11 @@ let test_hot_paths_allocation_free () =
     let tdev = Pmem.Device.create ~size:mib () in
     let tclock = Sim.Clock.create () in
     Pmem.Device.set_telemetry tdev (Some sink);
-    if attribution then
-      Telemetry.Attr.enter_root_named (Telemetry.enable_attribution sink)
-        ~tid:(Sim.Clock.id tclock) ~name:"bench" ~ts:0;
+    if attribution then begin
+      ignore (Telemetry.enable_attribution sink : Telemetry.Attr.t);
+      Telemetry.enter_root sink ~tid:(Sim.Clock.id tclock) ~name:(Telemetry.intern sink "bench")
+        ~ts:0
+    end;
     write_flush tdev tclock
   in
   check_no_words "sync Device.flush, telemetry sink attached" (with_sink ~attribution:false);

@@ -273,10 +273,10 @@ let test_trace_validity () =
   Alcotest.(check bool) "has metadata" true (Hashtbl.mem phases "M");
   (* Heap-introspection track exists and carries occupancy counters. *)
   let csv = Telemetry.hist_csv sink in
-  Alcotest.(check bool) "alloc histogram present" true
+  Alcotest.(check bool) "malloc:small histogram present" true
     (String.length csv > 0
     && List.exists
-         (fun line -> String.length line >= 6 && String.sub line 0 6 = "alloc,")
+         (fun line -> String.length line >= 13 && String.sub line 0 13 = "malloc:small,")
          (String.split_on_char '\n' csv))
 
 let test_zero_perturbation () =
@@ -309,6 +309,17 @@ let test_fuzz_plan_telemetry () =
 
 module A = Telemetry.Attr
 
+(* The recording calls by name, for hand-driven tests. *)
+let enter sink ~tid ~name ~ts = Telemetry.enter sink ~tid ~name:(Telemetry.intern sink name) ~ts
+
+let enter_root sink ~tid ~name ~ts =
+  Telemetry.enter_root sink ~tid ~name:(Telemetry.intern sink name) ~ts
+
+let charge sink ~tid ~name ~ns = Telemetry.charge sink ~tid ~name:(Telemetry.intern sink name) ~ns
+
+let find_histogram sink name =
+  List.find_opt (fun h -> Telemetry.Histogram.name h = name) (Telemetry.histograms sink)
+
 let test_attr_blame_tree () =
   (* Hand-driven op: charges land on (frame, component) leaves, frame
      self-time is wall minus children and charges, the root completion
@@ -316,12 +327,12 @@ let test_attr_blame_tree () =
   let sink = Telemetry.create () in
   let a = Telemetry.enable_attribution sink in
   Alcotest.(check bool) "enable is idempotent" true (Telemetry.enable_attribution sink == a);
-  A.enter_root_named a ~tid:3 ~name:"op" ~ts:0;
-  A.charge_named a ~tid:3 ~name:"fence" ~ns:10;
-  A.enter_named a ~tid:3 ~name:"refill" ~ts:20;
-  A.charge_named a ~tid:3 ~name:"flush" ~ns:30;
-  A.leave a ~tid:3 ~ts:60;
-  A.leave a ~tid:3 ~ts:100;
+  enter_root sink ~tid:3 ~name:"op" ~ts:0;
+  charge sink ~tid:3 ~name:"fence" ~ns:10;
+  enter sink ~tid:3 ~name:"refill" ~ts:20;
+  charge sink ~tid:3 ~name:"flush" ~ns:30;
+  Telemetry.leave sink ~tid:3 ~ts:60;
+  Telemetry.leave sink ~tid:3 ~ts:100;
   Alcotest.(check string) "folded export"
     "op 50\nop;fence 10\nop;refill 10\nop;refill;flush 30\n" (A.folded a);
   Alcotest.(check (list string)) "op names" [ "op" ] (A.op_names a);
@@ -345,21 +356,22 @@ let test_attr_edge_cases () =
   let a = Telemetry.enable_attribution sink in
   (* A charge with no open frame still lands (directly under the root)
      rather than being dropped or crashing. *)
-  A.charge_named a ~tid:0 ~name:"orphan" ~ns:5;
+  charge sink ~tid:0 ~name:"orphan" ~ns:5;
   (* Leaving with no open frame is a no-op. *)
-  A.leave a ~tid:0 ~ts:50;
+  Telemetry.leave sink ~tid:0 ~ts:50;
   Alcotest.(check string) "orphan charge kept" "orphan 5\n" (A.folded a);
+  Alcotest.(check int) "no span from an empty stack" 0 (Telemetry.events_recorded sink);
   (* enter_root resets a stack left open by a faulted op. *)
-  A.enter_root_named a ~tid:0 ~name:"op1" ~ts:0;
-  A.enter_named a ~tid:0 ~name:"inner" ~ts:1;
-  Alcotest.(check int) "two frames open" 2 (A.depth a ~tid:0);
-  A.enter_root_named a ~tid:0 ~name:"op2" ~ts:2;
-  Alcotest.(check int) "root reset the stack" 1 (A.depth a ~tid:0);
+  enter_root sink ~tid:0 ~name:"op1" ~ts:0;
+  enter sink ~tid:0 ~name:"inner" ~ts:1;
+  Alcotest.(check int) "two frames open" 2 (Telemetry.depth sink ~tid:0);
+  enter_root sink ~tid:0 ~name:"op2" ~ts:2;
+  Alcotest.(check int) "root reset the stack" 1 (Telemetry.depth sink ~tid:0);
   (* Charges beyond the frame's wall time clamp self at zero (batched
      flush charges are pipeline occupancy and can outlast the op), but
      the op histogram still records the true wall time. *)
-  A.charge_named a ~tid:0 ~name:"pipeline" ~ns:1000;
-  A.leave a ~tid:0 ~ts:52;
+  charge sink ~tid:0 ~name:"pipeline" ~ns:1000;
+  Telemetry.leave sink ~tid:0 ~ts:52;
   let h = A.op_histogram a "op2" in
   Alcotest.(check (float 1e-9)) "wall time not inflated" 50.0 (Telemetry.Histogram.mean h);
   List.iter
@@ -368,13 +380,45 @@ let test_attr_edge_cases () =
         Alcotest.(check int) "self clamped at 0" 0 self)
     (A.nodes a)
 
+let test_region_one_name () =
+  (* A region's span, histogram and blame node carry one name. A frame
+     opened before attribution was enabled settles no blame node, and
+     neither do the frames and charges under it; a root opened after
+     does. *)
+  let sink = Telemetry.create () in
+  enter_root sink ~tid:1 ~name:"early" ~ts:0;
+  let a = Telemetry.enable_attribution sink in
+  enter sink ~tid:1 ~name:"child" ~ts:5;
+  charge sink ~tid:1 ~name:"fence" ~ns:2;
+  Telemetry.leave sink ~tid:1 ~ts:9;
+  Telemetry.leave sink ~tid:1 ~ts:10;
+  Alcotest.(check string) "nothing settled" "" (A.folded a);
+  Alcotest.(check (list string)) "no op completion" [] (A.op_names a);
+  enter_root sink ~tid:1 ~name:"late" ~ts:20;
+  let flush = Telemetry.intern sink "flush:meta" and addr = Telemetry.intern sink "addr" in
+  Telemetry.leaf sink ~tid:1 ~name:flush ~ts:21 ~dur:4 ~k1:addr ~v1:64 ~k2:(-1) ~v2:0;
+  Telemetry.leave2 sink ~tid:1 ~ts:30 ~k1:addr ~v1:128 ~k2:(-1) ~v2:0;
+  Alcotest.(check string) "late root settled" "late 6\nlate;flush:meta 4\n" (A.folded a);
+  Alcotest.(check (list string)) "late op completed" [ "late" ] (A.op_names a);
+  Alcotest.(check (list (triple string int (float 0.0))))
+    "one histogram per region and leaf name"
+    [ ("child", 1, 4.0); ("early", 1, 10.0); ("flush:meta", 1, 4.0); ("late", 1, 10.0) ]
+    (List.map
+       (fun h -> Telemetry.Histogram.(name h, count h, total h))
+       (Telemetry.histograms sink));
+  Alcotest.(check int) "one span per region and leaf" 4 (Telemetry.events_recorded sink);
+  Alcotest.(check bool) "the root span carries its args" true
+    (List.exists
+       (fun line -> String.ends_with ~suffix:"late addr=128" line)
+       (Telemetry.tail_events sink ~n:4))
+
 let test_attr_slo_windows () =
   let sink = Telemetry.create () in
   let a = Telemetry.enable_attribution sink in
   A.set_slo a ~window_ns:100.0 ~targets:[ ("op", 10.0, 0.9) ];
   let complete ~start ~stop =
-    A.enter_root_named a ~tid:0 ~name:"op" ~ts:start;
-    A.leave a ~tid:0 ~ts:stop
+    enter_root sink ~tid:0 ~name:"op" ~ts:start;
+    Telemetry.leave sink ~tid:0 ~ts:stop
   in
   complete ~start:0 ~stop:5;
   complete ~start:10 ~stop:30;
@@ -420,44 +464,59 @@ let words_per_call f =
   done;
   (Gc.minor_words () -. before) /. 10_000.0
 
-(* The recording primitives an enabled sink runs per event, charge, frame
-   and op completion cost stores only: no allocation even when every call
-   switches thread (tids 1 and 2 alternate). *)
+(* The recording calls an enabled sink runs per region, leaf, charge,
+   sample, event and op completion cost stores only: no allocation even
+   when every call switches thread (tids 1 and 2 alternate), with a bare
+   sink and with attribution and SLO windows on. *)
 let test_enabled_primitives_allocation_free () =
-  let sink = Telemetry.create () in
-  let a = Telemetry.enable_attribution sink in
-  A.set_slo a ~window_ns:1e12 ~targets:[ ("op", 50.0, 0.9) ];
-  let name = Telemetry.intern sink "ev" and key = Telemetry.intern sink "k" in
-  let fence = Telemetry.intern sink "fence" and inner = Telemetry.intern sink "inner" in
-  let op = Telemetry.intern sink "op" in
-  let h = Telemetry.Histogram.create "h" in
-  let tid i = 1 + (i land 1) in
-  (* An open root frame on each thread, so frames and charges nest. *)
-  A.enter_root a ~tid:1 ~name:op ~ts:0;
-  A.enter_root a ~tid:2 ~name:op ~ts:0;
-  let check label f =
-    Alcotest.(check (float 0.0)) (label ^ ": minor words per call") 0.0 (words_per_call f)
+  let check_sink ~attribution =
+    let sink = Telemetry.create () in
+    let a = if attribution then Some (Telemetry.enable_attribution sink) else None in
+    Option.iter (fun a -> A.set_slo a ~window_ns:1e12 ~targets:[ ("op", 50.0, 0.9) ]) a;
+    let name = Telemetry.intern sink "ev" and key = Telemetry.intern sink "k" in
+    let fence = Telemetry.intern sink "fence" and inner = Telemetry.intern sink "inner" in
+    let op = Telemetry.intern sink "op" in
+    let h = Telemetry.Histogram.create "h" in
+    let tid i = 1 + (i land 1) in
+    (* An open root frame on each thread, so frames and charges nest. *)
+    Telemetry.enter_root sink ~tid:1 ~name:op ~ts:0;
+    Telemetry.enter_root sink ~tid:2 ~name:op ~ts:0;
+    let check label f =
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s (%s): minor words per call" label
+           (if attribution then "attribution on" else "sink only"))
+        0.0 (words_per_call f)
+    in
+    check "leaf" (fun i ->
+        Telemetry.leaf sink ~tid:(tid i) ~name:fence ~ts:i ~dur:3 ~k1:key ~v1:i ~k2:(-1) ~v2:0);
+    check "charge" (fun i -> Telemetry.charge sink ~tid:(tid i) ~name:fence ~ns:20);
+    check "sample" (fun i -> Telemetry.sample sink ~tid:(tid i) ~name ~ts:i ~num:i ~den:64);
+    check "counter_int" (fun i -> Telemetry.counter_int sink ~tid:(tid i) ~name ~ts:i ~value:i);
+    check "counter_ratio" (fun i ->
+        Telemetry.counter_ratio sink ~tid:(tid i) ~name ~ts:i ~num:i ~den:64);
+    check "Histogram.observe" (fun i -> Telemetry.Histogram.observe h (i land 1023));
+    check "Histogram.observe_ratio" (fun i ->
+        Telemetry.Histogram.observe_ratio h ~num:(i land 1023) ~den:64);
+    check "enter + leave" (fun i ->
+        Telemetry.enter sink ~tid:(tid i) ~name:inner ~ts:i;
+        Telemetry.leave sink ~tid:(tid i) ~ts:(i + 5));
+    check "enter + leave2" (fun i ->
+        Telemetry.enter sink ~tid:(tid i) ~name:inner ~ts:i;
+        Telemetry.leave2 sink ~tid:(tid i) ~ts:(i + 5) ~k1:key ~v1:i ~k2:key ~v2:(i + 1));
+    check "enter by interned string + leave" (fun i ->
+        Telemetry.enter sink ~tid:(tid i) ~name:(Telemetry.intern sink "named") ~ts:i;
+        Telemetry.leave sink ~tid:(tid i) ~ts:(i + 5));
+    check "root op" (fun i ->
+        Telemetry.enter_root sink ~tid:(tid i) ~name:op ~ts:i;
+        Telemetry.charge sink ~tid:(tid i) ~name:fence ~ns:20;
+        Telemetry.leave sink ~tid:(tid i) ~ts:(i + 40 + (i land 31)));
+    Option.iter
+      (fun a ->
+        Alcotest.(check bool) "root ops reached the SLO windows" true (A.violations a ~op:"op" > 0))
+      a
   in
-  check "span2" (fun i ->
-      Telemetry.span2 sink ~tid:(tid i) ~name ~ts:i ~dur:3 ~k1:key ~v1:i ~k2:(-1) ~v2:0);
-  check "counter_int" (fun i -> Telemetry.counter_int sink ~tid:(tid i) ~name ~ts:i ~value:i);
-  check "counter_ratio" (fun i ->
-      Telemetry.counter_ratio sink ~tid:(tid i) ~name ~ts:i ~num:i ~den:64);
-  check "Histogram.observe" (fun i -> Telemetry.Histogram.observe h (i land 1023));
-  check "Histogram.observe_ratio" (fun i ->
-      Telemetry.Histogram.observe_ratio h ~num:(i land 1023) ~den:64);
-  check "Attr.charge" (fun i -> A.charge a ~tid:(tid i) ~name:fence ~ns:20);
-  check "Attr.enter + leave" (fun i ->
-      A.enter a ~tid:(tid i) ~name:inner ~ts:i;
-      A.leave a ~tid:(tid i) ~ts:(i + 5));
-  check "Attr.enter_named + leave" (fun i ->
-      A.enter_named a ~tid:(tid i) ~name:"named" ~ts:i;
-      A.leave a ~tid:(tid i) ~ts:(i + 5));
-  check "root op with SLO on" (fun i ->
-      A.enter_root a ~tid:(tid i) ~name:op ~ts:i;
-      A.charge a ~tid:(tid i) ~name:fence ~ns:20;
-      A.leave a ~tid:(tid i) ~ts:(i + 40 + (i land 31)));
-  Alcotest.(check bool) "root ops reached the SLO windows" true (A.violations a ~op:"op" > 0)
+  check_sink ~attribution:false;
+  check_sink ~attribution:true
 
 (* Reference model of attribution over plain keyed tables:
    (parent, name) -> node, (tid, op) -> histogram and
@@ -627,20 +686,20 @@ let run_script ~window_ns steps =
       let ts = clocks.(th) in
       match kind with
       | 0 ->
-          A.enter_named a ~tid ~name:frame_names.(k) ~ts;
+          enter sink ~tid ~name:frame_names.(k) ~ts;
           Model.enter m ~tid ~name:frame_names.(k) ~ts
       | 1 ->
           let op = List.nth model_ops (k mod 3) in
-          A.enter_root_named a ~tid ~name:op ~ts;
+          enter_root sink ~tid ~name:op ~ts;
           Model.enter_root m ~tid ~name:op ~ts
       | 2 ->
-          A.charge_named a ~tid ~name:leaf_names.(k) ~ns:dt;
+          charge sink ~tid ~name:leaf_names.(k) ~ns:dt;
           Model.charge m ~tid ~name:leaf_names.(k) ~ns:dt
       | _ ->
-          A.leave a ~tid ~ts;
+          Telemetry.leave sink ~tid ~ts;
           Model.leave m ~tid ~ts)
     steps;
-  (a, m, Array.fold_left Int.max 0 clocks)
+  (sink, a, m, Array.fold_left Int.max 0 clocks)
 
 let script_gen =
   QCheck.Gen.(
@@ -652,7 +711,7 @@ let prop_attr_model =
     ~count:200
     (QCheck.make QCheck.Gen.(pair (oneofl [ 1.0; 16.0; 1000.0 ]) script_gen))
     (fun (window_ns, steps) ->
-      let a, m, _ = run_script ~window_ns steps in
+      let _, a, m, _ = run_script ~window_ns steps in
       agrees_with_model a m;
       true)
 
@@ -661,13 +720,13 @@ let prop_attr_model =
    ([--window-ns] is user input). *)
 let test_attr_far_window () =
   let steps = QCheck.Gen.generate1 ~rand:(Random.State.make [| 17 |]) script_gen in
-  let a, m, last = run_script ~window_ns:1.0 steps in
+  let sink, a, m, last = run_script ~window_ns:1.0 steps in
   let count () = List.length (A.windows a ~op:"op1") in
   let before = count () in
   let ts = last + 10_000_000 in
   let bytes = Gc.allocated_bytes () in
-  A.enter_root_named a ~tid:10 ~name:"op1" ~ts;
-  A.leave a ~tid:10 ~ts:(ts + 30);
+  enter_root sink ~tid:10 ~name:"op1" ~ts;
+  Telemetry.leave sink ~tid:10 ~ts:(ts + 30);
   let allocated = Gc.allocated_bytes () -. bytes in
   Model.enter_root m ~tid:10 ~name:"op1" ~ts;
   Model.leave m ~tid:10 ~ts:(ts + 30);
@@ -814,6 +873,69 @@ let test_slo_report_gate () =
            fs)
   | Ok () -> Alcotest.fail "inflated fence share passed the gate"
 
+(* On a traced Larson run with attribution on from the start, each
+   region and leaf name reads the same in every view: its spans in the
+   trace add up to its histogram, which counts exactly the blame nodes
+   that end in that name, and a root-only op's histogram is its merged
+   per-op latency histogram. Samples have counter events and a histogram
+   but no node; blame-only charges a node and no histogram.
+   [wal:checkpoint] is left out of the op comparison: it is a root on
+   the maintenance daemon and a nested region inline. *)
+let test_views_agree () =
+  let _, sink, _ = attributed_run ~seed:13 in
+  let a = Option.get (Telemetry.attribution sink) in
+  Alcotest.(check int) "whole trace kept" 0 (Telemetry.events_dropped sink);
+  let traced = Hashtbl.create 32 in
+  (match J.parse (Telemetry.chrome_json sink) with
+  | Error e -> Alcotest.fail e
+  | Ok json ->
+      List.iter
+        (fun ev ->
+          let field name f = Option.bind (J.member name ev) f in
+          match (field "name" J.str, field "ph" J.str) with
+          | Some name, Some ("X" | "C") ->
+              let n, total = Option.value ~default:(0, 0.0) (Hashtbl.find_opt traced name) in
+              Hashtbl.replace traced name
+                (n + 1, total +. Option.value ~default:0.0 (field "dur" J.num))
+          | _ -> ())
+        (Option.value ~default:[] (Option.bind (J.member "traceEvents" json) J.arr)));
+  let node_counts = Hashtbl.create 32 in
+  List.iter
+    (fun (path, _, count) ->
+      let name = List.nth path (List.length path - 1) in
+      Hashtbl.replace node_counts name
+        (count + Option.value ~default:0 (Hashtbl.find_opt node_counts name)))
+    (A.nodes a);
+  let samples = [ "group_commit"; "wpq_depth" ] in
+  let charges = [ "dram"; "lock_wait"; "pm_read"; "search" ] in
+  let hists = Telemetry.histograms sink in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded") true (find_histogram sink name <> None))
+    [ "malloc:small"; "free"; "refill"; "wal:append"; "wal:group_commit"; "flush:wal"; "fence" ];
+  List.iter
+    (fun h ->
+      let name = Telemetry.Histogram.name h in
+      let count = Telemetry.Histogram.count h in
+      let sample = List.mem name samples in
+      Alcotest.(check (pair int (float 0.0))) (name ^ ": trace events")
+        (count, if sample then 0.0 else Telemetry.Histogram.total h)
+        (Option.value ~default:(0, 0.0) (Hashtbl.find_opt traced name));
+      Alcotest.(check int) (name ^ ": blame node counts")
+        (if sample then 0 else count)
+        (Option.value ~default:0 (Hashtbl.find_opt node_counts name)))
+    hists;
+  Hashtbl.iter
+    (fun name _ ->
+      if not (List.mem name charges) then
+        Alcotest.(check bool) (name ^ ": has a histogram") true (find_histogram sink name <> None))
+    node_counts;
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) (op ^ ": histogram = op histogram") true
+        (hist_summary (Option.get (find_histogram sink op)) = hist_summary (A.op_histogram a op)))
+    [ "malloc:small"; "free" ]
+
 (* --- Stats JSON writer + reset satellites --------------------------------- *)
 
 (* Every counter and category time distinct, three traced metadata
@@ -906,6 +1028,8 @@ let suite =
     Alcotest.test_case "fuzz plan replay with sink" `Quick test_fuzz_plan_telemetry;
     Alcotest.test_case "attr: blame tree exact attribution" `Quick test_attr_blame_tree;
     Alcotest.test_case "attr: orphan charge, reset, clamp" `Quick test_attr_edge_cases;
+    Alcotest.test_case "regions: one name in span, histogram and blame" `Quick
+      test_region_one_name;
     Alcotest.test_case "attr: slo windows + violations + burn" `Quick test_attr_slo_windows;
     Alcotest.test_case "attr: invalid window rejected" `Quick test_attr_invalid_window;
     Alcotest.test_case "enabled primitives allocate nothing" `Quick
@@ -916,6 +1040,8 @@ let suite =
     Alcotest.test_case "slo report: deterministic + non-perturbing" `Quick
       test_slo_report_determinism;
     Alcotest.test_case "slo report: regression gate" `Quick test_slo_report_gate;
+    Alcotest.test_case "regions: spans, histograms and blame nodes agree" `Quick
+      test_views_agree;
     Alcotest.test_case "stats: json writer pinned" `Quick test_stats_json_pinned;
     Alcotest.test_case "stats: reset clears trace" `Quick test_stats_reset_clears_trace;
     Alcotest.test_case "device: reset_stats clears reflush state" `Quick test_device_reset_stats;
