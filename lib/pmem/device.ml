@@ -289,15 +289,16 @@ let read_bytes t addr len =
   check_poison t "read_bytes" addr len;
   Store.read_bytes t.volatile addr len
 
+(* [mark_dirty] needs a non-empty range, as in [blit]. *)
 let write_bytes t addr b =
   check_bounds t "write_bytes" addr (Bytes.length b);
   Store.write_bytes t.volatile addr b;
-  mark_dirty t addr (Bytes.length b)
+  if Bytes.length b > 0 then mark_dirty t addr (Bytes.length b)
 
 let fill t addr len c =
   check_bounds t "fill" addr len;
   Store.fill t.volatile addr len c;
-  mark_dirty t addr len
+  if len > 0 then mark_dirty t addr len
 
 (* --- persistence ------------------------------------------------------ *)
 
@@ -657,6 +658,10 @@ let cancel_scheduled_crash t =
 
 let crash_armed t = t.crash_after <> None
 let dirty_lines t = Dirtymap.count t.dirty
+
+let resident_bytes t =
+  (Store.allocated_chunks t.volatile + Store.allocated_chunks t.persisted) * Store.chunk_bytes
+
 let pending_flushes t clock = (stream_of t clock).npend
 let persisted_int64 t addr = Store.get_i64 t.persisted addr
 let persisted_u8 t addr = Store.get_u8 t.persisted addr

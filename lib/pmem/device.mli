@@ -173,6 +173,10 @@ val crash_armed : t -> bool
 (** Whether a scheduled crash is still pending (test observability). *)
 
 val dirty_lines : t -> int
+val resident_bytes : t -> int
+(** Bytes materialised in the cache and media images together: whole
+    {!Store.chunk_bytes} granules, the ones some write materialised. *)
+
 val persisted_int64 : t -> int -> int64
 (** Read the persisted image directly (test observability only). *)
 

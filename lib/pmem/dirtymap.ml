@@ -1,37 +1,39 @@
 (* Per-chunk dirty-line bitmaps.
 
    One bit per cache line, grouped into lazily allocated bitmap chunks
-   that mirror Store's 1 MiB data chunks: a device that never touches a
-   region never pays for its dirty tracking either. All single-line
+   that each cover 1 MiB of device, whatever Store's granule: 512 ints,
+   which the runtime allocates straight on the major heap. An absent
+   chunk's slot holds one shared empty array. All single-line
    operations are O(1); iteration skips absent chunks and zero words, so
    [flush_all]/crash sweeps cost O(dirty + words touched), not O(device).
    The dirty count is maintained incrementally so [count] is O(1). *)
 
-let lines_per_chunk = Store.chunk_bytes / Cacheline.size
 let chunk_shift = 14
-let () = assert (1 lsl chunk_shift = lines_per_chunk)
+let lines_per_chunk = 1 lsl chunk_shift
 
 (* 32 dirty bits per word: power-of-two indexing, and every mask fits a
    63-bit OCaml int with room for the popcount/De Bruijn arithmetic. *)
 let bits_per_word = 32
 let words_per_chunk = lines_per_chunk / bits_per_word
 
-type t = { chunks : int array option array; mutable dirty : int }
+type t = { chunks : int array array; mutable dirty : int }
+
+let absent : int array = [||]
 
 let create ~size =
   assert (size > 0 && size mod Cacheline.size = 0);
   let lines = size / Cacheline.size in
   let n = (lines + lines_per_chunk - 1) / lines_per_chunk in
-  { chunks = Array.make n None; dirty = 0 }
+  { chunks = Array.make n absent; dirty = 0 }
 
 let count t = t.dirty
 
 let words_of t ci =
   match t.chunks.(ci) with
-  | Some w -> w
-  | None ->
+  | w when w != absent -> w
+  | _ ->
       let w = Array.make words_per_chunk 0 in
-      t.chunks.(ci) <- Some w;
+      t.chunks.(ci) <- w;
       w
 
 let mark t line =
@@ -71,14 +73,13 @@ let mark_range t ~first ~last =
 
 let test t line =
   match t.chunks.(line lsr chunk_shift) with
-  | None -> false
-  | Some w ->
-      w.((line lsr 5) land (words_per_chunk - 1)) land (1 lsl (line land 31)) <> 0
+  | w when w == absent -> false
+  | w -> w.((line lsr 5) land (words_per_chunk - 1)) land (1 lsl (line land 31)) <> 0
 
 let clear t line =
   match t.chunks.(line lsr chunk_shift) with
-  | None -> ()
-  | Some w ->
+  | w when w == absent -> ()
+  | w ->
       let wi = (line lsr 5) land (words_per_chunk - 1) in
       let bit = 1 lsl (line land 31) in
       let old = w.(wi) in
@@ -99,8 +100,8 @@ let tz_table =
 let iter t f =
   for ci = 0 to Array.length t.chunks - 1 do
     match t.chunks.(ci) with
-    | None -> ()
-    | Some words ->
+    | words when words == absent -> ()
+    | words ->
         let base = ci lsl chunk_shift in
         for wi = 0 to words_per_chunk - 1 do
           (* Snapshot the word: [f] may clear bits of the line it is
@@ -118,5 +119,5 @@ let iter t f =
   done
 
 let reset t =
-  Array.fill t.chunks 0 (Array.length t.chunks) None;
+  Array.fill t.chunks 0 (Array.length t.chunks) absent;
   t.dirty <- 0

@@ -1,7 +1,8 @@
 (** Dirty-line bitmap of a simulated device.
 
-    One bit per 64 B cache line, stored as per-1 MiB-chunk bitmaps that
-    are allocated lazily alongside {!Store}'s data chunks. Replaces the
+    One bit per 64 B cache line, in bitmaps of 512 ints (too large for
+    the minor heap) that each cover 1 MiB of device, whatever {!Store}'s
+    granule; absent bitmaps share one empty sentinel. Replaces the
     former [(int, unit) Hashtbl.t] dirty set: mark/test/clear are O(1)
     bit operations, the dirty count is maintained incrementally, and
     whole-device sweeps ({!iter}) skip clean regions word-at-a-time. *)

@@ -1,12 +1,13 @@
-(** Chunked, lazily allocated byte store.
+(** Lazily materialised byte store.
 
-    A memory image of the device. Chunks (1 MiB) are allocated on first
-    write; unwritten chunks read as zeros. This keeps creating a 512 MiB
-    simulated device O(1) and its resident size proportional to the bytes
-    actually touched — the harness creates hundreds of devices.
+    A memory image of the device in 16 KiB granules ({!chunk_bytes}),
+    each zero-filled on its first write; until then its slot holds one
+    shared empty sentinel and it reads as zeros. A store costs its slot
+    array, O(size / granule) words, and its resident size follows the
+    granules written — the harness creates hundreds of devices.
 
-    Chunk size is a multiple of the cache-line size, so line-granular
-    operations never straddle chunks; word accessors handle the (rare)
+    The granule is a multiple of the cache-line size, so line-granular
+    operations never straddle granules; word accessors handle the (rare)
     straddling byte ranges with a slow path. *)
 
 type t
@@ -37,5 +38,5 @@ val copy_line : src:t -> dst:t -> int -> unit
 (** [copy_line ~src ~dst line] copies one 64 B cache line. *)
 
 val allocated_chunks : t -> int
-(** Number of chunks materialised so far (observability: [fill] with
+(** Number of granules materialised so far (observability: [fill] with
     ['\000'] must never allocate one — see the regression test). *)

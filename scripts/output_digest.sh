@@ -3,7 +3,7 @@
 # stdout, and the command. Run it on two builds, a parent commit's CLI
 # and a change's, then diff the two outputs: a change that must not
 # alter behaviour prints the same lines. It compares two builds, so it
-# is not a check_all.sh stage. The commands take about half a minute.
+# is not a check_all.sh stage. The commands take about 40 seconds.
 #
 # Usage: scripts/output_digest.sh [CLI]
 #   CLI defaults to this checkout's _build/default/bin/nvalloc_cli.exe,
@@ -51,3 +51,4 @@ digest fuzz --variant ic --seed 5 --runs 400
 digest fuzz --media --seed 4 --runs 200
 digest fuzz --seed 1 --runs 1000
 digest run fig2 fig11 fig17 fig18 ext-variants
+digest run fig9 fig12

@@ -274,6 +274,22 @@ let test_bounds_messages () =
       Pmem.Device.write_bytes dev (size - 2) (Bytes.create 4));
   expect "fill" 64 (-1) (fun () -> Pmem.Device.fill dev 64 (-1) 'x')
 
+(* An empty [fill] or [write_bytes] passes the bounds check and marks no
+   line dirty: at a line-aligned address the range would end on the line
+   before it, and at an unaligned one it would cover a line nothing
+   wrote, which the next flush would write back. *)
+let test_zero_length_writes () =
+  let dev, _ = mk () in
+  List.iter
+    (fun addr ->
+      Pmem.Device.fill dev addr 0 '\000';
+      Alcotest.(check int) (Printf.sprintf "fill at %d" addr) 0 (Pmem.Device.dirty_lines dev);
+      Pmem.Device.write_bytes dev addr Bytes.empty;
+      Alcotest.(check int)
+        (Printf.sprintf "write_bytes at %d" addr)
+        0 (Pmem.Device.dirty_lines dev))
+    [ 4096; 4100 ]
+
 (* --- persist-ordering checker ------------------------------------------- *)
 
 let test_checker_off_costs_nothing () =
@@ -455,6 +471,7 @@ let suite =
     Alcotest.test_case "dax mmap/munmap/coalesce" `Quick test_dax_mmap;
     Alcotest.test_case "dax decommit/recommit" `Quick test_dax_decommit;
     Alcotest.test_case "uniform bounds messages" `Quick test_bounds_messages;
+    Alcotest.test_case "zero-length writes mark nothing" `Quick test_zero_length_writes;
     Alcotest.test_case "checker off by default" `Quick test_checker_off_costs_nothing;
     Alcotest.test_case "checker: clean commit" `Quick test_checker_clean_commit;
     Alcotest.test_case "checker: dirty dependency flagged" `Quick test_checker_dirty_dep_flagged;

@@ -143,35 +143,145 @@ let test_store_straddling () =
   (* Unwritten chunks read as zero. *)
   Alcotest.(check int64) "lazy zero" 0L (Pmem.Store.get_i64 s (3 * Pmem.Store.chunk_bytes))
 
+(* Two stores of four granules against two Bytes models. Addresses
+   cluster within 24 bytes of the granule boundaries, so word accesses
+   and ranges straddle granules and land in absent ones, and
+   [copy_line] runs in each absent/present combination. Besides the
+   bytes, the model tracks which granules a write must materialise: a
+   zero [fill] and a copy from an absent granule materialise none. *)
+type store_op =
+  | Set_u8 of int * int * int (* store, addr, value *)
+  | Set_u16 of int * int * int
+  | Set_u32 of int * int * int
+  | Set_int of int * int * int
+  | Set_i64 of int * int * int64
+  | Write_bytes of int * int * int * int (* store, addr, length, content seed *)
+  | Fill of int * int * int * char
+  | Copy_line of int * int (* source store, line *)
+
+let store_granules = 4
+
 let prop_store_model =
   let open QCheck in
-  Test.make ~name:"store agrees with a Bytes model" ~count:100
-    (make
-       Gen.(
-         list_size (int_range 1 60)
-           (pair (int_range 0 (65536 - 8)) (int_range 0 0xFFFF))))
-    (fun writes ->
-      let s = Pmem.Store.create ~size:65536 in
-      let model = Bytes.make 65536 '\000' in
+  let g = Pmem.Store.chunk_bytes in
+  let size = store_granules * g in
+  let addr width =
+    Gen.(
+      map3
+        (fun k d u ->
+          let a = match u with Some a -> a | None -> (k * g) + d in
+          max 0 (min (size - width) a))
+        (int_range 0 store_granules) (int_range (-24) 24)
+        (opt ~ratio:0.2 (int_range 0 (size - 1))))
+  in
+  let op =
+    Gen.(
+      int_range 0 1 >>= fun st ->
+      let len = int_range 0 80 in
+      oneof
+        [
+          map2 (fun a v -> Set_u8 (st, a, v)) (addr 1) (int_range 0 0xFF);
+          map2 (fun a v -> Set_u16 (st, a, v)) (addr 2) (int_range 0 0xFFFF);
+          map2 (fun a v -> Set_u32 (st, a, v)) (addr 4) (int_range 0 0xFFFFFFFF);
+          map2 (fun a v -> Set_int (st, a, v)) (addr 8) int;
+          map2 (fun a v -> Set_i64 (st, a, v)) (addr 8) ui64;
+          (len >>= fun n -> map2 (fun a seed -> Write_bytes (st, a, n, seed)) (addr n) nat);
+          ( len >>= fun n ->
+            map2 (fun a c -> Fill (st, a, n, c)) (addr n) (oneofl [ '\000'; '\000'; '\xA5' ]) );
+          map (fun a -> Copy_line (st, a / Pmem.Cacheline.size)) (addr Pmem.Cacheline.size);
+        ])
+  in
+  let print = function
+    | Set_u8 (s, a, v) -> Printf.sprintf "set_u8 s%d %d %d" s a v
+    | Set_u16 (s, a, v) -> Printf.sprintf "set_u16 s%d %d %d" s a v
+    | Set_u32 (s, a, v) -> Printf.sprintf "set_u32 s%d %d %d" s a v
+    | Set_int (s, a, v) -> Printf.sprintf "set_int s%d %d %d" s a v
+    | Set_i64 (s, a, v) -> Printf.sprintf "set_i64 s%d %d %Ld" s a v
+    | Write_bytes (s, a, n, seed) -> Printf.sprintf "write_bytes s%d %d len=%d seed=%d" s a n seed
+    | Fill (s, a, n, c) -> Printf.sprintf "fill s%d %d len=%d %C" s a n c
+    | Copy_line (s, l) -> Printf.sprintf "copy_line src=s%d line=%d" s l
+  in
+  Test.make ~name:"store agrees with a Bytes model" ~count:200
+    (make ~print:(Print.list print) Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let stores = Array.init 2 (fun _ -> Pmem.Store.create ~size) in
+      let models = Array.init 2 (fun _ -> Bytes.make size '\000') in
+      let granules = Array.init 2 (fun _ -> Hashtbl.create 8) in
+      let touch st a n =
+        if n > 0 then
+          for gi = a / g to (a + n - 1) / g do
+            Hashtbl.replace granules.(st) gi ()
+          done
+      in
       List.iter
-        (fun (addr, v) ->
-          match v mod 3 with
-          | 0 ->
-              Pmem.Store.set_u8 s addr (v land 0xFF);
-              Bytes.set_uint8 model addr (v land 0xFF)
-          | 1 ->
-              Pmem.Store.set_u16 s addr v;
-              Bytes.set_uint16_le model addr v
-          | _ ->
-              Pmem.Store.set_i64 s addr (Int64.of_int v);
-              Bytes.set_int64_le model addr (Int64.of_int v))
-        writes;
-      let ok = ref true in
-      List.iter
-        (fun (addr, _) ->
-          if Pmem.Store.get_i64 s addr <> Bytes.get_int64_le model addr then ok := false)
-        writes;
-      !ok)
+        (function
+          | Set_u8 (st, a, v) ->
+              Pmem.Store.set_u8 stores.(st) a v;
+              Bytes.set_uint8 models.(st) a v;
+              touch st a 1
+          | Set_u16 (st, a, v) ->
+              Pmem.Store.set_u16 stores.(st) a v;
+              Bytes.set_uint16_le models.(st) a v;
+              touch st a 2
+          | Set_u32 (st, a, v) ->
+              Pmem.Store.set_u32 stores.(st) a v;
+              Bytes.set_int32_le models.(st) a (Int32.of_int v);
+              touch st a 4
+          | Set_int (st, a, v) ->
+              Pmem.Store.set_int stores.(st) a v;
+              Bytes.set_int64_le models.(st) a (Int64.of_int v);
+              touch st a 8
+          | Set_i64 (st, a, v) ->
+              Pmem.Store.set_i64 stores.(st) a v;
+              Bytes.set_int64_le models.(st) a v;
+              touch st a 8
+          | Write_bytes (st, a, n, seed) ->
+              let b = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
+              Pmem.Store.write_bytes stores.(st) a b;
+              Bytes.blit b 0 models.(st) a n;
+              touch st a n
+          | Fill (st, a, n, c) ->
+              Pmem.Store.fill stores.(st) a n c;
+              Bytes.fill models.(st) a n c;
+              if c <> '\000' then touch st a n
+          | Copy_line (src, line) ->
+              let dst = 1 - src and a = line * Pmem.Cacheline.size in
+              Pmem.Store.copy_line ~src:stores.(src) ~dst:stores.(dst) line;
+              Bytes.blit models.(src) a models.(dst) a Pmem.Cacheline.size;
+              if Hashtbl.mem granules.(src) (a / g) then touch dst a 1)
+        ops;
+      let agrees st =
+        let s = stores.(st) and m = models.(st) in
+        let word_ok a =
+          let i64_ok () =
+            let w = Bytes.get_int64_le m a in
+            Pmem.Store.get_i64 s a = w
+            && (Int64.of_int (Int64.to_int w) <> w || Pmem.Store.get_int s a = Int64.to_int w)
+          in
+          Pmem.Store.get_u8 s a = Bytes.get_uint8 m a
+          && (a > size - 2 || Pmem.Store.get_u16 s a = Bytes.get_uint16_le m a)
+          && (a > size - 4
+             || Pmem.Store.get_u32 s a = Int32.to_int (Bytes.get_int32_le m a) land 0xFFFFFFFF)
+          && (a > size - 8 || i64_ok ())
+        in
+        let near_boundaries = ref true in
+        for k = 0 to store_granules do
+          for a = max 0 ((k * g) - 32) to min (size - 1) ((k * g) + 32) do
+            if not (word_ok a) then near_boundaries := false
+          done;
+          List.iter
+            (fun d ->
+              let a = max 0 ((k * g) - d) in
+              let n = min (2 * d) (size - a) in
+              if not (Bytes.equal (Pmem.Store.read_bytes s a n) (Bytes.sub m a n)) then
+                near_boundaries := false)
+            [ 1; 3; 8; 40 ]
+        done;
+        !near_boundaries
+        && Bytes.equal (Pmem.Store.read_bytes s 0 size) m
+        && Pmem.Store.allocated_chunks s = Hashtbl.length granules.(st)
+      in
+      agrees 0 && agrees 1)
 
 let test_xpbuffer_bounds_bandwidth () =
   let lat = Pmem.Latency.default in

@@ -1,6 +1,7 @@
 (* Observational equivalence of the fast-path substrate rewrites with
    the straightforward implementations they replaced, plus regressions
-   for the Store.fill fast path and the Stats trace buffers.
+   for the Store.fill fast path, the construction footprint and the
+   Stats trace buffers.
 
    - Dirtymap (per-chunk bitmaps) vs the former [(int, unit) Hashtbl.t]
      dirty set;
@@ -650,22 +651,44 @@ let prop_scheduler_order =
 (* --- Store.fill fast path ---------------------------------------------- *)
 
 let test_fill_zero_no_chunks () =
-  (* Filling zeros into unwritten space is the status quo: no chunk may
-     materialise. 3 MiB spans three chunks, all untouched. *)
-  let s = Pmem.Store.create ~size:(8 * mib) in
+  (* Filling zeros into unwritten space is the status quo: no granule may
+     materialise. The fill spans three granules, all untouched. *)
+  let g = Pmem.Store.chunk_bytes in
+  let s = Pmem.Store.create ~size:(8 * g) in
   Alcotest.(check int) "fresh store" 0 (Pmem.Store.allocated_chunks s);
-  Pmem.Store.fill s 0 (3 * mib) '\000';
+  Pmem.Store.fill s 0 (3 * g) '\000';
   Alcotest.(check int) "zero fill allocates nothing" 0 (Pmem.Store.allocated_chunks s);
-  (* A touched chunk still gets zeroed in place... *)
+  (* A touched granule still gets zeroed in place... *)
   Pmem.Store.set_u8 s 10 0xAB;
   Alcotest.(check int) "one chunk" 1 (Pmem.Store.allocated_chunks s);
-  Pmem.Store.fill s 0 (3 * mib) '\000';
+  Pmem.Store.fill s 0 (3 * g) '\000';
   Alcotest.(check int) "still one chunk" 1 (Pmem.Store.allocated_chunks s);
   Alcotest.(check int) "byte zeroed" 0 (Pmem.Store.get_u8 s 10);
-  (* ...and a nonzero fill materialises exactly the chunks it covers. *)
-  Pmem.Store.fill s (4 * mib) mib '\xFF';
+  (* ...and a nonzero fill materialises exactly the granules it covers. *)
+  Pmem.Store.fill s (4 * g) g '\xFF';
   Alcotest.(check int) "nonzero fill allocates" 2 (Pmem.Store.allocated_chunks s);
-  Alcotest.(check int) "fill visible" 0xFF (Pmem.Store.get_u8 s ((4 * mib) + 123))
+  Alcotest.(check int) "fill visible" 0xFF (Pmem.Store.get_u8 s ((4 * g) + 123))
+
+(* --- Construction footprint ------------------------------------------- *)
+
+(* A fresh 4-thread instance writes a few KB: the superblock, the region
+   table, and NVAlloc's per-arena WAL and bookkeeping-log headers. The
+   device images materialise only the granules those writes touch, 18
+   of 16 KiB for every NVAlloc variant, where 1 MiB chunks zero-filled
+   8 MiB. Baselines write nothing to the device until their first
+   allocation. *)
+let test_construction_footprint () =
+  let resident kind =
+    Pmem.Device.resident_bytes (Harness.Factory.make ~threads:4 kind).Alloc_api.Instance.dev
+  in
+  List.iter
+    (fun kind ->
+      let name = Harness.Factory.name kind and b = resident kind in
+      Alcotest.(check bool) (Printf.sprintf "%s: %d B <= 288 KiB" name b) true (b <= 288 * 1024))
+    Harness.Factory.[ Nv_log; Nv_gc; Nv_ic ];
+  List.iter
+    (fun kind -> Alcotest.(check int) (Harness.Factory.name kind) 0 (resident kind))
+    Harness.Factory.[ Pmdk; Makalu ]
 
 (* --- Stats trace buffers ----------------------------------------------- *)
 
@@ -817,6 +840,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scheduler_order;
     Alcotest.test_case "store fill '\\000' materialises no chunks" `Quick
       test_fill_zero_no_chunks;
+    Alcotest.test_case "construction materialises only touched granules" `Quick
+      test_construction_footprint;
     Alcotest.test_case "stats trace truncates at limit" `Quick test_trace_truncation;
     Alcotest.test_case "pending membership allocates nothing" `Quick
       test_pending_membership_allocation_free;
