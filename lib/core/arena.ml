@@ -635,21 +635,11 @@ let refill_tcache t clock tc class_idx =
     lru_touch t s;
     let continue_slab = ref true in
     while (not (Tcache.is_full tc)) && !continue_slab do
-      (* Slot selection. On the dominant path — no morph in progress,
-         bits marked at refill — the persistent bitmap itself is scanned
-         with the word-level {!Bitmap.find_first_zero} (section 5.1): a
-         clear bit is exactly an available block, so the volatile free
-         set is only a cross-checked mirror. Morphing slabs (clear but
-         pinned bits) and the internal-collection variant (clear bits for
-         tcache residents) allocate from the volatile set instead. *)
-      let b =
-        if (not (is_ic t)) && s.Slab.morph = None then begin
-          let b = Bitmap.find_first_zero t.dev s.Slab.bitmap in
-          if b >= 0 then Slab.free_claim s b else assert (s.Slab.free_count = 0);
-          b
-        end
-        else Slab.free_take_first s
-      in
+      (* The lowest block of the volatile free set: outside morphs and
+         internal collection, the lowest clear bit of the persistent
+         bitmap (the integrity walk checks that the two sets agree),
+         found without reading the device. *)
+      let b = Slab.free_take_first s in
       if b < 0 then begin
         freelist_remove t s;
         continue_slab := false

@@ -75,63 +75,3 @@ let iter_set dev t f =
   for b = 0 to t.nbits - 1 do
     if get dev t b then f b
   done
-
-(* Word-level scans (section 5.1), over 32-bit words read as plain ints
-   (a 64-bit word would come back as a boxed [Int64]): the bitmap bytes
-   are little-endian, so bit [p] of the word at byte offset [o] is the
-   same bit as byte [o + p/8], mask [1 lsl (p mod 8)] — in-line bit index
-   [o*8 + p]. Full words compare equal to all-ones and are skipped in one
-   step. *)
-
-let word_bits = 32
-let full = 0xFFFF_FFFF
-let words_per_line = bits_per_line / word_bits
-
-let read_word dev t ~line ~word =
-  Pmem.Device.read_u32 dev (t.base + (line * Pmem.Cacheline.size) + (word * 4))
-
-(* Bit indices >= [valid] within the line do not map to any block; read
-   them as ones so the scan never reports them. [lo] is the in-line bit
-   index of the word's bit 0. *)
-let mask_invalid w ~lo ~valid =
-  if valid >= lo + word_bits then w
-  else if valid <= lo then full
-  else w lor ((full lsl (valid - lo)) land full)
-
-let rec trailing_ones w j = if (w lsr j) land 1 = 0 then j else trailing_ones w (j + 1)
-let first_zero_bit w = if w = full then -1 else trailing_ones w 0
-
-(* Global word [w] covers blocks [w*32, w*32+32). *)
-let rec scan_sequential dev t w nwords =
-  if w >= nwords then -1
-  else
-    let line = w / words_per_line in
-    let raw = read_word dev t ~line ~word:(w mod words_per_line) in
-    let lo = w mod words_per_line * word_bits in
-    let j = first_zero_bit (mask_invalid raw ~lo ~valid:(t.nbits - (line * bits_per_line))) in
-    if j >= 0 then (w * word_bits) + j else scan_sequential dev t (w + 1) nwords
-
-(* In-line index of the first zero among [valid] bits of [line], or -1. *)
-let rec scan_line dev t ~line ~valid w =
-  if w * word_bits >= valid then -1
-  else
-    let raw = read_word dev t ~line ~word:w in
-    let j = first_zero_bit (mask_invalid raw ~lo:(w * word_bits) ~valid) in
-    if j >= 0 then (w * word_bits) + j else scan_line dev t ~line ~valid (w + 1)
-
-let find_first_zero dev t =
-  match t.mapping with
-  | Sequential -> scan_sequential dev t 0 ((t.nbits + word_bits - 1) / word_bits)
-  | Interleaved _ ->
-      (* Block [b] maps to (line [b mod lines], in-line index [b / lines]),
-         so block order is index-major: the smallest free block overall is
-         the smallest (index, line) pair over each line's first zero. *)
-      let best = ref max_int in
-      for line = 0 to min t.lines t.nbits - 1 do
-        let idx = scan_line dev t ~line ~valid:((t.nbits - line + t.lines - 1) / t.lines) 0 in
-        if idx >= 0 then begin
-          let b = (idx * t.lines) + line in
-          if b < !best then best := b
-        end
-      done;
-      if !best = max_int then -1 else !best

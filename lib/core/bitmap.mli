@@ -57,12 +57,3 @@ val popcount : Pmem.Device.t -> t -> int
 
 val iter_set : Pmem.Device.t -> t -> (int -> unit) -> unit
 (** Apply to every block index whose bit is set. *)
-
-val find_first_zero : Pmem.Device.t -> t -> int
-(** Lowest block index whose bit is clear, scanning the bitmap 32-bit
-    words at a time (read as plain ints, so the scan allocates nothing):
-    all-ones words are skipped with a single compare, so a nearly-full
-    slab costs [lines * 16] word reads instead of [nbits] bit probes.
-    Under the interleaved mapping block order is index-major across
-    stripes, so every line's first zero is a candidate and the smallest
-    [(index, line)] pair wins. [-1] when every block is allocated. *)

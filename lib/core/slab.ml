@@ -175,11 +175,11 @@ end
 
 (* --- volatile free-block bitset ------------------------------------------
 
-   One bit per block, 1 = available to hand out. Replaces the old free
-   stack: membership is O(1), duplicates are impossible by construction,
-   and first-fit is a word scan — the same shape as the persistent
-   bitmap's {!Bitmap.find_first_zero}, with which it agrees bit-for-bit on
-   non-morphing slabs outside the internal-collection variant. *)
+   One bit per block, 1 = available to hand out: O(1) membership, no
+   duplicates by construction, and first-fit is a word scan. Refill takes
+   every block here. Outside morphs and internal collection the set is
+   exactly the persistent bitmap's clear bits, so first-fit picks the
+   block a bitmap scan would, without reading the device. *)
 
 let avail_bits = 32
 

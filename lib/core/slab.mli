@@ -85,7 +85,7 @@ type t = {
   mutable free_count : int;
   mutable avail : int array;
       (** volatile free-block bitset (1 = available), kept via
-          {!free_put}/{!free_claim}; agrees bit-for-bit with the
+          {!free_put}/{!free_take_first}; agrees bit-for-bit with the
           complement of the persistent bitmap on non-morphing slabs
           outside the internal-collection variant *)
   mutable tcached : int;
@@ -208,10 +208,6 @@ val free_mem : t -> int -> bool
 val free_put : t -> int -> unit
 (** Add block [b] to the free set (asserts it is absent);
     increments [free_count]. *)
-
-val free_claim : t -> int -> unit
-(** Remove block [b] from the free set (asserts it is present);
-    decrements [free_count]. *)
 
 val free_take_first : t -> int
 (** Claim and return the lowest-index free block (word-scan first-fit),

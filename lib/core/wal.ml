@@ -224,13 +224,10 @@ let append_off t clock kind ~addr ~dest =
   assert (not (near_full t));
   let off = t.base + slot_offset t t.next in
   let code = kind_code kind in
-  Pstruct.set t.dev ~base:off Entry.kind code;
-  Pstruct.set t.dev ~base:off Entry.epoch t.epoch;
-  Pstruct.set t.dev ~base:off Entry.ck
-    (checksum ~kind:code ~epoch:t.epoch ~seq:t.seq ~addr ~dest);
-  Pstruct.set t.dev ~base:off Entry.seq t.seq;
-  Pstruct.set t.dev ~base:off Entry.addr addr;
-  Pstruct.set t.dev ~base:off Entry.dest dest;
+  let ck = checksum ~kind:code ~epoch:t.epoch ~seq:t.seq ~addr ~dest in
+  (* The [Entry] layout's bytes in one device call: kind, epoch and ck
+     pack into the first u32 word, then seq, addr and dest. *)
+  Pmem.Device.write_u32x4 t.dev off (code lor (t.epoch lsl 8) lor (ck lsl 16)) t.seq addr dest;
   if t.group_n = 0 then begin
     if not t.skip_flush then Pmem.Device.flush t.dev clock Pmem.Stats.Wal ~addr:off ~len:entry_bytes
     else

@@ -3,7 +3,8 @@
     Addresses are plain [int] byte offsets into the device. A CPU cache
     line is 64 B; the Optane media access granularity (XPLine) is 256 B —
     writes falling in the same XPLine as the previous write are treated as
-    sequential by the device's latency model. *)
+    sequential by the device's latency model. Both sizes are
+    {!Device.line_shift} and {!Device.xpline_shift}, re-exported here. *)
 
 val size : int
 (** Cache line size in bytes (64). *)

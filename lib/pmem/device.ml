@@ -1,3 +1,452 @@
+(* Line geometry ([Cacheline] re-exports it) and the device's substrate:
+   byte images, dirty-line bitmap, LRU windows and WPQ model. They live
+   in this unit because they run on every write and every flushed line,
+   and a build that passes [-opaque] inlines no call into another unit. *)
+
+let line_shift = 6
+let line_bytes = 1 lsl line_shift (* 64 B cache line *)
+let xpline_shift = 8 (* 256 B XPLine *)
+
+(* Absent granules share the empty [absent]: a slot read is a load and a
+   physical compare, and materialising a granule boxes nothing. *)
+module Store = struct
+  (* 16 KiB granules, chosen by the sweep in EXPERIMENTS.md. *)
+  let shift = 14
+  let chunk_bytes = 1 lsl shift
+  let () = assert (chunk_bytes mod line_bytes = 0)
+  let absent = Bytes.create 0
+
+  (* Above [Max_young_wosize] (256 words): the first table and every grown
+     one go straight to the major heap, so a write that grows the table
+     counts no minor words. *)
+  let initial_slots = 512
+
+  type t = { total : int; granules : int; mutable chunks : Bytes.t array }
+
+  let create ~size =
+    assert (size > 0);
+    let granules = (size + chunk_bytes - 1) / chunk_bytes in
+    { total = size; granules; chunks = Array.make (min granules initial_slots) absent }
+
+  (* Granule [i]'s slot, [absent] past the table. [i] comes from [lsr], so
+     it is never negative and the bounds test is the table length alone. *)
+  let[@inline] slot t i = if i < Array.length t.chunks then Array.unsafe_get t.chunks i else absent
+
+  let[@inline never] grow t i =
+    assert (i < t.granules);
+    let n = Array.length t.chunks in
+    let chunks = Array.make (min t.granules (max (i + 1) (2 * n))) absent in
+    Array.blit t.chunks 0 chunks 0 n;
+    t.chunks <- chunks
+
+  let chunk_of t i =
+    if i >= Array.length t.chunks then grow t i;
+    match t.chunks.(i) with
+    | c when c != absent -> c
+    | _ ->
+        let c = Bytes.make chunk_bytes '\000' in
+        t.chunks.(i) <- c;
+        c
+
+  (* Fast-path predicate: the [len]-byte access stays inside one granule. *)
+  let[@inline] within addr len = addr land (chunk_bytes - 1) <= chunk_bytes - len
+
+  let get_u8 t addr =
+    assert (addr >= 0 && addr < t.total);
+    match slot t (addr lsr shift) with
+    | c when c == absent -> 0
+    | c -> Bytes.get_uint8 c (addr land (chunk_bytes - 1))
+
+  let set_u8 t addr v =
+    assert (addr >= 0 && addr < t.total);
+    Bytes.set_uint8 (chunk_of t (addr lsr shift)) (addr land (chunk_bytes - 1)) v
+
+  let get_u16 t addr =
+    if within addr 2 then
+      match slot t (addr lsr shift) with
+      | c when c == absent -> 0
+      | c -> Bytes.get_uint16_le c (addr land (chunk_bytes - 1))
+    else get_u8 t addr lor (get_u8 t (addr + 1) lsl 8)
+
+  let set_u16 t addr v =
+    if within addr 2 then Bytes.set_uint16_le (chunk_of t (addr lsr shift)) (addr land (chunk_bytes - 1)) v
+    else begin
+      set_u8 t addr (v land 0xFF);
+      set_u8 t (addr + 1) ((v lsr 8) land 0xFF)
+    end
+
+  let get_i64 t addr =
+    if within addr 8 then
+      match slot t (addr lsr shift) with
+      | c when c == absent -> 0L
+      | c -> Bytes.get_int64_le c (addr land (chunk_bytes - 1))
+    else begin
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 t (addr + i)))
+      done;
+      !v
+    end
+
+  let set_i64 t addr v =
+    if within addr 8 then Bytes.set_int64_le (chunk_of t (addr lsr shift)) (addr land (chunk_bytes - 1)) v
+    else
+      for i = 0 to 7 do
+        set_u8 t (addr + i)
+          (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+      done
+
+  (* 8-byte words as OCaml ints: the int64 stays unboxed inside these
+     functions, so neither call allocates. A stored word must fit 63 bits. *)
+  let get_int t addr =
+    if within addr 8 then
+      match slot t (addr lsr shift) with
+      | c when c == absent -> 0
+      | c ->
+          let v = Bytes.get_int64_le c (addr land (chunk_bytes - 1)) in
+          let i = Int64.to_int v in
+          assert (Int64.of_int i = v);
+          i
+    else begin
+      let v = get_i64 t addr in
+      let i = Int64.to_int v in
+      assert (Int64.of_int i = v);
+      i
+    end
+
+  let set_int t addr v =
+    if within addr 8 then
+      Bytes.set_int64_le (chunk_of t (addr lsr shift)) (addr land (chunk_bytes - 1)) (Int64.of_int v)
+    else set_i64 t addr (Int64.of_int v)
+
+  let get_u32 t addr =
+    if within addr 4 then
+      match slot t (addr lsr shift) with
+      | c when c == absent -> 0
+      | c -> Int32.to_int (Bytes.get_int32_le c (addr land (chunk_bytes - 1))) land 0xFFFFFFFF
+    else
+      get_u8 t addr
+      lor (get_u8 t (addr + 1) lsl 8)
+      lor (get_u8 t (addr + 2) lsl 16)
+      lor (get_u8 t (addr + 3) lsl 24)
+
+  let set_u32 t addr v =
+    if within addr 4 then
+      Bytes.set_int32_le (chunk_of t (addr lsr shift)) (addr land (chunk_bytes - 1)) (Int32.of_int v)
+    else
+      for i = 0 to 3 do
+        set_u8 t (addr + i) ((v lsr (8 * i)) land 0xFF)
+      done
+
+  (* Four consecutive u32 words, one granule lookup when they share one. *)
+  let set_u32x4 t addr w0 w1 w2 w3 =
+    if within addr 16 then begin
+      let c = chunk_of t (addr lsr shift) and off = addr land (chunk_bytes - 1) in
+      Bytes.set_int32_le c off (Int32.of_int w0);
+      Bytes.set_int32_le c (off + 4) (Int32.of_int w1);
+      Bytes.set_int32_le c (off + 8) (Int32.of_int w2);
+      Bytes.set_int32_le c (off + 12) (Int32.of_int w3)
+    end
+    else begin
+      set_u32 t addr w0;
+      set_u32 t (addr + 4) w1;
+      set_u32 t (addr + 8) w2;
+      set_u32 t (addr + 12) w3
+    end
+
+  (* Range operations walk granule by granule. *)
+  let rec iter_ranges t addr len f =
+    if len > 0 then begin
+      let off = addr land (chunk_bytes - 1) in
+      let n = min len (chunk_bytes - off) in
+      f (addr lsr shift) off addr n;
+      iter_ranges t (addr + n) (len - n) f
+    end
+
+  let read_bytes t addr len =
+    let b = Bytes.make len '\000' in
+    iter_ranges t addr len (fun ci off abs n ->
+        match slot t ci with
+        | c when c == absent -> ()
+        | c -> Bytes.blit c off b (abs - addr) n);
+    b
+
+  let write_bytes t addr src =
+    iter_ranges t addr (Bytes.length src) (fun ci off abs n ->
+        Bytes.blit src (abs - addr) (chunk_of t ci) off n)
+
+  let fill t addr len ch =
+    iter_ranges t addr len (fun ci off _abs n ->
+        (* Zero-filling a granule that was never written is a no-op for
+           every segment of the range — head, whole granules and partial
+           tail alike — since absent granules already read as zeros. Only
+           materialise a granule when the fill byte is non-zero. *)
+        match slot t ci with
+        | c when c == absent && ch = '\000' -> ()
+        | _ -> Bytes.fill (chunk_of t ci) off n ch)
+
+  let allocated_chunks t =
+    Array.fold_left (fun acc c -> if c == absent then acc else acc + 1) 0 t.chunks
+
+  let copy_line ~src ~dst line =
+    let addr = line lsl line_shift in
+    let ci = addr lsr shift and off = addr land (chunk_bytes - 1) in
+    match slot src ci with
+    | s when s == absent -> (
+        (* Source line is zeros. *)
+        match slot dst ci with
+        | d when d == absent -> ()
+        | d -> Bytes.fill d off line_bytes '\000')
+    | s -> Bytes.blit s off (chunk_of dst ci) off line_bytes
+end
+
+(* Iteration skips absent chunks and zero words, so [flush_all] and crash
+   sweeps cost O(dirty + words touched), not O(device). *)
+module Dirtymap = struct
+  let chunk_shift = 14
+  let lines_per_chunk = 1 lsl chunk_shift
+
+  (* 32 dirty bits per word: power-of-two indexing, and every mask fits a
+     63-bit OCaml int with room for the popcount/De Bruijn arithmetic. *)
+  let bits_per_word = 32
+  let words_per_chunk = lines_per_chunk / bits_per_word
+
+  type t = { chunks : int array array; mutable dirty : int }
+
+  let absent : int array = [||]
+
+  let create ~size =
+    assert (size > 0 && size mod line_bytes = 0);
+    let lines = size lsr line_shift in
+    let n = (lines + lines_per_chunk - 1) / lines_per_chunk in
+    { chunks = Array.make n absent; dirty = 0 }
+
+  let count t = t.dirty
+
+  let words_of t ci =
+    match t.chunks.(ci) with
+    | w when w != absent -> w
+    | _ ->
+        let w = Array.make words_per_chunk 0 in
+        t.chunks.(ci) <- w;
+        w
+
+  let mark t line =
+    let w = words_of t (line lsr chunk_shift) in
+    let wi = (line lsr 5) land (words_per_chunk - 1) in
+    let bit = 1 lsl (line land 31) in
+    let old = w.(wi) in
+    if old land bit = 0 then begin
+      w.(wi) <- old lor bit;
+      t.dirty <- t.dirty + 1
+    end
+
+  let popcount32 x =
+    let x = x - ((x lsr 1) land 0x55555555) in
+    let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+    let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+    ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+  let mark_range t ~first ~last =
+    assert (first <= last);
+    let line = ref first in
+    while !line <= last do
+      let w = words_of t (!line lsr chunk_shift) in
+      let wi = (!line lsr 5) land (words_per_chunk - 1) in
+      let lo = !line land 31 in
+      (* Bits [lo .. lo+span] of this word lie inside [first, last]. *)
+      let span = min (last - !line) (31 - lo) in
+      let mask = ((1 lsl (span + 1)) - 1) lsl lo in
+      let old = w.(wi) in
+      let updated = old lor mask in
+      if updated <> old then begin
+        w.(wi) <- updated;
+        t.dirty <- t.dirty + popcount32 (updated lxor old)
+      end;
+      line := !line + span + 1
+    done
+
+  let test t line =
+    match t.chunks.(line lsr chunk_shift) with
+    | w when w == absent -> false
+    | w -> w.((line lsr 5) land (words_per_chunk - 1)) land (1 lsl (line land 31)) <> 0
+
+  let clear t line =
+    match t.chunks.(line lsr chunk_shift) with
+    | w when w == absent -> ()
+    | w ->
+        let wi = (line lsr 5) land (words_per_chunk - 1) in
+        let bit = 1 lsl (line land 31) in
+        let old = w.(wi) in
+        if old land bit <> 0 then begin
+          w.(wi) <- old land lnot bit;
+          t.dirty <- t.dirty - 1
+        end
+
+  (* Lowest-set-bit index via a De Bruijn multiply (the product is masked
+     to 32 bits so the 63-bit native int does not leak high bits). *)
+  let tz_table =
+    let tbl = Array.make 32 0 in
+    for i = 0 to 31 do
+      tbl.((((1 lsl i) * 0x077CB531) land 0xFFFFFFFF) lsr 27) <- i
+    done;
+    tbl
+
+  let iter t f =
+    for ci = 0 to Array.length t.chunks - 1 do
+      match t.chunks.(ci) with
+      | words when words == absent -> ()
+      | words ->
+          let base = ci lsl chunk_shift in
+          for wi = 0 to words_per_chunk - 1 do
+            (* Snapshot the word: [f] may clear bits of the line it is
+               visiting (flush does) without disturbing the sweep. *)
+            let w = ref words.(wi) in
+            if !w <> 0 then begin
+              let word_base = base + (wi lsl 5) in
+              while !w <> 0 do
+                let bit = !w land (- !w) in
+                f (word_base + tz_table.(((bit * 0x077CB531) land 0xFFFFFFFF) lsr 27));
+                w := !w land lnot bit
+              done
+            end
+          done
+    done
+
+  let reset t =
+    Array.fill t.chunks 0 (Array.length t.chunks) absent;
+    t.dirty <- 0
+end
+
+(* The front is a moving [head] index: a miss is O(scan) with an O(1)
+   insert over the victim; only a hit at distance [d] pays an O(d)
+   rotation to restore recency order. *)
+module Lru_ring = struct
+  type t = { cap : int; slots : int array; mutable head : int; mutable len : int }
+
+  let create capacity =
+    assert (capacity >= 0);
+    { cap = capacity; slots = Array.make (max capacity 1) min_int; head = 0; len = 0 }
+
+  (* Physical slot of logical position [i] (0 = most recent). *)
+  let slot t i =
+    let p = t.head + i in
+    if p >= t.cap then p - t.cap else p
+
+  (* Logical position of [v], or -1. Tail recursion over int arguments:
+     this is the per-flush hot path, and unlike a [ref]-based loop it
+     allocates nothing. *)
+  let rec find_from t v i =
+    if i >= t.len then -1
+    else
+      let p = t.head + i in
+      let p = if p >= t.cap then p - t.cap else p in
+      if Array.unsafe_get t.slots p = v then i else find_from t v (i + 1)
+
+  (* Move-to-front of [v], known to sit at logical position [d] (-1: absent,
+     insert over the least-recent slot). *)
+  let promote t v d =
+    if d < 0 then begin
+      t.head <- (if t.head = 0 then t.cap - 1 else t.head - 1);
+      Array.unsafe_set t.slots t.head v;
+      if t.len < t.cap then t.len <- t.len + 1
+    end
+    else begin
+      for i = d downto 1 do
+        t.slots.(slot t i) <- t.slots.(slot t (i - 1))
+      done;
+      t.slots.(t.head) <- v
+    end
+
+  let touch t v =
+    if t.cap = 0 then -1
+    else begin
+      let d = find_from t v 0 in
+      promote t v d;
+      d
+    end
+
+  (* One scan finds both the position of [v] and whether [v] or [v - 1] is
+     in the pre-touch window, then applies [touch]'s update: the device's
+     per-flush XPLine sequentiality test in a single ring traversal. *)
+  let touch_seq t v =
+    let w = t.cap in
+    if w = 0 then false
+    else begin
+      let pos = ref (-1) in
+      let seq = ref false in
+      for i = 0 to t.len - 1 do
+        let p = t.head + i in
+        let p = if p >= w then p - w else p in
+        let s = Array.unsafe_get t.slots p in
+        if s = v then begin
+          seq := true;
+          if !pos < 0 then pos := i
+        end
+        else if s + 1 = v then seq := true
+      done;
+      promote t v !pos;
+      !seq
+    end
+
+  let to_list t = List.init t.len (fun i -> t.slots.(slot t i))
+
+  let reset t =
+    t.head <- 0;
+    t.len <- 0
+end
+
+module Xpbuffer = struct
+  type t = {
+    lat : Latency.t;
+    mutable media_free : int; (* virtual time the media catches up with the queue *)
+    mutable stalls : int;
+  }
+
+  (* Media occupancy is a flush cost divided by the parallelism; in whole
+     ns every such quotient must be exact. *)
+  let validate (lat : Latency.t) =
+    let p = lat.media_parallelism in
+    let reject fmt = Printf.ksprintf invalid_arg ("Pmem.Device.Xpbuffer.create: " ^^ fmt) in
+    if p <= 0 then reject "media_parallelism must be positive (got %d)" p;
+    let check name ns =
+      if ns mod p <> 0 then reject "%s = %d ns does not divide by media_parallelism = %d" name ns p
+    in
+    check "seq_flush_ns" lat.seq_flush_ns;
+    check "rand_flush_ns" lat.rand_flush_ns;
+    for d = 0 to lat.reflush_window - 1 do
+      check
+        (Printf.sprintf "reflush cost at distance %d" d)
+        (Latency.flush_cost lat ~distance:d ~sequential:false)
+    done
+
+  let create lat =
+    validate lat;
+    { lat; media_free = 0; stalls = 0 }
+
+  let reset t =
+    t.media_free <- 0;
+    t.stalls <- 0
+
+  let admit t ~now ~media_ns =
+    let lat = t.lat in
+    (* The WPQ absorbs up to [capacity] entries of backlog; beyond that the
+       flush stalls until the media catches up. Each admitted line occupies
+       the shared media for its classified latency divided by the media
+       parallelism, which is what bounds aggregate flush bandwidth. *)
+    let window = lat.Latency.wpq_capacity * lat.Latency.wpq_drain_ns in
+    let stall = Int.max 0 (t.media_free - now - window) in
+    t.stalls <- t.stalls + stall;
+    let start = now + stall in
+    t.media_free <- Int.max t.media_free start + (media_ns / lat.Latency.media_parallelism);
+    start + media_ns
+
+  let stall_time t = t.stalls
+
+  (* Telemetry-only — never consulted on the simulation path. *)
+  let backlog t ~now = Int.max 0 (t.media_free - now)
+end
+
 exception Injected_crash
 exception Media_error of { op : string; addr : int; len : int; line : int }
 
@@ -31,6 +480,7 @@ let kept_violations = 32
 
 type t = {
   lat : Latency.t;
+  size : int;
   volatile : Store.t;
   persisted : Store.t;
   dirty : Dirtymap.t;
@@ -127,9 +577,10 @@ let no_stream = new_stream 1
 let wpq_sample_period = 64
 
 let create ?(lat = Latency.default) ~size () =
-  assert (size > 0 && size mod Cacheline.size = 0);
+  assert (size > 0 && size mod line_bytes = 0);
   {
     lat;
+    size;
     volatile = Store.create ~size;
     persisted = Store.create ~size;
     dirty = Dirtymap.create ~size;
@@ -149,7 +600,7 @@ let create ?(lat = Latency.default) ~size () =
 
 let set_batching t on = t.batching <- on
 
-let size t = Store.size t.volatile
+let size t = t.size
 let stats t = t.stats
 
 let flush_span_names = [| "flush:meta"; "flush:wal"; "flush:log"; "flush:data" |]
@@ -206,8 +657,8 @@ let[@inline never] bounds_fail op addr len size =
        addr len size)
 
 let[@inline] check_bounds t op addr len =
-  if addr < 0 || len < 0 || addr + len > Store.size t.volatile then
-    bounds_fail op addr len (Store.size t.volatile)
+  if addr < 0 || len < 0 || addr + len > t.size then
+    bounds_fail op addr len t.size
 
 (* Poisoned-line check on the read path. The common case (no poison
    anywhere) is one O(1) length load; only a device with live damage pays
@@ -218,7 +669,7 @@ let[@inline never] poison_fail t op addr len line =
   raise (Media_error { op; addr; len; line })
 
 let[@inline never] check_poison_slow t op addr len =
-  let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+  let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
   for line = first to last do
     if Hashtbl.mem t.poisoned line then poison_fail t op addr len line
   done
@@ -226,10 +677,10 @@ let[@inline never] check_poison_slow t op addr len =
 let[@inline] check_poison t op addr len =
   if Hashtbl.length t.poisoned > 0 && len > 0 then check_poison_slow t op addr len
 
-(* Cacheline.span, open-coded: the tuple it returns would be an
+(* The span's first and last line as two ints: a tuple would be an
    allocation on every write. *)
 let[@inline] mark_dirty t addr len =
-  let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+  let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
   if first = last then Dirtymap.mark t.dirty first
   else Dirtymap.mark_range t.dirty ~first ~last
 
@@ -263,6 +714,14 @@ let[@inline] write_u32 t addr v =
   check_bounds t "write_u32" addr 4;
   Store.set_u32 t.volatile addr v;
   mark_dirty t addr 4
+
+(* A WAL entry's store: one bounds check and one dirty mark for the four
+   words, which [Store] writes with one granule lookup. *)
+let write_u32x4 t addr w0 w1 w2 w3 =
+  assert (w0 lor w1 lor w2 lor w3 >= 0 && w0 lor w1 lor w2 lor w3 <= 0xFFFFFFFF);
+  check_bounds t "write_u32x4" addr 16;
+  Store.set_u32x4 t.volatile addr w0 w1 w2 w3;
+  mark_dirty t addr 16
 
 let[@inline] read_int64 t addr =
   check_bounds t "read_int64" addr 8;
@@ -418,7 +877,7 @@ let do_crash t =
 
 let crash t = do_crash t
 
-let words_per_line = Cacheline.size / 8
+let words_per_line = line_bytes / 8
 
 (* Which 8-byte words of the in-flight line persist, as a bit mask over
    the line's [words_per_line] words. Deterministic from (seed, line):
@@ -448,7 +907,7 @@ let crash_in_flight t line =
      | None -> Store.copy_line ~src:t.volatile ~dst:t.persisted line
      | Some (mode, seed) ->
          let mask = torn_mask mode seed line in
-         let base = line * Cacheline.size in
+         let base = line * line_bytes in
          for w = 0 to words_per_line - 1 do
            if mask land (1 lsl w) <> 0 then
              Store.set_i64 t.persisted (base + (w * 8))
@@ -462,7 +921,7 @@ let flush_line t clock cat line =
   | Some n when n <= 1 -> crash_in_flight t line
   | Some n -> t.crash_after <- Some (n - 1)
   | None -> ());
-  let addr = line * Cacheline.size in
+  let addr = line * line_bytes in
   Store.copy_line ~src:t.volatile ~dst:t.persisted line;
   Dirtymap.clear t.dirty line;
   (match t.check with
@@ -479,7 +938,7 @@ let flush_line t clock cat line =
      thread recently wrote — the WPQ write-combines per 256 B XPLine, so
      a thread interleaving a few streams (bitmap stripes, WAL frame,
      destinations) still gets combined sequential writes. *)
-  let xp = Cacheline.xpline addr in
+  let xp = addr lsr xpline_shift in
   let sequential = Lru_ring.touch_seq st.xplines xp in
   let media_ns = Latency.flush_cost t.lat ~distance ~sequential in
   let now = Sim.Clock.ns clock in
@@ -521,7 +980,7 @@ let charge_fence t clock =
 
 let sync_flush t clock cat ~addr ~len =
   if len > 0 then begin
-    let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+    let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
     let finish = ref (Sim.Clock.ns clock) in
     for line = first to last do
       if Dirtymap.test t.dirty line then finish := Int.max !finish (flush_line t clock cat line)
@@ -537,7 +996,7 @@ let flush_weak t clock cat ~addr ~len =
   if len > 0 then begin
     let st = stream_of t clock in
     st.pending_calls <- st.pending_calls + 1;
-    let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+    let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
     for line = first to last do
       if Dirtymap.test t.dirty line && not (pending_add st line cat) then
         Stats.bump t.stats Flushes_coalesced
@@ -577,7 +1036,7 @@ let flush t clock cat ~addr ~len =
 let unpend t clock ~addr ~len =
   if len > 0 then begin
     let st = stream_of t clock in
-    let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+    let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
     let k = ref 0 in
     while !k < st.npend do
       let line = st.pend.(!k) lsr 2 in
@@ -663,14 +1122,19 @@ let resident_bytes t =
   (Store.allocated_chunks t.volatile + Store.allocated_chunks t.persisted) * Store.chunk_bytes
 
 let pending_flushes t clock = (stream_of t clock).npend
-let persisted_int64 t addr = Store.get_i64 t.persisted addr
-let persisted_u8 t addr = Store.get_u8 t.persisted addr
+let persisted_int64 t addr =
+  check_bounds t "persisted_int64" addr 8;
+  Store.get_i64 t.persisted addr
+
+let persisted_u8 t addr =
+  check_bounds t "persisted_u8" addr 1;
+  Store.get_u8 t.persisted addr
 
 (* --- media faults ------------------------------------------------------ *)
 
 let[@inline] check_line t op line =
-  if line < 0 || (line + 1) * Cacheline.size > Store.size t.volatile then
-    bounds_fail op (line * Cacheline.size) Cacheline.size (Store.size t.volatile)
+  if line < 0 || (line + 1) * line_bytes > t.size then
+    bounds_fail op (line * line_bytes) line_bytes t.size
 
 (* Poisoning scrambles the line's content in BOTH images, deterministically
    from the line number: an uncorrectable error returns garbage, not stale
@@ -680,8 +1144,8 @@ let poison t ~line =
   check_line t "poison" line;
   if not (Hashtbl.mem t.poisoned line) then begin
     let rng = Sim.Rng.create (0x9015 lxor (line * 0x2545F)) in
-    let base = line * Cacheline.size in
-    for i = 0 to Cacheline.size - 1 do
+    let base = line * line_bytes in
+    for i = 0 to line_bytes - 1 do
       let b = Sim.Rng.int rng 256 in
       Store.set_u8 t.volatile (base + i) b;
       Store.set_u8 t.persisted (base + i) b
@@ -711,7 +1175,7 @@ let poisoned_within t ~addr ~len =
   len > 0
   && Hashtbl.length t.poisoned > 0
   &&
-  let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+  let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
   let hit = ref false in
   for line = first to last do
     if Hashtbl.mem t.poisoned line then hit := true
@@ -721,7 +1185,7 @@ let poisoned_within t ~addr ~len =
 let clear_poison_within t ~addr ~len =
   check_bounds t "clear_poison_within" addr len;
   if len > 0 then begin
-    let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+    let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
     for line = first to last do
       Hashtbl.remove t.poisoned line
     done
@@ -738,7 +1202,7 @@ let corrupt_bit t ~addr ~bit =
   if bit < 0 || bit > 7 then
     invalid_arg (Printf.sprintf "Pmem.Device.corrupt_bit: bit must be 0..7 (got %d)" bit);
   Store.set_u8 t.persisted addr (Store.get_u8 t.persisted addr lxor (1 lsl bit));
-  Hashtbl.replace t.rotted (Cacheline.index addr) ();
+  Hashtbl.replace t.rotted (addr lsr line_shift) ();
   Stats.bump t.stats Bitrot_flips
 
 (* Media scrub over [addr, addr+len): rewrite any clean line whose
@@ -752,18 +1216,18 @@ let scrub_lines t ~addr ~len =
   check_bounds t "scrub_lines" addr len;
   if len = 0 then 0
   else begin
-    let first = Cacheline.index addr and last = Cacheline.index (addr + len - 1) in
+    let first = addr lsr line_shift and last = (addr + len - 1) lsr line_shift in
     let rewritten = ref 0 in
     for line = first to last do
       if (not (Dirtymap.test t.dirty line)) && not (Hashtbl.mem t.poisoned line) then begin
-        let off = line * Cacheline.size in
+        let off = line * line_bytes in
         let differs = ref false in
-        for i = 0 to Cacheline.size - 1 do
+        for i = 0 to line_bytes - 1 do
           if Store.get_u8 t.persisted (off + i) <> Store.get_u8 t.volatile (off + i) then
             differs := true
         done;
         if !differs then begin
-          for i = 0 to Cacheline.size - 1 do
+          for i = 0 to line_bytes - 1 do
             Store.set_u8 t.persisted (off + i) (Store.get_u8 t.volatile (off + i))
           done;
           Hashtbl.remove t.rotted line;
@@ -832,14 +1296,14 @@ let depends_on ?(note = "") t clock ~addr ~len =
    sharing the line, say) — the dep's own bytes already match the
    persisted image. *)
 let dep_violation t c ~commit_addr ~commit_len (dep_addr, dep_len, note) =
-  let first = Cacheline.index dep_addr
-  and last = Cacheline.index (dep_addr + dep_len - 1) in
+  let first = dep_addr lsr line_shift
+  and last = (dep_addr + dep_len - 1) lsr line_shift in
   let bad = ref None in
   let line = ref first in
   while !bad = None && !line <= last do
     (if Dirtymap.test t.dirty !line then begin
-       let lo = max dep_addr (!line * Cacheline.size)
-       and hi = min (dep_addr + dep_len) ((!line + 1) * Cacheline.size) in
+       let lo = max dep_addr (!line * line_bytes)
+       and hi = min (dep_addr + dep_len) ((!line + 1) * line_bytes) in
        let differs = ref false in
        for a = lo to hi - 1 do
          if Store.get_u8 t.volatile a <> Store.get_u8 t.persisted a then differs := true

@@ -89,6 +89,12 @@ val read_u16 : t -> int -> int
 val write_u16 : t -> int -> int -> unit
 val read_u32 : t -> int -> int
 val write_u32 : t -> int -> int -> unit
+
+val write_u32x4 : t -> int -> int -> int -> int -> int -> unit
+(** [write_u32x4 t addr w0 w1 w2 w3] writes four little-endian u32 words
+    over [addr, addr+16): the same bytes as four {!write_u32} calls, with
+    one bounds check and one dirty mark (a WAL entry's store). *)
+
 val read_int64 : t -> int -> int64
 val write_int64 : t -> int -> int64 -> unit
 val read_int : t -> int -> int
@@ -178,7 +184,8 @@ val resident_bytes : t -> int
     {!Store.chunk_bytes} granules, the ones some write materialised. *)
 
 val persisted_int64 : t -> int -> int64
-(** Read the persisted image directly (test observability only). *)
+(** Read the persisted image directly (test observability only). Bounds
+    are checked like every data accessor's. *)
 
 val persisted_u8 : t -> int -> int
 
@@ -304,3 +311,157 @@ val ordering_violations : t -> violation list
 (** Oldest first; capped at the first 32 (the count keeps counting). *)
 
 val pp_violation : Format.formatter -> violation -> unit
+
+(** {1 Line geometry and substrate}
+
+    The line geometry is written once here and re-exported by
+    {!Cacheline}. The submodules below are the device's own building
+    blocks, exported only for their tests: they share this compilation
+    unit because they run on every write and every flushed line, and a
+    build that passes [-opaque] (dune's dev profile) inlines nothing
+    across units. *)
+
+val line_shift : int
+(** A CPU cache line is [1 lsl line_shift] = 64 B. *)
+
+val xpline_shift : int
+(** An Optane XPLine is [1 lsl xpline_shift] = 256 B. *)
+
+(** Lazily materialised byte store: a device image in 16 KiB granules
+    ({!chunk_bytes}), each zero-filled on its first write and read as
+    zeros until then. The slot table covers only the prefix that writes
+    have reached: 512 slots (8 MiB) to start, fewer on a smaller device,
+    doubled when a write lands past its end. A line-granular operation
+    never straddles granules; word accessors handle straddling ranges
+    on a slow path. *)
+module Store : sig
+  type t
+
+  val chunk_bytes : int
+  val create : size:int -> t
+  val get_u8 : t -> int -> int
+  val set_u8 : t -> int -> int -> unit
+  val get_u16 : t -> int -> int
+  val set_u16 : t -> int -> int -> unit
+  val get_u32 : t -> int -> int
+  val set_u32 : t -> int -> int -> unit
+  val get_i64 : t -> int -> int64
+  val set_i64 : t -> int -> int64 -> unit
+
+  val get_int : t -> int -> int
+  (** An 8-byte word as an int, without allocating; asserts it fits 63 bits. *)
+
+  val set_int : t -> int -> int -> unit
+  (** Store an int as an 8-byte word (sign-extended), without allocating. *)
+
+  val read_bytes : t -> int -> int -> bytes
+  val write_bytes : t -> int -> bytes -> unit
+  val fill : t -> int -> int -> char -> unit
+
+  val copy_line : src:t -> dst:t -> int -> unit
+  (** [copy_line ~src ~dst line] copies one 64 B cache line. *)
+
+  val allocated_chunks : t -> int
+  (** Number of granules materialised so far (observability: [fill] with
+      ['\000'] must never allocate one — see the regression test). *)
+end
+
+(** Dirty-line bitmap.
+
+    One bit per 64 B cache line, in bitmaps of 512 ints (too large for
+    the minor heap) that each cover 1 MiB of device, whatever {!Store}'s
+    granule; absent bitmaps share one empty sentinel. mark/test/clear are
+    O(1) bit operations, the dirty count is maintained incrementally, and
+    whole-device sweeps ({!iter}) skip clean regions word-at-a-time. *)
+module Dirtymap : sig
+  type t
+
+  val create : size:int -> t
+  (** [size] is the device capacity in bytes (multiple of the cache-line
+      size); lines are indexed [0 .. size/64 - 1]. *)
+
+  val mark : t -> int -> unit
+  (** Set one line dirty. *)
+
+  val mark_range : t -> first:int -> last:int -> unit
+  (** Set lines [first..last] (inclusive) dirty, word-at-a-time. *)
+
+  val test : t -> int -> bool
+  val clear : t -> int -> unit
+
+  val count : t -> int
+  (** Number of dirty lines; O(1). *)
+
+  val iter : t -> (int -> unit) -> unit
+  (** Visit every dirty line in ascending order. The callback may {!clear}
+      the line it is given (each bitmap word is snapshotted before its
+      bits are dispatched); it must not mark new lines. *)
+
+  val reset : t -> unit
+  (** Drop all dirty bits (crash path). *)
+end
+
+(** Fixed-capacity move-to-front LRU of ints over a ring buffer.
+
+    The per-thread reflush-distance window and the recent-XPLine window.
+    Observationally equivalent to an array-shift LRU (same distances,
+    same eviction order) but a miss — the common case — inserts in O(1)
+    by moving the head instead of shifting the whole window.
+    Allocation-free after {!create}. *)
+module Lru_ring : sig
+  type t
+
+  val create : int -> t
+  (** [create capacity]. A capacity of 0 yields a ring on which {!touch}
+      always misses and records nothing. *)
+
+  val touch : t -> int -> int
+  (** [touch t v] returns the LRU distance of [v] before the touch
+      ([0] = most recently touched, [-1] = not in the window) and moves
+      [v] to the front, evicting the least-recent entry if the ring is
+      full. *)
+
+  val touch_seq : t -> int -> bool
+  (** Does the pre-touch window contain [v] or [v - 1]? Applies {!touch}'s
+      update in the same scan: the per-flush XPLine sequentiality check. *)
+
+  val to_list : t -> int list
+  (** Window contents, most recent first (tests/debugging). *)
+
+  val reset : t -> unit
+end
+
+(** Model of the Optane write-pending queue (XPBuffer): a shared leaky
+    bucket that drains one entry per [wpq_drain_ns] (the media write
+    bandwidth); enqueueing into a full bucket stalls until a slot frees.
+    An ADR flush waits only for WPQ acceptance plus its classified line
+    cost, so the bucket shows only when the device is oversubscribed:
+    the throughput plateaus of Figures 9/10/12 and the stripes-vs-threads
+    interaction of Figure 16(a). *)
+module Xpbuffer : sig
+  type t
+
+  val create : Latency.t -> t
+  (** Raises [Invalid_argument] naming the offending field unless
+      [media_parallelism] is positive and divides the sequential cost,
+      the random cost and the cost at every reflush distance: each line's
+      media occupancy is its cost divided by the parallelism, in whole
+      ns. The device builds one in [create], which raises the same. *)
+
+  val reset : t -> unit
+
+  val admit : t -> now:int -> media_ns:int -> int
+  (** [admit t ~now ~media_ns] pushes one line write issued at time [now]
+      whose thread-visible cost is [media_ns]. Returns the completion time
+      ([now + stall + media_ns]) where the stall is nonzero only when the
+      bucket is full. The calling thread's clock advances to the returned
+      time (clwb...clwb; sfence). *)
+
+  val stall_time : t -> int
+  (** Total stall time injected so far (for diagnostics). *)
+
+  val backlog : t -> now:int -> int
+  (** Media work queued at simulated time [now], in ns; over
+      [wpq_drain_ns] it is the queue depth in entries (may exceed the
+      nominal capacity while a stall drains). Telemetry/diagnostics only. *)
+end

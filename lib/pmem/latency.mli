@@ -33,7 +33,7 @@ type t = {
           of 800 ns reflushes consumes 8x the bandwidth of combined
           100 ns sequential writes — the reason reflush-heavy allocators
           stop scaling first (Figures 9/10/12). Every flush cost must
-          divide by it ({!Xpbuffer.create} checks). *)
+          divide by it ({!Device.Xpbuffer.create} checks). *)
 }
 
 val default : t

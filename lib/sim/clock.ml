@@ -1,11 +1,11 @@
 type t = { mutable ns : int; id : int }
 
-(* Atomic: domain-parallel seed sweeps (lib/par) build instances — and
-   therefore clocks — from several domains at once (one allocator stack
-   per swept seed); ids must stay unique across them. Within one
-   instance clocks are still created sequentially, so the relative
-   creation order that telemetry's tid normalisation relies on is
-   unchanged. *)
+(* Atomic: [Support.Search] on N domains ([fuzz]/[check --domains])
+   builds instances — and therefore clocks — from several domains at
+   once (one allocator stack per case); ids must stay unique across
+   them. Within one instance clocks are still created sequentially, so
+   the relative creation order that telemetry's tid normalisation
+   relies on is unchanged. *)
 let counter = Atomic.make 0
 
 let create () = { ns = 0; id = Atomic.fetch_and_add counter 1 + 1 }

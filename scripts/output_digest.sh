@@ -31,6 +31,8 @@ digest() {
 
 digest stats --json
 digest stats --no-batch --json
+digest stats --json NVAlloc-GC
+digest stats --json NVAlloc-IC
 digest flushes
 digest trace larson --threads 2
 digest trace larson --threads 2 --no-batch

@@ -106,64 +106,62 @@ let prop_set_then_get =
       let set_count = Array.fold_left (fun n v -> if v then n + 1 else n) 0 model in
       !ok && Bitmap.popcount dev t = set_count)
 
-(* Naive oracle for the word-scan: probe bits 0..nbits-1 one at a time. *)
+(* Naive oracle: probe bits 0..nbits-1 one at a time. *)
 let naive_first_zero dev t nbits =
   let rec go b = if b >= nbits then -1 else if Bitmap.get dev t b then go (b + 1) else b in
   go 0
 
-let gen_mapping =
-  QCheck.Gen.(oneof [ return Bitmap.Sequential; map (fun s -> Bitmap.Interleaved s) (int_range 1 16) ])
+type slab_op = Claim | Return of int (* index into the claimed blocks *)
 
-let prop_find_first_zero =
-  (* The 32-bit word scan agrees with a per-bit loop after arbitrary
-     set/clear traffic, for both mappings. *)
+let prop_free_take_first_lowest_clear =
+  (* Refill takes blocks from the slab's volatile free set. On a slab
+     that is not morphing, outside internal collection, the block it
+     takes must be the lowest clear bit of the persistent bitmap, under
+     both mappings and after any claim/return history, and -1 exactly
+     when every bit is set. Claims outnumber returns two to one, so slabs
+     of large classes fill up and drain again. *)
   let open QCheck in
-  Test.make ~name:"find_first_zero agrees with the naive bit loop" ~count:300
-    (make
-       Gen.(
-         triple (int_range 1 2000) gen_mapping
-           (list_size (int_bound 300) (pair bool (int_bound 1999)))))
-    (fun (nbits, mapping, ops) ->
-      let dev = mk_dev () in
-      let t = Bitmap.make ~base:0 ~nbits ~mapping in
-      List.iter
-        (fun (set, b) ->
-          let b = b mod nbits in
-          if set then Bitmap.set dev t b else Bitmap.clear dev t b)
-        ops;
-      Bitmap.find_first_zero dev t = naive_first_zero dev t nbits)
-
-let prop_find_first_zero_edges =
-  (* Line-boundary sizes: nbits at, one below and one above multiples of
-     the 32-bit word and the 512-bit line, saturated then drained one bit
-     at a time — the scan must track the naive answer at every step and
-     report -1 exactly when the bitmap is full. *)
-  let open QCheck in
-  let sizes =
-    List.concat_map (fun n -> [ n - 1; n; n + 1 ]) [ 32; 64; 128; 512; 1024 ] |> List.filter (fun n -> n > 0)
+  let op = Gen.(frequency [ (2, return Claim); (1, map (fun k -> Return k) nat) ]) in
+  let print (mapping, class_idx, ops) =
+    Printf.sprintf "%s class=%d %s"
+      (match mapping with Bitmap.Sequential -> "seq" | Bitmap.Interleaved s -> Printf.sprintf "il%d" s)
+      class_idx
+      (String.concat " "
+         (List.map (function Claim -> "c" | Return k -> Printf.sprintf "r%d" k) ops))
   in
-  Test.make ~name:"find_first_zero at word/line boundaries and full bitmaps" ~count:60
-    (make Gen.(pair (oneofl sizes) gen_mapping))
-    (fun (nbits, mapping) ->
-      let dev = mk_dev () in
-      let t = Bitmap.make ~base:0 ~nbits ~mapping in
-      let ok = ref true in
-      (* Fill in mapping order: each step must take the naive
-         first-zero, and a full bitmap must return -1. *)
-      for _ = 1 to nbits do
-        let b = Bitmap.find_first_zero dev t in
-        if b <> naive_first_zero dev t nbits then ok := false;
-        if b >= 0 then Bitmap.set dev t b
-      done;
-      if Bitmap.find_first_zero dev t <> -1 then ok := false;
-      if Bitmap.popcount dev t <> nbits then ok := false;
-      (* Drain from the back: clearing bit b must make it the answer iff
-         it is the lowest clear bit. *)
-      for b = nbits - 1 downto 0 do
-        Bitmap.clear dev t b;
-        if Bitmap.find_first_zero dev t <> b then ok := false
-      done;
-      !ok)
+  Test.make ~name:"free_take_first takes the lowest clear bitmap bit" ~count:300
+    (make ~print
+       Gen.(
+         triple
+           (oneofl [ Bitmap.Sequential; Bitmap.Interleaved 6 ])
+           (int_range 0 (Size_class.count - 1))
+           (list_size (int_bound 300) op)))
+    (fun (mapping, class_idx, ops) ->
+      let dev = Pmem.Device.create ~size:Slab.slab_bytes () in
+      let layout = Slab.layout_of_class ~class_idx ~mapping in
+      let s = Slab.format dev ~addr:0 ~arena:0 ~mapping layout in
+      let bm = s.Slab.bitmap and nblocks = layout.Slab.nblocks in
+      let claimed = ref [] in
+      List.for_all
+        (function
+          | Claim ->
+              let expect = naive_first_zero dev bm nblocks in
+              let b = Slab.free_take_first s in
+              if b >= 0 then begin
+                Bitmap.set dev bm b;
+                claimed := b :: !claimed
+              end;
+              b = expect
+          | Return k ->
+              (match !claimed with
+              | [] -> ()
+              | l ->
+                  let b = List.nth l (k mod List.length l) in
+                  Bitmap.clear dev bm b;
+                  Slab.free_put s b;
+                  claimed := List.filter (( <> ) b) l);
+              true)
+        ops)
 
 let suite =
   [
@@ -174,6 +172,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bijection;
     QCheck_alcotest.to_alcotest prop_no_reflush_window;
     QCheck_alcotest.to_alcotest prop_set_then_get;
-    QCheck_alcotest.to_alcotest prop_find_first_zero;
-    QCheck_alcotest.to_alcotest prop_find_first_zero_edges;
+    QCheck_alcotest.to_alcotest prop_free_take_first_lowest_clear;
   ]

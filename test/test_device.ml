@@ -106,17 +106,17 @@ let test_latency_must_divide () =
   in
   rejects "150 ns sequential flush"
     { d with seq_flush_ns = 150 }
-    "Pmem.Xpbuffer.create: seq_flush_ns = 150 ns does not divide by media_parallelism = 4";
+    "Pmem.Device.Xpbuffer.create: seq_flush_ns = 150 ns does not divide by media_parallelism = 4";
   rejects "random flush"
     { d with rand_flush_ns = 302 }
-    "Pmem.Xpbuffer.create: rand_flush_ns = 302 ns does not divide by media_parallelism = 4";
+    "Pmem.Device.Xpbuffer.create: rand_flush_ns = 302 ns does not divide by media_parallelism = 4";
   rejects "reflush step"
     { d with reflush_step_ns = 50 }
-    "Pmem.Xpbuffer.create: reflush cost at distance 1 = 750 ns does not divide by \
+    "Pmem.Device.Xpbuffer.create: reflush cost at distance 1 = 750 ns does not divide by \
      media_parallelism = 4";
   rejects "zero parallelism"
     { d with media_parallelism = 0 }
-    "Pmem.Xpbuffer.create: media_parallelism must be positive (got 0)"
+    "Pmem.Device.Xpbuffer.create: media_parallelism must be positive (got 0)"
 
 let test_clean_line_flush_free () =
   let dev, clock = mk () in
@@ -272,7 +272,26 @@ let test_bounds_messages () =
   expect "read_bytes" 0 (size + 1) (fun () -> ignore (Pmem.Device.read_bytes dev 0 (size + 1)));
   expect "write_bytes" (size - 2) 4 (fun () ->
       Pmem.Device.write_bytes dev (size - 2) (Bytes.create 4));
-  expect "fill" 64 (-1) (fun () -> Pmem.Device.fill dev 64 (-1) 'x')
+  expect "fill" 64 (-1) (fun () -> Pmem.Device.fill dev 64 (-1) 'x');
+  (* The persisted-image readers check bounds too: past the end they once
+     read zero or failed an internal assertion. *)
+  expect "persisted_int64" size 8 (fun () -> ignore (Pmem.Device.persisted_int64 dev size));
+  expect "persisted_int64" (size - 4) 8 (fun () ->
+      ignore (Pmem.Device.persisted_int64 dev (size - 4)));
+  expect "persisted_u8" size 1 (fun () -> ignore (Pmem.Device.persisted_u8 dev size));
+  expect "persisted_u8" (-1) 1 (fun () -> ignore (Pmem.Device.persisted_u8 dev (-1)));
+  (* On a device that ends 64 B past a granule, the last whole line reads
+     and the next address raises. *)
+  let size' = size + 64 in
+  let dev', _ = mk ~size:size' () in
+  Pmem.Device.write_int64 dev' (size' - 8) 5L;
+  Alcotest.(check int64) "last word reads" 0L (Pmem.Device.persisted_int64 dev' (size' - 8));
+  Alcotest.check_raises "persisted_int64 past a partial granule"
+    (Invalid_argument
+       (Printf.sprintf
+          "Pmem.Device.persisted_int64: out of bounds (addr=%d, len=8, device size=%d)" size'
+          size'))
+    (fun () -> ignore (Pmem.Device.persisted_int64 dev' size'))
 
 (* An empty [fill] or [write_bytes] passes the bounds check and marks no
    line dirty: at a line-aligned address the range would end on the line

@@ -134,21 +134,27 @@ let test_scheduler_seeded () =
     (List.exists (fun o -> String.length o > 1 && String.sub o 0 2 = "ss") orders)
 
 let test_store_straddling () =
-  let s = Pmem.Store.create ~size:(4 * Pmem.Store.chunk_bytes) in
+  let s = Pmem.Device.Store.create ~size:(4 * Pmem.Device.Store.chunk_bytes) in
   (* Write an int64 across a chunk boundary. *)
-  let addr = Pmem.Store.chunk_bytes - 3 in
-  Pmem.Store.set_i64 s addr 0x1122334455667788L;
-  Alcotest.(check int64) "straddling i64" 0x1122334455667788L (Pmem.Store.get_i64 s addr);
-  Alcotest.(check int) "byte on far side" 0x11 (Pmem.Store.get_u8 s (addr + 7));
+  let addr = Pmem.Device.Store.chunk_bytes - 3 in
+  Pmem.Device.Store.set_i64 s addr 0x1122334455667788L;
+  Alcotest.(check int64) "straddling i64" 0x1122334455667788L (Pmem.Device.Store.get_i64 s addr);
+  Alcotest.(check int) "byte on far side" 0x11 (Pmem.Device.Store.get_u8 s (addr + 7));
   (* Unwritten chunks read as zero. *)
-  Alcotest.(check int64) "lazy zero" 0L (Pmem.Store.get_i64 s (3 * Pmem.Store.chunk_bytes))
+  Alcotest.(check int64) "lazy zero" 0L (Pmem.Device.Store.get_i64 s (3 * Pmem.Device.Store.chunk_bytes))
 
-(* Two stores of four granules against two Bytes models. Addresses
-   cluster within 24 bytes of the granule boundaries, so word accesses
-   and ranges straddle granules and land in absent ones, and
-   [copy_line] runs in each absent/present combination. Besides the
-   bytes, the model tracks which granules a write must materialise: a
-   zero [fill] and a copy from an absent granule materialise none. *)
+(* Two stores against two sparse byte models. The stores are larger than
+   the 512-slot table a store starts with (8 MiB of granules): 1100
+   granules, less three lines, so the last granule is partial. Addresses
+   cluster within 24 bytes of granule boundaries — at the start, around
+   the end of the first table, past it, at the doubled table's end and at
+   the store's last bytes — so word accesses and ranges straddle
+   granules, land in absent ones and past the table, and [copy_line]
+   runs between a grown store and an ungrown one. Besides the bytes, the
+   model tracks which granules a write must materialise (a zero [fill]
+   and a copy from an absent granule materialise none), and
+   [allocated_chunks] is checked against it after every op as well as at
+   the end. *)
 type store_op =
   | Set_u8 of int * int * int (* store, addr, value *)
   | Set_u16 of int * int * int
@@ -159,19 +165,64 @@ type store_op =
   | Fill of int * int * int * char
   | Copy_line of int * int (* source store, line *)
 
-let store_granules = 4
+let store_size = (1100 * Pmem.Device.Store.chunk_bytes) - (3 * Pmem.Cacheline.size)
+
+(* Granule boundaries the addresses cluster around; the last is the end
+   of the store. *)
+let store_centres =
+  let g = Pmem.Device.Store.chunk_bytes in
+  List.map (fun k -> k * g) [ 0; 1; 2; 511; 512; 513; 700; 1023; 1024; 1099 ] @ [ store_size ]
+
+(* A sparse byte model: granule index -> its bytes, absent = zeros. *)
+module Sparse = struct
+  let g = Pmem.Device.Store.chunk_bytes
+
+  let get m a =
+    match Hashtbl.find_opt m (a / g) with Some b -> Bytes.get_uint8 b (a mod g) | None -> 0
+
+  let set m a v =
+    match Hashtbl.find_opt m (a / g) with
+    | Some b -> Bytes.set_uint8 b (a mod g) v
+    | None when v = 0 -> ()
+    | None ->
+        let b = Bytes.make g '\000' in
+        Hashtbl.replace m (a / g) b;
+        Bytes.set_uint8 b (a mod g) v
+
+  (* [n] bytes of [v] at [a], little-endian. *)
+  let set_le m a n v = for i = 0 to n - 1 do set m (a + i) ((v lsr (8 * i)) land 0xFF) done
+  let get_le m a n = List.fold_left (fun acc i -> acc lor (get m (a + i) lsl (8 * i))) 0 (List.init n Fun.id)
+
+  let set_i64 m a v =
+    for i = 0 to 7 do
+      set m (a + i) (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+    done
+
+  let get_i64 m a =
+    let v = ref 0L in
+    for i = 7 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get m (a + i)))
+    done;
+    !v
+
+  let sub m a n = Bytes.init n (fun i -> Char.chr (get m (a + i)))
+
+  (* The first [n] bytes of granule [gi]. *)
+  let granule m gi n =
+    match Hashtbl.find_opt m gi with Some b -> Bytes.sub b 0 n | None -> Bytes.make n '\000'
+end
 
 let prop_store_model =
   let open QCheck in
-  let g = Pmem.Store.chunk_bytes in
-  let size = store_granules * g in
+  let module S = Pmem.Device.Store in
+  let g = S.chunk_bytes and size = store_size in
   let addr width =
     Gen.(
       map3
-        (fun k d u ->
-          let a = match u with Some a -> a | None -> (k * g) + d in
+        (fun c d u ->
+          let a = match u with Some a -> a | None -> c + d in
           max 0 (min (size - width) a))
-        (int_range 0 store_granules) (int_range (-24) 24)
+        (oneofl store_centres) (int_range (-24) 24)
         (opt ~ratio:0.2 (int_range 0 (size - 1))))
   in
   let op =
@@ -204,8 +255,8 @@ let prop_store_model =
   Test.make ~name:"store agrees with a Bytes model" ~count:200
     (make ~print:(Print.list print) Gen.(list_size (int_range 1 60) op))
     (fun ops ->
-      let stores = Array.init 2 (fun _ -> Pmem.Store.create ~size) in
-      let models = Array.init 2 (fun _ -> Bytes.make size '\000') in
+      let stores = Array.init 2 (fun _ -> S.create ~size) in
+      let models = Array.init 2 (fun _ -> Hashtbl.create 8) in
       let granules = Array.init 2 (fun _ -> Hashtbl.create 8) in
       let touch st a n =
         if n > 0 then
@@ -213,91 +264,112 @@ let prop_store_model =
             Hashtbl.replace granules.(st) gi ()
           done
       in
-      List.iter
-        (function
-          | Set_u8 (st, a, v) ->
-              Pmem.Store.set_u8 stores.(st) a v;
-              Bytes.set_uint8 models.(st) a v;
-              touch st a 1
-          | Set_u16 (st, a, v) ->
-              Pmem.Store.set_u16 stores.(st) a v;
-              Bytes.set_uint16_le models.(st) a v;
-              touch st a 2
-          | Set_u32 (st, a, v) ->
-              Pmem.Store.set_u32 stores.(st) a v;
-              Bytes.set_int32_le models.(st) a (Int32.of_int v);
-              touch st a 4
-          | Set_int (st, a, v) ->
-              Pmem.Store.set_int stores.(st) a v;
-              Bytes.set_int64_le models.(st) a (Int64.of_int v);
-              touch st a 8
-          | Set_i64 (st, a, v) ->
-              Pmem.Store.set_i64 stores.(st) a v;
-              Bytes.set_int64_le models.(st) a v;
-              touch st a 8
-          | Write_bytes (st, a, n, seed) ->
-              let b = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
-              Pmem.Store.write_bytes stores.(st) a b;
-              Bytes.blit b 0 models.(st) a n;
-              touch st a n
-          | Fill (st, a, n, c) ->
-              Pmem.Store.fill stores.(st) a n c;
-              Bytes.fill models.(st) a n c;
-              if c <> '\000' then touch st a n
-          | Copy_line (src, line) ->
-              let dst = 1 - src and a = line * Pmem.Cacheline.size in
-              Pmem.Store.copy_line ~src:stores.(src) ~dst:stores.(dst) line;
-              Bytes.blit models.(src) a models.(dst) a Pmem.Cacheline.size;
-              if Hashtbl.mem granules.(src) (a / g) then touch dst a 1)
-        ops;
+      let counts_agree () =
+        S.allocated_chunks stores.(0) = Hashtbl.length granules.(0)
+        && S.allocated_chunks stores.(1) = Hashtbl.length granules.(1)
+      in
+      let apply = function
+        | Set_u8 (st, a, v) ->
+            S.set_u8 stores.(st) a v;
+            Sparse.set models.(st) a v;
+            touch st a 1
+        | Set_u16 (st, a, v) ->
+            S.set_u16 stores.(st) a v;
+            Sparse.set_le models.(st) a 2 v;
+            touch st a 2
+        | Set_u32 (st, a, v) ->
+            S.set_u32 stores.(st) a v;
+            Sparse.set_le models.(st) a 4 v;
+            touch st a 4
+        | Set_int (st, a, v) ->
+            S.set_int stores.(st) a v;
+            Sparse.set_i64 models.(st) a (Int64.of_int v);
+            touch st a 8
+        | Set_i64 (st, a, v) ->
+            S.set_i64 stores.(st) a v;
+            Sparse.set_i64 models.(st) a v;
+            touch st a 8
+        | Write_bytes (st, a, n, seed) ->
+            let b = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
+            S.write_bytes stores.(st) a b;
+            Bytes.iteri (fun i c -> Sparse.set models.(st) (a + i) (Char.code c)) b;
+            touch st a n
+        | Fill (st, a, n, c) ->
+            S.fill stores.(st) a n c;
+            for i = 0 to n - 1 do
+              Sparse.set models.(st) (a + i) (Char.code c)
+            done;
+            if c <> '\000' then touch st a n
+        | Copy_line (src, line) ->
+            let dst = 1 - src and a = line * Pmem.Cacheline.size in
+            S.copy_line ~src:stores.(src) ~dst:stores.(dst) line;
+            for i = 0 to Pmem.Cacheline.size - 1 do
+              Sparse.set models.(dst) (a + i) (Sparse.get models.(src) (a + i))
+            done;
+            if Hashtbl.mem granules.(src) (a / g) then touch dst a 1
+      in
       let agrees st =
         let s = stores.(st) and m = models.(st) in
         let word_ok a =
           let i64_ok () =
-            let w = Bytes.get_int64_le m a in
-            Pmem.Store.get_i64 s a = w
-            && (Int64.of_int (Int64.to_int w) <> w || Pmem.Store.get_int s a = Int64.to_int w)
+            let w = Sparse.get_i64 m a in
+            S.get_i64 s a = w
+            && (Int64.of_int (Int64.to_int w) <> w || S.get_int s a = Int64.to_int w)
           in
-          Pmem.Store.get_u8 s a = Bytes.get_uint8 m a
-          && (a > size - 2 || Pmem.Store.get_u16 s a = Bytes.get_uint16_le m a)
-          && (a > size - 4
-             || Pmem.Store.get_u32 s a = Int32.to_int (Bytes.get_int32_le m a) land 0xFFFFFFFF)
+          S.get_u8 s a = Sparse.get m a
+          && (a > size - 2 || S.get_u16 s a = Sparse.get_le m a 2)
+          && (a > size - 4 || S.get_u32 s a = Sparse.get_le m a 4)
           && (a > size - 8 || i64_ok ())
         in
-        let near_boundaries = ref true in
-        for k = 0 to store_granules do
-          for a = max 0 ((k * g) - 32) to min (size - 1) ((k * g) + 32) do
-            if not (word_ok a) then near_boundaries := false
-          done;
-          List.iter
-            (fun d ->
-              let a = max 0 ((k * g) - d) in
-              let n = min (2 * d) (size - a) in
-              if not (Bytes.equal (Pmem.Store.read_bytes s a n) (Bytes.sub m a n)) then
-                near_boundaries := false)
-            [ 1; 3; 8; 40 ]
-        done;
-        !near_boundaries
-        && Bytes.equal (Pmem.Store.read_bytes s 0 size) m
-        && Pmem.Store.allocated_chunks s = Hashtbl.length granules.(st)
+        let near_centres =
+          List.for_all
+            (fun c ->
+              let words = ref true in
+              for a = max 0 (c - 32) to min (size - 1) (c + 32) do
+                if not (word_ok a) then words := false
+              done;
+              !words
+              && List.for_all
+                   (fun d ->
+                     let a = max 0 (c - d) in
+                     let n = min (2 * d) (size - a) in
+                     Bytes.equal (S.read_bytes s a n) (Sparse.sub m a n))
+                   [ 1; 3; 8; 40 ])
+            store_centres
+        in
+        (* Every granule written or modelled reads back whole. *)
+        let seen = Hashtbl.copy granules.(st) in
+        Hashtbl.iter (fun gi _ -> Hashtbl.replace seen gi ()) m;
+        near_centres
+        && Hashtbl.fold
+             (fun gi () ok ->
+               let a = gi * g in
+               let n = min g (size - a) in
+               ok && Bytes.equal (S.read_bytes s a n) (Sparse.granule m gi n))
+             seen true
       in
-      agrees 0 && agrees 1)
+      List.for_all
+        (fun o ->
+          apply o;
+          counts_agree ())
+        ops
+      && agrees 0 && agrees 1)
 
 let test_xpbuffer_bounds_bandwidth () =
   let lat = Pmem.Latency.default in
-  let wpq = Pmem.Xpbuffer.create lat in
+  let wpq = Pmem.Device.Xpbuffer.create lat in
   (* Hammer it far above the drain rate: completions must fall behind
      arrival times by at least the queueing discipline. *)
   let finish = ref 0 in
   let n = 10_000 in
   for i = 0 to n - 1 do
     let now = i * 10 (* 10 ns between flushes: oversubscribed *) in
-    finish := Pmem.Xpbuffer.admit wpq ~now ~media_ns:lat.Pmem.Latency.rand_flush_ns
+    finish := Pmem.Device.Xpbuffer.admit wpq ~now ~media_ns:lat.Pmem.Latency.rand_flush_ns
   done;
   (* Sustained throughput can't beat media_ns / parallelism per line. *)
   let min_duration = n * lat.Pmem.Latency.rand_flush_ns / lat.Pmem.Latency.media_parallelism in
   Alcotest.(check bool) "bandwidth bound holds" true (!finish * 10 >= min_duration * 9);
-  Alcotest.(check bool) "stalls recorded" true (Pmem.Xpbuffer.stall_time wpq > 0)
+  Alcotest.(check bool) "stalls recorded" true (Pmem.Device.Xpbuffer.stall_time wpq > 0)
 
 let test_smootherstep_decay_limit () =
   Alcotest.(check bool) "limit shrinks over time" true

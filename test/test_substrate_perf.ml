@@ -49,33 +49,33 @@ let prop_dirtymap_model =
   Test.make ~name:"dirtymap equals Hashtbl dirty-set model" ~count:200
     (list_of_size Gen.(int_range 0 400) (make ~print:dm_op_print dm_op_gen))
     (fun ops ->
-      let dm = Pmem.Dirtymap.create ~size:dm_size in
+      let dm = Pmem.Device.Dirtymap.create ~size:dm_size in
       let model = Hashtbl.create 64 in
       List.iter
         (function
           | Mark l ->
-              Pmem.Dirtymap.mark dm l;
+              Pmem.Device.Dirtymap.mark dm l;
               Hashtbl.replace model l ()
           | MarkRange (a, b) ->
-              Pmem.Dirtymap.mark_range dm ~first:a ~last:b;
+              Pmem.Device.Dirtymap.mark_range dm ~first:a ~last:b;
               for l = a to b do
                 Hashtbl.replace model l ()
               done
           | Clear l ->
-              Pmem.Dirtymap.clear dm l;
+              Pmem.Device.Dirtymap.clear dm l;
               Hashtbl.remove model l)
         ops;
       (* Same cardinality, same membership, same (sorted) iteration. *)
-      let count_ok = Pmem.Dirtymap.count dm = Hashtbl.length model in
+      let count_ok = Pmem.Device.Dirtymap.count dm = Hashtbl.length model in
       let member_ok =
         List.for_all
           (fun op ->
             let l = match op with Mark l | Clear l -> l | MarkRange (a, _) -> a in
-            Pmem.Dirtymap.test dm l = Hashtbl.mem model l)
+            Pmem.Device.Dirtymap.test dm l = Hashtbl.mem model l)
           ops
       in
       let visited = ref [] in
-      Pmem.Dirtymap.iter dm (fun l -> visited := l :: !visited);
+      Pmem.Device.Dirtymap.iter dm (fun l -> visited := l :: !visited);
       let visited = List.rev !visited in
       let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
       count_ok && member_ok && visited = expected)
@@ -111,13 +111,13 @@ let prop_lru_ring_model =
   Test.make ~name:"lru_ring equals array-shift LRU model" ~count:500
     (pair (int_range 0 6) (list_of_size Gen.(int_range 0 200) (int_range 0 7)))
     (fun (cap, touches) ->
-      let ring = Pmem.Lru_ring.create cap in
+      let ring = Pmem.Device.Lru_ring.create cap in
       let lru = ref [] in
       List.for_all
         (fun v ->
           let expect = model_touch cap lru v in
-          let got = Pmem.Lru_ring.touch ring v in
-          got = expect && Pmem.Lru_ring.to_list ring = !lru)
+          let got = Pmem.Device.Lru_ring.touch ring v in
+          got = expect && Pmem.Device.Lru_ring.to_list ring = !lru)
         touches)
 
 let prop_lru_touch_seq =
@@ -127,14 +127,14 @@ let prop_lru_touch_seq =
   Test.make ~name:"lru_ring touch_seq fuses membership and touch" ~count:500
     (pair (int_range 0 6) (list_of_size Gen.(int_range 0 200) (int_range 0 7)))
     (fun (cap, touches) ->
-      let ring = Pmem.Lru_ring.create cap in
+      let ring = Pmem.Device.Lru_ring.create cap in
       let lru = ref [] in
       List.for_all
         (fun v ->
           let expect_seq = List.exists (fun s -> s = v || s + 1 = v) !lru in
-          let got_seq = Pmem.Lru_ring.touch_seq ring v in
+          let got_seq = Pmem.Device.Lru_ring.touch_seq ring v in
           ignore (model_touch cap lru v);
-          got_seq = (expect_seq && cap > 0) && Pmem.Lru_ring.to_list ring = !lru)
+          got_seq = (expect_seq && cap > 0) && Pmem.Device.Lru_ring.to_list ring = !lru)
         touches)
 
 (* --- Device flush pipeline vs model device ----------------------------- *)
@@ -307,8 +307,8 @@ let ps_size = ps_lines * 64
 let lat = Pmem.Latency.default
 
 type ps_stream = {
-  s_recent : Pmem.Lru_ring.t;
-  s_xplines : Pmem.Lru_ring.t;
+  s_recent : Pmem.Device.Lru_ring.t;
+  s_xplines : Pmem.Device.Lru_ring.t;
   s_pending : (int, Pmem.Stats.category) Hashtbl.t;
   mutable s_calls : int;
 }
@@ -316,15 +316,15 @@ type ps_stream = {
 type ps_model = {
   p_dirty : (int, unit) Hashtbl.t;
   p_streams : (int, ps_stream) Hashtbl.t;
-  p_wpq : Pmem.Xpbuffer.t;
+  p_wpq : Pmem.Device.Xpbuffer.t;
   p_stats : Pmem.Stats.t;
   p_clocks : Sim.Clock.t array;
 }
 
 let ps_fresh_stream pending calls =
   {
-    s_recent = Pmem.Lru_ring.create lat.Pmem.Latency.reflush_window;
-    s_xplines = Pmem.Lru_ring.create 4;
+    s_recent = Pmem.Device.Lru_ring.create lat.Pmem.Latency.reflush_window;
+    s_xplines = Pmem.Device.Lru_ring.create 4;
     s_pending = pending;
     s_calls = calls;
   }
@@ -340,10 +340,10 @@ let ps_stream m th =
 let ps_flush_line m th cat line =
   Hashtbl.remove m.p_dirty line;
   let st = ps_stream m th in
-  let distance = Pmem.Lru_ring.touch st.s_recent line in
-  let sequential = Pmem.Lru_ring.touch_seq st.s_xplines (line * 64 / 256) in
+  let distance = Pmem.Device.Lru_ring.touch st.s_recent line in
+  let sequential = Pmem.Device.Lru_ring.touch_seq st.s_xplines (line * 64 / 256) in
   let media_ns = Pmem.Latency.flush_cost lat ~distance ~sequential in
-  let finish = Pmem.Xpbuffer.admit m.p_wpq ~now:(Sim.Clock.ns m.p_clocks.(th)) ~media_ns in
+  let finish = Pmem.Device.Xpbuffer.admit m.p_wpq ~now:(Sim.Clock.ns m.p_clocks.(th)) ~media_ns in
   Pmem.Stats.record_flush m.p_stats cat ~addr:(line * 64) ~reflush:(distance >= 0)
     ~sequential ~ns:media_ns;
   finish
@@ -469,7 +469,7 @@ let ps_apply dev dclocks m op =
       Pmem.Device.crash dev;
       Hashtbl.reset m.p_dirty;
       Hashtbl.reset m.p_streams;
-      Pmem.Xpbuffer.reset m.p_wpq
+      Pmem.Device.Xpbuffer.reset m.p_wpq
   | P_reset_stats ->
       Pmem.Device.reset_stats dev;
       Pmem.Stats.reset m.p_stats;
@@ -535,7 +535,7 @@ let prop_pending_set_model =
         {
           p_dirty = Hashtbl.create 64;
           p_streams = Hashtbl.create 4;
-          p_wpq = Pmem.Xpbuffer.create lat;
+          p_wpq = Pmem.Device.Xpbuffer.create lat;
           p_stats = Pmem.Stats.create ();
           p_clocks = Array.init 3 (fun _ -> Sim.Clock.create ());
         }
@@ -653,21 +653,21 @@ let prop_scheduler_order =
 let test_fill_zero_no_chunks () =
   (* Filling zeros into unwritten space is the status quo: no granule may
      materialise. The fill spans three granules, all untouched. *)
-  let g = Pmem.Store.chunk_bytes in
-  let s = Pmem.Store.create ~size:(8 * g) in
-  Alcotest.(check int) "fresh store" 0 (Pmem.Store.allocated_chunks s);
-  Pmem.Store.fill s 0 (3 * g) '\000';
-  Alcotest.(check int) "zero fill allocates nothing" 0 (Pmem.Store.allocated_chunks s);
+  let g = Pmem.Device.Store.chunk_bytes in
+  let s = Pmem.Device.Store.create ~size:(8 * g) in
+  Alcotest.(check int) "fresh store" 0 (Pmem.Device.Store.allocated_chunks s);
+  Pmem.Device.Store.fill s 0 (3 * g) '\000';
+  Alcotest.(check int) "zero fill allocates nothing" 0 (Pmem.Device.Store.allocated_chunks s);
   (* A touched granule still gets zeroed in place... *)
-  Pmem.Store.set_u8 s 10 0xAB;
-  Alcotest.(check int) "one chunk" 1 (Pmem.Store.allocated_chunks s);
-  Pmem.Store.fill s 0 (3 * g) '\000';
-  Alcotest.(check int) "still one chunk" 1 (Pmem.Store.allocated_chunks s);
-  Alcotest.(check int) "byte zeroed" 0 (Pmem.Store.get_u8 s 10);
+  Pmem.Device.Store.set_u8 s 10 0xAB;
+  Alcotest.(check int) "one chunk" 1 (Pmem.Device.Store.allocated_chunks s);
+  Pmem.Device.Store.fill s 0 (3 * g) '\000';
+  Alcotest.(check int) "still one chunk" 1 (Pmem.Device.Store.allocated_chunks s);
+  Alcotest.(check int) "byte zeroed" 0 (Pmem.Device.Store.get_u8 s 10);
   (* ...and a nonzero fill materialises exactly the granules it covers. *)
-  Pmem.Store.fill s (4 * g) g '\xFF';
-  Alcotest.(check int) "nonzero fill allocates" 2 (Pmem.Store.allocated_chunks s);
-  Alcotest.(check int) "fill visible" 0xFF (Pmem.Store.get_u8 s ((4 * g) + 123))
+  Pmem.Device.Store.fill s (4 * g) g '\xFF';
+  Alcotest.(check int) "nonzero fill allocates" 2 (Pmem.Device.Store.allocated_chunks s);
+  Alcotest.(check int) "fill visible" 0xFF (Pmem.Device.Store.get_u8 s ((4 * g) + 123))
 
 (* --- Construction footprint ------------------------------------------- *)
 

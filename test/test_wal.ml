@@ -130,6 +130,74 @@ let prop_replay_roundtrip =
       let entries = Wal.replay dev ~base:0 ~entries:128 in
       List.map (fun e -> (e.Wal.addr / 8, e.Wal.dest)) entries = ops)
 
+(* --- entry bytes ------------------------------------------------------- *)
+
+(* The reference writer: an entry field by field, through its own copy of
+   the entry layout and of the checksum. [append] writes the entry in one
+   device call; its 16 bytes must equal these. *)
+module Ref_entry = struct
+  let l = Pstruct.layout "wal.entry (reference)"
+  let kind = Pstruct.u8 l "kind" ~off:0
+  let epoch = Pstruct.u8 l "epoch" ~off:1
+  let ck = Pstruct.u16 l "ck" ~off:2
+  let seq = Pstruct.u32 l "seq" ~off:4
+  let addr = Pstruct.u32 l "addr" ~off:8
+  let dest = Pstruct.u32 l "dest" ~off:12
+  let () = Pstruct.seal l ~size:16
+
+  let mix h v =
+    let h = (h lxor v) * 0x01000193 land 0x3FFFFFFF in
+    h lxor (h lsr 15)
+
+  let code = function
+    | Wal.Alloc -> 1
+    | Free -> 2
+    | Refill -> 3
+    | Large_alloc -> 4
+    | Large_free -> 5
+
+  let write dev ~off k ~epoch:e ~seq:n ~addr:a ~dest:d =
+    let c = code k in
+    Pstruct.set dev ~base:off kind c;
+    Pstruct.set dev ~base:off epoch e;
+    Pstruct.set dev ~base:off ck (mix (mix (mix (mix (mix 0x9E37 c) e) n) a) d land 0xFFFF);
+    Pstruct.set dev ~base:off seq n;
+    Pstruct.set dev ~base:off addr a;
+    Pstruct.set dev ~base:off dest d
+end
+
+let hex b = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+let test_entry_bytes_pinned () =
+  let values = [ 0; 1; 4096; 0xFFFF_FFFF ] in
+  List.iter
+    (fun interleave ->
+      let dev, clock = mk () in
+      let ref_dev = Pmem.Device.create ~size:(Pmem.Device.size dev) () in
+      let wal = Wal.create dev ~base:0 ~entries:256 ~interleave in
+      let seq = ref 0 and epoch = ref 1 in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun addr ->
+              List.iter
+                (fun dest ->
+                  let off = Wal.append_off wal clock kind ~addr ~dest in
+                  Ref_entry.write ref_dev ~off kind ~epoch:!epoch ~seq:!seq ~addr ~dest;
+                  Alcotest.(check string)
+                    (Printf.sprintf "interleave=%b kind=%d seq=%d addr=%#x dest=%#x" interleave
+                       (Ref_entry.code kind) !seq addr dest)
+                    (hex (Pmem.Device.read_bytes ref_dev off Wal.entry_bytes))
+                    (hex (Pmem.Device.read_bytes dev off Wal.entry_bytes));
+                  incr seq)
+                values)
+            values;
+          (* The next kind's entries carry the next epoch. *)
+          Wal.checkpoint wal clock;
+          incr epoch)
+        Wal.[ Alloc; Free; Refill; Large_alloc; Large_free ])
+    [ true; false ]
+
 (* --- group commit ------------------------------------------------------ *)
 
 let test_group_open_discarded_on_crash () =
@@ -318,6 +386,7 @@ let suite =
     Alcotest.test_case "near_full and reset" `Quick test_near_full;
     Alcotest.test_case "reopen bumps the epoch" `Quick test_reopen_bumps_epoch;
     Alcotest.test_case "torn entries fail the checksum" `Quick test_torn_entry_rejected;
+    Alcotest.test_case "entry bytes match a field-by-field writer" `Quick test_entry_bytes_pinned;
     Alcotest.test_case "group: open group lost on crash" `Quick
       test_group_open_discarded_on_crash;
     Alcotest.test_case "group: close commits the batch" `Quick test_group_close_commits_batch;
