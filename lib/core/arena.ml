@@ -80,6 +80,8 @@ let build heap ~index ~region_lock ~booklog ~wal ~on_slab_created ~on_slab_destr
 
 let set_telemetry t sink =
   Sim.Lock.set_telemetry t.lock sink;
+  Wal.set_telemetry t.wal sink;
+  Extent.set_telemetry t.large sink;
   t.telem <-
     Option.map
       (fun s ->

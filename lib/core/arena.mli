@@ -68,9 +68,11 @@ val set_telemetry : t -> Telemetry.t option -> unit
 (** Attach/detach a telemetry sink: tcache refills, slab morphs, WAL
     appends and WAL checkpoints become regions (["refill"], ["morph"],
     ["wal:append"], ["wal:checkpoint"]) — a span, a latency histogram
-    and, with attribution on, a blame frame each — and contended
-    acquires of the arena lock charge [lock_wait]. Emission never
-    charges simulated time; detached costs one compare per operation. *)
+    and, with attribution on, a blame frame each — as do the arena's
+    WAL group commits and extent searches ({!Wal.set_telemetry},
+    {!Extent.set_telemetry}), and contended acquires of the arena lock
+    charge [lock_wait]. Emission never charges simulated time; detached
+    costs one compare per operation. *)
 
 val lock : t -> Sim.Lock.t
 val wal : t -> Wal.t

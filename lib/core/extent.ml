@@ -50,6 +50,7 @@ type t = {
   mutable tombs_since_fast_gc : int;
   mutable spare : veh array; (* dropped VEHs for reuse; [dummy] from [nspare] on *)
   mutable nspare : int;
+  mutable telem : (Telemetry.t * int) option; (* sink, [extent:lookup] id *)
 }
 
 let round4k n = (n + 4095) land lnot 4095
@@ -85,7 +86,11 @@ let create heap ~mode ~region_lock ~on_new_extent ~on_drop_extent =
     tombs_since_fast_gc = 0;
     spare = [||];
     nspare = 0;
+    telem = None;
   }
+
+let set_telemetry t sink =
+  t.telem <- Option.map (fun s -> (s, Telemetry.intern s "extent:lookup")) sink
 
 let booklog t = match t.mode with In_place -> None | Logged l -> Some l
 let activated_bytes t = t.activated_bytes
@@ -140,18 +145,15 @@ let note_lookup t = Pmem.Stats.bump (Pmem.Device.stats t.dev) Extent_tree_lookup
 let charge_search t clock n =
   note_lookup t;
   let steps = Rbtree.search_steps n in
-  let sink = Pmem.Device.telemetry t.dev in
-  (match sink with
+  (match t.telem with
   | None -> ()
-  | Some s ->
-      Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "extent:lookup")
-        ~ts:(Sim.Clock.ns clock));
+  | Some (s, name) -> Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name ~ts:(Sim.Clock.ns clock));
   for _ = 1 to steps do
     Pmem.Device.search_step t.dev clock
   done;
-  match sink with
+  match t.telem with
   | None -> ()
-  | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+  | Some (s, _) -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
 
 let page_of t base = Rbtree.value t.pages (Rbtree.find t.pages base 0)
 

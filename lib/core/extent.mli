@@ -118,6 +118,11 @@ val create :
 (** [on_new_extent]/[on_drop_extent] keep the owner's global address
     index in sync (every activated extent announce/retract). *)
 
+val set_telemetry : t -> Telemetry.t option -> unit
+(** Attach the device's sink: each charged tree search is then an
+    [extent:lookup] region, its name interned here once. [None] (the
+    default) records nothing. *)
+
 val malloc : t -> Sim.Clock.t -> size:int -> kind:Booklog.kind -> veh
 (** Allocate [size] bytes (rounded up to 4 KB). Requests above 2 MB map a
     dedicated region, as the paper's mmap path does. The caller owns the

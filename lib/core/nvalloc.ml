@@ -1116,6 +1116,14 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
     make heap (fun ~index ->
         Arena.of_recovered heap ~index ~booklog:booklogs.(index) ~wal:wals.(index))
   in
+  (* Recovery's sink records the group commits and extent searches of the
+     heap it rebuilds, as it does its own phases; the arenas themselves
+     stay unattached. *)
+  Array.iter
+    (fun a ->
+      Wal.set_telemetry (Arena.wal a) tsink;
+      Extent.set_telemetry (Arena.large a) tsink)
+    t.arenas;
   (* 3. Regions. *)
   let regions = Heap.read_regions dev in
   let region_of_addr addr =

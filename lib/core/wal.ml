@@ -37,6 +37,7 @@ type t = {
   skip_record : bool; (* [Mutation.Wal_record]: the seeded commit-record bug *)
   replicate : bool; (* maintain the header's guard replica (media model) *)
   guard : Guard.record; (* [guard_record] of this log, built once *)
+  mutable telem : (Telemetry.t * int) option; (* sink, [wal:group_commit] id *)
 }
 
 (* One leading header line, the entry area, one trailing guard-replica
@@ -190,6 +191,7 @@ let make ~group ~replicate ~mutation dev ~base ~entries ~interleave ~epoch ~read
     skip_record = mutation = Mutation.Wal_record;
     replicate;
     guard = guard_record ~base ~entries;
+    telem = None;
   }
 
 let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~base ~entries
@@ -203,6 +205,9 @@ let create ?(group = 0) ?(replicate = false) ?(mutation = Mutation.Off) dev ~bas
     Pmem.Device.blit dev ~src:r.Guard.primary ~dst:r.Guard.replica ~len:(r.Guard.len + 2)
   end;
   t
+
+let set_telemetry t sink =
+  t.telem <- Option.map (fun s -> (s, Telemetry.intern s "wal:group_commit")) sink
 
 let entries t = t.nentries
 let used t = t.next
@@ -270,11 +275,9 @@ let flush_group t clock =
     (* The whole three-phase close is one region, so its flushes and
        fences separate from the op that happened to trip the group
        boundary. *)
-    (match Pmem.Device.telemetry t.dev with
+    (match t.telem with
     | None -> ()
-    | Some s ->
-        Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "wal:group_commit")
-          ~ts:(Sim.Clock.ns clock));
+    | Some (s, name) -> Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name ~ts:(Sim.Clock.ns clock));
     for i = 0 to t.gnents - 1 do
       if t.skip_record then
         (* Broken-protocol hook: the commit record forgets its contract.
@@ -317,9 +320,9 @@ let flush_group t clock =
     t.gcount <- 0;
     t.gnents <- 0;
     t.neffects <- 0;
-    match Pmem.Device.telemetry t.dev with
+    match t.telem with
     | None -> ()
-    | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+    | Some (s, _) -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
   end
 
 (* A metadata commit ordered after a grouped entry: queue it for the

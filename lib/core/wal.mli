@@ -117,6 +117,11 @@ val defer_commit :
     are declared to the persist-ordering checker when the commit
     retires; callers pass [[]] unless {!Pmem.Device.check_mode} is on. *)
 
+val set_telemetry : t -> Telemetry.t option -> unit
+(** Attach the device's sink: each {!flush_group} that closes a group is
+    then a [wal:group_commit] region, its name interned here once. [None]
+    (the default) records nothing. *)
+
 val flush_group : t -> Sim.Clock.t -> unit
 (** Close the open group now (no-op when empty or grouping is off):
     persist its entries (one fence), persist the commit record (one

@@ -1,6 +1,10 @@
+(* Bit width of [0 < n < 2^53]: such an int converts to a float exactly,
+   so the float's biased exponent is [1022 + width]. Above 2^53 the top
+   bits decide it, since the conversion could round up. *)
+let width n = (Int64.to_int (Int64.bits_of_float (float_of_int n)) lsr 52) - 1022
+
 let search_steps n =
-  let rec go steps n = if n <= 1 then steps else go (steps + 1) (n lsr 1) in
-  go 1 n
+  if n <= 1 then 1 else if n < 1 lsl 53 then width n else 53 + width (n lsr 53)
 
 type node = int
 

@@ -32,7 +32,9 @@
 
 val search_steps : int -> int
 (** Simulated steps of one search in a tree of [n] bindings:
-    [1 + floor (log2 n)], and 1 when [n <= 1]. Integer arithmetic only. *)
+    [1 + floor (log2 n)], and 1 when [n <= 1]. Exact for every [n]: read
+    from the exponent of an exactly converted float, with no loop and no
+    [log2]. *)
 
 type 'a t
 

@@ -262,12 +262,20 @@ module Histogram = struct
 
   let name t = t.name
 
-  (* Takes the whole part of the value as an int: this function is not
-     inlined, so a float argument would be boxed on every observation. *)
+  (* Bit width of [0 < i < 2^53]: such an int converts to a float exactly,
+     so the float's biased exponent is [1022 + width]. *)
+  let[@inline] width i = (Int64.to_int (Int64.bits_of_float (float_of_int i)) lsr 52) - 1022
+
+  (* The number of significant bits of [i] (values in [2^(b-1), 2^b)), and
+     the last bucket for a negative: [int_of_float] wraps observations in
+     [2^62, 2^63) to negatives. Above 2^53 the top bits decide the width,
+     since the conversion could round up to the next power of two. Takes
+     the whole part of the value as an int: this function is not inlined,
+     so a float argument would be boxed on every observation. *)
   let bucket_of i =
-    (* Number of significant bits of [i]: values in [2^(b-1), 2^b). *)
-    let rec bits acc i = if i = 0 then acc else bits (acc + 1) (i lsr 1) in
-    min (nbuckets - 1) (bits 0 i)
+    if i <= 0 then if i = 0 then 0 else nbuckets - 1
+    else if i < 1 lsl 53 then width i
+    else 53 + width (i lsr 53)
 
   let[@inline] observe_float t v =
     let v = if v < 0.0 then 0.0 else v in
@@ -333,24 +341,29 @@ end
 
 (* --- per-thread lanes ---------------------------------------------------- *)
 
+(* A ring slot packs its name, phase and two arg keys into one int:
+   [id_bits] bits per id, a key stored plus one (so -1, absent, is 0),
+   and the counter phase as one bit above them. Ids therefore stop below
+   [max_names]; [intern] refuses the next one, which would spill into its
+   neighbour field. *)
+let id_bits = 16
+let max_names = (1 lsl id_bits) - 1
+let counter_phase = 1 lsl (3 * id_bits)
+
 (* Everything one emitting thread (simulated clock id) records, in one
    record: its bounded event ring, its frame stack and its per-op latency
-   histograms. The ring is parallel preallocated arrays, oldest entries
-   overwritten on wrap: recording is a bump + a few stores, and "the last
+   histograms. The ring is two preallocated flat arrays, oldest entries
+   overwritten on wrap: recording is a bump and five stores, and "the last
    N events" — what a failing fuzz repro wants — is exactly what
-   survives. *)
+   survives. Slot [i] is 40 bytes: [r_int.(3i .. 3i+2)] holds the
+   simulated-ns start, the duration and the packed name, phase and keys;
+   [r_val.(2i .. 2i+1)] the two arg values. *)
 type lane = {
   l_tid : int;
   mutable r_total : int; (* events ever recorded (>= kept) *)
   mutable r_head : int; (* next write slot *)
-  e_ts : int array; (* simulated ns *)
-  e_dur : int array;
-  e_name : int array;
-  e_phase : Bytes.t; (* 'X' span | 'C' counter *)
-  e_k1 : int array; (* interned arg key, -1 = absent *)
-  e_v1 : float array;
-  e_k2 : int array;
-  e_v2 : float array;
+  r_int : int array;
+  r_val : float array;
   mutable f_depth : int; (* open regions *)
   mutable f_node : int array; (* frame -> blame-tree node, -1 = none *)
   mutable f_name : int array; (* frame -> interned name *)
@@ -372,24 +385,24 @@ type t = {
 
 (* Blame-tree attribution state. Nodes live in growable parallel arrays;
    node 0 is a synthetic root whose children are the per-operation root
-   frames (malloc:small, free, recovery, ...). A node's children form a
-   list through [a_child]/[a_sibling] (0 ends it: the root is nobody's
-   child). Leaf charges (fence, flush, pm_read, lock_wait, ...)
-   accumulate into the child of the innermost frame named by the
-   component. When a frame is left, the wall time not accounted to
-   children or leaf charges becomes the frame node's self time (clamped
-   at zero: batched flushes charge device-pipeline occupancy that can
-   outlast the frame). Root-frame completions additionally feed the
-   lane's per-op latency histograms and the SLO windows. *)
+   frames (malloc:small, free, recovery, ...). The child named [name]
+   under [parent] is found through [a_index], an open-addressing table of
+   node ids keyed by the node's (parent, name) (0 marks an empty slot:
+   the root is nobody's child). Leaf charges (fence, flush, pm_read,
+   lock_wait, ...) accumulate into the child of the innermost frame named
+   by the component. When a frame is left, the wall time not accounted
+   to children or leaf charges becomes the frame node's self time
+   (clamped at zero: batched flushes charge device-pipeline occupancy
+   that can outlast the frame). Root-frame completions additionally feed
+   the lane's per-op latency histograms and the SLO windows. *)
 and attr = {
   owner : t;
   mutable a_parent : int array; (* node -> parent node *)
   mutable a_name : int array; (* node -> interned component name *)
-  mutable a_child : int array; (* node -> first child *)
-  mutable a_sibling : int array; (* node -> next child of its parent *)
   mutable a_self : int array; (* node -> attributed self ns *)
   mutable a_count : int array; (* node -> charges + frame completions *)
   mutable a_nodes : int;
+  mutable a_index : int array; (* power-of-two slots, at most half full *)
   mutable a_op_ids : int list; (* distinct op name ids, creation order *)
   (* SLO monitoring (set_slo): fixed-width simulated-time windows. *)
   mutable a_window_ns : float; (* 0 = SLO monitoring off *)
@@ -423,14 +436,8 @@ let new_lane ~cap tid =
     l_tid = tid;
     r_total = 0;
     r_head = 0;
-    e_ts = Array.make cap 0;
-    e_dur = Array.make cap 0;
-    e_name = Array.make cap 0;
-    e_phase = Bytes.make cap 'X';
-    e_k1 = Array.make cap (-1);
-    e_v1 = Array.make cap 0.0;
-    e_k2 = Array.make cap (-1);
-    e_v2 = Array.make cap 0.0;
+    r_int = Array.make (3 * cap) 0;
+    r_val = Array.make (2 * cap) 0.0;
     f_depth = 0;
     f_node = Array.make 16 0;
     f_name = Array.make 16 0;
@@ -460,6 +467,9 @@ let intern t name =
   match Hashtbl.find t.name_ids name with
   | id -> id
   | exception Not_found ->
+      if t.nnames = max_names then
+        invalid_arg
+          (Printf.sprintf "Telemetry.intern: a sink holds at most %d names (%S)" max_names name);
       if t.nnames = Array.length t.names then begin
         t.names <- grow t.names t.nnames "";
         t.hists <- Array.append t.hists (new_hists (Array.length t.names - t.nnames))
@@ -491,28 +501,27 @@ let[@inline] lane t tid =
   let l = t.last in
   if l.l_tid = tid then l else lane_slow t tid
 
+(* [phase] is 0 for a span, [counter_phase] for a counter. *)
 let[@inline] record t r ~phase ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
   let i = r.r_head in
-  r.e_ts.(i) <- ts;
-  r.e_dur.(i) <- dur;
-  r.e_name.(i) <- name;
-  Bytes.set r.e_phase i phase;
-  r.e_k1.(i) <- k1;
-  r.e_v1.(i) <- v1;
-  r.e_k2.(i) <- k2;
-  r.e_v2.(i) <- v2;
+  let w = 3 * i in
+  r.r_int.(w) <- ts;
+  r.r_int.(w + 1) <- dur;
+  r.r_int.(w + 2) <- name lor ((k1 + 1) lsl id_bits) lor ((k2 + 1) lsl (2 * id_bits)) lor phase;
+  r.r_val.(2 * i) <- v1;
+  r.r_val.((2 * i) + 1) <- v2;
   r.r_head <- (if i + 1 = t.cap then 0 else i + 1);
   r.r_total <- r.r_total + 1
 
 let span t ~tid ~name ~ts ~dur =
-  record t (lane t tid) ~phase:'X' ~name ~ts ~dur ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
+  record t (lane t tid) ~phase:0 ~name ~ts ~dur ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
 
 let counter t ~tid ~name ~ts ~value =
-  record t (lane t tid) ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
+  record t (lane t tid) ~phase:counter_phase ~name ~ts ~dur:0 ~k1:(-1) ~v1:value ~k2:(-1) ~v2:0.0
 
 let counter_int t ~tid ~name ~ts ~value =
-  record t (lane t tid) ~phase:'C' ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value) ~k2:(-1)
-    ~v2:0.0
+  record t (lane t tid) ~phase:counter_phase ~name ~ts ~dur:0 ~k1:(-1) ~v1:(float_of_int value)
+    ~k2:(-1) ~v2:0.0
 
 let counter_ratio t ~tid ~name ~ts ~num ~den =
   counter t ~tid ~name ~ts ~value:(float_of_int num /. float_of_int den)
@@ -535,26 +544,42 @@ module Attr = struct
 
   let max_events = 1024
 
-  let rec find_child a ~name c =
-    if c = 0 || a.a_name.(c) = name then c else find_child a ~name a.a_sibling.(c)
+  let rec probe a index ~parent ~name i =
+    let n = index.(i) in
+    if n = 0 || (a.a_parent.(n) = parent && a.a_name.(n) = name) then i
+    else probe a index ~parent ~name ((i + 1) land (Array.length index - 1))
+
+  (* The index slot holding node (parent, name), or the empty slot where
+     it belongs: linear probing from a multiplicative hash of the key. *)
+  let slot a index ~parent ~name =
+    let h = ((parent * 0x5bd1e995) lxor name) * 0x27d4eb2d in
+    probe a index ~parent ~name ((h lxor (h lsr 31)) land (Array.length index - 1))
+
+  (* Kept at most half full: doubled, and every node re-slotted, as the
+     node count passes half the slots. *)
+  let reindex a =
+    let index = Array.make (2 * Array.length a.a_index) 0 in
+    for n = 1 to a.a_nodes - 1 do
+      index.(slot a index ~parent:a.a_parent.(n) ~name:a.a_name.(n)) <- n
+    done;
+    a.a_index <- index
 
   let node_of a ~parent ~name =
-    match find_child a ~name a.a_child.(parent) with
+    let i = slot a a.a_index ~parent ~name in
+    match a.a_index.(i) with
     | 0 ->
         let id = a.a_nodes in
         if id = Array.length a.a_parent then begin
           a.a_parent <- grow a.a_parent id 0;
           a.a_name <- grow a.a_name id 0;
-          a.a_child <- grow a.a_child id 0;
-          a.a_sibling <- grow a.a_sibling id 0;
           a.a_count <- grow a.a_count id 0;
           a.a_self <- grow a.a_self id 0
         end;
         a.a_parent.(id) <- parent;
         a.a_name.(id) <- name;
-        a.a_sibling.(id) <- a.a_child.(parent);
-        a.a_child.(parent) <- id;
+        a.a_index.(i) <- id;
         a.a_nodes <- id + 1;
+        if 2 * a.a_nodes > Array.length a.a_index then reindex a;
         id
     | id -> id
 
@@ -724,7 +749,7 @@ let leave2 t ~tid ~ts ~k1 ~v1 ~k2 ~v2 =
     l.f_depth <- d;
     let name = l.f_name.(d) in
     let dur = Int.max 0 (ts - l.f_ts.(d)) in
-    record t l ~phase:'X' ~name ~ts:l.f_ts.(d) ~dur ~k1 ~v1:(float_of_int v1) ~k2
+    record t l ~phase:0 ~name ~ts:l.f_ts.(d) ~dur ~k1 ~v1:(float_of_int v1) ~k2
       ~v2:(float_of_int v2);
     Histogram.observe t.hists.(name) dur;
     let node = l.f_node.(d) in
@@ -747,7 +772,7 @@ let charge t ~tid ~name ~ns =
       if parent >= 0 then credit a l ~node:(Attr.node_of a ~parent ~name) ~self:ns ~d ~ns
 
 let leaf t ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2 =
-  record t (lane t tid) ~phase:'X' ~name ~ts ~dur ~k1 ~v1:(float_of_int v1) ~k2
+  record t (lane t tid) ~phase:0 ~name ~ts ~dur ~k1 ~v1:(float_of_int v1) ~k2
     ~v2:(float_of_int v2);
   Histogram.observe t.hists.(name) dur;
   charge t ~tid ~name ~ns:dur
@@ -767,11 +792,10 @@ let enable_attribution t =
           owner = t;
           a_parent = Array.make 64 0;
           a_name = Array.make 64 0;
-          a_child = Array.make 64 0;
-          a_sibling = Array.make 64 0;
           a_self = Array.make 64 0;
           a_count = Array.make 64 0;
           a_nodes = 1 (* node 0: synthetic root *);
+          a_index = Array.make 128 0;
           a_op_ids = [];
           a_window_ns = 0.0;
           a_targets = [];
@@ -797,9 +821,11 @@ let iter_ring t r f =
   let start = if r.r_total <= t.cap then 0 else r.r_head in
   for k = 0 to kept - 1 do
     let i = (start + k) mod t.cap in
-    f ~ts:r.e_ts.(i) ~dur:r.e_dur.(i) ~name:r.e_name.(i)
-      ~phase:(Bytes.get r.e_phase i) ~k1:r.e_k1.(i) ~v1:r.e_v1.(i) ~k2:r.e_k2.(i)
-      ~v2:r.e_v2.(i)
+    let packed = r.r_int.((3 * i) + 2) in
+    let id shift = (packed lsr shift) land max_names in
+    f ~ts:r.r_int.(3 * i) ~dur:r.r_int.((3 * i) + 1) ~name:(id 0)
+      ~phase:(if packed land counter_phase = 0 then 'X' else 'C')
+      ~k1:(id id_bits - 1) ~v1:r.r_val.(2 * i) ~k2:(id (2 * id_bits) - 1) ~v2:r.r_val.((2 * i) + 1)
   done
 
 (* Lanes that recorded events, in ascending raw-tid order. The export

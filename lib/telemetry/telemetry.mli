@@ -59,6 +59,12 @@ module Histogram : sig
   val observe : t -> int -> unit
   (** Record one value: simulated ns, or a count. *)
 
+  val bucket_of : int -> int
+  (** The bucket of a value's whole part: its number of significant bits
+      (bucket [b] holds [[2^(b-1), 2^b)], bucket 0 holds 0), and the last
+      bucket for a negative int. Computed from the exponent of the value
+      as a float, without a loop. Exposed for its test. *)
+
   val observe_ratio : t -> num:int -> den:int -> unit
   (** Record [num / den] (a sampled gauge such as queue depth). *)
 
@@ -96,7 +102,9 @@ val snapshot_tid : int
 val intern : t -> string -> int
 (** Intern a name (event or arg-key), returning a stable id. A hit
     allocates nothing, but hashes the string: hot emitters intern once at
-    attach time and use the [int] API below. *)
+    attach time and use the [int] API below. A ring slot packs three ids
+    into one int, so a sink holds at most 65,535 names (ids 0 to 65,534);
+    interning one more raises [Invalid_argument]. *)
 
 val name_of : t -> int -> string
 

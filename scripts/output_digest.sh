@@ -1,6 +1,7 @@
 #!/bin/sh
 # Print one line per command: its exit status, the SHA-256 of its
-# stdout, and the command. Run it on two builds, a parent commit's CLI
+# stdout (or of the file it writes, for the export flags that take a
+# path), and the command. Run it on two builds, a parent commit's CLI
 # and a change's, then diff the two outputs: a change that must not
 # alter behaviour prints the same lines. It compares two builds, so it
 # is not a check_all.sh stage. The commands take about 40 seconds.
@@ -20,13 +21,24 @@ else
   cli="$root/_build/default/bin/nvalloc_cli.exe"
 fi
 out="$(mktemp)"
-trap 'rm -f "$out"' EXIT
+file="$(mktemp)"
+trap 'rm -f "$out" "$file"' EXIT
 
 digest() {
   status=0
   "$cli" "$@" >"$out" 2>/dev/null || status=$?
   sum="$(sha256sum <"$out" | cut -d ' ' -f 1)"
   echo "$status $sum $*"
+}
+
+# The command's last argument is an export flag; the file it names is
+# digested instead of stdout.
+digest_file() {
+  status=0
+  : >"$file"
+  "$cli" "$@" "$file" >/dev/null 2>&1 || status=$?
+  sum="$(sha256sum <"$file" | cut -d ' ' -f 1)"
+  echo "$status $sum $* FILE"
 }
 
 digest stats --json
@@ -36,10 +48,13 @@ digest stats --json NVAlloc-IC
 digest flushes
 digest trace larson --threads 2
 digest trace larson --threads 2 --no-batch
+digest_file trace larson --threads 2 --hist
 digest slo larson
 digest slo larson --no-batch
 digest slo larson --json
 digest slo larson --no-batch --json
+digest_file slo larson --folded
+digest_file slo larson --prom
 digest check --seed 1 --runs 20
 digest check --seed 1 --runs 20 --no-batch
 digest check --seed 1 --runs 2 --ops 800 --threads 2 --crash 100 \

@@ -234,6 +234,28 @@ let test_search_steps () =
         (Support.Rbtree.search_steps n) by_float
   done
 
+(* The halving loop [search_steps] ran before it read a float exponent. *)
+let steps_by_loop n =
+  let rec go steps n = if n <= 1 then steps else go (steps + 1) (n lsr 1) in
+  go 1 n
+
+(* Over the whole int range: a uniform int, an int of uniform bit width,
+   and with each case the power of two 2^b and its neighbours, its
+   negation, 0, 1, -1, [min_int] and [max_int]. *)
+let prop_search_steps =
+  let open QCheck in
+  Test.make ~name:"search_steps agrees with the halving loop over every int" ~count:2000
+    (make
+       ~print:Print.(pair int int)
+       Gen.(
+         pair
+           (oneof [ int; map2 (fun w n -> n lsr w) (int_range 0 62) int ])
+           (int_range 0 61)))
+    (fun (n, b) ->
+      List.for_all
+        (fun n -> Rb.search_steps n = steps_by_loop n)
+        [ n; (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1; -(1 lsl b); 0; 1; -1; min_int; max_int ])
+
 let suite =
   [
     Alcotest.test_case "basic insert/find/remove" `Quick test_basic;
@@ -241,6 +263,7 @@ let suite =
     Alcotest.test_case "iteration order" `Quick test_iter_order;
     Alcotest.test_case "allocation per operation" `Quick test_allocation;
     Alcotest.test_case "search steps match floor log2" `Quick test_search_steps;
+    QCheck_alcotest.to_alcotest prop_search_steps;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_pair_model;
     QCheck_alcotest.to_alcotest prop_ordered_queries;

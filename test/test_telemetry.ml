@@ -166,6 +166,50 @@ let test_histogram_merge_empty () =
   Telemetry.Histogram.observe m1 9;
   Alcotest.(check int) "input untouched" 1 (Telemetry.Histogram.count h)
 
+(* The loop [Histogram.bucket_of] ran before it read a float exponent:
+   the number of significant bits, capped at the last bucket, which is
+   where a negative lands. *)
+let bucket_by_loop i =
+  let rec bits acc i = if i = 0 then acc else bits (acc + 1) (i lsr 1) in
+  min 63 (bits 0 i)
+
+(* Every int an observation can become, drawn three ways (a uniform int,
+   an int of uniform bit width, one from 2^52 up), and with each draw the
+   power of two 2^b and its neighbours, its negation, 0, 1, -1, [min_int],
+   [max_int] and the conversions of 5e18, NaN and infinity. *)
+let prop_bucket_of =
+  let open QCheck in
+  Test.make ~name:"Histogram.bucket_of agrees with the bit loop over every int" ~count:2000
+    (make
+       ~print:Print.(pair int int)
+       Gen.(
+         pair
+           (oneof
+              [
+                int;
+                map2 (fun w n -> n lsr w) (int_range 0 62) int;
+                int_range (1 lsl 52) max_int;
+              ])
+           (int_range 0 61)))
+    (fun (n, b) ->
+      List.for_all
+        (fun i -> Telemetry.Histogram.bucket_of i = bucket_by_loop i)
+        [
+          n;
+          (1 lsl b) - 1;
+          1 lsl b;
+          (1 lsl b) + 1;
+          -(1 lsl b);
+          0;
+          1;
+          -1;
+          min_int;
+          max_int;
+          int_of_float 5e18;
+          int_of_float Float.nan;
+          int_of_float Float.infinity;
+        ])
+
 (* --- Rings --------------------------------------------------------------- *)
 
 let test_ring_bounds () =
@@ -193,6 +237,188 @@ let test_interning () =
   Alcotest.(check bool) "distinct ids" true (a <> b);
   Alcotest.(check int) "stable" a (Telemetry.intern t "alloc");
   Alcotest.(check string) "name_of" "free" (Telemetry.name_of t b)
+
+(* A sink holding every name a ring slot can pack: "n0" .. "n65534". *)
+let full_sink ~ring_capacity =
+  let t = Telemetry.create ~ring_capacity () in
+  for i = 0 to 65534 do
+    let id = Telemetry.intern t (Printf.sprintf "n%d" i) in
+    if id <> i then Alcotest.failf "name %d interned as %d" i id
+  done;
+  t
+
+let test_intern_limit () =
+  let t = full_sink ~ring_capacity:1 in
+  Alcotest.check_raises "one name more"
+    (Invalid_argument "Telemetry.intern: a sink holds at most 65535 names (\"extra\")")
+    (fun () -> ignore (Telemetry.intern t "extra"));
+  Alcotest.(check int) "interned names still resolve" 65534 (Telemetry.intern t "n65534")
+
+(* One recorded event, as the list model keeps it. *)
+type ev = {
+  tid : int;
+  ts : int;
+  dur : int;
+  name : int;
+  counter : bool;
+  k1 : int;
+  v1 : float;
+  k2 : int;
+  v2 : float;
+}
+
+let span_ev ~tid ~ts ~dur ~name ~k1 ~v1 ~k2 ~v2 =
+  { tid; ts; dur; name; counter = false; k1; v1; k2; v2 }
+
+let counter_ev ~tid ~ts ~name v =
+  { tid; ts; dur = 0; name; counter = true; k1 = -1; v1 = v; k2 = -1; v2 = 0.0 }
+
+(* What the rings keep: the last [cap] events of each thread, threads in
+   ascending tid order. *)
+let model_kept ~cap evs =
+  List.sort_uniq compare (List.map (fun e -> e.tid) evs)
+  |> List.map (fun tid ->
+         let mine = List.filter (fun e -> e.tid = tid) evs in
+         let n = List.length mine in
+         List.filteri (fun i _ -> i >= n - cap) mine)
+
+(* The present arg keys of a span and their values, rendered by [f]. *)
+let model_args f e =
+  List.filter_map
+    (fun (k, v) -> if k < 0 then None else Some (f k v))
+    [ (e.k1, e.v1); (e.k2, e.v2) ]
+
+(* The kept events as the Chrome trace-event document
+   [Telemetry.chrome_json] is specified to print. *)
+let model_chrome sink ~cap evs =
+  let str id = J.to_string (J.Str (Telemetry.name_of sink id)) in
+  let event norm e =
+    if e.counter then
+      Printf.sprintf {|{"name":%s,"ph":"C","ts":%d.000,"pid":0,"tid":%d,"args":{"value":%.3f}}|}
+        (str e.name) e.ts norm e.v1
+    else
+      let args =
+        match model_args (fun k v -> str k ^ ":" ^ J.to_string (J.Num v)) e with
+        | [] -> ""
+        | l -> Printf.sprintf {|,"args":{%s}|} (String.concat "," l)
+      in
+      Printf.sprintf {|{"name":%s,"ph":"X","ts":%d.000,"dur":%d.000,"pid":0,"tid":%d%s}|}
+        (str e.name) e.ts e.dur norm args
+  in
+  let thread norm _ =
+    Printf.sprintf
+      {|{"name":"thread_name","ph":"M","ts":0.000,"pid":0,"tid":%d,"args":{"name":"thread-%d"}}|}
+      norm norm
+  in
+  let kept = model_kept ~cap evs in
+  let items =
+    List.mapi thread kept @ List.concat (List.mapi (fun norm -> List.map (event norm)) kept)
+  in
+  Printf.sprintf
+    {|{"traceEvents":[%s
+],"displayTimeUnit":"ns","otherData":{"clock":"simulated-ns","dropped_events":%d}}
+|}
+    (String.concat "," (List.map (fun s -> "\n" ^ s) items))
+    (List.length evs - List.length (List.concat kept))
+
+(* The last [n] kept events, merged by (timestamp, thread, age), as the
+   lines [Telemetry.tail_events] is specified to print. *)
+let model_tail sink ~cap ~n evs =
+  let nm = Telemetry.name_of sink in
+  let line norm e =
+    Printf.sprintf "[t%d] %12.3f " norm (float_of_int e.ts)
+    ^
+    if e.counter then Printf.sprintf "%-11s %s=%g" "counter" (nm e.name) e.v1
+    else
+      Printf.sprintf "+%-10.3f %s" (float_of_int e.dur) (nm e.name)
+      ^ String.concat "" (model_args (fun k v -> Printf.sprintf " %s=%g" (nm k) v) e)
+  in
+  let all =
+    model_kept ~cap evs
+    |> List.mapi (fun norm -> List.mapi (fun seq e -> ((e.ts, norm, seq), line norm e)))
+    |> List.concat |> List.sort compare
+  in
+  let len = List.length all in
+  List.filteri (fun i _ -> i >= len - n) all |> List.map snd
+
+(* A seeded mix of spans, two-argument leaves and regions, and counters
+   (negative, fractional and large values, absent keys, the largest
+   packable id as a name and as a key) through rings that wrap many
+   times: what survives, exported, equals the list model's. *)
+let test_packed_ring_model () =
+  let cap = 8 and top = 65534 in
+  let sink = full_sink ~ring_capacity:cap in
+  let rng = Random.State.make [| 35 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let key () = pick [ -1; 0; 1; top ] in
+  let int () = pick [ 0; 1; -1; 7; -123_456; 1 lsl 40; -(1 lsl 50); max_int; min_int ] in
+  let clock = ref 0 in
+  let record () =
+    let tid = pick [ 4; 9; 17 ] and name = pick [ 0; 1; 2; top - 1; top ] in
+    clock := !clock + Random.State.int rng 1000;
+    let ts = if Random.State.bool rng then !clock else !clock + (1 lsl 45) in
+    match Random.State.int rng 6 with
+    | 0 ->
+        let dur = Random.State.int rng 5000 in
+        Telemetry.span sink ~tid ~name ~ts ~dur;
+        span_ev ~tid ~ts ~dur ~name ~k1:(-1) ~v1:0.0 ~k2:(-1) ~v2:0.0
+    | 1 ->
+        let dur = pick [ 0; 3; 1 lsl 33 ] in
+        let k1 = key () and v1 = int () and k2 = key () and v2 = int () in
+        Telemetry.leaf sink ~tid ~name ~ts ~dur ~k1 ~v1 ~k2 ~v2;
+        span_ev ~tid ~ts ~dur ~name ~k1 ~v1:(float_of_int v1) ~k2 ~v2:(float_of_int v2)
+    | 2 ->
+        let dur = Random.State.int rng 900 in
+        let k1 = key () and v1 = int () and k2 = key () and v2 = int () in
+        Telemetry.enter_root sink ~tid ~name ~ts;
+        Telemetry.leave2 sink ~tid ~ts:(ts + dur) ~k1 ~v1 ~k2 ~v2;
+        span_ev ~tid ~ts ~dur ~name ~k1 ~v1:(float_of_int v1) ~k2 ~v2:(float_of_int v2)
+    | 3 ->
+        let value = pick [ 0.0; -0.5; 0.125; -3.75; 2.5e-3; 1e17; -6.02e23; 4096.0 ] in
+        Telemetry.counter sink ~tid ~name ~ts ~value;
+        counter_ev ~tid ~ts ~name value
+    | 4 ->
+        let value = int () in
+        Telemetry.counter_int sink ~tid ~name ~ts ~value;
+        counter_ev ~tid ~ts ~name (float_of_int value)
+    | _ ->
+        let num = int () and den = pick [ 1; 3; -8; 64 ] in
+        Telemetry.counter_ratio sink ~tid ~name ~ts ~num ~den;
+        counter_ev ~tid ~ts ~name (float_of_int num /. float_of_int den)
+  in
+  let evs = ref [] in
+  for _ = 1 to 300 do
+    evs := record () :: !evs
+  done;
+  let evs = List.rev !evs in
+  Alcotest.(check int) "recorded" 300 (Telemetry.events_recorded sink);
+  Alcotest.(check int) "dropped" (300 - (3 * cap)) (Telemetry.events_dropped sink);
+  Alcotest.(check string) "chrome_json" (model_chrome sink ~cap evs) (Telemetry.chrome_json sink);
+  List.iter
+    (fun n ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "tail_events %d" n)
+        (model_tail sink ~cap ~n evs) (Telemetry.tail_events sink ~n))
+    [ 1; 5; 3 * cap; 100 ]
+
+(* A lane is allocated at its thread's first event, and its ring costs at
+   most 5 words (40 bytes) per slot. *)
+let test_ring_footprint () =
+  let cap = 4096 in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let big = Telemetry.create ~ring_capacity:cap () in
+  Alcotest.(check int) "no ring before the first event"
+    (words (Telemetry.create ~ring_capacity:1 ())) (words big);
+  let name = Telemetry.intern big "ev" in
+  let before = words big in
+  for i = 1 to 2 * cap do
+    Telemetry.span big ~tid:3 ~name ~ts:i ~dur:1
+  done;
+  let lane = words big - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "a full %d-slot lane is %d words: at most 5 per slot plus 256" cap lane)
+    true
+    (lane <= (5 * cap) + 256)
 
 (* --- End-to-end: traced workload runs ------------------------------------ *)
 
@@ -669,7 +895,9 @@ let agrees_with_model a m =
 
 (* One step of a random script: [(kind, thread, name, clock advance)].
    Each thread has its own clock, so completions reach the windows out of
-   order, as lagging simulated threads do. *)
+   order, as lagging simulated threads do. With 32 frame and 32 leaf
+   names, a long script creates several hundred (parent, name) pairs,
+   enough to grow the blame index past its first size several times. *)
 let run_script ~window_ns steps =
   let sink = Telemetry.create ~ring_capacity:4 () in
   let a = Telemetry.enable_attribution sink in
@@ -677,8 +905,11 @@ let run_script ~window_ns steps =
     ~targets:(List.map (fun (op, target) -> (op, target, 0.9)) model_targets);
   let m = Model.create ~window_ns ~targets:model_targets in
   let clocks = Array.make 3 0 in
-  let frame_names = [| "refill"; "morph"; "wal"; "extent" |] in
-  let leaf_names = [| "fence"; "flush"; "refill"; "lock_wait" |] in
+  let frame_names = Array.init 32 (Printf.sprintf "frame%d") in
+  (* A charge may share a frame's name: the two meet in one node. *)
+  let leaf_names =
+    Array.init 32 (fun i -> if i < 4 then frame_names.(i) else Printf.sprintf "leaf%d" i)
+  in
   List.iter
     (fun (kind, th, k, dt) ->
       let tid = 10 + th in
@@ -703,8 +934,8 @@ let run_script ~window_ns steps =
 
 let script_gen =
   QCheck.Gen.(
-    list_size (int_range 0 120)
-      (quad (int_range 0 4) (int_range 0 2) (int_range 0 3) (int_range 0 30)))
+    list_size (int_range 0 2000)
+      (quad (int_range 0 4) (int_range 0 2) (int_range 0 31) (int_range 0 30)))
 
 let prop_attr_model =
   QCheck.Test.make ~name:"attr: lanes, linked tree and windows equal the keyed-table model"
@@ -1019,9 +1250,13 @@ let suite =
     Alcotest.test_case "histogram" `Quick test_histogram;
     QCheck_alcotest.to_alcotest prop_histogram_merge;
     Alcotest.test_case "histogram merge edge cases" `Quick test_histogram_merge_empty;
+    QCheck_alcotest.to_alcotest prop_bucket_of;
     Alcotest.test_case "ring bounds + drop-oldest" `Quick test_ring_bounds;
     Alcotest.test_case "ring capacity validation" `Quick test_ring_capacity_validation;
     Alcotest.test_case "name interning" `Quick test_interning;
+    Alcotest.test_case "intern: the packing limit fails loudly" `Quick test_intern_limit;
+    Alcotest.test_case "ring: packed slots equal a list model" `Quick test_packed_ring_model;
+    Alcotest.test_case "ring: a lane costs 5 words per slot" `Quick test_ring_footprint;
     Alcotest.test_case "same-seed trace is byte-identical" `Quick test_trace_determinism;
     Alcotest.test_case "trace JSON is well-formed" `Quick test_trace_validity;
     Alcotest.test_case "telemetry does not perturb simulation" `Quick test_zero_perturbation;
