@@ -287,6 +287,14 @@ let test_recovery_quarantine_idempotent () =
   Pmem.Device.crash dev;
   let clock2 = Sim.Clock.create () in
   let t2, rep1 = Nvalloc.recover ~config:media_config dev clock2 in
+  (* The one recovery in the suite that quarantines: its report line and
+     device counters are pinned. *)
+  Alcotest.(check string) "first recovery's report" "state=running wal_replayed=128 wal_torn_skipped=0 wal_undone=0 torn_slabs=0 \
+     leaked_blocks=0 leaked_extents=0 gc_marked=0 booklog_entries=1 media_repaired=0 \
+     quarantined=1 quarantined_bytes=65536"
+    (Format.asprintf "%a" Nvalloc.pp_recovery_report rep1);
+  Alcotest.(check string) "first recovery's device counters" "e5d7730e8125ed79cc52ee3241609f6f"
+    (Digest.to_hex (Digest.string (Pmem.Stats.to_json_string (Pmem.Device.stats dev))));
   Alcotest.(check int) "slab written off at recovery" 1 rep1.Nvalloc.quarantined_slabs;
   Alcotest.(check int) "bytes withdrawn" Slab.slab_bytes rep1.Nvalloc.quarantined_bytes;
   Alcotest.(check bool) "owner answers from the quarantined range" true
