@@ -37,6 +37,7 @@ val wal_group : Config.t -> int
     synchronously) otherwise. *)
 
 val create :
+  ?logs:Booklog.t option * Wal.t ->
   Heap.t ->
   index:int ->
   region_lock:Sim.Lock.t ->
@@ -45,22 +46,10 @@ val create :
   on_extent_created:(Extent.veh -> int -> unit) ->
   on_extent_dropped:(Extent.veh -> int -> unit) ->
   t
-(** The callbacks maintain the owner's global address index ([int] is the
+(** Build arena [index] around its bookkeeping log and WAL: [logs] when
+    recovery reopened them, freshly formatted ones otherwise. The
+    callbacks maintain the owner's global address index ([int] is the
     arena index). *)
-
-val of_recovered :
-  Heap.t ->
-  index:int ->
-  region_lock:Sim.Lock.t ->
-  booklog:Booklog.t option ->
-  wal:Wal.t ->
-  on_slab_created:(Slab.t -> unit) ->
-  on_slab_destroyed:(Slab.t -> unit) ->
-  on_extent_created:(Extent.veh -> int -> unit) ->
-  on_extent_dropped:(Extent.veh -> int -> unit) ->
-  t
-(** Build an arena around recovered persistent structures (recovery
-    constructs the booklog/WAL handles itself). *)
 
 val index : t -> int
 
@@ -133,6 +122,10 @@ val async_checkpoint_tick : t -> Sim.Clock.t -> bool
     critical path by the workload driver's daemon thread so foreground
     appends rarely hit a full ring. *)
 
+val old_block : Slab.t -> int -> int
+(** The live old-class block of a morphing slab whose base is this
+    address, or -1: how {!return_entry} tells the two grids apart. *)
+
 val return_entry : t -> Sim.Clock.t -> Slab.t -> int -> unit
 (** Return the block at this address to its slab's free set: an
     old-class block of a morphing slab is released against the index
@@ -145,13 +138,9 @@ val return_entry : t -> Sim.Clock.t -> Slab.t -> int -> unit
 val drain_all_tcaches : t -> Sim.Clock.t -> unit
 (** Return every tcache-resident block to its slab (shutdown path). *)
 
-val adopt_slab_veh : t -> Extent.veh -> unit
-(** Recovery hook: remember the extent backing a slab (before
-    {!restore_slab}). *)
-
-val restore_slab : t -> Slab.t -> unit
-(** Recovery hook: adopt a rebuilt vslab into freelists/LRU;
-    {!adopt_slab_veh} must have been called for its extent. *)
+val restore_slab : t -> Extent.veh -> Slab.t -> unit
+(** Recovery hook: adopt a rebuilt vslab and the extent backing it into
+    the slab table, freelists and LRU. *)
 
 val iter_slabs : t -> (int -> Slab.t -> unit) -> unit
 (** All live slabs of this arena, each with its base address (for tests

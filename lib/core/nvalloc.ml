@@ -100,10 +100,6 @@ let owner_find t addr =
     if ln = Rbtree.none then None
     else Some (Large_owner (Rbtree.value t.large_index ln, Rbtree.key2 t.large_index ln))
 
-let owner_lookup t clock addr =
-  charge_owner_search t clock;
-  owner_find t addr
-
 let callbacks t =
   let on_slab_created s = slab_insert t s in
   let on_slab_destroyed s = Rbtree.remove t.slab_index s.Slab.addr 0 in
@@ -128,8 +124,8 @@ let effective_config config dev =
   if Pmem.Device.is_eadr dev then { config with Config.batch = false } else config
 
 (* The one constructor of [t]: [arena] builds arena [index] around the
-   owner-index callbacks — [Arena.create] on a fresh heap,
-   [Arena.of_recovered] on a recovered one. *)
+   owner-index callbacks — [Arena.create], around the reopened logs on a
+   recovered heap. *)
 let make heap arena =
   let config = Heap.config heap in
   let t =
@@ -317,6 +313,28 @@ let guard_of_line t line =
      | _ -> ());
   !found
 
+(* A region on the device's sink, for the rare paths that record into it
+   directly: guard repair here, and recovery, which has no allocator to
+   attach to until it returns. Recording charges nothing; without a sink
+   these are no-ops. *)
+let region_enter ?(root = false) dev clock name =
+  match Pmem.Device.telemetry dev with
+  | None -> ()
+  | Some s ->
+      (if root then Telemetry.enter_root else Telemetry.enter)
+        s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s name) ~ts:(Sim.Clock.ns clock)
+
+let region_leave dev clock =
+  match Pmem.Device.telemetry dev with
+  | None -> ()
+  | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock)
+
+let phase dev clock name f =
+  region_enter dev clock name;
+  let r = f () in
+  region_leave dev clock;
+  r
+
 (* Bounded-retry policy: repair attempts per damaged record before it is
    quarantined (capacity withdrawn, allocation continues degraded). *)
 let media_max_repair = 3
@@ -334,21 +352,14 @@ let handle_poison t clock =
         | None -> ()
         | Some (r, slab) ->
             let t0 = Sim.Clock.ns clock in
-            let sink = Pmem.Device.telemetry t.dev in
-            (match sink with
-            | None -> ()
-            | Some s ->
-                Telemetry.enter s ~tid:(Sim.Clock.id clock)
-                  ~name:(Telemetry.intern s "guard:verify") ~ts:t0);
+            region_enter t.dev clock "guard:verify";
             let status = ref Guard.Lost in
             let attempts = ref 0 in
             while !attempts < media_max_repair && !status = Guard.Lost do
               incr attempts;
               status := Guard.verify_repair t.dev clock r
             done;
-            (match sink with
-            | None -> ()
-            | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
+            region_leave t.dev clock;
             (match !status with
             | Guard.Clean | Guard.Repaired -> media_span t clock "media:repair" t0
             | Guard.Lost -> (
@@ -560,6 +571,13 @@ let check_owner_index t =
 let iter_slabs t f =
   let f _ s = f s in
   Array.iter (fun a -> Arena.iter_slabs a f) t.arenas
+
+(* Every slab, collected first for walks whose steps can quarantine or
+   destroy slabs and so mutate the iteration set. *)
+let collected_slabs t =
+  let slabs = ref [] in
+  iter_slabs t (fun s -> slabs := s :: !slabs);
+  !slabs
 
 let iter_allocated t f =
   (* Small objects: marked, non-pinned blocks; old-class blocks of a
@@ -882,10 +900,7 @@ let scrub t clock =
           | None -> incr lost)
   in
   iter_fixed_guards ~regions:true t handle;
-  (* Collect first: a quarantine mutates the arena's slab table. *)
-  let slabs = ref [] in
-  iter_slabs t (fun s -> slabs := s :: !slabs);
-  List.iter (fun s -> handle ~slab:s (Slab.guard_record s.Slab.addr)) !slabs;
+  List.iter (fun s -> handle ~slab:s (Slab.guard_record s.Slab.addr)) (collected_slabs t);
   Pmem.Stats.bump (Pmem.Device.stats t.dev) Scrub_passes;
   media_span t clock "scrub" t0;
   (!repaired, !lost)
@@ -989,35 +1004,87 @@ let inject_bitrot t ~seed ~flips =
   done;
   !applied
 
-(* --- recovery (section 4.4) ----------------------------------------------------- *)
+(* --- recovery (section 4.4) -----------------------------------------------------
 
-let recover ?(config = Config.log_default) ?mutation dev clock =
+   [decode] reads the image and rebuilds the volatile allocator, [decide]
+   turns the result into a plan without writing anything, and [apply]
+   runs a plan through the runtime's own release paths. *)
+
+type step =
+  | Release of { slab : Slab.t; addr : int; dest : int }
+  | Free_large of { arena : int; veh : Extent.veh; dest : int }
+  | Rebuild of Slab.t
+  | Clear of { dest : int; addr : int }
+  | Search
+
+type decoded = {
+  t : t;
+  (* Per arena, the committed window plus the crash's open group, in seq
+     order. A discarded entry's op never happened, but its effects can
+     have leaked through shared-line flushes, so "no entry" must mean
+     "checkpointed", never "dropped". *)
+  windows : Wal.replayed list array;
+  (* NVAlloc-GC's marked bases: new-class blocks, old-class blocks, extents. *)
+  marks : (int, unit) Hashtbl.t * (int, unit) Hashtbl.t * (int, unit) Hashtbl.t;
+  report : recovery_report; (* what decoding found; the plans add the rest *)
+}
+
+(* Conservative GC from the root table, as in Makalu: mark every object
+   reachable from a root, treating any word that decodes to an address
+   inside a live object as a reference. It ends before any release, so
+   it charges its owner searches and reads as it goes. *)
+let gc_mark t clock =
+  let dev = t.dev and heap = t.heap in
+  let charge_lines n = Pmem.Device.charge_pm_read dev clock ~lines:n in
+  let heap_lo = Heap.heap_start heap and heap_hi = Pmem.Device.size dev in
+  let small = Hashtbl.create 1024 and old = Hashtbl.create 64 and large = Hashtbl.create 64 in
+  let marked = ref 0 and queue = Queue.create () in
+  let enqueue addr = if addr >= heap_lo && addr < heap_hi then Queue.add addr queue in
+  let scan_range addr size =
+    charge_lines ((size + Pmem.Cacheline.size - 1) / Pmem.Cacheline.size);
+    for w = 0 to (size / 8) - 1 do
+      let v = Int64.to_int (Pmem.Device.read_int64 dev (addr + (w * 8))) in
+      if v > 0 then enqueue v
+    done
+  in
+  let mark table base size =
+    if not (Hashtbl.mem table base) then begin
+      Hashtbl.add table base ();
+      incr marked;
+      scan_range base size
+    end
+  in
+  charge_lines (Heap.root_slots heap / 8);
+  for i = 0 to Heap.root_slots heap - 1 do
+    let v = Int64.to_int (Pmem.Device.read_int64 dev (Heap.root_addr heap i)) in
+    if v > 0 then enqueue v
+  done;
+  while not (Queue.is_empty queue) do
+    let addr = Queue.pop queue in
+    charge_owner_search t clock;
+    match owner_find t addr with
+    | Some (Small_owner s) when Arena.old_block s addr >= 0 ->
+        mark old addr (Option.get s.Slab.morph).Slab.old_block_size
+    | Some (Small_owner s) ->
+        let l = s.Slab.layout in
+        let d = addr - s.Slab.addr - l.Slab.data_off in
+        if d >= 0 && d / l.Slab.block_size < l.Slab.nblocks then
+          mark small (Slab.block_addr s (d / l.Slab.block_size)) l.Slab.block_size
+    | Some (Large_owner (veh, _)) -> mark large veh.Extent.addr veh.Extent.size
+    | None -> ()
+  done;
+  ((small, old, large), !marked)
+
+let decode ?(config = Config.log_default) ?mutation dev clock =
   Config.validate ~dev_size:(Pmem.Device.size dev) config;
   let config = effective_config config dev in
   Pmem.Device.set_batching dev config.Config.batch;
   let charge_lines n = Pmem.Device.charge_pm_read dev clock ~lines:n in
-  (* Recovery records into a sink already attached to the device (there
-     is no allocator to attach to until recovery returns). It is its own
-     root op class — its WAL replay reads, guard repairs and metadata
-     flushes attribute under [recovery] instead of polluting
-     malloc/free — and each [phase] is a region under it. Recording
-     charges nothing; without a sink [phase] is the identity. *)
-  let tsink = Pmem.Device.telemetry dev in
-  (match tsink with
-  | None -> ()
-  | Some s ->
-      Telemetry.enter_root s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s "recovery")
-        ~ts:(Sim.Clock.ns clock));
-  let phase name f =
-    match tsink with
-    | None -> f ()
-    | Some s ->
-        Telemetry.enter s ~tid:(Sim.Clock.id clock) ~name:(Telemetry.intern s name)
-          ~ts:(Sim.Clock.ns clock);
-        let r = f () in
-        Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock);
-        r
-  in
+  let phase name f = phase dev clock name f in
+  (* Recovery is its own root op class: its WAL replay reads, guard
+     repairs and metadata flushes attribute under [recovery] instead of
+     polluting malloc/free, and each phase is a region under it. *)
+  region_enter ~root:true dev clock "recovery";
   (* 0. Media pass, before anything reads a (possibly damaged) header:
      verify and repair the superblock and region table from their
      replicas. Losing either is fatal — there is nothing to rebuild the
@@ -1025,16 +1092,14 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
      handle provides their bases; slab headers during extent restore. *)
   let media = config.Config.media_replication in
   let media_repaired = ref 0 in
-  let quarantined : (int * int) list ref = ref [] in
-  let bump = function
+  let verified lost = function
+    | Guard.Lost -> failwith ("Nvalloc.recover: " ^ lost)
     | Guard.Repaired -> incr media_repaired
-    | Guard.Clean | Guard.Lost -> ()
+    | Guard.Clean -> ()
   in
   if media then
     phase "recovery:media" (fun () ->
-        (match Heap.verify_superblock dev clock with
-        | Guard.Lost -> failwith "Nvalloc.recover: superblock unrepairable (both copies damaged)"
-        | s -> bump s);
+        verified "superblock unrepairable (both copies damaged)" (Heap.verify_superblock dev clock);
         let r, l = Heap.verify_regions dev clock in
         media_repaired := !media_repaired + r;
         if l > 0 then failwith "Nvalloc.recover: region table unrepairable");
@@ -1049,24 +1114,18 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
   if media then
     phase "recovery:media" (fun () ->
         for i = 0 to n_arenas - 1 do
-          (match
-             Wal.verify_guard dev clock
+          verified "WAL header unrepairable"
+            (Wal.verify_guard dev clock
                ~base:(Heap.wal_base heap ~arena:i)
-               ~entries:config.Config.wal_entries
-           with
-          | Guard.Lost -> failwith "Nvalloc.recover: WAL header unrepairable"
-          | s -> bump s);
+               ~entries:config.Config.wal_entries);
           if config.Config.log_bookkeeping then
-            match
-              Booklog.verify_guard dev clock
-                ~base:(Heap.booklog_base heap ~arena:i)
-                ~chunks:config.Config.booklog_chunks
-            with
-            | Guard.Lost -> failwith "Nvalloc.recover: bookkeeping-log header unrepairable"
-            | s -> bump s
+            verified "bookkeeping-log header unrepairable"
+              (Booklog.verify_guard dev clock
+                 ~base:(Heap.booklog_base heap ~arena:i)
+                 ~chunks:config.Config.booklog_chunks)
         done);
   (* 1. Decode the WALs. The epochs are NOT bumped yet: they stay valid
-     until the sanity pass has finished (see the [Wal.seal] calls below),
+     until the sanity pass has finished (see [Wal.seal] in [recover]),
      so a crash during recovery leaves the logs replayable and recovery
      idempotent. *)
   let torn_wal = ref 0 in
@@ -1081,12 +1140,6 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
             torn_wal := !torn_wal + torn;
             (committed, discarded)))
   in
-  let replays = Array.map fst decoded in
-  (* The committed window plus the crash's open group, in seq order: what
-     the sanity pass judges block fates by. A discarded entry's op never
-     happened, but its effects can have leaked through shared-line
-     flushes — so "no entry" must mean "checkpointed", never "dropped". *)
-  let windows = Array.map (fun (c, d) -> c @ d) decoded in
   (* 2. Reopen per-arena bookkeeping logs (with their recovery-time slow
      GC) and WALs, then build the arenas around them. *)
   let booklog_live = Array.make n_arenas [] in
@@ -1105,31 +1158,28 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
               Some log)
         else Array.make n_arenas None)
   in
-  let wals =
-    let group = Arena.wal_group config in
-    Array.init n_arenas (fun i ->
-        Wal.adopt dev ~group ~replicate:media ~mutation:(Heap.mutation heap)
-          ~base:(Heap.wal_base heap ~arena:i)
-          ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_logs)
-  in
   let t =
     make heap (fun ~index ->
-        Arena.of_recovered heap ~index ~booklog:booklogs.(index) ~wal:wals.(index))
+        Arena.create heap ~index
+          ~logs:
+            ( booklogs.(index),
+              Wal.adopt dev ~group:(Arena.wal_group config) ~replicate:media
+                ~mutation:(Heap.mutation heap) ~base:(Heap.wal_base heap ~arena:index)
+                ~entries:config.Config.wal_entries ~interleave:config.Config.interleave_logs ))
   in
   (* Recovery's sink records the group commits and extent searches of the
      heap it rebuilds, as it does its own phases; the arenas themselves
      stay unattached. *)
   Array.iter
     (fun a ->
-      Wal.set_telemetry (Arena.wal a) tsink;
-      Extent.set_telemetry (Arena.large a) tsink)
+      Wal.set_telemetry (Arena.wal a) (Pmem.Device.telemetry dev);
+      Extent.set_telemetry (Arena.large a) (Pmem.Device.telemetry dev))
     t.arenas;
   (* 3. Regions. *)
   let regions = Heap.read_regions dev in
   let region_of_addr addr =
-    List.find (fun (base, total) -> addr >= base && addr < base + total) regions
+    fst (List.find (fun (base, total) -> addr >= base && addr < base + total) regions)
   in
-  let mapping = Arena.mapping_of_config config in
   (* Collect activated extents per arena: from the bookkeeping logs, or by
      scanning region headers in in-place mode (round-robin ownership).
      The list order is the restore order, which slab freelists and the
@@ -1147,42 +1197,32 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
                 List.map (fun s -> (ri mod n_arenas, s)) (Extent.scan_region dev ~base ~total))
               regions))
   in
-  (* Register regions with the arena that owns extents in them; regions
-     with no activated extents go to arena 0. *)
-  let region_arena = Hashtbl.create 16 in
-  List.iter
-    (fun (arena, (s : Booklog.scanned)) ->
-      let base, _ = region_of_addr s.Booklog.addr in
-      if not (Hashtbl.mem region_arena base) then Hashtbl.add region_arena base arena)
-    activated;
-  List.iter
-    (fun (base, total) ->
-      let arena = Option.value ~default:0 (Hashtbl.find_opt region_arena base) in
-      Extent.restore_region (Arena.large t.arenas.(arena)) ~base ~total)
-    regions;
+  let in_region base = List.filter (fun (_, s) -> region_of_addr s.Booklog.addr = base) activated in
+  (* Each region goes to the arena that owns its first activated extent;
+     regions with none go to arena 0. *)
+  let region_large base =
+    Arena.large t.arenas.(match in_region base with (arena, _) :: _ -> arena | [] -> 0)
+  in
+  List.iter (fun (base, total) -> Extent.restore_region (region_large base) ~base ~total) regions;
   (* 4. Restore activated extents; rebuild vslabs for slab extents. *)
-  let torn_slabs : (Arena.t * Extent.veh) list ref = ref [] in
+  let torn_slabs = ref [] in
   phase "recovery:restore-extents" (fun () ->
   List.iter
     (fun (arena_idx, (s : Booklog.scanned)) ->
       let arena = t.arenas.(arena_idx) in
-      let base, _ = region_of_addr s.Booklog.addr in
       let veh =
         Extent.restore_extent (Arena.large arena) ~addr:s.Booklog.addr ~size:s.Booklog.size
-          ~kind:s.Booklog.kind ~state:Extent.Activated ~log_ref:s.Booklog.ref_ ~region:base
+          ~kind:s.Booklog.kind ~state:Extent.Activated ~log_ref:s.Booklog.ref_
+          ~region:(region_of_addr s.Booklog.addr)
       in
       match s.Booklog.kind with
       | Booklog.Slab_extent ->
-          let header_lost =
-            media
-            && (match Guard.verify_repair dev clock (Slab.guard_record s.Booklog.addr) with
-               | Guard.Lost -> true
-               | Guard.Repaired ->
-                   incr media_repaired;
-                   false
-               | Guard.Clean -> false)
+          let header =
+            if media then Guard.verify_repair dev clock (Slab.guard_record s.Booklog.addr)
+            else Guard.Clean
           in
-          if header_lost then
+          if header = Guard.Repaired then incr media_repaired;
+          if header = Guard.Lost then
             (* Unrepairable header (both copies damaged): write the slab
                off. No vslab is built, but the extent stays activated and
                the range is quarantined — the address space is never
@@ -1190,7 +1230,7 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
                it, and frees into it are swallowed. Poison persists
                across crashes, so a re-recovery reaches the same verdict
                and recovery stays idempotent. *)
-            quarantined := (s.Booklog.addr, s.Booklog.size) :: !quarantined
+            t.quarantined_ranges <- (s.Booklog.addr, s.Booklog.size) :: t.quarantined_ranges
           else if not (Slab.is_slab_header dev s.Booklog.addr) then
             (* Torn slab creation: the bookkeeping entry persisted but the
                header flush did not. The extent carries no live data (the
@@ -1199,332 +1239,286 @@ let recover ?(config = Config.log_default) ?mutation dev clock =
                ranges stay disjoint. *)
             torn_slabs := (arena, veh) :: !torn_slabs
           else begin
-            Arena.adopt_slab_veh arena veh;
             charge_lines (Slab.slab_bytes / Pmem.Cacheline.size / 8);
             let vslab, undone =
               Slab.recover ~mutation:(Heap.mutation heap) dev ~addr:s.Booklog.addr
-                ~arena:arena_idx ~mapping
+                ~arena:arena_idx ~mapping:(Arena.mapping_of_config config)
             in
             if undone then
               Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:s.Booklog.addr
                 ~len:Slab.slab_bytes;
             slab_insert t vslab;
-            Arena.restore_slab arena vslab
+            Arena.restore_slab arena veh vslab
           end
       | Booklog.Extent -> ())
     activated);
-  t.quarantined_ranges <- !quarantined;
   (* 5. Gaps between activated extents become reclaimed free extents. *)
   phase "recovery:gaps" (fun () ->
-  let by_region = Hashtbl.create 16 in
-  List.iter
-    (fun ((_ : int), (s : Booklog.scanned)) ->
-      let base, _ = region_of_addr s.Booklog.addr in
-      Hashtbl.replace by_region base
-        ((s.Booklog.addr, s.Booklog.size)
-        :: Option.value ~default:[] (Hashtbl.find_opt by_region base)))
-    activated;
   let header_off = if config.Config.log_bookkeeping then 0 else Extent.header_bytes in
   List.iter
     (fun (base, total) ->
-      let arena_idx = Option.value ~default:0 (Hashtbl.find_opt region_arena base) in
-      let large = Arena.large t.arenas.(arena_idx) in
-      let exts =
-        List.sort compare (Option.value ~default:[] (Hashtbl.find_opt by_region base))
-      in
       let cursor = ref (base + header_off) in
       let add_gap stop =
         if stop > !cursor then
           ignore
-            (Extent.restore_extent large ~addr:!cursor ~size:(stop - !cursor)
+            (Extent.restore_extent (region_large base) ~addr:!cursor ~size:(stop - !cursor)
                ~kind:Booklog.Extent ~state:Extent.Reclaimed ~log_ref:(-1) ~region:base)
       in
       List.iter
         (fun (a, sz) ->
           add_gap a;
           cursor := a + sz)
-        exts;
+        (List.sort compare
+           (List.map (fun (_, s) -> (s.Booklog.addr, s.Booklog.size)) (in_region base)));
       add_gap (base + total))
     regions;
   (* Reclaim extents of torn slab creations now that ranges are settled. *)
   List.iter (fun (arena, veh) -> Extent.free (Arena.large arena) clock veh) !torn_slabs);
-  (* 6. Sanity pass on unclean shutdown. *)
-  let leaked_blocks = ref 0 and leaked_extents = ref (List.length !torn_slabs) in
-  let marked = ref 0 and wal_undone = ref 0 in
-  let wal_total = Array.fold_left (fun acc l -> acc + List.length l) 0 replays in
+  (* 6. The sanity pass on an unclean shutdown opens with NVAlloc-GC's
+     mark; [recover] closes its region once the plans are applied. *)
+  region_enter dev clock "recovery:sanity";
+  let dirty = found_state <> Heap.Shutdown in
+  let marks, marked =
+    if dirty && config.Config.consistency = Config.Gc_based then gc_mark t clock
+    else ((Hashtbl.create 1, Hashtbl.create 1, Hashtbl.create 1), 0)
+  in
+  let entries l = Array.fold_left (fun acc l -> acc + List.length l) 0 l in
+  let torn_slabs = List.length !torn_slabs in
+  {
+    t;
+    (* A clean shutdown leaves nothing to judge. *)
+    windows = (if dirty then Array.map (fun (c, d) -> c @ d) decoded else [||]);
+    marks;
+    report =
+      {
+        found_state;
+        wal_entries_replayed = (if dirty then entries (Array.map fst decoded) else 0);
+        torn_wal_skipped = !torn_wal;
+        wal_entries_undone = 0;
+        torn_slab_creations = torn_slabs;
+        leaked_blocks_reclaimed = 0;
+        leaked_extents_reclaimed = torn_slabs;
+        gc_blocks_marked = marked;
+        booklog_entries = entries booklog_live;
+        media_repairs = !media_repaired;
+        quarantined_slabs = quarantined_slabs t;
+        quarantined_bytes = quarantined_bytes t;
+      };
+  }
+
+(* NVAlloc-LOG: WAL replay decides the fate of every allocated small
+   block from its last log entry (protocol in wal.mli). *)
+let decide_log d =
+  let t = d.t in
+  let last : (int, Wal.replayed) Hashtbl.t = Hashtbl.create 1024 in
+  Array.iter (List.iter (fun (e : Wal.replayed) -> Hashtbl.replace last e.addr e)) d.windows;
+  (* A block still the user's yields nothing; any other is released and
+     its destination cleared (0 for none). *)
+  let judge s addr acc =
+    match Hashtbl.find_opt last addr with
+    | Some { kind = Wal.Refill; _ } -> Release { slab = s; addr; dest = 0 } :: acc
+    | Some { kind = Wal.Free; dest; _ } when dest >= 0 -> Release { slab = s; addr; dest } :: acc
+    | Some { kind = Wal.Alloc; dest; _ } when read_ptr t ~dest <> addr ->
+        Release { slab = s; addr; dest = 0 } :: acc
+    | Some _ | None -> acc
+  in
+  (* Per slab, current-class blocks from the bitmap, then old-class blocks
+     of a morphing slab from the index table; each group is released
+     most recently judged first. *)
+  let releases s =
+    let current = ref [] in
+    Bitmap.iter_set t.dev s.Slab.bitmap (fun b ->
+        if Slab.usable s b then current := judge s (Slab.block_addr s b) !current);
+    match s.Slab.morph with
+    | Some m ->
+        !current
+        @ Hashtbl.fold (fun b _ acc -> judge s (Slab.old_block_addr s m b) acc) m.Slab.old_live []
+    | None -> !current
+  in
+  (* Large objects: a Large_alloc whose destination was never published
+     is a leak; a Large_free that never reached the bookkeeping log must
+     be completed. Each verdict costs an owner search. *)
+  let large addr (e : Wal.replayed) acc =
+    match e.kind with
+    | Wal.Large_alloc | Wal.Large_free -> (
+        match owner_find t addr with
+        | Some (Large_owner (veh, arena))
+          when veh.Extent.addr = addr
+               && (e.kind = Wal.Large_free || read_ptr t ~dest:e.dest <> addr) ->
+            Free_large { arena; veh; dest = e.dest } :: Search :: acc
+        | _ -> Search :: acc)
+    | Wal.Alloc | Wal.Free | Wal.Refill -> acc
+  in
+  List.concat_map releases (collected_slabs t) @ List.rev (Hashtbl.fold large last [])
+
+(* NVAlloc-GC: unmarked old-class blocks and large extents are leaks,
+   and each slab's bitmap is rebuilt from the marks, since the persisted
+   bits are stale in both directions. *)
+let decide_gc d =
+  let _, mark_old, mark_large = d.marks in
+  let slab_steps s =
+    let dead b _ acc =
+      let addr = Slab.old_block_addr s (Option.get s.Slab.morph) b in
+      if Hashtbl.mem mark_old addr then acc else Release { slab = s; addr; dest = 0 } :: acc
+    in
+    let old = match s.Slab.morph with Some m -> Hashtbl.fold dead m.Slab.old_live [] | None -> [] in
+    old @ [ Rebuild s ]
+  in
+  let unmarked _ arena veh acc =
+    if Hashtbl.mem mark_large veh.Extent.addr then acc
+    else Free_large { arena; veh; dest = 0 } :: acc
+  in
+  List.concat_map slab_steps (collected_slabs d.t) @ Rbtree.fold unmarked d.t.large_index []
+
+(* Internal collection (PMDK's model) has no plan: the persistent bitmap
+   marks exactly the user's objects, and unpublished in-flight
+   allocations are the application's to resolve via [iter_allocated]. *)
+let decide d =
+  match d.t.config.Config.consistency with
+  | _ when d.report.found_state = Heap.Shutdown -> []
+  | Config.Log_based -> decide_log d
+  | Config.Gc_based -> decide_gc d
+  | Config.Internal_collection -> []
+
+(* [free_from]'s final step — zeroing the destination — can be the only
+   store the crash loses, after the free's metadata effect (bitmap bit,
+   morph index entry, or bookkeeping-log tombstone) already persisted.
+   The plans above only judge objects still marked allocated, so a
+   fully-persisted free with a lost destination clear leaves a dangling
+   publication nothing else will touch. The WAL entry still names the
+   (addr, dest) pair: if the object is no longer allocated but the
+   destination still points at it, complete the clear. (Both the
+   large-extent and morph-old-block cases were found by the crash-plan
+   fuzzer.) This judges the heap the first plan leaves behind, so
+   [recover] decides it after applying that plan.
+
+   With group commit, a freed block can be handed out again inside the
+   same open group, so the replay window may hold Free (addr, dest)
+   followed by Alloc (addr, dest'): after a crash in the group's effect
+   phase the block is allocated again (at dest') while [dest] still
+   points at it. So an entry is also undone when a {e later} entry for
+   the same address supersedes it — unless that later entry is an Alloc
+   re-publishing the very same destination. Small-object entries for one
+   address always live in that block's home-arena WAL (and large
+   publishes commit inline), so comparing sequence numbers per WAL is
+   sound. *)
+let decide_lost d =
+  let t = d.t in
+  let cleared = Hashtbl.create 16 in
+  let clear (e : Wal.replayed) =
+    Hashtbl.replace cleared e.dest ();
+    Clear { dest = e.dest; addr = e.addr }
+  in
+  (* Whether the block at [addr] is still allocated; one owner search. *)
+  let allocated addr =
+    match owner_find t addr with
+    | Some (Small_owner s) ->
+        Arena.old_block s addr >= 0
+        || Slab.contains_new_block s addr
+           && Bitmap.get t.dev s.Slab.bitmap (Slab.block_index s addr)
+    | Some (Large_owner (veh, _)) -> veh.Extent.addr = addr
+    | None -> false
+  in
+  let judge_window (entries : Wal.replayed list) =
+    let last = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Wal.replayed) ->
+        match Hashtbl.find_opt last e.addr with
+        | Some (l : Wal.replayed) when l.seq >= e.seq -> ()
+        | _ -> Hashtbl.replace last e.addr e)
+      entries;
+    List.concat_map
+      (fun (e : Wal.replayed) ->
+        if e.dest <= 0 || Hashtbl.mem cleared e.dest || read_ptr t ~dest:e.dest <> e.addr then []
+        else
+          match Hashtbl.find_opt last e.addr with
+          | Some (l : Wal.replayed)
+            when l.seq > e.seq && not (l.kind = Wal.Alloc && l.dest = e.dest) ->
+              [ clear e ]
+          | _ ->
+              (* A quarantined range's blocks are conservatively live:
+                 their bitmap is unreadable, so no publication into it
+                 may be cleared. *)
+              if in_quarantine t e.addr then []
+              else if allocated e.addr then [ Search ]
+              else [ Search; clear e ])
+      entries
+  in
+  List.concat_map judge_window (Array.to_list d.windows)
+
+(* No block, named by slab, grid and index as [Arena.return_entry]
+   resolves its address, may be released twice. *)
+let check_plan plan =
+  let released = Hashtbl.create 64 in
+  List.iteri
+    (fun i -> function
+      | Release { slab = s; addr; dest } -> (
+          let old = Arena.old_block s addr in
+          let grid, b = if old >= 0 then ("old", old) else ("new", Slab.block_index s addr) in
+          let step =
+            Printf.sprintf "step %d (release %#x: slab %#x, %s block %d; dest %#x)" i addr
+              s.Slab.addr grid b dest
+          in
+          match Hashtbl.find_opt released (s.Slab.addr, grid, b) with
+          | Some first ->
+              failwith
+                (Printf.sprintf "Nvalloc.recover: plan releases one block twice, at %s and %s"
+                   first step)
+          | None -> Hashtbl.add released (s.Slab.addr, grid, b) step)
+      | Free_large _ | Rebuild _ | Clear _ | Search -> ())
+    plan
+
+(* Run a checked plan; returns the blocks its slab rebuilds released. *)
+let apply d clock plan =
+  check_plan plan;
+  let t = d.t and rebuilt = ref 0 and mark_small, _, _ = d.marks in
   let clear_dest dest addr =
     if dest > 0 && read_ptr t ~dest = addr then publish ~deps:[] t clock ~dest ~addr:0
   in
-  phase "recovery:sanity" (fun () ->
-  if found_state <> Heap.Shutdown then begin
-    (match config.Config.consistency with
-    | Config.Internal_collection ->
-        (* Internal collection (PMDK's model): the persistent bitmap marks
-           exactly the user's objects — unpublished in-flight allocations
-           are the application's to resolve via [iter_allocated], so the
-           allocator itself has no sanity pass to run. *)
-        ()
-    | Config.Log_based ->
-        (* WAL replay: decide the fate of every allocated small block from
-           its last log entry (protocol in wal.mli). *)
-        let last : (int, Wal.replayed) Hashtbl.t = Hashtbl.create 1024 in
-        Array.iter (List.iter (fun (e : Wal.replayed) -> Hashtbl.replace last e.addr e)) windows;
-        (* The verdict on an allocated block: -1 while it is the user's,
-           else the destination that may still point at it (0 for none). *)
-        let fate addr =
-          match Hashtbl.find_opt last addr with
-          | Some { kind = Wal.Refill; _ } -> 0
-          | Some { kind = Wal.Free; dest; _ } -> dest
-          | Some { kind = Wal.Alloc; dest; _ } -> if read_ptr t ~dest <> addr then 0 else -1
-          | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> -1
-        in
-        let victims = ref [] in
-        let judge addr =
-          let dest = fate addr in
-          if dest >= 0 then victims := (addr, dest) :: !victims
-        in
-        (* The runtime free's release: it tells an old-class block of a
-           morphing slab from a current-class one. *)
-        let release s =
-          List.iter
-            (fun (addr, dest) ->
-              clear_dest dest addr;
-              Arena.return_entry t.arenas.(s.Slab.arena) clock s addr;
-              incr leaked_blocks;
-              incr wal_undone)
-            !victims;
-          victims := []
-        in
-        (* Collect first: releases can destroy now-empty slabs, which
-           would mutate the iteration set. *)
-        let slabs = ref [] in
-        iter_slabs t (fun s -> slabs := s :: !slabs);
-        List.iter
-          (fun s ->
-            Bitmap.iter_set dev s.Slab.bitmap (fun b ->
-                if Slab.usable s b then judge (Slab.block_addr s b));
-            release s;
-            (* Old-class blocks of a morphing slab live in the index
-               table, not the bitmap. *)
-            (match s.Slab.morph with
-            | Some m -> Hashtbl.iter (fun b _ -> judge (Slab.old_block_addr s m b)) m.Slab.old_live
-            | None -> ());
-            release s)
-          !slabs;
-        (* Large objects: a Large_alloc whose destination was never
-           published is a leak; a Large_free that never reached the
-           bookkeeping log must be completed. *)
-        Hashtbl.iter
-          (fun addr (e : Wal.replayed) ->
-            match e.kind with
-            | Wal.Large_alloc | Wal.Large_free -> (
-                match owner_lookup t clock addr with
-                | Some (Large_owner (veh, aidx)) when veh.Extent.addr = addr ->
-                    let leak =
-                      match e.kind with
-                      | Wal.Large_alloc -> read_ptr t ~dest:e.dest <> addr
-                      | _ -> true (* Large_free: the free must be completed *)
-                    in
-                    if leak then begin
-                      clear_dest e.dest addr;
-                      Arena.free_large t.arenas.(aidx) clock veh;
-                      incr leaked_extents;
-                      incr wal_undone
-                    end
-                | _ -> ())
-            | Wal.Alloc | Wal.Free | Wal.Refill -> ())
-          last
-    | Config.Gc_based ->
-        (* Conservative GC from the root table, as in Makalu: mark every
-           object reachable from a root, treating any word that decodes to
-           an address inside a live object as a reference; then rebuild
-           the slab bitmaps from the marks and reclaim unmarked extents. *)
-        let heap_lo = Heap.heap_start heap and heap_hi = Pmem.Device.size dev in
-        let mark_small : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-        let mark_old : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-        let mark_large : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-        let queue = Queue.create () in
-        let enqueue addr = if addr >= heap_lo && addr < heap_hi then Queue.add addr queue in
-        (* Roots. *)
-        charge_lines (Heap.root_slots heap / 8);
-        for i = 0 to Heap.root_slots heap - 1 do
-          let v = Int64.to_int (Pmem.Device.read_int64 dev (Heap.root_addr heap i)) in
-          if v > 0 then enqueue v
-        done;
-        let scan_range addr size =
-          charge_lines ((size + Pmem.Cacheline.size - 1) / Pmem.Cacheline.size);
-          let words = size / 8 in
-          for w = 0 to words - 1 do
-            let v = Int64.to_int (Pmem.Device.read_int64 dev (addr + (w * 8))) in
-            if v > 0 then enqueue v
-          done
-        in
-        while not (Queue.is_empty queue) do
-          let addr = Queue.pop queue in
-          match owner_lookup t clock addr with
-          | Some (Small_owner s) ->
-              let off = addr - s.Slab.addr in
-              let old_hit =
-                match s.Slab.morph with
-                | Some m -> Slab.old_block_index m off
-                | None -> -1
-              in
-              (match old_hit with
-              | -1 ->
-                  let d = off - s.Slab.layout.Slab.data_off in
-                  if d >= 0 && d / s.Slab.layout.Slab.block_size < s.Slab.layout.Slab.nblocks
-                  then begin
-                    let b = d / s.Slab.layout.Slab.block_size in
-                    let base = Slab.block_addr s b in
-                    if not (Hashtbl.mem mark_small base) then begin
-                      Hashtbl.add mark_small base ();
-                      incr marked;
-                      scan_range base s.Slab.layout.Slab.block_size
-                    end
-                  end
-              | _ ->
-                  if not (Hashtbl.mem mark_old addr) then begin
-                    Hashtbl.add mark_old addr ();
-                    incr marked;
-                    let m = Option.get s.Slab.morph in
-                    scan_range addr m.Slab.old_block_size
-                  end)
-          | Some (Large_owner (veh, _)) ->
-              if not (Hashtbl.mem mark_large veh.Extent.addr) then begin
-                Hashtbl.add mark_large veh.Extent.addr ();
-                incr marked;
-                scan_range veh.Extent.addr veh.Extent.size
-              end
-          | None -> ()
-        done;
-        (* Rebuild slab bitmaps wholesale from the marks: in the GC variant
-           the persisted bits are stale in both directions. Collect first:
-           rebuilds can destroy empty slabs, mutating the iteration set. *)
-        let slabs = ref [] in
-        iter_slabs t (fun s -> slabs := s :: !slabs);
-        List.iter
-          (fun s ->
-            (* Old-class blocks whose addresses are unmarked are leaks. *)
-            (match s.Slab.morph with
-            | Some m ->
-                let dead = ref [] in
-                Hashtbl.iter
-                  (fun b _ ->
-                    let addr = Slab.old_block_addr s m b in
-                    if not (Hashtbl.mem mark_old addr) then dead := addr :: !dead)
-                  m.Slab.old_live;
-                List.iter
-                  (fun addr ->
-                    Arena.return_entry t.arenas.(s.Slab.arena) clock s addr;
-                    incr leaked_blocks)
-                  !dead
-            | None -> ());
-            let released =
-              Arena.recover_rebuild_slab t.arenas.(s.Slab.arena) clock s ~live:(fun b ->
+  List.iter
+    (function
+      | Release { slab = s; addr; dest } ->
+          clear_dest dest addr;
+          Arena.return_entry t.arenas.(s.Slab.arena) clock s addr
+      | Free_large { arena; veh; dest } ->
+          clear_dest dest veh.Extent.addr;
+          Arena.free_large t.arenas.(arena) clock veh
+      | Rebuild s ->
+          rebuilt :=
+            !rebuilt
+            + Arena.recover_rebuild_slab t.arenas.(s.Slab.arena) clock s ~live:(fun b ->
                   Hashtbl.mem mark_small (Slab.block_addr s b))
-            in
-            leaked_blocks := !leaked_blocks + released)
-          !slabs;
-        (* Unmarked large extents are leaks. *)
-        let unmarked = ref [] in
-        Rbtree.iter
-          (fun _ aidx veh ->
-            if not (Hashtbl.mem mark_large veh.Extent.addr) then
-              unmarked := (veh, aidx) :: !unmarked)
-          t.large_index;
-        List.iter
-          (fun (veh, aidx) ->
-            Arena.free_large t.arenas.(aidx) clock veh;
-            incr leaked_extents)
-          !unmarked);
-    (* [free_from]'s final step — zeroing the destination — can be the only
-       store the crash loses, after the free's metadata effect (bitmap bit,
-       morph index entry, or bookkeeping-log tombstone) already persisted.
-       The sanity passes above only judge objects still marked allocated,
-       so a fully-persisted free with a lost destination clear leaves a
-       dangling publication nothing else will touch.  The WAL entry still
-       names the (addr, dest) pair: if the object is no longer allocated
-       but the destination still points at it, complete the clear.  (Both
-       the large-extent and morph-old-block cases were found by the
-       crash-plan fuzzer.) *)
-    let still_allocated addr =
-      (* A quarantined range's blocks are conservatively live: their
-         bitmap is unreadable, so no publication into it may be
-         cleared. *)
-      in_quarantine t addr
-      ||
-      match owner_lookup t clock addr with
-      | Some (Small_owner s) -> (
-          let off = addr - s.Slab.addr in
-          match s.Slab.morph with
-          | Some m when Slab.old_block_index m off >= 0 -> true
-          | _ ->
-              Slab.contains_new_block s addr
-              && Bitmap.get dev s.Slab.bitmap (Slab.block_index s addr))
-      | Some (Large_owner (veh, _)) -> veh.Extent.addr = addr
-      | None -> false
-    in
-    (* With group commit, a freed block can be handed out again inside the
-       same open group, so the replay window may hold Free (addr, dest)
-       followed by Alloc (addr, dest'): after a crash in the group's
-       effect phase the block is allocated again (at dest') while [dest]
-       still points at it. [still_allocated] alone would keep that stale
-       pointer, so an entry is also undone when a {e later} entry for the
-       same address supersedes it — unless that later entry is an Alloc
-       re-publishing the very same destination, in which case the pointer
-       is current. Small-object entries for one address always live in
-       that block's home-arena WAL (and large publishes commit inline), so
-       comparing sequence numbers per WAL is sound. *)
-    Array.iter
-      (fun (entries : Wal.replayed list) ->
-        let last = Hashtbl.create 64 in
-        List.iter
-          (fun (e : Wal.replayed) ->
-            match Hashtbl.find_opt last e.Wal.addr with
-            | Some (l : Wal.replayed) when l.Wal.seq >= e.Wal.seq -> ()
-            | _ -> Hashtbl.replace last e.Wal.addr e)
-          entries;
-        List.iter
-          (fun (e : Wal.replayed) ->
-            let superseded =
-              match Hashtbl.find_opt last e.Wal.addr with
-              | Some (l : Wal.replayed) ->
-                  l.Wal.seq > e.Wal.seq
-                  && not (l.Wal.kind = Wal.Alloc && l.Wal.dest = e.Wal.dest)
-              | None -> false
-            in
-            if
-              e.Wal.dest > 0
-              && read_ptr t ~dest:e.Wal.dest = e.Wal.addr
-              && (superseded || not (still_allocated e.Wal.addr))
-            then begin
-              clear_dest e.Wal.dest e.Wal.addr;
-              incr wal_undone
-            end)
-          entries)
-      windows
-  end);
+      | Clear { dest; addr } -> clear_dest dest addr
+      | Search -> charge_owner_search t clock)
+    plan;
+  !rebuilt
+
+let recover ?config ?mutation dev clock =
+  let d = decode ?config ?mutation dev clock in
+  let t = d.t and plan = decide d in
+  let rebuilt = apply d clock plan in
+  let lost = decide_lost d in
+  ignore (apply d clock lost : int);
+  region_leave dev clock;
   (* The sanity pass is done: only now invalidate the WAL windows. A
      crash anywhere before this point re-runs the pass from the same
      entries (all its releases are idempotent); a crash after it finds
      the heap already sane, with nothing left to replay. *)
-  phase "recovery:seal" (fun () -> Array.iter (fun wal -> Wal.seal wal clock) wals);
-  Heap.set_state heap clock Heap.Running;
-  (match tsink with
-  | None -> ()
-  | Some s -> Telemetry.leave s ~tid:(Sim.Clock.id clock) ~ts:(Sim.Clock.ns clock));
+  phase dev clock "recovery:seal" (fun () ->
+      Array.iter (fun a -> Wal.seal (Arena.wal a) clock) t.arenas);
+  Heap.set_state t.heap clock Heap.Running;
+  region_leave dev clock;
+  let count p steps = List.length (List.filter p steps) in
+  let releases = count (function Release _ -> true | _ -> false) plan
+  and frees = count (function Free_large _ -> true | _ -> false) plan in
+  let r = d.report in
   ( t,
     {
-      found_state;
-      wal_entries_replayed = (if found_state <> Heap.Shutdown then wal_total else 0);
-      torn_wal_skipped = !torn_wal;
-      wal_entries_undone = !wal_undone;
-      torn_slab_creations = List.length !torn_slabs;
-      leaked_blocks_reclaimed = !leaked_blocks;
-      leaked_extents_reclaimed = !leaked_extents;
-      gc_blocks_marked = !marked;
-      booklog_entries = Array.fold_left (fun acc l -> acc + List.length l) 0 booklog_live;
-      media_repairs = !media_repaired;
-      quarantined_slabs = List.length !quarantined;
-      quarantined_bytes = List.fold_left (fun acc (_, len) -> acc + len) 0 !quarantined;
+      r with
+      (* Under LOG every release and free undoes a WAL entry. *)
+      wal_entries_undone =
+        (if t.config.Config.consistency = Config.Log_based then releases + frees else 0)
+        + count (function Clear _ -> true | _ -> false) lost;
+      leaked_blocks_reclaimed = releases + rebuilt;
+      leaked_extents_reclaimed = r.leaked_extents_reclaimed + frees;
     } )

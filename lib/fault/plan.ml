@@ -98,6 +98,8 @@ let of_string s =
   in
   if ops < 1 then Error "ops must be >= 1"
   else if crash_after < 1 then Error "crash must be >= 1"
+  else if Option.fold ~none:false ~some:(fun n -> n < 1) recovery_crash then
+    Error "rcrash must be >= 1"
   else if poison < 0 || rot < 0 then Error "poison/rot must be >= 0"
   else
     Ok

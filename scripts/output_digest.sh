@@ -67,5 +67,11 @@ digest fuzz --variant gc --seed 5 --runs 600
 digest fuzz --variant ic --seed 5 --runs 400
 digest fuzz --media --seed 4 --runs 200
 digest fuzz --seed 1 --runs 1000
+# Recovery outcomes, not just verdicts: the double-release repros print
+# their assert and a telemetry tail, the GC torn-slab plan its report.
+digest fuzz --plan "v=log seed=543089 ops=116 crash=512 torn=line tseed=561649 rcrash=-"
+digest fuzz --no-batch --plan "v=log seed=220986 ops=144 crash=584 torn=line tseed=21856 rcrash=-"
+digest fuzz --no-batch --plan "v=log seed=123637 ops=236 crash=852 torn=line tseed=720335 rcrash=-"
+digest fuzz --plan "v=gc seed=524170 ops=474 crash=185 torn=suffix tseed=116043 rcrash=32"
 digest run fig2 fig11 fig17 fig18 ext-variants
 digest run fig9 fig12

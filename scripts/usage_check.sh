@@ -5,7 +5,8 @@
 # - counts: --runs, --ops, --threads and --crash below 1, --domains
 #   outside 1..64;
 # - names: allocator, workload, experiment id and consistency variant;
-# - repro lines: --plan and --scenario;
+# - repro lines: --plan and --scenario, and a --plan whose rcrash is
+#   below 1;
 # - a non-positive --window-ns, a negative --tail, --poison or
 #   --bitrot, and a missing slo --check baseline;
 # - files: an unwritable trace/slo output (--out, --hist, --folded,
@@ -34,3 +35,6 @@ for args in \
   "slo --prom /nonexistent/p.txt" "slo --check README.md"; do
   must_exit 124 "$args" "$cli" $args
 done
+# A plan holds spaces, so it gets its own quoted stanza.
+plan='v=log seed=1 ops=10 crash=1 torn=line tseed=0 rcrash=0'
+must_exit 124 "fuzz --plan '$plan'" "$cli" fuzz --plan "$plan"
